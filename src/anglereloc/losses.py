@@ -11,13 +11,21 @@ camera center.
 
 Array-first design: the ``*_terms`` kernels operate on (N, 3) prediction and
 (N, 2) pixel batches and are what training uses; ``reproj_point`` /
-``angle_point`` wrap them for single points.
+``angle_point`` wrap them for single points. The composite losses do no
+per-point Python work either. ``multiview_image_loss`` reads a
+``MultiviewIndex`` that ``build_multiview_index`` makes once per training
+run (CSR lists of the other images seeing each observation row, their
+pixels, and the poses stacked by image); each call draws every corresponded
+row's neighbor with one ``rng.integers`` call in row order and evaluates the
+drawn pairs in one ``angle_terms`` pass. ``photometric_image_loss`` works on
+all valid (M, 9) sampling windows at once, and its SSIM shares one formula
+with ``ssim3x3``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -286,13 +294,117 @@ def image_loss(
     )
 
 
+class _ImageRows(NamedTuple):
+    """One image's observation rows in a ``MultiviewIndex``."""
+
+    point_ids: np.ndarray
+    pixels: np.ndarray
+    # (N + 1,) offsets into the index's flat entry arrays: the other images
+    # seeing row r's point are entries offsets[r] .. offsets[r + 1] - 1
+    offsets: np.ndarray
+
+
+@dataclass(frozen=True)
+class MultiviewIndex:
+    """Correspondence lists and stacked poses for ``multiview_image_loss``.
+
+    For every image with observations, a CSR list per observation row of the
+    other images that see the row's point, in ``covis.other_images`` order.
+    Each entry of the flat arrays holds the other image's position in
+    ``image_ids`` and the point's pixel there; poses are stacked by that
+    position. Built once by ``build_multiview_index`` and read-only after.
+    """
+
+    image_ids: np.ndarray  # (I,) sorted ids of the images with observations
+    rotations: np.ndarray  # (I, 3, 3) camera-to-world rotations
+    translations: np.ndarray  # (I, 3)
+    has_pose: np.ndarray  # (I,) False where ``poses`` lacks the image
+    poses: dict
+    images: dict  # image id -> _ImageRows
+    other_pos: np.ndarray  # (E,) position of each entry's other image
+    other_pixels: np.ndarray  # (E, 2) the point's pixel in that image
+
+    def draw(self, image_id, rng: np.random.Generator):
+        """One other view per corresponded row of ``image_id``, uniform over
+        the images that also see the row's point. All rows draw from one
+        ``rng.integers`` call in row order, which yields the same stream as
+        one scalar draw per row. Returns ``(rows, entries)``."""
+        offsets = self.images[image_id].offsets
+        counts = np.diff(offsets)
+        rows = np.flatnonzero(counts)
+        return rows, offsets[rows] + rng.integers(counts[rows])
+
+
+def build_multiview_index(poses, observations_by_image, covis) -> MultiviewIndex:
+    """Index the co-visibility of every observation row for the multi-view
+    loss.
+
+    ``poses`` and ``observations_by_image`` are mappings keyed by image id;
+    ``covis.other_images(point_id, image_id)`` lists the other images seeing
+    a point. Raises ``IndexMismatchError`` naming the image and the point
+    when ``covis`` says an image sees a point that its observations lack.
+    """
+    image_ids = np.array(sorted(observations_by_image), dtype=np.int64)
+    obs = [observations_by_image[i] for i in image_ids.tolist()]
+    point_ids = [np.asarray(o.point_ids, dtype=np.int64) for o in obs]
+    offsets, others = [], []
+    for i, ids in zip(image_ids.tolist(), point_ids):
+        starts = [len(others)]
+        for k in ids.tolist():
+            others.extend(covis.other_images(k, i))
+            starts.append(len(others))
+        offsets.append(np.array(starts))
+    other_ids = np.array(others, dtype=np.int64)
+    all_points = np.concatenate(point_ids)
+    entry_points = np.repeat(all_points, np.concatenate([np.diff(s) for s in offsets]))
+
+    # entry -> position of its other image, and of that image's observation row
+    other_pos = np.minimum(np.searchsorted(image_ids, other_ids), len(image_ids) - 1)
+    lo = all_points.min(initial=0)
+    stride = all_points.max(initial=0) - lo + 1
+    image_of_row = np.repeat(np.arange(len(obs)), [len(ids) for ids in point_ids])
+    row_keys = image_of_row * stride + all_points - lo
+    order = np.argsort(row_keys)
+    entry_keys = other_pos * stride + entry_points - lo
+    at = np.minimum(np.searchsorted(row_keys[order], entry_keys), len(order) - 1)
+    bad = (image_ids[other_pos] != other_ids) | (row_keys[order[at]] != entry_keys)
+    if np.any(bad):
+        m, k = int(other_ids[bad][0]), int(entry_points[bad][0])
+        raise IndexMismatchError(
+            f"covis says image {m} sees point {k}, but image {m} has no observation of it"
+        )
+    pixels = [np.asarray(o.pixels, dtype=np.float64) for o in obs]
+
+    has_pose = np.array([i in poses for i in image_ids.tolist()], dtype=bool)
+    rotations = np.tile(np.eye(3), (len(image_ids), 1, 1))
+    translations = np.zeros((len(image_ids), 3))
+    for p in np.flatnonzero(has_pose):
+        rotations[p] = poses[int(image_ids[p])].rotation
+        translations[p] = poses[int(image_ids[p])].translation
+    return MultiviewIndex(
+        image_ids=image_ids,
+        rotations=rotations,
+        translations=translations,
+        has_pose=has_pose,
+        poses=dict(poses),
+        images={
+            i: _ImageRows(ids, pix, s)
+            for i, ids, pix, s in zip(image_ids.tolist(), point_ids, pixels, offsets)
+        },
+        other_pos=other_pos,
+        other_pixels=np.concatenate(pixels)[order[at]],
+    )
+
+
+# the angle loss of camera-frame points is ``angle_terms`` under this pose
+_CAMERA_FRAME = PoseSE3.identity()
+
+
 def multiview_image_loss(
     intr: CameraIntrinsics,
-    poses,
+    index: MultiviewIndex,
     image_id,
     predictions: PredictionGrid,
-    observations_by_image,
-    covis,
     cfg: LossConfig = LossConfig(),
     rng: Optional[np.random.Generator] = None,
 ) -> LossReport:
@@ -305,53 +417,43 @@ def multiview_image_loss(
     same predicted coordinate is reprojected there, so gradients from both
     views accumulate into it.
 
-    ``poses`` and ``observations_by_image`` are mappings keyed by image id;
-    ``covis.other_images(point_id, image_id)`` lists the other images seeing
-    a point. With no correspondences this reduces exactly to
-    ``image_loss(ANGLE, ...)``.
+    ``index`` comes from ``build_multiview_index``, built once per training
+    run. Neighbors are drawn by ``index.draw``: one ``rng.integers`` call
+    over the corresponded rows in observation order. The loss is two
+    ``angle_terms`` passes: the image's own rows under its pose, and every
+    drawn (row, neighbor) pair at once in the neighbors' camera frames, with
+    the per-row poses gathered from the index. With no correspondences this
+    reduces exactly to ``image_loss(ANGLE, ...)``. Raises
+    ``MissingPoseError`` when the image or a drawn neighbor has no pose.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    obs_i = observations_by_image[image_id]
-    _check_ids(predictions.point_ids, obs_i.point_ids)
-    if image_id not in poses:
+    own = index.images[image_id]
+    _check_ids(predictions.point_ids, own.point_ids)
+    if image_id not in index.poses:
         raise MissingPoseError(f"no pose for image {image_id}")
     values, grads, statuses, thetas = angle_terms(
-        intr, poses[image_id], predictions.coords, obs_i.pixels, cfg.epsilon_norm
+        intr, index.poses[image_id], predictions.coords, own.pixels, cfg.epsilon_norm
     )
-    point_ids = np.asarray(predictions.point_ids)
-
-    # draw one extra view per corresponded point, in observation order
-    extra: dict = {}
-    for row, k in enumerate(point_ids):
-        others = covis.other_images(k, image_id)
-        if len(others) == 0:
-            continue
-        m = others[int(rng.integers(len(others)))]
-        extra.setdefault(m, []).append(row)
-
-    if extra:
+    rows, entries = index.draw(image_id, rng)
+    if len(rows):
+        pos = index.other_pos[entries]
+        missing = ~index.has_pose[pos]
+        if np.any(missing):
+            raise MissingPoseError(f"no pose for image {index.image_ids[pos[missing][0]]}")
+        R = index.rotations[pos]
+        D = np.einsum("ni,nij->nj", predictions.coords[rows] - index.translations[pos], R)
+        v_m, g_cam, _, _ = angle_terms(
+            intr, _CAMERA_FRAME, D, index.other_pixels[entries], cfg.epsilon_norm
+        )
         lam = cfg.lambda_multiview
-        corresponded = np.concatenate([np.array(v) for v in extra.values()])
-        values = values.copy()
-        grads = grads.copy()
-        values[corresponded] *= lam
-        grads[corresponded] *= lam
-        for m, rows in extra.items():
-            if m not in poses:
-                raise MissingPoseError(f"no pose for image {m}")
-            obs_m = observations_by_image[m]
-            lookup = {k: r for r, k in enumerate(np.asarray(obs_m.point_ids))}
-            rows = np.array(rows)
-            pix_m = np.array(
-                [obs_m.pixels[lookup[point_ids[r]]] for r in rows]
-            )
-            v_m, g_m, _, _ = angle_terms(
-                intr, poses[m], predictions.coords[rows], pix_m, cfg.epsilon_norm
-            )
-            values[rows] += lam * v_m
-            grads[rows] += lam * g_m
-    return LossReport(point_ids.copy(), values, grads, statuses, thetas)
+        values[rows] *= lam
+        grads[rows] *= lam
+        values[rows] += lam * v_m
+        grads[rows] += lam * np.einsum("nj,nij->ni", g_cam, R)
+    return LossReport(
+        np.asarray(predictions.point_ids).copy(), values, grads, statuses, thetas
+    )
 
 
 class BilinearSample(NamedTuple):
@@ -374,16 +476,18 @@ def bilinear_values_and_grads(img: np.ndarray, q: np.ndarray):
     q = np.asarray(q, dtype=np.float64)
     x, y = q[:, 0], q[:, 1]
     valid = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-    xs = np.clip(x, 0, w - 1)
-    ys = np.clip(y, 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 2)
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 2)
+    xs = np.minimum(np.maximum(x, 0), w - 1)
+    ys = np.minimum(np.maximum(y, 0), h - 1)
+    x0 = np.minimum(np.maximum(np.floor(xs).astype(int), 0), w - 2)
+    y0 = np.minimum(np.maximum(np.floor(ys).astype(int), 0), h - 2)
     fx = xs - x0
     fy = ys - y0
-    v00 = img[y0, x0]
-    v01 = img[y0, x0 + 1]
-    v10 = img[y0 + 1, x0]
-    v11 = img[y0 + 1, x0 + 1]
+    flat = img.ravel()
+    i00 = y0 * w + x0
+    v00 = flat[i00]
+    v01 = flat[i00 + 1]
+    v10 = flat[i00 + w]
+    v11 = flat[i00 + w + 1]
     top = v00 * (1 - fx) + v01 * fx
     bot = v10 * (1 - fx) + v11 * fx
     values = top * (1 - fy) + bot * fy
@@ -412,6 +516,27 @@ def _box3(a: np.ndarray) -> np.ndarray:
     return out / 9.0
 
 
+def _ssim_from_moments(mu_a, mu_b, e_aa, e_bb, e_ab):
+    """SSIM from window statistics (means, second moments and the cross
+    moment), plus its partials w.r.t. ``mu_a``, ``e_aa`` and ``e_ab``: the
+    parts of the gradient w.r.t. ``a`` once chained through the window
+    averaging."""
+    var_a = e_aa - mu_a**2
+    var_b = e_bb - mu_b**2
+    cov = e_ab - mu_a * mu_b
+    n1 = 2 * mu_a * mu_b + SSIM_C1
+    n2 = 2 * cov + SSIM_C2
+    d1 = mu_a**2 + mu_b**2 + SSIM_C1
+    d2 = var_a + var_b + SSIM_C2
+    ssim = (n1 * n2) / (d1 * d2)
+    f_n1 = n2 / (d1 * d2)
+    f_n2 = n1 / (d1 * d2)
+    f_d1 = -ssim / d1
+    f_d2 = -ssim / d2
+    f_mu_a = 2 * mu_b * f_n1 + 2 * mu_a * f_d1 - 2 * mu_a * f_d2 - mu_b * 2 * f_n2
+    return ssim, f_mu_a, f_d2, 2 * f_n2
+
+
 def ssim3x3(a: np.ndarray, b: np.ndarray):
     """Per-pixel SSIM map between two images with 3x3 box-filtered
     statistics, plus the gradient of the map's sum w.r.t. ``a``.
@@ -423,45 +548,11 @@ def ssim3x3(a: np.ndarray, b: np.ndarray):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise DimensionMismatchError("ssim3x3 needs two equal-shape 2D images")
-    mu_a, mu_b = _box3(a), _box3(b)
-    e_aa, e_bb, e_ab = _box3(a * a), _box3(b * b), _box3(a * b)
-    var_a = e_aa - mu_a**2
-    var_b = e_bb - mu_b**2
-    cov = e_ab - mu_a * mu_b
-    n1 = 2 * mu_a * mu_b + SSIM_C1
-    n2 = 2 * cov + SSIM_C2
-    d1 = mu_a**2 + mu_b**2 + SSIM_C1
-    d2 = var_a + var_b + SSIM_C2
-    ssim_map = (n1 * n2) / (d1 * d2)
-    # partials of the map sum w.r.t. the filtered statistics
-    f_n1 = n2 / (d1 * d2)
-    f_n2 = n1 / (d1 * d2)
-    f_d1 = -ssim_map / d1
-    f_d2 = -ssim_map / d2
-    f_mu_a = 2 * mu_b * f_n1 + 2 * mu_a * f_d1 - 2 * mu_a * f_d2 - mu_b * 2 * f_n2
-    f_e_aa = f_d2
-    f_e_ab = 2 * f_n2
+    ssim_map, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments(
+        _box3(a), _box3(b), _box3(a * a), _box3(b * b), _box3(a * b)
+    )
     grad_a = _box3(f_mu_a) + 2 * a * _box3(f_e_aa) + b * _box3(f_e_ab)
     return ssim_map, grad_a
-
-
-def _ssim_window(a: np.ndarray, b: np.ndarray):
-    """SSIM between two flat pixel windows plus gradient w.r.t. ``a``."""
-    n = a.size
-    mu_a, mu_b = a.mean(), b.mean()
-    var_a = np.mean(a * a) - mu_a**2
-    var_b = np.mean(b * b) - mu_b**2
-    cov = np.mean(a * b) - mu_a * mu_b
-    n1 = 2 * mu_a * mu_b + SSIM_C1
-    n2 = 2 * cov + SSIM_C2
-    d1 = mu_a**2 + mu_b**2 + SSIM_C1
-    d2 = var_a + var_b + SSIM_C2
-    s = (n1 * n2) / (d1 * d2)
-    grad = (
-        (2 * mu_b * n2 + n1 * 2 * (b - mu_b)) / (d1 * d2)
-        - s * (2 * mu_a / d1 + 2 * (a - mu_a) / d2)
-    ) / n
-    return s, grad
 
 
 _PATCH_OFFSETS = np.array(
@@ -501,47 +592,52 @@ def photometric_image_loss(
     R = pose_j.rotation
     D = pose_j.world_to_camera(preds)
     z = D[:, 2]
-    in_front = z > 0
+    # rows behind camera j are masked, so only the rows in front are sampled
+    front = np.flatnonzero(z > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = intr.f * D[:, :2] / z[:, None] + np.array([intr.cx, intr.cy])
+        q = intr.f * D[front, :2] / z[front, None] + np.array([intr.cx, intr.cy])
 
     # 3x3 windows around the target pixel (image i) and the projection (image j)
-    pix_i = np.asarray(observations_i.pixels, dtype=np.float64)
-    tgt_coords = pix_i[:, None, :] + _PATCH_OFFSETS[None, :, :]
-    with np.errstate(invalid="ignore"):
-        rec_coords = q[:, None, :] + _PATCH_OFFSETS[None, :, :]
+    pix_i = np.asarray(observations_i.pixels, dtype=np.float64)[front]
+    tgt_coords = pix_i[:, None, :] + _PATCH_OFFSETS
+    rec_coords = q[:, None, :] + _PATCH_OFFSETS
     safe_rec = np.where(np.isfinite(rec_coords), rec_coords, -1.0)
     tgt_vals, _, tgt_ok = bilinear_values_and_grads(img_i, tgt_coords.reshape(-1, 2))
     rec_vals, rec_grads, rec_ok = bilinear_values_and_grads(
         img_j, safe_rec.reshape(-1, 2)
     )
-    tgt_vals = tgt_vals.reshape(n, 9)
-    rec_vals = rec_vals.reshape(n, 9)
-    rec_grads = rec_grads.reshape(n, 9, 2)
-    valid = (
-        in_front & tgt_ok.reshape(n, 9).all(axis=1) & rec_ok.reshape(n, 9).all(axis=1)
-    )
+    inside = tgt_ok.reshape(-1, 9).all(axis=1) & rec_ok.reshape(-1, 9).all(axis=1)
+    ok = front[inside]
+    valid = np.zeros(n, dtype=bool)
+    valid[ok] = True
 
+    # every valid window at once: a = reconstruction, b = target, (M, 9)
     alpha = cfg.alpha_ssim
+    a = rec_vals.reshape(-1, 9)[inside]
+    b = tgt_vals.reshape(-1, 9)[inside]
+    s, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments(
+        a.mean(axis=1),
+        b.mean(axis=1),
+        (a * a).mean(axis=1),
+        (b * b).mean(axis=1),
+        (a * b).mean(axis=1),
+    )
+    ds_da = (f_mu_a[:, None] + 2 * a * f_e_aa[:, None] + b * f_e_ab[:, None]) / 9
+    diff = a[:, _PATCH_CENTER] - b[:, _PATCH_CENTER]
     values = np.zeros(n)
+    values[ok] = (1 - alpha) * np.abs(diff) + alpha * (1 - s) / 2
+    dl_da = -(alpha / 2) * ds_da
+    dl_da[:, _PATCH_CENTER] += (1 - alpha) * np.sign(diff)
+    dl_dq = np.einsum("mk,mkc->mc", dl_da, rec_grads.reshape(-1, 9, 2)[inside])
+    # chain through the projection into the neighbor camera: the columns of
+    # the 2x3 Jacobian dq/dD are (gx, 0), (0, gx), -(gx / z) (Dx, Dy)
+    gx = intr.f / z[ok]
+    grad_D = np.empty((len(ok), 3))
+    grad_D[:, 0] = gx * dl_dq[:, 0]
+    grad_D[:, 1] = gx * dl_dq[:, 1]
+    grad_D[:, 2] = -gx / z[ok] * (D[ok, 0] * dl_dq[:, 0] + D[ok, 1] * dl_dq[:, 1])
     grads = np.zeros((n, 3))
-    gx = intr.f / np.where(valid, z, 1.0)
-    for i in np.flatnonzero(valid):
-        a, b = rec_vals[i], tgt_vals[i]
-        s, ds_da = _ssim_window(a, b)
-        diff = a[_PATCH_CENTER] - b[_PATCH_CENTER]
-        values[i] = (1 - alpha) * abs(diff) + alpha * (1 - s) / 2
-        dl_da = -(alpha / 2) * ds_da
-        dl_da[_PATCH_CENTER] += (1 - alpha) * np.sign(diff)
-        dl_dq = rec_grads[i].T @ dl_da
-        # chain through the projection into the neighbor camera
-        jac = np.array(
-            [
-                [gx[i], 0.0, -gx[i] * D[i, 0] / z[i]],
-                [0.0, gx[i], -gx[i] * D[i, 1] / z[i]],
-            ]
-        )
-        grads[i] = R @ (jac.T @ dl_dq)
+    grads[ok] = grad_D @ R.T
     return LossReport(
         np.asarray(predictions.point_ids).copy(),
         values,
@@ -549,23 +645,6 @@ def photometric_image_loss(
         depth_statuses(z),
         np.full(n, np.nan),
         valid_mask=valid,
-    )
-
-
-def combined_loss(
-    angle_report: LossReport, photo_report: LossReport, cfg: LossConfig = LossConfig()
-) -> LossReport:
-    """Angle loss plus ``lambda_photo`` times the photometric loss, with
-    per-point gradients summed."""
-    _check_ids(angle_report.point_ids, photo_report.point_ids)
-    lam = cfg.lambda_photo
-    return LossReport(
-        angle_report.point_ids.copy(),
-        angle_report.values + lam * photo_report.values,
-        angle_report.grads + lam * photo_report.grads,
-        angle_report.statuses.copy(),
-        angle_report.thetas.copy(),
-        valid_mask=photo_report.valid_mask,
     )
 
 

@@ -18,7 +18,7 @@ import csv
 import enum
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,24 +31,19 @@ from anglereloc.geometry import (
     ray_vectors,
 )
 from anglereloc.losses import (
+    DimensionMismatchError,
     LossConfig,
     PredictionGrid,
     angle_terms,
-    combined_loss,
-    image_loss,
+    build_multiview_index,
     multiview_image_loss,
     photometric_image_loss,
     reproj_terms,
-    LossMode,
 )
 
 
 class ConfigError(Exception):
     """Inconsistent training configuration for the given dataset."""
-
-
-class DimensionMismatchError(Exception):
-    pass
 
 
 class TrainMode(enum.Enum):
@@ -506,6 +501,11 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     intr = dataset.intrinsics
     order_rng = np.random.default_rng([cfg.seed, 11])
     image_order = order_rng.integers(0, len(train_ids), size=cfg.iterations)
+    multiview = (
+        build_multiview_index(dataset.poses, dataset.observations, dataset.covis)
+        if mode is TrainMode.ANGLE_MULTI
+        else None
+    )
 
     log = TrainLog()
     nonfinite_events = 0
@@ -560,11 +560,9 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         elif mode is TrainMode.ANGLE_MULTI:
             rep = multiview_image_loss(
                 intr,
-                dataset.poses,
+                multiview,
                 image_id,
                 PredictionGrid(obs.point_ids, preds),
-                dataset.observations,
-                dataset.covis,
                 loss_cfg,
                 np.random.default_rng([cfg.seed, t, image_id]),
             )

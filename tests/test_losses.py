@@ -11,7 +11,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anglereloc.geometry import DepthStatus, PoseSE3, ray_vector, rotation_about_axis
+from anglereloc.geometry import (
+    DepthStatus,
+    PoseSE3,
+    depth_statuses,
+    ray_vector,
+    ray_vectors,
+    rotation_about_axis,
+)
 from anglereloc.losses import (
     IndexMismatchError,
     DimensionMismatchError,
@@ -23,13 +30,14 @@ from anglereloc.losses import (
     angle_terms,
     bilinear_sample,
     bilinear_values_and_grads,
-    combined_loss,
+    build_multiview_index,
     image_loss,
     multiview_image_loss,
     photometric_image_loss,
     reproj_point,
     ssim3x3,
 )
+from anglereloc.scenegen import DatasetConfig, build_dataset
 
 from conftest import random_pose
 
@@ -306,7 +314,11 @@ class TestMultiviewLoss:
         poses, obs_by_img, covis, coords = self._two_view_setup(rng, intr)
         preds = PredictionGrid(obs_by_img[0].point_ids, rng.uniform(-5, 5, size=(8, 3)))
         multi = multiview_image_loss(
-            intr, poses, 0, preds, obs_by_img, covis, rng=np.random.default_rng(3)
+            intr,
+            build_multiview_index(poses, obs_by_img, covis),
+            0,
+            preds,
+            rng=np.random.default_rng(3),
         )
         single = image_loss(LossMode.ANGLE, intr, poses[0], preds, obs_by_img[0])
         assert np.array_equal(multi.values, single.values)
@@ -318,7 +330,11 @@ class TestMultiviewLoss:
         )
         preds = PredictionGrid(obs_by_img[0].point_ids, coords)
         rep = multiview_image_loss(
-            intr, poses, 0, preds, obs_by_img, covis, rng=np.random.default_rng(3)
+            intr,
+            build_multiview_index(poses, obs_by_img, covis),
+            0,
+            preds,
+            rng=np.random.default_rng(3),
         )
         assert rep.total < 1e-6
 
@@ -330,7 +346,12 @@ class TestMultiviewLoss:
         preds_arr = rng.uniform(-5, 5, size=(8, 3))
         preds = PredictionGrid(obs_by_img[0].point_ids, preds_arr)
         rep = multiview_image_loss(
-            intr, poses, 0, preds, obs_by_img, covis, cfg, np.random.default_rng(9)
+            intr,
+            build_multiview_index(poses, obs_by_img, covis),
+            0,
+            preds,
+            cfg,
+            np.random.default_rng(9),
         )
         # with two images, the drawn extra view for point 2 can only be image 1
         expected = 0.0
@@ -351,8 +372,35 @@ class TestMultiviewLoss:
         preds = PredictionGrid(obs_by_img[0].point_ids, coords)
         with pytest.raises(MissingPoseError):
             multiview_image_loss(
-                intr, poses, 0, preds, obs_by_img, covis, rng=np.random.default_rng(0)
+                intr,
+                build_multiview_index(poses, obs_by_img, covis),
+                0,
+                preds,
+                rng=np.random.default_rng(0),
             )
+
+    def test_missing_pose_of_undrawn_image_is_fine(self, intr, rng):
+        # image 1 lacks a pose, but no point of image 0 can draw it
+        poses, obs_by_img, covis, coords = self._two_view_setup(rng, intr)
+        del poses[1]
+        preds = PredictionGrid(obs_by_img[0].point_ids, coords)
+        index = build_multiview_index(poses, obs_by_img, covis)
+        rep = multiview_image_loss(intr, index, 0, preds, rng=np.random.default_rng(0))
+        assert rep.total < 1e-6
+
+    def test_inconsistent_covis_raises_index_mismatch(self, intr, rng):
+        poses, obs_by_img, covis, coords = self._two_view_setup(
+            rng, intr, covis_points=(0, 3)
+        )
+        keep = obs_by_img[1].point_ids != 3
+        obs_by_img[1] = SimpleNamespace(
+            point_ids=obs_by_img[1].point_ids[keep], pixels=obs_by_img[1].pixels[keep]
+        )
+        with pytest.raises(IndexMismatchError, match="image 1 sees point 3"):
+            build_multiview_index(poses, obs_by_img, covis)
+        # an image with no observations at all
+        with pytest.raises(IndexMismatchError, match="image 5 sees point 4"):
+            build_multiview_index(poses, obs_by_img, _Covis({4: (0, 5)}))
 
     def test_gradient_matches_finite_differences(self, intr, rng):
         cfg = LossConfig(lambda_multiview=60.0)
@@ -364,7 +412,12 @@ class TestMultiviewLoss:
         def total_for(arr):
             grid = PredictionGrid(obs_by_img[0].point_ids, arr)
             return multiview_image_loss(
-                intr, poses, 0, grid, obs_by_img, covis, cfg, np.random.default_rng(5)
+                intr,
+                build_multiview_index(poses, obs_by_img, covis),
+                0,
+                grid,
+                cfg,
+                np.random.default_rng(5),
             )
 
         rep = total_for(preds_arr)
@@ -532,37 +585,202 @@ class TestPhotometricLoss:
             )
 
 
-class TestCombinedLoss:
-    def _reports(self, intr, rng):
-        pose = random_pose(rng)
-        obs, coords = make_obs(rng, pose, intr, 6)
-        grid = PredictionGrid(obs.point_ids, rng.uniform(-4, 4, size=(6, 3)))
-        angle = image_loss(LossMode.ANGLE, intr, pose, grid, obs)
-        img = smooth_image(rng, 101, 101)
-        photo = photometric_image_loss(intr, pose, grid, obs, img, img)
-        return angle, photo
+# ---------------------------------------------------------------------------
+# Equivalence with the per-point kernels the vectorized ones replaced
+# ---------------------------------------------------------------------------
 
-    def test_zero_weight_equals_angle_report(self, intr, rng):
-        angle, photo = self._reports(intr, rng)
-        out = combined_loss(angle, photo, LossConfig(lambda_photo=0.0))
-        np.testing.assert_array_equal(out.values, angle.values)
-        np.testing.assert_array_equal(out.grads, angle.grads)
 
-    def test_hand_sum(self, intr, rng):
-        angle, photo = self._reports(intr, rng)
-        cfg = LossConfig(lambda_photo=20.0)
-        out = combined_loss(angle, photo, cfg)
-        assert abs(out.total - (angle.total + 20.0 * photo.total)) < 1e-9
-        np.testing.assert_allclose(
-            out.grads, angle.grads + 20.0 * photo.grads, atol=1e-12
+def _angle_terms_reference(intr, pose, preds, pixels, eps_norm=1e-8):
+    """The angle kernel as it stood before the vectorized composite losses."""
+    preds = np.asarray(preds, dtype=np.float64)
+    pixels = np.asarray(pixels, dtype=np.float64)
+    R = pose.rotation
+    D = pose.world_to_camera(preds)
+    rays = ray_vectors(intr, pixels)
+    norms_d = np.linalg.norm(rays, axis=1)
+    norms_D_raw = np.linalg.norm(D, axis=1)
+    norms_D = np.maximum(norms_D_raw, eps_norm)
+    scale = norms_d / norms_D
+    g = scale[:, None] * D - rays
+    values = np.linalg.norm(g, axis=1)
+    with np.errstate(invalid="ignore"):
+        ghat = np.where(values[:, None] > 0, g / values[:, None], 0.0)
+    grad_D = scale[:, None] * ghat
+    free = norms_D_raw > eps_norm
+    dot = np.sum(D * ghat, axis=1)
+    grad_D[free] -= (norms_d[free] * dot[free] / norms_D[free] ** 3)[:, None] * D[free]
+    grads = grad_D @ R.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosines = np.sum(D * rays, axis=1) / (np.maximum(norms_D_raw, 1e-300) * norms_d)
+    thetas = np.arccos(np.clip(cosines, -1.0, 1.0))
+    return values, grads, depth_statuses(D[:, 2]), thetas
+
+
+def _multiview_reference(intr, poses, image_id, predictions, obs_by_img, covis, cfg, rng):
+    """Per-point multi-view loop with per-neighbor lookup dicts. Returns the
+    report's (values, grads, statuses) and the neighbor drawn per row (-1
+    where the row has no correspondence)."""
+    obs_i = obs_by_img[image_id]
+    values, grads, statuses, _ = _angle_terms_reference(
+        intr, poses[image_id], predictions.coords, obs_i.pixels, cfg.epsilon_norm
+    )
+    point_ids = np.asarray(predictions.point_ids)
+    drawn = np.full(len(point_ids), -1)
+    extra: dict = {}
+    for row, k in enumerate(point_ids):
+        others = covis.other_images(k, image_id)
+        if len(others) == 0:
+            continue
+        m = others[int(rng.integers(len(others)))]
+        drawn[row] = m
+        extra.setdefault(m, []).append(row)
+    if extra:
+        lam = cfg.lambda_multiview
+        corresponded = np.concatenate([np.array(v) for v in extra.values()])
+        values[corresponded] *= lam
+        grads[corresponded] *= lam
+        for m, rows in extra.items():
+            obs_m = obs_by_img[m]
+            lookup = {k: r for r, k in enumerate(np.asarray(obs_m.point_ids))}
+            rows = np.array(rows)
+            pix_m = np.array([obs_m.pixels[lookup[point_ids[r]]] for r in rows])
+            v_m, g_m, _, _ = _angle_terms_reference(
+                intr, poses[m], predictions.coords[rows], pix_m, cfg.epsilon_norm
+            )
+            values[rows] += lam * v_m
+            grads[rows] += lam * g_m
+    return values, grads, statuses, drawn
+
+
+def _ssim_window_reference(a, b):
+    n = a.size
+    mu_a, mu_b = a.mean(), b.mean()
+    var_a = np.mean(a * a) - mu_a**2
+    var_b = np.mean(b * b) - mu_b**2
+    cov = np.mean(a * b) - mu_a * mu_b
+    n1 = 2 * mu_a * mu_b + 0.01**2
+    n2 = 2 * cov + 0.03**2
+    d1 = mu_a**2 + mu_b**2 + 0.01**2
+    d2 = var_a + var_b + 0.03**2
+    s = (n1 * n2) / (d1 * d2)
+    grad = (
+        (2 * mu_b * n2 + n1 * 2 * (b - mu_b)) / (d1 * d2)
+        - s * (2 * mu_a / d1 + 2 * (a - mu_a) / d2)
+    ) / n
+    return s, grad
+
+
+def _photometric_reference(intr, pose_j, preds, pix_i, img_i, img_j, alpha):
+    """Per-point photometric loop with a per-point 2x3 projection Jacobian.
+    Returns (values, grads, valid)."""
+    n = len(preds)
+    R = pose_j.rotation
+    D = pose_j.world_to_camera(preds)
+    z = D[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = intr.f * D[:, :2] / z[:, None] + np.array([intr.cx, intr.cy])
+    offsets = np.array([[dx, dy] for dy in (-1, 0, 1) for dx in (-1, 0, 1)], float)
+    tgt = pix_i[:, None, :] + offsets[None]
+    with np.errstate(invalid="ignore"):
+        rec = q[:, None, :] + offsets[None]
+    rec = np.where(np.isfinite(rec), rec, -1.0)
+    tgt_vals, _, tgt_ok = bilinear_values_and_grads(img_i, tgt.reshape(-1, 2))
+    rec_vals, rec_grads, rec_ok = bilinear_values_and_grads(img_j, rec.reshape(-1, 2))
+    tgt_vals, rec_vals = tgt_vals.reshape(n, 9), rec_vals.reshape(n, 9)
+    rec_grads = rec_grads.reshape(n, 9, 2)
+    valid = (z > 0) & tgt_ok.reshape(n, 9).all(axis=1) & rec_ok.reshape(n, 9).all(axis=1)
+    values, grads = np.zeros(n), np.zeros((n, 3))
+    gx = intr.f / np.where(valid, z, 1.0)
+    for i in np.flatnonzero(valid):
+        a, b = rec_vals[i], tgt_vals[i]
+        s, ds_da = _ssim_window_reference(a, b)
+        diff = a[4] - b[4]
+        values[i] = (1 - alpha) * abs(diff) + alpha * (1 - s) / 2
+        dl_da = -(alpha / 2) * ds_da
+        dl_da[4] += (1 - alpha) * np.sign(diff)
+        dl_dq = rec_grads[i].T @ dl_da
+        jac = np.array(
+            [
+                [gx[i], 0.0, -gx[i] * D[i, 0] / z[i]],
+                [0.0, gx[i], -gx[i] * D[i, 1] / z[i]],
+            ]
         )
+        grads[i] = R @ (jac.T @ dl_dq)
+    return values, grads, valid
 
-    def test_zero_plus_zero(self, intr, rng):
-        pose = random_pose(rng)
-        obs, coords = make_obs(rng, pose, intr, 4)
-        grid = PredictionGrid(obs.point_ids, coords)
-        angle = image_loss(LossMode.ANGLE, intr, pose, grid, obs)
-        img = np.full((101, 101), 0.5)
-        photo = photometric_image_loss(intr, pose, grid, obs, img, img)
-        out = combined_loss(angle, photo)
-        assert out.total < 1e-6
+
+def _close(new, ref, tol=1e-12):
+    """Equal to ``tol`` relative to the largest reference magnitude (or 1)."""
+    scale = max(np.max(np.abs(ref), initial=0.0), 1.0)
+    return np.max(np.abs(new - ref), initial=0.0) <= tol * scale
+
+
+@pytest.fixture(scope="module")
+def room():
+    return build_dataset(DatasetConfig(seed=7))
+
+
+@pytest.fixture(scope="module")
+def rendered_room():
+    return build_dataset(DatasetConfig(seed=7, render_images=True))
+
+
+def _noisy_predictions(ds, image_id, scale, seed):
+    gt = ds.observations[image_id].gt_coords
+    return gt + np.random.default_rng(seed).normal(scale=scale, size=gt.shape)
+
+
+class TestVectorizedEquivalence:
+    def test_angle_terms_bit_identical(self, room):
+        for image_id in room.train_ids[:6]:
+            obs = room.observations[image_id]
+            preds = _noisy_predictions(room, image_id, 3.0, image_id)
+            new = angle_terms(room.intrinsics, room.poses[image_id], preds, obs.pixels)
+            ref = _angle_terms_reference(
+                room.intrinsics, room.poses[image_id], preds, obs.pixels
+            )
+            for a, b in zip(new, ref):
+                assert np.array_equal(a, b)
+
+    def test_multiview_matches_per_point_loop(self, room):
+        cfg = LossConfig()
+        index = build_multiview_index(room.poses, room.observations, room.covis)
+        corresponded = 0
+        for t, image_id in enumerate(room.train_ids):
+            obs = room.observations[image_id]
+            grid = PredictionGrid(obs.point_ids, _noisy_predictions(room, image_id, 2.0, t))
+            rep = multiview_image_loss(
+                room.intrinsics, index, image_id, grid, cfg, np.random.default_rng([t, 1])
+            )
+            values, grads, statuses, drawn = _multiview_reference(
+                room.intrinsics, room.poses, image_id, grid, room.observations,
+                room.covis, cfg, np.random.default_rng([t, 1]),
+            )
+            assert _close(rep.values, values) and _close(rep.grads, grads)
+            assert np.array_equal(rep.statuses, statuses)
+            rows, entries = index.draw(image_id, np.random.default_rng([t, 1]))
+            assert np.array_equal(rows, np.flatnonzero(drawn >= 0))
+            assert np.array_equal(index.image_ids[index.other_pos[entries]], drawn[rows])
+            corresponded += len(rows)
+        assert corresponded > 100
+
+    def test_photometric_matches_per_point_loop(self, rendered_room):
+        ds = rendered_room
+        cfg = LossConfig()
+        ids = ds.train_ids
+        valid = 0
+        for t, (i, j) in enumerate(zip(ids[:-1], ids[1:])):
+            obs = ds.observations[i]
+            preds = _noisy_predictions(ds, i, 0.05, t)
+            rep = photometric_image_loss(
+                ds.intrinsics, ds.poses[j], PredictionGrid(obs.point_ids, preds), obs,
+                ds.images[i], ds.images[j], cfg,
+            )
+            values, grads, mask = _photometric_reference(
+                ds.intrinsics, ds.poses[j], preds, obs.pixels,
+                ds.images[i].data, ds.images[j].data, cfg.alpha_ssim,
+            )
+            assert np.array_equal(rep.valid_mask, mask)
+            assert _close(rep.values, values) and _close(rep.grads, grads)
+            valid += int(mask.sum())
+        assert valid > 100
