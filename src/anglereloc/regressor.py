@@ -7,6 +7,11 @@ coordinates through a small tanh network, and ``FreeTable`` gives every
 each loss from any appearance coupling. Training is plain Adam, one image
 per iteration, fully deterministic given the config seed.
 
+Each model's parameters are a few contiguous float64 arrays (one flat
+vector for ``PatchMLP``, the coordinate table for ``FreeTable``) that
+``adam_step`` updates in place. Adam is dense: every row's moments decay on
+every step, including the table rows of images not drawn.
+
 Non-finite losses or gradients are counted and applied as-is, never
 repaired: under the plain reprojection loss they are part of the behavior
 under study.
@@ -18,7 +23,7 @@ import csv
 import enum
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,7 @@ from anglereloc.geometry import (
 )
 from anglereloc.losses import (
     DimensionMismatchError,
+    IndexMismatchError,
     LossConfig,
     PredictionGrid,
     angle_terms,
@@ -43,7 +49,8 @@ from anglereloc.losses import (
 
 
 class ConfigError(Exception):
-    """Inconsistent training configuration for the given dataset."""
+    """Inconsistent training configuration for the given dataset, or a
+    checkpoint that cannot be loaded."""
 
 
 class TrainMode(enum.Enum):
@@ -63,16 +70,40 @@ class PatchMLP:
     """Fully-connected tanh network from descriptors to 3D coordinates.
 
     Weights are stored as (fan_in, fan_out) matrices; hidden layers use
-    tanh, the output layer is linear.
+    tanh, the output layer is linear. Every weight matrix and bias is a view
+    into one flat float64 vector ``params``, laid out W0, b0, W1, b1, ...;
+    ``backward`` returns the gradient in the same layout, so Adam updates
+    the whole network as one array.
     """
 
     kind = "patch_mlp"
 
     def __init__(self, weights, biases):
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        if self.weights[-1].shape[1] != 3:
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        chained = (
+            len(weights) == len(biases)
+            and all(w.ndim == 2 and b.shape == w.shape[1:] for w, b in zip(weights, biases))
+            and all(w.shape[1] == nxt.shape[0] for w, nxt in zip(weights, weights[1:]))
+        )
+        if not chained:
+            raise DimensionMismatchError(
+                f"weights {[w.shape for w in weights]} and biases "
+                f"{[b.shape for b in biases]} do not form a network"
+            )
+        if weights[-1].shape[1] != 3:
             raise DimensionMismatchError("output layer must produce 3 values")
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        stops = np.cumsum([a.size for a in arrays]).tolist()
+        # (start, stop, shape) of W0, b0, W1, b1, ... in the flat vector
+        self._layout = [(stop - a.size, stop, a.shape) for a, stop in zip(arrays, stops)]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        views = self._views(self.params)
+        self.weights, self.biases = views[0::2], views[1::2]
+
+    def _views(self, flat):
+        """Views of ``flat`` shaped W0, b0, W1, b1, ..."""
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     @classmethod
     def init(cls, layer_sizes=(16, 64, 64, 3), seed=0):
@@ -117,39 +148,30 @@ class PatchMLP:
         return h @ self.weights[-1] + self.biases[-1], acts
 
     def backward(self, acts, upstream):
-        """Gradients of sum(upstream * output) w.r.t. every parameter.
+        """Gradient of sum(upstream * output) w.r.t. ``params``.
 
-        ``acts`` comes from ``forward_cached``; returns a parameter list in
-        ``param_list`` order.
+        ``acts`` comes from ``forward_cached``; returns ``[grad]``, one flat
+        vector in the layout of ``params`` (``param_list`` order).
         """
+        grad = np.empty_like(self.params)
+        views = self._views(grad)
+        grads_w, grads_b = views[0::2], views[1::2]
         g = np.asarray(upstream, dtype=np.float64)
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        grads_w[-1] = acts[-1].T @ g
-        grads_b[-1] = g.sum(axis=0)
+        grads_w[-1][...] = acts[-1].T @ g
+        grads_b[-1][...] = g.sum(axis=0)
         g = g @ self.weights[-1].T
         for layer in range(len(self.weights) - 2, -1, -1):
             g = g * (1.0 - acts[layer + 1] ** 2)  # tanh'
-            grads_w[layer] = acts[layer].T @ g
-            grads_b[layer] = g.sum(axis=0)
+            grads_w[layer][...] = acts[layer].T @ g
+            grads_b[layer][...] = g.sum(axis=0)
             if layer > 0:
                 g = g @ self.weights[layer].T
-        out = []
-        for gw, gb in zip(grads_w, grads_b):
-            out.extend([gw, gb])
-        return out
+        return [grad]
 
     # training-loop interface -------------------------------------------------
 
     def param_list(self):
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.extend([W, b])
-        return out
-
-    def set_param_list(self, params):
-        self.weights = list(params[0::2])
-        self.biases = list(params[1::2])
+        return [self.params]
 
     def predict_image(self, dataset, image_id):
         obs = dataset.observations[image_id]
@@ -175,61 +197,99 @@ class PatchMLP:
 
 class FreeTable:
     """One free 3-vector per (image, point) observation; the ablation model
-    with no appearance coupling at all."""
+    with no appearance coupling at all.
+
+    ``point_ids[i]`` holds image i's point ids in the dataset's order and
+    ``rows[i]`` the table row of each, so an image's predictions are one
+    gather.
+    """
 
     kind = "free_table"
 
-    def __init__(self, coords, index):
-        self.coords = np.asarray(coords, dtype=np.float64)
-        self.index = index  # (image_id, point_id) -> row
+    def __init__(self, coords, point_ids, rows):
+        self.coords = np.ascontiguousarray(coords, dtype=np.float64)
+        self.point_ids = point_ids  # image_id -> (n,) point ids
+        self.rows = rows  # image_id -> (n,) table rows
+        # gradient buffer reused by grads_for_image, and its nonzero rows
+        self._grad = None
+        self._grad_rows = None
 
     @classmethod
     def init(cls, dataset, seed=0):
         """Entries uniform in the scene bounding box expanded 2x about its
-        center (bounding box taken over all ground-truth coordinates)."""
+        center (bounding box taken over all ground-truth coordinates). Rows
+        follow the images in id order, each image's rows contiguous."""
         rng = np.random.default_rng(seed)
         all_gt = np.concatenate([o.gt_coords for o in dataset.observations.values()])
         lo, hi = all_gt.min(axis=0), all_gt.max(axis=0)
         center, half = (lo + hi) / 2, (hi - lo) / 2
-        index = {}
-        rows = 0
+        point_ids, rows = {}, {}
+        n_rows = 0
         for image_id in sorted(dataset.observations):
-            for k in dataset.observations[image_id].point_ids:
-                index[(image_id, int(k))] = rows
-                rows += 1
-        coords = rng.uniform(center - 2 * half, center + 2 * half, size=(rows, 3))
-        return cls(coords, index)
+            ids = dataset.observations[image_id].point_ids
+            point_ids[image_id] = np.array(ids)
+            rows[image_id] = np.arange(n_rows, n_rows + len(ids))
+            n_rows += len(ids)
+        coords = rng.uniform(center - 2 * half, center + 2 * half, size=(n_rows, 3))
+        return cls(coords, point_ids, rows)
 
     def rows_for_image(self, dataset, image_id):
-        obs = dataset.observations[image_id]
-        return np.array([self.index[(image_id, int(k))] for k in obs.point_ids])
+        """Table rows of the image's observations, in the dataset's order.
+
+        Raises ``IndexMismatchError`` when the table has no rows for the
+        image (a view it was not built on) or was built on other point ids
+        for it.
+        """
+        rows = self.rows.get(image_id)
+        if rows is None:
+            raise IndexMismatchError(f"FreeTable has no rows for image {image_id}")
+        if not np.array_equal(
+            self.point_ids[image_id], dataset.observations[image_id].point_ids
+        ):
+            raise IndexMismatchError(
+                f"image {image_id}: the dataset's point ids differ from the FreeTable's"
+            )
+        return rows
 
     def param_list(self):
         return [self.coords]
-
-    def set_param_list(self, params):
-        (self.coords,) = params
 
     def predict_image(self, dataset, image_id):
         rows = self.rows_for_image(dataset, image_id)
         return self.coords[rows], rows
 
     def grads_for_image(self, ctx, dl_dy):
-        g = np.zeros_like(self.coords)
-        g[ctx] = dl_dy
-        return [g]
+        """Table gradient: ``dl_dy`` at the rows ``ctx``, zero elsewhere. The
+        array is reused, so the next call overwrites it."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.coords)
+        else:
+            self._grad[self._grad_rows] = 0.0
+        self._grad[ctx] = dl_dy
+        self._grad_rows = ctx
+        return [self._grad]
 
     def state_dict(self):
-        return {
-            "kind": self.kind,
-            "coords": self.coords.tolist(),
-            "index": [[i, k, r] for (i, k), r in sorted(self.index.items())],
-        }
+        index = [
+            [int(image_id), k, r]
+            for image_id in sorted(self.rows)
+            for k, r in zip(self.point_ids[image_id].tolist(), self.rows[image_id].tolist())
+        ]
+        return {"kind": self.kind, "coords": self.coords.tolist(), "index": index}
 
     @classmethod
     def from_state(cls, state):
-        index = {(i, k): r for i, k, r in state["index"]}
-        return cls(np.array(state["coords"]), index)
+        """Inverse of ``state_dict``. Each image's points take the order of
+        its ``[image, point, row]`` triples: the dataset's order, which for
+        ``scenegen.observe`` is ascending point id, the order of the
+        ``(image, point)``-sorted triples of older checkpoints."""
+        index = np.asarray(state["index"], dtype=np.int64).reshape(-1, 3)
+        point_ids, rows = {}, {}
+        for image_id in np.unique(index[:, 0]).tolist():
+            sel = index[:, 0] == image_id
+            point_ids[image_id] = index[sel, 1]
+            rows[image_id] = index[sel, 2]
+        return cls(np.array(state["coords"]), point_ids, rows)
 
 
 class GtLookup:
@@ -287,9 +347,15 @@ MODEL_KINDS = {
 # ---------------------------------------------------------------------------
 
 
+# elements per pass of adam_step: a block of each of p, g, m, v and the two
+# scratch buffers (6 x 128 KiB) stay in cache across the pass's operations
+ADAM_BLOCK = 16384
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators, the step counter, and the scratch
+    space of ``adam_step``."""
 
     m: list
     v: list
@@ -298,6 +364,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    work: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def for_params(cls, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -311,29 +378,60 @@ class AdamState:
         )
 
 
+def _flat_view(a):
+    """1-D view of a C-contiguous array; refuses rather than copy, since the
+    caller writes through it."""
+    if not a.flags.c_contiguous:
+        raise ValueError("adam_step updates in place: arrays must be C-contiguous")
+    return a.reshape(-1)
+
+
 def adam_step(state: AdamState, params, grads):
-    """One Adam update; returns (new_params, state). The state's moment
-    arrays are replaced, not mutated, so snapshots stay valid."""
+    """One Adam update of ``params`` and the state's moments, in place.
+
+    Every element goes through the operations of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
+    ``p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that order, so the
+    results equal those of the allocating form bit for bit. Each array is
+    swept in blocks of ``ADAM_BLOCK`` elements, through two scratch buffers
+    kept in ``state.work``, so one element makes one trip from memory.
+    Parameters and moments must be C-contiguous float64 arrays. Every
+    element is updated, zero gradient or not, and non-finite gradients
+    propagate into the moments and parameters.
+    """
     if len(params) != len(grads) or any(
         p.shape != g.shape for p, g in zip(params, grads)
     ):
         raise DimensionMismatchError("parameter/gradient shapes disagree")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    new_params = []
-    new_m, new_v = [], []
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
+    if state.work is None or state.work.shape[1] < block:
+        state.work = np.empty((2, block))
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = state.beta1 * m + (1 - state.beta1) * g
-        v = state.beta2 * v + (1 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-        new_m.append(m)
-        new_v.append(v)
-    state.m, state.v = new_m, new_v
-    return new_params, state
+        p, m, v = _flat_view(p), _flat_view(m), _flat_view(v)
+        g = np.ravel(g)
+        for start in range(0, p.size, ADAM_BLOCK):
+            blk = slice(start, start + ADAM_BLOCK)
+            pb, gb, mb, vb = p[blk], g[blk], m[blk], v[blk]
+            a, b = state.work[:, : pb.size]
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1 - b1, out=a)
+            np.add(mb, a, out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, gb, out=a)
+            np.multiply(a, 1 - b2, out=a)
+            np.add(vb, a, out=vb)
+            np.divide(vb, bc2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, eps, out=a)  # sqrt(v_hat) + eps
+            np.divide(mb, bc1, out=b)
+            np.multiply(b, lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(pb, b, out=pb)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +696,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
 
         model_grads = model.grads_for_image(ctx, grads)
         adam.lr = lr_at(cfg, t)
-        params, adam = adam_step(adam, params, model_grads)
-        model.set_param_list(params)
+        adam_step(adam, params, model_grads)
 
         if cfg.checkpoint_every and (t + 1) % cfg.checkpoint_every == 0:
             record(t + 1)
@@ -648,15 +745,45 @@ def save_checkpoint(path, model, cfg: TrainConfig):
 
 
 def load_checkpoint(path):
-    blob = json.loads(Path(path).read_text())
+    """Read a checkpoint written by ``save_checkpoint``: ``(model, TrainConfig)``.
+
+    Raises ``ConfigError`` naming ``path`` when the file cannot be read or
+    parsed, or does not hold the current schema version, a known model kind
+    with its state, and exactly the ``TrainConfig`` fields.
+    """
+    try:
+        blob = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        raise ConfigError(f"{path}: cannot read checkpoint: {exc}") from exc
+    try:
+        return _checkpoint_contents(blob)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, DimensionMismatchError) as exc:
+        raise ConfigError(f"{path}: malformed checkpoint: {exc!r}") from exc
+
+
+def _checkpoint_contents(blob):
+    if not isinstance(blob, dict):
+        raise ConfigError("checkpoint is not a JSON object")
     if blob.get("schema_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {blob.get('schema_version')}")
-    state = blob["model"]
+    state, raw = blob.get("model"), blob.get("train_config")
+    if not isinstance(state, dict) or not isinstance(raw, dict):
+        raise ConfigError("checkpoint needs 'model' and 'train_config' objects")
     kind = state.get("kind")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r} in checkpoint")
+    names = {f.name for f in fields(TrainConfig)}
+    if set(raw) != names:
+        raise ConfigError(
+            f"train_config keys: unknown {sorted(set(raw) - names)}, "
+            f"missing {sorted(names - set(raw))}"
+        )
     model = MODEL_KINDS[kind].from_state(state)
-    raw = blob["train_config"]
-    raw["lr_halving_fractions"] = tuple(raw["lr_halving_fractions"])
-    raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
+    raw = dict(
+        raw,
+        lr_halving_fractions=tuple(raw["lr_halving_fractions"]),
+        hidden_sizes=tuple(raw["hidden_sizes"]),
+    )
     return model, TrainConfig(**raw)

@@ -1,10 +1,70 @@
 """Training-loop tests."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from anglereloc import losses
-from anglereloc.regressor import AdamState, adam_step
+from anglereloc.regressor import (
+    ADAM_BLOCK,
+    AdamState,
+    ConfigError,
+    FreeTable,
+    PatchMLP,
+    TrainConfig,
+    adam_step,
+    load_checkpoint,
+    lr_at,
+    save_checkpoint,
+)
+from anglereloc.scenegen import DatasetConfig, build_dataset
+
+
+@pytest.fixture(scope="module")
+def room():
+    return build_dataset(DatasetConfig(seed=3, n_points=300, n_images=12))
+
+
+def reference_adam_step(state, params, grads):
+    """The allocating Adam update that ``adam_step`` must match bit for bit:
+    returns new arrays and replaces the state's moment lists."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    new_params, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m = state.beta1 * m + (1 - state.beta1) * g
+        v = state.beta2 * v + (1 - state.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        new_m.append(m)
+        new_v.append(v)
+    state.m, state.v = new_m, new_v
+    return new_params
+
+
+def run_both(params, grad_fn, steps, lr_fn=lambda t: 0.05):
+    """Run ``adam_step`` and the reference side by side from ``params``."""
+    mine = [p.copy() for p in params]
+    ref = [p.copy() for p in params]
+    state = AdamState.for_params(mine)
+    ref_state = AdamState.for_params(ref)
+    for t in range(steps):
+        grads = grad_fn(t)
+        state.lr = ref_state.lr = lr_fn(t)
+        adam_step(state, mine, grads)
+        ref = reference_adam_step(ref_state, ref, grads)
+    return (mine, state), (ref, ref_state)
+
+
+def assert_bit_equal(a, b):
+    for x, y in zip(a, b):
+        assert x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
 
 
 def test_adam_step_shape_mismatch_raises_the_losses_error():
@@ -14,3 +74,254 @@ def test_adam_step_shape_mismatch_raises_the_losses_error():
         adam_step(state, params, [np.zeros((4, 3)), np.zeros(2)])
     with pytest.raises(losses.DimensionMismatchError):
         adam_step(state, params, [np.zeros((4, 3))])
+
+
+class TestAdamStep:
+    def test_table_shaped_sparse_gradients_bit_identical(self):
+        rng = np.random.default_rng(0)
+        # more than two blocks, the last one partial
+        n_rows = (2 * ADAM_BLOCK + 1000) // 3
+        table = rng.uniform(-5, 5, size=(n_rows, 3))
+
+        def grads(t):
+            g = np.zeros_like(table)
+            rows = rng.choice(n_rows, size=n_rows // 40, replace=False)
+            g[rows] = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=(len(rows), 3))
+            return [g]
+
+        (mine, state), (ref, ref_state) = run_both(
+            [table], grads, 60, lr_fn=lambda t: 0.05 * 0.5 ** (t // 20)
+        )
+        assert_bit_equal(mine, ref)
+        assert_bit_equal(state.m, ref_state.m)
+        assert_bit_equal(state.v, ref_state.v)
+        assert state.step == 60
+
+    def test_network_shapes_bit_identical(self):
+        rng = np.random.default_rng(1)
+        shapes = [(16, 64), (64,), (64, 64), (64,), (64, 3), (3,)]
+        params = [rng.normal(size=s) for s in shapes]
+        flat = [np.concatenate([p.ravel() for p in params])]
+
+        def grads_for(ps):
+            return lambda t: [rng.normal(size=p.shape) for p in ps]
+
+        (mine, state), (ref, ref_state) = run_both(params, grads_for(params), 50)
+        assert_bit_equal(mine, ref)
+        assert_bit_equal(state.m, ref_state.m)
+        assert_bit_equal(state.v, ref_state.v)
+        (mine, state), (ref, ref_state) = run_both(flat, grads_for(flat), 50)
+        assert_bit_equal(mine, ref)
+        assert_bit_equal(state.v, ref_state.v)
+
+    def test_updates_in_place(self):
+        p = np.ones((5, 3))
+        state = AdamState.for_params([p])
+        m = state.m[0]
+        adam_step(state, [p], [np.full((5, 3), 2.0)])
+        assert state.m[0] is m
+        assert np.all(p < 1.0) and np.all(m > 0)
+
+    def test_refuses_to_update_a_copy(self):
+        p = np.ones((6, 4))[:, ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            adam_step(AdamState.for_params([p]), [p], [np.ones_like(p)])
+
+    def test_nonfinite_gradient_rows_propagate(self):
+        rng = np.random.default_rng(2)
+        table = rng.normal(size=(50, 3))
+        g = rng.normal(size=(50, 3))
+        g[3] = np.nan
+        g[7, 1] = np.inf
+        g[9, 2] = -np.inf
+        with np.errstate(invalid="ignore"):
+            (mine, state), (ref, ref_state) = run_both([table], lambda t: [g], 3)
+        p, m, v = mine[0], state.m[0], state.v[0]
+        assert np.all(np.isnan(p[3])) and np.all(np.isnan(m[3])) and np.all(np.isnan(v[3]))
+        assert np.isinf(m[7, 1]) and np.isinf(v[7, 1]) and np.isnan(p[7, 1])
+        assert m[9, 2] == -np.inf and v[9, 2] == np.inf and np.isnan(p[9, 2])
+        finite = np.ones(50, dtype=bool)
+        finite[[3, 7, 9]] = False
+        assert np.all(np.isfinite(p[finite]))
+        assert_bit_equal(mine, ref)
+        assert_bit_equal(state.v, ref_state.v)
+
+    def test_two_steps_by_hand(self):
+        p = np.array([1.0, -2.0])
+        state = AdamState.for_params([p], lr=0.1)
+        adam_step(state, [p], [np.array([0.5, 0.0])])
+        # m = 0.1 * 0.5, v = 0.001 * 0.25; bias-corrected 0.5 and 0.25
+        assert state.m[0][0] == pytest.approx(0.05, rel=1e-12)
+        assert state.v[0][0] == pytest.approx(0.00025, rel=1e-12)
+        p1 = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
+        assert p[0] == pytest.approx(p1, rel=1e-15)
+        adam_step(state, [p], [np.array([-1.0, 0.0])])
+        # m = 0.9 * 0.05 - 0.1, v = 0.999 * 0.00025 + 0.001;
+        # bias corrections 1 - 0.9^2 = 0.19 and 1 - 0.999^2 = 0.001999
+        assert state.m[0][0] == pytest.approx(-0.055, rel=1e-12)
+        assert state.v[0][0] == pytest.approx(0.00124975, rel=1e-12)
+        p2 = p1 + 0.1 * (0.055 / 0.19) / (math.sqrt(0.00124975 / 0.001999) + 1e-8)
+        assert p[0] == pytest.approx(p2, rel=1e-12)
+        assert p[0] == pytest.approx(0.93661035, abs=1e-8)
+        # a zero gradient leaves zero moments and the parameter unchanged
+        assert (p[1], state.m[0][1], state.v[0][1]) == (-2.0, 0.0, 0.0)
+
+
+def test_lr_halves_at_each_boundary():
+    cfg = TrainConfig(iterations=100, lr=0.08)
+    expected = {0: 0.08, 59: 0.08, 60: 0.04, 79: 0.04, 80: 0.02, 89: 0.02, 90: 0.01, 99: 0.01}
+    assert {t: lr_at(cfg, t) for t in expected} == expected
+    long = TrainConfig(iterations=20000, lr=1.0)
+    assert [lr_at(long, t) for t in (11999, 12000, 15999, 16000, 17999, 18000)] == [
+        1.0, 0.5, 0.5, 0.25, 0.25, 0.125,
+    ]
+
+
+class TestPatchMLP:
+    def test_weights_are_views_of_the_flat_vector(self):
+        net = PatchMLP.init((4, 5, 3), seed=0)
+        assert [p.size for p in net.param_list()] == [4 * 5 + 5 + 5 * 3 + 3]
+        net.params[:] = 0.0
+        assert not np.any(net.weights[0]) and not np.any(net.biases[-1])
+        assert np.all(net.forward(np.ones((2, 4))) == 0.0)
+
+    def test_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        net = PatchMLP.init((4, 6, 5, 3), seed=1)
+        net.params[:] += rng.normal(scale=0.1, size=net.params.shape)  # nonzero biases
+        x = rng.normal(size=(7, 4))
+        up = rng.normal(size=(7, 3))
+        _, acts = net.forward_cached(x)
+        (grad,) = net.backward(acts, up)
+        assert grad.shape == net.params.shape
+        h = 1e-6
+        numeric = np.empty_like(grad)
+        for i in range(net.params.size):
+            keep = net.params[i]
+            net.params[i] = keep + h
+            hi = np.sum(up * net.forward(x))
+            net.params[i] = keep - h
+            lo = np.sum(up * net.forward(x))
+            net.params[i] = keep
+            numeric[i] = (hi - lo) / (2 * h)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+class TestFreeTable:
+    def test_init_rows_match_the_image_point_mapping(self, room):
+        table = FreeTable.init(room, seed=5)
+        # the mapping the table was once built as: images in id order,
+        # each image's points in the dataset's order
+        expected, n = {}, 0
+        for image_id in sorted(room.observations):
+            for k in room.observations[image_id].point_ids:
+                expected[(image_id, int(k))] = n
+                n += 1
+        got = {
+            (image_id, int(k)): int(r)
+            for image_id in table.rows
+            for k, r in zip(table.point_ids[image_id], table.rows[image_id])
+        }
+        assert got == expected
+        assert table.coords.shape == (n, 3)
+        # checkpoints keep the (image, point)-sorted triples of that mapping
+        old_index = [[i, k, r] for (i, k), r in sorted(expected.items())]
+        assert table.state_dict()["index"] == old_index
+        for image_id, obs in room.observations.items():
+            old_rows = [expected[(image_id, int(k))] for k in obs.point_ids]
+            assert np.array_equal(table.predict_image(room, image_id)[0], table.coords[old_rows])
+
+    def test_unknown_image_raises_index_mismatch(self, room):
+        table = FreeTable.init(room)
+        missing = max(room.observations) + 1
+        with pytest.raises(losses.IndexMismatchError, match=f"image {missing}"):
+            table.predict_image(room, missing)
+
+    def test_other_point_ids_raise_index_mismatch(self, room):
+        image_id = room.train_ids[0]
+        table = FreeTable.init(room)
+        table.point_ids[image_id] = table.point_ids[image_id] + 1
+        with pytest.raises(losses.IndexMismatchError, match=f"image {image_id}"):
+            table.predict_image(room, image_id)
+        table.point_ids[image_id] = table.point_ids[image_id][:-1]
+        with pytest.raises(losses.IndexMismatchError, match=f"image {image_id}"):
+            table.predict_image(room, image_id)
+
+    def test_gradient_buffer_holds_only_the_last_image(self, room):
+        table = FreeTable.init(room)
+        a, b = room.train_ids[:2]
+        _, rows_a = table.predict_image(room, a)
+        _, rows_b = table.predict_image(room, b)
+        table.grads_for_image(rows_a, np.ones((len(rows_a), 3)))
+        (g,) = table.grads_for_image(rows_b, np.full((len(rows_b), 3), 2.0))
+        expected = np.zeros_like(table.coords)
+        expected[rows_b] = 2.0
+        assert np.array_equal(g, expected)
+
+
+class TestCheckpoint:
+    def test_free_table_round_trip(self, room, tmp_path):
+        table = FreeTable.init(room, seed=2)
+        cfg = TrainConfig(iterations=10, lr=0.05, hidden_sizes=(8, 8))
+        path = tmp_path / "table.json"
+        save_checkpoint(path, table, cfg)
+        loaded, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == cfg
+        assert loaded.coords.tobytes() == table.coords.tobytes()
+        assert loaded.state_dict() == table.state_dict()
+        for image_id in room.observations:
+            assert np.array_equal(
+                loaded.predict_image(room, image_id)[0], table.predict_image(room, image_id)[0]
+            )
+
+    def test_patch_mlp_round_trip(self, room, tmp_path):
+        net = PatchMLP.init((room.config.descriptor_dim, 8, 3), seed=3)
+        net.params[:] += np.random.default_rng(0).normal(size=net.params.shape)
+        path = tmp_path / "mlp.json"
+        save_checkpoint(path, net, TrainConfig(mode="angle-multi"))
+        loaded, cfg = load_checkpoint(path)
+        assert cfg.mode == "angle-multi"
+        assert loaded.params.tobytes() == net.params.tobytes()
+        image_id = room.train_ids[0]
+        assert np.array_equal(
+            loaded.predict_image(room, image_id)[0], net.predict_image(room, image_id)[0]
+        )
+
+    def _write(self, tmp_path, edit):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, PatchMLP.init((4, 3)), TrainConfig())
+        blob = json.loads(path.read_text())
+        edit(blob)
+        path.write_text(json.dumps(blob))
+        return path
+
+    def test_unknown_train_config_key_raises_config_error(self, tmp_path):
+        path = self._write(tmp_path, lambda b: b["train_config"].update(bogus=1))
+        with pytest.raises(ConfigError, match="bogus") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b.pop("model"),
+            lambda b: b["train_config"].pop("lr"),
+            lambda b: b["model"].pop("weights"),
+            # a bias that does not match its layer
+            lambda b: b["model"]["biases"][0].append(0.0),
+        ],
+    )
+    def test_missing_or_inconsistent_entry_raises_config_error(self, tmp_path, edit):
+        path = self._write(tmp_path, edit)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("text", ['{"schema_version": 1, "model": ', "[1, 2]", None])
+    def test_unreadable_or_malformed_json_raises_config_error(self, tmp_path, text):
+        path = tmp_path / "broken.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
