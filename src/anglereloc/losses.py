@@ -137,9 +137,24 @@ class LossReport:
         ]
 
 
+def _row_dots(a, b):
+    """Row-wise dot products of two (N, 3) arrays, column by column.
+
+    The same bits as ``np.sum(a * b, axis=1)`` (which adds the three
+    products in this order) except that three -0.0 products sum to -0.0
+    here, +0.0 there; several times faster at thousands of rows.
+    """
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _row_norms(a):
+    """Row norms of an (N, 3) array: the bits of ``np.linalg.norm(a, axis=1)``."""
+    return np.sqrt(_row_dots(a, a))
+
+
 def _angles_between(D, rays, norms_D, norms_d):
     with np.errstate(invalid="ignore", divide="ignore"):
-        cosines = np.sum(D * rays, axis=1) / (np.maximum(norms_D, 1e-300) * norms_d)
+        cosines = _row_dots(D, rays) / (np.maximum(norms_D, 1e-300) * norms_d)
     return np.arccos(np.clip(cosines, -1.0, 1.0))
 
 
@@ -169,9 +184,7 @@ def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
         grad_D[:, 1] = gx * rhat[:, 1]
         grad_D[:, 2] = -gx / z * (D[:, 0] * rhat[:, 0] + D[:, 1] * rhat[:, 1])
     grads = grad_D @ R.T
-    norms_D = np.linalg.norm(D, axis=1)
-    norms_d = np.linalg.norm(rays, axis=1)
-    thetas = _angles_between(D, rays, norms_D, norms_d)
+    thetas = _angles_between(D, rays, _row_norms(D), _row_norms(rays))
     return values, grads, depth_statuses(z), thetas
 
 
@@ -191,19 +204,20 @@ def angle_terms(
     R = pose.rotation
     D = pose.world_to_camera(preds)
     rays = ray_vectors(intr, pixels)
-    norms_d = np.linalg.norm(rays, axis=1)
-    norms_D_raw = np.linalg.norm(D, axis=1)
+    norms_d = _row_norms(rays)
+    norms_D_raw = _row_norms(D)
     norms_D = np.maximum(norms_D_raw, eps_norm)
     scale = norms_d / norms_D
     g = scale[:, None] * D - rays
-    values = np.linalg.norm(g, axis=1)
+    values = _row_norms(g)
     with np.errstate(invalid="ignore"):
         ghat = np.where(values[:, None] > 0, g / values[:, None], 0.0)
     grad_D = scale[:, None] * ghat
     # the 1/|D| factor is constant below the guard, so its derivative drops
     free = norms_D_raw > eps_norm
-    dot = np.sum(D * ghat, axis=1)
-    grad_D[free] -= (norms_d[free] * dot[free] / norms_D[free] ** 3)[:, None] * D[free]
+    coef = norms_d * _row_dots(D, ghat)
+    np.divide(coef, norms_D**3, out=coef, where=free)
+    np.subtract(grad_D, coef[:, None] * D, out=grad_D, where=free[:, None])
     grads = grad_D @ R.T
     thetas = _angles_between(D, rays, norms_D_raw, norms_d)
     return values, grads, depth_statuses(D[:, 2]), thetas

@@ -8,9 +8,11 @@ each loss from any appearance coupling. Training is plain Adam, one image
 per iteration, fully deterministic given the config seed.
 
 Each model's parameters are a few contiguous float64 arrays (one flat
-vector for ``PatchMLP``, the coordinate table for ``FreeTable``) that
-``adam_step`` updates in place. Adam is dense: every row's moments decay on
-every step, including the table rows of images not drawn.
+vector for ``PatchMLP``, views of the coordinate table cut between images
+for ``FreeTable``) that ``adam_step`` updates in place. Adam is dense in its
+results: every row's moments decay on every step, including the table rows
+of images not drawn. An array whose moments are still exactly zero and
+whose gradient is all zero is skipped, since its update is exactly zero.
 
 Non-finite losses or gradients are counted and applied as-is, never
 repaired: under the plain reprojection loss they are part of the behavior
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -202,6 +205,12 @@ class FreeTable:
     ``point_ids[i]`` holds image i's point ids in the dataset's order and
     ``rows[i]`` the table row of each, so an image's predictions are one
     gather.
+
+    ``param_list`` hands Adam views of ``coords`` cut only between images:
+    consecutive images grouped into runs of at most ``ADAM_BLOCK`` elements,
+    a single larger image being a run of its own. A run no image has drawn
+    yet keeps zero moments, which ``adam_step`` skips at the cost of one
+    ``any()``.
     """
 
     kind = "free_table"
@@ -210,8 +219,11 @@ class FreeTable:
         self.coords = np.ascontiguousarray(coords, dtype=np.float64)
         self.point_ids = point_ids  # image_id -> (n,) point ids
         self.rows = rows  # image_id -> (n,) table rows
-        # gradient buffer reused by grads_for_image, and its nonzero rows
+        self._runs = self._run_slices()
+        # gradient buffer reused by grads_for_image, its views by run, and
+        # its nonzero rows
         self._grad = None
+        self._grad_runs = None
         self._grad_rows = None
 
     @classmethod
@@ -251,23 +263,36 @@ class FreeTable:
             )
         return rows
 
+    def _run_slices(self):
+        """Row slices tiling the table, cut only at an image's first row and
+        greedily grouped up to ``ADAM_BLOCK`` elements (3 per row)."""
+        n_rows = len(self.coords)
+        cuts = sorted({int(r.min()) for r in self.rows.values() if len(r)} - {0})
+        starts = [0]
+        for cut, stop in zip(cuts, cuts[1:] + [n_rows]):
+            if 3 * (stop - starts[-1]) > ADAM_BLOCK:
+                starts.append(cut)
+        return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
     def param_list(self):
-        return [self.coords]
+        return [self.coords[run] for run in self._runs]
 
     def predict_image(self, dataset, image_id):
         rows = self.rows_for_image(dataset, image_id)
         return self.coords[rows], rows
 
     def grads_for_image(self, ctx, dl_dy):
-        """Table gradient: ``dl_dy`` at the rows ``ctx``, zero elsewhere. The
-        array is reused, so the next call overwrites it."""
+        """Table gradient: ``dl_dy`` at the rows ``ctx``, zero elsewhere, as
+        views matching ``param_list``. The buffer is reused, so the next call
+        overwrites it."""
         if self._grad is None:
             self._grad = np.zeros_like(self.coords)
+            self._grad_runs = [self._grad[run] for run in self._runs]
         else:
             self._grad[self._grad_rows] = 0.0
         self._grad[ctx] = dl_dy
         self._grad_rows = ctx
-        return [self._grad]
+        return self._grad_runs
 
     def state_dict(self):
         index = [
@@ -355,7 +380,8 @@ ADAM_BLOCK = 16384
 @dataclass
 class AdamState:
     """First/second moment accumulators, the step counter, and the scratch
-    space of ``adam_step``."""
+    space of ``adam_step``. ``zero[i]`` is true while array i's moments are
+    all exactly +0.0; ``adam_step`` sets it from the moments on first use."""
 
     m: list
     v: list
@@ -365,6 +391,7 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     work: np.ndarray | None = field(default=None, repr=False)
+    zero: list | None = field(default=None, repr=False)
 
     @classmethod
     def for_params(cls, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -386,6 +413,11 @@ def _flat_view(a):
     return a.reshape(-1)
 
 
+def _all_positive_zero(a):
+    """True when every element of the float64 array is +0.0 (not -0.0)."""
+    return not _flat_view(a).view(np.uint64).any()
+
+
 def adam_step(state: AdamState, params, grads):
     """One Adam update of ``params`` and the state's moments, in place.
 
@@ -395,9 +427,15 @@ def adam_step(state: AdamState, params, grads):
     results equal those of the allocating form bit for bit. Each array is
     swept in blocks of ``ADAM_BLOCK`` elements, through two scratch buffers
     kept in ``state.work``, so one element makes one trip from memory.
-    Parameters and moments must be C-contiguous float64 arrays. Every
-    element is updated, zero gradient or not, and non-finite gradients
-    propagate into the moments and parameters.
+    Parameters and moments must be C-contiguous float64 arrays. Non-finite
+    gradients propagate into the moments and parameters.
+
+    An array whose moments are all +0.0 (``state.zero``) and whose gradient
+    is all zero, signed zeros included, is skipped: its moments would stay
+    +0.0 and its update would be exactly ``p - 0.0``. That holds for
+    ``0 < lr < inf``, ``0 < beta1 < 1``, ``0 <= beta2 < 1`` and ``eps > 0``;
+    outside those ranges every array is swept. Its first nonzero gradient
+    (NaN and +-inf included), or any other sweep, clears the flag for good.
     """
     if len(params) != len(grads) or any(
         p.shape != g.shape for p, g in zip(params, grads)
@@ -408,10 +446,19 @@ def adam_step(state: AdamState, params, grads):
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
+    if state.zero is None:
+        state.zero = [
+            _all_positive_zero(m) and _all_positive_zero(v) for m, v in zip(state.m, state.v)
+        ]
+    skippable = 0.0 < lr < math.inf and 0.0 < b1 < 1.0 and 0.0 <= b2 < 1.0 and eps > 0.0
     block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
     if state.work is None or state.work.shape[1] < block:
         state.work = np.empty((2, block))
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
+        if state.zero[i]:
+            if skippable and not g.any():
+                continue
+            state.zero[i] = False
         p, m, v = _flat_view(p), _flat_view(m), _flat_view(v)
         g = np.ravel(g)
         for start in range(0, p.size, ADAM_BLOCK):

@@ -727,11 +727,27 @@ def write_correspondence_file(path, point_ids, pixels, coords, header=None):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read(path, binary=False):
+    """The file's text (or bytes); ``ParseError`` naming the path when it
+    cannot be read."""
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read file ({exc})", path=path) from exc
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read(path))
+    except ValueError as exc:  # JSONDecodeError
+        raise ParseError(f"malformed JSON ({exc})", path=path) from exc
+
+
 def read_correspondence_file(path):
     """Parse `k x y X Y Z` lines; '#' starts a comment. Returns
     (point_ids, pixels, coords)."""
     ids, pixels, coords = [], [], []
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -774,7 +790,7 @@ def parse_7scenes_pose(path, world_to_camera: bool = False) -> PoseSE3:
     orthonormality beyond 1e-3 is projected to the nearest rotation with a
     ``NonRigidWarning``; milder drift is projected silently."""
     rows = []
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -821,8 +837,10 @@ def write_pgm(path, image: Image):
 
 
 def read_pgm(path) -> Image:
-    """Read binary PGM/PPM written by ``write_pgm``; values scaled to [0, 1]."""
-    blob = Path(path).read_bytes()
+    """Read binary PGM/PPM written by ``write_pgm``; values scaled to [0, 1].
+    Raises ``ParseError`` naming the path for an unreadable file, a bad
+    header or truncated pixel data."""
+    blob = _read(path, binary=True)
     parts = blob.split(b"\n", 3)
     if len(parts) < 4 or parts[0] not in (b"P5", b"P6"):
         raise ParseError("not a binary PGM/PPM file", path=path, line=1)
@@ -831,9 +849,18 @@ def read_pgm(path) -> Image:
         maxval = int(parts[2])
     except ValueError:
         raise ParseError("malformed PGM header", path=path, line=2)
+    if w <= 0 or h <= 0 or not 0 < maxval < 65536:
+        raise ParseError(f"bad PGM size {w}x{h} or maxval {maxval}", path=path, line=2)
     channels = 1 if parts[0] == b"P5" else 3
-    dtype = ">u2" if maxval > 255 else np.uint8
-    arr = np.frombuffer(parts[3], dtype=dtype, count=w * h * channels)
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    count = w * h * channels
+    if len(parts[3]) < count * dtype.itemsize:
+        raise ParseError(
+            f"truncated pixel data: {len(parts[3])} bytes, "
+            f"expected {count * dtype.itemsize}",
+            path=path,
+        )
+    arr = np.frombuffer(parts[3], dtype=dtype, count=count)
     shape = (h, w) if channels == 1 else (h, w, 3)
     return Image(arr.reshape(shape).astype(np.float64) / maxval)
 
@@ -882,21 +909,66 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     return out
 
 
+def _read_descriptors(path, n_points, dim):
+    """``descriptors.txt``: one `k d1 ... d_dim` line per point id k."""
+    base = np.zeros((n_points, dim))
+    for ln, raw in enumerate(_read(path).splitlines(), start=1):
+        tok = raw.split()
+        if not tok:
+            continue
+        if len(tok) != dim + 1:
+            raise ParseError(f"expected {dim + 1} fields, got {len(tok)}", path=path, line=ln)
+        try:
+            k = int(tok[0])
+        except ValueError:
+            raise ParseError(f"bad point id {tok[0]!r}", path=path, line=ln, column=1)
+        if not 0 <= k < n_points:
+            raise ParseError(f"point id {k} outside [0, {n_points})", path=path, line=ln, column=1)
+        for col, t in enumerate(tok[1:], start=2):
+            try:
+                base[k, col - 2] = float(t)
+            except ValueError:
+                raise ParseError(f"bad number {t!r}", path=path, line=ln, column=col)
+    return base
+
+
+def _parsed(path, parse, data):
+    """``parse(data)`` for data read from ``path``; a missing key or a wrong
+    type or value becomes a ``ParseError`` naming the file."""
+    try:
+        return parse(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed contents ({exc!r})", path=path) from exc
+
+
+def _manifest_fields(m):
+    return (
+        DatasetConfig(**m["config"]),
+        CameraIntrinsics(**m["intrinsics"]),
+        [int(i) for i in m["image_ids"]],
+        [int(i) for i in m.get("has_images", [])],
+        list(m["train_ids"]),
+        list(m["test_ids"]),
+        float(m["diameter"]),
+    )
+
+
 def load_dataset(in_dir) -> Dataset:
+    """Inverse of ``save_dataset``. Raises ``ParseError`` naming the file
+    when one is missing, unreadable or malformed."""
     src = Path(in_dir)
     manifest_path = src / "manifest.json"
     if not manifest_path.exists():
         raise ParseError("manifest.json not found", path=manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(
-            f"unsupported schema version {manifest.get('schema_version')}",
-            path=manifest_path,
-        )
-    cfg = DatasetConfig(**manifest["config"])
-    intr = CameraIntrinsics(**manifest["intrinsics"])
+    manifest = _read_json(manifest_path)
+    version = _parsed(manifest_path, lambda m: m.get("schema_version"), manifest)
+    if version != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema version {version}", path=manifest_path)
+    cfg, intr, image_ids, rendered, train_ids, test_ids, diameter = _parsed(
+        manifest_path, _manifest_fields, manifest
+    )
     observations, poses = {}, {}
-    for image_id in manifest["image_ids"]:
+    for image_id in image_ids:
         pose = parse_7scenes_pose(src / "poses" / f"pose_{image_id:04d}.txt")
         ids, pixels, coords = read_correspondence_file(
             src / "observations" / f"obs_{image_id:04d}.txt"
@@ -906,21 +978,22 @@ def load_dataset(in_dir) -> Dataset:
             image_id, ids, pixels, coords, cam[:, 2].copy()
         )
         poses[image_id] = pose
-    base = np.zeros((cfg.n_points, cfg.descriptor_dim))
-    for raw in (src / "descriptors.txt").read_text().splitlines():
-        tok = raw.split()
-        base[int(tok[0])] = [float(t) for t in tok[1:]]
+    base = _read_descriptors(src / "descriptors.txt", cfg.n_points, cfg.descriptor_dim)
     for obs in observations.values():
         obs.descriptors = _observation_descriptors(
             base, obs, cfg.descriptor_noise_sigma, cfg.seed
         )
-    covis_raw = json.loads((src / "covis.json").read_text())
-    covis = CoVisibilityGraph(
-        {int(k): tuple(v) for k, v in covis_raw["point_to_images"].items()},
-        set(covis_raw["corresponded"]),
+    covis_path = src / "covis.json"
+    covis = _parsed(
+        covis_path,
+        lambda c: CoVisibilityGraph(
+            {int(k): tuple(v) for k, v in c["point_to_images"].items()},
+            set(c["corresponded"]),
+        ),
+        _read_json(covis_path),
     )
     images = {}
-    for image_id in manifest.get("has_images", []):
+    for image_id in rendered:
         images[image_id] = read_pgm(src / "images" / f"img_{image_id:04d}.pgm")
     return Dataset(
         config=cfg,
@@ -930,8 +1003,8 @@ def load_dataset(in_dir) -> Dataset:
         covis=covis,
         descriptors=base,
         images=images,
-        train_ids=list(manifest["train_ids"]),
-        test_ids=list(manifest["test_ids"]),
-        diameter=float(manifest["diameter"]),
+        train_ids=train_ids,
+        test_ids=test_ids,
+        diameter=diameter,
         scene=None,
     )

@@ -35,6 +35,7 @@ from anglereloc.losses import (
     multiview_image_loss,
     photometric_image_loss,
     reproj_point,
+    reproj_terms,
     ssim3x3,
 )
 from anglereloc.scenegen import DatasetConfig, build_dataset
@@ -741,6 +742,56 @@ class TestVectorizedEquivalence:
             )
             for a, b in zip(new, ref):
                 assert np.array_equal(a, b)
+
+    def test_angle_terms_bit_identical_at_the_edges(self, room):
+        """Rows at the camera centre, inside the eps_norm guard, on the
+        optical axis, NaN and +-inf, and a dense batch of 4000 rows (many
+        inside a wide guard): the same bytes as the reference kernel."""
+        image_id = room.train_ids[0]
+        pose, obs = room.poses[image_id], room.observations[image_id]
+        intr = room.intrinsics
+        rng = np.random.default_rng(11)
+        axis = pose.camera_to_world(np.array([[0.0, 0.0, 2.0]]))[0]
+        c = pose.center
+        edge = np.array(
+            [
+                c,
+                c + 1e-9,
+                c - 3e-9 * np.array([1.0, 2.0, -1.0]),
+                c + [2e-8, 0.0, 0.0],
+                axis,
+                [np.nan, 0.0, 0.0],
+                [np.nan] * 3,
+                [np.inf, 0.0, 0.0],
+                [0.0, -np.inf, 1.0],
+                [np.inf, -np.inf, np.inf],
+            ]
+        )
+        edge_pixels = rng.uniform(0.0, 2 * intr.cx, size=(len(edge), 2))
+        edge_pixels[4] = (intr.cx, intr.cy)  # the ray of the optical-axis point
+        edge_pixels[-2] = (np.nan, 3.0)
+        cases = [
+            (
+                np.concatenate([_noisy_predictions(room, image_id, 3.0, 0), edge]),
+                np.concatenate([obs.pixels, edge_pixels]),
+                1e-8,
+            ),
+            (
+                c + rng.normal(scale=0.5, size=(4000, 3)),
+                rng.uniform(0.0, 2 * intr.cx, size=(4000, 2)),
+                0.5,
+            ),
+        ]
+        with np.errstate(all="ignore"):
+            for preds, pixels, eps in cases:
+                new = angle_terms(intr, pose, preds, pixels, eps)
+                ref = _angle_terms_reference(intr, pose, preds, pixels, eps)
+                for a, b in zip(new, ref):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                # reproj_terms reports its thetas through the same helper
+                thetas = reproj_terms(intr, pose, preds, pixels)[3]
+                assert thetas.tobytes() == ref[3].tobytes()
+        assert np.sum(np.linalg.norm(pose.world_to_camera(cases[1][0]), axis=1) <= 0.5) > 100
 
     def test_multiview_matches_per_point_loop(self, room):
         cfg = LossConfig()

@@ -2,11 +2,12 @@
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from anglereloc import losses
+from anglereloc import losses, regressor
 from anglereloc.regressor import (
     ADAM_BLOCK,
     AdamState,
@@ -14,10 +15,13 @@ from anglereloc.regressor import (
     FreeTable,
     PatchMLP,
     TrainConfig,
+    TrainLog,
+    TrainRecord,
     adam_step,
     load_checkpoint,
     lr_at,
     save_checkpoint,
+    train,
 )
 from anglereloc.scenegen import DatasetConfig, build_dataset
 
@@ -167,6 +171,95 @@ class TestAdamStep:
         assert (p[1], state.m[0][1], state.v[0][1]) == (-2.0, 0.0, 0.0)
 
 
+class TestAdamZeroSkip:
+    """Arrays whose moments are +0.0 and whose gradient is all zero are
+    skipped; the results must still be those of the reference, byte for
+    byte."""
+
+    STEPS, FIRST = 12, 5
+
+    def params(self):
+        rng = np.random.default_rng(3)
+        params = [rng.normal(size=(40, 3)) for _ in range(5)]
+        for p in params:
+            p[0] = (-0.0, 0.0, np.nan)  # p - 0.0 must keep all three
+        return params
+
+    def grads(self, t):
+        rng = np.random.default_rng([4, t])
+        late = rng.normal(size=(40, 3)) if t >= self.FIRST else np.zeros((40, 3))
+        nan_first = np.zeros((40, 3))
+        if t >= self.FIRST:
+            nan_first[7, 1] = np.nan
+        return [
+            np.zeros((40, 3)),  # never a gradient
+            late,  # first gradient at step FIRST
+            nan_first,  # first nonzero gradient is NaN
+            np.full((40, 3), -0.0),  # only ever -0.0
+            rng.normal(size=(40, 3)),  # a gradient every step
+        ]
+
+    def test_bit_identical_to_the_reference(self):
+        with np.errstate(invalid="ignore"):
+            (mine, state), (ref, ref_state) = run_both(
+                self.params(), self.grads, self.STEPS, lr_fn=lambda t: 0.05 * 0.5 ** (t // 4)
+            )
+        assert_bit_equal(mine, ref)
+        assert_bit_equal(state.m, ref_state.m)
+        assert_bit_equal(state.v, ref_state.v)
+        assert state.zero == [True, False, False, True, False]
+        assert np.all(np.isnan(mine[2][7, 1])) and np.isnan(state.m[2][7, 1])
+
+    def test_flag_is_cleared_at_the_first_nonzero_gradient(self):
+        params = self.params()
+        state = AdamState.for_params(params, lr=0.05)
+        with np.errstate(invalid="ignore"):
+            for t in range(self.STEPS):
+                adam_step(state, params, self.grads(t))
+                assert state.zero[1:3] == [t < self.FIRST] * 2
+
+    @pytest.mark.parametrize("start", [1e-3, -0.0])
+    def test_state_with_nonzero_moments_is_never_skipped(self, start):
+        # a -0.0 moment is not +0.0: a zero gradient turns it into +0.0
+        params = self.params()[:2]
+        mine, ref = [p.copy() for p in params], [p.copy() for p in params]
+        state, ref_state = AdamState.for_params(mine), AdamState.for_params(ref)
+        for st in (state, ref_state):
+            st.m[0][5] = start
+            st.v[1][9, 2] = start
+        for _ in range(3):
+            grads = [np.zeros((40, 3)), np.full((40, 3), -0.0)]
+            adam_step(state, mine, grads)
+            ref = reference_adam_step(ref_state, ref, grads)
+        assert state.zero == [False, False]
+        assert_bit_equal(mine, ref)
+        assert_bit_equal(state.m, ref_state.m)
+        assert_bit_equal(state.v, ref_state.v)
+        assert not np.signbit(state.m[0][5]).any() and not np.signbit(state.v[1][9, 2])
+
+    @pytest.mark.parametrize(
+        "hyper",
+        [
+            dict(lr=-0.0),  # -0.0 * m_hat turns p = -0.0 into +0.0
+            dict(lr=0.0),
+            dict(lr=np.inf),  # inf * 0 is NaN
+            dict(beta1=-0.5),  # b1 * 0 is -0.0, and so is a -0.0 gradient
+            dict(eps=0.0),  # 0 / 0 is NaN
+        ],
+    )
+    def test_hyperparameters_outside_the_exact_range_sweep_every_array(self, hyper):
+        params = self.params()[:1]
+        mine, ref = [p.copy() for p in params], [p.copy() for p in params]
+        state, ref_state = (AdamState.for_params(ps, **hyper) for ps in (mine, ref))
+        grads = [np.full((40, 3), -0.0)]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            adam_step(state, mine, grads)
+            ref = reference_adam_step(ref_state, ref, grads)
+        assert_bit_equal(mine, ref)
+        assert_bit_equal(state.m, ref_state.m)
+        assert_bit_equal(state.v, ref_state.v)
+
+
 def test_lr_halves_at_each_boundary():
     cfg = TrainConfig(iterations=100, lr=0.08)
     expected = {0: 0.08, 59: 0.08, 60: 0.04, 79: 0.04, 80: 0.02, 89: 0.02, 90: 0.01, 99: 0.01}
@@ -175,6 +268,22 @@ def test_lr_halves_at_each_boundary():
     assert [lr_at(long, t) for t in (11999, 12000, 15999, 16000, 17999, 18000)] == [
         1.0, 0.5, 0.5, 0.25, 0.25, 0.125,
     ]
+
+
+def test_train_log_csv_round_trip(tmp_path):
+    log = TrainLog()
+    log.append(TrainRecord(10, 0.1 + 0.2, 1 / 3, 0, 2.5e-17, 0.0123456))
+    log.append(TrainRecord(20, float("inf"), 1.0, 4, float("nan"), 1.9996))
+    log.append(TrainRecord(30, -0.0, 0.0, 4, 7.0, 12.0))
+    path = tmp_path / "log.csv"
+    log.to_csv(path)
+    back = TrainLog.from_csv(path)
+    assert len(back.records) == 3
+    for r, b in zip(log.records, back.records):
+        # every value exact, wall time to the millisecond
+        assert repr(astuple(b)[:-1]) == repr(astuple(r)[:-1])
+        assert b.seconds == float(f"{r.seconds:.3f}")
+    assert path.read_text().splitlines()[0] == ",".join(TrainLog.CSV_COLUMNS)
 
 
 class TestPatchMLP:
@@ -257,6 +366,89 @@ class TestFreeTable:
         expected = np.zeros_like(table.coords)
         expected[rows_b] = 2.0
         assert np.array_equal(g, expected)
+
+
+class TestFreeTableRuns:
+    """``param_list`` cuts the table into image-aligned runs for Adam."""
+
+    def check_runs(self, table):
+        views = table.param_list()
+        sizes = [len(v) for v in views]
+        assert sum(sizes) == len(table.coords)
+        for k, v in enumerate(views):
+            v[...] = k  # views write through, cover every row once, in order
+        assert np.array_equal(table.coords[:, 0], np.repeat(np.arange(len(views)), sizes))
+        starts = set(np.cumsum([0] + sizes[:-1]).tolist())
+        for rows in table.rows.values():
+            # no image straddles a cut
+            assert len(np.unique(table.coords[rows, 0])) == 1
+        firsts = {int(r.min()) for r in table.rows.values()}
+        assert starts <= firsts | {0}
+        return views
+
+    # 60: every image is over the bound, one run each; 150: mostly pairs
+    @pytest.mark.parametrize("block, n_runs", [(60, 12), (150, 7), (10**6, 1)])
+    def test_runs_are_image_aligned_and_bounded(self, room, monkeypatch, block, n_runs):
+        monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
+        table = FreeTable.init(room, seed=1)
+        views = self.check_runs(table)
+        assert len(views) == n_runs
+        stops = np.cumsum([len(v) for v in views])
+        for v, stop in zip(views, stops):
+            images = [i for i, r in table.rows.items() if stop - len(v) <= r[0] < stop]
+            assert v.size <= block or len(images) == 1
+
+    def test_gradient_views_match_the_parameter_views(self, room, monkeypatch):
+        monkeypatch.setattr(regressor, "ADAM_BLOCK", 150)
+        table = FreeTable.init(room)
+        image_id = room.train_ids[3]
+        _, rows = table.predict_image(room, image_id)
+        grads = table.grads_for_image(rows, np.full((len(rows), 3), 2.0))
+        params = table.param_list()
+        assert [g.shape for g in grads] == [p.shape for p in params]
+        expected = np.zeros_like(table.coords)
+        expected[rows] = 2.0
+        assert np.array_equal(np.concatenate(grads), expected)
+        # the same buffer again, now holding the next image only
+        _, rows_b = table.predict_image(room, room.train_ids[0])
+        again = table.grads_for_image(rows_b, np.ones((len(rows_b), 3)))
+        assert all(x is y for x, y in zip(again, grads))
+        assert np.count_nonzero(np.concatenate(again)) == 3 * len(rows_b)
+
+
+def _reference_in_place(state, params, grads):
+    for p, new in zip(params, reference_adam_step(state, params, grads)):
+        p[...] = new
+
+
+@pytest.mark.parametrize("block", [60, 150])  # one image per run; two per run
+@pytest.mark.parametrize("mode", ["reproj", "angle", "angle-multi", "const-depth-reproj"])
+def test_train_with_skipped_runs_matches_the_reference_adam(room, monkeypatch, mode, block):
+    cfg = TrainConfig(mode=mode, iterations=40, lr=0.05, checkpoint_every=10, seed=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(regressor, "adam_step", _reference_in_place)
+        ref_model, ref_log = train(room, "free_table", cfg)
+    monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
+    steps = []
+
+    def spy(state, params, grads):
+        adam_step(state, params, grads)
+        steps.append(list(state.zero))
+
+    monkeypatch.setattr(regressor, "adam_step", spy)
+    model, log = train(room, "free_table", cfg)
+    assert model.coords.tobytes() == ref_model.coords.tobytes()
+    assert [repr(astuple(r)[:-1]) for r in log.records] == [
+        repr(astuple(r)[:-1]) for r in ref_log.records
+    ]
+    # several runs, some skipped; with one image per run, the test views'
+    # runs are skipped to the end
+    assert len(model.param_list()) > 2 and any(steps[0])
+    assert sum(steps[-1]) >= (len(room.test_ids) if block == 60 else 0)
+    init = FreeTable.init(room, seed=[cfg.seed, 12])
+    for image_id in room.test_ids:
+        rows = model.rows[image_id]
+        assert model.coords[rows].tobytes() == init.coords[rows].tobytes()
 
 
 class TestCheckpoint:

@@ -1,5 +1,7 @@
 """Synthetic scene generation, rendering, co-visibility and dataset IO."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,90 @@ class TestDatasetIO:
         write_pgm(tmp_path / "x.ppm", img)
         back = read_pgm(tmp_path / "x.ppm")
         np.testing.assert_array_equal(back.data, img.data)
+
+    @pytest.mark.parametrize("cut", [1, 100])
+    def test_truncated_pgm_raises_parse_error_with_the_path(self, tmp_path, cut):
+        path = tmp_path / "x.pgm"
+        write_pgm(path, Image(np.full((13, 17), 0.5)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ParseError, match="truncated") as exc:
+            read_pgm(path)
+        assert exc.value.path == path and str(path) in str(exc.value)
+
+    def test_missing_pgm_raises_parse_error_with_the_path(self, tmp_path):
+        path = tmp_path / "none.pgm"
+        with pytest.raises(ParseError) as exc:
+            read_pgm(path)
+        assert exc.value.path == path
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = build_dataset(small_cfg(render_images=True))
+        return save_dataset(ds, tmp_path / "d")
+
+    @pytest.mark.parametrize(
+        "edit, column",
+        [
+            (lambda ok: ok.rsplit(" ", 1)[0] + " oops", 17),  # bad number
+            (lambda ok: "zero " + ok.split(" ", 1)[1], 1),  # bad point id
+            (lambda ok: "99999 " + ok.split(" ", 1)[1], 1),  # id out of range
+            (lambda ok: "2 1.0", None),  # too few fields
+        ],
+    )
+    def test_bad_descriptor_line_raises_parse_error(self, saved, edit, column):
+        path = saved / "descriptors.txt"
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(saved)
+        assert exc.value.path == path and exc.value.line == 3
+        assert exc.value.column == column
+
+    @pytest.mark.parametrize(
+        "name",
+        ["poses/pose_0002.txt", "observations/obs_0003.txt", "descriptors.txt", "covis.json"],
+    )
+    def test_missing_file_raises_parse_error_with_the_path(self, saved, name):
+        (saved / name).unlink()
+        with pytest.raises(ParseError) as exc:
+            load_dataset(saved)
+        assert exc.value.path == saved / name
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("manifest.json", lambda m: m.pop("train_ids")),
+            ("manifest.json", lambda m: m.pop("config")),
+            ("manifest.json", lambda m: m["config"].update(bogus=1)),
+            ("manifest.json", lambda m: m.update(diameter="wide")),
+            ("manifest.json", lambda m: m["image_ids"].append("x")),
+            ("covis.json", lambda c: c.pop("corresponded")),
+        ],
+    )
+    def test_malformed_json_contents_raise_parse_error(self, saved, name, edit):
+        path = saved / name
+        blob = json.loads(path.read_text())
+        edit(blob)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ParseError) as exc:
+            load_dataset(saved)
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"])
+    def test_manifest_that_is_no_json_object_raises_parse_error(self, saved, text):
+        path = saved / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_dataset(saved)
+        assert exc.value.path == path
+
+    def test_truncated_render_raises_parse_error(self, saved):
+        path = saved / "images" / "img_0001.pgm"
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(ParseError, match="truncated") as exc:
+            load_dataset(saved)
+        assert exc.value.path == path
 
     def test_correspondence_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
