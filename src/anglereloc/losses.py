@@ -24,7 +24,6 @@ with ``ssim3x3``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -49,11 +48,6 @@ class MissingPoseError(Exception):
 
 class DimensionMismatchError(Exception):
     """Image operands have incompatible shapes."""
-
-
-class LossMode(enum.Enum):
-    REPROJ = "reproj"
-    ANGLE = "angle"
 
 
 # SSIM stabilizers for intensities in [0, 1]
@@ -123,18 +117,6 @@ class LossReport:
         if self.valid_mask is None:
             return 1.0
         return float(np.mean(self.valid_mask)) if len(self.valid_mask) else 0.0
-
-    @property
-    def terms(self) -> list[PointLossTerm]:
-        return [
-            PointLossTerm(
-                float(self.values[i]),
-                self.grads[i].copy(),
-                DepthStatus(int(self.statuses[i])),
-                float(self.thetas[i]),
-            )
-            for i in range(len(self.values))
-        ]
 
 
 def _row_dots(a, b):
@@ -280,34 +262,6 @@ class PredictionGrid:
         object.__setattr__(self, "coords", coords)
 
 
-def image_loss(
-    mode: LossMode,
-    intr: CameraIntrinsics,
-    pose: PoseSE3,
-    predictions: PredictionGrid,
-    observations,
-    cfg: LossConfig = LossConfig(),
-) -> LossReport:
-    """Sum of per-point loss terms over one image's observations.
-
-    ``observations`` is any object with ``point_ids`` (N,) and ``pixels``
-    (N, 2) arrays in the same order as the predictions.
-    """
-    _check_ids(predictions.point_ids, observations.point_ids)
-    kernel = reproj_terms if mode == LossMode.REPROJ else angle_terms
-    if mode == LossMode.REPROJ:
-        values, grads, statuses, thetas = kernel(
-            intr, pose, predictions.coords, observations.pixels
-        )
-    else:
-        values, grads, statuses, thetas = kernel(
-            intr, pose, predictions.coords, observations.pixels, cfg.epsilon_norm
-        )
-    return LossReport(
-        np.asarray(predictions.point_ids).copy(), values, grads, statuses, thetas
-    )
-
-
 class _ImageRows(NamedTuple):
     """One image's observation rows in a ``MultiviewIndex``."""
 
@@ -437,7 +391,7 @@ def multiview_image_loss(
     ``angle_terms`` passes: the image's own rows under its pose, and every
     drawn (row, neighbor) pair at once in the neighbors' camera frames, with
     the per-row poses gathered from the index. With no correspondences this
-    reduces exactly to ``image_loss(ANGLE, ...)``. Raises
+    reduces exactly to ``angle_terms`` under the image's pose. Raises
     ``MissingPoseError`` when the image or a drawn neighbor has no pose.
     """
     if rng is None:

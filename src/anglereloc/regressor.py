@@ -49,6 +49,7 @@ from anglereloc.losses import (
     photometric_image_loss,
     reproj_terms,
 )
+from anglereloc.scenegen import ParseError
 
 
 class ConfigError(Exception):
@@ -126,15 +127,7 @@ class PatchMLP:
 
     def forward(self, x):
         """Evaluate the network on (N, in) descriptors -> (N, 3)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[1] != self.input_dim:
-            raise DimensionMismatchError(
-                f"descriptor length {x.shape[1]} != input layer {self.input_dim}"
-            )
-        h = x
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ W + b)
-        return h @ self.weights[-1] + self.biases[-1]
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x):
         """Forward pass keeping activations for the backward pass."""
@@ -506,18 +499,17 @@ def constant_depth_targets(
 
 @dataclass
 class TrainConfig:
+    """Training settings. Every loss weight and guard lives in ``loss``,
+    validated when that ``LossConfig`` is built."""
+
     mode: str = TrainMode.ANGLE.value
     iterations: int = 20000
     lr: float = 1e-4
     lr_halving_fractions: tuple = (0.6, 0.8, 0.9)
-    lambda_multiview: float = 60.0
-    lambda_photo: float = 20.0
-    alpha_ssim: float = 0.85
-    epsilon_norm: float = 1e-8
+    loss: LossConfig = field(default_factory=LossConfig)
     const_depth: float = 3.0
     init_fraction: float = 0.25
     seed: int = 0
-    jitter_pixels: bool = False
     checkpoint_every: int = 500
     hidden_sizes: tuple = (64, 64)
     photo_neighbor_max_offset: int = 10
@@ -528,14 +520,6 @@ class TrainConfig:
         if self.mode == TrainMode.CONST_DEPTH_REPROJ.value and not self.const_depth > 0:
             raise ConfigError("const_depth must be positive for the init mode")
         TrainMode(self.mode)  # validates the mode string
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            lambda_multiview=self.lambda_multiview,
-            lambda_photo=self.lambda_photo,
-            alpha_ssim=self.alpha_ssim,
-            epsilon_norm=self.epsilon_norm,
-        )
 
 
 @dataclass
@@ -581,9 +565,20 @@ class TrainLog:
 
     @classmethod
     def from_csv(cls, path):
+        """Inverse of ``to_csv``. Raises ``ParseError`` naming ``path`` for an
+        unreadable file or a missing column, and also the line for a bad
+        number or a non-increasing iteration."""
         log = cls()
-        with Path(path).open() as fh:
-            for row in csv.DictReader(fh):
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read file ({exc})", path=path) from exc
+        reader = csv.DictReader(text.splitlines())
+        missing = [c for c in cls.CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ParseError(f"missing columns {missing}", path=path, line=1)
+        for row in reader:
+            try:
                 log.append(
                     TrainRecord(
                         int(row["iter"]),
@@ -594,6 +589,8 @@ class TrainLog:
                         float(row["seconds"]),
                     )
                 )
+            except (TypeError, ValueError) as exc:
+                raise ParseError(str(exc), path=path, line=reader.line_num) from exc
         return log
 
 
@@ -611,24 +608,11 @@ def _photo_neighbor(train_ids, image_id, max_offset, rng):
     return cands[int(rng.integers(len(cands)))]
 
 
-def make_model(model_kind: str, dataset, cfg: TrainConfig):
-    if model_kind == "patch_mlp":
-        sizes = (dataset.config.descriptor_dim, *cfg.hidden_sizes, 3)
-        return PatchMLP.init(sizes, seed=[cfg.seed, 12])
-    if model_kind == "free_table":
-        return FreeTable.init(dataset, seed=[cfg.seed, 12])
-    if model_kind == "gt_lookup":
-        return GtLookup()
-    if model_kind == "constant":
-        return ConstantModel()
-    raise ConfigError(f"unknown model kind {model_kind!r}")
-
-
 def train(dataset, model_kind: str, cfg: TrainConfig):
     """Optimize a model on the dataset's training views under ``cfg.mode``.
 
     One training image per iteration (drawn uniformly with the config seed),
-    per-point gradients from the selected loss accumulated into the model by
+    per-point gradients from the mode's loss accumulated into the model by
     Adam. Returns ``(model, TrainLog)``; the log records loss, behind-camera
     fraction, the running count of non-finite loss/gradient events, the
     median 3D coordinate error over the training views, and wall time.
@@ -636,21 +620,86 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     mode = TrainMode(cfg.mode)
     if mode is TrainMode.ANGLE_PHOTO and not dataset.images:
         raise ConfigError("angle-photo training needs rendered images")
-    if model_kind not in ("patch_mlp", "free_table"):
+    if model_kind == "patch_mlp":
+        sizes = (dataset.config.descriptor_dim, *cfg.hidden_sizes, 3)
+        model = PatchMLP.init(sizes, seed=[cfg.seed, 12])
+    elif model_kind == "free_table":
+        model = FreeTable.init(dataset, seed=[cfg.seed, 12])
+    else:
         raise ConfigError(f"model kind {model_kind!r} is not trainable")
-    loss_cfg = cfg.loss_config()
-    model = make_model(model_kind, dataset, cfg)
     params = model.param_list()
     adam = AdamState.for_params(params, lr=cfg.lr)
     train_ids = list(dataset.train_ids)
-    intr = dataset.intrinsics
+    intr, poses, observations = dataset.intrinsics, dataset.poses, dataset.observations
     order_rng = np.random.default_rng([cfg.seed, 11])
     image_order = order_rng.integers(0, len(train_ids), size=cfg.iterations)
     multiview = (
-        build_multiview_index(dataset.poses, dataset.observations, dataset.covis)
+        build_multiview_index(poses, observations, dataset.covis)
         if mode is TrainMode.ANGLE_MULTI
         else None
     )
+
+    # One loss per mode, each mapping (iteration, image id, predictions) to
+    # per-point (values, grads, statuses). The kernels are looked up as
+    # module globals on every call, so wrappers installed on them see every call.
+    def reproj(t, image_id, preds):
+        pixels = observations[image_id].pixels
+        return reproj_terms(intr, poses[image_id], preds, pixels)[:3]
+
+    def angle(t, image_id, preds):
+        pixels = observations[image_id].pixels
+        return angle_terms(intr, poses[image_id], preds, pixels, cfg.loss.epsilon_norm)[:3]
+
+    def angle_multi(t, image_id, preds):
+        rep = multiview_image_loss(
+            intr,
+            multiview,
+            image_id,
+            PredictionGrid(observations[image_id].point_ids, preds),
+            cfg.loss,
+            np.random.default_rng([cfg.seed, t, image_id]),
+        )
+        return rep.values, rep.grads, rep.statuses
+
+    def angle_photo(t, image_id, preds):
+        values, grads, statuses = angle(t, image_id, preds)
+        nb_rng = np.random.default_rng([cfg.seed, t, image_id])
+        j = _photo_neighbor(train_ids, image_id, cfg.photo_neighbor_max_offset, nb_rng)
+        if j is not None:
+            obs = observations[image_id]
+            photo = photometric_image_loss(
+                intr,
+                poses[j],
+                PredictionGrid(obs.point_ids, preds),
+                obs,
+                dataset.images[image_id].data,
+                dataset.images[j].data,
+                cfg.loss,
+            )
+            values = values + cfg.loss.lambda_photo * photo.values
+            grads = grads + cfg.loss.lambda_photo * photo.grads
+        return values, grads, statuses
+
+    init_cutoff = int(cfg.init_fraction * cfg.iterations)
+
+    def const_depth_reproj(t, image_id, preds):
+        """Regress onto constant-depth targets, then the plain reprojection
+        loss from ``init_cutoff`` on."""
+        if t >= init_cutoff:
+            return reproj(t, image_id, preds)
+        pose = poses[image_id]
+        targets = constant_depth_targets(intr, pose, observations[image_id], cfg.const_depth)
+        diff = preds - targets
+        statuses = depth_statuses(pose.world_to_camera(preds)[:, 2])
+        return np.sum(diff * diff, axis=1), 2.0 * diff, statuses
+
+    image_loss = {
+        TrainMode.REPROJ: reproj,
+        TrainMode.ANGLE: angle,
+        TrainMode.ANGLE_MULTI: angle_multi,
+        TrainMode.ANGLE_PHOTO: angle_photo,
+        TrainMode.CONST_DEPTH_REPROJ: const_depth_reproj,
+    }[mode]
 
     log = TrainLog()
     nonfinite_events = 0
@@ -671,69 +720,10 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
             )
         )
 
-    init_cutoff = (
-        int(cfg.init_fraction * cfg.iterations)
-        if mode is TrainMode.CONST_DEPTH_REPROJ
-        else 0
-    )
-
     for t in range(cfg.iterations):
         image_id = train_ids[int(image_order[t])]
-        obs = dataset.observations[image_id]
-        pose = dataset.poses[image_id]
-        pixels = obs.pixels
-        if cfg.jitter_pixels:
-            jit_rng = np.random.default_rng([cfg.seed, 13, t])
-            pixels = pixels + jit_rng.uniform(-1.0, 1.0, size=pixels.shape)
-
         preds, ctx = model.predict_image(dataset, image_id)
-
-        if mode is TrainMode.REPROJ or (
-            mode is TrainMode.CONST_DEPTH_REPROJ and t >= init_cutoff
-        ):
-            values, grads, statuses, _ = reproj_terms(intr, pose, preds, pixels)
-        elif mode is TrainMode.CONST_DEPTH_REPROJ:
-            targets = constant_depth_targets(intr, pose, obs, cfg.const_depth)
-            diff = preds - targets
-            values = np.sum(diff * diff, axis=1)
-            grads = 2.0 * diff
-            statuses = depth_statuses(pose.world_to_camera(preds)[:, 2])
-        elif mode is TrainMode.ANGLE:
-            values, grads, statuses, _ = angle_terms(
-                intr, pose, preds, pixels, cfg.epsilon_norm
-            )
-        elif mode is TrainMode.ANGLE_MULTI:
-            rep = multiview_image_loss(
-                intr,
-                multiview,
-                image_id,
-                PredictionGrid(obs.point_ids, preds),
-                loss_cfg,
-                np.random.default_rng([cfg.seed, t, image_id]),
-            )
-            values, grads, statuses = rep.values, rep.grads, rep.statuses
-        elif mode is TrainMode.ANGLE_PHOTO:
-            values, grads, statuses, _ = angle_terms(
-                intr, pose, preds, pixels, cfg.epsilon_norm
-            )
-            nb_rng = np.random.default_rng([cfg.seed, t, image_id])
-            j = _photo_neighbor(
-                train_ids, image_id, cfg.photo_neighbor_max_offset, nb_rng
-            )
-            if j is not None:
-                photo = photometric_image_loss(
-                    intr,
-                    dataset.poses[j],
-                    PredictionGrid(obs.point_ids, preds),
-                    obs,
-                    dataset.images[image_id].data,
-                    dataset.images[j].data,
-                    loss_cfg,
-                )
-                values = values + cfg.lambda_photo * photo.values
-                grads = grads + cfg.lambda_photo * photo.grads
-        else:  # pragma: no cover
-            raise ConfigError(f"unhandled mode {mode}")
+        values, grads, statuses = image_loss(t, image_id, preds)
 
         finite_vals = np.isfinite(values)
         total = float(np.sum(values[finite_vals]))
@@ -779,7 +769,7 @@ def predict_correspondences(model, dataset, image_id):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, model, cfg: TrainConfig):
@@ -796,7 +786,8 @@ def load_checkpoint(path):
 
     Raises ``ConfigError`` naming ``path`` when the file cannot be read or
     parsed, or does not hold the current schema version, a known model kind
-    with its state, and exactly the ``TrainConfig`` fields.
+    with its state, and exactly the ``TrainConfig`` fields with exactly the
+    ``LossConfig`` fields under ``loss``.
     """
     try:
         blob = json.loads(Path(path).read_text())
@@ -810,6 +801,17 @@ def load_checkpoint(path):
         raise ConfigError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 
+def _check_keys(what, raw, cls):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    names = {f.name for f in fields(cls)}
+    if set(raw) != names:
+        raise ConfigError(
+            f"{what} keys: unknown {sorted(set(raw) - names)}, "
+            f"missing {sorted(names - set(raw))}"
+        )
+
+
 def _checkpoint_contents(blob):
     if not isinstance(blob, dict):
         raise ConfigError("checkpoint is not a JSON object")
@@ -821,16 +823,13 @@ def _checkpoint_contents(blob):
     kind = state.get("kind")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r} in checkpoint")
-    names = {f.name for f in fields(TrainConfig)}
-    if set(raw) != names:
-        raise ConfigError(
-            f"train_config keys: unknown {sorted(set(raw) - names)}, "
-            f"missing {sorted(names - set(raw))}"
-        )
+    _check_keys("train_config", raw, TrainConfig)
+    _check_keys("train_config.loss", raw["loss"], LossConfig)
     model = MODEL_KINDS[kind].from_state(state)
     raw = dict(
         raw,
         lr_halving_fractions=tuple(raw["lr_halving_fractions"]),
+        loss=LossConfig(**raw["loss"]),
         hidden_sizes=tuple(raw["hidden_sizes"]),
     )
     return model, TrainConfig(**raw)

@@ -255,12 +255,6 @@ class Trajectory:
     def image_ids(self):
         return [i for i, _ in self.entries]
 
-    def pose_of(self, image_id) -> PoseSE3:
-        for i, pose in self.entries:
-            if i == image_id:
-                return pose
-        raise KeyError(image_id)
-
 
 def _look_pose(position, forward):
     """Camera-to-world pose looking along ``forward`` with Y roughly down."""
@@ -623,9 +617,6 @@ class Dataset:
     @property
     def height(self):
         return self.config.height
-
-    def gt_coords_of(self, image_id):
-        return self.observations[image_id].gt_coords
 
 
 def _base_descriptors(n_points, dim, seed):

@@ -23,7 +23,6 @@ from anglereloc.losses import (
     IndexMismatchError,
     DimensionMismatchError,
     LossConfig,
-    LossMode,
     MissingPoseError,
     PredictionGrid,
     angle_point,
@@ -31,7 +30,6 @@ from anglereloc.losses import (
     bilinear_sample,
     bilinear_values_and_grads,
     build_multiview_index,
-    image_loss,
     multiview_image_loss,
     photometric_image_loss,
     reproj_point,
@@ -247,14 +245,16 @@ def make_obs(rng, pose, intr, n, depth_lo=0.5, depth_hi=5.0):
 
 
 class TestImageLoss:
+    """The per-point kernels over one image's observations."""
+
     def test_exact_predictions_zero_total(self, intr, rng):
         pose = random_pose(rng)
         obs, coords = make_obs(rng, pose, intr, 12)
-        for mode in LossMode:
-            rep = image_loss(mode, intr, pose, PredictionGrid(obs.point_ids, coords), obs)
-            assert rep.total < 1e-7
-            assert rep.behind_count == 0
-            assert not rep.nonfinite
+        for kernel in (reproj_terms, angle_terms):
+            values, grads, statuses, _ = kernel(intr, pose, coords, obs.pixels)
+            assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
+            assert np.sum(values) < 1e-7
+            assert np.sum(statuses == int(DepthStatus.BEHIND)) == 0
 
     def test_antipodal_total_is_sum_of_diameters(self, intr, rng):
         pose = random_pose(rng)
@@ -262,30 +262,12 @@ class TestImageLoss:
         flipped = np.array(
             [2 * pose.center - c for c in coords]  # reflect through the camera center
         )
-        rep = image_loss(
-            LossMode.ANGLE, intr, pose, PredictionGrid(obs.point_ids, flipped), obs
-        )
+        values, _, statuses, _ = angle_terms(intr, pose, flipped, obs.pixels)
         expected = sum(
             2 * np.linalg.norm(ray_vector(intr, p)) for p in obs.pixels
         )
-        assert abs(rep.total - expected) < 1e-9 * expected
-        assert rep.behind_count == 9
-
-    def test_total_matches_per_point_oracle(self, intr, rng):
-        pose = random_pose(rng)
-        obs, _ = make_obs(rng, pose, intr, 15)
-        preds = rng.uniform(-6, 6, size=(15, 3))
-        for mode, pointwise in ((LossMode.REPROJ, reproj_point), (LossMode.ANGLE, angle_point)):
-            rep = image_loss(mode, intr, pose, PredictionGrid(obs.point_ids, preds), obs)
-            expected = sum(pointwise(intr, pose, y, p).value for y, p in zip(preds, obs.pixels))
-            assert abs(rep.total - expected) < 1e-9 * max(abs(expected), 1.0)
-
-    def test_index_mismatch_raises(self, intr, rng):
-        pose = random_pose(rng)
-        obs, coords = make_obs(rng, pose, intr, 5)
-        grid = PredictionGrid(np.arange(5) + 1, coords)
-        with pytest.raises(IndexMismatchError):
-            image_loss(LossMode.ANGLE, intr, pose, grid, obs)
+        assert abs(np.sum(values) - expected) < 1e-9 * expected
+        assert np.sum(statuses == int(DepthStatus.BEHIND)) == 9
 
 
 class _Covis:
@@ -321,9 +303,11 @@ class TestMultiviewLoss:
             preds,
             rng=np.random.default_rng(3),
         )
-        single = image_loss(LossMode.ANGLE, intr, poses[0], preds, obs_by_img[0])
-        assert np.array_equal(multi.values, single.values)
-        assert np.array_equal(multi.grads, single.grads)
+        values, grads, _, _ = angle_terms(
+            intr, poses[0], preds.coords, obs_by_img[0].pixels
+        )
+        assert np.array_equal(multi.values, values)
+        assert np.array_equal(multi.grads, grads)
 
     def test_triangulated_point_zero_in_both_views(self, intr, rng):
         poses, obs_by_img, covis, coords = self._two_view_setup(
@@ -388,6 +372,13 @@ class TestMultiviewLoss:
         index = build_multiview_index(poses, obs_by_img, covis)
         rep = multiview_image_loss(intr, index, 0, preds, rng=np.random.default_rng(0))
         assert rep.total < 1e-6
+
+    def test_index_mismatch_raises(self, intr, rng):
+        poses, obs_by_img, covis, coords = self._two_view_setup(rng, intr)
+        index = build_multiview_index(poses, obs_by_img, covis)
+        grid = PredictionGrid(obs_by_img[0].point_ids + 1, coords)
+        with pytest.raises(IndexMismatchError, match="point sets differ"):
+            multiview_image_loss(intr, index, 0, grid, rng=np.random.default_rng(0))
 
     def test_inconsistent_covis_raises_index_mismatch(self, intr, rng):
         poses, obs_by_img, covis, coords = self._two_view_setup(
@@ -576,6 +567,12 @@ class TestPhotometricLoss:
             assert rel_err(rep.grads[idx], fd) < 1e-4
             checked += 1
         assert checked >= 3
+
+    def test_index_mismatch_raises(self, intr, rng):
+        pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
+        grid = PredictionGrid(obs.point_ids + 1, coords)
+        with pytest.raises(IndexMismatchError, match="point sets differ"):
+            photometric_image_loss(intr, pose_j, grid, obs, img_i, img_j)
 
     def test_dimension_mismatch(self, intr, rng):
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)

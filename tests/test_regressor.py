@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from anglereloc import losses, regressor
+from anglereloc.losses import LossConfig
 from anglereloc.regressor import (
     ADAM_BLOCK,
     AdamState,
@@ -23,7 +24,7 @@ from anglereloc.regressor import (
     save_checkpoint,
     train,
 )
-from anglereloc.scenegen import DatasetConfig, build_dataset
+from anglereloc.scenegen import DatasetConfig, ParseError, build_dataset
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +287,47 @@ def test_train_log_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == ",".join(TrainLog.CSV_COLUMNS)
 
 
+class TestTrainLogFromCsv:
+    ROWS = [
+        "iter,loss,behind_frac,nonfinite_events,median_err,seconds",
+        "10,0.5,0.0,0,1.5,0.010",
+    ]
+
+    def _read(self, tmp_path, lines):
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            TrainLog.from_csv(path)
+        assert str(path) in str(err.value)
+        return err.value
+
+    @pytest.mark.parametrize("data", [None, b"iter,loss\n\xff\xfe\n"])
+    def test_missing_or_undecodable_file(self, tmp_path, data):
+        path = tmp_path / "log.csv"
+        if data is not None:
+            path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            TrainLog.from_csv(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_column(self, tmp_path):
+        header = self.ROWS[0].replace(",median_err", "")
+        err = self._read(tmp_path, [header, "10,0.5,0.0,0,0.010"])
+        assert "median_err" in str(err) and err.line == 1
+
+    def test_bad_number(self, tmp_path):
+        err = self._read(tmp_path, self.ROWS + ["20,0.4,zero,0,1.4,0.020"])
+        assert "zero" in str(err) and err.line == 3
+
+    def test_short_row(self, tmp_path):
+        assert self._read(tmp_path, self.ROWS + ["20,0.4"]).line == 3
+
+    def test_non_increasing_iteration(self, tmp_path):
+        rows = ["20,0.4,0.0,0,1.4,0.020", "20,0.3,0.0,0,1.3,0.030"]
+        err = self._read(tmp_path, self.ROWS + rows)
+        assert "increase" in str(err) and err.line == 4
+
+
 class TestPatchMLP:
     def test_weights_are_views_of_the_flat_vector(self):
         net = PatchMLP.init((4, 5, 3), seed=0)
@@ -451,6 +493,50 @@ def test_train_with_skipped_runs_matches_the_reference_adam(room, monkeypatch, m
         assert model.coords[rows].tobytes() == init.coords[rows].tobytes()
 
 
+@pytest.fixture(scope="module")
+def rendered_room():
+    return build_dataset(DatasetConfig(seed=3, n_points=300, n_images=12, render_images=True))
+
+
+@pytest.fixture(scope="module")
+def uncorresponded_room():
+    cfg = DatasetConfig(seed=3, n_points=300, n_images=12, covis_keep_fraction=0.0)
+    return build_dataset(cfg)
+
+
+@pytest.mark.parametrize("kind", ["free_table", "patch_mlp"])
+class TestModeDispatch:
+    """Each mode reaches its own loss through ``train``: modes that reduce to
+    another give the same parameter bytes and log values. The learning rate
+    is high enough for PatchMLP to bring points into the photometric
+    neighbor's view within the run."""
+
+    def run(self, ds, kind, **cfg):
+        model, log = train(
+            ds, kind, TrainConfig(iterations=60, lr=0.05, checkpoint_every=20, seed=1, **cfg)
+        )
+        params = b"".join(p.tobytes() for p in model.param_list())
+        return params, [repr(astuple(r)[:-1]) for r in log.records]
+
+    def test_photo_at_zero_weight_is_angle(self, rendered_room, kind):
+        off = LossConfig(lambda_photo=0.0)
+        photo = self.run(rendered_room, kind, mode="angle-photo", loss=off)
+        assert photo == self.run(rendered_room, kind, mode="angle")
+
+    def test_photo_at_default_weight_differs_from_angle(self, rendered_room, kind):
+        photo = self.run(rendered_room, kind, mode="angle-photo")
+        angle = self.run(rendered_room, kind, mode="angle")
+        assert photo[0] != angle[0] and photo[1] != angle[1]
+
+    def test_const_depth_without_init_phase_is_reproj(self, rendered_room, kind):
+        const = self.run(rendered_room, kind, mode="const-depth-reproj", init_fraction=0.0)
+        assert const == self.run(rendered_room, kind, mode="reproj")
+
+    def test_multi_without_correspondences_is_angle(self, uncorresponded_room, kind):
+        multi = self.run(uncorresponded_room, kind, mode="angle-multi")
+        assert multi == self.run(uncorresponded_room, kind, mode="angle")
+
+
 class TestCheckpoint:
     def test_free_table_round_trip(self, room, tmp_path):
         table = FreeTable.init(room, seed=2)
@@ -479,6 +565,19 @@ class TestCheckpoint:
             loaded.predict_image(room, image_id)[0], net.predict_image(room, image_id)[0]
         )
 
+    def test_loss_config_round_trip(self, tmp_path):
+        loss = LossConfig(
+            lambda_multiview=7.5, lambda_photo=0.25, alpha_ssim=0.5, epsilon_norm=1e-6
+        )
+        cfg = TrainConfig(mode="angle-photo", loss=loss)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, PatchMLP.init((4, 3)), cfg)
+        blob = json.loads(path.read_text())
+        assert blob["schema_version"] == 2
+        assert blob["train_config"]["loss"]["lambda_photo"] == 0.25
+        _, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == cfg and isinstance(loaded_cfg.loss, LossConfig)
+
     def _write(self, tmp_path, edit):
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, PatchMLP.init((4, 3)), TrainConfig())
@@ -506,6 +605,31 @@ class TestCheckpoint:
     def test_missing_or_inconsistent_entry_raises_config_error(self, tmp_path, edit):
         path = self._write(tmp_path, edit)
         with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b["train_config"]["loss"].update(bogus=1), "bogus"),
+            (lambda b: b["train_config"].update(loss=[60.0, 20.0]), "not a JSON object"),
+            (lambda b: b["train_config"]["loss"].update(epsilon_norm=0), "epsilon_norm"),
+        ],
+    )
+    def test_bad_loss_config_raises_config_error(self, tmp_path, edit, message):
+        path = self._write(tmp_path, edit)
+        with pytest.raises(ConfigError, match=message) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_flat_version_1_checkpoint_is_refused(self, tmp_path):
+        def to_v1(blob):
+            tc = blob["train_config"]
+            tc.update(tc.pop("loss"), jitter_pixels=False)
+            blob["schema_version"] = 1
+
+        path = self._write(tmp_path, to_v1)
+        with pytest.raises(ConfigError, match="unsupported checkpoint version 1") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
