@@ -167,16 +167,6 @@ def project(intr: CameraIntrinsics, cam_point: np.ndarray):
     return np.array([px, py]), depth_status(d[2])
 
 
-def project_points(intr: CameraIntrinsics, cam_points: np.ndarray):
-    """Batch projection: (N, 3) camera points -> ((N, 2) pixels, (N,) statuses)."""
-    d = np.asarray(cam_points, dtype=np.float64)
-    z = d[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pix = intr.f * d[:, :2] / z[:, None]
-    pix = pix + np.array([intr.cx, intr.cy])
-    return pix, depth_statuses(z)
-
-
 def ray_vector(intr: CameraIntrinsics, pixel: np.ndarray) -> np.ndarray:
     """Camera-frame ray through ``pixel``: ``(x - cx, y - cy, f)``.
 

@@ -10,9 +10,8 @@ keeps its value and gradient finite for predictions arbitrarily close to the
 camera center.
 
 Array-first design: the ``*_terms`` kernels operate on (N, 3) prediction and
-(N, 2) pixel batches and are what training uses; ``reproj_point`` /
-``angle_point`` wrap them for single points. The composite losses do no
-per-point Python work either. ``multiview_image_loss`` reads a
+(N, 2) pixel batches, and a single point is a batch of one. The composite
+losses do no per-point Python work either. ``multiview_image_loss`` reads a
 ``MultiviewIndex`` that ``build_multiview_index`` makes once per training
 run (CSR lists of the other images seeing each observation row, their
 pixels, and the poses stacked by image); each call draws every corresponded
@@ -50,6 +49,11 @@ class DimensionMismatchError(Exception):
     """Image operands have incompatible shapes."""
 
 
+class ConfigError(Exception):
+    """Inconsistent loss or training configuration, or a checkpoint that
+    cannot be loaded."""
+
+
 # SSIM stabilizers for intensities in [0, 1]
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
@@ -66,21 +70,9 @@ class LossConfig:
 
     def __post_init__(self):
         if min(self.lambda_multiview, self.lambda_photo, self.alpha_ssim) < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise ConfigError("loss weights must be non-negative")
         if not self.epsilon_norm > 0:
-            raise ValueError("epsilon_norm must be positive")
-
-
-@dataclass(frozen=True)
-class PointLossTerm:
-    """One point's loss value, gradient w.r.t. its world coordinate, and
-    diagnostics: the depth status of the prediction and the angle between
-    the predicted and observed rays."""
-
-    value: float
-    grad: np.ndarray
-    depth_status: DepthStatus
-    angle_theta: float
+            raise ConfigError("epsilon_norm must be positive")
 
 
 @dataclass
@@ -203,38 +195,6 @@ def angle_terms(
     grads = grad_D @ R.T
     thetas = _angles_between(D, rays, norms_D_raw, norms_d)
     return values, grads, depth_statuses(D[:, 2]), thetas
-
-
-def reproj_point(
-    intr: CameraIntrinsics, pose: PoseSE3, y, pixel
-) -> PointLossTerm:
-    """Single-point plain reprojection loss term."""
-    values, grads, statuses, thetas = reproj_terms(
-        intr, pose, np.asarray(y)[None, :], np.asarray(pixel)[None, :]
-    )
-    return PointLossTerm(
-        float(values[0]), grads[0], DepthStatus(int(statuses[0])), float(thetas[0])
-    )
-
-
-def angle_point(
-    intr: CameraIntrinsics,
-    pose: PoseSE3,
-    y,
-    pixel,
-    cfg: LossConfig = LossConfig(),
-) -> PointLossTerm:
-    """Single-point angle-based reprojection loss term."""
-    values, grads, statuses, thetas = angle_terms(
-        intr,
-        pose,
-        np.asarray(y)[None, :],
-        np.asarray(pixel)[None, :],
-        cfg.epsilon_norm,
-    )
-    return PointLossTerm(
-        float(values[0]), grads[0], DepthStatus(int(statuses[0])), float(thetas[0])
-    )
 
 
 def _check_ids(pred_ids, obs_ids):
@@ -424,12 +384,6 @@ def multiview_image_loss(
     )
 
 
-class BilinearSample(NamedTuple):
-    value: float
-    grad: np.ndarray
-    valid: bool
-
-
 def bilinear_values_and_grads(img: np.ndarray, q: np.ndarray):
     """Bilinear interpolation of a grayscale image at continuous coords.
 
@@ -465,12 +419,6 @@ def bilinear_values_and_grads(img: np.ndarray, q: np.ndarray):
     values = np.where(valid, values, 0.0)
     grads = np.where(valid[:, None], grads, 0.0)
     return values, grads, valid
-
-
-def bilinear_sample(img: np.ndarray, q) -> BilinearSample:
-    """Single-sample form of ``bilinear_values_and_grads``."""
-    values, grads, valid = bilinear_values_and_grads(img, np.asarray(q)[None, :])
-    return BilinearSample(float(values[0]), grads[0], bool(valid[0]))
 
 
 def _box3(a: np.ndarray) -> np.ndarray:

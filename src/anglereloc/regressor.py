@@ -38,7 +38,8 @@ from anglereloc.geometry import (
     depth_statuses,
     ray_vectors,
 )
-from anglereloc.losses import (
+from anglereloc.losses import (  # ConfigError is re-exported here
+    ConfigError,
     DimensionMismatchError,
     IndexMismatchError,
     LossConfig,
@@ -50,11 +51,6 @@ from anglereloc.losses import (
     reproj_terms,
 )
 from anglereloc.scenegen import ParseError
-
-
-class ConfigError(Exception):
-    """Inconsistent training configuration for the given dataset, or a
-    checkpoint that cannot be loaded."""
 
 
 class TrainMode(enum.Enum):
@@ -329,34 +325,10 @@ class GtLookup:
         return cls()
 
 
-class ConstantModel:
-    """Degenerate pseudo-model emitting one fixed coordinate everywhere."""
-
-    kind = "constant"
-
-    def __init__(self, value=(0.0, 0.0, 0.0)):
-        self.value = np.asarray(value, dtype=np.float64)
-
-    def predict_image(self, dataset, image_id):
-        n = len(dataset.observations[image_id].point_ids)
-        return np.tile(self.value, (n, 1)), None
-
-    def param_list(self):
-        return []
-
-    def state_dict(self):
-        return {"kind": self.kind, "value": self.value.tolist()}
-
-    @classmethod
-    def from_state(cls, state):
-        return cls(state["value"])
-
-
 MODEL_KINDS = {
     "patch_mlp": PatchMLP,
     "free_table": FreeTable,
     "gt_lookup": GtLookup,
-    "constant": ConstantModel,
 }
 
 

@@ -14,6 +14,13 @@ two views of the same point agree exactly.
 Determinism: every random quantity is drawn from ``np.random.default_rng``
 seeded with an integer list ``[seed, stream, ...]``; datasets regenerate
 bit-identically from their manifest.
+
+Batching rule: dataset assembly works in whole-array passes, and every
+stream is consumed in per-point order, so one ``size=(n, k)`` draw yields
+the values of ``n`` scalar ``size=k`` draws. A generator may be over-drawn
+(more candidates drawn than accepted) only when it is local to one call and
+discarded afterwards, as in ``gen_scene``. Streams that later draws share,
+such as ``gen_trajectory``'s across images, are drawn one attempt at a time.
 """
 
 from __future__ import annotations
@@ -25,12 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from anglereloc.geometry import (
-    CameraIntrinsics,
-    PoseSE3,
-    nearest_rotation,
-    project_points,
-)
+from anglereloc.geometry import CameraIntrinsics, PoseSE3, nearest_rotation
 
 
 class NoGeometryError(Exception):
@@ -176,6 +178,25 @@ def _room_planes(half_extent, seed):
     ]
 
 
+def _free_space_points(rng, n, half_extent, min_radius):
+    """``n`` points uniform in the cube [-h, h]^3 at least ``min_radius``
+    from the origin: the accepted candidates of one ``size=3`` draw per
+    candidate, in draw order. Candidates are drawn in batches, so ``rng`` ends
+    over-drawn; it must be local to the caller."""
+    batches = [np.empty((0, 3))]
+    while n > 0:
+        cand = rng.uniform(-half_extent, half_extent, size=(max(2 * n, 64), 3))
+        norms = np.sqrt(cand[:, 0] ** 2 + cand[:, 1] ** 2 + cand[:, 2] ** 2)
+        accept = norms >= min_radius
+        # a single vector's np.linalg.norm may differ from the row norm in the
+        # last bit; near ties are decided by the former, as one draw at a time was
+        for i in np.flatnonzero(np.abs(norms - min_radius) <= 1e-12 * min_radius):
+            accept[i] = np.linalg.norm(cand[i]) >= min_radius
+        batches.append(cand[accept][:n])
+        n -= len(batches[-1])
+    return np.concatenate(batches)
+
+
 def gen_scene(
     seed: int,
     point_count: int = 500,
@@ -208,21 +229,20 @@ def gen_scene(
     n_free = int(round(point_count * free_space_fraction)) if planes else point_count
     n_surface = point_count - n_free
 
-    pts = []
+    surface = np.empty((0, 3))
     if n_surface > 0:
         areas = np.array(
             [np.linalg.norm(np.cross(p.edge_u, p.edge_v)) for p in planes]
         )
         choice = rng.choice(len(planes), size=n_surface, p=areas / areas.sum())
-        for idx in choice:
-            plane = planes[idx]
-            u, v = rng.uniform(size=2)
-            pts.append(plane.origin + u * plane.edge_u + v * plane.edge_v)
-    while len(pts) < point_count:
-        cand = rng.uniform(-half_extent, half_extent, size=3)
-        if np.linalg.norm(cand) >= free_space_min_radius:
-            pts.append(cand)
-    points = np.array(pts)
+        uv = rng.uniform(size=(n_surface, 2))
+        origin, edge_u, edge_v = (
+            np.array([getattr(p, name) for p in planes])[choice]
+            for name in ("origin", "edge_u", "edge_v")
+        )
+        surface = origin + uv[:, :1] * edge_u + uv[:, 1:] * edge_v
+    free = _free_space_points(rng, n_free, half_extent, free_space_min_radius)
+    points = np.concatenate([surface, free])
 
     lo = np.full(3, -half_extent)
     hi = np.full(3, half_extent)
@@ -267,17 +287,21 @@ def _look_pose(position, forward):
     return PoseSE3(nearest_rotation(R), position)
 
 
+def _in_frame(intr, cam, width, height):
+    """Rows of the camera-frame points ``cam`` that lie in front of the
+    camera and project inside the ``width`` x ``height`` image, ascending,
+    with their (M, 2) pixels. Only the rows in front are projected."""
+    front = np.flatnonzero(cam[:, 2] > 0)
+    d = cam.take(front, axis=0)
+    x = intr.f * d[:, 0] / d[:, 2] + intr.cx
+    y = intr.f * d[:, 1] / d[:, 2] + intr.cy
+    inside = (x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1)
+    return front[inside], np.column_stack([x[inside], y[inside]])
+
+
 def count_visible(scene, pose, intr, width, height):
-    cam = pose.world_to_camera(scene.points)
-    pix, _ = project_points(intr, cam)
-    ok = (
-        (cam[:, 2] > 0)
-        & (pix[:, 0] >= 0)
-        & (pix[:, 0] <= width - 1)
-        & (pix[:, 1] >= 0)
-        & (pix[:, 1] <= height - 1)
-    )
-    return int(np.sum(ok))
+    ids, _ = _in_frame(intr, pose.world_to_camera(scene.points), width, height)
+    return len(ids)
 
 
 def gen_trajectory(
@@ -384,24 +408,15 @@ def observe(
     rng=None,
     image_id: int = 0,
 ) -> ImageObservations:
-    """Project every scene point, keep the in-front in-bounds ones, then add
-    Gaussian pixel noise (clamped back into bounds). Ground-truth pixels,
-    coordinates and depths are recorded before noise."""
+    """Keep the scene points in front of the camera that project inside the
+    image, then add Gaussian pixel noise (clamped back into bounds).
+    Ground-truth coordinates and depths are recorded before noise."""
     if pixel_noise_sigma < 0:
         raise ValueError("pixel_noise_sigma must be >= 0")
     if rng is None:
         rng = np.random.default_rng(0)
     cam = pose.world_to_camera(scene.points)
-    pix, _ = project_points(intr, cam)
-    keep = (
-        (cam[:, 2] > 0)
-        & (pix[:, 0] >= 0)
-        & (pix[:, 0] <= width - 1)
-        & (pix[:, 1] >= 0)
-        & (pix[:, 1] <= height - 1)
-    )
-    ids = np.flatnonzero(keep)
-    pixels = pix[keep]
+    ids, pixels = _in_frame(intr, cam, width, height)
     if pixel_noise_sigma > 0:
         pixels = pixels + rng.normal(scale=pixel_noise_sigma, size=pixels.shape)
         pixels[:, 0] = np.clip(pixels[:, 0], 0, width - 1)
@@ -410,8 +425,8 @@ def observe(
         image_id=image_id,
         point_ids=ids,
         pixels=pixels,
-        gt_coords=scene.points[keep].copy(),
-        gt_depths=cam[keep, 2].copy(),
+        gt_coords=scene.points[ids],
+        gt_depths=cam[ids, 2],
     )
 
 
@@ -446,13 +461,37 @@ class CoVisibilityGraph:
 
 
 def build_covis(observations_by_image: dict) -> CoVisibilityGraph:
-    """Symmetric co-visibility from per-image observation sets."""
-    point_to_images: dict = {}
-    for image_id in sorted(observations_by_image):
-        for k in observations_by_image[image_id].point_ids:
-            point_to_images.setdefault(int(k), []).append(image_id)
-    point_to_images = {k: tuple(v) for k, v in point_to_images.items()}
-    corresponded = {k for k, v in point_to_images.items() if len(v) >= 2}
+    """Symmetric co-visibility from per-image observation sets.
+
+    One stable argsort groups every observation row by its point id (as a
+    Python int). Each point maps to the tuple of the images seeing it, in
+    ascending image order, and the points are keyed in order of first
+    appearance (images ascending, rows in observation order).
+    """
+    image_ids = sorted(observations_by_image)
+    point_ids = [
+        np.asarray(observations_by_image[i].point_ids).astype(np.int64) for i in image_ids
+    ]
+    rows = np.concatenate([np.empty(0, np.int64), *point_ids])
+    image_of_row = np.repeat(np.arange(len(image_ids)), [len(p) for p in point_ids])
+    order = np.argsort(rows, kind="stable")
+    grouped = rows[order]
+    is_start = np.ones(len(rows), dtype=bool)
+    is_start[1:] = grouped[1:] != grouped[:-1]
+    starts = np.flatnonzero(is_start)
+    ends = np.append(starts[1:], len(rows))
+    # order[starts] holds each point's first row, all distinct: scattering
+    # the points by it puts them in order of first appearance
+    slot = np.full(len(rows), -1)
+    slot[order[starts]] = np.arange(len(starts))
+    by_first = slot[slot >= 0]
+    starts, ends = starts[by_first], ends[by_first]
+    keys = grouped[starts]
+    images = tuple(np.array(image_ids, dtype=object)[image_of_row[order]].tolist())
+    point_to_images = {
+        k: images[a:b] for k, a, b in zip(keys.tolist(), starts.tolist(), ends.tolist())
+    }
+    corresponded = set(keys[ends - starts >= 2].tolist())
     return CoVisibilityGraph(point_to_images, corresponded)
 
 

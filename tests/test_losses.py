@@ -7,6 +7,7 @@ relative error 1e-4.
 """
 
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,14 +26,11 @@ from anglereloc.losses import (
     LossConfig,
     MissingPoseError,
     PredictionGrid,
-    angle_point,
     angle_terms,
-    bilinear_sample,
     bilinear_values_and_grads,
     build_multiview_index,
     multiview_image_loss,
     photometric_image_loss,
-    reproj_point,
     reproj_terms,
     ssim3x3,
 )
@@ -67,6 +65,51 @@ def neighbor_pose(pose, rng, trans=0.15, rot_deg=2.0):
         rng.uniform(-trans, trans, size=3),
     )
     return pose.compose(delta)
+
+
+class PointLossTerm(NamedTuple):
+    """One point's loss value, gradient w.r.t. its world coordinate, the
+    depth status of the prediction and the angle between the rays."""
+
+    value: float
+    grad: np.ndarray
+    depth_status: DepthStatus
+    angle_theta: float
+
+
+def _point_term(terms):
+    values, grads, statuses, thetas = terms
+    return PointLossTerm(
+        float(values[0]), grads[0], DepthStatus(int(statuses[0])), float(thetas[0])
+    )
+
+
+def reproj_point(intr, pose, y, pixel):
+    """Single-point plain reprojection loss: ``reproj_terms`` on a batch of one."""
+    return _point_term(
+        reproj_terms(intr, pose, np.asarray(y)[None, :], np.asarray(pixel)[None, :])
+    )
+
+
+def angle_point(intr, pose, y, pixel, cfg=LossConfig()):
+    """Single-point angle loss: ``angle_terms`` on a batch of one."""
+    return _point_term(
+        angle_terms(
+            intr, pose, np.asarray(y)[None, :], np.asarray(pixel)[None, :], cfg.epsilon_norm
+        )
+    )
+
+
+class BilinearSample(NamedTuple):
+    value: float
+    grad: np.ndarray
+    valid: bool
+
+
+def bilinear_sample(img, q):
+    """Single-sample form of ``bilinear_values_and_grads``."""
+    values, grads, valid = bilinear_values_and_grads(img, np.asarray(q)[None, :])
+    return BilinearSample(float(values[0]), grads[0], bool(valid[0]))
 
 
 class TestReprojPoint:

@@ -537,6 +537,24 @@ class TestModeDispatch:
         assert multi == self.run(uncorresponded_room, kind, mode="angle")
 
 
+class TestLossConfig:
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            ({"epsilon_norm": 0.0}, "epsilon_norm"),
+            ({"epsilon_norm": float("nan")}, "epsilon_norm"),
+            ({"lambda_photo": -1.0}, "weights"),
+            ({"alpha_ssim": -0.5}, "weights"),
+        ],
+    )
+    def test_invalid_values_raise_config_error(self, kw, field):
+        with pytest.raises(ConfigError, match=field):
+            LossConfig(**kw)
+
+    def test_one_config_error_class(self):
+        assert regressor.ConfigError is losses.ConfigError
+
+
 class TestCheckpoint:
     def test_free_table_round_trip(self, room, tmp_path):
         table = FreeTable.init(room, seed=2)
@@ -619,6 +637,20 @@ class TestCheckpoint:
     def test_bad_loss_config_raises_config_error(self, tmp_path, edit, message):
         path = self._write(tmp_path, edit)
         with pytest.raises(ConfigError, match=message) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_invalid_loss_weight_names_path_and_field(self, tmp_path):
+        path = self._write(tmp_path, lambda b: b["train_config"]["loss"].update(epsilon_norm=0))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: epsilon_norm must be positive"
+
+    def test_constant_model_kind_is_unknown(self, tmp_path):
+        path = self._write(
+            tmp_path, lambda b: b.update(model={"kind": "constant", "value": [0.0, 0.0, 0.0]})
+        )
+        with pytest.raises(ConfigError, match="unknown model kind 'constant'") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 

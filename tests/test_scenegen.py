@@ -1,6 +1,8 @@
 """Synthetic scene generation, rendering, co-visibility and dataset IO."""
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,11 +35,31 @@ from anglereloc.scenegen import (
     write_pose_file,
 )
 
+import oracles
+
 
 def small_cfg(**kw):
     base = dict(seed=3, n_points=150, n_images=8, min_visible=10)
     base.update(kw)
     return DatasetConfig(**base)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_covis(got, want):
+    """Equal graphs down to key order, value types and set order."""
+    assert list(got.point_to_images.items()) == list(want.point_to_images.items())
+    assert [type(k) for k in got.point_to_images] == [type(k) for k in want.point_to_images]
+    for k, images in got.point_to_images.items():
+        assert type(images) is tuple
+        assert [type(i) for i in images] == [type(i) for i in want.point_to_images[k]]
+    assert got.corresponded == want.corresponded
+    assert list(got.corresponded) == list(want.corresponded)
+    assert all(type(k) is int for k in got.corresponded)
 
 
 class TestGenScene:
@@ -64,6 +86,53 @@ class TestGenScene:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             gen_scene(0, 0, 6)
+
+
+class TestGenSceneMatchesLoop:
+    """The whole-array ``gen_scene`` against the per-point loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "plane_count, free_fraction",
+        [(6, 0.2), (0, 0.2), (9, 0.2), (6, 0.0), (6, 1.0), (9, 1.0), (3, 0.5)],
+    )
+    def test_bit_identical_over_seeds(self, plane_count, free_fraction):
+        for seed in range(20):
+            for count in (1, 2, 97):
+                args = (seed, count, plane_count, 5.0, free_fraction)
+                got, want = gen_scene(*args), oracles.gen_scene(*args)
+                assert_same_bits(got.points, want.points)
+                assert_same_bits(got.bounds_lo, want.bounds_lo)
+                assert_same_bits(got.bounds_hi, want.bounds_hi)
+                assert got.diameter == want.diameter
+                assert len(got.planes) == len(want.planes)
+                for a, b in zip(got.planes, want.planes):
+                    assert a.texture_seed == b.texture_seed
+                    for name in ("origin", "edge_u", "edge_v"):
+                        assert_same_bits(getattr(a, name), getattr(b, name))
+
+    def test_many_free_points_and_other_sizes(self):
+        # several batches of free-space candidates, and a tight min radius
+        for seed in (0, 1):
+            for kw in (
+                dict(point_count=3000, free_space_fraction=1.0),
+                dict(point_count=300, free_space_min_radius=6.5, plane_count=0),
+                dict(point_count=400, half_extent=2.5, free_space_min_radius=0.5),
+            ):
+                assert_same_bits(
+                    gen_scene(seed, **kw).points, oracles.gen_scene(seed, **kw).points
+                )
+
+    def test_candidates_tied_with_the_min_radius(self):
+        # np.linalg.norm of one vector and a row norm can differ in the last
+        # bit; put the first free-space candidate right at the radius
+        for seed in range(20):
+            first = np.random.default_rng([seed, 1]).uniform(-5.0, 5.0, size=3)
+            r = np.linalg.norm(first)
+            for radius in (np.nextafter(r, 0), r, np.nextafter(r, np.inf)):
+                kw = dict(plane_count=0, free_space_min_radius=radius)
+                assert_same_bits(
+                    gen_scene(seed, 4, **kw).points, oracles.gen_scene(seed, 4, **kw).points
+                )
 
 
 class TestGenTrajectory:
@@ -155,6 +224,25 @@ class TestObserve:
         assert abs(np.std(err) - 1.0) < 0.05
 
 
+class TestObserveMatchesLoop:
+    def test_bit_identical(self):
+        intr = CameraIntrinsics(40.0, 39.5, 29.5)
+        for seed in range(4):
+            scene = gen_scene(seed, 400, 6)
+            poses = [p for _, p in gen_trajectory(scene, seed, 4, intr, min_visible=10).entries]
+            # a camera looking away from every point sees nothing
+            poses.append(PoseSE3(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, -20.0])))
+            for pose in poses:
+                for sigma in (0.0, 0.7):
+                    got = observe(scene, pose, intr, 80, 60, sigma, np.random.default_rng(seed))
+                    want = oracles.observe(
+                        scene, pose, intr, 80, 60, sigma, np.random.default_rng(seed)
+                    )
+                    for name in ("point_ids", "pixels", "gt_coords", "gt_depths"):
+                        assert_same_bits(getattr(got, name), getattr(want, name))
+        assert len(got.point_ids) == 0
+
+
 class TestRender:
     def test_same_pose_identical(self):
         scene = gen_scene(5, 200, 6)
@@ -227,6 +315,36 @@ class TestCoVisibility:
             mask = ds.covis.corresponded_in(obs)
             assert len(mask) == len(obs.point_ids)
 
+    def test_matches_loop_on_datasets(self):
+        for seed in range(20):
+            obs = build_dataset(small_cfg(seed=seed, n_images=6, n_points=300)).observations
+            assert_same_covis(build_covis(obs), oracles.build_covis(obs))
+
+    @pytest.mark.parametrize(
+        "observations",
+        [
+            {},
+            {4: SimpleNamespace(point_ids=np.array([], dtype=np.int64))},
+            {0: SimpleNamespace(point_ids=np.array([]))},
+            {
+                5: SimpleNamespace(point_ids=np.array([3, 9, 1])),
+                2: SimpleNamespace(point_ids=np.array([], dtype=np.int64)),
+                0: SimpleNamespace(point_ids=np.array([9, 8, 3, 3])),
+            },
+            {i: SimpleNamespace(point_ids=np.array([7]), image_id=i) for i in (1, 2, 3)},
+            {1: SimpleNamespace(point_ids=np.array([7]), image_id=1)},
+        ],
+    )
+    def test_matches_loop_on_edge_cases(self, observations):
+        assert_same_covis(build_covis(observations), oracles.build_covis(observations))
+
+    def test_image_without_observations(self):
+        obs = dict(build_dataset(small_cfg()).observations)
+        obs[2] = SimpleNamespace(point_ids=obs[2].point_ids[:0], image_id=2)
+        graph = build_covis(obs)
+        assert_same_covis(graph, oracles.build_covis(obs))
+        assert all(2 not in images for images in graph.point_to_images.values())
+
     def test_sparsify(self):
         ds = build_dataset(small_cfg())
         full = len(ds.covis.corresponded)
@@ -288,6 +406,49 @@ class TestDatasetBuild:
             assert valid >= 4
             totals.append(rep.total / valid)
         assert np.mean(totals) < 5e-2
+
+
+def dataset_sha256(ds):
+    """Digest of everything ``build_dataset`` returns except the scene."""
+    h = hashlib.sha256()
+    for image_id in sorted(ds.observations):
+        obs = ds.observations[image_id]
+        for a in (obs.point_ids, obs.pixels, obs.gt_coords, obs.gt_depths, obs.descriptors):
+            h.update(np.ascontiguousarray(a).tobytes())
+        pose = ds.poses[image_id]
+        h.update(pose.rotation.tobytes() + pose.translation.tobytes())
+        if image_id in ds.images:
+            h.update(ds.images[image_id].data.tobytes())
+    h.update(ds.descriptors.tobytes())
+    h.update(repr((ds.train_ids, ds.test_ids, ds.diameter)).encode())
+    h.update(repr(list(ds.covis.point_to_images.items())).encode())
+    h.update(repr(sorted(ds.covis.corresponded)).encode())
+    return h.hexdigest()
+
+
+class TestPinnedDatasets:
+    """``build_dataset`` output pinned by digest, so that a faster build must
+    reproduce the same rooms bit for bit. The digests also pin numpy's and
+    the BLAS library's floating-point results (poses, projections, random
+    normals), so a different build of either may change them."""
+
+    @pytest.mark.parametrize(
+        "kw, digest",
+        [
+            ({}, "8013f21e5da52c8381e82ff5075bf503f33364777461870e8c14359ebdc76187"),
+            (
+                {"pixel_noise_sigma": 0.5},
+                "e151b2d987c4610387318100ae47d733835f11c4d3a446cba9a3e9933adf7807",
+            ),
+            (
+                {"render_images": True, "n_images": 8},
+                "58694e16a94226e21631fed530ba75c81de1a26a81a6b56c1490f722263325d2",
+            ),
+        ],
+        ids=["default", "pixel-noise", "rendered"],
+    )
+    def test_digest(self, kw, digest):
+        assert dataset_sha256(build_dataset(DatasetConfig(**kw))) == digest
 
 
 class TestDatasetIO:
