@@ -18,7 +18,10 @@ pixels, and the poses stacked by image); each call draws every corresponded
 row's neighbor with one ``rng.integers`` call in row order and evaluates the
 drawn pairs in one ``angle_terms`` pass. ``photometric_image_loss`` works on
 all valid (M, 9) sampling windows at once, and its SSIM shares one formula
-with ``ssim3x3``.
+with ``ssim3x3``. Its target windows depend only on (image, point), so
+``photo_target`` samples them once per training run; each call tests the
+reconstruction windows against the neighbor image's bounds first and samples
+that image only where a window can be valid.
 """
 
 from __future__ import annotations
@@ -477,12 +480,40 @@ _PATCH_OFFSETS = np.array(
 _PATCH_CENTER = 4
 
 
+@dataclass(frozen=True)
+class PhotoTarget:
+    """The fixed half of the photometric loss for one image ``i``: the 3x3
+    intensity window of ``img_i`` around each observed pixel. The windows
+    depend only on (image, point), so training samples them once per run.
+    ``inside`` is False where a window leaves image ``i``; those rows never
+    count."""
+
+    point_ids: np.ndarray  # (N,)
+    shape: tuple  # (H, W) of image i
+    windows: np.ndarray  # (N, 9) intensities, row-major over the 3x3 offsets
+    inside: np.ndarray  # (N,) bool
+
+
+def photo_target(observations_i, img_i) -> PhotoTarget:
+    """Sample ``img_i``'s 3x3 windows around every observed pixel, in one
+    ``bilinear_values_and_grads`` call."""
+    img_i = _as_gray(img_i)
+    pixels = np.asarray(observations_i.pixels, dtype=np.float64)
+    coords = pixels[:, None, :] + _PATCH_OFFSETS
+    windows, _, ok = bilinear_values_and_grads(img_i, coords.reshape(-1, 2))
+    return PhotoTarget(
+        np.asarray(observations_i.point_ids).copy(),
+        img_i.shape,
+        windows.reshape(-1, 9),
+        ok.reshape(-1, 9).all(axis=1),
+    )
+
+
 def photometric_image_loss(
     intr: CameraIntrinsics,
     pose_j: PoseSE3,
     predictions: PredictionGrid,
-    observations_i,
-    img_i: np.ndarray,
+    target: PhotoTarget,
     img_j: np.ndarray,
     cfg: LossConfig = LossConfig(),
 ) -> LossReport:
@@ -490,47 +521,47 @@ def photometric_image_loss(
 
     Each predicted coordinate is projected into the neighbor image ``j``
     and a 3x3 patch of the reconstruction is bilinearly sampled around the
-    projection; it is compared with the 3x3 patch of ``img_i`` around the
-    point's observed pixel using ``(1 - alpha) * L1 + alpha * (1 - SSIM)/2``
+    projection; it is compared with the target window of image ``i`` around
+    the point's observed pixel (``target``, from ``photo_target``, sampled
+    once per training run) using ``(1 - alpha) * L1 + alpha * (1 - SSIM)/2``
     (L1 on the central pixel, SSIM over the window). Points that land
-    behind the neighbor camera or whose sampling window touches the image
-    border are masked out of the sum; the report carries the valid fraction.
-    Gradients flow through the projection and the bilinear sampler into the
-    predicted coordinates.
+    behind the neighbor camera or whose target or reconstruction window
+    leaves its image are masked out of the sum; the report carries the
+    valid fraction. Each reconstruction window is tested against
+    ``img_j``'s bounds before sampling, so ``img_j`` is sampled only for the
+    valid rows. Gradients flow through the projection and the bilinear
+    sampler into the predicted coordinates.
     """
-    img_i = _as_gray(img_i)
     img_j = _as_gray(img_j)
-    if img_i.shape != img_j.shape:
+    if img_j.shape != target.shape:
         raise DimensionMismatchError("image pair must share dimensions")
-    _check_ids(predictions.point_ids, observations_i.point_ids)
+    _check_ids(predictions.point_ids, target.point_ids)
     preds = predictions.coords
     n = len(preds)
     R = pose_j.rotation
     D = pose_j.world_to_camera(preds)
     z = D[:, 2]
-    # rows behind camera j are masked, so only the rows in front are sampled
-    front = np.flatnonzero(z > 0)
+    # only rows in front of camera j with a whole target window can count
+    cand = np.flatnonzero((z > 0) & target.inside)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = intr.f * D[front, :2] / z[front, None] + np.array([intr.cx, intr.cy])
-
-    # 3x3 windows around the target pixel (image i) and the projection (image j)
-    pix_i = np.asarray(observations_i.pixels, dtype=np.float64)[front]
-    tgt_coords = pix_i[:, None, :] + _PATCH_OFFSETS
+        q = intr.f * D[cand, :2] / z[cand, None] + np.array([intr.cx, intr.cy])
+    # the sampler's own bounds test on the 3x3 reconstruction windows; every
+    # comparison is False for NaN and +-inf, so such rows drop out here
+    h, w = target.shape
     rec_coords = q[:, None, :] + _PATCH_OFFSETS
-    safe_rec = np.where(np.isfinite(rec_coords), rec_coords, -1.0)
-    tgt_vals, _, tgt_ok = bilinear_values_and_grads(img_i, tgt_coords.reshape(-1, 2))
-    rec_vals, rec_grads, rec_ok = bilinear_values_and_grads(
-        img_j, safe_rec.reshape(-1, 2)
-    )
-    inside = tgt_ok.reshape(-1, 9).all(axis=1) & rec_ok.reshape(-1, 9).all(axis=1)
-    ok = front[inside]
+    x, y = rec_coords[..., 0], rec_coords[..., 1]
+    inside = ((x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)).all(axis=1)
+    ok = cand[inside]
     valid = np.zeros(n, dtype=bool)
     valid[ok] = True
+    rec_vals, rec_grads, _ = bilinear_values_and_grads(
+        img_j, rec_coords[inside].reshape(-1, 2)
+    )
 
     # every valid window at once: a = reconstruction, b = target, (M, 9)
     alpha = cfg.alpha_ssim
-    a = rec_vals.reshape(-1, 9)[inside]
-    b = tgt_vals.reshape(-1, 9)[inside]
+    a = rec_vals.reshape(-1, 9)
+    b = target.windows[ok]
     s, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments(
         a.mean(axis=1),
         b.mean(axis=1),
@@ -544,7 +575,7 @@ def photometric_image_loss(
     values[ok] = (1 - alpha) * np.abs(diff) + alpha * (1 - s) / 2
     dl_da = -(alpha / 2) * ds_da
     dl_da[:, _PATCH_CENTER] += (1 - alpha) * np.sign(diff)
-    dl_dq = np.einsum("mk,mkc->mc", dl_da, rec_grads.reshape(-1, 9, 2)[inside])
+    dl_dq = np.einsum("mk,mkc->mc", dl_da, rec_grads.reshape(-1, 9, 2))
     # chain through the projection into the neighbor camera: the columns of
     # the 2x3 Jacobian dq/dD are (gx, 0), (0, gx), -(gx / z) (Dx, Dy)
     gx = intr.f / z[ok]

@@ -26,6 +26,7 @@ import enum
 import json
 import math
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -47,10 +48,16 @@ from anglereloc.losses import (  # ConfigError is re-exported here
     angle_terms,
     build_multiview_index,
     multiview_image_loss,
+    photo_target,
     photometric_image_loss,
     reproj_terms,
 )
 from anglereloc.scenegen import ParseError
+
+
+class PhotometricInactiveWarning(UserWarning):
+    """An ``angle-photo`` run ended with no valid photometric point, so it
+    trained as plain ``angle``."""
 
 
 class TrainMode(enum.Enum):
@@ -573,11 +580,21 @@ def lr_at(cfg: TrainConfig, iteration: int) -> float:
     return cfg.lr * (0.5**halvings)
 
 
-def _photo_neighbor(train_ids, image_id, max_offset, rng):
-    cands = [j for j in train_ids if j != image_id and abs(j - image_id) <= max_offset]
-    if not cands:
-        return None
-    return cands[int(rng.integers(len(cands)))]
+def _photo_setup(dataset, train_ids, max_offset):
+    """Each train view's photometric target and its neighbor candidates: the
+    other train views within ``max_offset`` ids, in ``train_ids`` order.
+    Raises ``ConfigError`` naming the first train view without a render."""
+    missing = [i for i in train_ids if i not in dataset.images]
+    if missing:
+        raise ConfigError(
+            f"angle-photo training needs rendered images; {len(missing)} train "
+            f"view(s) have none, the first is view {missing[0]}"
+        )
+    targets, neighbors = {}, {}
+    for i in train_ids:
+        targets[i] = photo_target(dataset.observations[i], dataset.images[i].data)
+        neighbors[i] = [j for j in train_ids if j != i and abs(j - i) <= max_offset]
+    return targets, neighbors
 
 
 def train(dataset, model_kind: str, cfg: TrainConfig):
@@ -588,10 +605,11 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     Adam. Returns ``(model, TrainLog)``; the log records loss, behind-camera
     fraction, the running count of non-finite loss/gradient events, the
     median 3D coordinate error over the training views, and wall time.
+    ``angle-photo`` samples every train view's photometric target once,
+    before the loop, and warns with ``PhotometricInactiveWarning`` when no
+    photometric point was valid in the whole run.
     """
     mode = TrainMode(cfg.mode)
-    if mode is TrainMode.ANGLE_PHOTO and not dataset.images:
-        raise ConfigError("angle-photo training needs rendered images")
     if model_kind == "patch_mlp":
         sizes = (dataset.config.descriptor_dim, *cfg.hidden_sizes, 3)
         model = PatchMLP.init(sizes, seed=[cfg.seed, 12])
@@ -609,6 +627,11 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         build_multiview_index(poses, observations, dataset.covis)
         if mode is TrainMode.ANGLE_MULTI
         else None
+    )
+    photo_targets, photo_neighbors = (
+        _photo_setup(dataset, train_ids, cfg.photo_neighbor_max_offset)
+        if mode is TrainMode.ANGLE_PHOTO
+        else ({}, {})
     )
 
     # One loss per mode, each mapping (iteration, image id, predictions) to
@@ -633,21 +656,24 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         )
         return rep.values, rep.grads, rep.statuses
 
+    photo_valid = 0
+
     def angle_photo(t, image_id, preds):
+        nonlocal photo_valid
         values, grads, statuses = angle(t, image_id, preds)
-        nb_rng = np.random.default_rng([cfg.seed, t, image_id])
-        j = _photo_neighbor(train_ids, image_id, cfg.photo_neighbor_max_offset, nb_rng)
-        if j is not None:
-            obs = observations[image_id]
+        cands = photo_neighbors[image_id]
+        if cands:
+            nb_rng = np.random.default_rng([cfg.seed, t, image_id])
+            j = cands[int(nb_rng.integers(len(cands)))]
             photo = photometric_image_loss(
                 intr,
                 poses[j],
-                PredictionGrid(obs.point_ids, preds),
-                obs,
-                dataset.images[image_id].data,
+                PredictionGrid(observations[image_id].point_ids, preds),
+                photo_targets[image_id],
                 dataset.images[j].data,
                 cfg.loss,
             )
+            photo_valid += int(np.count_nonzero(photo.valid_mask))
             values = values + cfg.loss.lambda_photo * photo.values
             grads = grads + cfg.loss.lambda_photo * photo.grads
         return values, grads, statuses
@@ -712,6 +738,13 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
 
     if not log.records or log.final.iteration != cfg.iterations:
         record(cfg.iterations)
+    if mode is TrainMode.ANGLE_PHOTO and photo_valid == 0:
+        warnings.warn(
+            f"no valid photometric point in {cfg.iterations} iterations: "
+            "the angle-photo run trained as plain angle",
+            PhotometricInactiveWarning,
+            stacklevel=2,
+        )
     return model, log
 
 
@@ -727,14 +760,6 @@ def evaluate_coords(model, dataset, image_ids=None):
     errs = np.concatenate(errs)
     with np.errstate(invalid="ignore"):
         return float(np.median(errs)), float(np.mean(errs))
-
-
-def predict_correspondences(model, dataset, image_id):
-    """(point_ids, pixels, predicted coords) for one image: the input to the
-    pose solver."""
-    obs = dataset.observations[image_id]
-    preds, _ = model.predict_image(dataset, image_id)
-    return obs.point_ids.copy(), obs.pixels.copy(), preds
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from anglereloc.geometry import (
+    CameraIntrinsics,
     DepthStatus,
     PoseSE3,
     depth_statuses,
@@ -24,15 +25,18 @@ from anglereloc.losses import (
     IndexMismatchError,
     DimensionMismatchError,
     LossConfig,
+    LossReport,
     MissingPoseError,
     PredictionGrid,
     angle_terms,
     bilinear_values_and_grads,
     build_multiview_index,
     multiview_image_loss,
+    photo_target,
     photometric_image_loss,
     reproj_terms,
     ssim3x3,
+    _ssim_from_moments,
 )
 from anglereloc.scenegen import DatasetConfig, build_dataset
 
@@ -572,7 +576,7 @@ class TestPhotometricLoss:
         cfg = LossConfig(alpha_ssim=0.0)
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
         grid = PredictionGrid(obs.point_ids, coords)
-        rep = photometric_image_loss(intr, pose_j, grid, obs, img_i, img_j, cfg)
+        rep = photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j, cfg)
         d_j = pose_j.world_to_camera(coords)
         for idx in np.flatnonzero(rep.valid_mask):
             q = intr.f * d_j[idx, :2] / d_j[idx, 2] + np.array([intr.cx, intr.cy])
@@ -587,21 +591,21 @@ class TestPhotometricLoss:
         # push every prediction behind the neighbor camera
         flipped = np.array([2 * pose_j.center - c for c in coords])
         grid = PredictionGrid(obs.point_ids, flipped)
-        rep = photometric_image_loss(intr, pose_j, grid, obs, img_i, img_j)
+        rep = photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j)
         assert rep.total == 0.0
         assert rep.valid_fraction == 0.0
 
     def test_gradient_matches_finite_differences(self, intr, rng):
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
         grid = PredictionGrid(obs.point_ids, coords)
-        rep = photometric_image_loss(intr, pose_j, grid, obs, img_i, img_j)
+        rep = photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j)
         checked = 0
         for idx in np.flatnonzero(rep.valid_mask)[:6]:
             def f(v, idx=idx):
                 arr = coords.copy()
                 arr[idx] = v
                 g = PredictionGrid(obs.point_ids, arr)
-                out = photometric_image_loss(intr, pose_j, g, obs, img_i, img_j)
+                out = photometric_image_loss(intr, pose_j, g, photo_target(obs, img_i), img_j)
                 return out.values[idx]
 
             fd = fd_grad(f, coords[idx].copy())
@@ -615,14 +619,14 @@ class TestPhotometricLoss:
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
         grid = PredictionGrid(obs.point_ids + 1, coords)
         with pytest.raises(IndexMismatchError, match="point sets differ"):
-            photometric_image_loss(intr, pose_j, grid, obs, img_i, img_j)
+            photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j)
 
     def test_dimension_mismatch(self, intr, rng):
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
         grid = PredictionGrid(obs.point_ids, coords)
         with pytest.raises(DimensionMismatchError):
             photometric_image_loss(
-                intr, pose_j, grid, obs, img_i, img_j[:-3], LossConfig()
+                intr, pose_j, grid, photo_target(obs, img_i), img_j[:-3], LossConfig()
             )
 
 
@@ -750,6 +754,63 @@ def _photometric_reference(intr, pose_j, preds, pix_i, img_i, img_j, alpha):
     return values, grads, valid
 
 
+def _photometric_per_call_reference(intr, pose_j, predictions, observations_i, img_i, img_j, cfg):
+    """``photometric_image_loss`` as it stood before ``PhotoTarget``: both
+    windows sampled on every call, for every row in front of camera j, and
+    masked afterwards. Takes (H, W) arrays; returns a ``LossReport``."""
+    preds = predictions.coords
+    n = len(preds)
+    R = pose_j.rotation
+    D = pose_j.world_to_camera(preds)
+    z = D[:, 2]
+    front = np.flatnonzero(z > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = intr.f * D[front, :2] / z[front, None] + np.array([intr.cx, intr.cy])
+    offsets = np.array([[dx, dy] for dy in (-1, 0, 1) for dx in (-1, 0, 1)], float)
+    pix_i = np.asarray(observations_i.pixels, dtype=np.float64)[front]
+    tgt_coords = pix_i[:, None, :] + offsets
+    rec_coords = q[:, None, :] + offsets
+    safe_rec = np.where(np.isfinite(rec_coords), rec_coords, -1.0)
+    tgt_vals, _, tgt_ok = bilinear_values_and_grads(img_i, tgt_coords.reshape(-1, 2))
+    rec_vals, rec_grads, rec_ok = bilinear_values_and_grads(img_j, safe_rec.reshape(-1, 2))
+    inside = tgt_ok.reshape(-1, 9).all(axis=1) & rec_ok.reshape(-1, 9).all(axis=1)
+    ok = front[inside]
+    valid = np.zeros(n, dtype=bool)
+    valid[ok] = True
+    alpha = cfg.alpha_ssim
+    a = rec_vals.reshape(-1, 9)[inside]
+    b = tgt_vals.reshape(-1, 9)[inside]
+    s, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments(
+        a.mean(axis=1),
+        b.mean(axis=1),
+        (a * a).mean(axis=1),
+        (b * b).mean(axis=1),
+        (a * b).mean(axis=1),
+    )
+    ds_da = (f_mu_a[:, None] + 2 * a * f_e_aa[:, None] + b * f_e_ab[:, None]) / 9
+    diff = a[:, 4] - b[:, 4]
+    values = np.zeros(n)
+    values[ok] = (1 - alpha) * np.abs(diff) + alpha * (1 - s) / 2
+    dl_da = -(alpha / 2) * ds_da
+    dl_da[:, 4] += (1 - alpha) * np.sign(diff)
+    dl_dq = np.einsum("mk,mkc->mc", dl_da, rec_grads.reshape(-1, 9, 2)[inside])
+    gx = intr.f / z[ok]
+    grad_D = np.empty((len(ok), 3))
+    grad_D[:, 0] = gx * dl_dq[:, 0]
+    grad_D[:, 1] = gx * dl_dq[:, 1]
+    grad_D[:, 2] = -gx / z[ok] * (D[ok, 0] * dl_dq[:, 0] + D[ok, 1] * dl_dq[:, 1])
+    grads = np.zeros((n, 3))
+    grads[ok] = grad_D @ R.T
+    return LossReport(
+        np.asarray(predictions.point_ids).copy(),
+        values,
+        grads,
+        depth_statuses(z),
+        np.full(n, np.nan),
+        valid_mask=valid,
+    )
+
+
 def _close(new, ref, tol=1e-12):
     """Equal to ``tol`` relative to the largest reference magnitude (or 1)."""
     scale = max(np.max(np.abs(ref), initial=0.0), 1.0)
@@ -864,8 +925,8 @@ class TestVectorizedEquivalence:
             obs = ds.observations[i]
             preds = _noisy_predictions(ds, i, 0.05, t)
             rep = photometric_image_loss(
-                ds.intrinsics, ds.poses[j], PredictionGrid(obs.point_ids, preds), obs,
-                ds.images[i], ds.images[j], cfg,
+                ds.intrinsics, ds.poses[j], PredictionGrid(obs.point_ids, preds),
+                photo_target(obs, ds.images[i]), ds.images[j], cfg,
             )
             values, grads, mask = _photometric_reference(
                 ds.intrinsics, ds.poses[j], preds, obs.pixels,
@@ -875,3 +936,111 @@ class TestVectorizedEquivalence:
             assert _close(rep.values, values) and _close(rep.grads, grads)
             valid += int(mask.sum())
         assert valid > 100
+
+
+def _assert_reports_bit_equal(new, ref):
+    for field in ("point_ids", "values", "grads", "statuses", "thetas", "valid_mask"):
+        a, b = getattr(new, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+class TestPhotoTarget:
+    """``photometric_image_loss`` on a ``PhotoTarget`` gives the bytes of the
+    per-call sampling it replaced, including rows at and just past the
+    image border, non-finite projections and rows behind the camera."""
+
+    def check(self, intr, pose_j, grid, obs, img_i, img_j, cfg=LossConfig()):
+        new = photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j, cfg)
+        ref = _photometric_per_call_reference(intr, pose_j, grid, obs, img_i, img_j, cfg)
+        _assert_reports_bit_equal(new, ref)
+        return new
+
+    def test_target_holds_the_sampled_windows(self, rendered_room):
+        ds = rendered_room
+        i = ds.train_ids[0]
+        obs, img = ds.observations[i], ds.images[i].data
+        target = photo_target(obs, img)
+        coords = obs.pixels[:, None, :] + np.array(
+            [[dx, dy] for dy in (-1, 0, 1) for dx in (-1, 0, 1)], float
+        )
+        vals, _, ok = bilinear_values_and_grads(img, coords.reshape(-1, 2))
+        assert target.shape == img.shape
+        assert np.array_equal(target.point_ids, obs.point_ids)
+        assert target.windows.tobytes() == vals.reshape(-1, 9).tobytes()
+        assert np.array_equal(target.inside, ok.reshape(-1, 9).all(axis=1))
+
+    def test_bit_identical_on_rendered_train_pairs(self, rendered_room):
+        ds = rendered_room
+        ids = ds.train_ids
+        valid = invalid = 0
+        for t, (i, j) in enumerate(zip(ids[:-1], ids[1:])):
+            obs = ds.observations[i]
+            for scale in (0.05, 1.0):
+                preds = _noisy_predictions(ds, i, scale, t)
+                rep = self.check(
+                    ds.intrinsics, ds.poses[j], PredictionGrid(obs.point_ids, preds), obs,
+                    ds.images[i].data, ds.images[j].data, LossConfig(alpha_ssim=0.6),
+                )
+                valid += int(rep.valid_mask.sum())
+                invalid += int((~rep.valid_mask).sum())
+        assert valid > 100 and invalid > 100
+
+    def _border_case(self):
+        """Camera j at the identity with f = 64 and the principal point at
+        the origin, so a camera-frame point (qx / 64, qy / 64, 1) projects
+        exactly onto pixel (qx, qy) of an 80 x 60 image."""
+        intr = CameraIntrinsics(f=64.0, cx=0.0, cy=0.0)
+        h, w = 60, 80
+        below1 = np.nextafter(1.0, 0.0)
+        proj = [
+            (1.0, 30.0), (below1, 30.0),  # left border, one ulp beyond
+            (w - 2.0, 30.0), (np.nextafter(w - 2.0, np.inf), 30.0),  # right
+            (40.0, 1.0), (40.0, below1),  # top
+            (40.0, h - 2.0), (40.0, np.nextafter(h - 2.0, np.inf)),  # bottom
+            (1.0, 1.0), (w - 2.0, h - 2.0),  # corners
+            (40.0, 30.0),  # its observed pixel is at x = 0
+        ]
+        D = [(qx / 64.0, qy / 64.0, 1.0) for qx, qy in proj]
+        D += [
+            (np.nan, 0.5, 1.0), (np.nan, np.nan, np.nan),  # NaN
+            (np.inf, 0.5, 1.0), (-np.inf, 0.5, 1.0), (0.5, np.inf, 1.0),  # +-inf
+            (1.0, 0.5, 1e-310), (-1.0, 0.5, 1e-310), (0.5, 1.0, 1e-310),  # overflow
+            (0.5, 0.5, -1.0), (0.5, 0.5, 0.0), (0.5, 0.5, -1e-12),  # not in front
+        ]
+        pixels = np.full((len(D), 2), [40.0, 30.0])
+        pixels[len(proj) - 1] = (0.0, 30.0)
+        obs = SimpleNamespace(point_ids=np.arange(len(D)), pixels=pixels)
+        rng = np.random.default_rng(5)
+        return intr, np.array(D), obs, smooth_image(rng, h, w), smooth_image(rng, h, w)
+
+    def test_bit_identical_at_the_border_and_non_finite(self):
+        intr, D, obs, img_i, img_j = self._border_case()
+        pose_j = PoseSE3.identity()
+        with np.errstate(all="ignore"):
+            rep = self.check(intr, pose_j, PredictionGrid(obs.point_ids, D), obs, img_i, img_j)
+        want = np.zeros(len(D), dtype=bool)
+        want[[0, 2, 4, 6, 8, 9]] = True
+        assert np.array_equal(rep.valid_mask, want)
+
+    def test_bit_identical_on_random_windows_around_the_border(self):
+        intr, _, _, img_i, img_j = self._border_case()
+        rng = np.random.default_rng(9)
+        n = 2000
+        q = rng.uniform([-2.0, -2.0], [81.0, 61.0], size=(n, 2))
+        z = rng.uniform(-0.5, 4.0, size=n)
+        D = np.column_stack([q * z[:, None] / 64.0, z])
+        pixels = rng.uniform([-1.0, -1.0], [80.0, 60.0], size=(n, 2))
+        obs = SimpleNamespace(point_ids=np.arange(n), pixels=pixels)
+        pose_j = random_pose(rng)
+        preds = pose_j.camera_to_world(D)
+        rep = self.check(intr, pose_j, PredictionGrid(obs.point_ids, preds), obs, img_i, img_j)
+        assert 100 < rep.valid_mask.sum() < n - 100
+
+    def test_bit_identical_with_no_valid_row(self):
+        intr, D, obs, img_i, img_j = self._border_case()
+        behind = D[:4] * [1.0, 1.0, -1.0]
+        obs = SimpleNamespace(point_ids=obs.point_ids[:4], pixels=obs.pixels[:4])
+        grid = PredictionGrid(obs.point_ids, behind)
+        rep = self.check(intr, PoseSE3.identity(), grid, obs, img_i, img_j)
+        assert not rep.valid_mask.any() and rep.total == 0.0

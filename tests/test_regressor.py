@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import astuple
+import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from anglereloc.regressor import (
     ConfigError,
     FreeTable,
     PatchMLP,
+    PhotometricInactiveWarning,
     TrainConfig,
     TrainLog,
     TrainRecord,
@@ -535,6 +537,57 @@ class TestModeDispatch:
     def test_multi_without_correspondences_is_angle(self, uncorresponded_room, kind):
         multi = self.run(uncorresponded_room, kind, mode="angle-multi")
         assert multi == self.run(uncorresponded_room, kind, mode="angle")
+
+
+class TestPhotoTraining:
+    """``angle-photo`` samples each train view's target windows once per run,
+    refuses a train view without a render before training, and warns when
+    no photometric point was valid in the whole run."""
+
+    def test_targets_sampled_once_then_only_valid_windows(self, rendered_room, monkeypatch):
+        ds = rendered_room
+        calls, valid = [], []
+        sampler, loss = losses.bilinear_values_and_grads, regressor.photometric_image_loss
+
+        def spy_sampler(img, q):
+            calls.append((img, len(q)))
+            return sampler(img, q)
+
+        def spy_loss(*args, **kwargs):
+            rep = loss(*args, **kwargs)
+            valid.append(int(rep.valid_mask.sum()))
+            return rep
+
+        monkeypatch.setattr(losses, "bilinear_values_and_grads", spy_sampler)
+        monkeypatch.setattr(regressor, "photometric_image_loss", spy_loss)
+        cfg = TrainConfig(mode="angle-photo", iterations=60, lr=0.05, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PhotometricInactiveWarning)
+            train(ds, "free_table", cfg)
+        n = len(ds.train_ids)
+        for (img, samples), i in zip(calls[:n], ds.train_ids):
+            assert np.array_equal(img, ds.images[i].data)
+            assert samples == 9 * len(ds.observations[i].point_ids)
+        assert len(valid) == cfg.iterations
+        assert [samples for _, samples in calls[n:]] == [9 * v for v in valid]
+        assert sum(valid) == 117
+
+    def test_missing_render_raises_config_error_naming_the_view(self, rendered_room):
+        missing = rendered_room.train_ids[2]
+        images = {i: img for i, img in rendered_room.images.items() if i != missing}
+        ds = replace(rendered_room, images=images)
+        cfg = TrainConfig(mode="angle-photo", iterations=5)
+        want = rf"1 train view\(s\) have none, the first is view {missing}$"
+        with pytest.raises(ConfigError, match=want):
+            train(ds, "free_table", cfg)
+        no_renders = replace(rendered_room, images={})
+        with pytest.raises(ConfigError, match="needs rendered images"):
+            train(no_renders, "free_table", cfg)
+
+    def test_run_without_valid_photo_points_warns(self, rendered_room):
+        cfg = TrainConfig(mode="angle-photo", iterations=60, lr=3e-3, seed=1)
+        with pytest.warns(PhotometricInactiveWarning, match="trained as plain angle"):
+            train(rendered_room, "patch_mlp", cfg)
 
 
 class TestLossConfig:

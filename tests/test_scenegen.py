@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from anglereloc.geometry import CameraIntrinsics, PoseSE3, project, rotation_about_axis
-from anglereloc.losses import PredictionGrid, photometric_image_loss
+from anglereloc.losses import PredictionGrid, photo_target, photometric_image_loss
 from anglereloc.scenegen import (
     DatasetConfig,
     Image,
@@ -398,8 +398,7 @@ class TestDatasetBuild:
                 ds.intrinsics,
                 ds.poses[j],
                 grid,
-                obs,
-                ds.images[i].data,
+                photo_target(obs, ds.images[i].data),
                 ds.images[j].data,
             )
             valid = int(np.sum(rep.valid_mask))
