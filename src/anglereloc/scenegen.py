@@ -7,9 +7,16 @@ free space, and a camera trajectory orbiting *inside* the room at a small
 radius, looking outward. Observed depths then span roughly 2-8 units, and
 freshly initialized regressors (whose predictions start near the world
 origin) genuinely begin behind every camera, which is the failure regime
-the plain reprojection loss cannot escape. Rendering is Lambertian by
-construction: wall intensity is a pure function of the surface point, so
-two views of the same point agree exactly.
+the plain reprojection loss cannot escape.
+
+Rendering is Lambertian by construction: wall intensity is a pure function
+of the surface point, so two views of the same point agree exactly. A view
+casts one ray per pixel and keeps each ray's nearest plane hit; each plane
+computes its unnormalized normal, squared edge lengths and texture scale
+once, on first use, for every view. The texture is multi-octave value
+noise: per octave, the lattice hashes are computed once over the box of
+lattice cells the hits span and gathered per sample, so each lattice point
+is hashed once per call.
 
 Determinism: every random quantity is drawn from ``np.random.default_rng``
 seeded with an integer list ``[seed, stream, ...]``; datasets regenerate
@@ -28,6 +35,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +94,19 @@ def _hash01(ix, iy, seed):
 
 def value_noise(s, t, seed, octaves=3, gain=0.5):
     """Multi-octave value noise at coordinates (s, t), smoothstep-blended
-    between hashed lattice values. Output roughly in [0, 1]."""
+    between hashed lattice values. Output roughly in [0, 1].
+
+    Each octave hashes its lattice once: one ``_hash01`` table spans the
+    lattice box of the samples' cells plus one corner row and column, and
+    every sample gathers its four corners from it. The table holds one
+    float64 per lattice point of that box, so its memory grows with the
+    box's area (the coordinates' range times the octave's frequency, per
+    axis), not with the number of samples. Raises ``ValueError`` for NaN or
+    infinite coordinates."""
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
+    if not (np.isfinite(s).all() and np.isfinite(t).all()):
+        raise ValueError("value_noise coordinates must be finite")
     total = np.zeros_like(s)
     amp, freq, norm = 1.0, 1.0, 0.0
     for octave in range(octaves):
@@ -98,11 +116,7 @@ def value_noise(s, t, seed, octaves=3, gain=0.5):
         fx, fy = xs - x0, ys - y0
         wx = fx * fx * (3 - 2 * fx)
         wy = fy * fy * (3 - 2 * fy)
-        oseed = seed * 1000003 + octave
-        v00 = _hash01(x0, y0, oseed)
-        v01 = _hash01(x0 + 1, y0, oseed)
-        v10 = _hash01(x0, y0 + 1, oseed)
-        v11 = _hash01(x0 + 1, y0 + 1, oseed)
+        v00, v01, v10, v11 = _lattice_corners(x0, y0, seed * 1000003 + octave)
         top = v00 * (1 - wx) + v01 * wx
         bot = v10 * (1 - wx) + v11 * wx
         total += amp * (top * (1 - wy) + bot * wy)
@@ -112,6 +126,20 @@ def value_noise(s, t, seed, octaves=3, gain=0.5):
     out = total / norm
     # keep a margin inside [0, 1] so quantized renders never saturate
     return 0.1 + 0.8 * out
+
+
+def _lattice_corners(x0, y0, seed):
+    """``_hash01`` at the corners (x0, y0), (x0 + 1, y0), (x0, y0 + 1) and
+    (x0 + 1, y0 + 1), gathered from one table over the box they span."""
+    (lo_x, hi_x), (lo_y, hi_y) = (
+        (a.min(), a.max()) if a.size else (0, 0) for a in (x0, y0)
+    )
+    ny = hi_y - lo_y + 2
+    table = _hash01(
+        np.arange(lo_x, hi_x + 2)[:, None], np.arange(lo_y, lo_y + ny)[None, :], seed
+    ).ravel()
+    i00 = (x0 - lo_x) * ny + (y0 - lo_y)
+    return (table.take(i) for i in (i00, i00 + ny, i00 + 1, i00 + ny + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +158,30 @@ class TexturedPlane:
     edge_v: np.ndarray
     texture_seed: int
 
-    def normal(self) -> np.ndarray:
-        n = np.cross(self.edge_u, self.edge_v)
-        return n / np.linalg.norm(n)
+    # Per-plane constants, computed on first use; the edges are never
+    # changed in place.
+    @cached_property
+    def hit_constants(self):
+        """The unnormalized normal ``edge_u x edge_v`` and the squared
+        lengths of ``edge_u`` and ``edge_v``, as ``render_rays`` uses them."""
+        return (
+            np.cross(self.edge_u, self.edge_v),
+            self.edge_u @ self.edge_u,
+            self.edge_v @ self.edge_v,
+        )
+
+    @cached_property
+    def texture_scale(self):
+        """Texture lattice cells along ``edge_u`` and ``edge_v``."""
+        return (
+            np.linalg.norm(self.edge_u) * TEXTURE_CELLS_PER_UNIT,
+            np.linalg.norm(self.edge_v) * TEXTURE_CELLS_PER_UNIT,
+        )
 
     def shade(self, u, v):
         """Intensity at plane coordinates (u, v) in [0, 1]^2, scaled to the
         plane's physical size so texture frequency is uniform across walls."""
-        su = np.linalg.norm(self.edge_u) * TEXTURE_CELLS_PER_UNIT
-        sv = np.linalg.norm(self.edge_v) * TEXTURE_CELLS_PER_UNIT
+        su, sv = self.texture_scale
         return value_noise(np.asarray(u) * su, np.asarray(v) * sv, self.texture_seed)
 
 
@@ -439,25 +482,11 @@ class CoVisibilityGraph:
     point_to_images: dict
     corresponded: set
 
-    def images_seeing(self, point_id):
-        return self.point_to_images.get(int(point_id), ())
-
     def other_images(self, point_id, image_id):
         k = int(point_id)
         if k not in self.corresponded:
             return ()
         return tuple(j for j in self.point_to_images.get(k, ()) if j != image_id)
-
-    def corresponded_in(self, observations: ImageObservations):
-        """Mask over the observation rows whose points have correspondences
-        in other images."""
-        return np.array(
-            [
-                len(self.other_images(k, observations.image_id)) > 0
-                for k in observations.point_ids
-            ],
-            dtype=bool,
-        )
 
 
 def build_covis(observations_by_image: dict) -> CoVisibilityGraph:
@@ -556,14 +585,21 @@ def render_rays(scene: SyntheticScene, origin, dirs):
     n = len(dirs)
     best_s = np.full(n, np.inf)
     shade = np.full(n, 0.5)
+    local = np.empty((n, 3))  # hit point relative to the plane's origin
     for plane in scene.planes:
-        normal = np.cross(plane.edge_u, plane.edge_v)
+        normal, uu, vv = plane.hit_constants
         denom = dirs @ normal
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a ray parallel to the plane gets s = +-inf or NaN and a non-finite
+        # hit point and (u, v), which the isfinite(s) test below rejects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             s = ((plane.origin - origin) @ normal) / denom
-        local = origin + s[:, None] * dirs - plane.origin
-        u = local @ plane.edge_u / (plane.edge_u @ plane.edge_u)
-        v = local @ plane.edge_v / (plane.edge_v @ plane.edge_v)
+            for k in range(3):
+                col = local[:, k]
+                np.multiply(s, dirs[:, k], out=col)
+                col += origin[k]
+                col -= plane.origin[k]
+            u = local @ plane.edge_u / uu
+            v = local @ plane.edge_v / vv
         hit = (
             np.isfinite(s)
             & (s > 1e-9)

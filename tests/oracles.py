@@ -5,16 +5,27 @@
 ``anglereloc.scenegen`` namesakes: one random draw, one projection check
 and one dictionary update per point. The package's whole-array versions
 must match them bit for bit.
+
+``value_noise`` and ``render_rays`` are the renderer as it was before it
+gathered lattice hashes from a per-octave table and kept per-plane
+constants: four ``_hash01`` calls per sample and octave, and the normal,
+squared edge lengths, texture scale and hit point recomputed per call. They
+warn where the package does not (scalar overflow on 0-d input, inf * 0 on
+rays parallel to a plane), so tests call them under
+``np.errstate(all="ignore")``.
 """
 
 import numpy as np
 
 from anglereloc.geometry import depth_statuses
 from anglereloc.scenegen import (
+    TEXTURE_CELLS_PER_UNIT,
     CoVisibilityGraph,
     ImageObservations,
+    NoGeometryError,
     SyntheticScene,
     TexturedPlane,
+    _hash01,
     _room_planes,
 )
 
@@ -118,3 +129,65 @@ def build_covis(observations_by_image):
     point_to_images = {k: tuple(v) for k, v in point_to_images.items()}
     corresponded = {k for k, v in point_to_images.items() if len(v) >= 2}
     return CoVisibilityGraph(point_to_images, corresponded)
+
+
+def value_noise(s, t, seed, octaves=3, gain=0.5):
+    s = np.asarray(s, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    total = np.zeros_like(s)
+    amp, freq, norm = 1.0, 1.0, 0.0
+    for octave in range(octaves):
+        xs, ys = s * freq, t * freq
+        x0 = np.floor(xs).astype(np.int64)
+        y0 = np.floor(ys).astype(np.int64)
+        fx, fy = xs - x0, ys - y0
+        wx = fx * fx * (3 - 2 * fx)
+        wy = fy * fy * (3 - 2 * fy)
+        oseed = seed * 1000003 + octave
+        v00 = _hash01(x0, y0, oseed)
+        v01 = _hash01(x0 + 1, y0, oseed)
+        v10 = _hash01(x0, y0 + 1, oseed)
+        v11 = _hash01(x0 + 1, y0 + 1, oseed)
+        top = v00 * (1 - wx) + v01 * wx
+        bot = v10 * (1 - wx) + v11 * wx
+        total += amp * (top * (1 - wy) + bot * wy)
+        norm += amp
+        amp *= gain
+        freq *= 2.0
+    out = total / norm
+    return 0.1 + 0.8 * out
+
+
+def shade(plane, u, v):
+    su = np.linalg.norm(plane.edge_u) * TEXTURE_CELLS_PER_UNIT
+    sv = np.linalg.norm(plane.edge_v) * TEXTURE_CELLS_PER_UNIT
+    return value_noise(np.asarray(u) * su, np.asarray(v) * sv, plane.texture_seed)
+
+
+def render_rays(scene, origin, dirs):
+    if not scene.planes:
+        raise NoGeometryError("scene has no textured planes to render")
+    n = len(dirs)
+    best_s = np.full(n, np.inf)
+    out = np.full(n, 0.5)
+    for plane in scene.planes:
+        normal = np.cross(plane.edge_u, plane.edge_v)
+        denom = dirs @ normal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = ((plane.origin - origin) @ normal) / denom
+        local = origin + s[:, None] * dirs - plane.origin
+        u = local @ plane.edge_u / (plane.edge_u @ plane.edge_u)
+        v = local @ plane.edge_v / (plane.edge_v @ plane.edge_v)
+        hit = (
+            np.isfinite(s)
+            & (s > 1e-9)
+            & (s < best_s)
+            & (u >= 0)
+            & (u <= 1)
+            & (v >= 0)
+            & (v <= 1)
+        )
+        if np.any(hit):
+            out[hit] = shade(plane, u[hit], v[hit])
+            best_s[hit] = s[hit]
+    return out

@@ -30,6 +30,7 @@ from anglereloc.scenegen import (
     render_rays,
     save_dataset,
     sparsify_covis,
+    value_noise,
     write_correspondence_file,
     write_pgm,
     write_pose_file,
@@ -279,6 +280,135 @@ class TestRender:
         assert img.data.std() > 0.01  # actually textured
 
 
+def oracle(fn, *args):
+    with np.errstate(all="ignore"):
+        return fn(*args)
+
+
+def camera_rays(pose, intr, width, height):
+    """World-space ray directions of every pixel, as ``render_image`` makes them."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    rays_cam = np.stack(
+        [xs.ravel() - intr.cx, ys.ravel() - intr.cy, np.full(xs.size, intr.f)], axis=1
+    )
+    return rays_cam @ pose.rotation.T
+
+
+class TestValueNoiseMatchesOracle:
+    """The table-gathered ``value_noise`` against four hashes per sample."""
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            pytest.param(*np.random.default_rng(0).uniform(-20, 20, (2, 1000)), id="random"),
+            pytest.param(*np.random.default_rng(1).uniform(-3, 3, (2, 7, 5)), id="random-2d"),
+            pytest.param(*np.random.default_rng(2).uniform(-50, -3, (2, 300)), id="negative"),
+            pytest.param(*np.random.default_rng(3).uniform(1e6, 1e6 + 4, (2, 300)), id="far"),
+            pytest.param(
+                *np.meshgrid(np.arange(-4.0, 5.0), np.arange(-3.0, 4.0, 0.5)), id="integers"
+            ),
+            pytest.param(np.empty(0), np.empty(0), id="empty"),
+            pytest.param(np.empty((0, 3)), np.empty((0, 3)), id="empty-2d"),
+            pytest.param(np.array([-0.25]), np.array([7.75]), id="one"),
+            pytest.param(np.array(-2.5), np.array(0.3), id="0d"),
+            pytest.param(-2.5, 3, id="scalars"),
+            pytest.param(np.linspace(-2, 2, 9), np.array(1.3), id="broadcast"),
+        ],
+    )
+    def test_bit_identical(self, s, t):
+        for seed in (0, 7, 550):
+            got, want = value_noise(s, t, seed), oracle(oracles.value_noise, s, t, seed)
+            assert_same_bits(got, want)
+            assert type(got) is type(want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_raise(self, bad):
+        good = np.array([0.5, 1.5])
+        with pytest.raises(ValueError, match="finite"):
+            value_noise(np.array([0.5, bad]), good, 1)
+        with pytest.raises(ValueError, match="finite"):
+            value_noise(good, np.array([bad, 0.5]), 1)
+        with pytest.raises(ValueError, match="finite"):
+            value_noise(bad, 0.5, 1)
+
+
+class TestRenderMatchesOracle:
+    """``render_rays`` and ``render_image`` against the renderer that
+    recomputed every per-plane constant and hashed every corner per call."""
+
+    @staticmethod
+    def assert_rays_match(scene, origin, dirs):
+        dirs = np.asarray(dirs, dtype=np.float64)
+        got = render_rays(scene, origin, dirs)
+        assert_same_bits(got, oracle(oracles.render_rays, scene, origin, dirs))
+        return got
+
+    def test_random_rays(self):
+        scene = gen_scene(5, 50, 6)
+        rng = np.random.default_rng(4)
+        for origin in rng.uniform(-4.5, 4.5, (5, 3)):
+            self.assert_rays_match(scene, origin, rng.normal(size=(500, 3)))
+
+    @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (1.3, -0.7, 0.2)])
+    def test_rays_parallel_to_walls(self, origin):
+        # each of these directions has a zero component, so the walls with
+        # that normal give a denominator of +0 or -0
+        dirs = [
+            [1.0, 0.0, 0.0],
+            [0.0, -1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [1.0, -0.0, 0.0],
+            [-1.0, 0.0, -0.0],
+            [0.6, 0.8, 0.0],
+            [0.0, -0.3, 2.0],
+            [0.0, 0.0, 0.0],
+        ]
+        self.assert_rays_match(gen_scene(5, 50, 6), np.array(origin), dirs)
+
+    def test_rays_through_edges_and_corners(self):
+        scene = gen_scene(5, 50, 6)
+        # from the centre, (1, 1, 0) meets the walls x = 5 and y = 5 at the
+        # same s with u or v exactly 1; (1, 1, 1) meets three at a corner
+        dirs = [
+            [1.0, 1.0, 0.0],
+            [-1.0, 1.0, 0.0],
+            [1.0, 1.0, 1.0],
+            [-1.0, -1.0, -1.0],
+            [1.0, -1.0, 0.5],
+            [1.0, 0.0, 1.0],
+            [2.0, 0.0, 1.0],
+        ]
+        got = self.assert_rays_match(scene, np.zeros(3), dirs)
+        assert np.all(got != 0.5)
+
+    def test_rays_starting_on_a_wall(self):
+        scene = gen_scene(5, 50, 6)
+        rng = np.random.default_rng(5)
+        dirs = rng.normal(size=(200, 3))
+        for origin in ([5.0, 0.3, -1.2], [-5.0, -5.0, 2.0], [5.0, 5.0, 5.0], [0.0, 0.0, -5.0]):
+            self.assert_rays_match(scene, np.array(origin), dirs)
+
+    def test_one_plane_scene_misses_give_background(self):
+        scene = gen_scene(5, 50, 1)
+        dirs = np.random.default_rng(6).normal(size=(400, 3))
+        got = self.assert_rays_match(scene, np.array([0.5, -0.2, 0.1]), dirs)
+        assert np.any(got == 0.5) and np.any(got != 0.5)
+
+    def test_interior_panels_occlude_walls(self):
+        ds = build_dataset(DatasetConfig(n_planes=8, render_images=True, n_images=12))
+        walls = SyntheticScene(
+            ds.scene.points, ds.scene.planes[:6], ds.scene.bounds_lo, ds.scene.bounds_hi, 10.0
+        )
+        occluded = 0
+        for image_id, pose in ds.poses.items():
+            dirs = camera_rays(pose, ds.intrinsics, ds.width, ds.height)
+            shade = self.assert_rays_match(ds.scene, pose.translation, dirs)
+            want = np.round(shade.reshape(ds.height, ds.width) * 65535.0) / 65535.0
+            assert_same_bits(ds.images[image_id].data, want)
+            occluded += int(np.sum(shade != render_rays(walls, pose.translation, dirs)))
+        assert occluded > 0
+
+
 class TestCoVisibility:
     def test_single_view_point_not_corresponded(self):
         obs = build_dataset(small_cfg()).observations
@@ -298,7 +428,7 @@ class TestCoVisibility:
         }
         graph = build_covis(o)
         assert graph.other_images(7, 1) == (2, 3)
-        assert graph.images_seeing(7) == (1, 2, 3)
+        assert graph.point_to_images[7] == (1, 2, 3)
 
     def test_symmetry_exhaustive(self):
         ds = build_dataset(small_cfg())
@@ -312,8 +442,10 @@ class TestCoVisibility:
     def test_partition_into_single_and_multi(self):
         ds = build_dataset(small_cfg())
         for i, obs in ds.observations.items():
-            mask = ds.covis.corresponded_in(obs)
+            mask = np.isin(obs.point_ids, list(ds.covis.corresponded))
+            others = [len(ds.covis.other_images(k, i)) > 0 for k in obs.point_ids]
             assert len(mask) == len(obs.point_ids)
+            assert mask.tolist() == others
 
     def test_matches_loop_on_datasets(self):
         for seed in range(20):
@@ -443,8 +575,16 @@ class TestPinnedDatasets:
                 {"render_images": True, "n_images": 8},
                 "58694e16a94226e21631fed530ba75c81de1a26a81a6b56c1490f722263325d2",
             ),
+            (
+                {"n_points": 2000, "render_images": True, "seed": 4},
+                "bd7aeaf0ba5c6030f6c8b7bc8bcea295d3e8c73b12d8dc961c21f4cdd02804c0",
+            ),
+            (
+                {"n_planes": 8, "render_images": True, "n_images": 12},
+                "082e9404f36bb24f72e107a30d0cfac3f86d1a8de5c029b4572409ee694c568c",
+            ),
         ],
-        ids=["default", "pixel-noise", "rendered"],
+        ids=["default", "pixel-noise", "rendered", "photo-rendered", "panels-rendered"],
     )
     def test_digest(self, kw, digest):
         assert dataset_sha256(build_dataset(DatasetConfig(**kw))) == digest
