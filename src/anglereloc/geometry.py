@@ -52,10 +52,6 @@ class CameraIntrinsics:
             [[self.f, 0.0, self.cx], [0.0, self.f, self.cy], [0.0, 0.0, 1.0]]
         )
 
-    def scaled(self, factor: float) -> "CameraIntrinsics":
-        """Intrinsics after resizing the image by ``factor``."""
-        return CameraIntrinsics(self.f * factor, self.cx * factor, self.cy * factor)
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
@@ -90,14 +86,6 @@ class PoseSE3:
     @classmethod
     def identity(cls) -> "PoseSE3":
         return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "PoseSE3":
-        """Build from a 4x4 homogeneous camera-to-world matrix."""
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError("expected a 4x4 homogeneous matrix")
-        return cls(m[:3, :3], m[:3, 3])
 
     def as_matrix(self) -> np.ndarray:
         """4x4 homogeneous camera-to-world matrix."""

@@ -13,10 +13,12 @@ Array-first design: the ``*_terms`` kernels operate on (N, 3) prediction and
 (N, 2) pixel batches, and a single point is a batch of one. The composite
 losses do no per-point Python work either. ``multiview_image_loss`` reads a
 ``MultiviewIndex`` that ``build_multiview_index`` makes once per training
-run (CSR lists of the other images seeing each observation row, their
-pixels, and the poses stacked by image); each call draws every corresponded
-row's neighbor with one ``rng.integers`` call in row order and evaluates the
-drawn pairs in one ``angle_terms`` pass. ``photometric_image_loss`` works on
+run from the observations alone, in whole-array passes: per observation row,
+a CSR list (one flat entry array plus per-row offsets into it) of the other
+images' rows that observe the same point, with their pixels, and the poses
+stacked by image. Each call draws every corresponded row's neighbor with
+one ``rng.integers`` call in row order and evaluates the drawn pairs in one
+``angle_terms`` pass. ``photometric_image_loss`` works on
 all valid (M, 9) sampling windows at once, and its SSIM shares one formula
 with ``ssim3x3``. Its target windows depend only on (image, point), so
 ``photo_target`` samples them once per training run; each call tests the
@@ -230,8 +232,8 @@ class _ImageRows(NamedTuple):
 
     point_ids: np.ndarray
     pixels: np.ndarray
-    # (N + 1,) offsets into the index's flat entry arrays: the other images
-    # seeing row r's point are entries offsets[r] .. offsets[r + 1] - 1
+    # (N + 1,) offsets into the index's flat entry arrays: the other rows
+    # observing row r's point are entries offsets[r] .. offsets[r + 1] - 1
     offsets: np.ndarray
 
 
@@ -239,11 +241,13 @@ class _ImageRows(NamedTuple):
 class MultiviewIndex:
     """Correspondence lists and stacked poses for ``multiview_image_loss``.
 
-    For every image with observations, a CSR list per observation row of the
-    other images that see the row's point, in ``covis.other_images`` order.
-    Each entry of the flat arrays holds the other image's position in
-    ``image_ids`` and the point's pixel there; poses are stacked by that
-    position. Built once by ``build_multiview_index`` and read-only after.
+    For every image with observations, a CSR list per observation row: the
+    rows of the other images that observe the same point, when that point is
+    corresponded, in ascending image order and then row order. An image
+    that observes the point twice has two entries. Each entry of the flat
+    arrays holds the other image's position in ``image_ids`` and the pixel
+    of that row; poses are stacked by that position. Built once by
+    ``build_multiview_index`` and read-only after.
     """
 
     image_ids: np.ndarray  # (I,) sorted ids of the images with observations
@@ -257,54 +261,47 @@ class MultiviewIndex:
 
     def draw(self, image_id, rng: np.random.Generator):
         """One other view per corresponded row of ``image_id``, uniform over
-        the images that also see the row's point. All rows draw from one
-        ``rng.integers`` call in row order, which yields the same stream as
-        one scalar draw per row. Returns ``(rows, entries)``."""
+        the entries of the row. All rows draw from one ``rng.integers`` call
+        in row order, which yields the same stream as one scalar draw per
+        row. Returns ``(rows, entries)``."""
         offsets = self.images[image_id].offsets
         counts = np.diff(offsets)
         rows = np.flatnonzero(counts)
         return rows, offsets[rows] + rng.integers(counts[rows])
 
 
-def build_multiview_index(poses, observations_by_image, covis) -> MultiviewIndex:
+def build_multiview_index(poses, observations_by_image, corresponded) -> MultiviewIndex:
     """Index the co-visibility of every observation row for the multi-view
-    loss.
+    loss, read from the observations themselves.
 
     ``poses`` and ``observations_by_image`` are mappings keyed by image id;
-    ``covis.other_images(point_id, image_id)`` lists the other images seeing
-    a point. Raises ``IndexMismatchError`` naming the image and the point
-    when ``covis`` says an image sees a point that its observations lack.
+    only the given images are indexed, so a row's entries never point at an
+    image left out. ``corresponded`` holds the point ids that get entries.
+    One stable argsort groups all rows by point id, images ascending and
+    rows in order within a group; each corresponded row's entries are its
+    group without the rows of its own image.
     """
     image_ids = np.array(sorted(observations_by_image), dtype=np.int64)
     obs = [observations_by_image[i] for i in image_ids.tolist()]
     point_ids = [np.asarray(o.point_ids, dtype=np.int64) for o in obs]
-    offsets, others = [], []
-    for i, ids in zip(image_ids.tolist(), point_ids):
-        starts = [len(others)]
-        for k in ids.tolist():
-            others.extend(covis.other_images(k, i))
-            starts.append(len(others))
-        offsets.append(np.array(starts))
-    other_ids = np.array(others, dtype=np.int64)
-    all_points = np.concatenate(point_ids)
-    entry_points = np.repeat(all_points, np.concatenate([np.diff(s) for s in offsets]))
-
-    # entry -> position of its other image, and of that image's observation row
-    other_pos = np.minimum(np.searchsorted(image_ids, other_ids), len(image_ids) - 1)
-    lo = all_points.min(initial=0)
-    stride = all_points.max(initial=0) - lo + 1
-    image_of_row = np.repeat(np.arange(len(obs)), [len(ids) for ids in point_ids])
-    row_keys = image_of_row * stride + all_points - lo
-    order = np.argsort(row_keys)
-    entry_keys = other_pos * stride + entry_points - lo
-    at = np.minimum(np.searchsorted(row_keys[order], entry_keys), len(order) - 1)
-    bad = (image_ids[other_pos] != other_ids) | (row_keys[order[at]] != entry_keys)
-    if np.any(bad):
-        m, k = int(other_ids[bad][0]), int(entry_points[bad][0])
-        raise IndexMismatchError(
-            f"covis says image {m} sees point {k}, but image {m} has no observation of it"
-        )
     pixels = [np.asarray(o.pixels, dtype=np.float64) for o in obs]
+    sizes = [len(ids) for ids in point_ids]
+    rows = np.concatenate([np.empty(0, np.int64), *point_ids])
+    image_of_row = np.repeat(np.arange(len(obs)), sizes)
+    order = np.argsort(rows, kind="stable")
+    grouped = rows[order]
+    lo = np.searchsorted(grouped, rows)
+    keep = np.isin(rows, np.fromiter(corresponded, np.int64, len(corresponded)))
+    span = np.where(keep, np.searchsorted(grouped, rows, side="right") - lo, 0)
+
+    # every corresponded row's whole group, then without its own image's rows
+    owner = np.repeat(np.arange(len(rows)), span)
+    first = np.repeat(lo - np.cumsum(span) + span, span)
+    source = order[first + np.arange(len(owner))]
+    other = image_of_row[source] != image_of_row[owner]
+    source = source[other]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner[other], minlength=len(rows)))])
+    bounds = np.cumsum([0, *sizes]).tolist()
 
     has_pose = np.array([i in poses for i in image_ids.tolist()], dtype=bool)
     rotations = np.tile(np.eye(3), (len(image_ids), 1, 1))
@@ -319,11 +316,13 @@ def build_multiview_index(poses, observations_by_image, covis) -> MultiviewIndex
         has_pose=has_pose,
         poses=dict(poses),
         images={
-            i: _ImageRows(ids, pix, s)
-            for i, ids, pix, s in zip(image_ids.tolist(), point_ids, pixels, offsets)
+            i: _ImageRows(ids, pix, offsets[b : e + 1])
+            for i, ids, pix, b, e in zip(
+                image_ids.tolist(), point_ids, pixels, bounds, bounds[1:]
+            )
         },
-        other_pos=other_pos,
-        other_pixels=np.concatenate(pixels)[order[at]],
+        other_pos=image_of_row[source],
+        other_pixels=np.concatenate([np.empty((0, 2)), *pixels])[source],
     )
 
 
@@ -344,8 +343,8 @@ def multiview_image_loss(
     Points without correspondences contribute their single-view angle term.
     Each corresponded point contributes, weighted by ``lambda_multiview``,
     its angle term in this image plus one more in a neighbor image drawn
-    uniformly (via ``rng``) from the images that also see the point; the
-    same predicted coordinate is reprojected there, so gradients from both
+    uniformly (via ``rng``) from the indexed images that also see the point;
+    the same predicted coordinate is reprojected there, so gradients from both
     views accumulate into it.
 
     ``index`` comes from ``build_multiview_index``, built once per training

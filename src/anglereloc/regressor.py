@@ -605,6 +605,8 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     Adam. Returns ``(model, TrainLog)``; the log records loss, behind-camera
     fraction, the running count of non-finite loss/gradient events, the
     median 3D coordinate error over the training views, and wall time.
+    ``angle-multi`` and ``angle-photo`` draw their neighbor views from the
+    train views only, so no held-out view's pose or pixels enter training.
     ``angle-photo`` samples every train view's photometric target once,
     before the loop, and warns with ``PhotometricInactiveWarning`` when no
     photometric point was valid in the whole run.
@@ -624,7 +626,9 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     order_rng = np.random.default_rng([cfg.seed, 11])
     image_order = order_rng.integers(0, len(train_ids), size=cfg.iterations)
     multiview = (
-        build_multiview_index(poses, observations, dataset.covis)
+        build_multiview_index(
+            poses, {i: observations[i] for i in train_ids}, dataset.covis.corresponded
+        )
         if mode is TrainMode.ANGLE_MULTI
         else None
     )

@@ -102,11 +102,17 @@ def value_noise(s, t, seed, octaves=3, gain=0.5):
     float64 per lattice point of that box, so its memory grows with the
     box's area (the coordinates' range times the octave's frequency, per
     axis), not with the number of samples. Raises ``ValueError`` for NaN or
-    infinite coordinates."""
+    infinite coordinates, and for those whose scaled value at the finest
+    octave is 2^53 or more in magnitude, where the lattice cell is lost."""
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if not (np.isfinite(s).all() and np.isfinite(t).all()):
-        raise ValueError("value_noise coordinates must be finite")
+    # the finest octave scales by a power of two, so this test is exact; it
+    # is False for NaN and +-inf
+    limit = 2.0**53 / 2.0 ** max(octaves - 1, 0)
+    if not ((np.abs(s) < limit).all() and (np.abs(t) < limit).all()):
+        raise ValueError(
+            f"value_noise coordinates must be finite and below {limit:g} in magnitude"
+        )
     total = np.zeros_like(s)
     amp, freq, norm = 1.0, 1.0, 0.0
     for octave in range(octaves):
@@ -311,7 +317,6 @@ def gen_scene(
 
 @dataclass
 class Trajectory:
-    sequence_id: str
     entries: list  # ordered (image_id, PoseSE3)
 
     @property
@@ -361,55 +366,32 @@ def gen_trajectory(
     pitch_jitter_deg: float = 14.0,
     min_visible: int = 20,
     max_attempts: int = 60,
-    sequence_id: str = "seq0",
-    look: str = "outward",
-    turns: float = 1.0,
-    height_span: float = 0.0,
 ) -> Trajectory:
     """Ordered orbit of cameras inside the scene.
 
-    Image i sits near azimuth ``2*pi*turns*i/n`` on a circle of
-    ``orbit_radius`` with jittered radius/height; with ``height_span`` > 0
-    the orbit becomes a helix ramping from -span to +span over the
-    sequence, so multi-turn trajectories sweep each wall region from
-    different heights. Consecutive image ids are neighboring views. With
-    ``look="outward"`` (the default) each camera faces away from the scene
-    center with jittered yaw and pitch, which leaves the world origin
-    behind every camera; ``look="center"`` aims at the scene centroid
-    instead. Every pose is re-drawn until at least ``min_visible`` scene
+    Image i sits near azimuth ``2*pi*i/n`` on a circle of ``orbit_radius``
+    with jittered radius and height, so consecutive image ids are
+    neighboring views. Each camera faces away from the scene center with
+    jittered yaw and pitch, which leaves the world origin behind every
+    camera. Every pose is re-drawn until at least ``min_visible`` scene
     points fall inside its frustum.
     """
     if n_images <= 0:
         raise ValueError("n_images must be positive")
-    if look not in ("outward", "center"):
-        raise ValueError("look must be 'outward' or 'center'")
-    centroid = scene.points.mean(axis=0)
     rng = np.random.default_rng([seed, 2])
     entries = []
     for i in range(n_images):
-        base = 2 * np.pi * turns * i / n_images
-        ramp = (
-            height_span * (2 * i / max(n_images - 1, 1) - 1) if height_span else 0.0
-        )
+        base = 2 * np.pi * i / n_images
         pose = None
         for _ in range(max_attempts):
             radius = orbit_radius + rng.uniform(-radius_jitter, radius_jitter)
-            z = ramp + rng.uniform(-height_jitter, height_jitter)
+            z = rng.uniform(-height_jitter, height_jitter)
             yaw = base + np.radians(rng.uniform(-yaw_jitter_deg, yaw_jitter_deg))
             pitch = np.radians(rng.uniform(-pitch_jitter_deg, pitch_jitter_deg))
             position = np.array([radius * np.cos(base), radius * np.sin(base), z])
-            if look == "center":
-                forward = centroid - position
-                if np.linalg.norm(forward) < 1e-9:
-                    forward = np.array([1.0, 0.0, 0.0])
-            else:
-                forward = np.array(
-                    [
-                        np.cos(pitch) * np.cos(yaw),
-                        np.cos(pitch) * np.sin(yaw),
-                        np.sin(pitch),
-                    ]
-                )
+            forward = np.array(
+                [np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), np.sin(pitch)]
+            )
             cand = _look_pose(position, forward)
             if count_visible(scene, cand, intr, width, height) >= min_visible:
                 pose = cand
@@ -420,7 +402,7 @@ def gen_trajectory(
                 f"azimuth {np.degrees(base):.0f} deg after {max_attempts} attempts"
             )
         entries.append((i, pose))
-    return Trajectory(sequence_id, entries)
+    return Trajectory(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -475,53 +457,23 @@ def observe(
 
 @dataclass
 class CoVisibilityGraph:
-    """Which images see each point. Correspondence structure for the
-    multi-view loss: a point is 'corresponded' when it is seen in at least
-    two images and has not been dropped by sparsification."""
+    """The points that the multi-view loss corresponds: seen in at least two
+    observation rows and not dropped by sparsification, as a set of Python
+    ints. Which images see a point is read from the observations themselves
+    (``losses.build_multiview_index``), so it is stored nowhere else."""
 
-    point_to_images: dict
     corresponded: set
-
-    def other_images(self, point_id, image_id):
-        k = int(point_id)
-        if k not in self.corresponded:
-            return ()
-        return tuple(j for j in self.point_to_images.get(k, ()) if j != image_id)
 
 
 def build_covis(observations_by_image: dict) -> CoVisibilityGraph:
-    """Symmetric co-visibility from per-image observation sets.
-
-    One stable argsort groups every observation row by its point id (as a
-    Python int). Each point maps to the tuple of the images seeing it, in
-    ascending image order, and the points are keyed in order of first
-    appearance (images ascending, rows in observation order).
-    """
-    image_ids = sorted(observations_by_image)
-    point_ids = [
-        np.asarray(observations_by_image[i].point_ids).astype(np.int64) for i in image_ids
-    ]
-    rows = np.concatenate([np.empty(0, np.int64), *point_ids])
-    image_of_row = np.repeat(np.arange(len(image_ids)), [len(p) for p in point_ids])
-    order = np.argsort(rows, kind="stable")
-    grouped = rows[order]
-    is_start = np.ones(len(rows), dtype=bool)
-    is_start[1:] = grouped[1:] != grouped[:-1]
-    starts = np.flatnonzero(is_start)
-    ends = np.append(starts[1:], len(rows))
-    # order[starts] holds each point's first row, all distinct: scattering
-    # the points by it puts them in order of first appearance
-    slot = np.full(len(rows), -1)
-    slot[order[starts]] = np.arange(len(starts))
-    by_first = slot[slot >= 0]
-    starts, ends = starts[by_first], ends[by_first]
-    keys = grouped[starts]
-    images = tuple(np.array(image_ids, dtype=object)[image_of_row[order]].tolist())
-    point_to_images = {
-        k: images[a:b] for k, a, b in zip(keys.tolist(), starts.tolist(), ends.tolist())
-    }
-    corresponded = set(keys[ends - starts >= 2].tolist())
-    return CoVisibilityGraph(point_to_images, corresponded)
+    """The points observed at least twice over all images, counted in one
+    ``np.unique`` pass over every observation row."""
+    rows = np.concatenate(
+        [np.empty(0, np.int64)]
+        + [np.asarray(o.point_ids).astype(np.int64) for o in observations_by_image.values()]
+    )
+    keys, counts = np.unique(rows, return_counts=True)
+    return CoVisibilityGraph(set(keys[counts >= 2].tolist()))
 
 
 def sparsify_covis(
@@ -540,7 +492,7 @@ def sparsify_covis(
         if multi
         else []
     )
-    return CoVisibilityGraph(graph.point_to_images, kept)
+    return CoVisibilityGraph(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -965,10 +917,7 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     with (out / "descriptors.txt").open("w") as fh:
         for k, row in enumerate(ds.descriptors):
             fh.write(str(k) + " " + " ".join(repr(float(v)) for v in row) + "\n")
-    covis = {
-        "point_to_images": {str(k): list(v) for k, v in ds.covis.point_to_images.items()},
-        "corresponded": sorted(ds.covis.corresponded),
-    }
+    covis = {"corresponded": sorted(ds.covis.corresponded)}
     (out / "covis.json").write_text(json.dumps(covis) + "\n")
     for image_id, img in sorted(ds.images.items()):
         write_pgm(out / "images" / f"img_{image_id:04d}.pgm", img)
@@ -1019,6 +968,19 @@ def _manifest_fields(m):
     )
 
 
+def _covis_fields(c, n_points):
+    """``covis.json``'s ``corresponded`` list of point ids in [0, n_points);
+    other keys, such as the point-to-images map that files of earlier
+    versions carry, are ignored."""
+    ids = c["corresponded"]
+    for k in ids:
+        if type(k) is not int:
+            raise ValueError(f"corresponded holds a non-integer point id {k!r}")
+        if not 0 <= k < n_points:
+            raise ValueError(f"corresponded holds point id {k} outside [0, {n_points})")
+    return CoVisibilityGraph(set(ids))
+
+
 def load_dataset(in_dir) -> Dataset:
     """Inverse of ``save_dataset``. Raises ``ParseError`` naming the file
     when one is missing, unreadable or malformed."""
@@ -1051,12 +1013,7 @@ def load_dataset(in_dir) -> Dataset:
         )
     covis_path = src / "covis.json"
     covis = _parsed(
-        covis_path,
-        lambda c: CoVisibilityGraph(
-            {int(k): tuple(v) for k, v in c["point_to_images"].items()},
-            set(c["corresponded"]),
-        ),
-        _read_json(covis_path),
+        covis_path, lambda c: _covis_fields(c, cfg.n_points), _read_json(covis_path)
     )
     images = {}
     for image_id in rendered:

@@ -4,7 +4,10 @@
 ``observe`` and ``build_covis`` are the per-point loop forms of their
 ``anglereloc.scenegen`` namesakes: one random draw, one projection check
 and one dictionary update per point. The package's whole-array versions
-must match them bit for bit.
+must match them bit for bit. ``build_covis`` returns this module's own
+``CoVisibility``, which also keeps the point -> images map that the package
+no longer stores; ``multiview_entries`` reads it one row at a time, as the
+loop form of ``anglereloc.losses.build_multiview_index``.
 
 ``value_noise`` and ``render_rays`` are the renderer as it was before it
 gathered lattice hashes from a per-octave table and kept per-plane
@@ -15,12 +18,13 @@ rays parallel to a plane), so tests call them under
 ``np.errstate(all="ignore")``.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from anglereloc.geometry import depth_statuses
 from anglereloc.scenegen import (
     TEXTURE_CELLS_PER_UNIT,
-    CoVisibilityGraph,
     ImageObservations,
     NoGeometryError,
     SyntheticScene,
@@ -121,6 +125,21 @@ def observe(scene, pose, intr, width, height, pixel_noise_sigma=0.0, rng=None, i
     )
 
 
+class CoVisibility:
+    """Which images see each point (one entry per observation row, images
+    ascending), and the points that are corresponded."""
+
+    def __init__(self, point_to_images, corresponded):
+        self.point_to_images = point_to_images
+        self.corresponded = corresponded
+
+    def other_images(self, point_id, image_id):
+        k = int(point_id)
+        if k not in self.corresponded:
+            return ()
+        return tuple(j for j in self.point_to_images.get(k, ()) if j != image_id)
+
+
 def build_covis(observations_by_image):
     point_to_images = {}
     for image_id in sorted(observations_by_image):
@@ -128,7 +147,30 @@ def build_covis(observations_by_image):
             point_to_images.setdefault(int(k), []).append(image_id)
     point_to_images = {k: tuple(v) for k, v in point_to_images.items()}
     corresponded = {k for k, v in point_to_images.items() if len(v) >= 2}
-    return CoVisibilityGraph(point_to_images, corresponded)
+    return CoVisibility(point_to_images, corresponded)
+
+
+def multiview_entries(observations_by_image, corresponded):
+    """Per image id, per observation row, the list of ``(other image id,
+    pixel)`` entries: ``covis.other_images`` of the row's point, each paired
+    with the pixel of the next row of that image observing the point."""
+    covis = CoVisibility(build_covis(observations_by_image).point_to_images, corresponded)
+    pixels_of = {}  # (image id, point id) -> that image's pixels of the point
+    for image_id, obs in observations_by_image.items():
+        for k, pixel in zip(obs.point_ids, obs.pixels):
+            pixels_of.setdefault((image_id, int(k)), []).append(pixel)
+    entries = {}
+    for image_id in sorted(observations_by_image):
+        per_row = []
+        for k in observations_by_image[image_id].point_ids:
+            used = Counter()
+            row = []
+            for j in covis.other_images(k, image_id):
+                row.append((j, pixels_of[(j, int(k))][used[j]]))
+                used[j] += 1
+            per_row.append(row)
+        entries[image_id] = per_row
+    return entries
 
 
 def value_noise(s, t, seed, octaves=3, gain=0.5):

@@ -6,6 +6,7 @@ central differences with step 1e-6 on the scene coordinate, compared at
 relative error 1e-4.
 """
 
+import hashlib
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -38,8 +39,9 @@ from anglereloc.losses import (
     ssim3x3,
     _ssim_from_moments,
 )
-from anglereloc.scenegen import DatasetConfig, build_dataset
+from anglereloc.scenegen import DatasetConfig, build_covis, build_dataset
 
+import oracles
 from conftest import random_pose
 
 
@@ -317,16 +319,8 @@ class TestImageLoss:
         assert np.sum(statuses == int(DepthStatus.BEHIND)) == 9
 
 
-class _Covis:
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def other_images(self, point_id, image_id):
-        return tuple(j for j in self.mapping.get(int(point_id), ()) if j != image_id)
-
-
 class TestMultiviewLoss:
-    def _two_view_setup(self, rng, intr, n=8, covis_points=()):
+    def _two_view_setup(self, rng, intr, n=8, corresponded=()):
         pose0 = random_pose(rng)
         pose1 = neighbor_pose(pose0, rng)
         obs0, coords = make_obs(rng, pose0, intr, n, depth_lo=2.0, depth_hi=4.0)
@@ -337,15 +331,14 @@ class TestMultiviewLoss:
         obs1 = SimpleNamespace(point_ids=obs0.point_ids.copy(), pixels=np.array(pix1))
         poses = {0: pose0, 1: pose1}
         obs_by_img = {0: obs0, 1: obs1}
-        covis = _Covis({k: (0, 1) for k in covis_points})
-        return poses, obs_by_img, covis, coords
+        return poses, obs_by_img, set(corresponded), coords
 
     def test_no_correspondences_reduces_to_angle_loss(self, intr, rng):
-        poses, obs_by_img, covis, coords = self._two_view_setup(rng, intr)
+        poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
         preds = PredictionGrid(obs_by_img[0].point_ids, rng.uniform(-5, 5, size=(8, 3)))
         multi = multiview_image_loss(
             intr,
-            build_multiview_index(poses, obs_by_img, covis),
+            build_multiview_index(poses, obs_by_img, corresponded),
             0,
             preds,
             rng=np.random.default_rng(3),
@@ -357,13 +350,13 @@ class TestMultiviewLoss:
         assert np.array_equal(multi.grads, grads)
 
     def test_triangulated_point_zero_in_both_views(self, intr, rng):
-        poses, obs_by_img, covis, coords = self._two_view_setup(
-            rng, intr, covis_points=range(8)
+        poses, obs_by_img, corresponded, coords = self._two_view_setup(
+            rng, intr, corresponded=range(8)
         )
         preds = PredictionGrid(obs_by_img[0].point_ids, coords)
         rep = multiview_image_loss(
             intr,
-            build_multiview_index(poses, obs_by_img, covis),
+            build_multiview_index(poses, obs_by_img, corresponded),
             0,
             preds,
             rng=np.random.default_rng(3),
@@ -372,14 +365,14 @@ class TestMultiviewLoss:
 
     def test_hand_assembled_sum_one_covisible_point(self, intr, rng):
         cfg = LossConfig(lambda_multiview=60.0)
-        poses, obs_by_img, covis, coords = self._two_view_setup(
-            rng, intr, covis_points=(2,)
+        poses, obs_by_img, corresponded, coords = self._two_view_setup(
+            rng, intr, corresponded=(2,)
         )
         preds_arr = rng.uniform(-5, 5, size=(8, 3))
         preds = PredictionGrid(obs_by_img[0].point_ids, preds_arr)
         rep = multiview_image_loss(
             intr,
-            build_multiview_index(poses, obs_by_img, covis),
+            build_multiview_index(poses, obs_by_img, corresponded),
             0,
             preds,
             cfg,
@@ -397,15 +390,15 @@ class TestMultiviewLoss:
         assert abs(rep.total - expected) < 1e-9 * expected
 
     def test_missing_pose_raises(self, intr, rng):
-        poses, obs_by_img, covis, coords = self._two_view_setup(
-            rng, intr, covis_points=(0,)
+        poses, obs_by_img, corresponded, coords = self._two_view_setup(
+            rng, intr, corresponded=(0,)
         )
         del poses[1]
         preds = PredictionGrid(obs_by_img[0].point_ids, coords)
         with pytest.raises(MissingPoseError):
             multiview_image_loss(
                 intr,
-                build_multiview_index(poses, obs_by_img, covis),
+                build_multiview_index(poses, obs_by_img, corresponded),
                 0,
                 preds,
                 rng=np.random.default_rng(0),
@@ -413,38 +406,24 @@ class TestMultiviewLoss:
 
     def test_missing_pose_of_undrawn_image_is_fine(self, intr, rng):
         # image 1 lacks a pose, but no point of image 0 can draw it
-        poses, obs_by_img, covis, coords = self._two_view_setup(rng, intr)
+        poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
         del poses[1]
         preds = PredictionGrid(obs_by_img[0].point_ids, coords)
-        index = build_multiview_index(poses, obs_by_img, covis)
+        index = build_multiview_index(poses, obs_by_img, corresponded)
         rep = multiview_image_loss(intr, index, 0, preds, rng=np.random.default_rng(0))
         assert rep.total < 1e-6
 
     def test_index_mismatch_raises(self, intr, rng):
-        poses, obs_by_img, covis, coords = self._two_view_setup(rng, intr)
-        index = build_multiview_index(poses, obs_by_img, covis)
+        poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
+        index = build_multiview_index(poses, obs_by_img, corresponded)
         grid = PredictionGrid(obs_by_img[0].point_ids + 1, coords)
         with pytest.raises(IndexMismatchError, match="point sets differ"):
             multiview_image_loss(intr, index, 0, grid, rng=np.random.default_rng(0))
 
-    def test_inconsistent_covis_raises_index_mismatch(self, intr, rng):
-        poses, obs_by_img, covis, coords = self._two_view_setup(
-            rng, intr, covis_points=(0, 3)
-        )
-        keep = obs_by_img[1].point_ids != 3
-        obs_by_img[1] = SimpleNamespace(
-            point_ids=obs_by_img[1].point_ids[keep], pixels=obs_by_img[1].pixels[keep]
-        )
-        with pytest.raises(IndexMismatchError, match="image 1 sees point 3"):
-            build_multiview_index(poses, obs_by_img, covis)
-        # an image with no observations at all
-        with pytest.raises(IndexMismatchError, match="image 5 sees point 4"):
-            build_multiview_index(poses, obs_by_img, _Covis({4: (0, 5)}))
-
     def test_gradient_matches_finite_differences(self, intr, rng):
         cfg = LossConfig(lambda_multiview=60.0)
-        poses, obs_by_img, covis, coords = self._two_view_setup(
-            rng, intr, covis_points=(1, 4, 6)
+        poses, obs_by_img, corresponded, coords = self._two_view_setup(
+            rng, intr, corresponded=(1, 4, 6)
         )
         preds_arr = rng.uniform(-5, 5, size=(8, 3))
 
@@ -452,7 +431,7 @@ class TestMultiviewLoss:
             grid = PredictionGrid(obs_by_img[0].point_ids, arr)
             return multiview_image_loss(
                 intr,
-                build_multiview_index(poses, obs_by_img, covis),
+                build_multiview_index(poses, obs_by_img, corresponded),
                 0,
                 grid,
                 cfg,
@@ -468,6 +447,140 @@ class TestMultiviewLoss:
 
             fd = fd_grad(f, preds_arr[k].copy())
             assert rel_err(rep.grads[k], fd) < 1e-4
+
+
+def _obs(point_ids, pixels=None):
+    ids = np.array(point_ids, dtype=np.int64)
+    if pixels is None:
+        pixels = np.arange(2.0 * len(ids)).reshape(-1, 2) + 100 * ids[:, None]
+    return SimpleNamespace(point_ids=ids, pixels=np.asarray(pixels, dtype=np.float64))
+
+
+def index_sha256(index):
+    """Digest of every array of a ``MultiviewIndex``, dtypes and shapes included."""
+    arrays = [index.image_ids, index.has_pose, index.rotations, index.translations]
+    arrays += [index.other_pos, index.other_pixels]
+    for i in index.image_ids.tolist():
+        arrays.extend(index.images[i])
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr((a.dtype.str, a.shape)).encode() + np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def assert_index_matches_oracle(index, observations, corresponded):
+    """Every row's entries, in order, equal ``oracles.multiview_entries``, and
+    the images' offsets tile the flat entry arrays in image order."""
+    want = oracles.multiview_entries(observations, corresponded)
+    assert index.image_ids.tolist() == sorted(observations)
+    assert index.other_pos.dtype == np.int64 and index.other_pixels.dtype == np.float64
+    end = 0
+    for i in index.image_ids.tolist():
+        offsets, per_row = index.images[i].offsets, want[i]
+        assert offsets.dtype == np.int64 and offsets[0] == end
+        assert np.diff(offsets).tolist() == [len(row) for row in per_row]
+        entries = slice(offsets[0], offsets[-1])
+        others = [j for row in per_row for j, _ in row]
+        assert index.image_ids[index.other_pos[entries]].tolist() == others
+        pixels = np.array([p for row in per_row for _, p in row], dtype=np.float64)
+        assert index.other_pixels[entries].tobytes() == pixels.tobytes()
+        end = offsets[-1]
+    assert end == len(index.other_pos) == len(index.other_pixels)
+
+
+class TestMultiviewIndex:
+    """``build_multiview_index`` reads co-visibility from the observations.
+    The reference is ``oracles.multiview_entries``, one row at a time over
+    the dict-based point -> images map; the digests were computed with the
+    per-row build that read that map from the co-visibility graph."""
+
+    @pytest.mark.parametrize(
+        "kw, digest",
+        [
+            (
+                {"seed": 1},
+                "d2e614abe7df112a8f187d92c624f6ee744505cad490ac69557d0f3cb868c170",
+            ),
+            (
+                {"seed": 2, "covis_keep_fraction": 0.3},
+                "1b4d8620f782ec0937cc828b8b0b35a2bfab046c3840d121ee871710ab9e9318",
+            ),
+            (
+                {"seed": 3, "n_points": 2000, "pixel_noise_sigma": 0.5},
+                "4f102ddee18dbdec99e747b52890806b54d3e4e182e06afb40db201f84bfbac1",
+            ),
+        ],
+        ids=["default", "sparsified", "2000-points-noisy"],
+    )
+    def test_all_observations_pinned(self, kw, digest):
+        ds = build_dataset(DatasetConfig(**kw))
+        index = build_multiview_index(ds.poses, ds.observations, ds.covis.corresponded)
+        assert index_sha256(index) == digest
+
+    def test_matches_oracle_over_20_seeds(self):
+        for seed in range(20):
+            cfg = DatasetConfig(
+                seed=seed,
+                n_points=300,
+                n_images=12,
+                min_visible=10,
+                covis_keep_fraction=(1.0, 0.3)[seed % 2],
+                pixel_noise_sigma=0.5 if seed % 3 == 0 else 0.0,
+            )
+            ds = build_dataset(cfg)
+            corresponded = ds.covis.corresponded
+            index = build_multiview_index(ds.poses, ds.observations, corresponded)
+            assert_index_matches_oracle(index, ds.observations, corresponded)
+            assert len(index.other_pos) > 0
+            # the train views alone, as train() builds it
+            train = {i: ds.observations[i] for i in ds.train_ids}
+            index = build_multiview_index(ds.poses, train, corresponded)
+            assert_index_matches_oracle(index, train, corresponded)
+            assert set(index.image_ids[index.other_pos].tolist()) <= set(ds.train_ids)
+
+    def test_image_without_observations(self):
+        obs = {0: _obs([1, 2, 3]), 1: _obs([]), 2: _obs([3, 2])}
+        corresponded = build_covis(obs).corresponded
+        assert corresponded == {2, 3}
+        index = build_multiview_index({}, obs, corresponded)
+        assert_index_matches_oracle(index, obs, corresponded)
+        assert index.images[1].offsets.tolist() == [2]
+        assert 1 not in index.image_ids[index.other_pos]
+
+    def test_missing_pose(self, rng):
+        pose = random_pose(rng)
+        obs = {0: _obs([1, 2]), 4: _obs([2, 1])}
+        index = build_multiview_index({0: pose}, obs, {1, 2})
+        assert_index_matches_oracle(index, obs, {1, 2})
+        assert index.has_pose.tolist() == [True, False]
+        assert index.rotations[0].tobytes() == pose.rotation.tobytes()
+        assert np.array_equal(index.rotations[1], np.eye(3))
+        assert np.array_equal(index.translations[1], np.zeros(3))
+        # rows of image 0 still point at image 4; drawing it raises in the loss
+        assert index.image_ids[index.other_pos].tolist() == [4, 4, 0, 0]
+
+    def test_duplicate_point_ids_within_one_image(self):
+        obs = {5: _obs([3, 9, 1]), 2: _obs([]), 0: _obs([9, 8, 3, 3])}
+        corresponded = build_covis(obs).corresponded
+        assert corresponded == {3, 9}
+        index = build_multiview_index({}, obs, corresponded)
+        assert_index_matches_oracle(index, obs, corresponded)
+        # image 5's row of point 3 has one entry per row of image 0 that sees it
+        first, last = index.images[5].offsets[:2]
+        assert index.other_pixels[first:last].tobytes() == obs[0].pixels[2:].tobytes()
+        # image 0's own second row of point 3 is not its neighbor
+        assert np.diff(index.images[0].offsets).tolist() == [1, 0, 1, 1]
+
+    def test_corresponded_point_seen_once_gets_no_entries(self):
+        obs = {0: _obs([1, 4]), 1: _obs([1])}
+        index = build_multiview_index({}, obs, {1, 4, 99})
+        assert_index_matches_oracle(index, obs, {1, 4, 99})
+        assert np.diff(index.images[0].offsets).tolist() == [1, 0]
+
+    def test_no_images(self):
+        index = build_multiview_index({}, {}, set())
+        assert index.image_ids.shape == (0,) and index.images == {}
+        assert index.other_pos.shape == (0,) and index.other_pixels.shape == (0, 2)
 
 
 class TestBilinearSample:
@@ -662,9 +775,10 @@ def _angle_terms_reference(intr, pose, preds, pixels, eps_norm=1e-8):
 
 
 def _multiview_reference(intr, poses, image_id, predictions, obs_by_img, covis, cfg, rng):
-    """Per-point multi-view loop with per-neighbor lookup dicts. Returns the
-    report's (values, grads, statuses) and the neighbor drawn per row (-1
-    where the row has no correspondence)."""
+    """Per-point multi-view loop with per-neighbor lookup dicts; ``covis`` is
+    an ``oracles.CoVisibility``. Returns the report's (values, grads,
+    statuses) and the neighbor drawn per row (-1 where the row has no
+    correspondence)."""
     obs_i = obs_by_img[image_id]
     values, grads, statuses, _ = _angle_terms_reference(
         intr, poses[image_id], predictions.coords, obs_i.pixels, cfg.epsilon_norm
@@ -896,7 +1010,9 @@ class TestVectorizedEquivalence:
 
     def test_multiview_matches_per_point_loop(self, room):
         cfg = LossConfig()
-        index = build_multiview_index(room.poses, room.observations, room.covis)
+        index = build_multiview_index(room.poses, room.observations, room.covis.corresponded)
+        covis = oracles.build_covis(room.observations)
+        assert covis.corresponded == room.covis.corresponded
         corresponded = 0
         for t, image_id in enumerate(room.train_ids):
             obs = room.observations[image_id]
@@ -906,7 +1022,7 @@ class TestVectorizedEquivalence:
             )
             values, grads, statuses, drawn = _multiview_reference(
                 room.intrinsics, room.poses, image_id, grid, room.observations,
-                room.covis, cfg, np.random.default_rng([t, 1]),
+                covis, cfg, np.random.default_rng([t, 1]),
             )
             assert _close(rep.values, values) and _close(rep.grads, grads)
             assert np.array_equal(rep.statuses, statuses)

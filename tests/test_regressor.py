@@ -538,6 +538,19 @@ class TestModeDispatch:
         multi = self.run(uncorresponded_room, kind, mode="angle-multi")
         assert multi == self.run(uncorresponded_room, kind, mode="angle")
 
+    def test_multi_never_reads_the_test_views(self, rendered_room, kind):
+        ds = rendered_room
+        rng = np.random.default_rng(4)
+        poses, observations = dict(ds.poses), dict(ds.observations)
+        for i in ds.test_ids:
+            poses[i] = ds.poses[ds.train_ids[0]]
+            pixels = rng.uniform(0, 59, size=ds.observations[i].pixels.shape)
+            observations[i] = replace(ds.observations[i], pixels=pixels)
+        swapped = replace(ds, poses=poses, observations=observations)
+        multi = self.run(ds, kind, mode="angle-multi")
+        assert multi == self.run(swapped, kind, mode="angle-multi")
+        assert multi != self.run(ds, kind, mode="angle")
+
 
 class TestPhotoTraining:
     """``angle-photo`` samples each train view's target windows once per run,

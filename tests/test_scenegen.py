@@ -2,13 +2,19 @@
 
 import hashlib
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from anglereloc.geometry import CameraIntrinsics, PoseSE3, project, rotation_about_axis
-from anglereloc.losses import PredictionGrid, photo_target, photometric_image_loss
+from anglereloc.losses import (
+    PredictionGrid,
+    build_multiview_index,
+    photo_target,
+    photometric_image_loss,
+)
 from anglereloc.scenegen import (
     DatasetConfig,
     Image,
@@ -52,14 +58,9 @@ def assert_same_bits(a, b):
 
 
 def assert_same_covis(got, want):
-    """Equal graphs down to key order, value types and set order."""
-    assert list(got.point_to_images.items()) == list(want.point_to_images.items())
-    assert [type(k) for k in got.point_to_images] == [type(k) for k in want.point_to_images]
-    for k, images in got.point_to_images.items():
-        assert type(images) is tuple
-        assert [type(i) for i in images] == [type(i) for i in want.point_to_images[k]]
+    """Equal corresponded sets, held as Python ints."""
+    assert type(got.corresponded) is set
     assert got.corresponded == want.corresponded
-    assert list(got.corresponded) == list(want.corresponded)
     assert all(type(k) is int for k in got.corresponded)
 
 
@@ -146,15 +147,6 @@ class TestGenTrajectory:
             assert ia == ib
             np.testing.assert_array_equal(pa.rotation, pb.rotation)
             np.testing.assert_array_equal(pa.translation, pb.translation)
-
-    def test_look_at_center_sees_centroid(self):
-        scene = gen_scene(4, 200, 6)
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
-        traj = gen_trajectory(scene, 5, 1, intr, min_visible=10, look="center")
-        pose = traj.entries[0][1]
-        pix, status = project(intr, pose.world_to_camera(scene.points.mean(axis=0)))
-        assert status.name == "IN_FRONT"
-        assert 0 <= pix[0] <= 79 and 0 <= pix[1] <= 59
 
     def test_outward_leaves_origin_behind(self):
         scene = gen_scene(4, 300, 6)
@@ -331,6 +323,23 @@ class TestValueNoiseMatchesOracle:
         with pytest.raises(ValueError, match="finite"):
             value_noise(bad, 0.5, 1)
 
+    @pytest.mark.parametrize("octaves", [1, 3])
+    def test_huge_coordinates_raise_without_warnings(self, octaves):
+        # the finest octave scales by 2 ** (octaves - 1); at 2 ** 53 and beyond
+        # the lattice cell is lost (1e19 used to give 1.8e58 with cast warnings)
+        limit = 2.0**53 / 2.0 ** (octaves - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (1e19, -1e19, limit, -limit, 1e308):
+                with pytest.raises(ValueError, match="below"):
+                    value_noise(np.array([bad]), np.array([0.0]), 1, octaves)
+                with pytest.raises(ValueError, match="below"):
+                    value_noise(np.array([0.5, 0.25]), np.array([0.0, bad]), 1, octaves)
+            # one sample at a time: two far apart would span a huge lattice box
+            for ok in (np.nextafter(limit, 0), -np.nextafter(limit, 0)):
+                out = value_noise(np.array([ok]), np.array([ok]), 1, octaves)
+                assert 0.1 <= out[0] <= 0.9
+
 
 class TestRenderMatchesOracle:
     """``render_rays`` and ``render_image`` against the renderer that
@@ -415,37 +424,46 @@ class TestCoVisibility:
         first = {0: obs[0]}
         graph = build_covis(first)
         assert graph.corresponded == set()
-        for k in obs[0].point_ids:
-            assert graph.other_images(k, 0) == ()
+        index = build_multiview_index({}, first, graph.corresponded)
+        assert len(index.other_pos) == 0
 
     def test_example_three_images(self):
-        from types import SimpleNamespace
-
         o = {
-            1: SimpleNamespace(point_ids=np.array([7]), image_id=1),
-            2: SimpleNamespace(point_ids=np.array([7]), image_id=2),
-            3: SimpleNamespace(point_ids=np.array([7]), image_id=3),
+            i: SimpleNamespace(point_ids=np.array([7]), pixels=np.array([[i, 0.0]]))
+            for i in (1, 2, 3)
         }
         graph = build_covis(o)
-        assert graph.other_images(7, 1) == (2, 3)
-        assert graph.point_to_images[7] == (1, 2, 3)
+        assert graph.corresponded == {7}
+        index = build_multiview_index({}, o, graph.corresponded)
+        for i, others in ((1, [2, 3]), (2, [1, 3]), (3, [1, 2])):
+            first, last = index.images[i].offsets
+            assert index.image_ids[index.other_pos[first:last]].tolist() == others
+            assert index.other_pixels[first:last, 0].tolist() == others
 
     def test_symmetry_exhaustive(self):
         ds = build_dataset(small_cfg())
-        for k, imgs in ds.covis.point_to_images.items():
-            for i in imgs:
-                others = ds.covis.other_images(k, i)
-                for j in others:
-                    assert i in ds.covis.other_images(k, j)
-                    assert k in ds.observations[j].point_ids
+        index = build_multiview_index(ds.poses, ds.observations, ds.covis.corresponded)
+        pairs = set()
+        for i, rows in index.images.items():
+            for r, k in enumerate(rows.point_ids.tolist()):
+                for e in range(rows.offsets[r], rows.offsets[r + 1]):
+                    j = int(index.image_ids[index.other_pos[e]])
+                    obs_j = ds.observations[j]
+                    (s,) = np.flatnonzero(obs_j.point_ids == k)
+                    assert j != i
+                    assert obs_j.pixels[s].tobytes() == index.other_pixels[e].tobytes()
+                    pairs.add((i, j, k))
+        assert len(pairs) > 20
+        assert all((j, i, k) in pairs for i, j, k in pairs)
 
     def test_partition_into_single_and_multi(self):
         ds = build_dataset(small_cfg())
+        index = build_multiview_index(ds.poses, ds.observations, ds.covis.corresponded)
         for i, obs in ds.observations.items():
             mask = np.isin(obs.point_ids, list(ds.covis.corresponded))
-            others = [len(ds.covis.other_images(k, i)) > 0 for k in obs.point_ids]
+            others = np.diff(index.images[i].offsets) > 0
             assert len(mask) == len(obs.point_ids)
-            assert mask.tolist() == others
+            assert mask.tolist() == others.tolist()
 
     def test_matches_loop_on_datasets(self):
         for seed in range(20):
@@ -472,10 +490,14 @@ class TestCoVisibility:
 
     def test_image_without_observations(self):
         obs = dict(build_dataset(small_cfg()).observations)
-        obs[2] = SimpleNamespace(point_ids=obs[2].point_ids[:0], image_id=2)
+        obs[2] = SimpleNamespace(
+            point_ids=obs[2].point_ids[:0], pixels=obs[2].pixels[:0], image_id=2
+        )
         graph = build_covis(obs)
         assert_same_covis(graph, oracles.build_covis(obs))
-        assert all(2 not in images for images in graph.point_to_images.values())
+        index = build_multiview_index({}, obs, graph.corresponded)
+        assert len(index.images[2].offsets) == 1
+        assert 2 not in index.image_ids[index.other_pos]
 
     def test_sparsify(self):
         ds = build_dataset(small_cfg())
@@ -499,8 +521,8 @@ class TestDatasetBuild:
         norms = np.linalg.norm(ds.descriptors, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         # same point in two images carries the same base descriptor
-        k = next(iter(ds.covis.corresponded))
-        imgs = ds.covis.point_to_images[k][:2]
+        k = min(ds.covis.corresponded)
+        imgs = [i for i, obs in ds.observations.items() if k in obs.point_ids][:2]
         rows = []
         for i in imgs:
             obs = ds.observations[i]
@@ -552,7 +574,8 @@ def dataset_sha256(ds):
             h.update(ds.images[image_id].data.tobytes())
     h.update(ds.descriptors.tobytes())
     h.update(repr((ds.train_ids, ds.test_ids, ds.diameter)).encode())
-    h.update(repr(list(ds.covis.point_to_images.items())).encode())
+    # the point -> images map the package once stored, rebuilt from the observations
+    h.update(repr(list(oracles.build_covis(ds.observations).point_to_images.items())).encode())
     h.update(repr(sorted(ds.covis.corresponded)).encode())
     return h.hexdigest()
 
@@ -597,7 +620,6 @@ class TestDatasetIO:
         back = load_dataset(tmp_path / "d")
         assert back.diameter == ds.diameter
         assert back.train_ids == ds.train_ids and back.test_ids == ds.test_ids
-        assert back.covis.point_to_images == ds.covis.point_to_images
         assert back.covis.corresponded == ds.covis.corresponded
         np.testing.assert_array_equal(back.descriptors, ds.descriptors)
         for i, obs in ds.observations.items():
@@ -693,6 +715,38 @@ class TestDatasetIO:
         edit(blob)
         path.write_text(json.dumps(blob))
         with pytest.raises(ParseError) as exc:
+            load_dataset(saved)
+        assert exc.value.path == path
+
+    def test_covis_with_the_old_point_to_images_map_loads(self, saved):
+        path = saved / "covis.json"
+        want = load_dataset(saved)
+        blob = json.loads(path.read_text())
+        assert list(blob) == ["corresponded"]
+        point_to_images = oracles.build_covis(want.observations).point_to_images
+        blob["point_to_images"] = {str(k): list(v) for k, v in point_to_images.items()}
+        path.write_text(json.dumps(blob))
+        assert load_dataset(saved).covis.corresponded == want.covis.corresponded
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("7", "non-integer"),
+            (7.0, "non-integer"),
+            (True, "non-integer"),
+            (None, "non-integer"),
+            ([7], "non-integer"),
+            (-1, "outside"),
+            (150, "outside"),  # the room has 150 points
+            (2**70, "outside"),
+        ],
+    )
+    def test_bad_corresponded_id_raises_parse_error(self, saved, bad, message):
+        path = saved / "covis.json"
+        blob = json.loads(path.read_text())
+        blob["corresponded"].insert(1, bad)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ParseError, match=message) as exc:
             load_dataset(saved)
         assert exc.value.path == path
 
