@@ -1,13 +1,18 @@
 """Losses over scene-coordinate predictions, with analytic gradients.
 
-Every loss reports its value, the per-point gradient with respect to the
-predicted world coordinate, and stability diagnostics (behind-camera counts,
-non-finite flags). The plain reprojection loss is deliberately unguarded:
-its divergence near the camera plane and its zero-loss antipodal solutions
-are the pathologies the angle-based loss exists to remove, so they must stay
-observable. Only the angle loss carries an ``epsilon_norm`` guard, which
-keeps its value and gradient finite for predictions arbitrarily close to the
-camera center.
+Every loss returns one ``LossReport``: per-row values, the gradient of each
+value with respect to its predicted world coordinate, the prediction's depth
+status and ray angle, an optional validity mask, and the diagnostics read
+from them (``total``, ``behind_frac``, ``nonfinite``, ``valid_fraction``).
+A loss takes its predictions as an (N, 3) array whose row r belongs to row r
+of the observations it is given; those rows are the only record of which
+points it covers, and a composite loss refuses any other shape with
+``IndexMismatchError``. The plain reprojection loss is deliberately
+unguarded: its divergence near the camera plane and its zero-loss antipodal
+solutions are the pathologies the angle-based loss exists to remove, so they
+must stay observable. Only the angle loss carries an ``epsilon_norm`` guard,
+which keeps its value and gradient finite for predictions arbitrarily close
+to the camera center.
 
 Array-first design: the ``*_terms`` kernels operate on (N, 3) prediction and
 (N, 2) pixel batches, and a single point is a batch of one. The composite
@@ -80,15 +85,20 @@ class LossConfig:
             raise ConfigError("epsilon_norm must be positive")
 
 
-@dataclass
-class LossReport:
-    """Per-point loss arrays for one image plus aggregate diagnostics.
+class LossReport(NamedTuple):
+    """What every loss returns: per-row arrays for one image, plus the
+    diagnostics the training loop reads.
 
-    ``total`` sums only the finite per-point values; non-finite terms are
-    surfaced through ``nonfinite`` instead of poisoning the sum.
+    Row r of each array belongs to row r of the coordinates the loss was
+    given. ``statuses`` holds each prediction's ``DepthStatus`` in the camera
+    the loss projects into first, and ``thetas`` the angle between the
+    predicted and observed rays (NaN where the loss defines none).
+    ``valid_mask`` marks the rows that count, for a loss that masks some
+    (None: every row counts). ``total`` sums only the finite values;
+    non-finite terms are surfaced through ``nonfinite`` instead of poisoning
+    the sum.
     """
 
-    point_ids: np.ndarray
     values: np.ndarray
     grads: np.ndarray
     statuses: np.ndarray
@@ -100,14 +110,12 @@ class LossReport:
         return float(np.sum(self.values[np.isfinite(self.values)]))
 
     @property
-    def behind_count(self) -> int:
-        return int(np.sum(self.statuses == int(DepthStatus.BEHIND)))
+    def behind_frac(self) -> float:
+        return float(np.mean(self.statuses == int(DepthStatus.BEHIND)))
 
     @property
     def nonfinite(self) -> bool:
-        return bool(
-            np.any(~np.isfinite(self.values)) or np.any(~np.isfinite(self.grads))
-        )
+        return not (np.isfinite(self.values).all() and np.isfinite(self.grads).all())
 
     @property
     def valid_fraction(self) -> float:
@@ -141,9 +149,9 @@ def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
     """Plain reprojection loss per point: pixel distance between the
     projected prediction and the observation.
 
-    Returns ``(values, grads, statuses, thetas)`` over the batch. There is
-    no guard at Z = 0: values and gradients go non-finite there, which is
-    exactly what the diagnostics are meant to catch.
+    Returns a ``LossReport`` over the batch. There is no guard at Z = 0:
+    values and gradients go non-finite there, which is exactly what its
+    ``nonfinite`` flag is meant to catch.
     """
     preds = np.asarray(preds, dtype=np.float64)
     pixels = np.asarray(pixels, dtype=np.float64)
@@ -164,7 +172,7 @@ def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
         grad_D[:, 2] = -gx / z * (D[:, 0] * rhat[:, 0] + D[:, 1] * rhat[:, 1])
     grads = grad_D @ R.T
     thetas = _angles_between(D, rays, _row_norms(D), _row_norms(rays))
-    return values, grads, depth_statuses(z), thetas
+    return LossReport(values, grads, depth_statuses(z), thetas)
 
 
 def angle_terms(
@@ -176,7 +184,7 @@ def angle_terms(
     the camera center and compared to the observed ray vector, so the value
     equals the chord ``2 |ray| sin(theta / 2)``. Bounded by ``2 |ray|``, and
     with the ``eps_norm`` guard its gradient stays finite all the way to the
-    camera center.
+    camera center. Returns a ``LossReport`` over the batch.
     """
     preds = np.asarray(preds, dtype=np.float64)
     pixels = np.asarray(pixels, dtype=np.float64)
@@ -199,32 +207,18 @@ def angle_terms(
     np.subtract(grad_D, coef[:, None] * D, out=grad_D, where=free[:, None])
     grads = grad_D @ R.T
     thetas = _angles_between(D, rays, norms_D_raw, norms_d)
-    return values, grads, depth_statuses(D[:, 2]), thetas
+    return LossReport(values, grads, depth_statuses(D[:, 2]), thetas)
 
 
-def _check_ids(pred_ids, obs_ids):
-    pred_ids = np.asarray(pred_ids)
-    obs_ids = np.asarray(obs_ids)
-    if pred_ids.shape != obs_ids.shape or np.any(pred_ids != obs_ids):
-        raise IndexMismatchError("prediction and observation point sets differ")
-
-
-@dataclass(frozen=True)
-class PredictionGrid:
-    """Scene-coordinate predictions for one image, aligned with its
-    observation list: ``coords[i]`` is the predicted world position of
-    ``point_ids[i]``."""
-
-    point_ids: np.ndarray
-    coords: np.ndarray
-
-    def __post_init__(self):
-        ids = np.asarray(self.point_ids)
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.shape != (len(ids), 3):
-            raise IndexMismatchError("coords must be (N, 3) matching point_ids")
-        object.__setattr__(self, "point_ids", ids)
-        object.__setattr__(self, "coords", coords)
+def _aligned(coords, n_rows):
+    """``coords`` as float64, refused with ``IndexMismatchError`` unless it
+    holds one 3-vector per row of the loss's observations."""
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape != (n_rows, 3):
+        raise IndexMismatchError(
+            f"coords of shape {coords.shape} do not match {n_rows} observation rows"
+        )
+    return coords
 
 
 class _ImageRows(NamedTuple):
@@ -334,18 +328,21 @@ def multiview_image_loss(
     intr: CameraIntrinsics,
     index: MultiviewIndex,
     image_id,
-    predictions: PredictionGrid,
+    coords,
     cfg: LossConfig = LossConfig(),
     rng: Optional[np.random.Generator] = None,
 ) -> LossReport:
     """Angle loss with multi-view correspondence terms for one image.
 
-    Points without correspondences contribute their single-view angle term.
-    Each corresponded point contributes, weighted by ``lambda_multiview``,
-    its angle term in this image plus one more in a neighbor image drawn
-    uniformly (via ``rng``) from the indexed images that also see the point;
-    the same predicted coordinate is reprojected there, so gradients from both
-    views accumulate into it.
+    ``coords`` is (N, 3), one predicted world coordinate per observation row
+    of the image in ``index``; any other shape raises
+    ``IndexMismatchError``. Rows without correspondences contribute their
+    single-view angle term. Each corresponded row contributes, weighted by
+    ``lambda_multiview``, its angle term in this image plus one more in a
+    neighbor image drawn uniformly (via ``rng``) from the indexed images that
+    also see the point; the same predicted coordinate is reprojected there,
+    so gradients from both views accumulate into it. The report's
+    ``statuses`` and ``thetas`` are those of this image.
 
     ``index`` comes from ``build_multiview_index``, built once per training
     run. Neighbors are drawn by ``index.draw``: one ``rng.integers`` call
@@ -359,12 +356,10 @@ def multiview_image_loss(
     if rng is None:
         rng = np.random.default_rng(0)
     own = index.images[image_id]
-    _check_ids(predictions.point_ids, own.point_ids)
+    coords = _aligned(coords, len(own.pixels))
     if image_id not in index.poses:
         raise MissingPoseError(f"no pose for image {image_id}")
-    values, grads, statuses, thetas = angle_terms(
-        intr, index.poses[image_id], predictions.coords, own.pixels, cfg.epsilon_norm
-    )
+    rep = angle_terms(intr, index.poses[image_id], coords, own.pixels, cfg.epsilon_norm)
     rows, entries = index.draw(image_id, rng)
     if len(rows):
         pos = index.other_pos[entries]
@@ -372,18 +367,16 @@ def multiview_image_loss(
         if np.any(missing):
             raise MissingPoseError(f"no pose for image {index.image_ids[pos[missing][0]]}")
         R = index.rotations[pos]
-        D = np.einsum("ni,nij->nj", predictions.coords[rows] - index.translations[pos], R)
-        v_m, g_cam, _, _ = angle_terms(
+        D = np.einsum("ni,nij->nj", coords[rows] - index.translations[pos], R)
+        other = angle_terms(
             intr, _CAMERA_FRAME, D, index.other_pixels[entries], cfg.epsilon_norm
         )
         lam = cfg.lambda_multiview
-        values[rows] *= lam
-        grads[rows] *= lam
-        values[rows] += lam * v_m
-        grads[rows] += lam * np.einsum("nj,nij->ni", g_cam, R)
-    return LossReport(
-        np.asarray(predictions.point_ids).copy(), values, grads, statuses, thetas
-    )
+        rep.values[rows] *= lam
+        rep.grads[rows] *= lam
+        rep.values[rows] += lam * other.values
+        rep.grads[rows] += lam * np.einsum("nj,nij->ni", other.grads, R)
+    return rep
 
 
 def bilinear_values_and_grads(img: np.ndarray, q: np.ndarray):
@@ -511,22 +504,25 @@ def photo_target(observations_i, img_i) -> PhotoTarget:
 def photometric_image_loss(
     intr: CameraIntrinsics,
     pose_j: PoseSE3,
-    predictions: PredictionGrid,
+    coords,
     target: PhotoTarget,
     img_j: np.ndarray,
     cfg: LossConfig = LossConfig(),
 ) -> LossReport:
     """Photometric reconstruction loss against a neighboring view.
 
-    Each predicted coordinate is projected into the neighbor image ``j``
-    and a 3x3 patch of the reconstruction is bilinearly sampled around the
-    projection; it is compared with the target window of image ``i`` around
-    the point's observed pixel (``target``, from ``photo_target``, sampled
-    once per training run) using ``(1 - alpha) * L1 + alpha * (1 - SSIM)/2``
-    (L1 on the central pixel, SSIM over the window). Points that land
-    behind the neighbor camera or whose target or reconstruction window
-    leaves its image are masked out of the sum; the report carries the
-    valid fraction. Each reconstruction window is tested against
+    ``coords`` is (N, 3), one predicted world coordinate per row of
+    ``target``; any other shape raises ``IndexMismatchError``. Each predicted
+    coordinate is projected into the neighbor image ``j`` and a 3x3 patch of
+    the reconstruction is bilinearly sampled around the projection; it is
+    compared with the target window of image ``i`` around the point's
+    observed pixel (``target``, from ``photo_target``, sampled once per
+    training run) using ``(1 - alpha) * L1 + alpha * (1 - SSIM)/2`` (L1 on
+    the central pixel, SSIM over the window). Points that land behind the
+    neighbor camera or whose target or reconstruction window leaves its
+    image are masked out of the sum; the report's ``valid_mask`` marks the
+    rows that count, its ``statuses`` are depths in camera ``j`` and its
+    ``thetas`` are NaN. Each reconstruction window is tested against
     ``img_j``'s bounds before sampling, so ``img_j`` is sampled only for the
     valid rows. Gradients flow through the projection and the bilinear
     sampler into the predicted coordinates.
@@ -534,11 +530,9 @@ def photometric_image_loss(
     img_j = _as_gray(img_j)
     if img_j.shape != target.shape:
         raise DimensionMismatchError("image pair must share dimensions")
-    _check_ids(predictions.point_ids, target.point_ids)
-    preds = predictions.coords
-    n = len(preds)
+    n = len(target.windows)
     R = pose_j.rotation
-    D = pose_j.world_to_camera(preds)
+    D = pose_j.world_to_camera(_aligned(coords, n))
     z = D[:, 2]
     # only rows in front of camera j with a whole target window can count
     cand = np.flatnonzero((z > 0) & target.inside)
@@ -584,14 +578,7 @@ def photometric_image_loss(
     grad_D[:, 2] = -gx / z[ok] * (D[ok, 0] * dl_dq[:, 0] + D[ok, 1] * dl_dq[:, 1])
     grads = np.zeros((n, 3))
     grads[ok] = grad_D @ R.T
-    return LossReport(
-        np.asarray(predictions.point_ids).copy(),
-        values,
-        grads,
-        depth_statuses(z),
-        np.full(n, np.nan),
-        valid_mask=valid,
-    )
+    return LossReport(values, grads, depth_statuses(z), np.full(n, np.nan), valid)
 
 
 def _as_gray(img) -> np.ndarray:

@@ -34,7 +34,6 @@ import numpy as np
 
 from anglereloc.geometry import (
     CameraIntrinsics,
-    DepthStatus,
     PoseSE3,
     depth_statuses,
     ray_vectors,
@@ -44,7 +43,7 @@ from anglereloc.losses import (  # ConfigError is re-exported here
     DimensionMismatchError,
     IndexMismatchError,
     LossConfig,
-    PredictionGrid,
+    LossReport,
     angle_terms,
     build_multiview_index,
     multiview_image_loss,
@@ -195,8 +194,10 @@ class PatchMLP:
 
 
 class FreeTable:
-    """One free 3-vector per (image, point) observation; the ablation model
-    with no appearance coupling at all.
+    """One free 3-vector per (image, point) observation of a train view; the
+    ablation model with no appearance coupling at all. A view without rows,
+    such as a held-out one, has no prediction: asking for one raises
+    ``IndexMismatchError``.
 
     ``point_ids[i]`` holds image i's point ids in the dataset's order and
     ``rows[i]`` the table row of each, so an image's predictions are one
@@ -226,27 +227,34 @@ class FreeTable:
     def init(cls, dataset, seed=0):
         """Entries uniform in the scene bounding box expanded 2x about its
         center (bounding box taken over all ground-truth coordinates). Rows
-        follow the images in id order, each image's rows contiguous."""
+        belong to the train views, in id order, each image's rows contiguous.
+        One draw still covers every view's observations in id order and the
+        train views keep their rows of it, so a train row's initial value
+        does not depend on the held-out views being left out."""
         rng = np.random.default_rng(seed)
         all_gt = np.concatenate([o.gt_coords for o in dataset.observations.values()])
         lo, hi = all_gt.min(axis=0), all_gt.max(axis=0)
         center, half = (lo + hi) / 2, (hi - lo) / 2
+        image_ids = sorted(dataset.observations)
+        sizes = [len(dataset.observations[i].point_ids) for i in image_ids]
+        coords = rng.uniform(center - 2 * half, center + 2 * half, size=(sum(sizes), 3))
+        train_ids = set(dataset.train_ids)
         point_ids, rows = {}, {}
         n_rows = 0
-        for image_id in sorted(dataset.observations):
-            ids = dataset.observations[image_id].point_ids
-            point_ids[image_id] = np.array(ids)
-            rows[image_id] = np.arange(n_rows, n_rows + len(ids))
-            n_rows += len(ids)
-        coords = rng.uniform(center - 2 * half, center + 2 * half, size=(n_rows, 3))
-        return cls(coords, point_ids, rows)
+        for image_id, n in zip(image_ids, sizes):
+            if image_id in train_ids:
+                point_ids[image_id] = np.array(dataset.observations[image_id].point_ids)
+                rows[image_id] = np.arange(n_rows, n_rows + n)
+                n_rows += n
+        keep = np.repeat([i in train_ids for i in image_ids], sizes)
+        return cls(coords[keep], point_ids, rows)
 
     def rows_for_image(self, dataset, image_id):
         """Table rows of the image's observations, in the dataset's order.
 
         Raises ``IndexMismatchError`` when the table has no rows for the
-        image (a view it was not built on) or was built on other point ids
-        for it.
+        image (a held-out view, or one it was not built on) or was built on
+        other point ids for it.
         """
         rows = self.rows.get(image_id)
         if rows is None:
@@ -602,9 +610,13 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
 
     One training image per iteration (drawn uniformly with the config seed),
     per-point gradients from the mode's loss accumulated into the model by
-    Adam. Returns ``(model, TrainLog)``; the log records loss, behind-camera
-    fraction, the running count of non-finite loss/gradient events, the
-    median 3D coordinate error over the training views, and wall time.
+    Adam. Each mode's loss returns the image's ``LossReport``, and the loop
+    reads its diagnostics from it: ``total``, ``behind_frac`` and
+    ``nonfinite``, and for ``angle-photo`` the photometric ``valid_mask``.
+    Returns ``(model, TrainLog)``; the log records the last loss and
+    behind-camera fraction, the running count of iterations with a
+    non-finite loss or gradient, the median 3D coordinate error over the
+    training views, and wall time.
     ``angle-multi`` and ``angle-photo`` draw their neighbor views from the
     train views only, so no held-out view's pose or pixels enter training.
     ``angle-photo`` samples every train view's photometric target once,
@@ -639,48 +651,35 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     )
 
     # One loss per mode, each mapping (iteration, image id, predictions) to
-    # per-point (values, grads, statuses). The kernels are looked up as
-    # module globals on every call, so wrappers installed on them see every call.
+    # the image's LossReport. The kernels are looked up as module globals on
+    # every call, so wrappers installed on them see every call.
     def reproj(t, image_id, preds):
-        pixels = observations[image_id].pixels
-        return reproj_terms(intr, poses[image_id], preds, pixels)[:3]
+        return reproj_terms(intr, poses[image_id], preds, observations[image_id].pixels)
 
     def angle(t, image_id, preds):
         pixels = observations[image_id].pixels
-        return angle_terms(intr, poses[image_id], preds, pixels, cfg.loss.epsilon_norm)[:3]
+        return angle_terms(intr, poses[image_id], preds, pixels, cfg.loss.epsilon_norm)
 
     def angle_multi(t, image_id, preds):
-        rep = multiview_image_loss(
-            intr,
-            multiview,
-            image_id,
-            PredictionGrid(observations[image_id].point_ids, preds),
-            cfg.loss,
-            np.random.default_rng([cfg.seed, t, image_id]),
-        )
-        return rep.values, rep.grads, rep.statuses
-
-    photo_valid = 0
+        rng = np.random.default_rng([cfg.seed, t, image_id])
+        return multiview_image_loss(intr, multiview, image_id, preds, cfg.loss, rng)
 
     def angle_photo(t, image_id, preds):
-        nonlocal photo_valid
-        values, grads, statuses = angle(t, image_id, preds)
+        rep = angle(t, image_id, preds)
         cands = photo_neighbors[image_id]
-        if cands:
-            nb_rng = np.random.default_rng([cfg.seed, t, image_id])
-            j = cands[int(nb_rng.integers(len(cands)))]
-            photo = photometric_image_loss(
-                intr,
-                poses[j],
-                PredictionGrid(observations[image_id].point_ids, preds),
-                photo_targets[image_id],
-                dataset.images[j].data,
-                cfg.loss,
-            )
-            photo_valid += int(np.count_nonzero(photo.valid_mask))
-            values = values + cfg.loss.lambda_photo * photo.values
-            grads = grads + cfg.loss.lambda_photo * photo.grads
-        return values, grads, statuses
+        if not cands:
+            return rep
+        nb_rng = np.random.default_rng([cfg.seed, t, image_id])
+        j = cands[int(nb_rng.integers(len(cands)))]
+        photo = photometric_image_loss(
+            intr, poses[j], preds, photo_targets[image_id], dataset.images[j].data, cfg.loss
+        )
+        lam = cfg.loss.lambda_photo
+        return rep._replace(
+            values=rep.values + lam * photo.values,
+            grads=rep.grads + lam * photo.grads,
+            valid_mask=photo.valid_mask,
+        )
 
     init_cutoff = int(cfg.init_fraction * cfg.iterations)
 
@@ -692,8 +691,12 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         pose = poses[image_id]
         targets = constant_depth_targets(intr, pose, observations[image_id], cfg.const_depth)
         diff = preds - targets
-        statuses = depth_statuses(pose.world_to_camera(preds)[:, 2])
-        return np.sum(diff * diff, axis=1), 2.0 * diff, statuses
+        return LossReport(
+            np.sum(diff * diff, axis=1),
+            2.0 * diff,
+            depth_statuses(pose.world_to_camera(preds)[:, 2]),
+            np.full(len(preds), np.nan),
+        )
 
     image_loss = {
         TrainMode.REPROJ: reproj,
@@ -704,7 +707,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     }[mode]
 
     log = TrainLog()
-    nonfinite_events = 0
+    nonfinite_events = photo_valid = 0
     behind_frac = 0.0
     total = float("nan")
     start = time.perf_counter()
@@ -725,15 +728,13 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     for t in range(cfg.iterations):
         image_id = train_ids[int(image_order[t])]
         preds, ctx = model.predict_image(dataset, image_id)
-        values, grads, statuses = image_loss(t, image_id, preds)
+        rep = image_loss(t, image_id, preds)
+        total, behind_frac = rep.total, rep.behind_frac
+        nonfinite_events += int(rep.nonfinite)
+        if rep.valid_mask is not None:
+            photo_valid += int(np.count_nonzero(rep.valid_mask))
 
-        finite_vals = np.isfinite(values)
-        total = float(np.sum(values[finite_vals]))
-        behind_frac = float(np.mean(statuses == int(DepthStatus.BEHIND)))
-        if not (np.all(finite_vals) and np.all(np.isfinite(grads))):
-            nonfinite_events += 1
-
-        model_grads = model.grads_for_image(ctx, grads)
+        model_grads = model.grads_for_image(ctx, rep.grads)
         adam.lr = lr_at(cfg, t)
         adam_step(adam, params, model_grads)
 
@@ -754,7 +755,9 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
 
 def evaluate_coords(model, dataset, image_ids=None):
     """(median, mean) 3D error of predictions against ground truth over the
-    observations of the given images (all images by default)."""
+    observations of the given images (all images by default). A model with
+    no prediction for one of them, such as a ``FreeTable`` for a held-out
+    view, raises ``IndexMismatchError``."""
     ids = list(image_ids) if image_ids is not None else sorted(dataset.observations)
     errs = []
     for image_id in ids:

@@ -28,7 +28,6 @@ from anglereloc.losses import (
     LossConfig,
     LossReport,
     MissingPoseError,
-    PredictionGrid,
     angle_terms,
     bilinear_values_and_grads,
     build_multiview_index,
@@ -83,10 +82,12 @@ class PointLossTerm(NamedTuple):
     angle_theta: float
 
 
-def _point_term(terms):
-    values, grads, statuses, thetas = terms
+def _point_term(rep):
     return PointLossTerm(
-        float(values[0]), grads[0], DepthStatus(int(statuses[0])), float(thetas[0])
+        float(rep.values[0]),
+        rep.grads[0],
+        DepthStatus(int(rep.statuses[0])),
+        float(rep.thetas[0]),
     )
 
 
@@ -300,10 +301,10 @@ class TestImageLoss:
         pose = random_pose(rng)
         obs, coords = make_obs(rng, pose, intr, 12)
         for kernel in (reproj_terms, angle_terms):
-            values, grads, statuses, _ = kernel(intr, pose, coords, obs.pixels)
-            assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
-            assert np.sum(values) < 1e-7
-            assert np.sum(statuses == int(DepthStatus.BEHIND)) == 0
+            rep = kernel(intr, pose, coords, obs.pixels)
+            assert not rep.nonfinite
+            assert np.sum(rep.values) < 1e-7
+            assert np.sum(rep.statuses == int(DepthStatus.BEHIND)) == 0
 
     def test_antipodal_total_is_sum_of_diameters(self, intr, rng):
         pose = random_pose(rng)
@@ -311,12 +312,63 @@ class TestImageLoss:
         flipped = np.array(
             [2 * pose.center - c for c in coords]  # reflect through the camera center
         )
-        values, _, statuses, _ = angle_terms(intr, pose, flipped, obs.pixels)
+        rep = angle_terms(intr, pose, flipped, obs.pixels)
         expected = sum(
             2 * np.linalg.norm(ray_vector(intr, p)) for p in obs.pixels
         )
-        assert abs(np.sum(values) - expected) < 1e-9 * expected
-        assert np.sum(statuses == int(DepthStatus.BEHIND)) == 9
+        assert abs(np.sum(rep.values) - expected) < 1e-9 * expected
+        assert np.sum(rep.statuses == int(DepthStatus.BEHIND)) == 9
+
+
+class TestLossReport:
+    """The diagnostics ``train`` reads from every loss's report."""
+
+    def report(self, valid_mask=None):
+        grads = np.ones((4, 3))
+        grads[2, 1] = np.inf
+        statuses = [DepthStatus.IN_FRONT, DepthStatus.BEHIND, DepthStatus.NEAR_PLANE]
+        return LossReport(
+            values=np.array([1.0, np.nan, 2.5, 0.5]),
+            grads=grads,
+            statuses=np.array([*statuses, DepthStatus.BEHIND], dtype=int),
+            thetas=np.full(4, np.nan),
+            valid_mask=valid_mask,
+        )
+
+    def test_diagnostics(self):
+        rep = self.report()
+        assert rep.total == 4.0  # the NaN row stays out of the sum
+        assert rep.nonfinite
+        assert rep.behind_frac == 0.5  # a near-plane row is not behind
+        assert rep.valid_fraction == 1.0  # no mask: every row counts
+
+    def test_valid_fraction_reads_the_mask(self):
+        rep = self.report(np.array([True, False, False, True]))
+        assert rep.valid_fraction == 0.5
+        assert rep._replace(valid_mask=np.zeros(0, dtype=bool)).valid_fraction == 0.0
+
+    def test_each_non_finite_array_sets_the_flag(self):
+        rep = self.report()
+        values = np.array([1.0, 0.0, 2.5, 0.5])
+        assert rep._replace(values=values).nonfinite  # the infinite gradient alone
+        assert rep._replace(grads=np.zeros((4, 3))).nonfinite  # the NaN value alone
+        assert not rep._replace(values=values, grads=np.zeros((4, 3))).nonfinite
+
+    def test_is_a_tuple_led_by_the_values(self):
+        rep = self.report()
+        assert rep._fields == ("values", "grads", "statuses", "thetas", "valid_mask")
+        assert rep[0] is rep.values
+
+    def test_reproj_at_zero_depth_reports_nonfinite(self, intr):
+        pose = PoseSE3.identity()
+        preds = np.array([[0.3, -0.2, 0.0], [0.1, 0.1, 2.0]])
+        pixels = np.array([[50.0, 50.0], [60.0, 40.0]])
+        rep = reproj_terms(intr, pose, preds, pixels)
+        assert rep.nonfinite
+        assert not np.isfinite(rep.values[0]) and np.isfinite(rep.values[1])
+        assert rep.statuses.tolist() == [DepthStatus.NEAR_PLANE, DepthStatus.IN_FRONT]
+        # the angle loss stays finite at the same point
+        assert not angle_terms(intr, pose, preds, pixels).nonfinite
 
 
 class TestMultiviewLoss:
@@ -335,7 +387,7 @@ class TestMultiviewLoss:
 
     def test_no_correspondences_reduces_to_angle_loss(self, intr, rng):
         poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
-        preds = PredictionGrid(obs_by_img[0].point_ids, rng.uniform(-5, 5, size=(8, 3)))
+        preds = rng.uniform(-5, 5, size=(8, 3))
         multi = multiview_image_loss(
             intr,
             build_multiview_index(poses, obs_by_img, corresponded),
@@ -343,22 +395,19 @@ class TestMultiviewLoss:
             preds,
             rng=np.random.default_rng(3),
         )
-        values, grads, _, _ = angle_terms(
-            intr, poses[0], preds.coords, obs_by_img[0].pixels
-        )
-        assert np.array_equal(multi.values, values)
-        assert np.array_equal(multi.grads, grads)
+        single = angle_terms(intr, poses[0], preds, obs_by_img[0].pixels)
+        assert np.array_equal(multi.values, single.values)
+        assert np.array_equal(multi.grads, single.grads)
 
     def test_triangulated_point_zero_in_both_views(self, intr, rng):
         poses, obs_by_img, corresponded, coords = self._two_view_setup(
             rng, intr, corresponded=range(8)
         )
-        preds = PredictionGrid(obs_by_img[0].point_ids, coords)
         rep = multiview_image_loss(
             intr,
             build_multiview_index(poses, obs_by_img, corresponded),
             0,
-            preds,
+            coords,
             rng=np.random.default_rng(3),
         )
         assert rep.total < 1e-6
@@ -369,12 +418,11 @@ class TestMultiviewLoss:
             rng, intr, corresponded=(2,)
         )
         preds_arr = rng.uniform(-5, 5, size=(8, 3))
-        preds = PredictionGrid(obs_by_img[0].point_ids, preds_arr)
         rep = multiview_image_loss(
             intr,
             build_multiview_index(poses, obs_by_img, corresponded),
             0,
-            preds,
+            preds_arr,
             cfg,
             np.random.default_rng(9),
         )
@@ -394,13 +442,12 @@ class TestMultiviewLoss:
             rng, intr, corresponded=(0,)
         )
         del poses[1]
-        preds = PredictionGrid(obs_by_img[0].point_ids, coords)
         with pytest.raises(MissingPoseError):
             multiview_image_loss(
                 intr,
                 build_multiview_index(poses, obs_by_img, corresponded),
                 0,
-                preds,
+                coords,
                 rng=np.random.default_rng(0),
             )
 
@@ -408,17 +455,17 @@ class TestMultiviewLoss:
         # image 1 lacks a pose, but no point of image 0 can draw it
         poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
         del poses[1]
-        preds = PredictionGrid(obs_by_img[0].point_ids, coords)
         index = build_multiview_index(poses, obs_by_img, corresponded)
-        rep = multiview_image_loss(intr, index, 0, preds, rng=np.random.default_rng(0))
+        rep = multiview_image_loss(intr, index, 0, coords, rng=np.random.default_rng(0))
         assert rep.total < 1e-6
 
     def test_index_mismatch_raises(self, intr, rng):
         poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
         index = build_multiview_index(poses, obs_by_img, corresponded)
-        grid = PredictionGrid(obs_by_img[0].point_ids + 1, coords)
-        with pytest.raises(IndexMismatchError, match="point sets differ"):
-            multiview_image_loss(intr, index, 0, grid, rng=np.random.default_rng(0))
+        # one row short, one row long, and rows that are not 3-vectors
+        for bad in (coords[:-1], np.vstack([coords, coords[:1]]), coords[:, :2]):
+            with pytest.raises(IndexMismatchError, match="do not match 8 observation rows"):
+                multiview_image_loss(intr, index, 0, bad, rng=np.random.default_rng(0))
 
     def test_gradient_matches_finite_differences(self, intr, rng):
         cfg = LossConfig(lambda_multiview=60.0)
@@ -428,12 +475,11 @@ class TestMultiviewLoss:
         preds_arr = rng.uniform(-5, 5, size=(8, 3))
 
         def total_for(arr):
-            grid = PredictionGrid(obs_by_img[0].point_ids, arr)
             return multiview_image_loss(
                 intr,
                 build_multiview_index(poses, obs_by_img, corresponded),
                 0,
-                grid,
+                arr,
                 cfg,
                 np.random.default_rng(5),
             )
@@ -688,8 +734,7 @@ class TestPhotometricLoss:
     def test_alpha_zero_reduces_to_l1(self, intr, rng):
         cfg = LossConfig(alpha_ssim=0.0)
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
-        grid = PredictionGrid(obs.point_ids, coords)
-        rep = photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j, cfg)
+        rep = photometric_image_loss(intr, pose_j, coords, photo_target(obs, img_i), img_j, cfg)
         d_j = pose_j.world_to_camera(coords)
         for idx in np.flatnonzero(rep.valid_mask):
             q = intr.f * d_j[idx, :2] / d_j[idx, 2] + np.array([intr.cx, intr.cy])
@@ -703,22 +748,19 @@ class TestPhotometricLoss:
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
         # push every prediction behind the neighbor camera
         flipped = np.array([2 * pose_j.center - c for c in coords])
-        grid = PredictionGrid(obs.point_ids, flipped)
-        rep = photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j)
+        rep = photometric_image_loss(intr, pose_j, flipped, photo_target(obs, img_i), img_j)
         assert rep.total == 0.0
         assert rep.valid_fraction == 0.0
 
     def test_gradient_matches_finite_differences(self, intr, rng):
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
-        grid = PredictionGrid(obs.point_ids, coords)
-        rep = photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j)
+        rep = photometric_image_loss(intr, pose_j, coords, photo_target(obs, img_i), img_j)
         checked = 0
         for idx in np.flatnonzero(rep.valid_mask)[:6]:
             def f(v, idx=idx):
                 arr = coords.copy()
                 arr[idx] = v
-                g = PredictionGrid(obs.point_ids, arr)
-                out = photometric_image_loss(intr, pose_j, g, photo_target(obs, img_i), img_j)
+                out = photometric_image_loss(intr, pose_j, arr, photo_target(obs, img_i), img_j)
                 return out.values[idx]
 
             fd = fd_grad(f, coords[idx].copy())
@@ -730,16 +772,16 @@ class TestPhotometricLoss:
 
     def test_index_mismatch_raises(self, intr, rng):
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
-        grid = PredictionGrid(obs.point_ids + 1, coords)
-        with pytest.raises(IndexMismatchError, match="point sets differ"):
-            photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j)
+        target = photo_target(obs, img_i)
+        for bad in (coords[:-1], np.vstack([coords, coords[:1]]), coords[:, :2]):
+            with pytest.raises(IndexMismatchError, match="do not match 10 observation rows"):
+                photometric_image_loss(intr, pose_j, bad, target, img_j)
 
     def test_dimension_mismatch(self, intr, rng):
         pose_j, obs, coords, img_i, img_j = self._setup(rng, intr)
-        grid = PredictionGrid(obs.point_ids, coords)
         with pytest.raises(DimensionMismatchError):
             photometric_image_loss(
-                intr, pose_j, grid, photo_target(obs, img_i), img_j[:-3], LossConfig()
+                intr, pose_j, coords, photo_target(obs, img_i), img_j[:-3], LossConfig()
             )
 
 
@@ -774,16 +816,16 @@ def _angle_terms_reference(intr, pose, preds, pixels, eps_norm=1e-8):
     return values, grads, depth_statuses(D[:, 2]), thetas
 
 
-def _multiview_reference(intr, poses, image_id, predictions, obs_by_img, covis, cfg, rng):
+def _multiview_reference(intr, poses, image_id, coords, obs_by_img, covis, cfg, rng):
     """Per-point multi-view loop with per-neighbor lookup dicts; ``covis`` is
-    an ``oracles.CoVisibility``. Returns the report's (values, grads,
-    statuses) and the neighbor drawn per row (-1 where the row has no
-    correspondence)."""
+    an ``oracles.CoVisibility`` and ``coords`` is aligned with the image's
+    observation rows. Returns the report's (values, grads, statuses) and the
+    neighbor drawn per row (-1 where the row has no correspondence)."""
     obs_i = obs_by_img[image_id]
     values, grads, statuses, _ = _angle_terms_reference(
-        intr, poses[image_id], predictions.coords, obs_i.pixels, cfg.epsilon_norm
+        intr, poses[image_id], coords, obs_i.pixels, cfg.epsilon_norm
     )
-    point_ids = np.asarray(predictions.point_ids)
+    point_ids = np.asarray(obs_i.point_ids)
     drawn = np.full(len(point_ids), -1)
     extra: dict = {}
     for row, k in enumerate(point_ids):
@@ -804,7 +846,7 @@ def _multiview_reference(intr, poses, image_id, predictions, obs_by_img, covis, 
             rows = np.array(rows)
             pix_m = np.array([obs_m.pixels[lookup[point_ids[r]]] for r in rows])
             v_m, g_m, _, _ = _angle_terms_reference(
-                intr, poses[m], predictions.coords[rows], pix_m, cfg.epsilon_norm
+                intr, poses[m], coords[rows], pix_m, cfg.epsilon_norm
             )
             values[rows] += lam * v_m
             grads[rows] += lam * g_m
@@ -868,11 +910,10 @@ def _photometric_reference(intr, pose_j, preds, pix_i, img_i, img_j, alpha):
     return values, grads, valid
 
 
-def _photometric_per_call_reference(intr, pose_j, predictions, observations_i, img_i, img_j, cfg):
+def _photometric_per_call_reference(intr, pose_j, preds, observations_i, img_i, img_j, cfg):
     """``photometric_image_loss`` as it stood before ``PhotoTarget``: both
     windows sampled on every call, for every row in front of camera j, and
     masked afterwards. Takes (H, W) arrays; returns a ``LossReport``."""
-    preds = predictions.coords
     n = len(preds)
     R = pose_j.rotation
     D = pose_j.world_to_camera(preds)
@@ -915,14 +956,7 @@ def _photometric_per_call_reference(intr, pose_j, predictions, observations_i, i
     grad_D[:, 2] = -gx / z[ok] * (D[ok, 0] * dl_dq[:, 0] + D[ok, 1] * dl_dq[:, 1])
     grads = np.zeros((n, 3))
     grads[ok] = grad_D @ R.T
-    return LossReport(
-        np.asarray(predictions.point_ids).copy(),
-        values,
-        grads,
-        depth_statuses(z),
-        np.full(n, np.nan),
-        valid_mask=valid,
-    )
+    return LossReport(values, grads, depth_statuses(z), np.full(n, np.nan), valid)
 
 
 def _close(new, ref, tol=1e-12):
@@ -1016,12 +1050,12 @@ class TestVectorizedEquivalence:
         corresponded = 0
         for t, image_id in enumerate(room.train_ids):
             obs = room.observations[image_id]
-            grid = PredictionGrid(obs.point_ids, _noisy_predictions(room, image_id, 2.0, t))
+            preds = _noisy_predictions(room, image_id, 2.0, t)
             rep = multiview_image_loss(
-                room.intrinsics, index, image_id, grid, cfg, np.random.default_rng([t, 1])
+                room.intrinsics, index, image_id, preds, cfg, np.random.default_rng([t, 1])
             )
             values, grads, statuses, drawn = _multiview_reference(
-                room.intrinsics, room.poses, image_id, grid, room.observations,
+                room.intrinsics, room.poses, image_id, preds, room.observations,
                 covis, cfg, np.random.default_rng([t, 1]),
             )
             assert _close(rep.values, values) and _close(rep.grads, grads)
@@ -1041,8 +1075,8 @@ class TestVectorizedEquivalence:
             obs = ds.observations[i]
             preds = _noisy_predictions(ds, i, 0.05, t)
             rep = photometric_image_loss(
-                ds.intrinsics, ds.poses[j], PredictionGrid(obs.point_ids, preds),
-                photo_target(obs, ds.images[i]), ds.images[j], cfg,
+                ds.intrinsics, ds.poses[j], preds, photo_target(obs, ds.images[i]),
+                ds.images[j], cfg,
             )
             values, grads, mask = _photometric_reference(
                 ds.intrinsics, ds.poses[j], preds, obs.pixels,
@@ -1055,7 +1089,7 @@ class TestVectorizedEquivalence:
 
 
 def _assert_reports_bit_equal(new, ref):
-    for field in ("point_ids", "values", "grads", "statuses", "thetas", "valid_mask"):
+    for field in LossReport._fields:
         a, b = getattr(new, field), getattr(ref, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
@@ -1066,9 +1100,9 @@ class TestPhotoTarget:
     per-call sampling it replaced, including rows at and just past the
     image border, non-finite projections and rows behind the camera."""
 
-    def check(self, intr, pose_j, grid, obs, img_i, img_j, cfg=LossConfig()):
-        new = photometric_image_loss(intr, pose_j, grid, photo_target(obs, img_i), img_j, cfg)
-        ref = _photometric_per_call_reference(intr, pose_j, grid, obs, img_i, img_j, cfg)
+    def check(self, intr, pose_j, preds, obs, img_i, img_j, cfg=LossConfig()):
+        new = photometric_image_loss(intr, pose_j, preds, photo_target(obs, img_i), img_j, cfg)
+        ref = _photometric_per_call_reference(intr, pose_j, preds, obs, img_i, img_j, cfg)
         _assert_reports_bit_equal(new, ref)
         return new
 
@@ -1095,7 +1129,7 @@ class TestPhotoTarget:
             for scale in (0.05, 1.0):
                 preds = _noisy_predictions(ds, i, scale, t)
                 rep = self.check(
-                    ds.intrinsics, ds.poses[j], PredictionGrid(obs.point_ids, preds), obs,
+                    ds.intrinsics, ds.poses[j], preds, obs,
                     ds.images[i].data, ds.images[j].data, LossConfig(alpha_ssim=0.6),
                 )
                 valid += int(rep.valid_mask.sum())
@@ -1134,7 +1168,7 @@ class TestPhotoTarget:
         intr, D, obs, img_i, img_j = self._border_case()
         pose_j = PoseSE3.identity()
         with np.errstate(all="ignore"):
-            rep = self.check(intr, pose_j, PredictionGrid(obs.point_ids, D), obs, img_i, img_j)
+            rep = self.check(intr, pose_j, D, obs, img_i, img_j)
         want = np.zeros(len(D), dtype=bool)
         want[[0, 2, 4, 6, 8, 9]] = True
         assert np.array_equal(rep.valid_mask, want)
@@ -1150,13 +1184,12 @@ class TestPhotoTarget:
         obs = SimpleNamespace(point_ids=np.arange(n), pixels=pixels)
         pose_j = random_pose(rng)
         preds = pose_j.camera_to_world(D)
-        rep = self.check(intr, pose_j, PredictionGrid(obs.point_ids, preds), obs, img_i, img_j)
+        rep = self.check(intr, pose_j, preds, obs, img_i, img_j)
         assert 100 < rep.valid_mask.sum() < n - 100
 
     def test_bit_identical_with_no_valid_row(self):
         intr, D, obs, img_i, img_j = self._border_case()
         behind = D[:4] * [1.0, 1.0, -1.0]
         obs = SimpleNamespace(point_ids=obs.point_ids[:4], pixels=obs.pixels[:4])
-        grid = PredictionGrid(obs.point_ids, behind)
-        rep = self.check(intr, PoseSE3.identity(), grid, obs, img_i, img_j)
+        rep = self.check(intr, PoseSE3.identity(), behind, obs, img_i, img_j)
         assert not rep.valid_mask.any() and rep.total == 0.0

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from anglereloc.geometry import CameraIntrinsics, PoseSE3, project, rotation_about_axis
-from anglereloc.losses import (
-    PredictionGrid,
-    build_multiview_index,
-    photo_target,
-    photometric_image_loss,
-)
+from anglereloc.losses import build_multiview_index, photo_target, photometric_image_loss
 from anglereloc.scenegen import (
     DatasetConfig,
     Image,
@@ -547,11 +542,10 @@ class TestDatasetBuild:
         totals = []
         for i, j in ((0, 1), (4, 5), (8, 7)):
             obs = ds.observations[i]
-            grid = PredictionGrid(obs.point_ids, obs.gt_coords)
             rep = photometric_image_loss(
                 ds.intrinsics,
                 ds.poses[j],
-                grid,
+                obs.gt_coords,
                 photo_target(obs, ds.images[i].data),
                 ds.images[j].data,
             )
