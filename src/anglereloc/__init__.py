@@ -10,9 +10,6 @@ from anglereloc.geometry import (
     DepthStatus,
     PoseSE3,
     pose_error,
-    project,
-    ray_vector,
-    world_to_camera,
 )
 
 __all__ = [
@@ -20,9 +17,6 @@ __all__ = [
     "DepthStatus",
     "PoseSE3",
     "pose_error",
-    "project",
-    "ray_vector",
-    "world_to_camera",
 ]
 
 __version__ = "0.1.0"

@@ -7,9 +7,9 @@ Conventions used throughout the package:
 * ``PoseSE3`` stores the camera-to-world transform: ``X_world = R @ X_cam + t``.
   Its inverse maps world points into the camera frame.
 * Camera-frame points, ray vectors and pixels are plain float64 ndarrays
-  of shape (3,), (3,) and (2,) (or (N, 3) / (N, 2) for the batch helpers).
-  A ray vector through pixel (x, y) is ``(x - cx, y - cy, f)``: its third
-  component equals the focal length exactly.
+  of shape (N, 3), (N, 3) and (N, 2); ``PoseSE3`` also maps a single (3,)
+  point. A ray vector through pixel (x, y) is ``(x - cx, y - cy, f)``: its
+  third component equals the focal length exactly.
 """
 
 from __future__ import annotations
@@ -123,49 +123,16 @@ class PoseSE3:
         return d @ self.rotation.T + self.translation
 
 
-def world_to_camera(pose: PoseSE3, y: np.ndarray) -> np.ndarray:
-    """Camera-frame coordinates of world point(s) ``y`` under ``pose``."""
-    return pose.world_to_camera(y)
-
-
-def depth_status(z: float) -> DepthStatus:
-    if abs(z) < EPS_NEAR_PLANE:
-        return DepthStatus.NEAR_PLANE
-    return DepthStatus.IN_FRONT if z > 0 else DepthStatus.BEHIND
-
-
 def depth_statuses(z: np.ndarray) -> np.ndarray:
-    """Vectorized ``depth_status``; returns an int array of DepthStatus values."""
+    """``DepthStatus`` of each depth in ``z``, as an int array: NEAR_PLANE
+    where ``|z| < EPS_NEAR_PLANE``, else IN_FRONT for positive depths and BEHIND
+    for the rest."""
     out = np.where(z > 0, int(DepthStatus.IN_FRONT), int(DepthStatus.BEHIND))
     return np.where(np.abs(z) < EPS_NEAR_PLANE, int(DepthStatus.NEAR_PLANE), out)
 
 
-def project(intr: CameraIntrinsics, cam_point: np.ndarray):
-    """Perspective projection of one camera-frame point.
-
-    Returns ``(pixel, status)``. The raw pixel is returned for every status,
-    including Behind and NearPlane, so callers can observe the antipodal
-    projection identity and the divergence near Z = 0; division by a zero
-    depth yields non-finite pixel values rather than an exception.
-    """
-    d = np.asarray(cam_point, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        px = intr.f * d[0] / d[2] + intr.cx
-        py = intr.f * d[1] / d[2] + intr.cy
-    return np.array([px, py]), depth_status(d[2])
-
-
-def ray_vector(intr: CameraIntrinsics, pixel: np.ndarray) -> np.ndarray:
-    """Camera-frame ray through ``pixel``: ``(x - cx, y - cy, f)``.
-
-    ``project(intr, ray_vector(intr, p))`` returns ``p`` exactly.
-    """
-    p = np.asarray(pixel, dtype=np.float64)
-    return np.array([p[0] - intr.cx, p[1] - intr.cy, intr.f])
-
-
 def ray_vectors(intr: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
-    """Batch form of ``ray_vector``: (N, 2) pixels -> (N, 3) rays."""
+    """Camera-frame rays through (N, 2) pixels: rows ``(x - cx, y - cy, f)``."""
     p = np.asarray(pixels, dtype=np.float64)
     out = np.empty((p.shape[0], 3))
     out[:, 0] = p[:, 0] - intr.cx

@@ -23,12 +23,13 @@ a CSR list (one flat entry array plus per-row offsets into it) of the other
 images' rows that observe the same point, with their pixels, and the poses
 stacked by image. Each call draws every corresponded row's neighbor with
 one ``rng.integers`` call in row order and evaluates the drawn pairs in one
-``angle_terms`` pass. ``photometric_image_loss`` works on
-all valid (M, 9) sampling windows at once, and its SSIM shares one formula
-with ``ssim3x3``. Its target windows depend only on (image, point), so
-``photo_target`` samples them once per training run; each call tests the
+``angle_terms`` pass. ``photometric_image_loss`` works on all valid (M, 9)
+sampling windows at once. Its target windows depend only on (image, point),
+so ``photo_target`` samples them once per training run; each call tests the
 reconstruction windows against the neighbor image's bounds first and samples
-that image only where a window can be valid.
+that image only where a window can be valid. ``reproj_terms`` and
+``photometric_image_loss`` share one projection and one chain rule through
+it (``_project``, ``_project_grads``).
 """
 
 from __future__ import annotations
@@ -48,11 +49,8 @@ from anglereloc.geometry import (
 
 
 class IndexMismatchError(Exception):
-    """Predictions and observations refer to different point sets."""
-
-
-class MissingPoseError(Exception):
-    """A referenced image has no known pose."""
+    """Predictions, observations and poses do not line up: a row count, an
+    image or a pose that one side has and the other lacks."""
 
 
 class DimensionMismatchError(Exception):
@@ -145,6 +143,28 @@ def _angles_between(D, rays, norms_D, norms_d):
     return np.arccos(np.clip(cosines, -1.0, 1.0))
 
 
+def _project(intr: CameraIntrinsics, D):
+    """Pixels ``f * (Dx, Dy) / Dz + (cx, cy)`` of (N, 3) camera-frame points;
+    non-finite where ``Dz`` is 0, never clamped."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return intr.f * D[:, :2] / D[:, 2:] + np.array([intr.cx, intr.cy])
+
+
+def _project_grads(intr: CameraIntrinsics, R, D, dl_dq):
+    """World-frame gradients of (N, 3) camera-frame points ``D`` under
+    rotation ``R``, given the gradients ``dl_dq`` w.r.t. their ``_project``
+    pixels: the columns of the 2x3 Jacobian dq/dD are (gx, 0), (0, gx) and
+    -(gx / Dz) (Dx, Dy), with gx = f / Dz."""
+    z = D[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gx = intr.f / z
+        grad_D = np.empty_like(D)
+        grad_D[:, 0] = gx * dl_dq[:, 0]
+        grad_D[:, 1] = gx * dl_dq[:, 1]
+        grad_D[:, 2] = -gx / z * (D[:, 0] * dl_dq[:, 0] + D[:, 1] * dl_dq[:, 1])
+    return grad_D @ R.T
+
+
 def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
     """Plain reprojection loss per point: pixel distance between the
     projected prediction and the observation.
@@ -155,24 +175,15 @@ def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
     """
     preds = np.asarray(preds, dtype=np.float64)
     pixels = np.asarray(pixels, dtype=np.float64)
-    R = pose.rotation
     D = pose.world_to_camera(preds)
     rays = ray_vectors(intr, pixels)
-    z = D[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        proj = intr.f * D[:, :2] / z[:, None] + np.array([intr.cx, intr.cy])
-        r = proj - pixels
+        r = _project(intr, D) - pixels
         values = np.linalg.norm(r, axis=1)
         rhat = np.where(values[:, None] > 0, r / values[:, None], 0.0)
-        # rows of the projection Jacobian dr/dD, contracted with rhat
-        gx = intr.f / z
-        grad_D = np.empty_like(D)
-        grad_D[:, 0] = gx * rhat[:, 0]
-        grad_D[:, 1] = gx * rhat[:, 1]
-        grad_D[:, 2] = -gx / z * (D[:, 0] * rhat[:, 0] + D[:, 1] * rhat[:, 1])
-    grads = grad_D @ R.T
+    grads = _project_grads(intr, pose.rotation, D, rhat)
     thetas = _angles_between(D, rays, _row_norms(D), _row_norms(rays))
-    return LossReport(values, grads, depth_statuses(z), thetas)
+    return LossReport(values, grads, depth_statuses(D[:, 2]), thetas)
 
 
 def angle_terms(
@@ -224,7 +235,6 @@ def _aligned(coords, n_rows):
 class _ImageRows(NamedTuple):
     """One image's observation rows in a ``MultiviewIndex``."""
 
-    point_ids: np.ndarray
     pixels: np.ndarray
     # (N + 1,) offsets into the index's flat entry arrays: the other rows
     # observing row r's point are entries offsets[r] .. offsets[r + 1] - 1
@@ -247,8 +257,7 @@ class MultiviewIndex:
     image_ids: np.ndarray  # (I,) sorted ids of the images with observations
     rotations: np.ndarray  # (I, 3, 3) camera-to-world rotations
     translations: np.ndarray  # (I, 3)
-    has_pose: np.ndarray  # (I,) False where ``poses`` lacks the image
-    poses: dict
+    poses: dict  # image id -> PoseSE3, for the indexed images
     images: dict  # image id -> _ImageRows
     other_pos: np.ndarray  # (E,) position of each entry's other image
     other_pixels: np.ndarray  # (E, 2) the point's pixel in that image
@@ -270,12 +279,17 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
 
     ``poses`` and ``observations_by_image`` are mappings keyed by image id;
     only the given images are indexed, so a row's entries never point at an
-    image left out. ``corresponded`` holds the point ids that get entries.
-    One stable argsort groups all rows by point id, images ascending and
-    rows in order within a group; each corresponded row's entries are its
-    group without the rows of its own image.
+    image left out, and each of them needs a pose: the first one without
+    raises ``IndexMismatchError``. ``corresponded`` holds the point ids that
+    get entries. One stable argsort groups all rows by point id, images
+    ascending and rows in order within a group; each corresponded row's
+    entries are its group without the rows of its own image.
     """
     image_ids = np.array(sorted(observations_by_image), dtype=np.int64)
+    missing = [i for i in image_ids.tolist() if i not in poses]
+    if missing:
+        raise IndexMismatchError(f"no pose for indexed image {missing[0]}")
+    poses = {i: poses[i] for i in image_ids.tolist()}
     obs = [observations_by_image[i] for i in image_ids.tolist()]
     point_ids = [np.asarray(o.point_ids, dtype=np.int64) for o in obs]
     pixels = [np.asarray(o.pixels, dtype=np.float64) for o in obs]
@@ -297,23 +311,14 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
     offsets = np.concatenate([[0], np.cumsum(np.bincount(owner[other], minlength=len(rows)))])
     bounds = np.cumsum([0, *sizes]).tolist()
 
-    has_pose = np.array([i in poses for i in image_ids.tolist()], dtype=bool)
-    rotations = np.tile(np.eye(3), (len(image_ids), 1, 1))
-    translations = np.zeros((len(image_ids), 3))
-    for p in np.flatnonzero(has_pose):
-        rotations[p] = poses[int(image_ids[p])].rotation
-        translations[p] = poses[int(image_ids[p])].translation
     return MultiviewIndex(
         image_ids=image_ids,
-        rotations=rotations,
-        translations=translations,
-        has_pose=has_pose,
-        poses=dict(poses),
+        rotations=np.array([p.rotation for p in poses.values()]).reshape(-1, 3, 3),
+        translations=np.array([p.translation for p in poses.values()]).reshape(-1, 3),
+        poses=poses,
         images={
-            i: _ImageRows(ids, pix, offsets[b : e + 1])
-            for i, ids, pix, b, e in zip(
-                image_ids.tolist(), point_ids, pixels, bounds, bounds[1:]
-            )
+            i: _ImageRows(pix, offsets[b : e + 1])
+            for i, pix, b, e in zip(image_ids.tolist(), pixels, bounds, bounds[1:])
         },
         other_pos=image_of_row[source],
         other_pixels=np.concatenate([np.empty((0, 2)), *pixels])[source],
@@ -350,22 +355,16 @@ def multiview_image_loss(
     ``angle_terms`` passes: the image's own rows under its pose, and every
     drawn (row, neighbor) pair at once in the neighbors' camera frames, with
     the per-row poses gathered from the index. With no correspondences this
-    reduces exactly to ``angle_terms`` under the image's pose. Raises
-    ``MissingPoseError`` when the image or a drawn neighbor has no pose.
+    reduces exactly to ``angle_terms`` under the image's pose.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     own = index.images[image_id]
     coords = _aligned(coords, len(own.pixels))
-    if image_id not in index.poses:
-        raise MissingPoseError(f"no pose for image {image_id}")
     rep = angle_terms(intr, index.poses[image_id], coords, own.pixels, cfg.epsilon_norm)
     rows, entries = index.draw(image_id, rng)
     if len(rows):
         pos = index.other_pos[entries]
-        missing = ~index.has_pose[pos]
-        if np.any(missing):
-            raise MissingPoseError(f"no pose for image {index.image_ids[pos[missing][0]]}")
         R = index.rotations[pos]
         D = np.einsum("ni,nij->nj", coords[rows] - index.translations[pos], R)
         other = angle_terms(
@@ -416,17 +415,6 @@ def bilinear_values_and_grads(img: np.ndarray, q: np.ndarray):
     return values, grads, valid
 
 
-def _box3(a: np.ndarray) -> np.ndarray:
-    """3x3 box filter with zero padding; self-adjoint, which keeps the
-    gradient of the SSIM map sum a single extra filtering pass."""
-    p = np.pad(a, 1)
-    out = np.zeros_like(a)
-    for dy in (0, 1, 2):
-        for dx in (0, 1, 2):
-            out += p[dy : dy + a.shape[0], dx : dx + a.shape[1]]
-    return out / 9.0
-
-
 def _ssim_from_moments(mu_a, mu_b, e_aa, e_bb, e_ab):
     """SSIM from window statistics (means, second moments and the cross
     moment), plus its partials w.r.t. ``mu_a``, ``e_aa`` and ``e_ab``: the
@@ -448,24 +436,6 @@ def _ssim_from_moments(mu_a, mu_b, e_aa, e_bb, e_ab):
     return ssim, f_mu_a, f_d2, 2 * f_n2
 
 
-def ssim3x3(a: np.ndarray, b: np.ndarray):
-    """Per-pixel SSIM map between two images with 3x3 box-filtered
-    statistics, plus the gradient of the map's sum w.r.t. ``a``.
-
-    Values lie in [-1, 1]; identical images give 1 everywhere. Stabilizers
-    are the conventional C1 = 0.01^2, C2 = 0.03^2 for intensities in [0, 1].
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise DimensionMismatchError("ssim3x3 needs two equal-shape 2D images")
-    ssim_map, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments(
-        _box3(a), _box3(b), _box3(a * a), _box3(b * b), _box3(a * b)
-    )
-    grad_a = _box3(f_mu_a) + 2 * a * _box3(f_e_aa) + b * _box3(f_e_ab)
-    return ssim_map, grad_a
-
-
 _PATCH_OFFSETS = np.array(
     [[dx, dy] for dy in (-1, 0, 1) for dx in (-1, 0, 1)], dtype=np.float64
 )
@@ -480,7 +450,6 @@ class PhotoTarget:
     ``inside`` is False where a window leaves image ``i``; those rows never
     count."""
 
-    point_ids: np.ndarray  # (N,)
     shape: tuple  # (H, W) of image i
     windows: np.ndarray  # (N, 9) intensities, row-major over the 3x3 offsets
     inside: np.ndarray  # (N,) bool
@@ -494,7 +463,6 @@ def photo_target(observations_i, img_i) -> PhotoTarget:
     coords = pixels[:, None, :] + _PATCH_OFFSETS
     windows, _, ok = bilinear_values_and_grads(img_i, coords.reshape(-1, 2))
     return PhotoTarget(
-        np.asarray(observations_i.point_ids).copy(),
         img_i.shape,
         windows.reshape(-1, 9),
         ok.reshape(-1, 9).all(axis=1),
@@ -531,13 +499,11 @@ def photometric_image_loss(
     if img_j.shape != target.shape:
         raise DimensionMismatchError("image pair must share dimensions")
     n = len(target.windows)
-    R = pose_j.rotation
     D = pose_j.world_to_camera(_aligned(coords, n))
     z = D[:, 2]
     # only rows in front of camera j with a whole target window can count
     cand = np.flatnonzero((z > 0) & target.inside)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = intr.f * D[cand, :2] / z[cand, None] + np.array([intr.cx, intr.cy])
+    q = _project(intr, D[cand])
     # the sampler's own bounds test on the 3x3 reconstruction windows; every
     # comparison is False for NaN and +-inf, so such rows drop out here
     h, w = target.shape
@@ -569,15 +535,8 @@ def photometric_image_loss(
     dl_da = -(alpha / 2) * ds_da
     dl_da[:, _PATCH_CENTER] += (1 - alpha) * np.sign(diff)
     dl_dq = np.einsum("mk,mkc->mc", dl_da, rec_grads.reshape(-1, 9, 2))
-    # chain through the projection into the neighbor camera: the columns of
-    # the 2x3 Jacobian dq/dD are (gx, 0), (0, gx), -(gx / z) (Dx, Dy)
-    gx = intr.f / z[ok]
-    grad_D = np.empty((len(ok), 3))
-    grad_D[:, 0] = gx * dl_dq[:, 0]
-    grad_D[:, 1] = gx * dl_dq[:, 1]
-    grad_D[:, 2] = -gx / z[ok] * (D[ok, 0] * dl_dq[:, 0] + D[ok, 1] * dl_dq[:, 1])
     grads = np.zeros((n, 3))
-    grads[ok] = grad_D @ R.T
+    grads[ok] = _project_grads(intr, pose_j.rotation, D[ok], dl_dq)
     return LossReport(values, grads, depth_statuses(z), np.full(n, np.nan), valid)
 
 

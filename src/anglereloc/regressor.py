@@ -311,14 +311,21 @@ class FreeTable:
         """Inverse of ``state_dict``. Each image's points take the order of
         its ``[image, point, row]`` triples: the dataset's order, which for
         ``scenegen.observe`` is ascending point id, the order of the
-        ``(image, point)``-sorted triples of older checkpoints."""
+        ``(image, point)``-sorted triples of older checkpoints. A row outside
+        the table raises ``ConfigError``."""
+        coords = np.array(state["coords"])
         index = np.asarray(state["index"], dtype=np.int64).reshape(-1, 3)
+        bad = (index[:, 2] < 0) | (index[:, 2] >= len(coords))
+        if bad.any():
+            raise ConfigError(
+                f"FreeTable index row {index[bad][0, 2]} outside [0, {len(coords)})"
+            )
         point_ids, rows = {}, {}
         for image_id in np.unique(index[:, 0]).tolist():
             sel = index[:, 0] == image_id
             point_ids[image_id] = index[sel, 1]
             rows[image_id] = index[sel, 2]
-        return cls(np.array(state["coords"]), point_ids, rows)
+        return cls(coords, point_ids, rows)
 
 
 class GtLookup:

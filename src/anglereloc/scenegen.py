@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from anglereloc.geometry import CameraIntrinsics, PoseSE3, nearest_rotation
+from anglereloc.geometry import CameraIntrinsics, PoseSE3, nearest_rotation, ray_vectors
 
 
 class NoGeometryError(Exception):
@@ -412,14 +412,13 @@ def gen_trajectory(
 
 @dataclass
 class ImageObservations:
-    """One image's observed points: pixel, ground-truth coordinate and depth
-    per point id. ``descriptors`` is attached at dataset assembly."""
+    """One image's observed points: pixel and ground-truth coordinate per
+    point id. ``descriptors`` is attached at dataset assembly."""
 
     image_id: int
     point_ids: np.ndarray
     pixels: np.ndarray
     gt_coords: np.ndarray
-    gt_depths: np.ndarray
     descriptors: np.ndarray | None = None
 
 
@@ -435,13 +434,12 @@ def observe(
 ) -> ImageObservations:
     """Keep the scene points in front of the camera that project inside the
     image, then add Gaussian pixel noise (clamped back into bounds).
-    Ground-truth coordinates and depths are recorded before noise."""
+    Ground-truth coordinates are those of the points, free of the noise."""
     if pixel_noise_sigma < 0:
         raise ValueError("pixel_noise_sigma must be >= 0")
     if rng is None:
         rng = np.random.default_rng(0)
-    cam = pose.world_to_camera(scene.points)
-    ids, pixels = _in_frame(intr, cam, width, height)
+    ids, pixels = _in_frame(intr, pose.world_to_camera(scene.points), width, height)
     if pixel_noise_sigma > 0:
         pixels = pixels + rng.normal(scale=pixel_noise_sigma, size=pixels.shape)
         pixels[:, 0] = np.clip(pixels[:, 0], 0, width - 1)
@@ -451,7 +449,6 @@ def observe(
         point_ids=ids,
         pixels=pixels,
         gt_coords=scene.points[ids],
-        gt_depths=cam[ids, 2],
     )
 
 
@@ -524,10 +521,6 @@ class Image:
     def width(self):
         return self.data.shape[1]
 
-    @property
-    def channels(self):
-        return 1 if self.data.ndim == 2 else self.data.shape[2]
-
 
 def render_rays(scene: SyntheticScene, origin, dirs):
     """Shade world-space rays against the scene planes: nearest-hit
@@ -579,10 +572,8 @@ def render_image(
     Intensities are quantized to 16-bit steps so saved images round-trip
     losslessly."""
     ys, xs = np.mgrid[0:height, 0:width]
-    rays_cam = np.stack(
-        [xs.ravel() - intr.cx, ys.ravel() - intr.cy, np.full(xs.size, intr.f)], axis=1
-    )
-    dirs = rays_cam @ pose.rotation.T
+    pixels = np.column_stack([xs.ravel(), ys.ravel()])
+    dirs = ray_vectors(intr, pixels) @ pose.rotation.T
     shade = render_rays(scene, pose.translation, dirs)
     data = np.round(shade.reshape(height, width) * 65535.0) / 65535.0
     return Image(data)
@@ -761,9 +752,10 @@ def _read_json(path):
         raise ParseError(f"malformed JSON ({exc})", path=path) from exc
 
 
-def read_correspondence_file(path):
+def read_correspondence_file(path, n_points):
     """Parse `k x y X Y Z` lines; '#' starts a comment. Returns
-    (point_ids, pixels, coords)."""
+    (point_ids, pixels, coords). A point id outside ``[0, n_points)`` raises
+    ``ParseError`` at its line."""
     ids, pixels, coords = [], [], []
     for ln, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -775,9 +767,12 @@ def read_correspondence_file(path):
                 f"expected 6 fields, got {len(tok)}", path=path, line=ln
             )
         try:
-            ids.append(int(tok[0]))
+            k = int(tok[0])
         except ValueError:
             raise ParseError(f"bad point id {tok[0]!r}", path=path, line=ln, column=1)
+        if not 0 <= k < n_points:
+            raise ParseError(f"point id {k} outside [0, {n_points})", path=path, line=ln, column=1)
+        ids.append(k)
         vals = []
         for col, t in enumerate(tok[1:], start=2):
             try:
@@ -983,7 +978,9 @@ def _covis_fields(c, n_points):
 
 def load_dataset(in_dir) -> Dataset:
     """Inverse of ``save_dataset``. Raises ``ParseError`` naming the file
-    when one is missing, unreadable or malformed."""
+    when one is missing, unreadable or malformed, when a train or test id
+    is not among the image ids, or when an observation's point id is not
+    one of the config's ``n_points`` (naming the line as well)."""
     src = Path(in_dir)
     manifest_path = src / "manifest.json"
     if not manifest_path.exists():
@@ -995,17 +992,16 @@ def load_dataset(in_dir) -> Dataset:
     cfg, intr, image_ids, rendered, train_ids, test_ids, diameter = _parsed(
         manifest_path, _manifest_fields, manifest
     )
+    stray = [i for i in train_ids + test_ids if i not in image_ids]
+    if stray:
+        raise ParseError(f"split id {stray[0]!r} is not in image_ids", path=manifest_path)
     observations, poses = {}, {}
     for image_id in image_ids:
-        pose = parse_7scenes_pose(src / "poses" / f"pose_{image_id:04d}.txt")
+        poses[image_id] = parse_7scenes_pose(src / "poses" / f"pose_{image_id:04d}.txt")
         ids, pixels, coords = read_correspondence_file(
-            src / "observations" / f"obs_{image_id:04d}.txt"
+            src / "observations" / f"obs_{image_id:04d}.txt", cfg.n_points
         )
-        cam = pose.world_to_camera(coords)
-        observations[image_id] = ImageObservations(
-            image_id, ids, pixels, coords, cam[:, 2].copy()
-        )
-        poses[image_id] = pose
+        observations[image_id] = ImageObservations(image_id, ids, pixels, coords)
     base = _read_descriptors(src / "descriptors.txt", cfg.n_points, cfg.descriptor_dim)
     for obs in observations.values():
         obs.descriptors = _observation_descriptors(

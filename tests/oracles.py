@@ -1,6 +1,12 @@
 """Reference implementations that the tests compare the package against.
 
-``project_points`` is batch projection with depth statuses. ``gen_scene``,
+``world_to_camera``, ``depth_status``, ``project`` and ``ray_vector`` are
+the one-point forms of the camera model: a pose applied to a point, a
+depth's status, a pixel with its status, and a pixel's ray.
+``project_points`` is batch projection with depth statuses. ``ssim3x3`` is
+the SSIM map of two whole images over 3x3 box windows, with the gradient of
+its sum; it calls ``anglereloc.losses._ssim_from_moments``, so it checks the
+formula that the photometric loss applies to its windows. ``gen_scene``,
 ``observe`` and ``build_covis`` are the per-point loop forms of their
 ``anglereloc.scenegen`` namesakes: one random draw, one projection check
 and one dictionary update per point. The package's whole-array versions
@@ -22,7 +28,8 @@ from collections import Counter
 
 import numpy as np
 
-from anglereloc.geometry import depth_statuses
+from anglereloc.geometry import EPS_NEAR_PLANE, DepthStatus, depth_statuses
+from anglereloc.losses import DimensionMismatchError, _ssim_from_moments
 from anglereloc.scenegen import (
     TEXTURE_CELLS_PER_UNIT,
     ImageObservations,
@@ -32,6 +39,61 @@ from anglereloc.scenegen import (
     _hash01,
     _room_planes,
 )
+
+
+def world_to_camera(pose, y):
+    """Camera-frame coordinates of world point(s) ``y`` under ``pose``."""
+    return pose.world_to_camera(y)
+
+
+def depth_status(z):
+    if abs(z) < EPS_NEAR_PLANE:
+        return DepthStatus.NEAR_PLANE
+    return DepthStatus.IN_FRONT if z > 0 else DepthStatus.BEHIND
+
+
+def project(intr, cam_point):
+    """Perspective projection of one camera-frame point: ``(pixel, status)``.
+
+    The raw pixel is returned for every status, including Behind and
+    NearPlane; a zero depth gives non-finite pixel values, not an exception.
+    """
+    d = np.asarray(cam_point, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        px = intr.f * d[0] / d[2] + intr.cx
+        py = intr.f * d[1] / d[2] + intr.cy
+    return np.array([px, py]), depth_status(d[2])
+
+
+def ray_vector(intr, pixel):
+    """Camera-frame ray through ``pixel``: ``(x - cx, y - cy, f)``."""
+    p = np.asarray(pixel, dtype=np.float64)
+    return np.array([p[0] - intr.cx, p[1] - intr.cy, intr.f])
+
+
+def _box3(a):
+    """3x3 box filter with zero padding; self-adjoint, which keeps the
+    gradient of the SSIM map sum a single extra filtering pass."""
+    p = np.pad(a, 1)
+    out = np.zeros_like(a)
+    for dy in (0, 1, 2):
+        for dx in (0, 1, 2):
+            out += p[dy : dy + a.shape[0], dx : dx + a.shape[1]]
+    return out / 9.0
+
+
+def ssim3x3(a, b):
+    """Per-pixel SSIM map between two images with 3x3 box-filtered
+    statistics, plus the gradient of the map's sum w.r.t. ``a``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 2:
+        raise DimensionMismatchError("ssim3x3 needs two equal-shape 2D images")
+    ssim_map, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments(
+        _box3(a), _box3(b), _box3(a * a), _box3(b * b), _box3(a * b)
+    )
+    grad_a = _box3(f_mu_a) + 2 * a * _box3(f_e_aa) + b * _box3(f_e_ab)
+    return ssim_map, grad_a
 
 
 def project_points(intr, cam_points):
@@ -120,9 +182,7 @@ def observe(scene, pose, intr, width, height, pixel_noise_sigma=0.0, rng=None, i
         pixels = pixels + rng.normal(scale=pixel_noise_sigma, size=pixels.shape)
         pixels[:, 0] = np.clip(pixels[:, 0], 0, width - 1)
         pixels[:, 1] = np.clip(pixels[:, 1], 0, height - 1)
-    return ImageObservations(
-        image_id, np.flatnonzero(keep), pixels, scene.points[keep].copy(), cam[keep, 2].copy()
-    )
+    return ImageObservations(image_id, np.flatnonzero(keep), pixels, scene.points[keep].copy())
 
 
 class CoVisibility:

@@ -2,27 +2,30 @@
 
 Oracle strategy: pose algebra is checked against plain 4x4 homogeneous
 matrix arithmetic, and rotation-error angles against a quaternion
-computation, neither of which shares code with the module.
+computation, neither of which shares code with the module. The one-point
+camera helpers (``project``, ``ray_vector``, ``depth_status``) live in
+``tests/oracles.py`` and are checked against the package's batch forms.
 """
 
 import numpy as np
 import pytest
 
 from anglereloc.geometry import (
+    EPS_NEAR_PLANE,
     CameraIntrinsics,
     DepthStatus,
     PoseSE3,
+    depth_statuses,
     nearest_rotation,
     pose_error,
-    project,
-    ray_vector,
     ray_vectors,
     rotation_about_axis,
-    world_to_camera,
+    rotation_from_rotvec,
 )
+from anglereloc.losses import _project
 
 from conftest import random_pose
-from oracles import project_points
+from oracles import depth_status, project, project_points, ray_vector
 
 
 def quaternion_angle_deg(R):
@@ -110,12 +113,12 @@ class TestPoseSE3:
 class TestWorldToCamera:
     def test_identity_pose_is_passthrough(self):
         y = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(world_to_camera(PoseSE3.identity(), y), y)
+        np.testing.assert_array_equal(PoseSE3.identity().world_to_camera(y), y)
 
     def test_camera_center_maps_to_origin(self):
         pose = PoseSE3(np.eye(3), np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(
-            world_to_camera(pose, np.array([1.0, 0.0, 0.0])), np.zeros(3), atol=1e-15
+            pose.world_to_camera(np.array([1.0, 0.0, 0.0])), np.zeros(3), atol=1e-15
         )
 
     def test_matches_homogeneous_inverse_oracle(self, rng):
@@ -123,7 +126,7 @@ class TestWorldToCamera:
             pose = random_pose(rng)
             y = rng.uniform(-10, 10, size=3)
             hom = np.linalg.inv(pose.as_matrix()) @ np.append(y, 1.0)
-            np.testing.assert_allclose(world_to_camera(pose, y), hom[:3], atol=1e-12)
+            np.testing.assert_allclose(pose.world_to_camera(y), hom[:3], atol=1e-12)
 
     def test_batch_agrees_with_single(self, rng):
         pose = random_pose(rng)
@@ -133,30 +136,48 @@ class TestWorldToCamera:
             np.testing.assert_allclose(row, pose.world_to_camera(y), atol=1e-13)
 
 
+def project_batch(intr, cam_points):
+    """The package's projection (the one inside ``reproj_terms`` and
+    ``photometric_image_loss``) and ``depth_statuses`` of (N, 3) points."""
+    d = np.asarray(cam_points, dtype=np.float64).reshape(-1, 3)
+    return _project(intr, d), depth_statuses(d[:, 2])
+
+
 class TestProject:
+    """The scalar ``oracles.project`` and the package's batch projection
+    agree on each case, bit for bit."""
+
+    def check(self, intr, point, pixel, status):
+        pix, s = project(intr, np.array(point))
+        np.testing.assert_array_equal(pix, pixel)
+        assert s == status
+        pix, s = project_batch(intr, [point])
+        np.testing.assert_array_equal(pix[0], pixel)
+        assert s.tolist() == [status]
+
     def test_optical_axis_point(self, intr):
-        pix, status = project(intr, np.array([0.0, 0.0, 5.0]))
-        np.testing.assert_array_equal(pix, [50.0, 50.0])
-        assert status == DepthStatus.IN_FRONT
+        self.check(intr, [0.0, 0.0, 5.0], [50.0, 50.0], DepthStatus.IN_FRONT)
 
     def test_pinhole_arithmetic(self, intr):
-        pix, status = project(intr, np.array([1.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(pix, [100.0, 100.0])
-        assert status == DepthStatus.IN_FRONT
+        self.check(intr, [1.0, 1.0, 2.0], [100.0, 100.0], DepthStatus.IN_FRONT)
 
     def test_antipodal_point_same_pixel(self, intr):
-        pix, status = project(intr, np.array([0.0, 0.0, -5.0]))
-        np.testing.assert_array_equal(pix, [50.0, 50.0])
-        assert status == DepthStatus.BEHIND
+        self.check(intr, [0.0, 0.0, -5.0], [50.0, 50.0], DepthStatus.BEHIND)
 
     def test_near_plane_status_and_raw_pixel(self, intr):
-        pix, status = project(intr, np.array([1.0, 1.0, 0.0]))
-        assert status == DepthStatus.NEAR_PLANE
-        assert np.all(np.isinf(pix))
+        self.check(intr, [1.0, 1.0, 0.0], [np.inf, np.inf], DepthStatus.NEAR_PLANE)
+        # just off the plane, on either side, is still NearPlane
+        for z in (0.5 * EPS_NEAR_PLANE, -0.5 * EPS_NEAR_PLANE):
+            pix, s = project_batch(intr, [1.0, 1.0, z])
+            assert depth_status(z) == s[0] == DepthStatus.NEAR_PLANE
+            assert np.all(np.isfinite(pix))
 
     def test_batch_matches_single(self, intr, rng):
         pts = rng.uniform(-5, 5, size=(40, 3))
         pix, statuses = project_points(intr, pts)
+        ours, our_statuses = project_batch(intr, pts)
+        np.testing.assert_array_equal(ours, pix)
+        np.testing.assert_array_equal(our_statuses, statuses)
         for i in range(len(pts)):
             p, s = project(intr, pts[i])
             np.testing.assert_allclose(pix[i], p, atol=1e-13)
@@ -165,37 +186,65 @@ class TestProject:
 
 class TestRayVector:
     def test_principal_point(self, intr):
-        r = ray_vector(intr, np.array([50.0, 50.0]))
+        r = ray_vectors(intr, np.array([[50.0, 50.0]]))[0]
         np.testing.assert_array_equal(r, [0.0, 0.0, 100.0])
         assert np.linalg.norm(r) == intr.f
 
     def test_componentwise_subtraction(self, intr):
         np.testing.assert_array_equal(
-            ray_vector(intr, np.array([53.0, 54.0])), [3.0, 4.0, 100.0]
+            ray_vectors(intr, np.array([[53.0, 54.0]])), [[3.0, 4.0, 100.0]]
         )
 
     def test_roundtrip_grid(self, intr):
         xs = np.linspace(0.0, 100.0, 10)
-        for x in xs:
-            for y in xs:
-                pix, status = project(intr, ray_vector(intr, np.array([x, y])))
-                np.testing.assert_allclose(pix, [x, y], atol=1e-12)
-                assert status == DepthStatus.IN_FRONT
+        pixels = np.array([[x, y] for x in xs for y in xs])
+        pix, statuses = project_batch(intr, ray_vectors(intr, pixels))
+        np.testing.assert_allclose(pix, pixels, atol=1e-12)
+        assert np.all(statuses == DepthStatus.IN_FRONT)
 
     def test_antipodal_projection_identity(self, intr, rng):
         # the geometric premise of the behind-camera pathology
-        for _ in range(50):
-            p = rng.uniform(-20, 120, size=2)
-            s = rng.uniform(0.01, 100.0)
-            pix, status = project(intr, -s * ray_vector(intr, p))
-            np.testing.assert_allclose(pix, p, atol=1e-9)
-            assert status == DepthStatus.BEHIND
+        p = rng.uniform(-20, 120, size=(50, 2))
+        s = rng.uniform(0.01, 100.0, size=(50, 1))
+        pix, statuses = project_batch(intr, -s * ray_vectors(intr, p))
+        np.testing.assert_allclose(pix, p, atol=1e-9)
+        assert np.all(statuses == DepthStatus.BEHIND)
 
     def test_batch_matches_single(self, intr, rng):
         pixels = rng.uniform(0, 100, size=(25, 2))
         rays = ray_vectors(intr, pixels)
         for i in range(len(pixels)):
             np.testing.assert_array_equal(rays[i], ray_vector(intr, pixels[i]))
+
+
+class TestRotationFromRotvec:
+    def test_matches_rotation_about_axis(self, rng):
+        for _ in range(50):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            angle = rng.uniform(1e-6, np.pi)
+            np.testing.assert_allclose(
+                rotation_from_rotvec(angle * axis),
+                rotation_about_axis(axis, angle),
+                atol=1e-14,
+            )
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-15, 0.999e-12, 1.001e-12, 1e-9])
+    def test_orthonormal_around_the_small_angle_branch(self, rng, angle):
+        axis = rng.normal(size=3)
+        R = rotation_from_rotvec(angle * axis / np.linalg.norm(axis))
+        assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-15
+        assert abs(np.linalg.det(R) - 1.0) < 1e-15
+        PoseSE3(R, np.zeros(3))  # passes the pose's own checks
+
+    def test_pose_error_from_identity_is_the_angle(self, rng):
+        for _ in range(50):
+            omega = rng.normal(size=3)
+            omega *= rng.uniform(0.01, np.pi - 0.01) / np.linalg.norm(omega)
+            pose = PoseSE3(rotation_from_rotvec(omega), np.zeros(3))
+            rot, trans = pose_error(pose, PoseSE3.identity())
+            assert abs(rot - np.degrees(np.linalg.norm(omega))) < 1e-9
+            assert trans == 0.0
 
 
 class TestPoseError:

@@ -1,5 +1,6 @@
 """The package is numpy-only: every import in ``src/anglereloc`` is from the
-standard library, numpy or the package itself."""
+standard library, numpy or the package itself. Every name the package
+exports resolves."""
 
 import ast
 import sys
@@ -41,3 +42,9 @@ def test_the_guard_sees_every_module_and_every_import_form():
     found = set(imported_packages(source))
     assert found == {"os", "scipy", "__future__", "anglereloc", "matplotlib"}
     assert found - ALLOWED == {"scipy", "matplotlib"}
+
+
+def test_every_exported_name_resolves():
+    assert anglereloc.__all__ and len(set(anglereloc.__all__)) == len(anglereloc.__all__)
+    missing = [name for name in anglereloc.__all__ if not hasattr(anglereloc, name)]
+    assert not missing, f"anglereloc.__all__ names {missing}, which the package lacks"

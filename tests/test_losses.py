@@ -18,7 +18,6 @@ from anglereloc.geometry import (
     DepthStatus,
     PoseSE3,
     depth_statuses,
-    ray_vector,
     ray_vectors,
     rotation_about_axis,
 )
@@ -27,7 +26,6 @@ from anglereloc.losses import (
     DimensionMismatchError,
     LossConfig,
     LossReport,
-    MissingPoseError,
     angle_terms,
     bilinear_values_and_grads,
     build_multiview_index,
@@ -35,13 +33,13 @@ from anglereloc.losses import (
     photo_target,
     photometric_image_loss,
     reproj_terms,
-    ssim3x3,
     _ssim_from_moments,
 )
 from anglereloc.scenegen import DatasetConfig, build_covis, build_dataset
 
 import oracles
 from conftest import random_pose
+from oracles import ray_vector, ssim3x3
 
 
 def fd_grad(f, y, h=1e-6):
@@ -442,20 +440,18 @@ class TestMultiviewLoss:
             rng, intr, corresponded=(0,)
         )
         del poses[1]
-        with pytest.raises(MissingPoseError):
-            multiview_image_loss(
-                intr,
-                build_multiview_index(poses, obs_by_img, corresponded),
-                0,
-                coords,
-                rng=np.random.default_rng(0),
-            )
+        with pytest.raises(IndexMismatchError, match="no pose for indexed image 1"):
+            build_multiview_index(poses, obs_by_img, corresponded)
 
-    def test_missing_pose_of_undrawn_image_is_fine(self, intr, rng):
-        # image 1 lacks a pose, but no point of image 0 can draw it
+    def test_missing_pose_of_undrawn_image_raises_unless_left_out(self, intr, rng):
+        # image 1 lacks a pose and no point of image 0 can draw it: the index
+        # still refuses it, and holds no pose for an image it does not index
         poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
         del poses[1]
-        index = build_multiview_index(poses, obs_by_img, corresponded)
+        with pytest.raises(IndexMismatchError, match="no pose for indexed image 1"):
+            build_multiview_index(poses, obs_by_img, corresponded)
+        index = build_multiview_index(poses, {0: obs_by_img[0]}, corresponded)
+        assert list(index.poses) == [0]
         rep = multiview_image_loss(intr, index, 0, coords, rng=np.random.default_rng(0))
         assert rep.total < 1e-6
 
@@ -502,12 +498,16 @@ def _obs(point_ids, pixels=None):
     return SimpleNamespace(point_ids=ids, pixels=np.asarray(pixels, dtype=np.float64))
 
 
+def identity_poses(observations):
+    return {i: PoseSE3.identity() for i in observations}
+
+
 def index_sha256(index):
     """Digest of every array of a ``MultiviewIndex``, dtypes and shapes included."""
-    arrays = [index.image_ids, index.has_pose, index.rotations, index.translations]
+    arrays = [index.image_ids, index.rotations, index.translations]
     arrays += [index.other_pos, index.other_pixels]
     for i in index.image_ids.tolist():
-        arrays.extend(index.images[i])
+        arrays += [index.images[i].pixels, index.images[i].offsets]
     h = hashlib.sha256()
     for a in arrays:
         h.update(repr((a.dtype.str, a.shape)).encode() + np.ascontiguousarray(a).tobytes())
@@ -537,23 +537,25 @@ def assert_index_matches_oracle(index, observations, corresponded):
 class TestMultiviewIndex:
     """``build_multiview_index`` reads co-visibility from the observations.
     The reference is ``oracles.multiview_entries``, one row at a time over
-    the dict-based point -> images map; the digests were computed with the
-    per-row build that read that map from the co-visibility graph."""
+    the dict-based point -> images map. The digests cover the arrays the
+    index holds; they were computed on the build that also held a pose flag
+    per image and the point ids per row, whose own digests matched those of
+    the per-row build that read that map from the co-visibility graph."""
 
     @pytest.mark.parametrize(
         "kw, digest",
         [
             (
                 {"seed": 1},
-                "d2e614abe7df112a8f187d92c624f6ee744505cad490ac69557d0f3cb868c170",
+                "431ccd89ecf4739d904400994aa7113bad76b0c926d0721e9140ab743b1260c3",
             ),
             (
                 {"seed": 2, "covis_keep_fraction": 0.3},
-                "1b4d8620f782ec0937cc828b8b0b35a2bfab046c3840d121ee871710ab9e9318",
+                "0ae2abc77664d9e299e6075cb426880970bc18bf03dcd9ea9b982924829329ac",
             ),
             (
                 {"seed": 3, "n_points": 2000, "pixel_noise_sigma": 0.5},
-                "4f102ddee18dbdec99e747b52890806b54d3e4e182e06afb40db201f84bfbac1",
+                "6808ecd7dcb21ccc5639f575d8d6dc9e82044e0aa7a1ac8a03c4fc1605e6e192",
             ),
         ],
         ids=["default", "sparsified", "2000-points-noisy"],
@@ -588,7 +590,7 @@ class TestMultiviewIndex:
         obs = {0: _obs([1, 2, 3]), 1: _obs([]), 2: _obs([3, 2])}
         corresponded = build_covis(obs).corresponded
         assert corresponded == {2, 3}
-        index = build_multiview_index({}, obs, corresponded)
+        index = build_multiview_index(identity_poses(obs), obs, corresponded)
         assert_index_matches_oracle(index, obs, corresponded)
         assert index.images[1].offsets.tolist() == [2]
         assert 1 not in index.image_ids[index.other_pos]
@@ -596,20 +598,24 @@ class TestMultiviewIndex:
     def test_missing_pose(self, rng):
         pose = random_pose(rng)
         obs = {0: _obs([1, 2]), 4: _obs([2, 1])}
-        index = build_multiview_index({0: pose}, obs, {1, 2})
+        with pytest.raises(IndexMismatchError, match="no pose for indexed image 4"):
+            build_multiview_index({0: pose}, obs, {1, 2})
+        # poses of images that are not indexed are neither needed nor kept
+        other = random_pose(rng)
+        index = build_multiview_index({0: pose, 4: other, 7: random_pose(rng)}, obs, {1, 2})
         assert_index_matches_oracle(index, obs, {1, 2})
-        assert index.has_pose.tolist() == [True, False]
-        assert index.rotations[0].tobytes() == pose.rotation.tobytes()
-        assert np.array_equal(index.rotations[1], np.eye(3))
-        assert np.array_equal(index.translations[1], np.zeros(3))
-        # rows of image 0 still point at image 4; drawing it raises in the loss
+        assert list(index.poses) == [0, 4]
+        assert index.rotations.tobytes() == pose.rotation.tobytes() + other.rotation.tobytes()
+        assert index.translations.tobytes() == (
+            pose.translation.tobytes() + other.translation.tobytes()
+        )
         assert index.image_ids[index.other_pos].tolist() == [4, 4, 0, 0]
 
     def test_duplicate_point_ids_within_one_image(self):
         obs = {5: _obs([3, 9, 1]), 2: _obs([]), 0: _obs([9, 8, 3, 3])}
         corresponded = build_covis(obs).corresponded
         assert corresponded == {3, 9}
-        index = build_multiview_index({}, obs, corresponded)
+        index = build_multiview_index(identity_poses(obs), obs, corresponded)
         assert_index_matches_oracle(index, obs, corresponded)
         # image 5's row of point 3 has one entry per row of image 0 that sees it
         first, last = index.images[5].offsets[:2]
@@ -619,7 +625,7 @@ class TestMultiviewIndex:
 
     def test_corresponded_point_seen_once_gets_no_entries(self):
         obs = {0: _obs([1, 4]), 1: _obs([1])}
-        index = build_multiview_index({}, obs, {1, 4, 99})
+        index = build_multiview_index(identity_poses(obs), obs, {1, 4, 99})
         assert_index_matches_oracle(index, obs, {1, 4, 99})
         assert np.diff(index.images[0].offsets).tolist() == [1, 0]
 
@@ -1116,7 +1122,7 @@ class TestPhotoTarget:
         )
         vals, _, ok = bilinear_values_and_grads(img, coords.reshape(-1, 2))
         assert target.shape == img.shape
-        assert np.array_equal(target.point_ids, obs.point_ids)
+        assert len(target.windows) == len(target.inside) == len(obs.point_ids)
         assert target.windows.tobytes() == vals.reshape(-1, 9).tobytes()
         assert np.array_equal(target.inside, ok.reshape(-1, 9).all(axis=1))
 

@@ -739,6 +739,20 @@ class TestCheckpoint:
         _, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg and isinstance(loaded_cfg.loss, LossConfig)
 
+    @pytest.mark.parametrize("bad_row", [10**6, -1])
+    def test_free_table_row_outside_the_table_raises_config_error(
+        self, room, tmp_path, bad_row
+    ):
+        path = tmp_path / "table.json"
+        save_checkpoint(path, FreeTable.init(room, seed=2), TrainConfig())
+        blob = json.loads(path.read_text())
+        n_rows = len(blob["model"]["coords"])
+        blob["model"]["index"][5][2] = bad_row
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=rf"row {bad_row} outside \[0, {n_rows}\)") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def _write(self, tmp_path, edit):
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, PatchMLP.init((4, 3)), TrainConfig())

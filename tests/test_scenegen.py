@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anglereloc.geometry import CameraIntrinsics, PoseSE3, project, rotation_about_axis
+from anglereloc.geometry import CameraIntrinsics, PoseSE3, rotation_about_axis
 from anglereloc.losses import build_multiview_index, photo_target, photometric_image_loss
 from anglereloc.scenegen import (
     DatasetConfig,
@@ -38,6 +38,7 @@ from anglereloc.scenegen import (
 )
 
 import oracles
+from oracles import project
 
 
 def small_cfg(**kw):
@@ -192,7 +193,7 @@ class TestObserve:
     def test_depths_positive(self):
         scene, intr, pose = self._setup()
         obs = observe(scene, pose, intr, 80, 60)
-        assert np.all(obs.gt_depths > 0)
+        assert np.all(pose.world_to_camera(obs.gt_coords)[:, 2] > 0)
 
     def test_noise_sigma_statistics(self):
         # 10k interior points, sigma=1: empirical std within 5%
@@ -226,7 +227,7 @@ class TestObserveMatchesLoop:
                     want = oracles.observe(
                         scene, pose, intr, 80, 60, sigma, np.random.default_rng(seed)
                     )
-                    for name in ("point_ids", "pixels", "gt_coords", "gt_depths"):
+                    for name in ("point_ids", "pixels", "gt_coords"):
                         assert_same_bits(getattr(got, name), getattr(want, name))
         assert len(got.point_ids) == 0
 
@@ -415,11 +416,11 @@ class TestRenderMatchesOracle:
 
 class TestCoVisibility:
     def test_single_view_point_not_corresponded(self):
-        obs = build_dataset(small_cfg()).observations
-        first = {0: obs[0]}
+        ds = build_dataset(small_cfg())
+        first = {0: ds.observations[0]}
         graph = build_covis(first)
         assert graph.corresponded == set()
-        index = build_multiview_index({}, first, graph.corresponded)
+        index = build_multiview_index(ds.poses, first, graph.corresponded)
         assert len(index.other_pos) == 0
 
     def test_example_three_images(self):
@@ -429,7 +430,8 @@ class TestCoVisibility:
         }
         graph = build_covis(o)
         assert graph.corresponded == {7}
-        index = build_multiview_index({}, o, graph.corresponded)
+        poses = {i: PoseSE3.identity() for i in o}
+        index = build_multiview_index(poses, o, graph.corresponded)
         for i, others in ((1, [2, 3]), (2, [1, 3]), (3, [1, 2])):
             first, last = index.images[i].offsets
             assert index.image_ids[index.other_pos[first:last]].tolist() == others
@@ -440,7 +442,7 @@ class TestCoVisibility:
         index = build_multiview_index(ds.poses, ds.observations, ds.covis.corresponded)
         pairs = set()
         for i, rows in index.images.items():
-            for r, k in enumerate(rows.point_ids.tolist()):
+            for r, k in enumerate(ds.observations[i].point_ids.tolist()):
                 for e in range(rows.offsets[r], rows.offsets[r + 1]):
                     j = int(index.image_ids[index.other_pos[e]])
                     obs_j = ds.observations[j]
@@ -484,13 +486,14 @@ class TestCoVisibility:
         assert_same_covis(build_covis(observations), oracles.build_covis(observations))
 
     def test_image_without_observations(self):
-        obs = dict(build_dataset(small_cfg()).observations)
+        ds = build_dataset(small_cfg())
+        obs = dict(ds.observations)
         obs[2] = SimpleNamespace(
             point_ids=obs[2].point_ids[:0], pixels=obs[2].pixels[:0], image_id=2
         )
         graph = build_covis(obs)
         assert_same_covis(graph, oracles.build_covis(obs))
-        index = build_multiview_index({}, obs, graph.corresponded)
+        index = build_multiview_index(ds.poses, obs, graph.corresponded)
         assert len(index.images[2].offsets) == 1
         assert 2 not in index.image_ids[index.other_pos]
 
@@ -560,7 +563,7 @@ def dataset_sha256(ds):
     h = hashlib.sha256()
     for image_id in sorted(ds.observations):
         obs = ds.observations[image_id]
-        for a in (obs.point_ids, obs.pixels, obs.gt_coords, obs.gt_depths, obs.descriptors):
+        for a in (obs.point_ids, obs.pixels, obs.gt_coords, obs.descriptors):
             h.update(np.ascontiguousarray(a).tobytes())
         pose = ds.poses[image_id]
         h.update(pose.rotation.tobytes() + pose.translation.tobytes())
@@ -583,22 +586,22 @@ class TestPinnedDatasets:
     @pytest.mark.parametrize(
         "kw, digest",
         [
-            ({}, "8013f21e5da52c8381e82ff5075bf503f33364777461870e8c14359ebdc76187"),
+            ({}, "da91dbfaa6dec53e02c5602ef43f4ac6e67b1389cf28d68cd6013780c13ec747"),
             (
                 {"pixel_noise_sigma": 0.5},
-                "e151b2d987c4610387318100ae47d733835f11c4d3a446cba9a3e9933adf7807",
+                "6ecf229e9517f6589c4a3bb5ae0b6ea4cc8c3247ce8ae4036c5ca8af50e267c3",
             ),
             (
                 {"render_images": True, "n_images": 8},
-                "58694e16a94226e21631fed530ba75c81de1a26a81a6b56c1490f722263325d2",
+                "da4f4db1a5a3ec21ca201497a04a1c455a372d3af5316308140c9c744748d860",
             ),
             (
                 {"n_points": 2000, "render_images": True, "seed": 4},
-                "bd7aeaf0ba5c6030f6c8b7bc8bcea295d3e8c73b12d8dc961c21f4cdd02804c0",
+                "d80c56376277e8f8b3163a577d92f59ef1921ae89bcbbc77644e144e8ea0fcf7",
             ),
             (
                 {"n_planes": 8, "render_images": True, "n_images": 12},
-                "082e9404f36bb24f72e107a30d0cfac3f86d1a8de5c029b4572409ee694c568c",
+                "abb21c335c8b756f8299a6ed0c15c2a4453d4f452bd989d760b01d74bd5457e4",
             ),
         ],
         ids=["default", "pixel-noise", "rendered", "photo-rendered", "panels-rendered"],
@@ -621,7 +624,6 @@ class TestDatasetIO:
             np.testing.assert_array_equal(b.point_ids, obs.point_ids)
             np.testing.assert_array_equal(b.pixels, obs.pixels)
             np.testing.assert_array_equal(b.gt_coords, obs.gt_coords)
-            np.testing.assert_array_equal(b.gt_depths, obs.gt_depths)
             np.testing.assert_array_equal(b.descriptors, obs.descriptors)
             np.testing.assert_array_equal(
                 back.poses[i].as_matrix(), ds.poses[i].as_matrix()
@@ -712,6 +714,26 @@ class TestDatasetIO:
             load_dataset(saved)
         assert exc.value.path == path
 
+    @pytest.mark.parametrize("bad", [999, 150, -1])  # the room has 150 points
+    def test_observation_point_id_outside_the_room_raises_parse_error(self, saved, bad):
+        path = saved / "observations" / "obs_0003.txt"
+        lines = path.read_text().splitlines()
+        lines[4] = f"{bad} " + lines[4].split(" ", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"point id {bad} outside \[0, 150\)") as exc:
+            load_dataset(saved)
+        assert exc.value.path == path and exc.value.line == 5 and exc.value.column == 1
+
+    @pytest.mark.parametrize("key", ["train_ids", "test_ids"])
+    def test_split_id_outside_image_ids_raises_parse_error(self, saved, key):
+        path = saved / "manifest.json"
+        blob = json.loads(path.read_text())
+        blob[key].append(99)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ParseError, match="split id 99 is not in image_ids") as exc:
+            load_dataset(saved)
+        assert exc.value.path == path
+
     def test_covis_with_the_old_point_to_images_map_loads(self, saved):
         path = saved / "covis.json"
         want = load_dataset(saved)
@@ -766,7 +788,7 @@ class TestDatasetIO:
         coords = rng.uniform(-5, 5, size=(3, 3))
         path = tmp_path / "c.txt"
         write_correspondence_file(path, ids, pixels, coords, header="test block")
-        rids, rpix, rcoords = read_correspondence_file(path)
+        rids, rpix, rcoords = read_correspondence_file(path, 13)
         np.testing.assert_array_equal(rids, ids)
         np.testing.assert_array_equal(rpix, pixels)
         np.testing.assert_array_equal(rcoords, coords)
@@ -775,7 +797,7 @@ class TestDatasetIO:
         path = tmp_path / "bad.txt"
         path.write_text("# fine\n1 2.0 3.0 4.0 5.0 oops\n")
         with pytest.raises(ParseError) as exc:
-            read_correspondence_file(path)
+            read_correspondence_file(path, 10)
         assert exc.value.line == 2
         assert exc.value.column == 6
 
