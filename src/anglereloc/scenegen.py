@@ -9,6 +9,13 @@ freshly initialized regressors (whose predictions start near the world
 origin) genuinely begin behind every camera, which is the failure regime
 the plain reprojection loss cannot escape.
 
+One ``DatasetConfig`` sets every value of a room; ``gen_scene``,
+``gen_trajectory`` and ``observe`` read it and take no settings of their
+own. ``build_dataset`` runs them in turn: ``gen_trajectory`` projects the
+scene once per pose it draws, and hands the accepted pose's in-frame point
+ids and pixels to ``observe``, which adds pixel noise and ground truth
+without projecting again.
+
 Rendering is Lambertian by construction: wall intensity is a pure function
 of the surface point, so two views of the same point agree exactly. A view
 casts one ray per pixel and keeps each ray's nearest plane hit; each plane
@@ -27,7 +34,8 @@ stream is consumed in per-point order, so one ``size=(n, k)`` draw yields
 the values of ``n`` scalar ``size=k`` draws. A generator may be over-drawn
 (more candidates drawn than accepted) only when it is local to one call and
 discarded afterwards, as in ``gen_scene``. Streams that later draws share,
-such as ``gen_trajectory``'s across images, are drawn one attempt at a time.
+such as ``gen_trajectory``'s ``[seed, 2]`` stream across images, are drawn
+one attempt at a time.
 """
 
 from __future__ import annotations
@@ -69,6 +77,62 @@ class NonRigidWarning(UserWarning):
 
 
 SCHEMA_VERSION = 1
+
+# ---------------------------------------------------------------------------
+# Configuration
+# ---------------------------------------------------------------------------
+
+# free-space points keep this far from the origin, clear of the camera orbit
+FREE_SPACE_MIN_RADIUS = 3.5
+# pose draws per view before gen_trajectory gives up
+MAX_ATTEMPTS = 60
+
+
+@dataclass
+class DatasetConfig:
+    """Everything needed to regenerate a dataset deterministically. Values
+    that would break a room or silently change it raise ``ValueError``
+    naming the field."""
+
+    seed: int = 0
+    n_points: int = 500
+    n_planes: int = 6
+    half_extent: float = 5.0
+    free_space_fraction: float = 0.2
+    n_images: int = 40
+    test_every: int = 4  # every k-th image is held out for evaluation; 0 holds out none
+    focal: float = 40.0
+    width: int = 80
+    height: int = 60
+    orbit_radius: float = 1.6
+    radius_jitter: float = 0.3
+    height_jitter: float = 0.5
+    yaw_jitter_deg: float = 8.0
+    pitch_jitter_deg: float = 14.0
+    min_visible: int = 20
+    pixel_noise_sigma: float = 0.0
+    descriptor_dim: int = 16
+    descriptor_noise_sigma: float = 0.01
+    covis_keep_fraction: float = 1.0
+    render_images: bool = False
+
+    def __post_init__(self):
+        # written so that NaN fails every rule
+        for name, ok, rule in (
+            ("n_points", self.n_points > 0, "> 0"),
+            ("n_planes", self.n_planes >= 0, ">= 0"),
+            ("free_space_fraction", 0 <= self.free_space_fraction <= 1, "in [0, 1]"),
+            ("n_images", self.n_images > 0, "> 0"),
+            ("test_every", self.test_every >= 0, ">= 0"),
+            ("pixel_noise_sigma", self.pixel_noise_sigma >= 0, ">= 0"),
+            ("covis_keep_fraction", 0 <= self.covis_keep_fraction <= 1, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+    def intrinsics(self) -> CameraIntrinsics:
+        return CameraIntrinsics(self.focal, (self.width - 1) / 2, (self.height - 1) / 2)
+
 
 # ---------------------------------------------------------------------------
 # Value-noise texture
@@ -199,10 +263,6 @@ class SyntheticScene:
     bounds_hi: np.ndarray
     diameter: float  # scene span: the largest bounding-box side
 
-    @property
-    def point_ids(self) -> np.ndarray:
-        return np.arange(len(self.points))
-
 
 def _room_planes(half_extent, seed):
     """Six inward-facing walls of the cubic room [-h, h]^3."""
@@ -246,24 +306,17 @@ def _free_space_points(rng, n, half_extent, min_radius):
     return np.concatenate(batches)
 
 
-def gen_scene(
-    seed: int,
-    point_count: int = 500,
-    plane_count: int = 6,
-    half_extent: float = 5.0,
-    free_space_fraction: float = 0.2,
-    free_space_min_radius: float = 3.5,
-) -> SyntheticScene:
+def gen_scene(cfg: DatasetConfig) -> SyntheticScene:
     """Deterministic synthetic scene: up to six room walls (plus random
-    interior panels beyond six), with points sampled on the plane surfaces
-    and the rest in free space away from the camera-orbit region."""
-    if point_count <= 0:
-        raise ValueError("point_count must be positive")
+    interior panels beyond six), with ``cfg.n_points`` points sampled on the
+    plane surfaces and, a ``cfg.free_space_fraction`` of them, in free space
+    at least ``FREE_SPACE_MIN_RADIUS`` from the origin."""
+    seed, half_extent = cfg.seed, cfg.half_extent
     rng = np.random.default_rng([seed, 1])
-    planes = _room_planes(half_extent, seed)[: max(plane_count, 0)]
-    for extra in range(max(plane_count - 6, 0)):
+    planes = _room_planes(half_extent, seed)[: cfg.n_planes]
+    for extra in range(max(cfg.n_planes - 6, 0)):
         center = rng.uniform(-half_extent, half_extent, size=3)
-        center *= max(free_space_min_radius, np.linalg.norm(center)) / max(
+        center *= max(FREE_SPACE_MIN_RADIUS, np.linalg.norm(center)) / max(
             np.linalg.norm(center), 1e-9
         )
         eu = rng.normal(size=3)
@@ -275,8 +328,8 @@ def gen_scene(
             TexturedPlane(center - eu / 2 - ev / 2, eu, ev, seed * 100 + 50 + extra)
         )
 
-    n_free = int(round(point_count * free_space_fraction)) if planes else point_count
-    n_surface = point_count - n_free
+    n_free = int(round(cfg.n_points * cfg.free_space_fraction)) if planes else cfg.n_points
+    n_surface = cfg.n_points - n_free
 
     surface = np.empty((0, 3))
     if n_surface > 0:
@@ -290,7 +343,7 @@ def gen_scene(
             for name in ("origin", "edge_u", "edge_v")
         )
         surface = origin + uv[:, :1] * edge_u + uv[:, 1:] * edge_v
-    free = _free_space_points(rng, n_free, half_extent, free_space_min_radius)
+    free = _free_space_points(rng, n_free, half_extent, FREE_SPACE_MIN_RADIUS)
     points = np.concatenate([surface, free])
 
     lo = np.full(3, -half_extent)
@@ -313,15 +366,6 @@ def gen_scene(
 # ---------------------------------------------------------------------------
 # Trajectory
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Trajectory:
-    entries: list  # ordered (image_id, PoseSE3)
-
-    @property
-    def image_ids(self):
-        return [i for i, _ in self.entries]
 
 
 def _look_pose(position, forward):
@@ -347,62 +391,47 @@ def _in_frame(intr, cam, width, height):
     return front[inside], np.column_stack([x[inside], y[inside]])
 
 
-def count_visible(scene, pose, intr, width, height):
-    ids, _ = _in_frame(intr, pose.world_to_camera(scene.points), width, height)
-    return len(ids)
-
-
-def gen_trajectory(
-    scene: SyntheticScene,
-    seed: int,
-    n_images: int,
-    intr: CameraIntrinsics,
-    width: int = 80,
-    height: int = 60,
-    orbit_radius: float = 1.6,
-    radius_jitter: float = 0.3,
-    height_jitter: float = 0.5,
-    yaw_jitter_deg: float = 8.0,
-    pitch_jitter_deg: float = 14.0,
-    min_visible: int = 20,
-    max_attempts: int = 60,
-) -> Trajectory:
-    """Ordered orbit of cameras inside the scene.
+def gen_trajectory(scene: SyntheticScene, cfg: DatasetConfig) -> dict:
+    """Ordered orbit of ``cfg.n_images`` cameras inside the scene, as image
+    id -> ``(pose, point_ids, pixels)``: the accepted pose and the rows of
+    the scene points in its frame, ascending, with their noiseless (M, 2)
+    pixels.
 
     Image i sits near azimuth ``2*pi*i/n`` on a circle of ``orbit_radius``
     with jittered radius and height, so consecutive image ids are
     neighboring views. Each camera faces away from the scene center with
     jittered yaw and pitch, which leaves the world origin behind every
-    camera. Every pose is re-drawn until at least ``min_visible`` scene
-    points fall inside its frustum.
+    camera. Every pose is re-drawn, up to ``MAX_ATTEMPTS`` times, until at
+    least ``min_visible`` scene points fall inside its frame; each draw
+    projects the scene once.
     """
-    if n_images <= 0:
-        raise ValueError("n_images must be positive")
-    rng = np.random.default_rng([seed, 2])
-    entries = []
-    for i in range(n_images):
-        base = 2 * np.pi * i / n_images
-        pose = None
-        for _ in range(max_attempts):
-            radius = orbit_radius + rng.uniform(-radius_jitter, radius_jitter)
-            z = rng.uniform(-height_jitter, height_jitter)
-            yaw = base + np.radians(rng.uniform(-yaw_jitter_deg, yaw_jitter_deg))
-            pitch = np.radians(rng.uniform(-pitch_jitter_deg, pitch_jitter_deg))
+    intr = cfg.intrinsics()
+    rng = np.random.default_rng([cfg.seed, 2])
+    views = {}
+    for i in range(cfg.n_images):
+        base = 2 * np.pi * i / cfg.n_images
+        for _ in range(MAX_ATTEMPTS):
+            radius = cfg.orbit_radius + rng.uniform(-cfg.radius_jitter, cfg.radius_jitter)
+            z = rng.uniform(-cfg.height_jitter, cfg.height_jitter)
+            yaw = base + np.radians(rng.uniform(-cfg.yaw_jitter_deg, cfg.yaw_jitter_deg))
+            pitch = np.radians(rng.uniform(-cfg.pitch_jitter_deg, cfg.pitch_jitter_deg))
             position = np.array([radius * np.cos(base), radius * np.sin(base), z])
             forward = np.array(
                 [np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), np.sin(pitch)]
             )
-            cand = _look_pose(position, forward)
-            if count_visible(scene, cand, intr, width, height) >= min_visible:
-                pose = cand
-                break
-        if pose is None:
-            raise InfeasibleViewpointError(
-                f"no viewpoint with >= {min_visible} visible points near "
-                f"azimuth {np.degrees(base):.0f} deg after {max_attempts} attempts"
+            pose = _look_pose(position, forward)
+            ids, pixels = _in_frame(
+                intr, pose.world_to_camera(scene.points), cfg.width, cfg.height
             )
-        entries.append((i, pose))
-    return Trajectory(entries)
+            if len(ids) >= cfg.min_visible:
+                views[i] = (pose, ids, pixels)
+                break
+        else:
+            raise InfeasibleViewpointError(
+                f"no viewpoint with >= {cfg.min_visible} visible points near "
+                f"azimuth {np.degrees(base):.0f} deg after {MAX_ATTEMPTS} attempts"
+            )
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -424,31 +453,26 @@ class ImageObservations:
 
 def observe(
     scene: SyntheticScene,
-    pose: PoseSE3,
-    intr: CameraIntrinsics,
-    width: int,
-    height: int,
-    pixel_noise_sigma: float = 0.0,
-    rng=None,
-    image_id: int = 0,
+    cfg: DatasetConfig,
+    image_id: int,
+    point_ids: np.ndarray,
+    pixels: np.ndarray,
 ) -> ImageObservations:
-    """Keep the scene points in front of the camera that project inside the
-    image, then add Gaussian pixel noise (clamped back into bounds).
-    Ground-truth coordinates are those of the points, free of the noise."""
-    if pixel_noise_sigma < 0:
-        raise ValueError("pixel_noise_sigma must be >= 0")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    ids, pixels = _in_frame(intr, pose.world_to_camera(scene.points), width, height)
-    if pixel_noise_sigma > 0:
-        pixels = pixels + rng.normal(scale=pixel_noise_sigma, size=pixels.shape)
-        pixels[:, 0] = np.clip(pixels[:, 0], 0, width - 1)
-        pixels[:, 1] = np.clip(pixels[:, 1], 0, height - 1)
+    """One view's observations from its in-frame rows, as ``gen_trajectory``
+    returns them: Gaussian pixel noise of ``cfg.pixel_noise_sigma`` from the
+    ``[seed, 2, image_id]`` stream, clamped back into the image. Ground-truth
+    coordinates are those of the points, free of the noise."""
+    sigma = cfg.pixel_noise_sigma
+    if sigma > 0:
+        rng = np.random.default_rng([cfg.seed, 2, image_id])
+        pixels = pixels + rng.normal(scale=sigma, size=pixels.shape)
+        pixels[:, 0] = np.clip(pixels[:, 0], 0, cfg.width - 1)
+        pixels[:, 1] = np.clip(pixels[:, 1], 0, cfg.height - 1)
     return ImageObservations(
         image_id=image_id,
-        point_ids=ids,
+        point_ids=point_ids,
         pixels=pixels,
-        gt_coords=scene.points[ids],
+        gt_coords=scene.points[point_ids],
     )
 
 
@@ -585,39 +609,8 @@ def render_image(
 
 
 @dataclass
-class DatasetConfig:
-    """Everything needed to regenerate a dataset deterministically."""
-
-    seed: int = 0
-    n_points: int = 500
-    n_planes: int = 6
-    half_extent: float = 5.0
-    free_space_fraction: float = 0.2
-    n_images: int = 40
-    test_every: int = 4  # every k-th image is held out for evaluation
-    focal: float = 40.0
-    width: int = 80
-    height: int = 60
-    orbit_radius: float = 1.6
-    radius_jitter: float = 0.3
-    height_jitter: float = 0.5
-    yaw_jitter_deg: float = 8.0
-    pitch_jitter_deg: float = 14.0
-    min_visible: int = 20
-    pixel_noise_sigma: float = 0.0
-    descriptor_dim: int = 16
-    descriptor_noise_sigma: float = 0.01
-    covis_keep_fraction: float = 1.0
-    render_images: bool = False
-
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(self.focal, (self.width - 1) / 2, (self.height - 1) / 2)
-
-
-@dataclass
 class Dataset:
     config: DatasetConfig
-    intrinsics: CameraIntrinsics
     observations: dict  # image_id -> ImageObservations
     poses: dict  # image_id -> PoseSE3
     covis: CoVisibilityGraph
@@ -629,12 +622,9 @@ class Dataset:
     scene: SyntheticScene | None = None  # not persisted; regenerable from config
 
     @property
-    def width(self):
-        return self.config.width
-
-    @property
-    def height(self):
-        return self.config.height
+    def intrinsics(self) -> CameraIntrinsics:
+        """The room's one camera, as its config sets it."""
+        return self.config.intrinsics()
 
 
 def _base_descriptors(n_points, dim, seed):
@@ -652,44 +642,17 @@ def _observation_descriptors(base, obs, sigma, seed):
 
 
 def build_dataset(cfg: DatasetConfig) -> Dataset:
-    """Generate scene, trajectory, observations, descriptors, co-visibility
-    and (optionally) renders, split into interleaved train/test views."""
-    scene = gen_scene(
-        cfg.seed,
-        cfg.n_points,
-        cfg.n_planes,
-        cfg.half_extent,
-        cfg.free_space_fraction,
-    )
-    intr = cfg.intrinsics()
-    traj = gen_trajectory(
-        scene,
-        cfg.seed,
-        cfg.n_images,
-        intr,
-        cfg.width,
-        cfg.height,
-        cfg.orbit_radius,
-        cfg.radius_jitter,
-        cfg.height_jitter,
-        cfg.yaw_jitter_deg,
-        cfg.pitch_jitter_deg,
-        cfg.min_visible,
-    )
-    poses = dict(traj.entries)
-    observations = {}
-    for image_id, pose in traj.entries:
-        rng = np.random.default_rng([cfg.seed, 2, image_id])
-        observations[image_id] = observe(
-            scene,
-            pose,
-            intr,
-            cfg.width,
-            cfg.height,
-            cfg.pixel_noise_sigma,
-            rng,
-            image_id,
-        )
+    """Generate a room from ``cfg``: the scene; the trajectory, whose
+    acceptance test projects the scene once per pose drawn and keeps the
+    accepted pose's in-frame rows; each view's observations from those rows
+    (``observe``, which projects nothing); descriptors, co-visibility and
+    (optionally) renders. Views are split into interleaved train/test ids."""
+    scene = gen_scene(cfg)
+    views = gen_trajectory(scene, cfg)
+    poses = {i: pose for i, (pose, _, _) in views.items()}
+    observations = {
+        i: observe(scene, cfg, i, ids, pixels) for i, (_, ids, pixels) in views.items()
+    }
     base = _base_descriptors(cfg.n_points, cfg.descriptor_dim, cfg.seed)
     for obs in observations.values():
         obs.descriptors = _observation_descriptors(
@@ -700,14 +663,13 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
         covis = sparsify_covis(covis, cfg.covis_keep_fraction, cfg.seed)
     images = {}
     if cfg.render_images:
-        for image_id, pose in traj.entries:
+        intr = cfg.intrinsics()
+        for image_id, pose in poses.items():
             images[image_id] = render_image(scene, pose, intr, cfg.width, cfg.height)
-    ids = traj.image_ids
-    test_ids = [i for i in ids if cfg.test_every and (i % cfg.test_every == cfg.test_every - 1)]
-    train_ids = [i for i in ids if i not in test_ids]
+    test_ids = [i for i in poses if cfg.test_every and (i % cfg.test_every == cfg.test_every - 1)]
+    train_ids = [i for i in poses if i not in test_ids]
     return Dataset(
         config=cfg,
-        intrinsics=intr,
         observations=observations,
         poses=poses,
         covis=covis,
@@ -796,10 +758,9 @@ def write_pose_file(path, pose: PoseSE3):
     )
 
 
-def parse_7scenes_pose(path, world_to_camera: bool = False) -> PoseSE3:
-    """Read a 4-line, 4-column whitespace pose matrix (the 7-Scenes text
-    convention), interpreted camera-to-world by default; pass
-    ``world_to_camera=True`` to invert on load. A rotation block that fails
+def parse_7scenes_pose(path) -> PoseSE3:
+    """Read a 4-line, 4-column whitespace camera-to-world pose matrix (the
+    7-Scenes text convention). A rotation block that fails
     orthonormality beyond 1e-3 is projected to the nearest rotation with a
     ``NonRigidWarning``; milder drift is projected silently."""
     rows = []
@@ -834,8 +795,7 @@ def parse_7scenes_pose(path, world_to_camera: bool = False) -> PoseSE3:
                 NonRigidWarning,
             )
         R = nearest_rotation(R)
-    pose = PoseSE3(R, m[:3, 3])
-    return pose.inverse() if world_to_camera else pose
+    return PoseSE3(R, m[:3, 3])
 
 
 def write_pgm(path, image: Image):
@@ -892,7 +852,6 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(ds.config),
-        "intrinsics": {"f": ds.intrinsics.f, "cx": ds.intrinsics.cx, "cy": ds.intrinsics.cy},
         "image_ids": sorted(ds.observations),
         "train_ids": ds.train_ids,
         "test_ids": ds.test_ids,
@@ -952,9 +911,12 @@ def _parsed(path, parse, data):
 
 
 def _manifest_fields(m):
+    """The manifest's config (validated by ``DatasetConfig``), image ids,
+    rendered ids, split and diameter. Other keys, such as the ``intrinsics``
+    object that files of earlier versions carry, are ignored: the camera is
+    the config's."""
     return (
         DatasetConfig(**m["config"]),
-        CameraIntrinsics(**m["intrinsics"]),
         [int(i) for i in m["image_ids"]],
         [int(i) for i in m.get("has_images", [])],
         list(m["train_ids"]),
@@ -978,7 +940,8 @@ def _covis_fields(c, n_points):
 
 def load_dataset(in_dir) -> Dataset:
     """Inverse of ``save_dataset``. Raises ``ParseError`` naming the file
-    when one is missing, unreadable or malformed, when a train or test id
+    when one is missing, unreadable or malformed (a manifest config value
+    that ``DatasetConfig`` refuses included), when a train or test id
     is not among the image ids, or when an observation's point id is not
     one of the config's ``n_points`` (naming the line as well)."""
     src = Path(in_dir)
@@ -989,7 +952,7 @@ def load_dataset(in_dir) -> Dataset:
     version = _parsed(manifest_path, lambda m: m.get("schema_version"), manifest)
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {version}", path=manifest_path)
-    cfg, intr, image_ids, rendered, train_ids, test_ids, diameter = _parsed(
+    cfg, image_ids, rendered, train_ids, test_ids, diameter = _parsed(
         manifest_path, _manifest_fields, manifest
     )
     stray = [i for i in train_ids + test_ids if i not in image_ids]
@@ -1016,7 +979,6 @@ def load_dataset(in_dir) -> Dataset:
         images[image_id] = read_pgm(src / "images" / f"img_{image_id:04d}.pgm")
     return Dataset(
         config=cfg,
-        intrinsics=intr,
         observations=observations,
         poses=poses,
         covis=covis,

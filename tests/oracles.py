@@ -10,10 +10,14 @@ formula that the photometric loss applies to its windows. ``gen_scene``,
 ``observe`` and ``build_covis`` are the per-point loop forms of their
 ``anglereloc.scenegen`` namesakes: one random draw, one projection check
 and one dictionary update per point. The package's whole-array versions
-must match them bit for bit. ``build_covis`` returns this module's own
-``CoVisibility``, which also keeps the point -> images map that the package
-no longer stores; ``multiview_entries`` reads it one row at a time, as the
-loop form of ``anglereloc.losses.build_multiview_index``.
+must match them bit for bit; ``observe`` here projects the scene itself, so
+it stands for ``anglereloc.scenegen._in_frame`` followed by the package's
+``observe``. ``gen_scene`` takes the free-space min radius, which the
+package fixes, so tests compare other radii against
+``anglereloc.scenegen._free_space_points``. ``build_covis`` returns this
+module's own ``CoVisibility``, which also keeps the point -> images map that
+the package no longer stores; ``multiview_entries`` reads it one row at a
+time, as the loop form of ``anglereloc.losses.build_multiview_index``.
 
 ``value_noise`` and ``render_rays`` are the renderer as it was before it
 gathered lattice hashes from a per-octave table and kept per-plane

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anglereloc.geometry import CameraIntrinsics, PoseSE3, rotation_about_axis
+from anglereloc import scenegen
+from anglereloc.geometry import PoseSE3, rotation_about_axis
 from anglereloc.losses import build_multiview_index, photo_target, photometric_image_loss
 from anglereloc.scenegen import (
     DatasetConfig,
@@ -18,6 +19,8 @@ from anglereloc.scenegen import (
     NonRigidWarning,
     ParseError,
     SyntheticScene,
+    _free_space_points,
+    _in_frame,
     build_covis,
     build_dataset,
     gen_scene,
@@ -34,7 +37,6 @@ from anglereloc.scenegen import (
     value_noise,
     write_correspondence_file,
     write_pgm,
-    write_pose_file,
 )
 
 import oracles
@@ -60,30 +62,61 @@ def assert_same_covis(got, want):
     assert all(type(k) is int for k in got.corresponded)
 
 
+def scene_cfg(seed, n_points, n_planes=6, **kw):
+    return DatasetConfig(seed=seed, n_points=n_points, n_planes=n_planes, **kw)
+
+
+class TestDatasetConfig:
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("n_points", 0),
+            ("n_points", -3),
+            ("n_planes", -1),
+            ("free_space_fraction", 2.0),  # gen_scene made 2x the points
+            ("free_space_fraction", -0.5),  # and 1.5x here
+            ("free_space_fraction", float("nan")),
+            ("n_images", 0),
+            ("test_every", -4),  # held out no view
+            ("pixel_noise_sigma", -0.1),
+            ("pixel_noise_sigma", float("nan")),
+            ("covis_keep_fraction", 1.5),  # behaved as 1.0
+            ("covis_keep_fraction", -0.1),
+        ],
+    )
+    def test_bad_value_raises_naming_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DatasetConfig(**{field: bad})
+
+    def test_limits_are_accepted(self):
+        for kw in (
+            dict(free_space_fraction=0.0, covis_keep_fraction=0.0, test_every=0),
+            dict(free_space_fraction=1.0, covis_keep_fraction=1.0, n_planes=0),
+        ):
+            DatasetConfig(**kw)
+        assert build_dataset(small_cfg(test_every=0)).test_ids == []
+
+
 class TestGenScene:
     def test_deterministic(self):
-        a = gen_scene(7, 100, 6)
-        b = gen_scene(7, 100, 6)
+        a = gen_scene(scene_cfg(7, 100))
+        b = gen_scene(scene_cfg(7, 100))
         np.testing.assert_array_equal(a.points, b.points)
         assert [p.texture_seed for p in a.planes] == [p.texture_seed for p in b.planes]
 
     def test_point_count_and_bounds(self):
-        scene = gen_scene(1, 100, 6, half_extent=5.0)
+        scene = gen_scene(scene_cfg(1, 100, half_extent=5.0))
         assert scene.points.shape == (100, 3)
         assert np.all(scene.points >= scene.bounds_lo - 1e-9)
         assert np.all(scene.points <= scene.bounds_hi + 1e-9)
         assert scene.diameter == 10.0
 
     def test_zero_planes_points_only(self):
-        scene = gen_scene(2, 50, 0)
+        scene = gen_scene(scene_cfg(2, 50, 0))
         assert scene.planes == []
         assert len(scene.points) == 50
         with pytest.raises(NoGeometryError):
             render_rays(scene, np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            gen_scene(0, 0, 6)
 
 
 class TestGenSceneMatchesLoop:
@@ -97,7 +130,10 @@ class TestGenSceneMatchesLoop:
         for seed in range(20):
             for count in (1, 2, 97):
                 args = (seed, count, plane_count, 5.0, free_fraction)
-                got, want = gen_scene(*args), oracles.gen_scene(*args)
+                got = gen_scene(
+                    scene_cfg(seed, count, plane_count, free_space_fraction=free_fraction)
+                )
+                want = oracles.gen_scene(*args)
                 assert_same_bits(got.points, want.points)
                 assert_same_bits(got.bounds_lo, want.bounds_lo)
                 assert_same_bits(got.bounds_hi, want.bounds_hi)
@@ -109,16 +145,29 @@ class TestGenSceneMatchesLoop:
                         assert_same_bits(getattr(a, name), getattr(b, name))
 
     def test_many_free_points_and_other_sizes(self):
-        # several batches of free-space candidates, and a tight min radius
+        # several batches of free-space candidates, and a small room where
+        # few candidates clear the min radius
         for seed in (0, 1):
-            for kw in (
-                dict(point_count=3000, free_space_fraction=1.0),
-                dict(point_count=300, free_space_min_radius=6.5, plane_count=0),
-                dict(point_count=400, half_extent=2.5, free_space_min_radius=0.5),
-            ):
-                assert_same_bits(
-                    gen_scene(seed, **kw).points, oracles.gen_scene(seed, **kw).points
+            for count, half_extent, fraction in ((3000, 5.0, 1.0), (400, 2.5, 0.2)):
+                cfg = scene_cfg(
+                    seed, count, half_extent=half_extent, free_space_fraction=fraction
                 )
+                want = oracles.gen_scene(seed, count, 6, half_extent, fraction)
+                assert_same_bits(gen_scene(cfg).points, want.points)
+
+    @staticmethod
+    def assert_free_space_matches(seed, n, half_extent, radius):
+        # with no planes, every point of the oracle's scene is a free-space one
+        got = _free_space_points(np.random.default_rng([seed, 1]), n, half_extent, radius)
+        want = oracles.gen_scene(
+            seed, n, plane_count=0, half_extent=half_extent, free_space_min_radius=radius
+        )
+        assert_same_bits(got, want.points)
+
+    def test_free_space_points_at_other_radii(self):
+        for seed in (0, 1):
+            self.assert_free_space_matches(seed, 300, 5.0, 6.5)
+            self.assert_free_space_matches(seed, 400, 2.5, 0.5)
 
     def test_candidates_tied_with_the_min_radius(self):
         # np.linalg.norm of one vector and a row norm can differ in the last
@@ -127,123 +176,157 @@ class TestGenSceneMatchesLoop:
             first = np.random.default_rng([seed, 1]).uniform(-5.0, 5.0, size=3)
             r = np.linalg.norm(first)
             for radius in (np.nextafter(r, 0), r, np.nextafter(r, np.inf)):
-                kw = dict(plane_count=0, free_space_min_radius=radius)
-                assert_same_bits(
-                    gen_scene(seed, 4, **kw).points, oracles.gen_scene(seed, 4, **kw).points
-                )
+                self.assert_free_space_matches(seed, 4, 5.0, radius)
+
+
+def assert_rows_match_oracle(rows, scene, pose, cfg):
+    """In-frame ``(point_ids, pixels)`` equal, bit for bit, those of the
+    per-point projection oracle without noise."""
+    ids, pixels = rows
+    want = oracles.observe(scene, pose, cfg.intrinsics(), cfg.width, cfg.height)
+    assert_same_bits(ids, want.point_ids)
+    assert_same_bits(pixels, want.pixels)
 
 
 class TestGenTrajectory:
     def test_deterministic(self):
-        scene = gen_scene(4, 200, 6)
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
-        a = gen_trajectory(scene, 11, 6, intr, min_visible=10)
-        b = gen_trajectory(scene, 11, 6, intr, min_visible=10)
-        for (ia, pa), (ib, pb) in zip(a.entries, b.entries):
-            assert ia == ib
-            np.testing.assert_array_equal(pa.rotation, pb.rotation)
-            np.testing.assert_array_equal(pa.translation, pb.translation)
+        cfg = scene_cfg(11, 200, n_images=6, min_visible=10)
+        scene = gen_scene(cfg)
+        a, b = gen_trajectory(scene, cfg), gen_trajectory(scene, cfg)
+        assert list(a) == list(b) == list(range(6))
+        for (pose_a, ids_a, pix_a), (pose_b, ids_b, pix_b) in zip(a.values(), b.values()):
+            assert_same_bits(pose_a.rotation, pose_b.rotation)
+            assert_same_bits(pose_a.translation, pose_b.translation)
+            assert_same_bits(ids_a, ids_b)
+            assert_same_bits(pix_a, pix_b)
 
     def test_outward_leaves_origin_behind(self):
-        scene = gen_scene(4, 300, 6)
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
-        traj = gen_trajectory(scene, 5, 8, intr, min_visible=10)
-        for _, pose in traj.entries:
+        cfg = scene_cfg(5, 300, n_images=8, min_visible=10)
+        for pose, _, _ in gen_trajectory(gen_scene(cfg), cfg).values():
             assert pose.world_to_camera(np.zeros(3))[2] < 0
 
-    def test_min_visible_enforced(self):
-        scene = gen_scene(4, 300, 6)
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
-        traj = gen_trajectory(scene, 5, 10, intr, min_visible=15)
-        for image_id, pose in traj.entries:
-            obs = observe(scene, pose, intr, 80, 60)
-            assert len(obs.point_ids) >= 15
+    def test_min_visible_enforced_on_the_rows_handed_on(self):
+        cfg = scene_cfg(5, 300, n_images=10, min_visible=15)
+        scene = gen_scene(cfg)
+        for pose, ids, pixels in gen_trajectory(scene, cfg).values():
+            assert len(ids) >= 15
+            assert_rows_match_oracle((ids, pixels), scene, pose, cfg)
 
     def test_infeasible_raises(self):
         # a handful of points cannot satisfy an absurd visibility floor
-        scene = gen_scene(4, 5, 6)
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
-        with pytest.raises(InfeasibleViewpointError):
-            gen_trajectory(scene, 5, 2, intr, min_visible=100, max_attempts=5)
+        cfg = scene_cfg(5, 5, n_images=2, min_visible=100)
+        with pytest.raises(InfeasibleViewpointError, match="after 60 attempts"):
+            gen_trajectory(gen_scene(cfg), cfg)
+
+    def test_each_pose_attempt_projects_the_scene_once(self, monkeypatch):
+        counts = {"pose": 0, "projection": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(scenegen, "_look_pose", counted("pose", scenegen._look_pose))
+        monkeypatch.setattr(scenegen, "_in_frame", counted("projection", scenegen._in_frame))
+        build_dataset(DatasetConfig())
+        assert counts["pose"] >= 40
+        assert counts["projection"] == counts["pose"]
 
 
 class TestObserve:
-    def _setup(self):
-        scene = gen_scene(9, 300, 6)
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
-        traj = gen_trajectory(scene, 2, 3, intr, min_visible=10)
-        return scene, intr, traj.entries[0][1]
+    def _setup(self, **kw):
+        cfg = scene_cfg(9, 300, n_images=3, min_visible=10, **kw)
+        scene = gen_scene(cfg)
+        pose, ids, pixels = gen_trajectory(scene, cfg)[0]
+        return scene, cfg, pose, observe(scene, cfg, 0, ids, pixels)
 
     def test_noiseless_pixels_are_exact_projections(self):
-        scene, intr, pose = self._setup()
-        obs = observe(scene, pose, intr, 80, 60)
+        scene, cfg, pose, obs = self._setup()
         for k, pix in zip(obs.point_ids, obs.pixels):
-            expected, status = project(intr, pose.world_to_camera(scene.points[k]))
+            expected, status = project(cfg.intrinsics(), pose.world_to_camera(scene.points[k]))
             assert status.name == "IN_FRONT"
             np.testing.assert_allclose(pix, expected, atol=1e-9)
 
     def test_behind_camera_points_absent(self):
-        scene, intr, pose = self._setup()
-        obs = observe(scene, pose, intr, 80, 60)
+        scene, cfg, pose, obs = self._setup()
         cam = pose.world_to_camera(scene.points)
         behind = set(np.flatnonzero(cam[:, 2] <= 0).tolist())
         assert behind  # outward-looking interior cameras always have some
         assert not behind & set(obs.point_ids.tolist())
 
     def test_depths_positive(self):
-        scene, intr, pose = self._setup()
-        obs = observe(scene, pose, intr, 80, 60)
+        scene, cfg, pose, obs = self._setup()
         assert np.all(pose.world_to_camera(obs.gt_coords)[:, 2] > 0)
 
     def test_noise_sigma_statistics(self):
-        # 10k interior points, sigma=1: empirical std within 5%
+        # 10k interior points seen by the identity camera, sigma=1:
+        # empirical std within 5%
         rng = np.random.default_rng(0)
         z = rng.uniform(2, 5, size=10000)
         pts = np.stack([z * rng.uniform(-0.5, 0.5, 10000),
                         z * rng.uniform(-0.35, 0.35, 10000), z], axis=1)
         scene = SyntheticScene(pts, [], np.full(3, -10.0), np.full(3, 10.0), 20.0)
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
-        obs = observe(scene, PoseSE3.identity(), intr, 80, 60,
-                      pixel_noise_sigma=1.0, rng=np.random.default_rng(1))
-        clean = observe(scene, PoseSE3.identity(), intr, 80, 60)
-        common = np.intersect1d(obs.point_ids, clean.point_ids)
-        a = obs.pixels[np.searchsorted(obs.point_ids, common)]
-        b = clean.pixels[np.searchsorted(clean.point_ids, common)]
-        err = (a - b).ravel()
+        cfg = DatasetConfig(seed=1, pixel_noise_sigma=1.0)
+        ids, clean = _in_frame(cfg.intrinsics(), pts, cfg.width, cfg.height)
+        assert len(ids) > 9000
+        obs = observe(scene, cfg, 0, ids, clean)
+        assert_same_bits(obs.point_ids, ids)
+        err = (obs.pixels - clean).ravel()
         assert abs(np.std(err) - 1.0) < 0.05
 
 
 class TestObserveMatchesLoop:
     def test_bit_identical(self):
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
         for seed in range(4):
-            scene = gen_scene(seed, 400, 6)
-            poses = [p for _, p in gen_trajectory(scene, seed, 4, intr, min_visible=10).entries]
-            # a camera looking away from every point sees nothing
-            poses.append(PoseSE3(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, -20.0])))
-            for pose in poses:
+            cfg = scene_cfg(seed, 400, n_images=4, min_visible=10)
+            scene = gen_scene(cfg)
+            for image_id, (pose, ids, pixels) in gen_trajectory(scene, cfg).items():
                 for sigma in (0.0, 0.7):
-                    got = observe(scene, pose, intr, 80, 60, sigma, np.random.default_rng(seed))
+                    noisy = scene_cfg(seed, 400, pixel_noise_sigma=sigma)
+                    got = observe(scene, noisy, image_id, ids, pixels)
                     want = oracles.observe(
-                        scene, pose, intr, 80, 60, sigma, np.random.default_rng(seed)
+                        scene, pose, cfg.intrinsics(), 80, 60, sigma,
+                        np.random.default_rng([seed, 2, image_id]), image_id,
                     )
-                    for name in ("point_ids", "pixels", "gt_coords"):
+                    for name in ("image_id", "point_ids", "pixels", "gt_coords"):
                         assert_same_bits(getattr(got, name), getattr(want, name))
-        assert len(got.point_ids) == 0
+
+    @pytest.mark.parametrize(
+        "pose, seen",
+        [
+            (PoseSE3.identity(), True),
+            # a camera looking away from every point sees nothing
+            (PoseSE3(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, -20.0])), False),
+        ],
+        ids=["identity", "looking-away"],
+    )
+    def test_projection_of_hand_made_poses(self, pose, seen):
+        for seed in range(4):
+            cfg = scene_cfg(seed, 400)
+            scene = gen_scene(cfg)
+            rows = _in_frame(cfg.intrinsics(), pose.world_to_camera(scene.points), 80, 60)
+            assert_rows_match_oracle(rows, scene, pose, cfg)
+            assert (len(rows[0]) > 0) == seen
 
 
 class TestRender:
+    @staticmethod
+    def _setup():
+        cfg = scene_cfg(5, 200, n_images=1, min_visible=5)
+        scene = gen_scene(cfg)
+        return scene, gen_trajectory(scene, cfg)[0][0], cfg.intrinsics()
+
     def test_same_pose_identical(self):
-        scene = gen_scene(5, 200, 6)
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
-        pose = gen_trajectory(scene, 1, 1, intr, min_visible=5).entries[0][1]
+        scene, pose, intr = self._setup()
         a = render_image(scene, pose, intr, 80, 60)
         b = render_image(scene, pose, intr, 80, 60)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_view_independence_at_surface_point(self):
         # two rays from different origins through the same wall point
-        scene = gen_scene(5, 50, 6)
+        scene = gen_scene(scene_cfg(5, 50))
         plane = scene.planes[0]
         target = plane.origin + 0.3 * plane.edge_u + 0.6 * plane.edge_v
         o1 = np.array([0.5, 0.2, -0.1])
@@ -253,16 +336,14 @@ class TestRender:
         assert abs(s1[0] - s2[0]) < 1e-12
 
     def test_miss_gives_background(self):
-        scene = gen_scene(5, 50, 6, half_extent=5.0)
+        scene = gen_scene(scene_cfg(5, 50, half_extent=5.0))
         # ray escaping through where there is no plane: shrink to one wall
         scene.planes[:] = scene.planes[:1]
         shade = render_rays(scene, np.zeros(3), np.array([[-1.0, 0.0, 0.0]]))
         assert shade[0] == 0.5
 
     def test_render_values_in_range(self):
-        scene = gen_scene(5, 200, 6)
-        intr = CameraIntrinsics(40.0, 39.5, 29.5)
-        pose = gen_trajectory(scene, 1, 1, intr, min_visible=5).entries[0][1]
+        scene, pose, intr = self._setup()
         img = render_image(scene, pose, intr, 80, 60)
         assert img.data.min() >= 0.0 and img.data.max() <= 1.0
         assert img.data.std() > 0.01  # actually textured
@@ -349,7 +430,7 @@ class TestRenderMatchesOracle:
         return got
 
     def test_random_rays(self):
-        scene = gen_scene(5, 50, 6)
+        scene = gen_scene(scene_cfg(5, 50))
         rng = np.random.default_rng(4)
         for origin in rng.uniform(-4.5, 4.5, (5, 3)):
             self.assert_rays_match(scene, origin, rng.normal(size=(500, 3)))
@@ -368,10 +449,10 @@ class TestRenderMatchesOracle:
             [0.0, -0.3, 2.0],
             [0.0, 0.0, 0.0],
         ]
-        self.assert_rays_match(gen_scene(5, 50, 6), np.array(origin), dirs)
+        self.assert_rays_match(gen_scene(scene_cfg(5, 50)), np.array(origin), dirs)
 
     def test_rays_through_edges_and_corners(self):
-        scene = gen_scene(5, 50, 6)
+        scene = gen_scene(scene_cfg(5, 50))
         # from the centre, (1, 1, 0) meets the walls x = 5 and y = 5 at the
         # same s with u or v exactly 1; (1, 1, 1) meets three at a corner
         dirs = [
@@ -387,14 +468,14 @@ class TestRenderMatchesOracle:
         assert np.all(got != 0.5)
 
     def test_rays_starting_on_a_wall(self):
-        scene = gen_scene(5, 50, 6)
+        scene = gen_scene(scene_cfg(5, 50))
         rng = np.random.default_rng(5)
         dirs = rng.normal(size=(200, 3))
         for origin in ([5.0, 0.3, -1.2], [-5.0, -5.0, 2.0], [5.0, 5.0, 5.0], [0.0, 0.0, -5.0]):
             self.assert_rays_match(scene, np.array(origin), dirs)
 
     def test_one_plane_scene_misses_give_background(self):
-        scene = gen_scene(5, 50, 1)
+        scene = gen_scene(scene_cfg(5, 50, 1))
         dirs = np.random.default_rng(6).normal(size=(400, 3))
         got = self.assert_rays_match(scene, np.array([0.5, -0.2, 0.1]), dirs)
         assert np.any(got == 0.5) and np.any(got != 0.5)
@@ -406,9 +487,10 @@ class TestRenderMatchesOracle:
         )
         occluded = 0
         for image_id, pose in ds.poses.items():
-            dirs = camera_rays(pose, ds.intrinsics, ds.width, ds.height)
+            width, height = ds.config.width, ds.config.height
+            dirs = camera_rays(pose, ds.intrinsics, width, height)
             shade = self.assert_rays_match(ds.scene, pose.translation, dirs)
-            want = np.round(shade.reshape(ds.height, ds.width) * 65535.0) / 65535.0
+            want = np.round(shade.reshape(height, width) * 65535.0) / 65535.0
             assert_same_bits(ds.images[image_id].data, want)
             occluded += int(np.sum(shade != render_rays(walls, pose.translation, dirs)))
         assert occluded > 0
@@ -615,6 +697,7 @@ class TestDatasetIO:
         ds = build_dataset(small_cfg(render_images=True, pixel_noise_sigma=0.5))
         save_dataset(ds, tmp_path / "d")
         back = load_dataset(tmp_path / "d")
+        assert back.config == ds.config and back.intrinsics == ds.intrinsics
         assert back.diameter == ds.diameter
         assert back.train_ids == ds.train_ids and back.test_ids == ds.test_ids
         assert back.covis.corresponded == ds.covis.corresponded
@@ -700,6 +783,8 @@ class TestDatasetIO:
             ("manifest.json", lambda m: m.pop("train_ids")),
             ("manifest.json", lambda m: m.pop("config")),
             ("manifest.json", lambda m: m["config"].update(bogus=1)),
+            # a value DatasetConfig refuses
+            ("manifest.json", lambda m: m["config"].update(free_space_fraction=2.0)),
             ("manifest.json", lambda m: m.update(diameter="wide")),
             ("manifest.json", lambda m: m["image_ids"].append("x")),
             ("covis.json", lambda c: c.pop("corresponded")),
@@ -743,6 +828,16 @@ class TestDatasetIO:
         blob["point_to_images"] = {str(k): list(v) for k, v in point_to_images.items()}
         path.write_text(json.dumps(blob))
         assert load_dataset(saved).covis.corresponded == want.covis.corresponded
+
+    def test_manifest_with_the_old_intrinsics_object_loads(self, saved):
+        # the camera is the config's, so the object is no longer written
+        path = saved / "manifest.json"
+        blob = json.loads(path.read_text())
+        assert "intrinsics" not in blob
+        blob["intrinsics"] = {"f": 40.0, "cx": 39.5, "cy": 29.5}
+        path.write_text(json.dumps(blob))
+        back = load_dataset(saved)
+        assert back.intrinsics == back.config.intrinsics()
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -817,17 +912,6 @@ class TestPoseParsing:
         path.write_text("1 0 0 1\n0 1 0 2\n0 0 1 3\n0 0 0 1\n")
         pose = parse_7scenes_pose(path)
         np.testing.assert_array_equal(pose.translation, [1.0, 2.0, 3.0])
-
-    def test_world_to_camera_flag_inverts(self, tmp_path, rng):
-        from conftest import random_pose
-
-        pose = random_pose(rng)
-        path = tmp_path / "p.txt"
-        write_pose_file(path, pose)
-        inv = parse_7scenes_pose(path, world_to_camera=True)
-        np.testing.assert_allclose(
-            inv.as_matrix(), np.linalg.inv(pose.as_matrix()), atol=1e-12
-        )
 
     def test_nonrigid_warns_and_projects(self, tmp_path):
         R = rotation_about_axis(np.array([0.3, 1.0, -0.2]), 0.7)
