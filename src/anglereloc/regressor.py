@@ -494,7 +494,10 @@ def constant_depth_targets(
 @dataclass
 class TrainConfig:
     """Training settings. Every loss weight and guard lives in ``loss``,
-    validated when that ``LossConfig`` is built."""
+    validated when that ``LossConfig`` is built. Values that would break a
+    run or silently change it raise ``ConfigError`` naming the field:
+    ``checkpoint_every`` 0 records only the end, and
+    ``photo_neighbor_max_offset`` must leave each view a neighbor id."""
 
     mode: str = TrainMode.ANGLE.value
     iterations: int = 20000
@@ -509,8 +512,21 @@ class TrainConfig:
     photo_neighbor_max_offset: int = 10
 
     def __post_init__(self):
-        if self.iterations <= 0:
-            raise ConfigError("iterations must be positive")
+        # written so that NaN fails every rule
+        for name, ok, rule in (
+            ("iterations", self.iterations > 0, "> 0"),
+            ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+            ("init_fraction", 0 <= self.init_fraction <= 1, "in [0, 1]"),
+            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
+            (
+                "hidden_sizes",
+                all(isinstance(n, (int, np.integer)) and n > 0 for n in self.hidden_sizes),
+                "integers > 0",
+            ),
+            ("photo_neighbor_max_offset", self.photo_neighbor_max_offset > 0, "> 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.mode == TrainMode.CONST_DEPTH_REPROJ.value and not self.const_depth > 0:
             raise ConfigError("const_depth must be positive for the init mode")
         TrainMode(self.mode)  # validates the mode string

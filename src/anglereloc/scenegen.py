@@ -14,7 +14,10 @@ One ``DatasetConfig`` sets every value of a room; ``gen_scene``,
 own. ``build_dataset`` runs them in turn: ``gen_trajectory`` projects the
 scene once per pose it draws, and hands the accepted pose's in-frame point
 ids and pixels to ``observe``, which adds pixel noise and ground truth
-without projecting again.
+without projecting again. Drawing poses is the largest set-up cost of the
+default room, so ``_look_pose`` writes its two 3-vector cross products out
+on Python floats: ``np.cross`` is almost all per-call overhead at that size.
+It forms the same products in the same order, so every pose keeps its bits.
 
 Rendering is Lambertian by construction: wall intensity is a pure function
 of the surface point, so two views of the same point agree exactly. A view
@@ -41,6 +44,7 @@ one attempt at a time.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,6 +125,7 @@ class DatasetConfig:
         for name, ok, rule in (
             ("n_points", self.n_points > 0, "> 0"),
             ("n_planes", self.n_planes >= 0, ">= 0"),
+            ("half_extent", 0 < self.half_extent < math.inf, "finite and > 0"),
             ("free_space_fraction", 0 <= self.free_space_fraction <= 1, "in [0, 1]"),
             ("n_images", self.n_images > 0, "> 0"),
             ("test_every", self.test_every >= 0, ">= 0"),
@@ -129,6 +134,22 @@ class DatasetConfig:
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        # no free-space candidate of the cube [-h, h]^3 could clear the radius
+        if self.n_free_space and not self.half_extent * math.sqrt(3) > FREE_SPACE_MIN_RADIUS:
+            raise ValueError(
+                f"half_extent must be > FREE_SPACE_MIN_RADIUS / sqrt(3) = "
+                f"{FREE_SPACE_MIN_RADIUS / math.sqrt(3):.4f} in a room with free-space "
+                f"points, got {self.half_extent!r}"
+            )
+
+    @property
+    def n_free_space(self) -> int:
+        """Points that ``gen_scene`` places in free space: the
+        ``free_space_fraction`` share, or every point of a room without
+        planes."""
+        if not self.n_planes:
+            return self.n_points
+        return int(round(self.n_points * self.free_space_fraction))
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics(self.focal, (self.width - 1) / 2, (self.height - 1) / 2)
@@ -328,14 +349,13 @@ def gen_scene(cfg: DatasetConfig) -> SyntheticScene:
             TexturedPlane(center - eu / 2 - ev / 2, eu, ev, seed * 100 + 50 + extra)
         )
 
-    n_free = int(round(cfg.n_points * cfg.free_space_fraction)) if planes else cfg.n_points
+    n_free = cfg.n_free_space
     n_surface = cfg.n_points - n_free
 
     surface = np.empty((0, 3))
     if n_surface > 0:
-        areas = np.array(
-            [np.linalg.norm(np.cross(p.edge_u, p.edge_v)) for p in planes]
-        )
+        # the cached normal is edge_u x edge_v, which render_rays reuses
+        areas = np.array([np.linalg.norm(p.hit_constants[0]) for p in planes])
         choice = rng.choice(len(planes), size=n_surface, p=areas / areas.sum())
         uv = rng.uniform(size=(n_surface, 2))
         origin, edge_u, edge_v = (
@@ -369,13 +389,29 @@ def gen_scene(cfg: DatasetConfig) -> SyntheticScene:
 
 
 def _look_pose(position, forward):
-    """Camera-to-world pose looking along ``forward`` with Y roughly down."""
+    """Camera-to-world pose looking along ``forward`` with Y roughly down:
+    the columns ``x = y_des x z``, ``y = z x x`` and ``z``, with
+    ``y_des = (0, 0, -1)``, projected onto SO(3).
+
+    This runs once per pose drawn, and ``np.cross`` on 3-vectors is almost
+    all per-call overhead, so the two cross products are written out on
+    Python floats. They form the products and differences that ``np.cross``
+    forms, in its order, zero terms of ``y_des`` included so that signed
+    zeros match, so every pose keeps its bits. The norms stay
+    ``np.linalg.norm`` (BLAS ``ddot``, whose last bit a plain sum does not
+    always match), and ``x`` is divided as an array: a forward along +-Z
+    gives 0/0 there, numpy warns, and the NaN rotation fails in
+    ``nearest_rotation``."""
     z = forward / np.linalg.norm(forward)
-    y_des = np.array([0.0, 0.0, -1.0])
-    x = np.cross(y_des, z)
+    z0, z1, z2 = z.tolist()
+    a0, a1, a2 = 0.0, 0.0, -1.0  # y_des
+    x = np.array([a1 * z2 - a2 * z1, a2 * z0 - a0 * z2, a0 * z1 - a1 * z0])
     x /= np.linalg.norm(x)
-    y = np.cross(z, x)
-    R = np.column_stack([x, y, z])
+    x0, x1, x2 = x.tolist()
+    R = np.empty((3, 3))
+    R[:, 0] = x
+    R[:, 1] = (z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0)
+    R[:, 2] = z
     return PoseSE3(nearest_rotation(R), position)
 
 

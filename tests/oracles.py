@@ -19,6 +19,10 @@ module's own ``CoVisibility``, which also keeps the point -> images map that
 the package no longer stores; ``multiview_entries`` reads it one row at a
 time, as the loop form of ``anglereloc.losses.build_multiview_index``.
 
+``look_pose`` is ``anglereloc.scenegen._look_pose`` as it was before its
+cross products were written out on Python floats: two ``np.cross`` calls
+and ``np.column_stack``.
+
 ``value_noise`` and ``render_rays`` are the renderer as it was before it
 gathered lattice hashes from a per-octave table and kept per-plane
 constants: four ``_hash01`` calls per sample and octave, and the normal,
@@ -32,7 +36,13 @@ from collections import Counter
 
 import numpy as np
 
-from anglereloc.geometry import EPS_NEAR_PLANE, DepthStatus, depth_statuses
+from anglereloc.geometry import (
+    EPS_NEAR_PLANE,
+    DepthStatus,
+    PoseSE3,
+    depth_statuses,
+    nearest_rotation,
+)
 from anglereloc.losses import DimensionMismatchError, _ssim_from_moments
 from anglereloc.scenegen import (
     TEXTURE_CELLS_PER_UNIT,
@@ -187,6 +197,16 @@ def observe(scene, pose, intr, width, height, pixel_noise_sigma=0.0, rng=None, i
         pixels[:, 0] = np.clip(pixels[:, 0], 0, width - 1)
         pixels[:, 1] = np.clip(pixels[:, 1], 0, height - 1)
     return ImageObservations(image_id, np.flatnonzero(keep), pixels, scene.points[keep].copy())
+
+
+def look_pose(position, forward):
+    z = forward / np.linalg.norm(forward)
+    y_des = np.array([0.0, 0.0, -1.0])
+    x = np.cross(y_des, z)
+    x /= np.linalg.norm(x)
+    y = np.cross(z, x)
+    R = np.column_stack([x, y, z])
+    return PoseSE3(nearest_rotation(R), position)
 
 
 class CoVisibility:

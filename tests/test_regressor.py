@@ -680,6 +680,35 @@ class TestPhotoTraining:
             train(rendered_room, "patch_mlp", cfg)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("iterations", 0),
+            ("lr", float("nan")),  # NaN parameters and a logged loss of 0.0
+            ("lr", 0.0),  # trained nothing, without complaint
+            ("lr", -0.01),
+            ("lr", float("inf")),
+            ("init_fraction", 2.0),  # never left the regression phase
+            ("init_fraction", -0.1),
+            ("init_fraction", float("nan")),
+            ("checkpoint_every", -1),  # evaluated and recorded at every iteration
+            ("photo_neighbor_max_offset", -1),  # no view had a neighbor
+            ("photo_neighbor_max_offset", 0),
+            ("hidden_sizes", (0,)),  # a zero-width layer
+            ("hidden_sizes", (8, -4)),
+            ("hidden_sizes", (8.5,)),
+        ],
+    )
+    def test_bad_value_raises_config_error_naming_the_field(self, field, bad):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            TrainConfig(**{field: bad})
+
+    def test_limits_are_accepted(self):
+        TrainConfig(init_fraction=0.0, checkpoint_every=0, photo_neighbor_max_offset=1)
+        TrainConfig(init_fraction=1.0, hidden_sizes=())
+
+
 class TestLossConfig:
     @pytest.mark.parametrize(
         "kw, field",
@@ -802,6 +831,12 @@ class TestCheckpoint:
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: epsilon_norm must be positive"
+
+    def test_invalid_train_config_value_names_path_and_field(self, tmp_path):
+        path = self._write(tmp_path, lambda b: b["train_config"].update(lr=-0.01))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: lr must be finite and > 0, got -0.01"
 
     def test_constant_model_kind_is_unknown(self, tmp_path):
         path = self._write(

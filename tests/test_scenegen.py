@@ -1,6 +1,7 @@
 """Synthetic scene generation, rendering, co-visibility and dataset IO."""
 
 import hashlib
+import itertools
 import json
 import warnings
 from types import SimpleNamespace
@@ -73,6 +74,12 @@ class TestDatasetConfig:
             ("n_points", 0),
             ("n_points", -3),
             ("n_planes", -1),
+            ("half_extent", -1.0),  # numpy's bare "high - low < 0" in gen_scene
+            ("half_extent", 0.0),
+            ("half_extent", float("nan")),
+            ("half_extent", float("inf")),
+            # no free-space candidate can clear FREE_SPACE_MIN_RADIUS: gen_scene hung
+            ("half_extent", 2.0),
             ("free_space_fraction", 2.0),  # gen_scene made 2x the points
             ("free_space_fraction", -0.5),  # and 1.5x here
             ("free_space_fraction", float("nan")),
@@ -95,6 +102,17 @@ class TestDatasetConfig:
         ):
             DatasetConfig(**kw)
         assert build_dataset(small_cfg(test_every=0)).test_ids == []
+
+    def test_small_room_without_free_space_fails_in_its_trajectory(self):
+        cfg = DatasetConfig(half_extent=2.0, free_space_fraction=0.0)
+        assert cfg.n_free_space == 0
+        with pytest.raises(InfeasibleViewpointError):
+            build_dataset(cfg)
+
+    def test_free_space_count(self):
+        assert DatasetConfig(n_points=7, free_space_fraction=0.3).n_free_space == 2
+        # a room without planes has every point in free space
+        assert DatasetConfig(n_points=7, n_planes=0, free_space_fraction=0.0).n_free_space == 7
 
 
 class TestGenScene:
@@ -233,6 +251,82 @@ class TestGenTrajectory:
         build_dataset(DatasetConfig())
         assert counts["pose"] >= 40
         assert counts["projection"] == counts["pose"]
+
+    def test_builds_call_np_cross_at_most_once_per_plane(self, monkeypatch):
+        calls = []
+        cross = np.cross
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cross(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cross", counted)
+        cfg = DatasetConfig()
+        build_dataset(cfg)
+        assert 0 < len(calls) <= cfg.n_planes
+
+
+def pose_outcome(look_pose, position, forward):
+    """The pose's bytes, or the type and text of what it raised."""
+    try:
+        pose = look_pose(position, forward)
+    except (RuntimeWarning, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return pose.rotation.tobytes(), pose.translation.tobytes()
+
+
+class TestLookPoseMatchesOracle:
+    """``_look_pose`` writes its cross products out on Python floats; every
+    pose must keep the bits of the ``np.cross`` form."""
+
+    @staticmethod
+    def assert_same_pose(position, forward):
+        position, forward = np.asarray(position, float), np.asarray(forward, float)
+        got = pose_outcome(scenegen._look_pose, position, forward)
+        assert got == pose_outcome(oracles.look_pose, position, forward)
+        assert got[0] is not RuntimeWarning
+
+    def test_random_forwards(self):
+        rng = np.random.default_rng(17)
+        positions = rng.normal(size=(2000, 3))
+        forwards = rng.normal(size=(2000, 3)) * rng.uniform(1e-3, 1e3, size=(2000, 1))
+        for position, forward in zip(positions, forwards):
+            self.assert_same_pose(position, forward)
+
+    def test_forwards_with_signed_zero_components(self):
+        values = (0.0, -0.0, 0.7, -1.3)
+        forwards = [f for f in itertools.product(values, repeat=3) if f[0] or f[1]]
+        assert len(forwards) == 48
+        for forward in forwards:
+            self.assert_same_pose((0.5, -0.0, 0.0), forward)
+
+    def test_the_default_rooms_draws(self, monkeypatch):
+        draws = []
+        look_pose = scenegen._look_pose
+
+        def recorded(position, forward):
+            draws.append((position, forward))
+            return look_pose(position, forward)
+
+        monkeypatch.setattr(scenegen, "_look_pose", recorded)
+        build_dataset(DatasetConfig())
+        monkeypatch.undo()
+        assert len(draws) >= 40
+        for position, forward in draws:
+            self.assert_same_pose(position, forward)
+
+    @pytest.mark.parametrize("forward", [(0.0, 0.0, 1.0), (-0.0, 0.0, -2.0), (0.0, -0.0, 0.5)])
+    def test_forward_along_z_raises_the_same_error(self, forward):
+        forward = np.array(forward)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pose_outcome(scenegen._look_pose, np.zeros(3), forward)
+            assert got == pose_outcome(oracles.look_pose, np.zeros(3), forward)
+            assert got[0] is RuntimeWarning
+        with np.errstate(invalid="ignore"):
+            got = pose_outcome(scenegen._look_pose, np.zeros(3), forward)
+            assert got == pose_outcome(oracles.look_pose, np.zeros(3), forward)
+            assert got[0] is np.linalg.LinAlgError
 
 
 class TestObserve:
