@@ -123,12 +123,20 @@ class PoseSE3:
         return d @ self.rotation.T + self.translation
 
 
+# -z falls in bin 0 (z >= EPS), 1 (|z| < EPS) or 2 (z <= -EPS) of these edges;
+# searchsorted sorts NaN after every edge, so a NaN depth lands in bin 2 too
+_STATUS_EDGES = np.array([-EPS_NEAR_PLANE, np.nextafter(EPS_NEAR_PLANE, 0.0)])
+_STATUS_OF_BIN = np.array(
+    [int(DepthStatus.IN_FRONT), int(DepthStatus.NEAR_PLANE), int(DepthStatus.BEHIND)]
+)
+
+
 def depth_statuses(z: np.ndarray) -> np.ndarray:
     """``DepthStatus`` of each depth in ``z``, as an int array: NEAR_PLANE
     where ``|z| < EPS_NEAR_PLANE``, else IN_FRONT for positive depths and BEHIND
-    for the rest."""
-    out = np.where(z > 0, int(DepthStatus.IN_FRONT), int(DepthStatus.BEHIND))
-    return np.where(np.abs(z) < EPS_NEAR_PLANE, int(DepthStatus.NEAR_PLANE), out)
+    for the rest (NaN included). One ``searchsorted`` over two bin edges and
+    one ``take``: on ~35 rows the cost is the count of numpy calls."""
+    return _STATUS_OF_BIN.take(_STATUS_EDGES.searchsorted(-z))
 
 
 def ray_vectors(intr: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:

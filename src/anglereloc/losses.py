@@ -16,20 +16,29 @@ to the camera center.
 
 Array-first design: the ``*_terms`` kernels operate on (N, 3) prediction and
 (N, 2) pixel batches, and a single point is a batch of one. The composite
-losses do no per-point Python work either. ``multiview_image_loss`` reads a
-``MultiviewIndex`` that ``build_multiview_index`` makes once per training
-run from the observations alone, in whole-array passes: per observation row,
-a CSR list (one flat entry array plus per-row offsets into it) of the other
-images' rows that observe the same point, with their pixels, and the poses
-stacked by image. Each call draws every corresponded row's neighbor with
-one ``rng.integers`` call in row order and evaluates the drawn pairs in one
-``angle_terms`` pass. ``photometric_image_loss`` works on all valid (M, 9)
-sampling windows at once. Its target windows depend only on (image, point),
-so ``photo_target`` samples them once per training run; each call tests the
-reconstruction windows against the neighbor image's bounds first and samples
-that image only where a window can be valid. ``reproj_terms`` and
-``photometric_image_loss`` share one projection and one chain rule through
-it (``_project``, ``_project_grads``).
+losses do no per-point Python work either. At ~35 rows a call costs its
+count of numpy calls, not its arithmetic, so the hot paths keep that count
+low without changing a bit. ``angle_terms`` maps the predictions into the
+camera frame and the pixels to rays, and hands both to ``_angle_kernel``,
+which works in the camera frame alone: values, ``dL/dD``, depth statuses
+and ray angles, with the guard's masked steps run only when some row needs
+them. ``angle_terms`` then rotates ``dL/dD`` to the world frame once; a pose
+solver can call the kernel on its own camera-frame points.
+``multiview_image_loss`` reads a ``MultiviewIndex`` that
+``build_multiview_index`` makes once per training run from the observations
+alone, in whole-array passes: per observation row, a CSR list (one flat
+entry array plus per-row offsets into it) of the other images' rows that
+observe the same point, with their pixels, and the poses stacked by image;
+per image, the rows that have entries, with their first entry and count.
+Each call draws every corresponded row's neighbor with one ``rng.integers``
+call in row order and evaluates the drawn pairs in one ``angle_terms``
+pass, after the image's own rows in another. ``photometric_image_loss``
+works on all valid (M, 9) sampling windows at once. Its target windows
+depend only on (image, point), so ``photo_target`` samples them once per
+training run; each call tests the reconstruction windows against the
+neighbor image's bounds first and samples that image only where a window
+can be valid. ``reproj_terms`` and ``photometric_image_loss`` share one
+projection and one chain rule through it (``_project``, ``_project_grads``).
 """
 
 from __future__ import annotations
@@ -94,7 +103,11 @@ class LossReport(NamedTuple):
     ``valid_mask`` marks the rows that count, for a loss that masks some
     (None: every row counts). ``total`` sums only the finite values;
     non-finite terms are surfaced through ``nonfinite`` instead of poisoning
-    the sum.
+    the sum. The training loop reads ``total``, ``behind_frac`` and
+    ``nonfinite`` every iteration, so each counts with ``np.count_nonzero``
+    and sums the values without a copy when all of them are finite. Each
+    returns a Python float or bool, and a report without rows has
+    ``behind_frac`` 0.0.
     """
 
     values: np.ndarray
@@ -105,15 +118,20 @@ class LossReport(NamedTuple):
 
     @property
     def total(self) -> float:
-        return float(np.sum(self.values[np.isfinite(self.values)]))
+        finite = np.isfinite(self.values)
+        if np.count_nonzero(finite) == finite.size:
+            return float(self.values.sum())
+        return float(np.sum(self.values[finite]))
 
     @property
     def behind_frac(self) -> float:
-        return float(np.mean(self.statuses == int(DepthStatus.BEHIND)))
+        n = len(self.statuses)
+        behind = np.count_nonzero(self.statuses == int(DepthStatus.BEHIND))
+        return float(behind / n) if n else 0.0
 
     @property
     def nonfinite(self) -> bool:
-        return not (np.isfinite(self.values).all() and np.isfinite(self.grads).all())
+        return not (_all_finite(self.values) and _all_finite(self.grads))
 
     @property
     def valid_fraction(self) -> float:
@@ -122,14 +140,21 @@ class LossReport(NamedTuple):
         return float(np.mean(self.valid_mask)) if len(self.valid_mask) else 0.0
 
 
+def _all_finite(a) -> bool:
+    """``np.isfinite(a).all()`` in a third of its time on ~35 rows."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def _row_dots(a, b):
-    """Row-wise dot products of two (N, 3) arrays, column by column.
+    """Row-wise dot products of two (N, 3) arrays: one product pass, then its
+    three columns added left to right.
 
     The same bits as ``np.sum(a * b, axis=1)`` (which adds the three
     products in this order) except that three -0.0 products sum to -0.0
     here, +0.0 there; several times faster at thousands of rows.
     """
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    p = a * b
+    return p[:, 0] + p[:, 1] + p[:, 2]
 
 
 def _row_norms(a):
@@ -138,9 +163,15 @@ def _row_norms(a):
 
 
 def _angles_between(D, rays, norms_D, norms_d):
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosines = _row_dots(D, rays) / (np.maximum(norms_D, 1e-300) * norms_d)
-    return np.arccos(np.clip(cosines, -1.0, 1.0))
+    """Angle between each camera-frame point and its ray, given their norms;
+    the clamp into [-1, 1] has ``np.clip``'s bits. A row with an infinite
+    entry divides inf by inf here, so callers silence ``invalid`` and
+    ``divide`` around it."""
+    cosines = _row_dots(D, rays)
+    cosines /= np.maximum(norms_D, 1e-300) * norms_d
+    np.maximum(cosines, -1.0, out=cosines)
+    np.minimum(cosines, 1.0, out=cosines)
+    return np.arccos(cosines, out=cosines)
 
 
 def _project(intr: CameraIntrinsics, D):
@@ -181,9 +212,50 @@ def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
         r = _project(intr, D) - pixels
         values = np.linalg.norm(r, axis=1)
         rhat = np.where(values[:, None] > 0, r / values[:, None], 0.0)
+        thetas = _angles_between(D, rays, _row_norms(D), _row_norms(rays))
     grads = _project_grads(intr, pose.rotation, D, rhat)
-    thetas = _angles_between(D, rays, _row_norms(D), _row_norms(rays))
     return LossReport(values, grads, depth_statuses(D[:, 2]), thetas)
+
+
+def _angle_kernel(D, rays, eps_norm):
+    """The angle loss in the camera frame: per-row values, gradients
+    ``dL/dD``, depth statuses and ray angles of (N, 3) camera-frame points
+    ``D`` against their (N, 3) ray vectors.
+
+    With ``s = |ray| / max(|D|, eps_norm)`` and ``g = s D - ray``, a row's
+    value is ``|g|`` and its gradient ``s ghat - |ray| (D . ghat) D / |D|^3``
+    with ``ghat = g / |g|``. Two kinds of row are special: one whose ``|g|``
+    is 0 or NaN gets ``ghat = 0``, and one within ``eps_norm`` of the camera
+    center, where ``1/|D|`` is held constant, drops the second term. The
+    masked steps that handle them cost several times the plain ones on ~35
+    rows, so they run only when some row needs them; either way every other
+    row gets the same bits.
+    """
+    norms_D_raw = _row_norms(D)
+    norms_d = _row_norms(rays)
+    norms_D = np.maximum(norms_D_raw, eps_norm)
+    scale = (norms_d / norms_D)[:, None]
+    g = scale * D
+    g -= rays
+    values = _row_norms(g)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ghat = g / values[:, None]
+        thetas = _angles_between(D, rays, norms_D_raw, norms_d)
+    has_dir = values > 0
+    free = norms_D_raw > eps_norm
+    plain = np.count_nonzero(has_dir & free) == len(values)
+    if not plain:
+        ghat[~has_dir] = 0.0
+    grad_D = scale * ghat
+    coef = norms_d * _row_dots(D, ghat)
+    if plain:
+        coef /= norms_D**3
+        grad_D -= coef[:, None] * D
+    else:
+        # the 1/|D| factor is constant below the guard, so its derivative drops
+        np.divide(coef, norms_D**3, out=coef, where=free)
+        np.subtract(grad_D, coef[:, None] * D, out=grad_D, where=free[:, None])
+    return values, grad_D, depth_statuses(D[:, 2]), thetas
 
 
 def angle_terms(
@@ -196,29 +268,14 @@ def angle_terms(
     equals the chord ``2 |ray| sin(theta / 2)``. Bounded by ``2 |ray|``, and
     with the ``eps_norm`` guard its gradient stays finite all the way to the
     camera center. Returns a ``LossReport`` over the batch.
+
+    The predictions go into the camera frame and the pixels become rays;
+    ``_angle_kernel`` does the rest there, and its ``dL/dD`` is rotated back
+    to the world frame once.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    pixels = np.asarray(pixels, dtype=np.float64)
-    R = pose.rotation
     D = pose.world_to_camera(preds)
-    rays = ray_vectors(intr, pixels)
-    norms_d = _row_norms(rays)
-    norms_D_raw = _row_norms(D)
-    norms_D = np.maximum(norms_D_raw, eps_norm)
-    scale = norms_d / norms_D
-    g = scale[:, None] * D - rays
-    values = _row_norms(g)
-    with np.errstate(invalid="ignore"):
-        ghat = np.where(values[:, None] > 0, g / values[:, None], 0.0)
-    grad_D = scale[:, None] * ghat
-    # the 1/|D| factor is constant below the guard, so its derivative drops
-    free = norms_D_raw > eps_norm
-    coef = norms_d * _row_dots(D, ghat)
-    np.divide(coef, norms_D**3, out=coef, where=free)
-    np.subtract(grad_D, coef[:, None] * D, out=grad_D, where=free[:, None])
-    grads = grad_D @ R.T
-    thetas = _angles_between(D, rays, norms_D_raw, norms_d)
-    return LossReport(values, grads, depth_statuses(D[:, 2]), thetas)
+    values, grad_D, statuses, thetas = _angle_kernel(D, ray_vectors(intr, pixels), eps_norm)
+    return LossReport(values, grad_D @ pose.rotation.T, statuses, thetas)
 
 
 def _aligned(coords, n_rows):
@@ -239,6 +296,18 @@ class _ImageRows(NamedTuple):
     # (N + 1,) offsets into the index's flat entry arrays: the other rows
     # observing row r's point are entries offsets[r] .. offsets[r + 1] - 1
     offsets: np.ndarray
+    # the rows with at least one entry, ascending, with their first entry
+    # and entry count: what every ``MultiviewIndex.draw`` reads
+    drawn_rows: np.ndarray
+    drawn_first: np.ndarray
+    drawn_counts: np.ndarray
+
+    @classmethod
+    def of(cls, pixels, offsets):
+        counts = np.diff(offsets)
+        rows = np.flatnonzero(counts)
+        rows.setflags(write=False)  # draw hands it out as is
+        return cls(pixels, offsets, rows, offsets[rows], counts[rows])
 
 
 @dataclass(frozen=True)
@@ -267,10 +336,8 @@ class MultiviewIndex:
         the entries of the row. All rows draw from one ``rng.integers`` call
         in row order, which yields the same stream as one scalar draw per
         row. Returns ``(rows, entries)``."""
-        offsets = self.images[image_id].offsets
-        counts = np.diff(offsets)
-        rows = np.flatnonzero(counts)
-        return rows, offsets[rows] + rng.integers(counts[rows])
+        own = self.images[image_id]
+        return own.drawn_rows, own.drawn_first + rng.integers(own.drawn_counts)
 
 
 def build_multiview_index(poses, observations_by_image, corresponded) -> MultiviewIndex:
@@ -317,7 +384,7 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
         translations=np.array([p.translation for p in poses.values()]).reshape(-1, 3),
         poses=poses,
         images={
-            i: _ImageRows(pix, offsets[b : e + 1])
+            i: _ImageRows.of(pix, offsets[b : e + 1])
             for i, pix, b, e in zip(image_ids.tolist(), pixels, bounds, bounds[1:])
         },
         other_pos=image_of_row[source],
@@ -371,10 +438,8 @@ def multiview_image_loss(
             intr, _CAMERA_FRAME, D, index.other_pixels[entries], cfg.epsilon_norm
         )
         lam = cfg.lambda_multiview
-        rep.values[rows] *= lam
-        rep.grads[rows] *= lam
-        rep.values[rows] += lam * other.values
-        rep.grads[rows] += lam * np.einsum("nj,nij->ni", other.grads, R)
+        rep.values[rows] = rep.values[rows] * lam + lam * other.values
+        rep.grads[rows] = rep.grads[rows] * lam + lam * np.einsum("nj,nij->ni", other.grads, R)
     return rep
 
 

@@ -88,6 +88,10 @@ SCHEMA_VERSION = 1
 
 # free-space points keep this far from the origin, clear of the camera orbit
 FREE_SPACE_MIN_RADIUS = 3.5
+# a room is refused once it has drawn FREE_SPACE_PATIENCE free-space
+# candidates and kept fewer than one in FREE_SPACE_DRAWS_PER_POINT of them
+FREE_SPACE_PATIENCE = 1 << 20
+FREE_SPACE_DRAWS_PER_POINT = 10_000
 # pose draws per view before gen_trajectory gives up
 MAX_ATTEMPTS = 60
 
@@ -312,8 +316,16 @@ def _free_space_points(rng, n, half_extent, min_radius):
     """``n`` points uniform in the cube [-h, h]^3 at least ``min_radius``
     from the origin: the accepted candidates of one ``size=3`` draw per
     candidate, in draw order. Candidates are drawn in batches, so ``rng`` ends
-    over-drawn; it must be local to the caller."""
+    over-drawn; it must be local to the caller.
+
+    Where the corners of the cube barely clear the radius, almost no
+    candidate is kept and the draws would run for minutes or forever. Once
+    ``FREE_SPACE_PATIENCE`` candidates are drawn, a room that has kept fewer
+    than one in ``FREE_SPACE_DRAWS_PER_POINT`` of them, and still needs
+    points, raises ``ValueError`` naming ``half_extent``. A room that gets
+    its points keeps every bit."""
     batches = [np.empty((0, 3))]
+    drawn = kept = 0
     while n > 0:
         cand = rng.uniform(-half_extent, half_extent, size=(max(2 * n, 64), 3))
         norms = np.sqrt(cand[:, 0] ** 2 + cand[:, 1] ** 2 + cand[:, 2] ** 2)
@@ -324,6 +336,14 @@ def _free_space_points(rng, n, half_extent, min_radius):
             accept[i] = np.linalg.norm(cand[i]) >= min_radius
         batches.append(cand[accept][:n])
         n -= len(batches[-1])
+        drawn += len(cand)
+        kept += len(batches[-1])
+        if n > 0 and drawn >= FREE_SPACE_PATIENCE and kept * FREE_SPACE_DRAWS_PER_POINT < drawn:
+            raise ValueError(
+                f"half_extent {half_extent!r} leaves too little free space: {kept} of "
+                f"{drawn} candidates in the cube lie at least {min_radius} from the "
+                f"origin, fewer than one in {FREE_SPACE_DRAWS_PER_POINT}"
+            )
     return np.concatenate(batches)
 
 
@@ -331,7 +351,9 @@ def gen_scene(cfg: DatasetConfig) -> SyntheticScene:
     """Deterministic synthetic scene: up to six room walls (plus random
     interior panels beyond six), with ``cfg.n_points`` points sampled on the
     plane surfaces and, a ``cfg.free_space_fraction`` of them, in free space
-    at least ``FREE_SPACE_MIN_RADIUS`` from the origin."""
+    at least ``FREE_SPACE_MIN_RADIUS`` from the origin. A room whose cube
+    leaves almost no such space raises ``ValueError`` naming ``half_extent``
+    (see ``_free_space_points``)."""
     seed, half_extent = cfg.seed, cfg.half_extent
     rng = np.random.default_rng([seed, 1])
     planes = _room_planes(half_extent, seed)[: cfg.n_planes]

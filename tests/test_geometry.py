@@ -172,6 +172,23 @@ class TestProject:
             assert depth_status(z) == s[0] == DepthStatus.NEAR_PLANE
             assert np.all(np.isfinite(pix))
 
+    def test_statuses_at_every_boundary(self, rng):
+        eps = EPS_NEAR_PLANE
+        z = np.array(
+            [0.0, -0.0, eps, -eps, np.nextafter(eps, 0), np.nextafter(-eps, 0),
+             np.nextafter(eps, 1), np.nextafter(-eps, -1), 5e-324, -5e-324,
+             np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300]
+        )
+        z = np.concatenate([z, rng.normal(scale=3 * eps, size=200), rng.normal(size=50)])
+        got = depth_statuses(z)
+        assert got.dtype == np.dtype(int) and got.shape == z.shape
+        assert got.tolist() == [depth_status(v) for v in z.tolist()]
+        assert depth_statuses(np.zeros(0)).dtype == np.dtype(int)
+        # a column view, as the losses pass it
+        assert depth_statuses(np.stack([z, z, -z], axis=1)[:, 2]).tolist() == [
+            depth_status(v) for v in (-z).tolist()
+        ]
+
     def test_batch_matches_single(self, intr, rng):
         pts = rng.uniform(-5, 5, size=(40, 3))
         pix, statuses = project_points(intr, pts)

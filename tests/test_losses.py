@@ -339,6 +339,11 @@ class TestLossReport:
         assert rep.nonfinite
         assert rep.behind_frac == 0.5  # a near-plane row is not behind
         assert rep.valid_fraction == 1.0  # no mask: every row counts
+        # Python scalars: a np.float64 would change the repr of a TrainLog
+        finite = rep._replace(values=np.ones(4), grads=np.ones((4, 3)))
+        for r in (rep, finite):
+            assert type(r.total) is float and type(r.behind_frac) is float
+            assert type(r.nonfinite) is bool
 
     def test_valid_fraction_reads_the_mask(self):
         rep = self.report(np.array([True, False, False, True]))
@@ -349,8 +354,20 @@ class TestLossReport:
         rep = self.report()
         values = np.array([1.0, 0.0, 2.5, 0.5])
         assert rep._replace(values=values).nonfinite  # the infinite gradient alone
+        assert rep._replace(values=values, grads=-rep.grads).nonfinite  # or -inf
         assert rep._replace(grads=np.zeros((4, 3))).nonfinite  # the NaN value alone
         assert not rep._replace(values=values, grads=np.zeros((4, 3))).nonfinite
+
+    def test_a_report_without_rows(self):
+        empty = LossReport(np.zeros(0), np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0))
+        assert empty.behind_frac == 0.0 and type(empty.behind_frac) is float
+        assert empty.total == 0.0 and not empty.nonfinite
+
+    def test_finite_values_whose_sum_overflows(self):
+        rep = self.report()._replace(values=np.array([1e308, 1e308]), grads=np.ones((2, 3)))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert rep.total == np.inf  # numpy's own sum, as before
+        assert rep.nonfinite is False  # and the flag neither sums nor warns
 
     def test_is_a_tuple_led_by_the_values(self):
         rep = self.report()
@@ -1047,6 +1064,38 @@ class TestVectorizedEquivalence:
                 thetas = reproj_terms(intr, pose, preds, pixels)[3]
                 assert thetas.tobytes() == ref[3].tobytes()
         assert np.sum(np.linalg.norm(pose.world_to_camera(cases[1][0]), axis=1) <= 0.5) > 100
+
+    def test_angle_terms_bit_identical_on_zero_and_one_rows(self, room):
+        image_id = room.train_ids[0]
+        pose, obs, intr = room.poses[image_id], room.observations[image_id], room.intrinsics
+        preds = _noisy_predictions(room, image_id, 3.0, 5)
+        for rows in (slice(0, 0), slice(0, 1), slice(3, 4)):
+            new = angle_terms(intr, pose, preds[rows], obs.pixels[rows])
+            ref = _angle_terms_reference(intr, pose, preds[rows], obs.pixels[rows])
+            for a, b in zip(new, ref):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_multiview_reports_pinned(self, room):
+        """Every train view of ``room`` against the index ``train`` builds,
+        each report's four arrays hashed; recorded on the build whose angle
+        loss was one whole-array pass without a separate camera-frame kernel."""
+        index = build_multiview_index(
+            room.poses,
+            {i: room.observations[i] for i in room.train_ids},
+            room.covis.corresponded,
+        )
+        h = hashlib.sha256()
+        for t, image_id in enumerate(room.train_ids):
+            preds = _noisy_predictions(room, image_id, 2.0, t)
+            rng = np.random.default_rng([t, 1])
+            rep = multiview_image_loss(room.intrinsics, index, image_id, preds, LossConfig(), rng)
+            assert rep.valid_mask is None
+            for a in rep[:4]:
+                h.update(repr((a.dtype.str, a.shape)).encode() + a.tobytes())
+        assert h.hexdigest() == (
+            "117c7ec58332cb0804895ef6a9c0ca0ca22e2baeca1e015a65bf296cad22de11"
+        )
 
     def test_multiview_matches_per_point_loop(self, room):
         cfg = LossConfig()

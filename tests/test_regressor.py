@@ -585,6 +585,59 @@ class TestModeDispatch:
         assert multi != self.run(ds, kind, mode="angle")
 
 
+class TestTracedLookups:
+    """What the benchmark's span wrappers rely on: they replace
+    ``angle_terms`` in ``regressor`` and in ``losses`` (and
+    ``multiview_image_loss`` in ``regressor``), and count ``len(args[2])``
+    points per ``angle_terms`` call. So every call goes through those module
+    globals, with the predictions as the third positional argument."""
+
+    @staticmethod
+    def counting(monkeypatch, owner, name):
+        calls, real = [], getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_multiview_loss_makes_two_calls(self, room, monkeypatch):
+        train_ids = room.train_ids
+        index = losses.build_multiview_index(
+            room.poses, {i: room.observations[i] for i in train_ids}, room.covis.corresponded
+        )
+        image_id = train_ids[0]
+        rows, _ = index.draw(image_id, np.random.default_rng(0))
+        assert len(rows) > 0
+        preds = room.observations[image_id].gt_coords + 0.25
+        calls = self.counting(monkeypatch, losses, "angle_terms")
+        losses.multiview_image_loss(
+            room.intrinsics, index, image_id, preds, rng=np.random.default_rng(0)
+        )
+        assert [len(args) for args in calls] == [5, 5]
+        assert calls[0][2].tobytes() == preds.tobytes()
+        assert calls[1][2].shape == (len(rows), 3)
+
+    def test_angle_training_calls_once_per_iteration(self, room, monkeypatch):
+        calls = self.counting(monkeypatch, regressor, "angle_terms")
+        train(room, "free_table", TrainConfig(mode="angle", iterations=7, lr=0.05, seed=1))
+        assert len(calls) == 7
+        for args in calls:
+            assert args[2].shape == (len(args[3]), 3)
+
+    def test_multiview_training_goes_through_both_modules(self, room, monkeypatch):
+        outer = self.counting(monkeypatch, regressor, "multiview_image_loss")
+        inner = self.counting(monkeypatch, losses, "angle_terms")
+        direct = self.counting(monkeypatch, regressor, "angle_terms")
+        cfg = TrainConfig(mode="angle-multi", iterations=7, lr=0.05, seed=1)
+        train(room, "free_table", cfg)
+        assert len(outer) == 7 and direct == []
+        # one pass in the view itself, one in the neighbors of its corresponded rows
+        assert 7 < len(inner) <= 14
+
+
 def training_digest(ds, kind, mode):
     """sha256 of a short run's train-view predictions and ``TrainLog`` values
     (wall time left out). Predictions rather than parameters, so the digest

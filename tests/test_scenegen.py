@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -108,6 +109,17 @@ class TestDatasetConfig:
         assert cfg.n_free_space == 0
         with pytest.raises(InfeasibleViewpointError):
             build_dataset(cfg)
+
+    def test_corner_only_free_space_raises_quickly(self):
+        # 2.03 * sqrt(3) clears the radius, so the config passes, but about one
+        # candidate in a million does: gen_scene ran on for minutes
+        cfg = DatasetConfig(half_extent=2.03)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^half_extent 2.03 leaves too little free space"):
+            gen_scene(cfg)
+        assert time.perf_counter() - start < 1.0
+        # a room a little larger still gets its points
+        assert len(gen_scene(DatasetConfig(half_extent=2.1)).points) == cfg.n_points
 
     def test_free_space_count(self):
         assert DatasetConfig(n_points=7, free_space_fraction=0.3).n_free_space == 2
