@@ -18,12 +18,14 @@ Array-first design: the ``*_terms`` kernels operate on (N, 3) prediction and
 (N, 2) pixel batches, and a single point is a batch of one. The composite
 losses do no per-point Python work either. At ~35 rows a call costs its
 count of numpy calls, not its arithmetic, so the hot paths keep that count
-low without changing a bit. ``angle_terms`` maps the predictions into the
-camera frame and the pixels to rays, and hands both to ``_angle_kernel``,
-which works in the camera frame alone: values, ``dL/dD``, depth statuses
-and ray angles, with the guard's masked steps run only when some row needs
-them. ``angle_terms`` then rotates ``dL/dD`` to the world frame once; a pose
-solver can call the kernel on its own camera-frame points.
+low without changing a bit; their scalars are Python floats (``2.0``, not
+``2``), which give the same bits without converting an int on every call.
+``angle_terms`` maps the predictions into the camera frame and the pixels
+to rays, and hands both to ``_angle_kernel``, which works in the camera
+frame alone: values, ``dL/dD``, depth statuses and ray angles, with the
+guard's masked steps run only when some row needs them. ``angle_terms``
+then rotates ``dL/dD`` to the world frame once; a pose solver can call the
+kernel on its own camera-frame points.
 ``multiview_image_loss`` reads a ``MultiviewIndex`` that
 ``build_multiview_index`` makes once per training run from the observations
 alone, in whole-array passes: per observation row, a CSR list (one flat
@@ -33,16 +35,21 @@ per image, the rows that have entries, with their first entry and count.
 Each call draws every corresponded row's neighbor with one ``rng.integers``
 call in row order and evaluates the drawn pairs in one ``angle_terms``
 pass, after the image's own rows in another. ``photometric_image_loss``
-works on all valid (M, 9) sampling windows at once. Its target windows
-depend only on (image, point), so ``photo_target`` samples them once per
-training run; each call tests the reconstruction windows against the
-neighbor image's bounds first and samples that image only where a window
-can be valid. ``reproj_terms`` and ``photometric_image_loss`` share one
+works on all valid (M, 9) sampling windows at once. Its target windows,
+and their mean, squared mean and variance (the target's share of SSIM),
+depend only on (image, point), so ``photo_target`` computes them once per
+training run and each call gathers its valid rows. Each call tests the
+reconstruction windows against the neighbor image's bounds first, by their
+two extreme offsets, and samples that image in one
+``bilinear_values_and_grads`` call for the valid windows only; such a batch
+is all inside the image, so the sampler takes its path without clamps or
+masks. ``reproj_terms`` and ``photometric_image_loss`` share one
 projection and one chain rule through it (``_project``, ``_project_grads``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -63,7 +70,8 @@ class IndexMismatchError(Exception):
 
 
 class DimensionMismatchError(Exception):
-    """Image operands have incompatible shapes."""
+    """Image or sample-coordinate operands have unusable or incompatible
+    shapes."""
 
 
 class ConfigError(Exception):
@@ -86,10 +94,20 @@ class LossConfig:
     epsilon_norm: float = 1e-8
 
     def __post_init__(self):
-        if min(self.lambda_multiview, self.lambda_photo, self.alpha_ssim) < 0:
-            raise ConfigError("loss weights must be non-negative")
+        # written so that NaN fails every rule
+        for name, ok, rule in (
+            ("lambda_multiview", 0 <= self.lambda_multiview < math.inf, "finite and >= 0"),
+            ("lambda_photo", 0 <= self.lambda_photo < math.inf, "finite and >= 0"),
+            ("alpha_ssim", 0 <= self.alpha_ssim <= 1, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ConfigError(
+                    f"loss weights: {name} must be {rule}, got {getattr(self, name)!r}"
+                )
         if not self.epsilon_norm > 0:
             raise ConfigError("epsilon_norm must be positive")
+        if not self.epsilon_norm < math.inf:
+            raise ConfigError(f"epsilon_norm must be finite, got {self.epsilon_norm!r}")
 
 
 class LossReport(NamedTuple):
@@ -446,91 +464,138 @@ def multiview_image_loss(
 def bilinear_values_and_grads(img: np.ndarray, q: np.ndarray):
     """Bilinear interpolation of a grayscale image at continuous coords.
 
-    ``q`` is (N, 2) as (x, y); returns values (N,), gradients (N, 2) with
-    respect to the coordinates, and a validity mask that is False outside
-    ``[0, W-1] x [0, H-1]`` (where value and gradient are zero).
+    ``img`` is (H, W) with H, W >= 2 and ``q`` is (N, 2) as (x, y); anything
+    else raises ``DimensionMismatchError``. Returns values (N,), gradients
+    (N, 2) with respect to the coordinates, and a validity mask that is False
+    outside ``[0, W-1] x [0, H-1]`` and for NaN (where value and gradient are
+    zero).
+
+    A batch whose samples are all inside, as every batch of
+    ``photometric_image_loss`` is, needs no clamps and no masking; only a
+    batch with some invalid sample moves those samples onto pixel (0, 0)
+    first and zeroes their results last. Either way a valid sample gets the
+    same bits. The x and y columns are worked on as contiguous 1-D arrays
+    (no copy when ``q`` is column-major), and the cell corners stay floats,
+    so ``x - x0`` is +0.0 at ``x = -0.0``.
     """
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise DimensionMismatchError("expected a (H, W) grayscale array")
-    h, w = img.shape
+    if img.ndim != 2 or min(img.shape) < 2:
+        raise DimensionMismatchError(
+            f"expected an (H, W) grayscale array with H, W >= 2, got shape {img.shape}"
+        )
     q = np.asarray(q, dtype=np.float64)
-    x, y = q[:, 0], q[:, 1]
-    valid = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-    xs = np.minimum(np.maximum(x, 0), w - 1)
-    ys = np.minimum(np.maximum(y, 0), h - 1)
-    x0 = np.minimum(np.maximum(np.floor(xs).astype(int), 0), w - 2)
-    y0 = np.minimum(np.maximum(np.floor(ys).astype(int), 0), h - 2)
-    fx = xs - x0
-    fy = ys - y0
+    if q.ndim != 2 or q.shape[1] != 2:
+        raise DimensionMismatchError(f"expected (N, 2) coordinates, got shape {q.shape}")
+    h, w = img.shape
+    x, y = np.ascontiguousarray(q.T)
+    valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+    plain = np.count_nonzero(valid) == len(valid)
+    if not plain:
+        x = np.where(valid, x, 0.0)
+        y = np.where(valid, y, 0.0)
+    x0 = np.minimum(np.floor(x), w - 2.0)
+    y0 = np.minimum(np.floor(y), h - 2.0)
+    fx = x - x0
+    fy = y - y0
+    i00 = (y0 * w + x0).astype(np.intp)
     flat = img.ravel()
-    i00 = y0 * w + x0
-    v00 = flat[i00]
-    v01 = flat[i00 + 1]
-    v10 = flat[i00 + w]
-    v11 = flat[i00 + w + 1]
-    top = v00 * (1 - fx) + v01 * fx
-    bot = v10 * (1 - fx) + v11 * fx
-    values = top * (1 - fy) + bot * fy
-    grads = np.empty_like(q)
-    grads[:, 0] = (v01 - v00) * (1 - fy) + (v11 - v10) * fy
-    grads[:, 1] = bot - top
-    values = np.where(valid, values, 0.0)
-    grads = np.where(valid[:, None], grads, 0.0)
+    v00 = flat.take(i00)
+    v01 = flat[1:].take(i00)
+    v10 = flat[w:].take(i00)
+    v11 = flat[w + 1 :].take(i00)
+    # weights of the x0 column and the y0 row
+    wx = 1.0 - fx
+    wy = 1.0 - fy
+    top = v00 * wx + v01 * fx
+    bot = v10 * wx + v11 * fx
+    values = top * wy + bot * fy
+    grads = np.empty((len(x), 2))
+    np.add((v01 - v00) * wy, (v11 - v10) * fy, out=grads[:, 0])
+    np.subtract(bot, top, out=grads[:, 1])
+    if not plain:
+        invalid = ~valid
+        values[invalid] = 0.0
+        grads[invalid] = 0.0
     return values, grads, valid
 
 
-def _ssim_from_moments(mu_a, mu_b, e_aa, e_bb, e_ab):
-    """SSIM from window statistics (means, second moments and the cross
-    moment), plus its partials w.r.t. ``mu_a``, ``e_aa`` and ``e_ab``: the
-    parts of the gradient w.r.t. ``a`` once chained through the window
-    averaging."""
-    var_a = e_aa - mu_a**2
-    var_b = e_bb - mu_b**2
-    cov = e_ab - mu_a * mu_b
-    n1 = 2 * mu_a * mu_b + SSIM_C1
-    n2 = 2 * cov + SSIM_C2
-    d1 = mu_a**2 + mu_b**2 + SSIM_C1
-    d2 = var_a + var_b + SSIM_C2
-    ssim = (n1 * n2) / (d1 * d2)
-    f_n1 = n2 / (d1 * d2)
-    f_n2 = n1 / (d1 * d2)
-    f_d1 = -ssim / d1
-    f_d2 = -ssim / d2
-    f_mu_a = 2 * mu_b * f_n1 + 2 * mu_a * f_d1 - 2 * mu_a * f_d2 - mu_b * 2 * f_n2
-    return ssim, f_mu_a, f_d2, 2 * f_n2
+def _ssim_from_moments(mu_a, e_aa, e_ab, mu_b, mu_b2, var_b):
+    """SSIM from window statistics (``a``'s mean and second moment, the cross
+    moment, and ``b``'s mean, squared mean and variance), plus its partials
+    w.r.t. ``mu_a``, ``e_aa`` and ``e_ab``: the parts of the gradient w.r.t.
+    ``a`` once chained through the window averaging. ``b`` is the fixed
+    target, so its statistics come precomputed. Each repeated subexpression
+    is computed once, with the bits of computing it each time."""
+    mu_a2 = mu_a * mu_a
+    two_mu_a = 2.0 * mu_a
+    two_mu_b = 2.0 * mu_b
+    n1 = two_mu_a * mu_b + SSIM_C1
+    n2 = 2.0 * (e_ab - mu_a * mu_b) + SSIM_C2
+    d1 = mu_a2 + mu_b2 + SSIM_C1
+    d2 = (e_aa - mu_a2) + var_b + SSIM_C2
+    d12 = d1 * d2
+    ssim = (n1 * n2) / d12
+    f_n1 = n2 / d12
+    f_n2 = n1 / d12
+    neg_ssim = -ssim
+    f_d1 = neg_ssim / d1
+    f_d2 = neg_ssim / d2
+    f_mu_a = two_mu_b * f_n1 + two_mu_a * f_d1 - two_mu_a * f_d2 - two_mu_b * f_n2
+    return ssim, f_mu_a, f_d2, 2.0 * f_n2
 
 
-_PATCH_OFFSETS = np.array(
-    [[dx, dy] for dy in (-1, 0, 1) for dx in (-1, 0, 1)], dtype=np.float64
-)
+# the 3x3 window offsets, row-major over (dy, dx), as an x row and a y row
+_PATCH_OFFSETS_XY = np.array([[[-1.0, 0.0, 1.0] * 3], [[-1.0] * 3 + [0.0] * 3 + [1.0] * 3]])
 _PATCH_CENTER = 4
+
+
+def _window_samples(centers):
+    """Sample coordinates of the 3x3 windows around (M, 2) centers, as a
+    (9 M, 2) column-major array: window m's samples are rows 9 m .. 9 m + 8,
+    and its x and y columns are the contiguous rows the sampler works on."""
+    return (centers.T[:, :, None] + _PATCH_OFFSETS_XY).reshape(2, -1).T
+
+
+def _window_means(x):
+    """Row means of (M, 9) windows: the bits of ``x.mean(axis=1)`` without
+    ``np.mean``'s Python overhead."""
+    return np.add.reduce(x, axis=1) / 9.0
 
 
 @dataclass(frozen=True)
 class PhotoTarget:
     """The fixed half of the photometric loss for one image ``i``: the 3x3
-    intensity window of ``img_i`` around each observed pixel. The windows
-    depend only on (image, point), so training samples them once per run.
-    ``inside`` is False where a window leaves image ``i``; those rows never
-    count."""
+    intensity window of ``img_i`` around each observed pixel, and each
+    window's mean, squared mean and variance (``E[b^2] - mean^2``), the
+    target's share of SSIM. All of it depends only on (image, point), so
+    training computes it once per run and each loss call gathers its valid
+    rows. ``inside`` is False where a window leaves image ``i``; those rows
+    never count."""
 
     shape: tuple  # (H, W) of image i
     windows: np.ndarray  # (N, 9) intensities, row-major over the 3x3 offsets
     inside: np.ndarray  # (N,) bool
+    mean: np.ndarray  # (N,) window means
+    mean_sq: np.ndarray  # (N,) mean**2
+    var: np.ndarray  # (N,) mean of the squared window, minus mean_sq
 
 
 def photo_target(observations_i, img_i) -> PhotoTarget:
     """Sample ``img_i``'s 3x3 windows around every observed pixel, in one
-    ``bilinear_values_and_grads`` call."""
+    ``bilinear_values_and_grads`` call, and their SSIM statistics."""
     img_i = _as_gray(img_i)
     pixels = np.asarray(observations_i.pixels, dtype=np.float64)
-    coords = pixels[:, None, :] + _PATCH_OFFSETS
-    windows, _, ok = bilinear_values_and_grads(img_i, coords.reshape(-1, 2))
+    windows, _, ok = bilinear_values_and_grads(img_i, _window_samples(pixels))
+    windows = windows.reshape(-1, 9)
+    mean = _window_means(windows)
+    mean_sq = mean * mean
     return PhotoTarget(
         img_i.shape,
-        windows.reshape(-1, 9),
+        windows,
         ok.reshape(-1, 9).all(axis=1),
+        mean,
+        mean_sq,
+        _window_means(windows * windows) - mean_sq,
     )
 
 
@@ -555,10 +620,13 @@ def photometric_image_loss(
     neighbor camera or whose target or reconstruction window leaves its
     image are masked out of the sum; the report's ``valid_mask`` marks the
     rows that count, its ``statuses`` are depths in camera ``j`` and its
-    ``thetas`` are NaN. Each reconstruction window is tested against
-    ``img_j``'s bounds before sampling, so ``img_j`` is sampled only for the
-    valid rows. Gradients flow through the projection and the bilinear
-    sampler into the predicted coordinates.
+    ``thetas`` are NaN. Gradients flow through the projection and the
+    bilinear sampler into the predicted coordinates.
+
+    Each reconstruction window is tested against ``img_j``'s bounds before
+    sampling, by its two extreme offsets alone, so ``img_j`` is sampled once
+    per call, for the valid rows only, and always on the sampler's
+    all-inside path. The target's SSIM statistics come from ``target``.
     """
     img_j = _as_gray(img_j)
     if img_j.shape != target.shape:
@@ -567,42 +635,45 @@ def photometric_image_loss(
     D = pose_j.world_to_camera(_aligned(coords, n))
     z = D[:, 2]
     # only rows in front of camera j with a whole target window can count
-    cand = np.flatnonzero((z > 0) & target.inside)
-    q = _project(intr, D[cand])
-    # the sampler's own bounds test on the 3x3 reconstruction windows; every
-    # comparison is False for NaN and +-inf, so such rows drop out here
+    cand = ((z > 0.0) & target.inside).nonzero()[0]
+    q = _project(intr, D.take(cand, axis=0))
+    # the sampler's bounds test on the 3x3 windows around q, by the extreme
+    # offsets alone: float addition is monotone, so the middle ones follow.
+    # It must stay q + 1.0 <= W - 1, not q <= W - 2: on a 65-wide image,
+    # q = nextafter(63, 64) has q + 1.0 == 64.0, inside. Every comparison
+    # is False for NaN and +-inf, so such rows drop out here.
     h, w = target.shape
-    rec_coords = q[:, None, :] + _PATCH_OFFSETS
-    x, y = rec_coords[..., 0], rec_coords[..., 1]
-    inside = ((x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)).all(axis=1)
+    fits = (q - 1.0 >= 0.0) & (q + 1.0 <= np.array((w - 1.0, h - 1.0)))
+    inside = fits[:, 0] & fits[:, 1]
     ok = cand[inside]
     valid = np.zeros(n, dtype=bool)
     valid[ok] = True
-    rec_vals, rec_grads, _ = bilinear_values_and_grads(
-        img_j, rec_coords[inside].reshape(-1, 2)
-    )
+    rec_vals, rec_grads, _ = bilinear_values_and_grads(img_j, _window_samples(q[inside]))
 
     # every valid window at once: a = reconstruction, b = target, (M, 9)
     alpha = cfg.alpha_ssim
     a = rec_vals.reshape(-1, 9)
-    b = target.windows[ok]
+    b = target.windows.take(ok, axis=0)
     s, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments(
-        a.mean(axis=1),
-        b.mean(axis=1),
-        (a * a).mean(axis=1),
-        (b * b).mean(axis=1),
-        (a * b).mean(axis=1),
+        _window_means(a),
+        _window_means(a * a),
+        _window_means(a * b),
+        target.mean[ok],
+        target.mean_sq[ok],
+        target.var[ok],
     )
-    ds_da = (f_mu_a[:, None] + 2 * a * f_e_aa[:, None] + b * f_e_ab[:, None]) / 9
+    ds_da = (f_mu_a[:, None] + 2.0 * a * f_e_aa[:, None] + b * f_e_ab[:, None]) / 9.0
     diff = a[:, _PATCH_CENTER] - b[:, _PATCH_CENTER]
     values = np.zeros(n)
-    values[ok] = (1 - alpha) * np.abs(diff) + alpha * (1 - s) / 2
-    dl_da = -(alpha / 2) * ds_da
-    dl_da[:, _PATCH_CENTER] += (1 - alpha) * np.sign(diff)
+    values[ok] = (1.0 - alpha) * np.abs(diff) + alpha * (1.0 - s) / 2.0
+    dl_da = -(alpha / 2.0) * ds_da
+    dl_da[:, _PATCH_CENTER] += (1.0 - alpha) * np.sign(diff)
     dl_dq = np.einsum("mk,mkc->mc", dl_da, rec_grads.reshape(-1, 9, 2))
     grads = np.zeros((n, 3))
-    grads[ok] = _project_grads(intr, pose_j.rotation, D[ok], dl_dq)
-    return LossReport(values, grads, depth_statuses(z), np.full(n, np.nan), valid)
+    grads[ok] = _project_grads(intr, pose_j.rotation, D.take(ok, axis=0), dl_dq)
+    thetas = np.empty(n)
+    thetas.fill(np.nan)
+    return LossReport(values, grads, depth_statuses(z), thetas, valid)
 
 
 def _as_gray(img) -> np.ndarray:

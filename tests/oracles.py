@@ -6,7 +6,9 @@ depth's status, a pixel with its status, and a pixel's ray.
 ``project_points`` is batch projection with depth statuses. ``ssim3x3`` is
 the SSIM map of two whole images over 3x3 box windows, with the gradient of
 its sum; it calls ``anglereloc.losses._ssim_from_moments``, so it checks the
-formula that the photometric loss applies to its windows. ``gen_scene``,
+formula that the photometric loss applies to its windows.
+``bilinear_clamped`` is the bilinear sampler as it was before it had a path
+for batches that lie inside the image. ``gen_scene``,
 ``observe`` and ``build_covis`` are the per-point loop forms of their
 ``anglereloc.scenegen`` namesakes: one random draw, one projection check
 and one dictionary update per point. The package's whole-array versions
@@ -103,11 +105,46 @@ def ssim3x3(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise DimensionMismatchError("ssim3x3 needs two equal-shape 2D images")
+    mu_b = _box3(b)
     ssim_map, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments(
-        _box3(a), _box3(b), _box3(a * a), _box3(b * b), _box3(a * b)
+        _box3(a), _box3(a * a), _box3(a * b), mu_b, mu_b**2, _box3(b * b) - mu_b**2
     )
     grad_a = _box3(f_mu_a) + 2 * a * _box3(f_e_aa) + b * _box3(f_e_ab)
     return ssim_map, grad_a
+
+
+def bilinear_clamped(img, q):
+    """``anglereloc.losses.bilinear_values_and_grads`` as it was before its
+    all-inside path: every sample clamped into the image, integer cell
+    corners clamped to the last cell, and the results of the samples outside
+    replaced by zeros with two ``np.where``. A NaN coordinate warns in the
+    integer cast here, so tests call it under ``np.errstate(invalid="ignore")``."""
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    q = np.asarray(q, dtype=np.float64)
+    x, y = q[:, 0], q[:, 1]
+    valid = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+    xs = np.minimum(np.maximum(x, 0), w - 1)
+    ys = np.minimum(np.maximum(y, 0), h - 1)
+    x0 = np.minimum(np.maximum(np.floor(xs).astype(int), 0), w - 2)
+    y0 = np.minimum(np.maximum(np.floor(ys).astype(int), 0), h - 2)
+    fx = xs - x0
+    fy = ys - y0
+    flat = img.ravel()
+    i00 = y0 * w + x0
+    v00 = flat[i00]
+    v01 = flat[i00 + 1]
+    v10 = flat[i00 + w]
+    v11 = flat[i00 + w + 1]
+    top = v00 * (1 - fx) + v01 * fx
+    bot = v10 * (1 - fx) + v11 * fx
+    values = top * (1 - fy) + bot * fy
+    grads = np.empty_like(q)
+    grads[:, 0] = (v01 - v00) * (1 - fy) + (v11 - v10) * fy
+    grads[:, 1] = bot - top
+    values = np.where(valid, values, 0.0)
+    grads = np.where(valid[:, None], grads, 0.0)
+    return values, grads, valid
 
 
 def project_points(intr, cam_points):

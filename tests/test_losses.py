@@ -33,8 +33,8 @@ from anglereloc.losses import (
     photo_target,
     photometric_image_loss,
     reproj_terms,
-    _ssim_from_moments,
 )
+from anglereloc import losses
 from anglereloc.scenegen import DatasetConfig, build_covis, build_dataset
 
 import oracles
@@ -689,6 +689,110 @@ class TestBilinearSample:
                 ) / 2e-6
             assert np.linalg.norm(grads[0] - fd) < 1e-6
 
+    @pytest.mark.parametrize(
+        "q", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [np.inf, 1.0], [1.0, -np.inf]]
+    )
+    def test_non_finite_coordinate_is_invalid_and_zero(self, rng, q):
+        # no RuntimeWarning either: the suite turns warnings into errors
+        values, grads, valid = bilinear_values_and_grads(rng.uniform(size=(4, 5)), [q])
+        assert valid.tolist() == [False]
+        assert values.tobytes() == np.zeros(1).tobytes()
+        assert grads.tobytes() == np.zeros((1, 2)).tobytes()
+
+    def test_invalid_rows_leave_the_valid_rows_bytes(self, rng):
+        img = rng.uniform(size=(9, 11))
+        q = rng.uniform([0.0, 0.0], [10.0, 8.0], size=(40, 2))
+        bad = [[np.nan, 2.0], [3.0, np.inf], [-0.5, 2.0], [10.5, 2.0], [2.0, -np.inf]]
+        mixed = np.vstack([q[:20], bad, q[20:]])
+        keep = np.r_[0:20, 25:45]
+        ref = bilinear_values_and_grads(img, q)
+        got = bilinear_values_and_grads(img, mixed)
+        assert got[2].tolist() == [True] * 20 + [False] * 5 + [True] * 20
+        assert got[0][keep].tobytes() == ref[0].tobytes()
+        assert got[1][keep].tobytes() == ref[1].tobytes()
+        assert not got[0][20:25].any() and not got[1][20:25].any()
+
+    def test_matches_the_clamped_sampler(self, rng):
+        h, w = 13, 17
+        img = rng.uniform(-1.0, 1.0, size=(h, w))
+        img[::3, ::2] = -0.0
+        q = rng.uniform([-2.0, -2.0], [w + 1.0, h + 1.0], size=(3000, 2))
+        q[::7] = np.round(q[::7])
+        edges = [0.0, -0.0, np.nextafter(0.0, 1.0), 1.0, w - 1.0, np.nextafter(w - 1.0, 0.0)]
+        edge_q = [[x, y] for x in edges for y in (0.0, -0.0, 5.5, h - 1.0)]
+        q = np.vstack([q, edge_q, [[np.nan, 1.0], [2.0, np.inf], [-np.inf, np.nan]]])
+        got = bilinear_values_and_grads(img, q)
+        with np.errstate(invalid="ignore"):
+            ref = oracles.bilinear_clamped(img, q)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (0, 0), (3,), (3, 3, 3)])
+    def test_image_smaller_than_2x2_or_not_2d_raises(self, shape):
+        with pytest.raises(DimensionMismatchError, match="H, W >= 2"):
+            bilinear_values_and_grads(np.zeros(shape), [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 1), (2, 2, 1)])
+    def test_coordinates_not_n_by_2_raise(self, shape):
+        with pytest.raises(DimensionMismatchError, match=r"\(N, 2\)"):
+            bilinear_values_and_grads(np.zeros((4, 4)), np.ones(shape))
+
+
+class TestBilinearAllInsidePath:
+    """A batch with every sample inside the image takes the sampler's path
+    without clamps or masks; it must give the bytes of the general path,
+    which a batch takes as soon as one of its samples is outside."""
+
+    def check(self, img, q):
+        q = np.asarray(q, dtype=np.float64)
+        plain = bilinear_values_and_grads(img, q)
+        assert plain[2].all()
+        # one NaN row sends the same samples down the general path
+        general = bilinear_values_and_grads(img, np.vstack([q, [[np.nan, 0.0]]]))
+        assert general[2].tolist() == [True] * len(q) + [False]
+        for a, b in zip(plain, general):
+            assert a.tobytes() == b[: len(q)].tobytes()
+        with np.errstate(invalid="ignore"):
+            ref = oracles.bilinear_clamped(img, q)
+        for a, b in zip(plain, ref):
+            assert a.tobytes() == b.tobytes()
+
+    def test_last_column_and_row_exactly(self, rng):
+        h, w = 6, 8
+        img = rng.uniform(size=(h, w))
+        # floor(w - 1) is clamped to the last cell, w - 2, there
+        self.check(img, [[w - 1.0, 2.5], [3.5, h - 1.0], [w - 1.0, h - 1.0], [w - 1.0, 0.0]])
+
+    def test_integer_coordinates(self, rng):
+        img = rng.uniform(size=(5, 7))
+        yy, xx = np.mgrid[0:5, 0:7]
+        self.check(img, np.column_stack([xx.ravel(), yy.ravel()]).astype(float))
+
+    def test_just_inside_each_edge(self, rng):
+        h, w = 7, 9
+        img = rng.uniform(size=(h, w))
+        img[0, :] = -0.0  # signed zeros at x = -0.0 and y = -0.0 too
+        tiny = np.nextafter(0.0, 1.0)
+        self.check(
+            img,
+            [
+                [tiny, 3.0], [np.nextafter(w - 1.0, 0.0), 3.0],
+                [4.0, tiny], [4.0, np.nextafter(h - 1.0, 0.0)],
+                [tiny, tiny], [-0.0, 3.0], [4.0, -0.0], [-0.0, -0.0],
+            ],
+        )
+
+    def test_window_whose_last_offset_rounds_onto_the_border(self, rng):
+        img = rng.uniform(size=(40, 65))
+        q = np.nextafter(63.0, 64.0)
+        assert q + 1.0 == 64.0 and q > 63.0
+        self.check(img, [[q + dx, 20.0 + dy] for dy in (-1.0, 0.0, 1.0) for dx in (-1.0, 0.0, 1.0)])
+
+    def test_random_batches(self, rng):
+        img = rng.uniform(size=(30, 40))
+        for n in (0, 1, 9, 117, 1000):
+            self.check(img, rng.uniform([0.0, 0.0], [39.0, 29.0], size=(n, 2)))
+
 
 class TestSsim3x3:
     def test_self_similarity_is_one(self, rng):
@@ -933,6 +1037,25 @@ def _photometric_reference(intr, pose_j, preds, pix_i, img_i, img_j, alpha):
     return values, grads, valid
 
 
+def _ssim_from_moments_reference(mu_a, mu_b, e_aa, e_bb, e_ab):
+    """``anglereloc.losses._ssim_from_moments`` as it stood before the target
+    statistics were precomputed and its repeated subexpressions shared."""
+    var_a = e_aa - mu_a**2
+    var_b = e_bb - mu_b**2
+    cov = e_ab - mu_a * mu_b
+    n1 = 2 * mu_a * mu_b + 0.01**2
+    n2 = 2 * cov + 0.03**2
+    d1 = mu_a**2 + mu_b**2 + 0.01**2
+    d2 = var_a + var_b + 0.03**2
+    ssim = (n1 * n2) / (d1 * d2)
+    f_n1 = n2 / (d1 * d2)
+    f_n2 = n1 / (d1 * d2)
+    f_d1 = -ssim / d1
+    f_d2 = -ssim / d2
+    f_mu_a = 2 * mu_b * f_n1 + 2 * mu_a * f_d1 - 2 * mu_a * f_d2 - mu_b * 2 * f_n2
+    return ssim, f_mu_a, f_d2, 2 * f_n2
+
+
 def _photometric_per_call_reference(intr, pose_j, preds, observations_i, img_i, img_j, cfg):
     """``photometric_image_loss`` as it stood before ``PhotoTarget``: both
     windows sampled on every call, for every row in front of camera j, and
@@ -958,7 +1081,7 @@ def _photometric_per_call_reference(intr, pose_j, preds, observations_i, img_i, 
     alpha = cfg.alpha_ssim
     a = rec_vals.reshape(-1, 9)[inside]
     b = tgt_vals.reshape(-1, 9)[inside]
-    s, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments(
+    s, f_mu_a, f_e_aa, f_e_ab = _ssim_from_moments_reference(
         a.mean(axis=1),
         b.mean(axis=1),
         (a * a).mean(axis=1),
@@ -1248,3 +1371,79 @@ class TestPhotoTarget:
         obs = SimpleNamespace(point_ids=obs.point_ids[:4], pixels=obs.pixels[:4])
         rep = self.check(intr, PoseSE3.identity(), behind, obs, img_i, img_j)
         assert not rep.valid_mask.any() and rep.total == 0.0
+
+
+class TestPhotoTargetStatistics:
+    """``PhotoTarget`` holds each window's SSIM statistics with the bits the
+    loss computed per call before, and a loss call samples ``img_j`` once,
+    through the module-global sampler."""
+
+    def test_statistics_are_the_window_moments(self, rendered_room):
+        ds = rendered_room
+        for i in ds.train_ids:
+            t = photo_target(ds.observations[i], ds.images[i])
+            mean = t.windows.mean(axis=1)
+            assert t.mean.tobytes() == mean.tobytes()
+            assert t.mean_sq.tobytes() == (mean**2).tobytes()
+            var = (t.windows * t.windows).mean(axis=1) - mean**2
+            assert t.var.tobytes() == var.tobytes()
+            # gathering rows after the reduction equals reducing the gathered rows
+            rows = np.flatnonzero(t.inside)[::3]
+            b = t.windows[rows]
+            assert t.mean[rows].tobytes() == b.mean(axis=1).tobytes()
+            assert t.var[rows].tobytes() == ((b * b).mean(axis=1) - b.mean(axis=1) ** 2).tobytes()
+
+    def _spied(self, monkeypatch):
+        calls = []
+        sampler = losses.bilinear_values_and_grads
+
+        def spy(img, q):
+            calls.append((img, np.asarray(q).shape))
+            return sampler(img, q)
+
+        monkeypatch.setattr(losses, "bilinear_values_and_grads", spy)
+        return calls
+
+    def test_one_sampler_call_per_loss_call(self, rendered_room, monkeypatch):
+        ds = rendered_room
+        ids = ds.train_ids
+        targets = {i: photo_target(ds.observations[i], ds.images[i]) for i in ids}
+        calls = self._spied(monkeypatch)
+        valid = []
+        for t, (i, j) in enumerate(zip(ids[:-1], ids[1:])):
+            preds = _noisy_predictions(ds, i, 0.05, t)
+            rep = photometric_image_loss(ds.intrinsics, ds.poses[j], preds, targets[i], ds.images[j])
+            valid.append(int(rep.valid_mask.sum()))
+            assert len(calls) == t + 1
+            img, shape = calls[-1]
+            assert np.array_equal(img, ds.images[j].data)
+            assert shape == (9 * valid[-1], 2)
+        assert sum(valid) > 100
+
+    def test_one_sampler_call_without_valid_rows(self, rendered_room, monkeypatch):
+        ds = rendered_room
+        i, j = ds.train_ids[:2]
+        target = photo_target(ds.observations[i], ds.images[i])
+        pose_j = ds.poses[j]
+        behind = 2 * pose_j.center - ds.observations[i].gt_coords
+        calls = self._spied(monkeypatch)
+        rep = photometric_image_loss(ds.intrinsics, pose_j, behind, target, ds.images[j])
+        assert not rep.valid_mask.any()
+        assert [shape for _, shape in calls] == [(0, 2)]
+
+    def test_window_whose_last_offset_rounds_onto_the_border(self):
+        # camera j at the identity with f = 64 and the principal point at the
+        # origin: a camera-frame point (qx / 64, qy / 64, 1) projects onto (qx, qy)
+        intr = CameraIntrinsics(f=64.0, cx=0.0, cy=0.0)
+        h, w = 40, 65
+        just_over = np.nextafter(63.0, 64.0)  # + 1.0 rounds to 64.0 = w - 1
+        xs = [63.0, just_over, np.nextafter(64.0, 0.0), 1.0, np.nextafter(1.0, 0.0)]
+        D = np.array([(x / 64.0, 20.0 / 64.0, 1.0) for x in xs])
+        obs = SimpleNamespace(point_ids=np.arange(len(xs)), pixels=np.full((len(xs), 2), 20.0))
+        rng = np.random.default_rng(3)
+        img_i, img_j = smooth_image(rng, h, w), smooth_image(rng, h, w)
+        pose = PoseSE3.identity()
+        rep = photometric_image_loss(intr, pose, D, photo_target(obs, img_i), img_j)
+        ref = _photometric_per_call_reference(intr, pose, D, obs, img_i, img_j, LossConfig())
+        _assert_reports_bit_equal(rep, ref)
+        assert rep.valid_mask.tolist() == [True, True, False, True, False]

@@ -776,6 +776,34 @@ class TestLossConfig:
         with pytest.raises(ConfigError, match=field):
             LossConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lambda_multiview", -1.0, "lambda_multiview must be finite and >= 0, got -1.0"),
+            ("lambda_multiview", math.inf, "lambda_multiview must be finite and >= 0, got inf"),
+            ("lambda_multiview", math.nan, "lambda_multiview must be finite and >= 0, got nan"),
+            ("lambda_photo", math.nan, "lambda_photo must be finite and >= 0, got nan"),
+            ("lambda_photo", math.inf, "lambda_photo must be finite and >= 0, got inf"),
+            ("alpha_ssim", math.nan, "alpha_ssim must be in [0, 1], got nan"),
+            ("alpha_ssim", 1.5, "alpha_ssim must be in [0, 1], got 1.5"),
+            ("alpha_ssim", np.nextafter(1.0, 2.0), "alpha_ssim must be in [0, 1]"),
+        ],
+    )
+    def test_bad_weight_names_the_field(self, field, value, message):
+        with pytest.raises(ConfigError) as err:
+            LossConfig(**{field: value})
+        assert str(err.value).startswith("loss weights: " + message)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, -1e-300])
+    def test_bad_epsilon_norm_names_the_field(self, value):
+        with pytest.raises(ConfigError, match="^epsilon_norm must be"):
+            LossConfig(epsilon_norm=value)
+
+    def test_limits_are_accepted(self):
+        LossConfig(lambda_multiview=0.0, lambda_photo=0.0, alpha_ssim=0.0, epsilon_norm=5e-324)
+        LossConfig(lambda_multiview=1e300, lambda_photo=1e300, alpha_ssim=1.0, epsilon_norm=1e300)
+        LossConfig(lambda_multiview=0, lambda_photo=3, alpha_ssim=1)
+
     def test_one_config_error_class(self):
         assert regressor.ConfigError is losses.ConfigError
 
@@ -884,6 +912,12 @@ class TestCheckpoint:
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: epsilon_norm must be positive"
+
+    def test_out_of_range_alpha_ssim_names_path_and_field(self, tmp_path):
+        path = self._write(tmp_path, lambda b: b["train_config"]["loss"].update(alpha_ssim=1.5))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: loss weights: alpha_ssim must be in [0, 1], got 1.5"
 
     def test_invalid_train_config_value_names_path_and_field(self, tmp_path):
         path = self._write(tmp_path, lambda b: b["train_config"].update(lr=-0.01))
