@@ -194,8 +194,8 @@ def _angles_between(D, rays, norms_D, norms_d):
 
 def _project(intr: CameraIntrinsics, D):
     """Pixels ``f * (Dx, Dy) / Dz + (cx, cy)`` of (N, 3) camera-frame points;
-    non-finite where ``Dz`` is 0, never clamped."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    non-finite where ``Dz`` is 0 or the quotient overflows, never clamped."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return intr.f * D[:, :2] / D[:, 2:] + np.array([intr.cx, intr.cy])
 
 
@@ -203,15 +203,17 @@ def _project_grads(intr: CameraIntrinsics, R, D, dl_dq):
     """World-frame gradients of (N, 3) camera-frame points ``D`` under
     rotation ``R``, given the gradients ``dl_dq`` w.r.t. their ``_project``
     pixels: the columns of the 2x3 Jacobian dq/dD are (gx, 0), (0, gx) and
-    -(gx / Dz) (Dx, Dy), with gx = f / Dz."""
+    -(gx / Dz) (Dx, Dy), with gx = f / Dz. That overflows to inf for a
+    subnormal ``Dz`` whose projection is finite, and the rotation then
+    multiplies inf by 0: both give non-finite gradients, not warnings."""
     z = D[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gx = intr.f / z
         grad_D = np.empty_like(D)
         grad_D[:, 0] = gx * dl_dq[:, 0]
         grad_D[:, 1] = gx * dl_dq[:, 1]
         grad_D[:, 2] = -gx / z * (D[:, 0] * dl_dq[:, 0] + D[:, 1] * dl_dq[:, 1])
-    return grad_D @ R.T
+        return grad_D @ R.T
 
 
 def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):

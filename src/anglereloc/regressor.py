@@ -11,8 +11,12 @@ Each model's parameters are a few contiguous float64 arrays (one flat
 vector for ``PatchMLP``, views of the coordinate table cut between images
 for ``FreeTable``) that ``adam_step`` updates in place. Adam is dense in its
 results: every row's moments decay on every step, including the table rows
-of images not drawn. An array whose moments are still exactly zero and
-whose gradient is all zero is skipped, since its update is exactly zero.
+of images not drawn. A model's gradient list may hold ``None`` for an array
+the drawn image does not touch; ``adam_step`` reads it as an all +0.0
+gradient with the same bits, and in the usual hyperparameter ranges never
+builds or reads that array. An array whose moments are still exactly zero
+and whose gradient is all zero is skipped, since its update is exactly
+zero.
 
 Non-finite losses or gradients are counted and applied as-is, never
 repaired: under the plain reprojection loss they are part of the behavior
@@ -21,6 +25,7 @@ under study.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import json
@@ -44,6 +49,7 @@ from anglereloc.losses import (  # ConfigError is re-exported here
     IndexMismatchError,
     LossConfig,
     LossReport,
+    _row_norms,
     angle_terms,
     build_multiview_index,
     multiview_image_loss,
@@ -199,55 +205,79 @@ class FreeTable:
     such as a held-out one, has no prediction: asking for one raises
     ``IndexMismatchError``.
 
-    ``point_ids[i]`` holds image i's point ids in the dataset's order and
-    ``rows[i]`` the table row of each, so an image's predictions are one
-    gather.
+    ``point_ids[i]`` holds image i's point ids in the dataset's order. The
+    table is laid out image by image in id order, each image's rows in the
+    order of its point ids, so ``rows[i]``, the table row of each point, is
+    one ascending range and an image's predictions are one slice copy.
 
     ``param_list`` hands Adam views of ``coords`` cut only between images:
     consecutive images grouped into runs of at most ``ADAM_BLOCK`` elements,
-    a single larger image being a run of its own. A run no image has drawn
-    yet keeps zero moments, which ``adam_step`` skips at the cost of one
-    ``any()``.
+    a single larger image being a run of its own. ``grads_for_image``
+    returns a gradient for the one run that holds the image and ``None`` for
+    every other run, which ``adam_step`` reads as an all +0.0 gradient. A
+    run no image has drawn yet keeps zero moments, which ``adam_step``
+    skips.
     """
 
     kind = "free_table"
 
-    def __init__(self, coords, point_ids, rows):
+    def __init__(self, coords, point_ids):
+        """``coords`` holds the rows of the images of ``point_ids`` in the
+        table's layout: image by image in id order, one row per point id."""
         self.coords = np.ascontiguousarray(coords, dtype=np.float64)
         self.point_ids = point_ids  # image_id -> (n,) point ids
-        self.rows = rows  # image_id -> (n,) table rows
+        self.rows, self._spans = {}, {}  # image_id -> (n,) table rows, their slice
+        stop = 0
+        for image_id in sorted(point_ids):
+            start, stop = stop, stop + len(point_ids[image_id])
+            self.rows[image_id] = np.arange(start, stop)
+            self._spans[image_id] = slice(start, stop)
+        if self.coords.shape != (stop, 3):
+            raise DimensionMismatchError(
+                f"FreeTable coords {self.coords.shape} do not hold {stop} rows of 3"
+            )
         self._runs = self._run_slices()
+        self._run_starts = [run.start for run in self._runs]
         # gradient buffer reused by grads_for_image, its views by run, and
-        # its nonzero rows
+        # the slice of its nonzero rows
         self._grad = None
         self._grad_runs = None
-        self._grad_rows = None
+        self._grad_span = slice(0, 0)
 
     @classmethod
     def init(cls, dataset, seed=0):
         """Entries uniform in the scene bounding box expanded 2x about its
         center (bounding box taken over all ground-truth coordinates). Rows
-        belong to the train views, in id order, each image's rows contiguous.
-        One draw still covers every view's observations in id order and the
-        train views keep their rows of it, so a train row's initial value
-        does not depend on the held-out views being left out."""
+        belong to the train views. One draw still covers every view's
+        observations in id order and the train views keep their rows of it,
+        so a train row's initial value does not depend on the held-out views
+        being left out."""
         rng = np.random.default_rng(seed)
-        all_gt = np.concatenate([o.gt_coords for o in dataset.observations.values()])
-        lo, hi = all_gt.min(axis=0), all_gt.max(axis=0)
+        observations = dataset.observations
+        lo, hi = _column_bounds([o.gt_coords for o in observations.values()])
         center, half = (lo + hi) / 2, (hi - lo) / 2
-        image_ids = sorted(dataset.observations)
-        sizes = [len(dataset.observations[i].point_ids) for i in image_ids]
-        coords = rng.uniform(center - 2 * half, center + 2 * half, size=(sum(sizes), 3))
+        low, high = center - 2 * half, center + 2 * half
+        image_ids = sorted(observations)
         train_ids = set(dataset.train_ids)
-        point_ids, rows = {}, {}
-        n_rows = 0
-        for image_id, n in zip(image_ids, sizes):
-            if image_id in train_ids:
-                point_ids[image_id] = np.array(dataset.observations[image_id].point_ids)
-                rows[image_id] = np.arange(n_rows, n_rows + n)
-                n_rows += n
-        keep = np.repeat([i in train_ids for i in image_ids], sizes)
-        return cls(coords[keep], point_ids, rows)
+        point_ids = {
+            i: np.array(observations[i].point_ids) for i in image_ids if i in train_ids
+        }
+        # rng.uniform(low, high) is low + (high - low) * rng.random(), element
+        # by element: draw every view's rows in id order, keep the train
+        # views' rows and map them, a column at a time as in _column_bounds
+        coords = np.empty((sum(len(ids) for ids in point_ids.values()), 3))
+        stop = 0
+        for image_id in image_ids:
+            if image_id in point_ids:
+                start, stop = stop, stop + len(point_ids[image_id])
+                rng.random(out=coords[start:stop])
+            else:
+                rng.random((len(observations[image_id].point_ids), 3))
+        for k in range(3):
+            column = coords[:, k]
+            column *= high[k] - low[k]
+            column += low[k]
+        return cls(coords, point_ids)
 
     def rows_for_image(self, dataset, image_id):
         """Table rows of the image's observations, in the dataset's order.
@@ -271,7 +301,7 @@ class FreeTable:
         """Row slices tiling the table, cut only at an image's first row and
         greedily grouped up to ``ADAM_BLOCK`` elements (3 per row)."""
         n_rows = len(self.coords)
-        cuts = sorted({int(r.min()) for r in self.rows.values() if len(r)} - {0})
+        cuts = sorted({s.start for s in self._spans.values() if s.stop > s.start} - {0})
         starts = [0]
         for cut, stop in zip(cuts, cuts[1:] + [n_rows]):
             if 3 * (stop - starts[-1]) > ADAM_BLOCK:
@@ -283,20 +313,26 @@ class FreeTable:
 
     def predict_image(self, dataset, image_id):
         rows = self.rows_for_image(dataset, image_id)
-        return self.coords[rows], rows
+        return self.coords[self._spans[image_id]].copy(), rows
 
     def grads_for_image(self, ctx, dl_dy):
-        """Table gradient: ``dl_dy`` at the rows ``ctx``, zero elsewhere, as
-        views matching ``param_list``. The buffer is reused, so the next call
-        overwrites it."""
+        """Table gradient, one entry per ``param_list`` run: ``dl_dy`` at the
+        rows ``ctx`` that ``predict_image`` returned and +0.0 elsewhere. The
+        run holding those rows gets a view of a reused buffer, which the next
+        call overwrites; every other run gets ``None``."""
         if self._grad is None:
             self._grad = np.zeros_like(self.coords)
             self._grad_runs = [self._grad[run] for run in self._runs]
         else:
-            self._grad[self._grad_rows] = 0.0
-        self._grad[ctx] = dl_dy
-        self._grad_rows = ctx
-        return self._grad_runs
+            self._grad[self._grad_span] = 0.0
+        grads = [None] * len(self._runs)
+        if len(ctx):
+            start = int(ctx[0])
+            self._grad_span = slice(start, start + len(ctx))
+            self._grad[self._grad_span] = dl_dy
+            k = bisect.bisect_right(self._run_starts, start) - 1
+            grads[k] = self._grad_runs[k]
+        return grads
 
     def state_dict(self):
         index = [
@@ -308,11 +344,13 @@ class FreeTable:
 
     @classmethod
     def from_state(cls, state):
-        """Inverse of ``state_dict``. Each image's points take the order of
-        its ``[image, point, row]`` triples: the dataset's order, which for
-        ``scenegen.observe`` is ascending point id, the order of the
-        ``(image, point)``-sorted triples of older checkpoints. A row outside
-        the table raises ``ConfigError``."""
+        """Inverse of ``state_dict``, laid out as ``init`` lays a table out
+        whatever the row numbers of the index. Each image's points take the
+        order of its ``[image, point, row]`` triples: the dataset's order,
+        which for ``scenegen.observe`` is ascending point id, the order of
+        the ``(image, point)``-sorted triples of older checkpoints. A row
+        outside the table, or an index that does not use every row exactly
+        once, raises ``ConfigError``."""
         coords = np.array(state["coords"])
         index = np.asarray(state["index"], dtype=np.int64).reshape(-1, 3)
         bad = (index[:, 2] < 0) | (index[:, 2] >= len(coords))
@@ -320,12 +358,28 @@ class FreeTable:
             raise ConfigError(
                 f"FreeTable index row {index[bad][0, 2]} outside [0, {len(coords)})"
             )
-        point_ids, rows = {}, {}
-        for image_id in np.unique(index[:, 0]).tolist():
-            sel = index[:, 0] == image_id
-            point_ids[image_id] = index[sel, 1]
-            rows[image_id] = index[sel, 2]
-        return cls(coords, point_ids, rows)
+        uses = np.bincount(index[:, 2], minlength=len(coords))
+        if (uses != 1).any():
+            row = int(np.flatnonzero(uses != 1)[0])
+            raise ConfigError(
+                f"FreeTable index uses row {row} {uses[row]} times; every row must be used once"
+            )
+        index = index[np.argsort(index[:, 0], kind="stable")]
+        image_ids, firsts = np.unique(index[:, 0], return_index=True)
+        ids = np.split(index[:, 1].copy(), firsts[1:])
+        return cls(coords[index[:, 2]], dict(zip(image_ids.tolist(), ids)))
+
+
+def _column_bounds(arrays):
+    """Column minima and maxima over the rows of (n_i, 3) arrays, one column
+    at a time: numpy reduces or broadcasts over an (n, 3) array 3 elements at
+    a time, several times slower at 100k rows. The joined rows live only in
+    this call, so ``FreeTable.init`` frees them before it draws the table."""
+    rows = np.concatenate(arrays)
+    return (
+        np.array([rows[:, k].min() for k in range(3)]),
+        np.array([rows[:, k].max() for k in range(3)]),
+    )
 
 
 class GtLookup:
@@ -417,15 +471,22 @@ def adam_step(state: AdamState, params, grads):
     Parameters and moments must be C-contiguous float64 arrays. Non-finite
     gradients propagate into the moments and parameters.
 
+    A gradient of ``None`` stands for an all +0.0 array of its parameter's
+    shape, and gives the same bits. For ``0 < lr < inf``, ``0 < beta1 < 1``,
+    ``0 <= beta2 < 1`` and ``eps > 0`` such an array is never read: its
+    terms ``(1 - b1) g`` and ``(1 - b2) g^2`` are exactly +0.0, so the
+    moments become ``b1 m + 0.0`` and ``b2 v + 0.0``. Outside those ranges
+    an explicit zeros array is swept.
+
     An array whose moments are all +0.0 (``state.zero``) and whose gradient
     is all zero, signed zeros included, is skipped: its moments would stay
-    +0.0 and its update would be exactly ``p - 0.0``. That holds for
-    ``0 < lr < inf``, ``0 < beta1 < 1``, ``0 <= beta2 < 1`` and ``eps > 0``;
-    outside those ranges every array is swept. Its first nonzero gradient
-    (NaN and +-inf included), or any other sweep, clears the flag for good.
+    +0.0 and its update would be exactly ``p - 0.0``. That holds in the
+    ranges above; outside them every array is swept. Its first nonzero
+    gradient (NaN and +-inf included), or any other sweep, clears the flag
+    for good.
     """
     if len(params) != len(grads) or any(
-        p.shape != g.shape for p, g in zip(params, grads)
+        g is not None and p.shape != g.shape for p, g in zip(params, grads)
     ):
         raise DimensionMismatchError("parameter/gradient shapes disagree")
     state.step += 1
@@ -443,22 +504,31 @@ def adam_step(state: AdamState, params, grads):
         state.work = np.empty((2, block))
     for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         if state.zero[i]:
-            if skippable and not g.any():
+            if skippable and (g is None or not g.any()):
                 continue
             state.zero[i] = False
+        if g is not None:
+            g = np.ravel(g)
+        elif not skippable:
+            g = np.zeros(p.size)
         p, m, v = _flat_view(p), _flat_view(m), _flat_view(v)
-        g = np.ravel(g)
         for start in range(0, p.size, ADAM_BLOCK):
             blk = slice(start, start + ADAM_BLOCK)
-            pb, gb, mb, vb = p[blk], g[blk], m[blk], v[blk]
+            pb, mb, vb = p[blk], m[blk], v[blk]
             a, b = state.work[:, : pb.size]
             np.multiply(mb, b1, out=mb)
-            np.multiply(gb, 1 - b1, out=a)
-            np.add(mb, a, out=mb)
-            np.multiply(vb, b2, out=vb)
-            np.multiply(gb, gb, out=a)
-            np.multiply(a, 1 - b2, out=a)
-            np.add(vb, a, out=vb)
+            if g is None:
+                np.add(mb, 0.0, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.add(vb, 0.0, out=vb)
+            else:
+                gb = g[blk]
+                np.multiply(gb, 1 - b1, out=a)
+                np.add(mb, a, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, gb, out=a)
+                np.multiply(a, 1 - b2, out=a)
+                np.add(vb, a, out=vb)
             np.divide(vb, bc2, out=a)
             np.sqrt(a, out=a)
             np.add(a, eps, out=a)  # sqrt(v_hat) + eps
@@ -785,8 +855,7 @@ def evaluate_coords(model, dataset, image_ids=None):
     errs = []
     for image_id in ids:
         preds, _ = model.predict_image(dataset, image_id)
-        gt = dataset.observations[image_id].gt_coords
-        errs.append(np.linalg.norm(preds - gt, axis=1))
+        errs.append(_row_norms(preds - dataset.observations[image_id].gt_coords))
     errs = np.concatenate(errs)
     with np.errstate(invalid="ignore"):
         return float(np.median(errs)), float(np.mean(errs))

@@ -7,6 +7,7 @@ relative error 1e-4.
 """
 
 import hashlib
+import warnings
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -384,6 +385,27 @@ class TestLossReport:
         assert rep.statuses.tolist() == [DepthStatus.NEAR_PLANE, DepthStatus.IN_FRONT]
         # the angle loss stays finite at the same point
         assert not angle_terms(intr, pose, preds, pixels).nonfinite
+
+    def test_subnormal_depth_inside_the_image_reports_nonfinite(self):
+        # camera j at the identity with f = 64: the point projects to
+        # (20, 20) + (cx, cy), inside the image, but f / z overflows to inf
+        intr = CameraIntrinsics(f=64.0, cx=30.0, cy=30.0)
+        pose = PoseSE3.identity()
+        preds = np.array([[0.3125e-309, 0.3125e-309, 1e-309], [0.1, 0.2, 2.0]])
+        pixels = np.array([[50.0, 50.0], [34.0, 36.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = reproj_terms(intr, pose, preds, pixels)
+            assert rep.nonfinite
+            assert np.isfinite(rep.values).all() and np.isfinite(rep.grads[1]).all()
+            assert not np.isfinite(rep.grads[0]).all()
+            obs = SimpleNamespace(point_ids=np.arange(2), pixels=pixels)
+            rng = np.random.default_rng(5)
+            img_i, img_j = smooth_image(rng, 60, 70), smooth_image(rng, 60, 70)
+            photo = photometric_image_loss(intr, pose, preds, photo_target(obs, img_i), img_j)
+            assert photo.valid_mask.tolist() == [True, True]
+            assert photo.nonfinite
+            assert not np.isfinite(photo.grads[0]).all() and np.isfinite(photo.grads[1]).all()
 
 
 class TestMultiviewLoss:

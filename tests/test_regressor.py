@@ -84,6 +84,14 @@ def test_adam_step_shape_mismatch_raises_the_losses_error():
         adam_step(state, params, [np.zeros((4, 3)), np.zeros(2)])
     with pytest.raises(losses.DimensionMismatchError):
         adam_step(state, params, [np.zeros((4, 3))])
+    # None stands for a gradient of the right shape, but not for a missing one
+    with pytest.raises(losses.DimensionMismatchError):
+        adam_step(state, params, [None, np.zeros(2)])
+    with pytest.raises(losses.DimensionMismatchError):
+        adam_step(state, params, [None])
+    with pytest.raises(losses.DimensionMismatchError):
+        adam_step(state, params, [np.zeros((3, 4)), None])
+    assert state.step == 0
 
 
 class TestAdamStep:
@@ -264,6 +272,102 @@ class TestAdamZeroSkip:
         assert_bit_equal(mine, ref)
         assert_bit_equal(state.m, ref_state.m)
         assert_bit_equal(state.v, ref_state.v)
+
+
+class TestAdamNoneGradient:
+    """A ``None`` gradient is an all +0.0 one: in every case it gives the
+    bits of an explicit ``np.zeros`` gradient in p, m and v."""
+
+    # signed zeros, NaN, infinities, subnormals and ordinary values
+    SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1.5, -3.0])
+
+    def params(self):
+        rng = np.random.default_rng(6)
+        # the second array spans more than one block of the sweep
+        params = [rng.normal(size=(40, 3)), rng.normal(size=(ADAM_BLOCK // 3 + 50, 3))]
+        for p in params:
+            p[:3] = self.SPECIAL[:9].reshape(3, 3)
+        return params
+
+    def special_moments(self, state):
+        rng = np.random.default_rng(7)
+        for m, v in zip(state.m, state.v):
+            m[...] = rng.choice(self.SPECIAL, size=m.shape)
+            v[...] = rng.choice(self.SPECIAL, size=v.shape)
+        return state
+
+    def grads(self, t):
+        g = np.random.default_rng([8, t]).normal(size=(40, 3))
+        return [g if t % 3 == 2 else None, None]
+
+    def run(self, make_state, steps=6):
+        """``adam_step`` from one state with ``None`` gradients and from an
+        equal state with those turned into zeros."""
+        with_none, with_zeros = self.params(), self.params()
+        state, zeros_state = make_state(with_none), make_state(with_zeros)
+        with np.errstate(all="ignore"):
+            for t in range(steps):
+                gs = self.grads(t)
+                adam_step(state, with_none, gs)
+                zeros = [np.zeros(p.shape) if g is None else g for p, g in zip(with_zeros, gs)]
+                adam_step(zeros_state, with_zeros, zeros)
+        assert_bit_equal(with_none, with_zeros)
+        assert_bit_equal(state.m, zeros_state.m)
+        assert_bit_equal(state.v, zeros_state.v)
+        assert state.zero == zeros_state.zero
+        return with_none, state
+
+    def test_special_moments(self):
+        mine, state = self.run(
+            lambda ps: self.special_moments(AdamState.for_params(ps, lr=0.05))
+        )
+        assert state.zero == [False, False]
+        # -0.0 moments turned +0.0, and NaN and inf stayed
+        assert not np.signbit(state.m[1][state.m[1] == 0.0]).any()
+        assert np.isnan(state.v[1]).any() and np.isinf(state.m[1]).any()
+        # and both equal the allocating reference
+        ref = self.params()
+        ref_state = self.special_moments(AdamState.for_params(ref, lr=0.05))
+        with np.errstate(all="ignore"):
+            for t in range(6):
+                grads = [np.zeros(p.shape) if g is None else g for p, g in zip(ref, self.grads(t))]
+                ref = reference_adam_step(ref_state, ref, grads)
+        assert_bit_equal(mine, ref)
+        assert_bit_equal(state.m, ref_state.m)
+        assert_bit_equal(state.v, ref_state.v)
+
+    def test_first_step_of_a_fresh_state_skips_the_run(self):
+        start = self.params()
+        params, state = self.run(lambda ps: AdamState.for_params(ps, lr=0.05), steps=2)
+        # no gradient yet in either array: both skipped, flags still set
+        assert state.zero == [True, True]
+        assert_bit_equal(params, start)
+        assert not state.m[1].view(np.uint64).any() and not state.v[1].view(np.uint64).any()
+        params, state = self.run(lambda ps: AdamState.for_params(ps, lr=0.05), steps=5)
+        assert state.zero == [False, True]
+        assert params[1].tobytes() == start[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "hyper",
+        [
+            dict(lr=-0.0),
+            dict(lr=0.0),
+            dict(lr=np.inf),
+            dict(beta1=-0.5),
+            dict(beta1=1.5),  # (1 - b1) * +0.0 is -0.0
+            dict(beta2=1.0),
+            dict(eps=0.0),
+        ],
+    )
+    @pytest.mark.parametrize("moments", ["fresh", "special"])
+    def test_hyperparameters_outside_the_skippable_ranges(self, hyper, moments):
+        def make_state(ps):
+            state = AdamState.for_params(ps, **hyper)
+            return self.special_moments(state) if moments == "special" else state
+
+        _, state = self.run(make_state)
+        # outside those ranges every array is swept from the first step
+        assert state.zero == [False, False]
 
 
 def test_lr_halves_at_each_boundary():
@@ -485,25 +589,39 @@ class TestFreeTableRuns:
         _, rows = table.predict_image(room, image_id)
         grads = table.grads_for_image(rows, np.full((len(rows), 3), 2.0))
         params = table.param_list()
-        assert [g.shape for g in grads] == [p.shape for p in params]
+        # one run holds the image; every other run's gradient is None, +0.0
+        assert sum(g is not None for g in grads) == 1
+        dense = [np.zeros(p.shape) if g is None else g for g, p in zip(grads, params)]
+        assert [g.shape for g in dense] == [p.shape for p in params]
         expected = np.zeros_like(table.coords)
         expected[rows] = 2.0
-        assert np.array_equal(np.concatenate(grads), expected)
+        assert np.concatenate(dense).tobytes() == expected.tobytes()
+        (held,) = [g for g in grads if g is not None]
+        assert held.base is table._grad
         # the same buffer again, now holding the next image only
         _, rows_b = table.predict_image(room, room.train_ids[0])
         again = table.grads_for_image(rows_b, np.ones((len(rows_b), 3)))
-        assert all(x is y for x, y in zip(again, grads))
-        assert np.count_nonzero(np.concatenate(again)) == 3 * len(rows_b)
+        assert all(x is y for x, y in zip(again, table._grad_runs) if x is not None)
+        assert sum(g is not None for g in again) == 1
+        assert np.count_nonzero(table._grad) == 3 * len(rows_b)
+        dense = [np.zeros(p.shape) if g is None else g for g, p in zip(again, params)]
+        assert np.count_nonzero(np.concatenate(dense)) == 3 * len(rows_b)
 
 
 def _reference_in_place(state, params, grads):
+    """The reference Adam, in place, with each ``None`` gradient turned into
+    +0.0 zeros."""
+    grads = [np.zeros(p.shape) if g is None else g for p, g in zip(params, grads)]
     for p, new in zip(params, reference_adam_step(state, params, grads)):
         p[...] = new
 
 
 @pytest.mark.parametrize("block", [60, 150])  # one image per run; two per run
-@pytest.mark.parametrize("mode", ["reproj", "angle", "angle-multi", "const-depth-reproj"])
-def test_train_with_skipped_runs_matches_the_reference_adam(room, monkeypatch, mode, block):
+@pytest.mark.parametrize(
+    "mode", ["reproj", "angle", "angle-multi", "const-depth-reproj", "angle-photo"]
+)
+def test_train_with_skipped_runs_matches_the_reference_adam(request, monkeypatch, mode, block):
+    room = request.getfixturevalue("rendered_room" if mode == "angle-photo" else "room")
     cfg = TrainConfig(mode=mode, iterations=40, lr=0.05, checkpoint_every=10, seed=2)
     with monkeypatch.context() as patch:
         patch.setattr(regressor, "adam_step", _reference_in_place)
@@ -818,10 +936,69 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         assert loaded.coords.tobytes() == table.coords.tobytes()
         assert loaded.state_dict() == table.state_dict()
+        assert loaded.rows.keys() == table.rows.keys()
         for image_id in room.train_ids:
-            assert np.array_equal(
-                loaded.predict_image(room, image_id)[0], table.predict_image(room, image_id)[0]
+            assert np.array_equal(loaded.rows[image_id], table.rows[image_id])
+            assert np.array_equal(loaded.point_ids[image_id], table.point_ids[image_id])
+            assert (
+                loaded.predict_image(room, image_id)[0].tobytes()
+                == table.predict_image(room, image_id)[0].tobytes()
             )
+
+    def test_free_table_with_permuted_rows_loads_in_the_init_layout(self, room, tmp_path):
+        table = FreeTable.init(room, seed=2)
+        path = tmp_path / "table.json"
+        save_checkpoint(path, table, TrainConfig())
+        blob = json.loads(path.read_text())
+        coords = np.array(blob["model"]["coords"])
+        perm = np.random.default_rng(0).permutation(len(coords))  # old row -> new row
+        shuffled = np.empty_like(coords)
+        shuffled[perm] = coords
+        blob["model"]["coords"] = shuffled.tolist()
+        for triple in blob["model"]["index"]:
+            triple[2] = int(perm[triple[2]])
+        path.write_text(json.dumps(blob))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.coords.tobytes() == table.coords.tobytes()
+        assert loaded.state_dict() == table.state_dict()
+        for image_id in room.train_ids:
+            assert np.array_equal(loaded.rows[image_id], table.rows[image_id])
+            assert (
+                loaded.predict_image(room, image_id)[0].tobytes()
+                == table.predict_image(room, image_id)[0].tobytes()
+            )
+
+    @pytest.mark.parametrize(
+        "edit, row, uses",
+        [
+            # triple 5 takes triple 6's row: row 6 twice, row 5 never
+            (lambda index: index[5].__setitem__(2, 6), 5, 0),
+            (lambda index: index.pop(5), 5, 0),
+            (lambda index: index.append([index[0][0], 10**6, 0]), 0, 2),
+        ],
+    )
+    def test_free_table_index_repeating_or_skipping_a_row_raises_config_error(
+        self, room, tmp_path, edit, row, uses
+    ):
+        path = tmp_path / "table.json"
+        save_checkpoint(path, FreeTable.init(room, seed=2), TrainConfig())
+        blob = json.loads(path.read_text())
+        assert [r for _, _, r in blob["model"]["index"]][:7] == list(range(7))
+        edit(blob["model"]["index"])
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=f"uses row {row} {uses} times") as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_free_table_coords_that_are_not_rows_of_3_raise_config_error(self, room, tmp_path):
+        path = tmp_path / "table.json"
+        save_checkpoint(path, FreeTable.init(room, seed=2), TrainConfig())
+        blob = json.loads(path.read_text())
+        blob["model"]["coords"] = [c[:2] for c in blob["model"]["coords"]]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match="rows of 3") as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_patch_mlp_round_trip(self, room, tmp_path):
         net = PatchMLP.init((room.config.descriptor_dim, 8, 3), seed=3)
