@@ -13,10 +13,9 @@ for ``FreeTable``) that ``adam_step`` updates in place. Adam is dense in its
 results: every row's moments decay on every step, including the table rows
 of images not drawn. A model's gradient list may hold ``None`` for an array
 the drawn image does not touch; ``adam_step`` reads it as an all +0.0
-gradient with the same bits, and in the usual hyperparameter ranges never
-builds or reads that array. An array whose moments are still exactly zero
-and whose gradient is all zero is skipped, since its update is exactly
-zero.
+gradient with the same bits and never builds that array. An array whose
+moments are still exactly zero and whose gradient is all zero is skipped,
+since its update is exactly zero.
 
 Non-finite losses or gradients are counted and applied as-is, never
 repaired: under the plain reprojection loss they are part of the behavior
@@ -25,7 +24,6 @@ under study.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import enum
 import json
@@ -236,8 +234,8 @@ class FreeTable:
             raise DimensionMismatchError(
                 f"FreeTable coords {self.coords.shape} do not hold {stop} rows of 3"
             )
-        self._runs = self._run_slices()
-        self._run_starts = [run.start for run in self._runs]
+        # Adam runs, and the run holding each image's first row
+        self._runs, self._run_at = self._run_slices()
         # gradient buffer reused by grads_for_image, its views by run, and
         # the slice of its nonzero rows
         self._grad = None
@@ -299,14 +297,16 @@ class FreeTable:
 
     def _run_slices(self):
         """Row slices tiling the table, cut only at an image's first row and
-        greedily grouped up to ``ADAM_BLOCK`` elements (3 per row)."""
+        greedily grouped up to ``ADAM_BLOCK`` elements (3 per row), and the
+        index of the slice holding each image's first row."""
         n_rows = len(self.coords)
-        cuts = sorted({s.start for s in self._spans.values() if s.stop > s.start} - {0})
-        starts = [0]
-        for cut, stop in zip(cuts, cuts[1:] + [n_rows]):
-            if 3 * (stop - starts[-1]) > ADAM_BLOCK:
-                starts.append(cut)
-        return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+        firsts = sorted({s.start for s in self._spans.values() if s.stop > s.start})
+        starts, run_at = [0], {}
+        for first, stop in zip(firsts, firsts[1:] + [n_rows]):
+            if first > 0 and 3 * (stop - starts[-1]) > ADAM_BLOCK:
+                starts.append(first)
+            run_at[first] = len(starts) - 1
+        return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])], run_at
 
     def param_list(self):
         return [self.coords[run] for run in self._runs]
@@ -330,7 +330,7 @@ class FreeTable:
             start = int(ctx[0])
             self._grad_span = slice(start, start + len(ctx))
             self._grad[self._grad_span] = dl_dy
-            k = bisect.bisect_right(self._run_starts, start) - 1
+            k = self._run_at[start]
             grads[k] = self._grad_runs[k]
         return grads
 
@@ -472,16 +472,19 @@ def adam_step(state: AdamState, params, grads):
     gradients propagate into the moments and parameters.
 
     A gradient of ``None`` stands for an all +0.0 array of its parameter's
-    shape, and gives the same bits. For ``0 < lr < inf``, ``0 < beta1 < 1``,
-    ``0 <= beta2 < 1`` and ``eps > 0`` such an array is never read: its
-    terms ``(1 - b1) g`` and ``(1 - b2) g^2`` are exactly +0.0, so the
-    moments become ``b1 m + 0.0`` and ``b2 v + 0.0``. Outside those ranges
-    an explicit zeros array is swept.
+    shape, and gives the same bits without building it: with ``g = +0.0``
+    every element's terms ``(1 - b1) g`` and ``(1 - b2) g^2`` are the
+    constants ``z1 = 0.0 (1 - b1)`` and ``z2 = (0.0 0.0) (1 - b2)``, so the
+    moments become ``b1 m + z1`` and ``b2 v + z2``. ``beta1`` and ``beta2``
+    must be finite (``ValueError`` otherwise): then ``z1`` and ``z2`` are
+    signed zeros, never NaN, and adding one scalar gives the bits of adding
+    an array of it (for a NaN term numpy may keep the other operand's NaN).
 
     An array whose moments are all +0.0 (``state.zero``) and whose gradient
     is all zero, signed zeros included, is skipped: its moments would stay
-    +0.0 and its update would be exactly ``p - 0.0``. That holds in the
-    ranges above; outside them every array is swept. Its first nonzero
+    +0.0 and its update would be exactly ``p - 0.0``. That holds for
+    ``0 < lr < inf``, ``0 < beta1 < 1``, ``0 <= beta2 < 1`` and ``eps > 0``;
+    outside those ranges every array is swept. Its first nonzero
     gradient (NaN and +-inf included), or any other sweep, clears the flag
     for good.
     """
@@ -489,9 +492,11 @@ def adam_step(state: AdamState, params, grads):
         g is not None and p.shape != g.shape for p, g in zip(params, grads)
     ):
         raise DimensionMismatchError("parameter/gradient shapes disagree")
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    if not (math.isfinite(b1) and math.isfinite(b2)):
+        raise ValueError(f"Adam betas must be finite, got {b1}, {b2}")
     state.step += 1
     t = state.step
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     if state.zero is None:
@@ -499,6 +504,7 @@ def adam_step(state: AdamState, params, grads):
             _all_positive_zero(m) and _all_positive_zero(v) for m, v in zip(state.m, state.v)
         ]
     skippable = 0.0 < lr < math.inf and 0.0 < b1 < 1.0 and 0.0 <= b2 < 1.0 and eps > 0.0
+    z1, z2 = 0.0 * (1 - b1), (0.0 * 0.0) * (1 - b2)  # the terms of a +0.0 gradient
     block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
     if state.work is None or state.work.shape[1] < block:
         state.work = np.empty((2, block))
@@ -509,8 +515,6 @@ def adam_step(state: AdamState, params, grads):
             state.zero[i] = False
         if g is not None:
             g = np.ravel(g)
-        elif not skippable:
-            g = np.zeros(p.size)
         p, m, v = _flat_view(p), _flat_view(m), _flat_view(v)
         for start in range(0, p.size, ADAM_BLOCK):
             blk = slice(start, start + ADAM_BLOCK)
@@ -518,9 +522,9 @@ def adam_step(state: AdamState, params, grads):
             a, b = state.work[:, : pb.size]
             np.multiply(mb, b1, out=mb)
             if g is None:
-                np.add(mb, 0.0, out=mb)
+                np.add(mb, z1, out=mb)
                 np.multiply(vb, b2, out=vb)
-                np.add(vb, 0.0, out=vb)
+                np.add(vb, z2, out=vb)
             else:
                 gb = g[blk]
                 np.multiply(gb, 1 - b1, out=a)

@@ -356,7 +356,10 @@ class TestAdamNoneGradient:
             dict(beta1=-0.5),
             dict(beta1=1.5),  # (1 - b1) * +0.0 is -0.0
             dict(beta2=1.0),
+            dict(beta2=2.0),  # (1 - b2) * +0.0 is -0.0
+            dict(lr=np.nan),
             dict(eps=0.0),
+            dict(eps=np.nan),
         ],
     )
     @pytest.mark.parametrize("moments", ["fresh", "special"])
@@ -368,6 +371,20 @@ class TestAdamNoneGradient:
         _, state = self.run(make_state)
         # outside those ranges every array is swept from the first step
         assert state.zero == [False, False]
+
+    @pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["beta1", "beta2"])
+    def test_non_finite_betas_are_refused(self, name, beta):
+        # a non-finite beta makes a +0.0 gradient's term NaN, whose sign
+        # numpy's scalar and array additions may pick differently
+        params = self.params()
+        state = AdamState.for_params(params, lr=0.05, **{name: beta})
+        start = [p.copy() for p in params]
+        for grads in ([None, None], [np.zeros(p.shape) for p in params]):
+            with pytest.raises(ValueError, match="finite"):
+                adam_step(state, params, grads)
+        assert state.step == 0
+        assert_bit_equal(params, start)
 
 
 def test_lr_halves_at_each_boundary():
