@@ -679,12 +679,9 @@ def photometric_image_loss(
 
 
 def _as_gray(img) -> np.ndarray:
-    """Accept (H, W) or (H, W, 3) arrays, or an object with a ``.data``
-    array of either shape; color is reduced to its channel mean."""
-    data = getattr(img, "data", img)
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 3:
-        data = data.mean(axis=2)
+    """Accept an (H, W) array, or an object with a ``.data`` array of that
+    shape; images are grayscale only."""
+    data = np.asarray(getattr(img, "data", img), dtype=np.float64)
     if data.ndim != 2:
-        raise DimensionMismatchError("expected (H, W) or (H, W, 3) image data")
+        raise DimensionMismatchError("expected (H, W) grayscale image data")
     return data

@@ -4,8 +4,10 @@ Two trainable models stand in for the dense coordinate network at desk
 scale: ``PatchMLP`` maps per-point appearance descriptors to world
 coordinates through a small tanh network, and ``FreeTable`` gives every
 (image, point) observation its own free 3-vector, isolating the geometry of
-each loss from any appearance coupling. Training is plain Adam, one image
-per iteration, fully deterministic given the config seed.
+each loss from any appearance coupling. Training is plain Adam with the
+fixed betas ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` (only the
+learning rate is set), one image per iteration, fully deterministic given
+the config seed.
 
 Each model's parameters are a few contiguous float64 arrays (one flat
 vector for ``PatchMLP``, views of the coordinate table cut between images
@@ -55,7 +57,7 @@ from anglereloc.losses import (  # ConfigError is re-exported here
     photometric_image_loss,
     reproj_terms,
 )
-from anglereloc.scenegen import ParseError
+from anglereloc.scenegen import DESCRIPTOR_DIM, ParseError, is_count
 
 
 class PhotometricInactiveWarning(UserWarning):
@@ -205,8 +207,8 @@ class FreeTable:
 
     ``point_ids[i]`` holds image i's point ids in the dataset's order. The
     table is laid out image by image in id order, each image's rows in the
-    order of its point ids, so ``rows[i]``, the table row of each point, is
-    one ascending range and an image's predictions are one slice copy.
+    order of its point ids, so an image's rows are one slice of the table
+    (``predict_image``'s context) and its predictions are one slice copy.
 
     ``param_list`` hands Adam views of ``coords`` cut only between images:
     consecutive images grouped into runs of at most ``ADAM_BLOCK`` elements,
@@ -224,11 +226,10 @@ class FreeTable:
         table's layout: image by image in id order, one row per point id."""
         self.coords = np.ascontiguousarray(coords, dtype=np.float64)
         self.point_ids = point_ids  # image_id -> (n,) point ids
-        self.rows, self._spans = {}, {}  # image_id -> (n,) table rows, their slice
+        self._spans = {}  # image_id -> slice of its table rows
         stop = 0
         for image_id in sorted(point_ids):
             start, stop = stop, stop + len(point_ids[image_id])
-            self.rows[image_id] = np.arange(start, stop)
             self._spans[image_id] = slice(start, stop)
         if self.coords.shape != (stop, 3):
             raise DimensionMismatchError(
@@ -278,13 +279,14 @@ class FreeTable:
         return cls(coords, point_ids)
 
     def rows_for_image(self, dataset, image_id):
-        """Table rows of the image's observations, in the dataset's order.
+        """The slice of table rows of the image's observations, in the
+        dataset's order.
 
         Raises ``IndexMismatchError`` when the table has no rows for the
         image (a held-out view, or one it was not built on) or was built on
         other point ids for it.
         """
-        rows = self.rows.get(image_id)
+        rows = self._spans.get(image_id)
         if rows is None:
             raise IndexMismatchError(f"FreeTable has no rows for image {image_id}")
         if not np.array_equal(
@@ -313,32 +315,31 @@ class FreeTable:
 
     def predict_image(self, dataset, image_id):
         rows = self.rows_for_image(dataset, image_id)
-        return self.coords[self._spans[image_id]].copy(), rows
+        return self.coords[rows].copy(), rows
 
     def grads_for_image(self, ctx, dl_dy):
         """Table gradient, one entry per ``param_list`` run: ``dl_dy`` at the
-        rows ``ctx`` that ``predict_image`` returned and +0.0 elsewhere. The
-        run holding those rows gets a view of a reused buffer, which the next
-        call overwrites; every other run gets ``None``."""
+        row slice ``ctx`` that ``predict_image`` returned and +0.0 elsewhere.
+        The run holding those rows gets a view of a reused buffer, which the
+        next call overwrites; every other run gets ``None``."""
         if self._grad is None:
             self._grad = np.zeros_like(self.coords)
             self._grad_runs = [self._grad[run] for run in self._runs]
         else:
             self._grad[self._grad_span] = 0.0
         grads = [None] * len(self._runs)
-        if len(ctx):
-            start = int(ctx[0])
-            self._grad_span = slice(start, start + len(ctx))
-            self._grad[self._grad_span] = dl_dy
-            k = self._run_at[start]
+        if ctx.stop > ctx.start:
+            self._grad_span = ctx
+            self._grad[ctx] = dl_dy
+            k = self._run_at[ctx.start]
             grads[k] = self._grad_runs[k]
         return grads
 
     def state_dict(self):
         index = [
             [int(image_id), k, r]
-            for image_id in sorted(self.rows)
-            for k, r in zip(self.point_ids[image_id].tolist(), self.rows[image_id].tolist())
+            for image_id, rows in sorted(self._spans.items())
+            for k, r in zip(self.point_ids[image_id].tolist(), range(rows.start, rows.stop))
         ]
         return {"kind": self.kind, "coords": self.coords.tolist(), "index": index}
 
@@ -416,33 +417,32 @@ MODEL_KINDS = {
 # elements per pass of adam_step: a block of each of p, g, m, v and the two
 # scratch buffers (6 x 128 KiB) stay in cache across the pass's operations
 ADAM_BLOCK = 16384
+# Adam's moment decay rates and the term that keeps its denominator positive
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, the step counter, and the scratch
-    space of ``adam_step``. ``zero[i]`` is true while array i's moments are
-    all exactly +0.0; ``adam_step`` sets it from the moments on first use."""
+    """First/second moment accumulators, the step counter, the learning
+    rate, and the scratch space of ``adam_step``. ``zero[i]`` is true while
+    array i's moments are all exactly +0.0; ``adam_step`` sets it from the
+    moments on first use."""
 
     m: list
     v: list
     step: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     work: np.ndarray | None = field(default=None, repr=False)
     zero: list | None = field(default=None, repr=False)
 
     @classmethod
-    def for_params(cls, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(cls, params, lr=1e-4):
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
         )
 
 
@@ -464,37 +464,33 @@ def adam_step(state: AdamState, params, grads):
 
     Every element goes through the operations of
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
-    ``p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that order, so the
-    results equal those of the allocating form bit for bit. Each array is
-    swept in blocks of ``ADAM_BLOCK`` elements, through two scratch buffers
-    kept in ``state.work``, so one element makes one trip from memory.
-    Parameters and moments must be C-contiguous float64 arrays. Non-finite
-    gradients propagate into the moments and parameters.
+    ``p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that order, with
+    ``b1``, ``b2`` and ``eps`` the constants ``ADAM_BETA1``, ``ADAM_BETA2``
+    and ``ADAM_EPS``, so the results equal those of the allocating form bit
+    for bit. Each array is swept in blocks of ``ADAM_BLOCK`` elements,
+    through two scratch buffers kept in ``state.work``, so one element makes
+    one trip from memory. Parameters and moments must be C-contiguous
+    float64 arrays. Non-finite gradients propagate into the moments and
+    parameters.
 
     A gradient of ``None`` stands for an all +0.0 array of its parameter's
     shape, and gives the same bits without building it: with ``g = +0.0``
-    every element's terms ``(1 - b1) g`` and ``(1 - b2) g^2`` are the
-    constants ``z1 = 0.0 (1 - b1)`` and ``z2 = (0.0 0.0) (1 - b2)``, so the
-    moments become ``b1 m + z1`` and ``b2 v + z2``. ``beta1`` and ``beta2``
-    must be finite (``ValueError`` otherwise): then ``z1`` and ``z2`` are
-    signed zeros, never NaN, and adding one scalar gives the bits of adding
-    an array of it (for a NaN term numpy may keep the other operand's NaN).
+    the terms ``(1 - b1) g`` and ``(1 - b2) g^2`` are +0.0, so the moments
+    become ``b1 m + 0.0`` and ``b2 v + 0.0``. The add is kept: it turns
+    -0.0 moments into +0.0, as the full form does.
 
     An array whose moments are all +0.0 (``state.zero``) and whose gradient
     is all zero, signed zeros included, is skipped: its moments would stay
     +0.0 and its update would be exactly ``p - 0.0``. That holds for
-    ``0 < lr < inf``, ``0 < beta1 < 1``, ``0 <= beta2 < 1`` and ``eps > 0``;
-    outside those ranges every array is swept. Its first nonzero
-    gradient (NaN and +-inf included), or any other sweep, clears the flag
-    for good.
+    ``0 < lr < inf``; at any other learning rate every array is swept. Its
+    first nonzero gradient (NaN and +-inf included), or any other sweep,
+    clears the flag for good.
     """
     if len(params) != len(grads) or any(
         g is not None and p.shape != g.shape for p, g in zip(params, grads)
     ):
         raise DimensionMismatchError("parameter/gradient shapes disagree")
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    if not (math.isfinite(b1) and math.isfinite(b2)):
-        raise ValueError(f"Adam betas must be finite, got {b1}, {b2}")
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1**t
@@ -503,8 +499,7 @@ def adam_step(state: AdamState, params, grads):
         state.zero = [
             _all_positive_zero(m) and _all_positive_zero(v) for m, v in zip(state.m, state.v)
         ]
-    skippable = 0.0 < lr < math.inf and 0.0 < b1 < 1.0 and 0.0 <= b2 < 1.0 and eps > 0.0
-    z1, z2 = 0.0 * (1 - b1), (0.0 * 0.0) * (1 - b2)  # the terms of a +0.0 gradient
+    skippable = 0.0 < lr < math.inf
     block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
     if state.work is None or state.work.shape[1] < block:
         state.work = np.empty((2, block))
@@ -522,9 +517,9 @@ def adam_step(state: AdamState, params, grads):
             a, b = state.work[:, : pb.size]
             np.multiply(mb, b1, out=mb)
             if g is None:
-                np.add(mb, z1, out=mb)
+                np.add(mb, 0.0, out=mb)  # the +0.0 terms of a +0.0 gradient
                 np.multiply(vb, b2, out=vb)
-                np.add(vb, z2, out=vb)
+                np.add(vb, 0.0, out=vb)
             else:
                 gb = g[blk]
                 np.multiply(gb, 1 - b1, out=a)
@@ -569,7 +564,9 @@ def constant_depth_targets(
 class TrainConfig:
     """Training settings. Every loss weight and guard lives in ``loss``,
     validated when that ``LossConfig`` is built. Values that would break a
-    run or silently change it raise ``ConfigError`` naming the field:
+    run or silently change it raise ``ConfigError`` naming the field: the
+    counts (``seed``, ``iterations``, ``checkpoint_every``,
+    ``photo_neighbor_max_offset``) must be integers, not bools or floats,
     ``checkpoint_every`` 0 records only the end, and
     ``photo_neighbor_max_offset`` must leave each view a neighbor id."""
 
@@ -588,16 +585,17 @@ class TrainConfig:
     def __post_init__(self):
         # written so that NaN fails every rule
         for name, ok, rule in (
-            ("iterations", self.iterations > 0, "> 0"),
+            ("seed", is_count(self.seed, 0), "an integer >= 0"),
+            ("iterations", is_count(self.iterations, 1), "an integer > 0"),
             ("lr", 0 < self.lr < math.inf, "finite and > 0"),
             ("init_fraction", 0 <= self.init_fraction <= 1, "in [0, 1]"),
-            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
+            ("checkpoint_every", is_count(self.checkpoint_every, 0), "an integer >= 0"),
+            ("hidden_sizes", all(is_count(n, 1) for n in self.hidden_sizes), "integers > 0"),
             (
-                "hidden_sizes",
-                all(isinstance(n, (int, np.integer)) and n > 0 for n in self.hidden_sizes),
-                "integers > 0",
+                "photo_neighbor_max_offset",
+                is_count(self.photo_neighbor_max_offset, 1),
+                "an integer > 0",
             ),
-            ("photo_neighbor_max_offset", self.photo_neighbor_max_offset > 0, "> 0"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -722,7 +720,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     """
     mode = TrainMode(cfg.mode)
     if model_kind == "patch_mlp":
-        sizes = (dataset.config.descriptor_dim, *cfg.hidden_sizes, 3)
+        sizes = (DESCRIPTOR_DIM, *cfg.hidden_sizes, 3)
         model = PatchMLP.init(sizes, seed=[cfg.seed, 12])
     elif model_kind == "free_table":
         model = FreeTable.init(dataset, seed=[cfg.seed, 12])

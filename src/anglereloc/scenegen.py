@@ -9,9 +9,15 @@ freshly initialized regressors (whose predictions start near the world
 origin) genuinely begin behind every camera, which is the failure regime
 the plain reprojection loss cannot escape.
 
-One ``DatasetConfig`` sets every value of a room; ``gen_scene``,
-``gen_trajectory`` and ``observe`` read it and take no settings of their
-own. ``build_dataset`` runs them in turn: ``gen_trajectory`` projects the
+One ``DatasetConfig`` sets every value of a room that the tests and the
+benchmark's workloads vary; ``gen_scene``, ``gen_trajectory`` and ``observe``
+read it and take no settings of their own. What no caller varies is a
+module constant, the same for every room: the camera (``INTRINSICS``, an
+80 x 60 image of ``WIDTH`` x ``HEIGHT`` pixels at focal length 40), the
+orbit (``ORBIT_RADIUS`` and its ``RADIUS_JITTER``, ``HEIGHT_JITTER``,
+``YAW_JITTER_DEG`` and ``PITCH_JITTER_DEG``), the descriptor width
+(``DESCRIPTOR_DIM``), and the free-space and pose-draw limits.
+``build_dataset`` runs them in turn: ``gen_trajectory`` projects the
 scene once per pose it draws, and hands the accepted pose's in-frame point
 ids and pixels to ``observe``, which adds pixel noise and ground truth
 without projecting again. Drawing poses is the largest set-up cost of the
@@ -30,7 +36,8 @@ is hashed once per call.
 
 Determinism: every random quantity is drawn from ``np.random.default_rng``
 seeded with an integer list ``[seed, stream, ...]``; datasets regenerate
-bit-identically from their manifest.
+bit-identically from their manifest. The base descriptors are drawn from
+the config alone, so they are regenerated on load, not saved.
 
 Batching rule: dataset assembly works in whole-array passes, and every
 stream is consumed in per-point order, so one ``size=(n, k)`` draw yields
@@ -80,7 +87,7 @@ class NonRigidWarning(UserWarning):
     """A parsed rotation block failed orthonormality and was projected."""
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -94,13 +101,38 @@ FREE_SPACE_PATIENCE = 1 << 20
 FREE_SPACE_DRAWS_PER_POINT = 10_000
 # pose draws per view before gen_trajectory gives up
 MAX_ATTEMPTS = 60
+# the one camera of every view: focal length 40, principal point at the center
+WIDTH, HEIGHT = 80, 60
+INTRINSICS = CameraIntrinsics(40.0, (WIDTH - 1) / 2, (HEIGHT - 1) / 2)
+# image i sits on a circle of ORBIT_RADIUS about the vertical axis, its
+# radius jittered by up to RADIUS_JITTER and its height by HEIGHT_JITTER, and
+# faces outward with its yaw and pitch jittered by up to these many degrees
+ORBIT_RADIUS = 1.6
+RADIUS_JITTER = 0.3
+HEIGHT_JITTER = 0.5
+YAW_JITTER_DEG = 8.0
+PITCH_JITTER_DEG = 14.0
+# length of each point's appearance descriptor
+DESCRIPTOR_DIM = 16
+
+
+def is_count(value, least) -> bool:
+    """True for a Python or numpy integer of at least ``least``; False for a
+    bool and for a float, even an integral one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 @dataclass
 class DatasetConfig:
-    """Everything needed to regenerate a dataset deterministically. Values
-    that would break a room or silently change it raise ``ValueError``
-    naming the field."""
+    """Everything needed to regenerate a dataset deterministically, together
+    with the module constants (the camera, the orbit and the descriptor
+    width), which are the same for every room. Each field is here because a
+    test or a benchmark workload varies it.
+
+    Values that would break a room or silently change it raise
+    ``ValueError`` naming the field; the counts (``seed``, ``n_points``,
+    ``n_planes``, ``n_images``, ``test_every``, ``min_visible``) must be
+    integers, not bools or floats."""
 
     seed: int = 0
     n_points: int = 500
@@ -109,17 +141,8 @@ class DatasetConfig:
     free_space_fraction: float = 0.2
     n_images: int = 40
     test_every: int = 4  # every k-th image is held out for evaluation; 0 holds out none
-    focal: float = 40.0
-    width: int = 80
-    height: int = 60
-    orbit_radius: float = 1.6
-    radius_jitter: float = 0.3
-    height_jitter: float = 0.5
-    yaw_jitter_deg: float = 8.0
-    pitch_jitter_deg: float = 14.0
     min_visible: int = 20
     pixel_noise_sigma: float = 0.0
-    descriptor_dim: int = 16
     descriptor_noise_sigma: float = 0.01
     covis_keep_fraction: float = 1.0
     render_images: bool = False
@@ -127,12 +150,14 @@ class DatasetConfig:
     def __post_init__(self):
         # written so that NaN fails every rule
         for name, ok, rule in (
-            ("n_points", self.n_points > 0, "> 0"),
-            ("n_planes", self.n_planes >= 0, ">= 0"),
+            ("seed", is_count(self.seed, 0), "an integer >= 0"),
+            ("n_points", is_count(self.n_points, 1), "an integer > 0"),
+            ("n_planes", is_count(self.n_planes, 0), "an integer >= 0"),
             ("half_extent", 0 < self.half_extent < math.inf, "finite and > 0"),
             ("free_space_fraction", 0 <= self.free_space_fraction <= 1, "in [0, 1]"),
-            ("n_images", self.n_images > 0, "> 0"),
-            ("test_every", self.test_every >= 0, ">= 0"),
+            ("n_images", is_count(self.n_images, 1), "an integer > 0"),
+            ("test_every", is_count(self.test_every, 0), "an integer >= 0"),
+            ("min_visible", is_count(self.min_visible, 0), "an integer >= 0"),
             ("pixel_noise_sigma", self.pixel_noise_sigma >= 0, ">= 0"),
             ("covis_keep_fraction", 0 <= self.covis_keep_fraction <= 1, "in [0, 1]"),
         ):
@@ -154,9 +179,6 @@ class DatasetConfig:
         if not self.n_planes:
             return self.n_points
         return int(round(self.n_points * self.free_space_fraction))
-
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(self.focal, (self.width - 1) / 2, (self.height - 1) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +477,7 @@ def gen_trajectory(scene: SyntheticScene, cfg: DatasetConfig) -> dict:
     the scene points in its frame, ascending, with their noiseless (M, 2)
     pixels.
 
-    Image i sits near azimuth ``2*pi*i/n`` on a circle of ``orbit_radius``
+    Image i sits near azimuth ``2*pi*i/n`` on a circle of ``ORBIT_RADIUS``
     with jittered radius and height, so consecutive image ids are
     neighboring views. Each camera faces away from the scene center with
     jittered yaw and pitch, which leaves the world origin behind every
@@ -463,23 +485,22 @@ def gen_trajectory(scene: SyntheticScene, cfg: DatasetConfig) -> dict:
     least ``min_visible`` scene points fall inside its frame; each draw
     projects the scene once.
     """
-    intr = cfg.intrinsics()
     rng = np.random.default_rng([cfg.seed, 2])
     views = {}
     for i in range(cfg.n_images):
         base = 2 * np.pi * i / cfg.n_images
         for _ in range(MAX_ATTEMPTS):
-            radius = cfg.orbit_radius + rng.uniform(-cfg.radius_jitter, cfg.radius_jitter)
-            z = rng.uniform(-cfg.height_jitter, cfg.height_jitter)
-            yaw = base + np.radians(rng.uniform(-cfg.yaw_jitter_deg, cfg.yaw_jitter_deg))
-            pitch = np.radians(rng.uniform(-cfg.pitch_jitter_deg, cfg.pitch_jitter_deg))
+            radius = ORBIT_RADIUS + rng.uniform(-RADIUS_JITTER, RADIUS_JITTER)
+            z = rng.uniform(-HEIGHT_JITTER, HEIGHT_JITTER)
+            yaw = base + np.radians(rng.uniform(-YAW_JITTER_DEG, YAW_JITTER_DEG))
+            pitch = np.radians(rng.uniform(-PITCH_JITTER_DEG, PITCH_JITTER_DEG))
             position = np.array([radius * np.cos(base), radius * np.sin(base), z])
             forward = np.array(
                 [np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), np.sin(pitch)]
             )
             pose = _look_pose(position, forward)
             ids, pixels = _in_frame(
-                intr, pose.world_to_camera(scene.points), cfg.width, cfg.height
+                INTRINSICS, pose.world_to_camera(scene.points), WIDTH, HEIGHT
             )
             if len(ids) >= cfg.min_visible:
                 views[i] = (pose, ids, pixels)
@@ -524,8 +545,8 @@ def observe(
     if sigma > 0:
         rng = np.random.default_rng([cfg.seed, 2, image_id])
         pixels = pixels + rng.normal(scale=sigma, size=pixels.shape)
-        pixels[:, 0] = np.clip(pixels[:, 0], 0, cfg.width - 1)
-        pixels[:, 1] = np.clip(pixels[:, 1], 0, cfg.height - 1)
+        pixels[:, 0] = np.clip(pixels[:, 0], 0, WIDTH - 1)
+        pixels[:, 1] = np.clip(pixels[:, 1], 0, HEIGHT - 1)
     return ImageObservations(
         image_id=image_id,
         point_ids=point_ids,
@@ -581,16 +602,14 @@ def sparsify_covis(
 
 @dataclass
 class Image:
-    """Float intensities in [0, 1], shape (H, W) or (H, W, 3)."""
+    """Grayscale float intensities in [0, 1], shape (H, W)."""
 
     data: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim not in (2, 3) or d.size == 0:
-            raise ValueError("image data must be (H, W) or (H, W, C) and non-empty")
-        if d.ndim == 3 and d.shape[2] not in (1, 3):
-            raise ValueError("channel count must be 1 or 3")
+        if d.ndim != 2 or d.size == 0:
+            raise ValueError("image data must be (H, W) and non-empty")
         if not np.all(np.isfinite(d)) or d.min() < 0 or d.max() > 1:
             raise ValueError("intensities must be finite and within [0, 1]")
         self.data = d
@@ -681,22 +700,28 @@ class Dataset:
 
     @property
     def intrinsics(self) -> CameraIntrinsics:
-        """The room's one camera, as its config sets it."""
-        return self.config.intrinsics()
+        """The one camera of every view, ``INTRINSICS``."""
+        return INTRINSICS
 
 
-def _base_descriptors(n_points, dim, seed):
-    rng = np.random.default_rng([seed, 3])
-    d = rng.normal(size=(n_points, dim))
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-
-def _observation_descriptors(base, obs, sigma, seed):
-    d = base[obs.point_ids]
-    if sigma > 0:
-        rng = np.random.default_rng([seed, 4, int(obs.image_id)])
-        d = d + rng.normal(scale=sigma, size=d.shape)
-    return d
+def _attach_descriptors(cfg: DatasetConfig, observations) -> np.ndarray:
+    """Draw a unit-length base descriptor per point of ``cfg`` from the
+    ``[seed, 3]`` stream, and give each observation its points' base
+    descriptors plus ``descriptor_noise_sigma`` noise from the
+    ``[seed, 4, image_id]`` stream. Returns the base. Both
+    ``build_dataset`` and ``load_dataset`` call it, so a loaded room gets
+    the bits of the built one."""
+    rng = np.random.default_rng([cfg.seed, 3])
+    d = rng.normal(size=(cfg.n_points, DESCRIPTOR_DIM))
+    base = d / np.linalg.norm(d, axis=1, keepdims=True)
+    sigma = cfg.descriptor_noise_sigma
+    for obs in observations.values():
+        d = base[obs.point_ids]
+        if sigma > 0:
+            rng = np.random.default_rng([cfg.seed, 4, int(obs.image_id)])
+            d = d + rng.normal(scale=sigma, size=d.shape)
+        obs.descriptors = d
+    return base
 
 
 def build_dataset(cfg: DatasetConfig) -> Dataset:
@@ -711,19 +736,14 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
     observations = {
         i: observe(scene, cfg, i, ids, pixels) for i, (_, ids, pixels) in views.items()
     }
-    base = _base_descriptors(cfg.n_points, cfg.descriptor_dim, cfg.seed)
-    for obs in observations.values():
-        obs.descriptors = _observation_descriptors(
-            base, obs, cfg.descriptor_noise_sigma, cfg.seed
-        )
+    base = _attach_descriptors(cfg, observations)
     covis = build_covis(observations)
     if cfg.covis_keep_fraction < 1.0:
         covis = sparsify_covis(covis, cfg.covis_keep_fraction, cfg.seed)
     images = {}
     if cfg.render_images:
-        intr = cfg.intrinsics()
         for image_id, pose in poses.items():
-            images[image_id] = render_image(scene, pose, intr, cfg.width, cfg.height)
+            images[image_id] = render_image(scene, pose, INTRINSICS, WIDTH, HEIGHT)
     test_ids = [i for i in poses if cfg.test_every and (i % cfg.test_every == cfg.test_every - 1)]
     train_ids = [i for i in poses if i not in test_ids]
     return Dataset(
@@ -857,49 +877,43 @@ def parse_7scenes_pose(path) -> PoseSE3:
 
 
 def write_pgm(path, image: Image):
-    """Binary 16-bit PGM (P5) or PPM (P6) with big-endian samples."""
-    data = image.data
-    arr = np.round(data * 65535.0).astype(">u2")
-    if data.ndim == 3 and data.shape[2] == 1:
-        arr = arr[:, :, 0]
-    magic = b"P5" if arr.ndim == 2 else b"P6"
-    header = b"%s\n%d %d\n65535\n" % (magic, image.width, image.height)
+    """Binary 16-bit PGM (P5) with big-endian samples."""
+    arr = np.round(image.data * 65535.0).astype(">u2")
+    header = b"P5\n%d %d\n65535\n" % (image.width, image.height)
     Path(path).write_bytes(header + arr.tobytes())
 
 
 def read_pgm(path) -> Image:
-    """Read binary PGM/PPM written by ``write_pgm``; values scaled to [0, 1].
-    Raises ``ParseError`` naming the path for an unreadable file, a bad
-    header or truncated pixel data."""
+    """Read a binary 16-bit PGM as ``write_pgm`` writes it; values scaled to
+    [0, 1]. Raises ``ParseError`` naming the path for an unreadable file, a
+    bad header, a colour (P6) or 8-bit file, or truncated pixel data."""
     blob = _read(path, binary=True)
     parts = blob.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] not in (b"P5", b"P6"):
-        raise ParseError("not a binary PGM/PPM file", path=path, line=1)
+    if len(parts) < 4 or parts[0] != b"P5":
+        raise ParseError("not a binary grayscale PGM (P5) file", path=path, line=1)
     try:
         w, h = (int(v) for v in parts[1].split())
         maxval = int(parts[2])
     except ValueError:
         raise ParseError("malformed PGM header", path=path, line=2)
-    if w <= 0 or h <= 0 or not 0 < maxval < 65536:
-        raise ParseError(f"bad PGM size {w}x{h} or maxval {maxval}", path=path, line=2)
-    channels = 1 if parts[0] == b"P5" else 3
-    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
-    count = w * h * channels
-    if len(parts[3]) < count * dtype.itemsize:
+    if w <= 0 or h <= 0 or not 255 < maxval < 65536:
         raise ParseError(
-            f"truncated pixel data: {len(parts[3])} bytes, "
-            f"expected {count * dtype.itemsize}",
-            path=path,
+            f"bad PGM size {w}x{h} or maxval {maxval} (16-bit samples only)", path=path, line=2
         )
-    arr = np.frombuffer(parts[3], dtype=dtype, count=count)
-    shape = (h, w) if channels == 1 else (h, w, 3)
-    return Image(arr.reshape(shape).astype(np.float64) / maxval)
+    count = w * h
+    if len(parts[3]) < 2 * count:
+        raise ParseError(
+            f"truncated pixel data: {len(parts[3])} bytes, expected {2 * count}", path=path
+        )
+    arr = np.frombuffer(parts[3], dtype=">u2", count=count)
+    return Image(arr.reshape(h, w).astype(np.float64) / maxval)
 
 
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Persist the dataset directory layout: manifest JSON, per-image pose
-    and observation text files, base descriptors, co-visibility, and any
-    renders as 16-bit PGM. Loading reproduces the dataset bit-identically."""
+    and observation text files, co-visibility, and any renders as 16-bit
+    PGM. Loading reproduces the dataset bit-identically; the descriptors,
+    drawn from the config alone, are regenerated rather than saved."""
     out = Path(out_dir)
     (out / "poses").mkdir(parents=True, exist_ok=True)
     (out / "observations").mkdir(exist_ok=True)
@@ -926,37 +940,11 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
             obs.gt_coords,
             header=f"image {image_id}: point_id pixel_x pixel_y world_x world_y world_z",
         )
-    with (out / "descriptors.txt").open("w") as fh:
-        for k, row in enumerate(ds.descriptors):
-            fh.write(str(k) + " " + " ".join(repr(float(v)) for v in row) + "\n")
     covis = {"corresponded": sorted(ds.covis.corresponded)}
     (out / "covis.json").write_text(json.dumps(covis) + "\n")
     for image_id, img in sorted(ds.images.items()):
         write_pgm(out / "images" / f"img_{image_id:04d}.pgm", img)
     return out
-
-
-def _read_descriptors(path, n_points, dim):
-    """``descriptors.txt``: one `k d1 ... d_dim` line per point id k."""
-    base = np.zeros((n_points, dim))
-    for ln, raw in enumerate(_read(path).splitlines(), start=1):
-        tok = raw.split()
-        if not tok:
-            continue
-        if len(tok) != dim + 1:
-            raise ParseError(f"expected {dim + 1} fields, got {len(tok)}", path=path, line=ln)
-        try:
-            k = int(tok[0])
-        except ValueError:
-            raise ParseError(f"bad point id {tok[0]!r}", path=path, line=ln, column=1)
-        if not 0 <= k < n_points:
-            raise ParseError(f"point id {k} outside [0, {n_points})", path=path, line=ln, column=1)
-        for col, t in enumerate(tok[1:], start=2):
-            try:
-                base[k, col - 2] = float(t)
-            except ValueError:
-                raise ParseError(f"bad number {t!r}", path=path, line=ln, column=col)
-    return base
 
 
 def _parsed(path, parse, data):
@@ -970,9 +958,7 @@ def _parsed(path, parse, data):
 
 def _manifest_fields(m):
     """The manifest's config (validated by ``DatasetConfig``), image ids,
-    rendered ids, split and diameter. Other keys, such as the ``intrinsics``
-    object that files of earlier versions carry, are ignored: the camera is
-    the config's."""
+    rendered ids, split and diameter. Other top-level keys are ignored."""
     return (
         DatasetConfig(**m["config"]),
         [int(i) for i in m["image_ids"]],
@@ -997,11 +983,14 @@ def _covis_fields(c, n_points):
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Inverse of ``save_dataset``. Raises ``ParseError`` naming the file
-    when one is missing, unreadable or malformed (a manifest config value
-    that ``DatasetConfig`` refuses included), when a train or test id
-    is not among the image ids, or when an observation's point id is not
-    one of the config's ``n_points`` (naming the line as well)."""
+    """Inverse of ``save_dataset``; the base descriptors and each
+    observation's descriptor noise are drawn again from the config, as
+    ``build_dataset`` draws them. Raises ``ParseError`` naming the file when
+    one is missing, unreadable or malformed (a manifest config value that
+    ``DatasetConfig`` refuses included, and a manifest of another
+    ``SCHEMA_VERSION``), when a train or test id is not among the image ids,
+    or when an observation's point id is not one of the config's
+    ``n_points`` (naming the line as well)."""
     src = Path(in_dir)
     manifest_path = src / "manifest.json"
     if not manifest_path.exists():
@@ -1023,11 +1012,7 @@ def load_dataset(in_dir) -> Dataset:
             src / "observations" / f"obs_{image_id:04d}.txt", cfg.n_points
         )
         observations[image_id] = ImageObservations(image_id, ids, pixels, coords)
-    base = _read_descriptors(src / "descriptors.txt", cfg.n_points, cfg.descriptor_dim)
-    for obs in observations.values():
-        obs.descriptors = _observation_descriptors(
-            base, obs, cfg.descriptor_noise_sigma, cfg.seed
-        )
+    base = _attach_descriptors(cfg, observations)
     covis_path = src / "covis.json"
     covis = _parsed(
         covis_path, lambda c: _covis_fields(c, cfg.n_points), _read_json(covis_path)

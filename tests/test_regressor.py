@@ -9,10 +9,13 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from anglereloc import losses, regressor
+from anglereloc import losses, regressor, scenegen
 from anglereloc.losses import LossConfig
 from anglereloc.regressor import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_BLOCK,
+    ADAM_EPS,
     AdamState,
     ConfigError,
     FreeTable,
@@ -42,15 +45,15 @@ def reference_adam_step(state, params, grads):
     returns new arrays and replaces the state's moment lists."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = state.beta1 * m + (1 - state.beta1) * g
-        v = state.beta2 * v + (1 - state.beta2) * (g * g)
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m)
         new_v.append(v)
     state.m, state.v = new_m, new_v
@@ -257,8 +260,6 @@ class TestAdamZeroSkip:
             dict(lr=-0.0),  # -0.0 * m_hat turns p = -0.0 into +0.0
             dict(lr=0.0),
             dict(lr=np.inf),  # inf * 0 is NaN
-            dict(beta1=-0.5),  # b1 * 0 is -0.0, and so is a -0.0 gradient
-            dict(eps=0.0),  # 0 / 0 is NaN
         ],
     )
     def test_hyperparameters_outside_the_exact_range_sweep_every_array(self, hyper):
@@ -353,13 +354,7 @@ class TestAdamNoneGradient:
             dict(lr=-0.0),
             dict(lr=0.0),
             dict(lr=np.inf),
-            dict(beta1=-0.5),
-            dict(beta1=1.5),  # (1 - b1) * +0.0 is -0.0
-            dict(beta2=1.0),
-            dict(beta2=2.0),  # (1 - b2) * +0.0 is -0.0
             dict(lr=np.nan),
-            dict(eps=0.0),
-            dict(eps=np.nan),
         ],
     )
     @pytest.mark.parametrize("moments", ["fresh", "special"])
@@ -371,20 +366,6 @@ class TestAdamNoneGradient:
         _, state = self.run(make_state)
         # outside those ranges every array is swept from the first step
         assert state.zero == [False, False]
-
-    @pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan])
-    @pytest.mark.parametrize("name", ["beta1", "beta2"])
-    def test_non_finite_betas_are_refused(self, name, beta):
-        # a non-finite beta makes a +0.0 gradient's term NaN, whose sign
-        # numpy's scalar and array additions may pick differently
-        params = self.params()
-        state = AdamState.for_params(params, lr=0.05, **{name: beta})
-        start = [p.copy() for p in params]
-        for grads in ([None, None], [np.zeros(p.shape) for p in params]):
-            with pytest.raises(ValueError, match="finite"):
-                adam_step(state, params, grads)
-        assert state.step == 0
-        assert_bit_equal(params, start)
 
 
 def test_lr_halves_at_each_boundary():
@@ -502,9 +483,12 @@ class TestFreeTable:
         train = set(room.train_ids)
         expected = {key: r for r, key in enumerate(k for k in drawn if k[0] in train)}
         got = {
-            (image_id, int(k)): int(r)
-            for image_id in table.rows
-            for k, r in zip(table.point_ids[image_id], table.rows[image_id])
+            (image_id, int(k)): r
+            for image_id in room.train_ids
+            for k, r in zip(
+                table.point_ids[image_id],
+                range(len(table.coords))[table.rows_for_image(room, image_id)],
+            )
         }
         assert got == expected
         assert table.coords.shape == (len(expected), 3)
@@ -537,10 +521,10 @@ class TestFreeTable:
     def test_gradient_buffer_holds_only_the_last_image(self, room):
         table = FreeTable.init(room)
         a, b = room.train_ids[:2]
-        _, rows_a = table.predict_image(room, a)
-        _, rows_b = table.predict_image(room, b)
-        table.grads_for_image(rows_a, np.ones((len(rows_a), 3)))
-        (g,) = table.grads_for_image(rows_b, np.full((len(rows_b), 3), 2.0))
+        preds_a, rows_a = table.predict_image(room, a)
+        preds_b, rows_b = table.predict_image(room, b)
+        table.grads_for_image(rows_a, np.ones_like(preds_a))
+        (g,) = table.grads_for_image(rows_b, np.full_like(preds_b, 2.0))
         expected = np.zeros_like(table.coords)
         expected[rows_b] = 2.0
         assert np.array_equal(g, expected)
@@ -580,10 +564,10 @@ class TestFreeTableRuns:
             v[...] = k  # views write through, cover every row once, in order
         assert np.array_equal(table.coords[:, 0], np.repeat(np.arange(len(views)), sizes))
         starts = set(np.cumsum([0] + sizes[:-1]).tolist())
-        for rows in table.rows.values():
+        for rows in table._spans.values():
             # no image straddles a cut
             assert len(np.unique(table.coords[rows, 0])) == 1
-        firsts = {int(r.min()) for r in table.rows.values()}
+        firsts = {rows.start for rows in table._spans.values()}
         assert starts <= firsts | {0}
         return views
 
@@ -596,15 +580,15 @@ class TestFreeTableRuns:
         assert len(views) == n_runs
         stops = np.cumsum([len(v) for v in views])
         for v, stop in zip(views, stops):
-            images = [i for i, r in table.rows.items() if stop - len(v) <= r[0] < stop]
+            images = [i for i, r in table._spans.items() if stop - len(v) <= r.start < stop]
             assert v.size <= block or len(images) == 1
 
     def test_gradient_views_match_the_parameter_views(self, room, monkeypatch):
         monkeypatch.setattr(regressor, "ADAM_BLOCK", 150)
         table = FreeTable.init(room)
         image_id = room.train_ids[3]
-        _, rows = table.predict_image(room, image_id)
-        grads = table.grads_for_image(rows, np.full((len(rows), 3), 2.0))
+        preds, rows = table.predict_image(room, image_id)
+        grads = table.grads_for_image(rows, np.full_like(preds, 2.0))
         params = table.param_list()
         # one run holds the image; every other run's gradient is None, +0.0
         assert sum(g is not None for g in grads) == 1
@@ -616,13 +600,13 @@ class TestFreeTableRuns:
         (held,) = [g for g in grads if g is not None]
         assert held.base is table._grad
         # the same buffer again, now holding the next image only
-        _, rows_b = table.predict_image(room, room.train_ids[0])
-        again = table.grads_for_image(rows_b, np.ones((len(rows_b), 3)))
+        preds_b, rows_b = table.predict_image(room, room.train_ids[0])
+        again = table.grads_for_image(rows_b, np.ones_like(preds_b))
         assert all(x is y for x, y in zip(again, table._grad_runs) if x is not None)
         assert sum(g is not None for g in again) == 1
-        assert np.count_nonzero(table._grad) == 3 * len(rows_b)
+        assert np.count_nonzero(table._grad) == preds_b.size
         dense = [np.zeros(p.shape) if g is None else g for g, p in zip(again, params)]
-        assert np.count_nonzero(np.concatenate(dense)) == 3 * len(rows_b)
+        assert np.count_nonzero(np.concatenate(dense)) == preds_b.size
 
 
 def _reference_in_place(state, params, grads):
@@ -886,6 +870,15 @@ class TestTrainConfig:
             ("hidden_sizes", (0,)),  # a zero-width layer
             ("hidden_sizes", (8, -4)),
             ("hidden_sizes", (8.5,)),
+            ("seed", 1.5),  # a bare TypeError from default_rng deep in train
+            ("seed", True),
+            ("seed", -1),  # default_rng refuses negative entries
+            ("iterations", 5.5),  # a bare TypeError deep in train
+            ("iterations", True),
+            ("checkpoint_every", 2.5),  # recorded at [5, 10] of 12 iterations
+            ("checkpoint_every", True),
+            ("hidden_sizes", (True,)),
+            ("photo_neighbor_max_offset", 2.5),  # behaved as 2
         ],
     )
     def test_bad_value_raises_config_error_naming_the_field(self, field, bad):
@@ -953,9 +946,8 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         assert loaded.coords.tobytes() == table.coords.tobytes()
         assert loaded.state_dict() == table.state_dict()
-        assert loaded.rows.keys() == table.rows.keys()
+        assert loaded._spans == table._spans
         for image_id in room.train_ids:
-            assert np.array_equal(loaded.rows[image_id], table.rows[image_id])
             assert np.array_equal(loaded.point_ids[image_id], table.point_ids[image_id])
             assert (
                 loaded.predict_image(room, image_id)[0].tobytes()
@@ -978,8 +970,8 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         assert loaded.coords.tobytes() == table.coords.tobytes()
         assert loaded.state_dict() == table.state_dict()
+        assert loaded._spans == table._spans
         for image_id in room.train_ids:
-            assert np.array_equal(loaded.rows[image_id], table.rows[image_id])
             assert (
                 loaded.predict_image(room, image_id)[0].tobytes()
                 == table.predict_image(room, image_id)[0].tobytes()
@@ -1018,7 +1010,7 @@ class TestCheckpoint:
         assert str(err.value).startswith(f"{path}: ")
 
     def test_patch_mlp_round_trip(self, room, tmp_path):
-        net = PatchMLP.init((room.config.descriptor_dim, 8, 3), seed=3)
+        net = PatchMLP.init((scenegen.DESCRIPTOR_DIM, 8, 3), seed=3)
         net.params[:] += np.random.default_rng(0).normal(size=net.params.shape)
         path = tmp_path / "mlp.json"
         save_checkpoint(path, net, TrainConfig(mode="angle-multi"))

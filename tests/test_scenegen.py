@@ -72,9 +72,15 @@ class TestDatasetConfig:
     @pytest.mark.parametrize(
         "field, bad",
         [
+            ("seed", 1.5),  # a bare TypeError from default_rng deep in gen_scene
+            ("seed", True),
+            ("seed", -1),  # default_rng refuses negative entries
             ("n_points", 0),
             ("n_points", -3),
+            ("n_points", 300.5),  # a bare TypeError deep in gen_scene
+            ("n_points", True),
             ("n_planes", -1),
+            ("n_planes", 6.0),  # a bare TypeError in gen_scene's slice
             ("half_extent", -1.0),  # numpy's bare "high - low < 0" in gen_scene
             ("half_extent", 0.0),
             ("half_extent", float("nan")),
@@ -85,11 +91,16 @@ class TestDatasetConfig:
             ("free_space_fraction", -0.5),  # and 1.5x here
             ("free_space_fraction", float("nan")),
             ("n_images", 0),
+            ("n_images", 8.0),  # a bare TypeError deep in gen_trajectory
             ("test_every", -4),  # held out no view
+            ("test_every", 2.5),  # held out views [4, 9] of 12
+            ("test_every", True),
             ("pixel_noise_sigma", -0.1),
             ("pixel_noise_sigma", float("nan")),
             ("covis_keep_fraction", 1.5),  # behaved as 1.0
             ("covis_keep_fraction", -0.1),
+            ("min_visible", 2.5),  # behaved as 3
+            ("min_visible", -1),
         ],
     )
     def test_bad_value_raises_naming_the_field(self, field, bad):
@@ -209,11 +220,11 @@ class TestGenSceneMatchesLoop:
                 self.assert_free_space_matches(seed, 4, 5.0, radius)
 
 
-def assert_rows_match_oracle(rows, scene, pose, cfg):
+def assert_rows_match_oracle(rows, scene, pose):
     """In-frame ``(point_ids, pixels)`` equal, bit for bit, those of the
     per-point projection oracle without noise."""
     ids, pixels = rows
-    want = oracles.observe(scene, pose, cfg.intrinsics(), cfg.width, cfg.height)
+    want = oracles.observe(scene, pose, scenegen.INTRINSICS, scenegen.WIDTH, scenegen.HEIGHT)
     assert_same_bits(ids, want.point_ids)
     assert_same_bits(pixels, want.pixels)
 
@@ -240,7 +251,7 @@ class TestGenTrajectory:
         scene = gen_scene(cfg)
         for pose, ids, pixels in gen_trajectory(scene, cfg).values():
             assert len(ids) >= 15
-            assert_rows_match_oracle((ids, pixels), scene, pose, cfg)
+            assert_rows_match_oracle((ids, pixels), scene, pose)
 
     def test_infeasible_raises(self):
         # a handful of points cannot satisfy an absurd visibility floor
@@ -351,7 +362,7 @@ class TestObserve:
     def test_noiseless_pixels_are_exact_projections(self):
         scene, cfg, pose, obs = self._setup()
         for k, pix in zip(obs.point_ids, obs.pixels):
-            expected, status = project(cfg.intrinsics(), pose.world_to_camera(scene.points[k]))
+            expected, status = project(scenegen.INTRINSICS, pose.world_to_camera(scene.points[k]))
             assert status.name == "IN_FRONT"
             np.testing.assert_allclose(pix, expected, atol=1e-9)
 
@@ -375,7 +386,7 @@ class TestObserve:
                         z * rng.uniform(-0.35, 0.35, 10000), z], axis=1)
         scene = SyntheticScene(pts, [], np.full(3, -10.0), np.full(3, 10.0), 20.0)
         cfg = DatasetConfig(seed=1, pixel_noise_sigma=1.0)
-        ids, clean = _in_frame(cfg.intrinsics(), pts, cfg.width, cfg.height)
+        ids, clean = _in_frame(scenegen.INTRINSICS, pts, scenegen.WIDTH, scenegen.HEIGHT)
         assert len(ids) > 9000
         obs = observe(scene, cfg, 0, ids, clean)
         assert_same_bits(obs.point_ids, ids)
@@ -393,7 +404,7 @@ class TestObserveMatchesLoop:
                     noisy = scene_cfg(seed, 400, pixel_noise_sigma=sigma)
                     got = observe(scene, noisy, image_id, ids, pixels)
                     want = oracles.observe(
-                        scene, pose, cfg.intrinsics(), 80, 60, sigma,
+                        scene, pose, scenegen.INTRINSICS, 80, 60, sigma,
                         np.random.default_rng([seed, 2, image_id]), image_id,
                     )
                     for name in ("image_id", "point_ids", "pixels", "gt_coords"):
@@ -412,8 +423,8 @@ class TestObserveMatchesLoop:
         for seed in range(4):
             cfg = scene_cfg(seed, 400)
             scene = gen_scene(cfg)
-            rows = _in_frame(cfg.intrinsics(), pose.world_to_camera(scene.points), 80, 60)
-            assert_rows_match_oracle(rows, scene, pose, cfg)
+            rows = _in_frame(scenegen.INTRINSICS, pose.world_to_camera(scene.points), 80, 60)
+            assert_rows_match_oracle(rows, scene, pose)
             assert (len(rows[0]) > 0) == seen
 
 
@@ -422,7 +433,7 @@ class TestRender:
     def _setup():
         cfg = scene_cfg(5, 200, n_images=1, min_visible=5)
         scene = gen_scene(cfg)
-        return scene, gen_trajectory(scene, cfg)[0][0], cfg.intrinsics()
+        return scene, gen_trajectory(scene, cfg)[0][0], scenegen.INTRINSICS
 
     def test_same_pose_identical(self):
         scene, pose, intr = self._setup()
@@ -593,7 +604,7 @@ class TestRenderMatchesOracle:
         )
         occluded = 0
         for image_id, pose in ds.poses.items():
-            width, height = ds.config.width, ds.config.height
+            width, height = scenegen.WIDTH, scenegen.HEIGHT
             dirs = camera_rays(pose, ds.intrinsics, width, height)
             shade = self.assert_rays_match(ds.scene, pose.translation, dirs)
             want = np.round(shade.reshape(height, width) * 65535.0) / 65535.0
@@ -802,23 +813,21 @@ class TestDatasetIO:
     def test_roundtrip_bit_identical(self, tmp_path):
         ds = build_dataset(small_cfg(render_images=True, pixel_noise_sigma=0.5))
         save_dataset(ds, tmp_path / "d")
+        # the descriptors are drawn again from the config, not saved
+        assert not (tmp_path / "d" / "descriptors.txt").exists()
         back = load_dataset(tmp_path / "d")
         assert back.config == ds.config and back.intrinsics == ds.intrinsics
         assert back.diameter == ds.diameter
         assert back.train_ids == ds.train_ids and back.test_ids == ds.test_ids
         assert back.covis.corresponded == ds.covis.corresponded
-        np.testing.assert_array_equal(back.descriptors, ds.descriptors)
+        assert_same_bits(back.descriptors, ds.descriptors)
         for i, obs in ds.observations.items():
             b = back.observations[i]
-            np.testing.assert_array_equal(b.point_ids, obs.point_ids)
-            np.testing.assert_array_equal(b.pixels, obs.pixels)
-            np.testing.assert_array_equal(b.gt_coords, obs.gt_coords)
-            np.testing.assert_array_equal(b.descriptors, obs.descriptors)
-            np.testing.assert_array_equal(
-                back.poses[i].as_matrix(), ds.poses[i].as_matrix()
-            )
+            for name in ("point_ids", "pixels", "gt_coords", "descriptors"):
+                assert_same_bits(getattr(b, name), getattr(obs, name))
+            assert_same_bits(back.poses[i].as_matrix(), ds.poses[i].as_matrix())
         for i, img in ds.images.items():
-            np.testing.assert_array_equal(back.images[i].data, img.data)
+            assert_same_bits(back.images[i].data, img.data)
 
     def test_pgm_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -827,12 +836,25 @@ class TestDatasetIO:
         back = read_pgm(tmp_path / "x.pgm")
         np.testing.assert_array_equal(back.data, img.data)
 
-    def test_ppm_roundtrip_color(self, tmp_path):
-        rng = np.random.default_rng(0)
-        img = Image(np.round(rng.uniform(size=(5, 6, 3)) * 65535) / 65535)
-        write_pgm(tmp_path / "x.ppm", img)
-        back = read_pgm(tmp_path / "x.ppm")
-        np.testing.assert_array_equal(back.data, img.data)
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"P6\n6 5\n65535\n" + bytes(2 * 3 * 30),  # colour
+            b"P5\n6 5\n255\n" + bytes(30),  # 8-bit
+        ],
+        ids=["colour", "8-bit"],
+    )
+    def test_colour_or_8_bit_file_raises_parse_error_with_the_path(self, tmp_path, blob):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError) as exc:
+            read_pgm(path)
+        assert exc.value.path == path and str(path) in str(exc.value)
+
+    def test_image_is_grayscale_only(self):
+        for shape in ((5, 6, 3), (5, 6, 1)):
+            with pytest.raises(ValueError, match=r"\(H, W\)"):
+                Image(np.zeros(shape))
 
     @pytest.mark.parametrize("cut", [1, 100])
     def test_truncated_pgm_raises_parse_error_with_the_path(self, tmp_path, cut):
@@ -855,27 +877,7 @@ class TestDatasetIO:
         return save_dataset(ds, tmp_path / "d")
 
     @pytest.mark.parametrize(
-        "edit, column",
-        [
-            (lambda ok: ok.rsplit(" ", 1)[0] + " oops", 17),  # bad number
-            (lambda ok: "zero " + ok.split(" ", 1)[1], 1),  # bad point id
-            (lambda ok: "99999 " + ok.split(" ", 1)[1], 1),  # id out of range
-            (lambda ok: "2 1.0", None),  # too few fields
-        ],
-    )
-    def test_bad_descriptor_line_raises_parse_error(self, saved, edit, column):
-        path = saved / "descriptors.txt"
-        lines = path.read_text().splitlines()
-        lines[2] = edit(lines[2])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as exc:
-            load_dataset(saved)
-        assert exc.value.path == path and exc.value.line == 3
-        assert exc.value.column == column
-
-    @pytest.mark.parametrize(
-        "name",
-        ["poses/pose_0002.txt", "observations/obs_0003.txt", "descriptors.txt", "covis.json"],
+        "name", ["poses/pose_0002.txt", "observations/obs_0003.txt", "covis.json"]
     )
     def test_missing_file_raises_parse_error_with_the_path(self, saved, name):
         (saved / name).unlink()
@@ -894,6 +896,8 @@ class TestDatasetIO:
             ("manifest.json", lambda m: m.update(diameter="wide")),
             ("manifest.json", lambda m: m["image_ids"].append("x")),
             ("covis.json", lambda c: c.pop("corresponded")),
+            # a count DatasetConfig refuses
+            ("manifest.json", lambda m: m["config"].update(n_points=150.5)),
         ],
     )
     def test_malformed_json_contents_raise_parse_error(self, saved, name, edit):
@@ -942,8 +946,22 @@ class TestDatasetIO:
         assert "intrinsics" not in blob
         blob["intrinsics"] = {"f": 40.0, "cx": 39.5, "cy": 29.5}
         path.write_text(json.dumps(blob))
-        back = load_dataset(saved)
-        assert back.intrinsics == back.config.intrinsics()
+        assert load_dataset(saved).intrinsics == scenegen.INTRINSICS
+
+    def test_manifest_of_schema_version_1_raises_parse_error(self, saved):
+        # version 1 carried the camera, orbit and descriptor width in its
+        # config, and the base descriptors in descriptors.txt
+        path = saved / "manifest.json"
+        blob = json.loads(path.read_text())
+        blob["schema_version"] = 1
+        blob["config"].update(
+            focal=40.0, width=80, height=60, orbit_radius=1.6, radius_jitter=0.3,
+            height_jitter=0.5, yaw_jitter_deg=8.0, pitch_jitter_deg=14.0, descriptor_dim=16,
+        )
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ParseError, match="unsupported schema version 1") as exc:
+            load_dataset(saved)
+        assert exc.value.path == path and "manifest.json" in str(exc.value)
 
     @pytest.mark.parametrize(
         "bad, message",
