@@ -260,6 +260,8 @@ class TestAdamZeroSkip:
             dict(lr=-0.0),  # -0.0 * m_hat turns p = -0.0 into +0.0
             dict(lr=0.0),
             dict(lr=np.inf),  # inf * 0 is NaN
+            dict(lr=-0.05),  # -lr * 0.0 is -0.0, and -0.0 - -0.0 is +0.0
+            dict(lr=-np.inf),
         ],
     )
     def test_hyperparameters_outside_the_exact_range_sweep_every_array(self, hyper):
@@ -270,6 +272,21 @@ class TestAdamZeroSkip:
         with np.errstate(invalid="ignore", divide="ignore"):
             adam_step(state, mine, grads)
             ref = reference_adam_step(ref_state, ref, grads)
+        assert_bit_equal(mine, ref)
+        assert_bit_equal(state.m, ref_state.m)
+        assert_bit_equal(state.v, ref_state.v)
+
+    @pytest.mark.parametrize("lr", [5e-324, 1e308])
+    def test_learning_rates_at_the_edges_of_the_exact_range_skip(self, lr):
+        # lr * +0.0 is +0.0 for every finite lr > 0, so p - 0.0 keeps p
+        params = self.params()[:1]
+        mine, ref = [p.copy() for p in params], [p.copy() for p in params]
+        state, ref_state = (AdamState.for_params(ps, lr=lr) for ps in (mine, ref))
+        grads = [np.full((40, 3), -0.0)]
+        for _ in range(3):
+            adam_step(state, mine, grads)
+            ref = reference_adam_step(ref_state, ref, grads)
+        assert state.zero == [True]
         assert_bit_equal(mine, ref)
         assert_bit_equal(state.m, ref_state.m)
         assert_bit_equal(state.v, ref_state.v)
@@ -355,6 +372,8 @@ class TestAdamNoneGradient:
             dict(lr=0.0),
             dict(lr=np.inf),
             dict(lr=np.nan),
+            dict(lr=-0.05),
+            dict(lr=-np.inf),
         ],
     )
     @pytest.mark.parametrize("moments", ["fresh", "special"])
