@@ -75,10 +75,13 @@ class PoseSE3:
         t = np.asarray(self.translation, dtype=np.float64).reshape(-1)
         if R.shape != (3, 3) or t.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector translation")
+        # each test is written so that NaN fails it; det warns on a NaN rotation
+        if not (np.isfinite(R).all() and np.isfinite(t).all()):
+            raise ValueError("pose rotation and translation must be finite")
         err = np.linalg.norm(R.T @ R - np.eye(3))
-        if err > _ORTHO_TOL:
+        if not err <= _ORTHO_TOL:
             raise ValueError(f"rotation is not orthonormal (|R'R - I| = {err:.3e})")
-        if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
+        if not abs(np.linalg.det(R) - 1.0) <= _ORTHO_TOL:
             raise ValueError("rotation must be proper (det +1)")
         object.__setattr__(self, "rotation", _readonly(R))
         object.__setattr__(self, "translation", _readonly(t))

@@ -36,8 +36,11 @@ is hashed once per call.
 
 Determinism: every random quantity is drawn from ``np.random.default_rng``
 seeded with an integer list ``[seed, stream, ...]``; datasets regenerate
-bit-identically from their manifest. The base descriptors are drawn from
-the config alone, so they are regenerated on load, not saved.
+bit-identically from their manifest. Descriptors are a pure function of the
+config and a view's point ids, so they are never saved, and neither
+``build_dataset`` nor ``load_dataset`` draws them: a room's
+``DescriptorSource`` draws the base and each view's noise on first read.
+Only ``PatchMLP`` reads them, so training a ``FreeTable`` draws none.
 
 Batching rule: dataset assembly works in whole-array passes, and every
 stream is consumed in per-point order, so one ``size=(n, k)`` draw yields
@@ -132,7 +135,8 @@ class DatasetConfig:
     Values that would break a room or silently change it raise
     ``ValueError`` naming the field; the counts (``seed``, ``n_points``,
     ``n_planes``, ``n_images``, ``test_every``, ``min_visible``) must be
-    integers, not bools or floats."""
+    integers, not bools or floats, the two noise sigmas finite and >= 0, and
+    ``render_images`` a bool."""
 
     seed: int = 0
     n_points: int = 500
@@ -158,8 +162,14 @@ class DatasetConfig:
             ("n_images", is_count(self.n_images, 1), "an integer > 0"),
             ("test_every", is_count(self.test_every, 0), "an integer >= 0"),
             ("min_visible", is_count(self.min_visible, 0), "an integer >= 0"),
-            ("pixel_noise_sigma", self.pixel_noise_sigma >= 0, ">= 0"),
+            ("pixel_noise_sigma", 0 <= self.pixel_noise_sigma < math.inf, "finite and >= 0"),
+            (
+                "descriptor_noise_sigma",
+                0 <= self.descriptor_noise_sigma < math.inf,
+                "finite and >= 0",
+            ),
             ("covis_keep_fraction", 0 <= self.covis_keep_fraction <= 1, "in [0, 1]"),
+            ("render_images", isinstance(self.render_images, bool), "a bool"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -518,16 +528,55 @@ def gen_trajectory(scene: SyntheticScene, cfg: DatasetConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DescriptorSource:
+    """The appearance descriptors of one room, drawn on first read: a
+    unit-length base descriptor per point from the ``[seed, 3]`` stream, and
+    per view its points' base rows plus ``noise_sigma`` noise from the
+    ``[seed, 4, image_id]`` stream. The streams are independent, so every
+    array has the same bits whatever is read first."""
+
+    seed: int
+    n_points: int
+    noise_sigma: float
+
+    @classmethod
+    def of(cls, cfg: DatasetConfig) -> DescriptorSource:
+        return cls(cfg.seed, cfg.n_points, cfg.descriptor_noise_sigma)
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """(n_points, ``DESCRIPTOR_DIM``) base descriptors, drawn once."""
+        rng = np.random.default_rng([self.seed, 3])
+        d = rng.normal(size=(self.n_points, DESCRIPTOR_DIM))
+        return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+    def view(self, image_id, point_ids) -> np.ndarray:
+        """The descriptors that view ``image_id`` observes at ``point_ids``."""
+        d = self.base[point_ids]
+        if self.noise_sigma > 0:
+            rng = np.random.default_rng([self.seed, 4, int(image_id)])
+            d = d + rng.normal(scale=self.noise_sigma, size=d.shape)
+        return d
+
+
 @dataclass
 class ImageObservations:
     """One image's observed points: pixel and ground-truth coordinate per
-    point id. ``descriptors`` is attached at dataset assembly."""
+    point id. ``descriptors`` are drawn from ``descriptor_source`` on first
+    read and kept; an observation without a source has none."""
 
     image_id: int
     point_ids: np.ndarray
     pixels: np.ndarray
     gt_coords: np.ndarray
-    descriptors: np.ndarray | None = None
+    descriptor_source: DescriptorSource | None = None
+
+    @cached_property
+    def descriptors(self) -> np.ndarray | None:
+        if self.descriptor_source is None:
+            return None
+        return self.descriptor_source.view(self.image_id, self.point_ids)
 
 
 def observe(
@@ -691,7 +740,7 @@ class Dataset:
     observations: dict  # image_id -> ImageObservations
     poses: dict  # image_id -> PoseSE3
     covis: CoVisibilityGraph
-    descriptors: np.ndarray  # (P, dim) base descriptor per point id
+    descriptor_source: DescriptorSource  # shared with every observation
     images: dict  # image_id -> Image (renders; empty unless requested)
     train_ids: list
     test_ids: list
@@ -703,40 +752,29 @@ class Dataset:
         """The one camera of every view, ``INTRINSICS``."""
         return INTRINSICS
 
-
-def _attach_descriptors(cfg: DatasetConfig, observations) -> np.ndarray:
-    """Draw a unit-length base descriptor per point of ``cfg`` from the
-    ``[seed, 3]`` stream, and give each observation its points' base
-    descriptors plus ``descriptor_noise_sigma`` noise from the
-    ``[seed, 4, image_id]`` stream. Returns the base. Both
-    ``build_dataset`` and ``load_dataset`` call it, so a loaded room gets
-    the bits of the built one."""
-    rng = np.random.default_rng([cfg.seed, 3])
-    d = rng.normal(size=(cfg.n_points, DESCRIPTOR_DIM))
-    base = d / np.linalg.norm(d, axis=1, keepdims=True)
-    sigma = cfg.descriptor_noise_sigma
-    for obs in observations.values():
-        d = base[obs.point_ids]
-        if sigma > 0:
-            rng = np.random.default_rng([cfg.seed, 4, int(obs.image_id)])
-            d = d + rng.normal(scale=sigma, size=d.shape)
-        obs.descriptors = d
-    return base
+    @property
+    def descriptors(self) -> np.ndarray:
+        """(P, ``DESCRIPTOR_DIM``) base descriptor per point id, drawn on
+        first read."""
+        return self.descriptor_source.base
 
 
 def build_dataset(cfg: DatasetConfig) -> Dataset:
     """Generate a room from ``cfg``: the scene; the trajectory, whose
     acceptance test projects the scene once per pose drawn and keeps the
     accepted pose's in-frame rows; each view's observations from those rows
-    (``observe``, which projects nothing); descriptors, co-visibility and
-    (optionally) renders. Views are split into interleaved train/test ids."""
+    (``observe``, which projects nothing); co-visibility and (optionally)
+    renders. Views are split into interleaved train/test ids. No descriptor
+    is drawn here: the room and its observations share one
+    ``DescriptorSource``, which draws them on first read."""
     scene = gen_scene(cfg)
     views = gen_trajectory(scene, cfg)
     poses = {i: pose for i, (pose, _, _) in views.items()}
-    observations = {
-        i: observe(scene, cfg, i, ids, pixels) for i, (_, ids, pixels) in views.items()
-    }
-    base = _attach_descriptors(cfg, observations)
+    source = DescriptorSource.of(cfg)
+    observations = {}
+    for i, (_, ids, pixels) in views.items():
+        observations[i] = observe(scene, cfg, i, ids, pixels)
+        observations[i].descriptor_source = source
     covis = build_covis(observations)
     if cfg.covis_keep_fraction < 1.0:
         covis = sparsify_covis(covis, cfg.covis_keep_fraction, cfg.seed)
@@ -751,7 +789,7 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
         observations=observations,
         poses=poses,
         covis=covis,
-        descriptors=base,
+        descriptor_source=source,
         images=images,
         train_ids=train_ids,
         test_ids=test_ids,
@@ -792,10 +830,22 @@ def _read_json(path):
         raise ParseError(f"malformed JSON ({exc})", path=path) from exc
 
 
+def _finite(token, path, line, column) -> float:
+    """``token`` as a finite float; ``ParseError`` at its line and column
+    otherwise."""
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"bad number {token!r}", path=path, line=line, column=column)
+    return value
+
+
 def read_correspondence_file(path, n_points):
     """Parse `k x y X Y Z` lines; '#' starts a comment. Returns
-    (point_ids, pixels, coords). A point id outside ``[0, n_points)`` raises
-    ``ParseError`` at its line."""
+    (point_ids, pixels, coords). A point id outside ``[0, n_points)`` or a
+    number that is not finite raises ``ParseError`` at its line and column."""
     ids, pixels, coords = [], [], []
     for ln, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -813,12 +863,7 @@ def read_correspondence_file(path, n_points):
         if not 0 <= k < n_points:
             raise ParseError(f"point id {k} outside [0, {n_points})", path=path, line=ln, column=1)
         ids.append(k)
-        vals = []
-        for col, t in enumerate(tok[1:], start=2):
-            try:
-                vals.append(float(t))
-            except ValueError:
-                raise ParseError(f"bad number {t!r}", path=path, line=ln, column=col)
+        vals = [_finite(t, path, ln, col) for col, t in enumerate(tok[1:], start=2)]
         pixels.append(vals[:2])
         coords.append(vals[2:])
     return (
@@ -838,7 +883,8 @@ def write_pose_file(path, pose: PoseSE3):
 
 def parse_7scenes_pose(path) -> PoseSE3:
     """Read a 4-line, 4-column whitespace camera-to-world pose matrix (the
-    7-Scenes text convention). A rotation block that fails
+    7-Scenes text convention). A number that is not finite raises
+    ``ParseError`` at its line and column. A rotation block that fails
     orthonormality beyond 1e-3 is projected to the nearest rotation with a
     ``NonRigidWarning``; milder drift is projected silently."""
     rows = []
@@ -849,13 +895,7 @@ def parse_7scenes_pose(path) -> PoseSE3:
         tok = line.split()
         if len(tok) != 4:
             raise ParseError(f"expected 4 columns, got {len(tok)}", path=path, line=ln)
-        row = []
-        for col, t in enumerate(tok, start=1):
-            try:
-                row.append(float(t))
-            except ValueError:
-                raise ParseError(f"bad number {t!r}", path=path, line=ln, column=col)
-        rows.append(row)
+        rows.append([_finite(t, path, ln, col) for col, t in enumerate(tok, start=1)])
         if len(rows) == 4:
             break
     if len(rows) != 4:
@@ -912,8 +952,9 @@ def read_pgm(path) -> Image:
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Persist the dataset directory layout: manifest JSON, per-image pose
     and observation text files, co-visibility, and any renders as 16-bit
-    PGM. Loading reproduces the dataset bit-identically; the descriptors,
-    drawn from the config alone, are regenerated rather than saved."""
+    PGM. Loading reproduces the dataset bit-identically. Descriptors are
+    neither saved nor drawn: the loaded room draws them from its config on
+    first read, with the bits of the saved one."""
     out = Path(out_dir)
     (out / "poses").mkdir(parents=True, exist_ok=True)
     (out / "observations").mkdir(exist_ok=True)
@@ -983,9 +1024,10 @@ def _covis_fields(c, n_points):
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Inverse of ``save_dataset``; the base descriptors and each
-    observation's descriptor noise are drawn again from the config, as
-    ``build_dataset`` draws them. Raises ``ParseError`` naming the file when
+    """Inverse of ``save_dataset``. No descriptor is drawn here: as in
+    ``build_dataset``, the room's ``DescriptorSource`` draws the base and
+    each observation's noise from the config on first read, so a loaded room
+    reads the bits of the built one. Raises ``ParseError`` naming the file when
     one is missing, unreadable or malformed (a manifest config value that
     ``DatasetConfig`` refuses included, and a manifest of another
     ``SCHEMA_VERSION``), when a train or test id is not among the image ids,
@@ -1005,14 +1047,14 @@ def load_dataset(in_dir) -> Dataset:
     stray = [i for i in train_ids + test_ids if i not in image_ids]
     if stray:
         raise ParseError(f"split id {stray[0]!r} is not in image_ids", path=manifest_path)
+    source = DescriptorSource.of(cfg)
     observations, poses = {}, {}
     for image_id in image_ids:
         poses[image_id] = parse_7scenes_pose(src / "poses" / f"pose_{image_id:04d}.txt")
         ids, pixels, coords = read_correspondence_file(
             src / "observations" / f"obs_{image_id:04d}.txt", cfg.n_points
         )
-        observations[image_id] = ImageObservations(image_id, ids, pixels, coords)
-    base = _attach_descriptors(cfg, observations)
+        observations[image_id] = ImageObservations(image_id, ids, pixels, coords, source)
     covis_path = src / "covis.json"
     covis = _parsed(
         covis_path, lambda c: _covis_fields(c, cfg.n_points), _read_json(covis_path)
@@ -1025,7 +1067,7 @@ def load_dataset(in_dir) -> Dataset:
         observations=observations,
         poses=poses,
         covis=covis,
-        descriptors=base,
+        descriptor_source=source,
         images=images,
         train_ids=train_ids,
         test_ids=test_ids,

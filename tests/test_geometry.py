@@ -68,6 +68,18 @@ class TestPoseSE3:
         with pytest.raises(ValueError):
             PoseSE3(R, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["rotation", "translation"])
+    def test_rejects_non_finite_entries_before_det(self, part, bad):
+        # a NaN rotation passed the orthonormality tests and warned in det
+        R, t = np.eye(3), np.zeros(3)
+        if part == "rotation":
+            R[1, 1] = bad
+        else:
+            t[2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            PoseSE3(R, t)
+
     def test_double_inverse_roundtrip(self, rng):
         pose = random_pose(rng)
         back = pose.inverse().inverse()

@@ -263,6 +263,7 @@ class TestAdamZeroSkip:
             dict(lr=-0.05),  # -lr * 0.0 is -0.0, and -0.0 - -0.0 is +0.0
             dict(lr=-np.inf),
         ],
+        ids=["lr=-0.0", "lr=0.0", "lr=inf", "lr=-0.05", "lr=-inf"],
     )
     def test_hyperparameters_outside_the_exact_range_sweep_every_array(self, hyper):
         params = self.params()[:1]
@@ -375,6 +376,7 @@ class TestAdamNoneGradient:
             dict(lr=-0.05),
             dict(lr=-np.inf),
         ],
+        ids=["lr=-0.0", "lr=0.0", "lr=inf", "lr=nan", "lr=-0.05", "lr=-inf"],
     )
     @pytest.mark.parametrize("moments", ["fresh", "special"])
     def test_hyperparameters_outside_the_skippable_ranges(self, hyper, moments):
@@ -666,6 +668,26 @@ def test_train_with_skipped_runs_matches_the_reference_adam(request, monkeypatch
     assert all(a >= b for before, after in zip(steps, steps[1:]) for a, b in zip(before, after))
 
 
+@pytest.mark.parametrize(
+    "mode", ["reproj", "angle", "angle-multi", "const-depth-reproj", "angle-photo"]
+)
+def test_free_table_draws_no_descriptor(monkeypatch, mode):
+    """A FreeTable has no appearance input: building its room, training it
+    and evaluating it draw neither the base descriptors nor any view's."""
+
+    def drawn(*args):
+        raise AssertionError("a descriptor was drawn")
+
+    monkeypatch.setattr(scenegen.DescriptorSource, "base", property(drawn))
+    monkeypatch.setattr(scenegen.DescriptorSource, "view", drawn)
+    ds = build_dataset(DatasetConfig(seed=3, n_points=300, n_images=12, render_images=True))
+    cfg = TrainConfig(mode=mode, iterations=40, lr=0.05, checkpoint_every=10, seed=1)
+    model, _ = train(ds, "free_table", cfg)
+    evaluate_coords(model, ds, ds.train_ids)
+    with pytest.raises(AssertionError, match="a descriptor was drawn"):
+        ds.observations[ds.test_ids[0]].descriptors
+
+
 @pytest.fixture(scope="module")
 def rendered_room():
     return build_dataset(DatasetConfig(seed=3, n_points=300, n_images=12, render_images=True))
@@ -886,9 +908,10 @@ class TestTrainConfig:
             ("checkpoint_every", -1),  # evaluated and recorded at every iteration
             ("photo_neighbor_max_offset", -1),  # no view had a neighbor
             ("photo_neighbor_max_offset", 0),
-            ("hidden_sizes", (0,)),  # a zero-width layer
-            ("hidden_sizes", (8, -4)),
-            ("hidden_sizes", (8.5,)),
+            # a zero-width layer
+            pytest.param("hidden_sizes", (0,), id="hidden_sizes-zero-width"),
+            pytest.param("hidden_sizes", (8, -4), id="hidden_sizes-negative"),
+            pytest.param("hidden_sizes", (8.5,), id="hidden_sizes-float"),
             ("seed", 1.5),  # a bare TypeError from default_rng deep in train
             ("seed", True),
             ("seed", -1),  # default_rng refuses negative entries
@@ -896,7 +919,7 @@ class TestTrainConfig:
             ("iterations", True),
             ("checkpoint_every", 2.5),  # recorded at [5, 10] of 12 iterations
             ("checkpoint_every", True),
-            ("hidden_sizes", (True,)),
+            pytest.param("hidden_sizes", (True,), id="hidden_sizes-bool"),
             ("photo_neighbor_max_offset", 2.5),  # behaved as 2
         ],
     )
@@ -1091,6 +1114,7 @@ class TestCheckpoint:
             # a bias that does not match its layer
             lambda b: b["model"]["biases"][0].append(0.0),
         ],
+        ids=["no-model", "no-lr", "no-weights", "bias-too-long"],
     )
     def test_missing_or_inconsistent_entry_raises_config_error(self, tmp_path, edit):
         path = self._write(tmp_path, edit)

@@ -5,6 +5,7 @@ import itertools
 import json
 import time
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -97,6 +98,12 @@ class TestDatasetConfig:
             ("test_every", True),
             ("pixel_noise_sigma", -0.1),
             ("pixel_noise_sigma", float("nan")),
+            ("pixel_noise_sigma", float("inf")),  # pinned noisy pixels to the border
+            ("descriptor_noise_sigma", -0.5),  # built a room without noise
+            ("descriptor_noise_sigma", float("nan")),  # and so did this
+            ("descriptor_noise_sigma", float("inf")),  # every descriptor non-finite
+            ("render_images", "no"),  # rendered every view
+            ("render_images", 1),
             ("covis_keep_fraction", 1.5),  # behaved as 1.0
             ("covis_keep_fraction", -0.1),
             ("min_visible", 2.5),  # behaved as 3
@@ -110,6 +117,7 @@ class TestDatasetConfig:
     def test_limits_are_accepted(self):
         for kw in (
             dict(free_space_fraction=0.0, covis_keep_fraction=0.0, test_every=0),
+            dict(pixel_noise_sigma=0.0, descriptor_noise_sigma=0.0, render_images=True),
             dict(free_space_fraction=1.0, covis_keep_fraction=1.0, n_planes=0),
         ):
             DatasetConfig(**kw)
@@ -776,37 +784,100 @@ def dataset_sha256(ds):
     return h.hexdigest()
 
 
+# (config, digest) of the rooms that TestPinnedDatasets pins
+PINNED_ROOMS = [
+    ({}, "da91dbfaa6dec53e02c5602ef43f4ac6e67b1389cf28d68cd6013780c13ec747"),
+    (
+        {"pixel_noise_sigma": 0.5},
+        "6ecf229e9517f6589c4a3bb5ae0b6ea4cc8c3247ce8ae4036c5ca8af50e267c3",
+    ),
+    (
+        {"render_images": True, "n_images": 8},
+        "da4f4db1a5a3ec21ca201497a04a1c455a372d3af5316308140c9c744748d860",
+    ),
+    (
+        {"n_points": 2000, "render_images": True, "seed": 4},
+        "d80c56376277e8f8b3163a577d92f59ef1921ae89bcbbc77644e144e8ea0fcf7",
+    ),
+    (
+        {"n_planes": 8, "render_images": True, "n_images": 12},
+        "abb21c335c8b756f8299a6ed0c15c2a4453d4f452bd989d760b01d74bd5457e4",
+    ),
+]
+PINNED_DATASETS = pytest.mark.parametrize(
+    "kw, digest",
+    PINNED_ROOMS,
+    ids=["default", "pixel-noise", "rendered", "photo-rendered", "panels-rendered"],
+)
+
+
 class TestPinnedDatasets:
     """``build_dataset`` output pinned by digest, so that a faster build must
     reproduce the same rooms bit for bit. The digests also pin numpy's and
     the BLAS library's floating-point results (poses, projections, random
     normals), so a different build of either may change them."""
 
-    @pytest.mark.parametrize(
-        "kw, digest",
-        [
-            ({}, "da91dbfaa6dec53e02c5602ef43f4ac6e67b1389cf28d68cd6013780c13ec747"),
-            (
-                {"pixel_noise_sigma": 0.5},
-                "6ecf229e9517f6589c4a3bb5ae0b6ea4cc8c3247ce8ae4036c5ca8af50e267c3",
-            ),
-            (
-                {"render_images": True, "n_images": 8},
-                "da4f4db1a5a3ec21ca201497a04a1c455a372d3af5316308140c9c744748d860",
-            ),
-            (
-                {"n_points": 2000, "render_images": True, "seed": 4},
-                "d80c56376277e8f8b3163a577d92f59ef1921ae89bcbbc77644e144e8ea0fcf7",
-            ),
-            (
-                {"n_planes": 8, "render_images": True, "n_images": 12},
-                "abb21c335c8b756f8299a6ed0c15c2a4453d4f452bd989d760b01d74bd5457e4",
-            ),
-        ],
-        ids=["default", "pixel-noise", "rendered", "photo-rendered", "panels-rendered"],
-    )
+    @PINNED_DATASETS
     def test_digest(self, kw, digest):
         assert dataset_sha256(build_dataset(DatasetConfig(**kw))) == digest
+
+
+class TestLazyDescriptors:
+    """Neither ``build_dataset`` nor ``load_dataset`` draws a descriptor: a
+    room's ``DescriptorSource`` draws the base and each view's noise on first
+    read, each from its own stream, so the bits do not depend on what is read
+    first."""
+
+    @staticmethod
+    def drawn(ds):
+        """Whether the base, and which views' descriptors, have been drawn."""
+        views = [i for i, o in sorted(ds.observations.items()) if "descriptors" in vars(o)]
+        return "base" in vars(ds.descriptor_source), views
+
+    @PINNED_DATASETS
+    def test_views_read_in_reverse_give_the_pinned_digest(self, kw, digest):
+        ds = build_dataset(DatasetConfig(**kw))
+        assert self.drawn(ds) == (False, [])
+        for i in sorted(ds.observations, reverse=True):
+            ds.observations[i].descriptors
+        assert dataset_sha256(ds) == digest
+
+    def test_one_view_read_alone_has_the_pinned_bytes(self):
+        kw, digest = PINNED_ROOMS[0]
+        cfg = DatasetConfig(**kw)
+        want = build_dataset(cfg)
+        assert dataset_sha256(want) == digest
+        for image_id in (0, 21, 39):
+            ds = build_dataset(cfg)
+            got = ds.observations[image_id].descriptors
+            assert self.drawn(ds) == (True, [image_id])
+            assert_same_bits(got, want.observations[image_id].descriptors)
+
+    def test_loaded_room_reads_the_built_bytes_on_first_read(self, tmp_path):
+        built = build_dataset(small_cfg(pixel_noise_sigma=0.5))
+        ds = load_dataset(save_dataset(built, tmp_path / "d"))
+        assert self.drawn(built) == self.drawn(ds) == (False, [])
+        want = {i: o.descriptors for i, o in sorted(built.observations.items())}
+        # the loaded room is read the other way round from the built one
+        for i in sorted(ds.observations, reverse=True):
+            assert_same_bits(ds.observations[i].descriptors, want[i])
+        assert_same_bits(ds.descriptors, built.descriptors)
+
+    def test_replaced_observation_reads_the_same_bytes(self):
+        ds = build_dataset(small_cfg())
+        obs = ds.observations[5]
+        before = replace(obs, pixels=obs.pixels + 1.0)  # obs not read yet
+        want = obs.descriptors
+        after = replace(obs, pixels=obs.pixels + 1.0)
+        for moved in (before, after):
+            assert moved.descriptor_source is ds.descriptor_source
+            assert_same_bits(moved.descriptors, want)
+
+    def test_observation_without_a_source_has_none(self):
+        scene = gen_scene(small_cfg())
+        pose = gen_trajectory(scene, small_cfg())[0][0]
+        obs = oracles.observe(scene, pose, scenegen.INTRINSICS, scenegen.WIDTH, scenegen.HEIGHT)
+        assert obs.descriptor_source is None and obs.descriptors is None
 
 
 class TestDatasetIO:
@@ -888,16 +959,46 @@ class TestDatasetIO:
     @pytest.mark.parametrize(
         "name, edit",
         [
-            ("manifest.json", lambda m: m.pop("train_ids")),
-            ("manifest.json", lambda m: m.pop("config")),
-            ("manifest.json", lambda m: m["config"].update(bogus=1)),
-            # a value DatasetConfig refuses
-            ("manifest.json", lambda m: m["config"].update(free_space_fraction=2.0)),
-            ("manifest.json", lambda m: m.update(diameter="wide")),
-            ("manifest.json", lambda m: m["image_ids"].append("x")),
-            ("covis.json", lambda c: c.pop("corresponded")),
+            pytest.param(
+                "manifest.json", lambda m: m.pop("train_ids"), id="manifest-no-train_ids"
+            ),
+            pytest.param("manifest.json", lambda m: m.pop("config"), id="manifest-no-config"),
+            pytest.param(
+                "manifest.json",
+                lambda m: m["config"].update(bogus=1),
+                id="manifest-unknown-config-key",
+            ),
+            # values DatasetConfig refuses
+            pytest.param(
+                "manifest.json",
+                lambda m: m["config"].update(free_space_fraction=2.0),
+                id="manifest-free_space_fraction-2.0",
+            ),
+            pytest.param(
+                "manifest.json",
+                lambda m: m["config"].update(descriptor_noise_sigma=-0.5),
+                id="manifest-descriptor_noise_sigma--0.5",
+            ),
+            pytest.param(
+                "manifest.json",
+                lambda m: m["config"].update(render_images="no"),
+                id="manifest-render_images-no",
+            ),
+            pytest.param(
+                "manifest.json", lambda m: m.update(diameter="wide"), id="manifest-diameter-wide"
+            ),
+            pytest.param(
+                "manifest.json", lambda m: m["image_ids"].append("x"), id="manifest-image-id-x"
+            ),
+            pytest.param(
+                "covis.json", lambda c: c.pop("corresponded"), id="covis-no-corresponded"
+            ),
             # a count DatasetConfig refuses
-            ("manifest.json", lambda m: m["config"].update(n_points=150.5)),
+            pytest.param(
+                "manifest.json",
+                lambda m: m["config"].update(n_points=150.5),
+                id="manifest-n_points-150.5",
+            ),
         ],
     )
     def test_malformed_json_contents_raise_parse_error(self, saved, name, edit):
@@ -1020,6 +1121,18 @@ class TestDatasetIO:
         assert exc.value.line == 2
         assert exc.value.column == 6
 
+    @pytest.mark.parametrize(
+        "column, token", [(2, "nan"), (3, "inf"), (4, "-inf"), (6, "1e999"), (5, "NaN")]
+    )
+    def test_correspondence_non_finite_number_raises_parse_error(self, tmp_path, column, token):
+        path = tmp_path / "bad.txt"
+        fields = "1 2.0 3.0 4.0 5.0 6.0".split()
+        fields[column - 1] = token
+        path.write_text("0 1.0 1.0 1.0 1.0 1.0\n" + " ".join(fields) + "\n")
+        with pytest.raises(ParseError, match="bad number") as exc:
+            read_correspondence_file(path, 10)
+        assert (exc.value.path, exc.value.line, exc.value.column) == (path, 2, column)
+
 
 class TestPoseParsing:
     def test_identity(self, tmp_path):
@@ -1070,3 +1183,22 @@ class TestPoseParsing:
         with pytest.raises(ParseError) as exc:
             parse_7scenes_pose(path)
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize(
+        "line, column, token",
+        [
+            (1, 4, "inf"),  # a translation that was accepted
+            (2, 2, "nan"),  # a rotation that warned in det, or was accepted
+            (3, 1, "-inf"),
+            (4, 1, "nan"),  # the last-row test is False for NaN
+            (4, 4, "1e999"),
+        ],
+    )
+    def test_non_finite_number_raises_parse_error(self, tmp_path, line, column, token):
+        rows = [row.split() for row in ("1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1")]
+        rows[line - 1][column - 1] = token
+        path = tmp_path / "p.txt"
+        path.write_text("".join(" ".join(row) + "\n" for row in rows))
+        with pytest.raises(ParseError, match="bad number") as exc:
+            parse_7scenes_pose(path)
+        assert (exc.value.path, exc.value.line, exc.value.column) == (path, line, column)
