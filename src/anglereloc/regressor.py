@@ -30,6 +30,7 @@ import csv
 import enum
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -133,6 +134,11 @@ class PatchMLP:
     def input_dim(self):
         return self.weights[0].shape[0]
 
+    @property
+    def layer_sizes(self):
+        """``(input, *hidden, 3)``: the sizes ``init`` takes."""
+        return (self.input_dim, *(w.shape[1] for w in self.weights))
+
     def forward(self, x):
         """Evaluate the network on (N, in) descriptors -> (N, 3)."""
         return self.forward_cached(x)[0]
@@ -188,8 +194,6 @@ class PatchMLP:
     def state_dict(self):
         return {
             "kind": self.kind,
-            "layer_sizes": [self.weights[0].shape[0]]
-            + [w.shape[1] for w in self.weights],
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -336,39 +340,28 @@ class FreeTable:
         return grads
 
     def state_dict(self):
-        index = [
-            [int(image_id), k, r]
-            for image_id, rows in sorted(self._spans.items())
-            for k, r in zip(self.point_ids[image_id].tolist(), range(rows.start, rows.stop))
-        ]
-        return {"kind": self.kind, "coords": self.coords.tolist(), "index": index}
+        """The table's rows and, in table order, each image's id and point
+        ids as ``[image_id, [point ids]]`` pairs."""
+        point_ids = [[int(i), self.point_ids[i].tolist()] for i in sorted(self._spans)]
+        return {"kind": self.kind, "coords": self.coords.tolist(), "point_ids": point_ids}
 
     @classmethod
     def from_state(cls, state):
-        """Inverse of ``state_dict``, laid out as ``init`` lays a table out
-        whatever the row numbers of the index. Each image's points take the
-        order of its ``[image, point, row]`` triples: the dataset's order,
-        which for ``scenegen.observe`` is ascending point id, the order of
-        the ``(image, point)``-sorted triples of older checkpoints. A row
-        outside the table, or an index that does not use every row exactly
-        once, raises ``ConfigError``."""
-        coords = np.array(state["coords"])
-        index = np.asarray(state["index"], dtype=np.int64).reshape(-1, 3)
-        bad = (index[:, 2] < 0) | (index[:, 2] >= len(coords))
-        if bad.any():
-            raise ConfigError(
-                f"FreeTable index row {index[bad][0, 2]} outside [0, {len(coords)})"
-            )
-        uses = np.bincount(index[:, 2], minlength=len(coords))
-        if (uses != 1).any():
-            row = int(np.flatnonzero(uses != 1)[0])
-            raise ConfigError(
-                f"FreeTable index uses row {row} {uses[row]} times; every row must be used once"
-            )
-        index = index[np.argsort(index[:, 0], kind="stable")]
-        image_ids, firsts = np.unique(index[:, 0], return_index=True)
-        ids = np.split(index[:, 1].copy(), firsts[1:])
-        return cls(coords[index[:, 2]], dict(zip(image_ids.tolist(), ids)))
+        """Inverse of ``state_dict``. Raises ``ConfigError`` for an image or
+        point id that is not an integer >= 0 (a bool or an integral float
+        included), and for image ids that are not strictly ascending, the
+        table's order; ``DimensionMismatchError`` when the rows are not one
+        3-vector per point id."""
+        point_ids, last = {}, -1
+        for image_id, ids in state["point_ids"]:
+            for k in (image_id, *ids):
+                if not is_count(k, 0):
+                    raise ConfigError(f"FreeTable id {k!r} is not an integer >= 0")
+            if not image_id > last:
+                raise ConfigError(f"FreeTable image {image_id} is out of table order")
+            point_ids[image_id] = np.array(ids, dtype=np.int64)
+            last = image_id
+        return cls(state["coords"], point_ids)
 
 
 def _column_bounds(arrays):
@@ -567,8 +560,10 @@ class TrainConfig:
     run or silently change it raise ``ConfigError`` naming the field: the
     counts (``seed``, ``iterations``, ``checkpoint_every``,
     ``photo_neighbor_max_offset``) must be integers, not bools or floats,
-    ``checkpoint_every`` 0 records only the end, and
-    ``photo_neighbor_max_offset`` must leave each view a neighbor id."""
+    ``checkpoint_every`` 0 records only the end,
+    ``photo_neighbor_max_offset`` must leave each view a neighbor id, and
+    ``lr_halving_fractions`` must be a tuple of numbers in [0, 1], not bools.
+    A ``PatchMLP`` has the layer sizes ``network_sizes(cfg)``."""
 
     mode: str = TrainMode.ANGLE.value
     iterations: int = 20000
@@ -592,6 +587,12 @@ class TrainConfig:
             ("checkpoint_every", is_count(self.checkpoint_every, 0), "an integer >= 0"),
             ("hidden_sizes", all(is_count(n, 1) for n in self.hidden_sizes), "integers > 0"),
             (
+                "lr_halving_fractions",
+                isinstance(self.lr_halving_fractions, tuple)
+                and all(_is_fraction(f) for f in self.lr_halving_fractions),
+                "a tuple of numbers in [0, 1]",
+            ),
+            (
                 "photo_neighbor_max_offset",
                 is_count(self.photo_neighbor_max_offset, 1),
                 "an integer > 0",
@@ -602,6 +603,16 @@ class TrainConfig:
         if self.mode == TrainMode.CONST_DEPTH_REPROJ.value and not self.const_depth > 0:
             raise ConfigError("const_depth must be positive for the init mode")
         TrainMode(self.mode)  # validates the mode string
+
+
+def _is_fraction(value) -> bool:
+    """True for a real number in [0, 1] that is not a bool; False for NaN."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value <= 1
+
+
+def network_sizes(cfg: TrainConfig) -> tuple:
+    """The layer sizes of a ``PatchMLP`` trained under ``cfg``."""
+    return (DESCRIPTOR_DIM, *cfg.hidden_sizes, 3)
 
 
 @dataclass
@@ -720,8 +731,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     """
     mode = TrainMode(cfg.mode)
     if model_kind == "patch_mlp":
-        sizes = (DESCRIPTOR_DIM, *cfg.hidden_sizes, 3)
-        model = PatchMLP.init(sizes, seed=[cfg.seed, 12])
+        model = PatchMLP.init(network_sizes(cfg), seed=[cfg.seed, 12])
     elif model_kind == "free_table":
         model = FreeTable.init(dataset, seed=[cfg.seed, 12])
     else:
@@ -867,10 +877,14 @@ def evaluate_coords(model, dataset, image_ids=None):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, model, cfg: TrainConfig):
+    """Write ``model`` and ``cfg`` to ``path`` as one JSON object at
+    ``CHECKPOINT_VERSION``: the config's fields and the model's
+    ``state_dict`` (a ``PatchMLP``'s weights and biases, a ``FreeTable``'s
+    rows and per-image point ids), each stored once."""
     blob = {
         "schema_version": CHECKPOINT_VERSION,
         "train_config": asdict(cfg),
@@ -883,9 +897,12 @@ def load_checkpoint(path):
     """Read a checkpoint written by ``save_checkpoint``: ``(model, TrainConfig)``.
 
     Raises ``ConfigError`` naming ``path`` when the file cannot be read or
-    parsed, or does not hold the current schema version, a known model kind
-    with its state, and exactly the ``TrainConfig`` fields with exactly the
-    ``LossConfig`` fields under ``loss``.
+    parsed, or does not hold the current ``CHECKPOINT_VERSION``, a known
+    model kind with its state, and exactly the ``TrainConfig`` fields with
+    exactly the ``LossConfig`` fields under ``loss``; when a config value is
+    refused; when a ``FreeTable`` id is not an integer >= 0 (see
+    ``FreeTable.from_state``); and when a ``PatchMLP``'s layer sizes are not
+    ``network_sizes`` of its own config.
     """
     try:
         blob = json.loads(Path(path).read_text())
@@ -895,7 +912,9 @@ def load_checkpoint(path):
         return _checkpoint_contents(blob)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, DimensionMismatchError) as exc:
+    except (
+        KeyError, IndexError, OverflowError, TypeError, ValueError, DimensionMismatchError
+    ) as exc:
         raise ConfigError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 
@@ -923,11 +942,20 @@ def _checkpoint_contents(blob):
         raise ConfigError(f"unknown model kind {kind!r} in checkpoint")
     _check_keys("train_config", raw, TrainConfig)
     _check_keys("train_config.loss", raw["loss"], LossConfig)
-    model = MODEL_KINDS[kind].from_state(state)
-    raw = dict(
-        raw,
-        lr_halving_fractions=tuple(raw["lr_halving_fractions"]),
-        loss=LossConfig(**raw["loss"]),
-        hidden_sizes=tuple(raw["hidden_sizes"]),
+    fractions = raw["lr_halving_fractions"]
+    cfg = TrainConfig(
+        **dict(
+            raw,
+            # JSON arrays come back as lists; anything else is left for the check
+            lr_halving_fractions=tuple(fractions) if isinstance(fractions, list) else fractions,
+            loss=LossConfig(**raw["loss"]),
+            hidden_sizes=tuple(raw["hidden_sizes"]),
+        )
     )
-    return model, TrainConfig(**raw)
+    model = MODEL_KINDS[kind].from_state(state)
+    if kind == PatchMLP.kind and model.layer_sizes != network_sizes(cfg):
+        raise ConfigError(
+            f"network layer sizes {model.layer_sizes} are not {network_sizes(cfg)}, "
+            "the descriptor width, hidden_sizes and 3"
+        )
+    return model, cfg

@@ -1,5 +1,6 @@
 """Synthetic multi-view ground truth: scenes, trajectories, observations,
-photometrically consistent renders, co-visibility, and dataset persistence.
+photometrically consistent renders, co-visibility, and dataset persistence
+as a manifest from which the room is rebuilt.
 
 The default scene is a textured room: six wall planes at half-extent 5
 (a 10-unit span) with scene points sampled on the walls plus a fraction in
@@ -35,12 +36,15 @@ lattice cells the hits span and gathered per sample, so each lattice point
 is hashed once per call.
 
 Determinism: every random quantity is drawn from ``np.random.default_rng``
-seeded with an integer list ``[seed, stream, ...]``; datasets regenerate
-bit-identically from their manifest. Descriptors are a pure function of the
-config and a view's point ids, so they are never saved, and neither
-``build_dataset`` nor ``load_dataset`` draws them: a room's
-``DescriptorSource`` draws the base and each view's noise on first read.
-Only ``PatchMLP`` reads them, so training a ``FreeTable`` draws none.
+seeded with an integer list ``[seed, stream, ...]``, so a room is a pure
+function of its ``DatasetConfig`` (on a given numpy and BLAS build). That is
+how rooms persist: ``save_dataset`` writes one ``manifest.json`` holding the
+config and the room's ``room_digest``, and ``load_dataset`` rebuilds the
+room with ``build_dataset`` and refuses it unless the digests match.
+Descriptors are a pure function of the config and a view's point ids, and
+neither ``build_dataset``, ``room_digest`` nor ``load_dataset`` draws them: a
+room's ``DescriptorSource`` draws the base and each view's noise on first
+read. Only ``PatchMLP`` reads them, so training a ``FreeTable`` draws none.
 
 Batching rule: dataset assembly works in whole-array passes, and every
 stream is consumed in per-point order, so one ``size=(n, k)`` draw yields
@@ -53,10 +57,10 @@ one attempt at a time.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -74,23 +78,20 @@ class InfeasibleViewpointError(Exception):
 
 
 class ParseError(Exception):
-    def __init__(self, message, path=None, line=None, column=None):
+    """A file that cannot be read as what it should hold, with its path and,
+    where known, the line."""
+
+    def __init__(self, message, path=None, line=None):
         ctx = ""
         if path is not None:
             ctx += f" in {path}"
         if line is not None:
             ctx += f" at line {line}"
-        if column is not None:
-            ctx += f", column {column}"
         super().__init__(message + ctx)
-        self.path, self.line, self.column = path, line, column
+        self.path, self.line = path, line
 
 
-class NonRigidWarning(UserWarning):
-    """A parsed rotation block failed orthonormality and was projected."""
-
-
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -663,14 +664,6 @@ class Image:
             raise ValueError("intensities must be finite and within [0, 1]")
         self.data = d
 
-    @property
-    def height(self):
-        return self.data.shape[0]
-
-    @property
-    def width(self):
-        return self.data.shape[1]
-
 
 def render_rays(scene: SyntheticScene, origin, dirs):
     """Shade world-space rays against the scene planes: nearest-hit
@@ -719,8 +712,7 @@ def render_image(
 ) -> Image:
     """Lambertian render: per pixel, intersect the view ray with the nearest
     plane and evaluate its texture there. View-independent by construction.
-    Intensities are quantized to 16-bit steps so saved images round-trip
-    losslessly."""
+    Intensities are quantized to 16-bit steps."""
     ys, xs = np.mgrid[0:height, 0:width]
     pixels = np.column_stack([xs.ravel(), ys.ravel()])
     dirs = ray_vectors(intr, pixels) @ pose.rotation.T
@@ -736,7 +728,11 @@ def render_image(
 
 @dataclass
 class Dataset:
+    """A room as ``build_dataset`` makes it from ``config``; ``load_dataset``
+    rebuilds it the same way, so every room holds its scene."""
+
     config: DatasetConfig
+    scene: SyntheticScene
     observations: dict  # image_id -> ImageObservations
     poses: dict  # image_id -> PoseSE3
     covis: CoVisibilityGraph
@@ -744,8 +740,11 @@ class Dataset:
     images: dict  # image_id -> Image (renders; empty unless requested)
     train_ids: list
     test_ids: list
-    diameter: float
-    scene: SyntheticScene | None = None  # not persisted; regenerable from config
+
+    @property
+    def diameter(self) -> float:
+        """The scene span, ``scene.diameter``."""
+        return self.scene.diameter
 
     @property
     def intrinsics(self) -> CameraIntrinsics:
@@ -786,6 +785,7 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
     train_ids = [i for i in poses if i not in test_ids]
     return Dataset(
         config=cfg,
+        scene=scene,
         observations=observations,
         poses=poses,
         covis=covis,
@@ -793,8 +793,6 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
         images=images,
         train_ids=train_ids,
         test_ids=test_ids,
-        diameter=scene.diameter,
-        scene=scene,
     )
 
 
@@ -803,274 +801,70 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def write_correspondence_file(path, point_ids, pixels, coords, header=None):
-    """Plain text correspondences: one `k x y X Y Z` line per point."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    for k, p, c in zip(point_ids, pixels, coords):
-        nums = " ".join(repr(float(v)) for v in (p[0], p[1], c[0], c[1], c[2]))
-        lines.append(f"{int(k)} {nums}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read(path, binary=False):
-    """The file's text (or bytes); ``ParseError`` naming the path when it
-    cannot be read."""
-    try:
-        return Path(path).read_bytes() if binary else Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read file ({exc})", path=path) from exc
-
-
-def _read_json(path):
-    try:
-        return json.loads(_read(path))
-    except ValueError as exc:  # JSONDecodeError
-        raise ParseError(f"malformed JSON ({exc})", path=path) from exc
-
-
-def _finite(token, path, line, column) -> float:
-    """``token`` as a finite float; ``ParseError`` at its line and column
-    otherwise."""
-    try:
-        value = float(token)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ParseError(f"bad number {token!r}", path=path, line=line, column=column)
-    return value
-
-
-def read_correspondence_file(path, n_points):
-    """Parse `k x y X Y Z` lines; '#' starts a comment. Returns
-    (point_ids, pixels, coords). A point id outside ``[0, n_points)`` or a
-    number that is not finite raises ``ParseError`` at its line and column."""
-    ids, pixels, coords = [], [], []
-    for ln, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        if len(tok) != 6:
-            raise ParseError(
-                f"expected 6 fields, got {len(tok)}", path=path, line=ln
-            )
-        try:
-            k = int(tok[0])
-        except ValueError:
-            raise ParseError(f"bad point id {tok[0]!r}", path=path, line=ln, column=1)
-        if not 0 <= k < n_points:
-            raise ParseError(f"point id {k} outside [0, {n_points})", path=path, line=ln, column=1)
-        ids.append(k)
-        vals = [_finite(t, path, ln, col) for col, t in enumerate(tok[1:], start=2)]
-        pixels.append(vals[:2])
-        coords.append(vals[2:])
-    return (
-        np.array(ids, dtype=int),
-        np.array(pixels, dtype=np.float64).reshape(-1, 2),
-        np.array(coords, dtype=np.float64).reshape(-1, 3),
+def room_digest(ds: Dataset) -> str:
+    """sha256 of a room: per view in id order, its point ids, pixels, ground
+    truth, pose and render (each with its dtype and shape), then the
+    train/test split, the corresponded point ids and the diameter. The
+    descriptors are left out, so computing it draws none."""
+    h = hashlib.sha256()
+    for image_id in sorted(ds.observations):
+        obs, pose = ds.observations[image_id], ds.poses[image_id]
+        arrays = [obs.point_ids, obs.pixels, obs.gt_coords, pose.rotation, pose.translation]
+        if image_id in ds.images:
+            arrays.append(ds.images[image_id].data)
+        arrays = [np.ascontiguousarray(a) for a in arrays]
+        h.update(repr((int(image_id), [(a.dtype.str, a.shape) for a in arrays])).encode())
+        for a in arrays:
+            h.update(a.tobytes())
+    h.update(
+        repr((ds.train_ids, ds.test_ids, sorted(ds.covis.corresponded), ds.diameter)).encode()
     )
-
-
-def write_pose_file(path, pose: PoseSE3):
-    """4x4 row-major homogeneous camera-to-world matrix as whitespace text."""
-    m = pose.as_matrix()
-    Path(path).write_text(
-        "\n".join(" ".join(repr(float(v)) for v in row) for row in m) + "\n"
-    )
-
-
-def parse_7scenes_pose(path) -> PoseSE3:
-    """Read a 4-line, 4-column whitespace camera-to-world pose matrix (the
-    7-Scenes text convention). A number that is not finite raises
-    ``ParseError`` at its line and column. A rotation block that fails
-    orthonormality beyond 1e-3 is projected to the nearest rotation with a
-    ``NonRigidWarning``; milder drift is projected silently."""
-    rows = []
-    for ln, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tok = line.split()
-        if len(tok) != 4:
-            raise ParseError(f"expected 4 columns, got {len(tok)}", path=path, line=ln)
-        rows.append([_finite(t, path, ln, col) for col, t in enumerate(tok, start=1)])
-        if len(rows) == 4:
-            break
-    if len(rows) != 4:
-        raise ParseError(f"expected 4 matrix rows, found {len(rows)}", path=path)
-    m = np.array(rows)
-    if np.linalg.norm(m[3] - [0, 0, 0, 1]) > 1e-6:
-        raise ParseError("last row must be 0 0 0 1", path=path, line=4)
-    R = m[:3, :3]
-    err = np.linalg.norm(R.T @ R - np.eye(3))
-    if err > 1e-9:
-        if err > 1e-3:
-            warnings.warn(
-                f"rotation block fails orthonormality (|R'R - I| = {err:.2e}); "
-                "projected to the nearest rotation",
-                NonRigidWarning,
-            )
-        R = nearest_rotation(R)
-    return PoseSE3(R, m[:3, 3])
-
-
-def write_pgm(path, image: Image):
-    """Binary 16-bit PGM (P5) with big-endian samples."""
-    arr = np.round(image.data * 65535.0).astype(">u2")
-    header = b"P5\n%d %d\n65535\n" % (image.width, image.height)
-    Path(path).write_bytes(header + arr.tobytes())
-
-
-def read_pgm(path) -> Image:
-    """Read a binary 16-bit PGM as ``write_pgm`` writes it; values scaled to
-    [0, 1]. Raises ``ParseError`` naming the path for an unreadable file, a
-    bad header, a colour (P6) or 8-bit file, or truncated pixel data."""
-    blob = _read(path, binary=True)
-    parts = blob.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5":
-        raise ParseError("not a binary grayscale PGM (P5) file", path=path, line=1)
-    try:
-        w, h = (int(v) for v in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError:
-        raise ParseError("malformed PGM header", path=path, line=2)
-    if w <= 0 or h <= 0 or not 255 < maxval < 65536:
-        raise ParseError(
-            f"bad PGM size {w}x{h} or maxval {maxval} (16-bit samples only)", path=path, line=2
-        )
-    count = w * h
-    if len(parts[3]) < 2 * count:
-        raise ParseError(
-            f"truncated pixel data: {len(parts[3])} bytes, expected {2 * count}", path=path
-        )
-    arr = np.frombuffer(parts[3], dtype=">u2", count=count)
-    return Image(arr.reshape(h, w).astype(np.float64) / maxval)
+    return h.hexdigest()
 
 
 def save_dataset(ds: Dataset, out_dir) -> Path:
-    """Persist the dataset directory layout: manifest JSON, per-image pose
-    and observation text files, co-visibility, and any renders as 16-bit
-    PGM. Loading reproduces the dataset bit-identically. Descriptors are
-    neither saved nor drawn: the loaded room draws them from its config on
-    first read, with the bits of the saved one."""
+    """Write the room's one file, ``manifest.json``: the schema version, the
+    config the room is built from, and the ``room_digest`` of the room as
+    saved. Draws no descriptor."""
     out = Path(out_dir)
-    (out / "poses").mkdir(parents=True, exist_ok=True)
-    (out / "observations").mkdir(exist_ok=True)
-    if ds.images:
-        (out / "images").mkdir(exist_ok=True)
-    from dataclasses import asdict
-
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(ds.config),
-        "image_ids": sorted(ds.observations),
-        "train_ids": ds.train_ids,
-        "test_ids": ds.test_ids,
-        "diameter": ds.diameter,
-        "has_images": sorted(ds.images),
+        "sha256": room_digest(ds),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    for image_id, obs in sorted(ds.observations.items()):
-        write_pose_file(out / "poses" / f"pose_{image_id:04d}.txt", ds.poses[image_id])
-        write_correspondence_file(
-            out / "observations" / f"obs_{image_id:04d}.txt",
-            obs.point_ids,
-            obs.pixels,
-            obs.gt_coords,
-            header=f"image {image_id}: point_id pixel_x pixel_y world_x world_y world_z",
-        )
-    covis = {"corresponded": sorted(ds.covis.corresponded)}
-    (out / "covis.json").write_text(json.dumps(covis) + "\n")
-    for image_id, img in sorted(ds.images.items()):
-        write_pgm(out / "images" / f"img_{image_id:04d}.pgm", img)
     return out
 
 
-def _parsed(path, parse, data):
-    """``parse(data)`` for data read from ``path``; a missing key or a wrong
-    type or value becomes a ``ParseError`` naming the file."""
-    try:
-        return parse(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed contents ({exc!r})", path=path) from exc
-
-
-def _manifest_fields(m):
-    """The manifest's config (validated by ``DatasetConfig``), image ids,
-    rendered ids, split and diameter. Other top-level keys are ignored."""
-    return (
-        DatasetConfig(**m["config"]),
-        [int(i) for i in m["image_ids"]],
-        [int(i) for i in m.get("has_images", [])],
-        list(m["train_ids"]),
-        list(m["test_ids"]),
-        float(m["diameter"]),
-    )
-
-
-def _covis_fields(c, n_points):
-    """``covis.json``'s ``corresponded`` list of point ids in [0, n_points);
-    other keys, such as the point-to-images map that files of earlier
-    versions carry, are ignored."""
-    ids = c["corresponded"]
-    for k in ids:
-        if type(k) is not int:
-            raise ValueError(f"corresponded holds a non-integer point id {k!r}")
-        if not 0 <= k < n_points:
-            raise ValueError(f"corresponded holds point id {k} outside [0, {n_points})")
-    return CoVisibilityGraph(set(ids))
-
-
 def load_dataset(in_dir) -> Dataset:
-    """Inverse of ``save_dataset``. No descriptor is drawn here: as in
-    ``build_dataset``, the room's ``DescriptorSource`` draws the base and
-    each observation's noise from the config on first read, so a loaded room
-    reads the bits of the built one. Raises ``ParseError`` naming the file when
-    one is missing, unreadable or malformed (a manifest config value that
-    ``DatasetConfig`` refuses included, and a manifest of another
-    ``SCHEMA_VERSION``), when a train or test id is not among the image ids,
-    or when an observation's point id is not one of the config's
-    ``n_points`` (naming the line as well)."""
-    src = Path(in_dir)
-    manifest_path = src / "manifest.json"
-    if not manifest_path.exists():
-        raise ParseError("manifest.json not found", path=manifest_path)
-    manifest = _read_json(manifest_path)
-    version = _parsed(manifest_path, lambda m: m.get("schema_version"), manifest)
+    """The room that ``save_dataset`` wrote to ``in_dir``, rebuilt from its
+    manifest's config by ``build_dataset``. Raises ``ParseError`` naming
+    ``manifest.json`` when the file is missing, unreadable or not a JSON
+    object, holds another ``SCHEMA_VERSION``, lacks ``config`` or ``sha256``,
+    holds a config that ``DatasetConfig`` refuses or that cannot be built, or
+    when the rebuilt room's ``room_digest`` differs from the saved one: the
+    room or the generator changed since the save (a different numpy or BLAS
+    build can change a room's bits). So a load gives the saved room or
+    refuses."""
+    path = Path(in_dir) / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # a decode error or malformed JSON is a ValueError
+        raise ParseError(f"cannot read the manifest ({exc})", path=path) from exc
+    if not isinstance(manifest, dict):
+        raise ParseError("the manifest is not a JSON object", path=path)
+    version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema version {version}", path=manifest_path)
-    cfg, image_ids, rendered, train_ids, test_ids, diameter = _parsed(
-        manifest_path, _manifest_fields, manifest
-    )
-    stray = [i for i in train_ids + test_ids if i not in image_ids]
-    if stray:
-        raise ParseError(f"split id {stray[0]!r} is not in image_ids", path=manifest_path)
-    source = DescriptorSource.of(cfg)
-    observations, poses = {}, {}
-    for image_id in image_ids:
-        poses[image_id] = parse_7scenes_pose(src / "poses" / f"pose_{image_id:04d}.txt")
-        ids, pixels, coords = read_correspondence_file(
-            src / "observations" / f"obs_{image_id:04d}.txt", cfg.n_points
-        )
-        observations[image_id] = ImageObservations(image_id, ids, pixels, coords, source)
-    covis_path = src / "covis.json"
-    covis = _parsed(
-        covis_path, lambda c: _covis_fields(c, cfg.n_points), _read_json(covis_path)
-    )
-    images = {}
-    for image_id in rendered:
-        images[image_id] = read_pgm(src / "images" / f"img_{image_id:04d}.pgm")
-    return Dataset(
-        config=cfg,
-        observations=observations,
-        poses=poses,
-        covis=covis,
-        descriptor_source=source,
-        images=images,
-        train_ids=train_ids,
-        test_ids=test_ids,
-        diameter=diameter,
-        scene=None,
-    )
+        raise ParseError(f"unsupported schema version {version}", path=path)
+    try:
+        cfg, digest = DatasetConfig(**manifest["config"]), manifest["sha256"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed contents ({exc!r})", path=path) from exc
+    try:
+        ds = build_dataset(cfg)
+    except (InfeasibleViewpointError, ValueError) as exc:
+        raise ParseError(f"cannot rebuild the room ({exc})", path=path) from exc
+    if room_digest(ds) != digest:
+        raise ParseError("the rebuilt room differs from the saved one (sha256)", path=path)
+    return ds

@@ -29,6 +29,7 @@ from anglereloc.regressor import (
     evaluate_coords,
     load_checkpoint,
     lr_at,
+    network_sizes,
     save_checkpoint,
     train,
 )
@@ -515,9 +516,9 @@ class TestFreeTable:
         assert table.coords.shape == (len(expected), 3)
         kept = [drawn[key] for key in expected]
         assert table.coords.tobytes() == draw[kept].tobytes()
-        # checkpoints keep the (image, point)-sorted triples of that mapping
-        index = [[i, k, r] for (i, k), r in sorted(expected.items())]
-        assert table.state_dict()["index"] == index
+        # checkpoints keep each train view's point ids, in table order
+        point_ids = [[i, room.observations[i].point_ids.tolist()] for i in sorted(train)]
+        assert table.state_dict()["point_ids"] == point_ids
         for image_id in room.train_ids:
             obs = room.observations[image_id]
             rows = [drawn[(image_id, int(k))] for k in obs.point_ids]
@@ -921,6 +922,16 @@ class TestTrainConfig:
             ("checkpoint_every", True),
             pytest.param("hidden_sizes", (True,), id="hidden_sizes-bool"),
             ("photo_neighbor_max_offset", 2.5),  # behaved as 2
+            # these three trained without ever halving the rate
+            pytest.param("lr_halving_fractions", (math.nan,), id="lr_halving_fractions-nan"),
+            pytest.param("lr_halving_fractions", (2.0,), id="lr_halving_fractions-2.0"),
+            pytest.param("lr_halving_fractions", (True,), id="lr_halving_fractions-bool"),
+            # these two raised a bare TypeError from lr_at at iteration 0
+            pytest.param("lr_halving_fractions", ("a",), id="lr_halving_fractions-string"),
+            pytest.param("lr_halving_fractions", 0.5, id="lr_halving_fractions-bare-0.5"),
+            pytest.param("lr_halving_fractions", (-0.1,), id="lr_halving_fractions-negative"),
+            pytest.param("lr_halving_fractions", (math.inf,), id="lr_halving_fractions-inf"),
+            pytest.param("lr_halving_fractions", [0.5], id="lr_halving_fractions-list"),
         ],
     )
     def test_bad_value_raises_config_error_naming_the_field(self, field, bad):
@@ -930,6 +941,8 @@ class TestTrainConfig:
     def test_limits_are_accepted(self):
         TrainConfig(init_fraction=0.0, checkpoint_every=0, photo_neighbor_max_offset=1)
         TrainConfig(init_fraction=1.0, hidden_sizes=())
+        TrainConfig(lr_halving_fractions=())
+        TrainConfig(lr_halving_fractions=(0, 1, 0.0, 1.0, np.float32(0.5), np.int64(1)))
 
 
 class TestLossConfig:
@@ -978,12 +991,19 @@ class TestLossConfig:
         assert regressor.ConfigError is losses.ConfigError
 
 
+# a config whose network is small: PatchMLP (DESCRIPTOR_DIM, 4, 3)
+SMALL_NET = TrainConfig(hidden_sizes=(4,))
+
+
 class TestCheckpoint:
     def test_free_table_round_trip(self, room, tmp_path):
         table = FreeTable.init(room, seed=2)
         cfg = TrainConfig(iterations=10, lr=0.05, hidden_sizes=(8, 8))
         path = tmp_path / "table.json"
         save_checkpoint(path, table, cfg)
+        blob = json.loads(path.read_text())
+        assert blob["schema_version"] == 3
+        assert sorted(blob["model"]) == ["coords", "kind", "point_ids"]
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
         assert loaded.coords.tobytes() == table.coords.tobytes()
@@ -996,48 +1016,87 @@ class TestCheckpoint:
                 == table.predict_image(room, image_id)[0].tobytes()
             )
 
-    def test_free_table_with_permuted_rows_loads_in_the_init_layout(self, room, tmp_path):
-        table = FreeTable.init(room, seed=2)
-        path = tmp_path / "table.json"
-        save_checkpoint(path, table, TrainConfig())
-        blob = json.loads(path.read_text())
-        coords = np.array(blob["model"]["coords"])
-        perm = np.random.default_rng(0).permutation(len(coords))  # old row -> new row
-        shuffled = np.empty_like(coords)
-        shuffled[perm] = coords
-        blob["model"]["coords"] = shuffled.tolist()
-        for triple in blob["model"]["index"]:
-            triple[2] = int(perm[triple[2]])
-        path.write_text(json.dumps(blob))
-        loaded, _ = load_checkpoint(path)
-        assert loaded.coords.tobytes() == table.coords.tobytes()
-        assert loaded.state_dict() == table.state_dict()
-        assert loaded._spans == table._spans
-        for image_id in room.train_ids:
-            assert (
-                loaded.predict_image(room, image_id)[0].tobytes()
-                == table.predict_image(room, image_id)[0].tobytes()
-            )
-
-    @pytest.mark.parametrize(
-        "edit, row, uses",
-        [
-            # triple 5 takes triple 6's row: row 6 twice, row 5 never
-            (lambda index: index[5].__setitem__(2, 6), 5, 0),
-            (lambda index: index.pop(5), 5, 0),
-            (lambda index: index.append([index[0][0], 10**6, 0]), 0, 2),
-        ],
-    )
-    def test_free_table_index_repeating_or_skipping_a_row_raises_config_error(
-        self, room, tmp_path, edit, row, uses
-    ):
+    @staticmethod
+    def _write_table(room, tmp_path, edit):
         path = tmp_path / "table.json"
         save_checkpoint(path, FreeTable.init(room, seed=2), TrainConfig())
         blob = json.loads(path.read_text())
-        assert [r for _, _, r in blob["model"]["index"]][:7] == list(range(7))
-        edit(blob["model"]["index"])
+        edit(blob["model"])
         path.write_text(json.dumps(blob))
-        with pytest.raises(ConfigError, match=f"uses row {row} {uses} times") as err:
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda m: m["point_ids"].insert(0, m["point_ids"].pop(1)),
+                "image 0 is out of table order",
+                id="swapped",
+            ),
+            pytest.param(
+                lambda m: m["point_ids"][1].__setitem__(0, 0),
+                "image 0 is out of table order",
+                id="repeated",
+            ),
+        ],
+    )
+    def test_free_table_images_out_of_table_order_raise_config_error(
+        self, room, tmp_path, edit, message
+    ):
+        path = self._write_table(room, tmp_path, edit)
+        with pytest.raises(ConfigError, match=message) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda m: m["point_ids"][2][1].pop(), id="point-dropped"),
+            pytest.param(lambda m: m["point_ids"][2][1].append(299), id="point-added"),
+            pytest.param(lambda m: m["point_ids"].pop(), id="image-dropped"),
+            pytest.param(lambda m: m["coords"].pop(5), id="row-dropped"),
+            pytest.param(lambda m: m["coords"].append([0.0, 0.0, 0.0]), id="row-added"),
+        ],
+    )
+    def test_free_table_rows_and_point_ids_that_disagree_raise_config_error(
+        self, room, tmp_path, edit
+    ):
+        path = self._write_table(room, tmp_path, edit)
+        with pytest.raises(ConfigError, match="do not hold .* rows of 3") as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "where, bad",
+        [
+            pytest.param("point", 7.5, id="float-point-id"),
+            pytest.param("point", 7.0, id="integral-float-point-id"),
+            pytest.param("point", True, id="true-point-id"),  # loaded as point 1
+            pytest.param("point", "7", id="string-point-id"),
+            pytest.param("point", None, id="null-point-id"),
+            pytest.param("point", -1, id="negative-point-id"),
+            pytest.param("image", "0", id="string-image-id"),
+            pytest.param("image", False, id="false-image-id"),
+            pytest.param("image", 0.0, id="float-image-id"),
+        ],
+    )
+    def test_free_table_id_that_is_not_an_integer_raises_config_error(
+        self, room, tmp_path, where, bad
+    ):
+        def edit(m):
+            if where == "image":
+                m["point_ids"][0][0] = bad
+            else:
+                m["point_ids"][0][1][3] = bad
+
+        path = self._write_table(room, tmp_path, edit)
+        with pytest.raises(ConfigError, match="is not an integer >= 0") as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: FreeTable id {bad!r} ")
+
+    def test_free_table_point_id_beyond_int64_raises_config_error(self, room, tmp_path):
+        path = self._write_table(room, tmp_path, lambda m: m["point_ids"][0][1].append(2**70))
+        with pytest.raises(ConfigError, match="OverflowError") as err:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: ")
 
@@ -1055,9 +1114,12 @@ class TestCheckpoint:
         net = PatchMLP.init((scenegen.DESCRIPTOR_DIM, 8, 3), seed=3)
         net.params[:] += np.random.default_rng(0).normal(size=net.params.shape)
         path = tmp_path / "mlp.json"
-        save_checkpoint(path, net, TrainConfig(mode="angle-multi"))
+        save_checkpoint(path, net, TrainConfig(mode="angle-multi", hidden_sizes=(8,)))
+        blob = json.loads(path.read_text())
+        assert blob["schema_version"] == 3
+        assert sorted(blob["model"]) == ["biases", "kind", "weights"]
         loaded, cfg = load_checkpoint(path)
-        assert cfg.mode == "angle-multi"
+        assert cfg.mode == "angle-multi" and cfg.hidden_sizes == (8,)
         assert loaded.params.tobytes() == net.params.tobytes()
         image_id = room.train_ids[0]
         assert np.array_equal(
@@ -1070,30 +1132,16 @@ class TestCheckpoint:
         )
         cfg = TrainConfig(mode="angle-photo", loss=loss)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, PatchMLP.init((4, 3)), cfg)
+        save_checkpoint(path, PatchMLP.init(network_sizes(cfg)), cfg)
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 2
+        assert blob["schema_version"] == 3
         assert blob["train_config"]["loss"]["lambda_photo"] == 0.25
         _, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg and isinstance(loaded_cfg.loss, LossConfig)
 
-    @pytest.mark.parametrize("bad_row", [10**6, -1])
-    def test_free_table_row_outside_the_table_raises_config_error(
-        self, room, tmp_path, bad_row
-    ):
-        path = tmp_path / "table.json"
-        save_checkpoint(path, FreeTable.init(room, seed=2), TrainConfig())
-        blob = json.loads(path.read_text())
-        n_rows = len(blob["model"]["coords"])
-        blob["model"]["index"][5][2] = bad_row
-        path.write_text(json.dumps(blob))
-        with pytest.raises(ConfigError, match=rf"row {bad_row} outside \[0, {n_rows}\)") as err:
-            load_checkpoint(path)
-        assert str(path) in str(err.value)
-
     def _write(self, tmp_path, edit):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, PatchMLP.init((4, 3)), TrainConfig())
+        save_checkpoint(path, PatchMLP.init(network_sizes(SMALL_NET)), SMALL_NET)
         blob = json.loads(path.read_text())
         edit(blob)
         path.write_text(json.dumps(blob))
@@ -1153,6 +1201,47 @@ class TestCheckpoint:
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: lr must be finite and > 0, got -0.01"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # loaded silently: the sizes come from the weights
+            pytest.param(lambda b: b["train_config"].update(hidden_sizes=[5]), id="hidden-5"),
+            pytest.param(lambda b: b["train_config"].update(hidden_sizes=[]), id="no-hidden"),
+            # loaded, and failed only at the first predict
+            pytest.param(
+                lambda b: b["model"]["weights"].__setitem__(0, b["model"]["weights"][0][:8]),
+                id="input-8",
+            ),
+        ],
+    )
+    def test_patch_mlp_of_another_shape_raises_config_error(self, tmp_path, edit):
+        path = self._write(tmp_path, edit)
+        with pytest.raises(ConfigError, match="network layer sizes") as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "value", [[2.0], 0.5, ["a"], [None]], ids=["2.0", "bare-0.5", "string", "null"]
+    )
+    def test_bad_lr_halving_fractions_names_path_and_field(self, tmp_path, value):
+        path = self._write(tmp_path, lambda b: b["train_config"].update(lr_halving_fractions=value))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: lr_halving_fractions must be a tuple")
+
+    def test_version_2_checkpoints_are_refused(self, room, tmp_path):
+        # version 2 stored a table's [image, point, row] triples and a
+        # network's layer_sizes beside its weights
+        table = FreeTable.init(room, seed=2).state_dict()
+        pairs = [(i, k) for i, ids in table.pop("point_ids") for k in ids]
+        table["index"] = [[i, k, r] for r, (i, k) in enumerate(pairs)]
+        net = dict(PatchMLP.init(network_sizes(SMALL_NET)).state_dict(), layer_sizes=[16, 4, 3])
+        for model in (table, net):
+            path = self._write(tmp_path, lambda b: b.update(schema_version=2, model=model))
+            with pytest.raises(ConfigError, match="unsupported checkpoint version 2") as err:
+                load_checkpoint(path)
+            assert str(path) in str(err.value)
 
     def test_constant_model_kind_is_unknown(self, tmp_path):
         path = self._write(

@@ -5,21 +5,20 @@ import itertools
 import json
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from anglereloc import scenegen
-from anglereloc.geometry import PoseSE3, rotation_about_axis
+from anglereloc.geometry import PoseSE3
 from anglereloc.losses import build_multiview_index, photo_target, photometric_image_loss
 from anglereloc.scenegen import (
     DatasetConfig,
     Image,
     InfeasibleViewpointError,
     NoGeometryError,
-    NonRigidWarning,
     ParseError,
     SyntheticScene,
     _free_space_points,
@@ -30,16 +29,12 @@ from anglereloc.scenegen import (
     gen_trajectory,
     load_dataset,
     observe,
-    parse_7scenes_pose,
-    read_correspondence_file,
-    read_pgm,
     render_image,
     render_rays,
+    room_digest,
     save_dataset,
     sparsify_covis,
     value_noise,
-    write_correspondence_file,
-    write_pgm,
 )
 
 import oracles
@@ -811,6 +806,12 @@ PINNED_DATASETS = pytest.mark.parametrize(
 )
 
 
+def drawn(ds):
+    """Whether the base, and which views' descriptors, have been drawn."""
+    views = [i for i, o in sorted(ds.observations.items()) if "descriptors" in vars(o)]
+    return "base" in vars(ds.descriptor_source), views
+
+
 class TestPinnedDatasets:
     """``build_dataset`` output pinned by digest, so that a faster build must
     reproduce the same rooms bit for bit. The digests also pin numpy's and
@@ -821,6 +822,12 @@ class TestPinnedDatasets:
     def test_digest(self, kw, digest):
         assert dataset_sha256(build_dataset(DatasetConfig(**kw))) == digest
 
+    @PINNED_DATASETS
+    def test_saved_and_loaded_room_has_the_digest(self, tmp_path, kw, digest):
+        ds = load_dataset(save_dataset(build_dataset(DatasetConfig(**kw)), tmp_path / "d"))
+        assert drawn(ds) == (False, [])
+        assert dataset_sha256(ds) == digest
+
 
 class TestLazyDescriptors:
     """Neither ``build_dataset`` nor ``load_dataset`` draws a descriptor: a
@@ -828,16 +835,10 @@ class TestLazyDescriptors:
     read, each from its own stream, so the bits do not depend on what is read
     first."""
 
-    @staticmethod
-    def drawn(ds):
-        """Whether the base, and which views' descriptors, have been drawn."""
-        views = [i for i, o in sorted(ds.observations.items()) if "descriptors" in vars(o)]
-        return "base" in vars(ds.descriptor_source), views
-
     @PINNED_DATASETS
     def test_views_read_in_reverse_give_the_pinned_digest(self, kw, digest):
         ds = build_dataset(DatasetConfig(**kw))
-        assert self.drawn(ds) == (False, [])
+        assert drawn(ds) == (False, [])
         for i in sorted(ds.observations, reverse=True):
             ds.observations[i].descriptors
         assert dataset_sha256(ds) == digest
@@ -850,13 +851,13 @@ class TestLazyDescriptors:
         for image_id in (0, 21, 39):
             ds = build_dataset(cfg)
             got = ds.observations[image_id].descriptors
-            assert self.drawn(ds) == (True, [image_id])
+            assert drawn(ds) == (True, [image_id])
             assert_same_bits(got, want.observations[image_id].descriptors)
 
     def test_loaded_room_reads_the_built_bytes_on_first_read(self, tmp_path):
         built = build_dataset(small_cfg(pixel_noise_sigma=0.5))
         ds = load_dataset(save_dataset(built, tmp_path / "d"))
-        assert self.drawn(built) == self.drawn(ds) == (False, [])
+        assert drawn(built) == drawn(ds) == (False, [])
         want = {i: o.descriptors for i, o in sorted(built.observations.items())}
         # the loaded room is read the other way round from the built one
         for i in sorted(ds.observations, reverse=True):
@@ -880,15 +881,21 @@ class TestLazyDescriptors:
         assert obs.descriptor_source is None and obs.descriptors is None
 
 
+def replace_view(ds, image_id, **changes):
+    ds.observations[image_id] = replace(ds.observations[image_id], **changes)
+
+
 class TestDatasetIO:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = build_dataset(small_cfg(render_images=True))
+        return save_dataset(ds, tmp_path / "d")
+
     def test_roundtrip_bit_identical(self, tmp_path):
         ds = build_dataset(small_cfg(render_images=True, pixel_noise_sigma=0.5))
-        save_dataset(ds, tmp_path / "d")
-        # the descriptors are drawn again from the config, not saved
-        assert not (tmp_path / "d" / "descriptors.txt").exists()
-        back = load_dataset(tmp_path / "d")
+        back = load_dataset(save_dataset(ds, tmp_path / "d"))
         assert back.config == ds.config and back.intrinsics == ds.intrinsics
-        assert back.diameter == ds.diameter
+        assert back.diameter == ds.diameter == ds.scene.diameter
         assert back.train_ids == ds.train_ids and back.test_ids == ds.test_ids
         assert back.covis.corresponded == ds.covis.corresponded
         assert_same_bits(back.descriptors, ds.descriptors)
@@ -899,155 +906,90 @@ class TestDatasetIO:
             assert_same_bits(back.poses[i].as_matrix(), ds.poses[i].as_matrix())
         for i, img in ds.images.items():
             assert_same_bits(back.images[i].data, img.data)
+        assert_same_bits(back.scene.points, ds.scene.points)
 
-    def test_pgm_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        img = Image(np.round(rng.uniform(size=(13, 17)) * 65535) / 65535)
-        write_pgm(tmp_path / "x.pgm", img)
-        back = read_pgm(tmp_path / "x.pgm")
-        np.testing.assert_array_equal(back.data, img.data)
+    def test_saved_directory_holds_only_the_manifest(self, saved):
+        assert [p.name for p in saved.iterdir()] == ["manifest.json"]
+        blob = json.loads((saved / "manifest.json").read_text())
+        assert sorted(blob) == ["config", "schema_version", "sha256"]
+        assert blob["schema_version"] == scenegen.SCHEMA_VERSION == 3
+        assert blob["config"] == asdict(small_cfg(render_images=True))
+        assert blob["sha256"] == room_digest(load_dataset(saved))
 
-    @pytest.mark.parametrize(
-        "blob",
-        [
-            b"P6\n6 5\n65535\n" + bytes(2 * 3 * 30),  # colour
-            b"P5\n6 5\n255\n" + bytes(30),  # 8-bit
-        ],
-        ids=["colour", "8-bit"],
-    )
-    def test_colour_or_8_bit_file_raises_parse_error_with_the_path(self, tmp_path, blob):
-        path = tmp_path / "x.pgm"
-        path.write_bytes(blob)
-        with pytest.raises(ParseError) as exc:
-            read_pgm(path)
-        assert exc.value.path == path and str(path) in str(exc.value)
+    def test_room_digest_draws_no_descriptor(self):
+        ds = build_dataset(small_cfg())
+        room_digest(ds)
+        assert drawn(ds) == (False, [])
 
     def test_image_is_grayscale_only(self):
         for shape in ((5, 6, 3), (5, 6, 1)):
             with pytest.raises(ValueError, match=r"\(H, W\)"):
                 Image(np.zeros(shape))
 
-    @pytest.mark.parametrize("cut", [1, 100])
-    def test_truncated_pgm_raises_parse_error_with_the_path(self, tmp_path, cut):
-        path = tmp_path / "x.pgm"
-        write_pgm(path, Image(np.full((13, 17), 0.5)))
-        path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(ParseError, match="truncated") as exc:
-            read_pgm(path)
-        assert exc.value.path == path and str(path) in str(exc.value)
+    @pytest.mark.parametrize("how", ["missing", "directory", "not-utf-8"])
+    def test_missing_or_unreadable_manifest_raises_parse_error(self, saved, how):
+        path = saved / "manifest.json"
+        path.unlink()
+        if how == "directory":
+            path.mkdir()
+        elif how == "not-utf-8":
+            path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError, match="cannot read the manifest") as exc:
+            load_dataset(saved)
+        assert exc.value.path == path and "manifest.json" in str(exc.value)
 
-    def test_missing_pgm_raises_parse_error_with_the_path(self, tmp_path):
-        path = tmp_path / "none.pgm"
-        with pytest.raises(ParseError) as exc:
-            read_pgm(path)
-        assert exc.value.path == path
-
-    @pytest.fixture
-    def saved(self, tmp_path):
-        ds = build_dataset(small_cfg(render_images=True))
-        return save_dataset(ds, tmp_path / "d")
-
-    @pytest.mark.parametrize(
-        "name", ["poses/pose_0002.txt", "observations/obs_0003.txt", "covis.json"]
-    )
-    def test_missing_file_raises_parse_error_with_the_path(self, saved, name):
-        (saved / name).unlink()
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json", "null", '"room"'])
+    def test_manifest_that_is_no_json_object_raises_parse_error(self, saved, text):
+        path = saved / "manifest.json"
+        path.write_text(text)
         with pytest.raises(ParseError) as exc:
             load_dataset(saved)
-        assert exc.value.path == saved / name
+        assert exc.value.path == path
 
     @pytest.mark.parametrize(
-        "name, edit",
+        "edit",
         [
+            pytest.param(lambda m: m.pop("config"), id="manifest-no-config"),
+            pytest.param(lambda m: m.pop("sha256"), id="manifest-no-sha256"),
+            pytest.param(lambda m: m.update(config=[3, 150]), id="manifest-config-list"),
             pytest.param(
-                "manifest.json", lambda m: m.pop("train_ids"), id="manifest-no-train_ids"
-            ),
-            pytest.param("manifest.json", lambda m: m.pop("config"), id="manifest-no-config"),
-            pytest.param(
-                "manifest.json",
-                lambda m: m["config"].update(bogus=1),
-                id="manifest-unknown-config-key",
+                lambda m: m["config"].update(bogus=1), id="manifest-unknown-config-key"
             ),
             # values DatasetConfig refuses
             pytest.param(
-                "manifest.json",
                 lambda m: m["config"].update(free_space_fraction=2.0),
                 id="manifest-free_space_fraction-2.0",
             ),
             pytest.param(
-                "manifest.json",
                 lambda m: m["config"].update(descriptor_noise_sigma=-0.5),
                 id="manifest-descriptor_noise_sigma--0.5",
             ),
             pytest.param(
-                "manifest.json",
-                lambda m: m["config"].update(render_images="no"),
-                id="manifest-render_images-no",
-            ),
-            pytest.param(
-                "manifest.json", lambda m: m.update(diameter="wide"), id="manifest-diameter-wide"
-            ),
-            pytest.param(
-                "manifest.json", lambda m: m["image_ids"].append("x"), id="manifest-image-id-x"
-            ),
-            pytest.param(
-                "covis.json", lambda c: c.pop("corresponded"), id="covis-no-corresponded"
+                lambda m: m["config"].update(render_images="no"), id="manifest-render_images-no"
             ),
             # a count DatasetConfig refuses
             pytest.param(
-                "manifest.json",
-                lambda m: m["config"].update(n_points=150.5),
-                id="manifest-n_points-150.5",
+                lambda m: m["config"].update(n_points=150.5), id="manifest-n_points-150.5"
             ),
         ],
     )
-    def test_malformed_json_contents_raise_parse_error(self, saved, name, edit):
-        path = saved / name
+    def test_malformed_json_contents_raise_parse_error(self, saved, edit):
+        path = saved / "manifest.json"
         blob = json.loads(path.read_text())
         edit(blob)
         path.write_text(json.dumps(blob))
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match="malformed contents") as exc:
             load_dataset(saved)
         assert exc.value.path == path
 
-    @pytest.mark.parametrize("bad", [999, 150, -1])  # the room has 150 points
-    def test_observation_point_id_outside_the_room_raises_parse_error(self, saved, bad):
-        path = saved / "observations" / "obs_0003.txt"
-        lines = path.read_text().splitlines()
-        lines[4] = f"{bad} " + lines[4].split(" ", 1)[1]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=rf"point id {bad} outside \[0, 150\)") as exc:
-            load_dataset(saved)
-        assert exc.value.path == path and exc.value.line == 5 and exc.value.column == 1
-
-    @pytest.mark.parametrize("key", ["train_ids", "test_ids"])
-    def test_split_id_outside_image_ids_raises_parse_error(self, saved, key):
+    def test_config_that_cannot_be_built_raises_parse_error(self, saved):
         path = saved / "manifest.json"
         blob = json.loads(path.read_text())
-        blob[key].append(99)
+        blob["config"]["min_visible"] = 1000  # the room has 150 points
         path.write_text(json.dumps(blob))
-        with pytest.raises(ParseError, match="split id 99 is not in image_ids") as exc:
+        with pytest.raises(ParseError, match="cannot rebuild the room") as exc:
             load_dataset(saved)
         assert exc.value.path == path
-
-    def test_covis_with_the_old_point_to_images_map_loads(self, saved):
-        path = saved / "covis.json"
-        want = load_dataset(saved)
-        blob = json.loads(path.read_text())
-        assert list(blob) == ["corresponded"]
-        point_to_images = oracles.build_covis(want.observations).point_to_images
-        blob["point_to_images"] = {str(k): list(v) for k, v in point_to_images.items()}
-        path.write_text(json.dumps(blob))
-        assert load_dataset(saved).covis.corresponded == want.covis.corresponded
-
-    def test_manifest_with_the_old_intrinsics_object_loads(self, saved):
-        # the camera is the config's, so the object is no longer written
-        path = saved / "manifest.json"
-        blob = json.loads(path.read_text())
-        assert "intrinsics" not in blob
-        blob["intrinsics"] = {"f": 40.0, "cx": 39.5, "cy": 29.5}
-        path.write_text(json.dumps(blob))
-        assert load_dataset(saved).intrinsics == scenegen.INTRINSICS
 
     def test_manifest_of_schema_version_1_raises_parse_error(self, saved):
         # version 1 carried the camera, orbit and descriptor width in its
@@ -1064,141 +1006,80 @@ class TestDatasetIO:
             load_dataset(saved)
         assert exc.value.path == path and "manifest.json" in str(exc.value)
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ("7", "non-integer"),
-            (7.0, "non-integer"),
-            (True, "non-integer"),
-            (None, "non-integer"),
-            ([7], "non-integer"),
-            (-1, "outside"),
-            (150, "outside"),  # the room has 150 points
-            (2**70, "outside"),
-        ],
-    )
-    def test_bad_corresponded_id_raises_parse_error(self, saved, bad, message):
-        path = saved / "covis.json"
-        blob = json.loads(path.read_text())
-        blob["corresponded"].insert(1, bad)
-        path.write_text(json.dumps(blob))
-        with pytest.raises(ParseError, match=message) as exc:
-            load_dataset(saved)
-        assert exc.value.path == path
-
-    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"])
-    def test_manifest_that_is_no_json_object_raises_parse_error(self, saved, text):
+    def test_manifest_of_schema_version_2_raises_parse_error(self, saved):
+        # version 2 held the image ids, split and diameter, with a text file
+        # per pose and view, covis.json and 16-bit PGM renders beside it
         path = saved / "manifest.json"
-        path.write_text(text)
-        with pytest.raises(ParseError) as exc:
-            load_dataset(saved)
-        assert exc.value.path == path
-
-    def test_truncated_render_raises_parse_error(self, saved):
-        path = saved / "images" / "img_0001.pgm"
-        path.write_bytes(path.read_bytes()[:-2])
-        with pytest.raises(ParseError, match="truncated") as exc:
-            load_dataset(saved)
-        assert exc.value.path == path
-
-    def test_correspondence_file_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        ids = np.array([3, 9, 12])
-        pixels = rng.uniform(0, 80, size=(3, 2))
-        coords = rng.uniform(-5, 5, size=(3, 3))
-        path = tmp_path / "c.txt"
-        write_correspondence_file(path, ids, pixels, coords, header="test block")
-        rids, rpix, rcoords = read_correspondence_file(path, 13)
-        np.testing.assert_array_equal(rids, ids)
-        np.testing.assert_array_equal(rpix, pixels)
-        np.testing.assert_array_equal(rcoords, coords)
-
-    def test_correspondence_parse_error_context(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# fine\n1 2.0 3.0 4.0 5.0 oops\n")
-        with pytest.raises(ParseError) as exc:
-            read_correspondence_file(path, 10)
-        assert exc.value.line == 2
-        assert exc.value.column == 6
-
-    @pytest.mark.parametrize(
-        "column, token", [(2, "nan"), (3, "inf"), (4, "-inf"), (6, "1e999"), (5, "NaN")]
-    )
-    def test_correspondence_non_finite_number_raises_parse_error(self, tmp_path, column, token):
-        path = tmp_path / "bad.txt"
-        fields = "1 2.0 3.0 4.0 5.0 6.0".split()
-        fields[column - 1] = token
-        path.write_text("0 1.0 1.0 1.0 1.0 1.0\n" + " ".join(fields) + "\n")
-        with pytest.raises(ParseError, match="bad number") as exc:
-            read_correspondence_file(path, 10)
-        assert (exc.value.path, exc.value.line, exc.value.column) == (path, 2, column)
-
-
-class TestPoseParsing:
-    def test_identity(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text(
-            "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+        blob = json.loads(path.read_text())
+        del blob["sha256"]
+        ds = build_dataset(DatasetConfig(**blob["config"]))
+        blob.update(
+            schema_version=2,
+            image_ids=sorted(ds.observations),
+            train_ids=ds.train_ids,
+            test_ids=ds.test_ids,
+            diameter=ds.diameter,
+            has_images=sorted(ds.images),
         )
-        pose = parse_7scenes_pose(path)
-        np.testing.assert_array_equal(pose.rotation, np.eye(3))
-        np.testing.assert_array_equal(pose.translation, np.zeros(3))
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ParseError, match="^unsupported schema version 2 in ") as exc:
+            load_dataset(saved)
+        assert exc.value.path == path and "manifest.json" in str(exc.value)
 
-    def test_translation_only(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text("1 0 0 1\n0 1 0 2\n0 0 1 3\n0 0 0 1\n")
-        pose = parse_7scenes_pose(path)
-        np.testing.assert_array_equal(pose.translation, [1.0, 2.0, 3.0])
+    def test_manifest_without_a_schema_version_raises_parse_error(self, saved):
+        path = saved / "manifest.json"
+        blob = json.loads(path.read_text())
+        del blob["schema_version"]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ParseError, match="^unsupported schema version None in ") as exc:
+            load_dataset(saved)
+        assert exc.value.path == path
 
-    def test_nonrigid_warns_and_projects(self, tmp_path):
-        R = rotation_about_axis(np.array([0.3, 1.0, -0.2]), 0.7)
-        noisy = R + 0.01  # well beyond the 1e-3 orthonormality gate
-        m = np.eye(4)
-        m[:3, :3] = noisy
-        m[:3, 3] = [0.5, 0, 0]
-        path = tmp_path / "p.txt"
-        path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in m) + "\n")
-        with pytest.warns(NonRigidWarning):
-            pose = parse_7scenes_pose(path)
-        RT = pose.rotation
-        assert np.linalg.norm(RT.T @ RT - np.eye(3)) < 1e-9
+    @staticmethod
+    def assert_refused_as_another_room(path):
+        with pytest.raises(ParseError, match="differs from the saved one") as exc:
+            load_dataset(path.parent)
+        assert exc.value.path == path
 
-    def test_mild_drift_projects_silently(self, tmp_path):
-        R = rotation_about_axis(np.array([0.0, 0.0, 1.0]), 0.3)
-        noisy = R * (1 + 1e-6)
-        m = np.eye(4)
-        m[:3, :3] = noisy
-        path = tmp_path / "p.txt"
-        path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in m) + "\n")
-        import warnings as w
+    def test_edited_digest_raises_parse_error(self, saved):
+        path = saved / "manifest.json"
+        blob = json.loads(path.read_text())
+        blob["sha256"] = blob["sha256"][:-1] + ("0" if blob["sha256"][-1] != "0" else "1")
+        path.write_text(json.dumps(blob))
+        self.assert_refused_as_another_room(path)
 
-        with w.catch_warnings():
-            w.simplefilter("error")
-            pose = parse_7scenes_pose(path)
-        assert np.linalg.norm(pose.rotation.T @ pose.rotation - np.eye(3)) < 1e-9
-
-    def test_malformed_raises_with_context(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text("1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
-        with pytest.raises(ParseError) as exc:
-            parse_7scenes_pose(path)
-        assert exc.value.line == 1
+    def test_other_seed_with_the_old_digest_raises_parse_error(self, tmp_path):
+        # seed 3 would build, so only the digest refuses the room (seed 4,
+        # one more than small_cfg's, finds no viewpoint at this size)
+        path = save_dataset(build_dataset(small_cfg(seed=2)), tmp_path / "d") / "manifest.json"
+        blob = json.loads(path.read_text())
+        blob["config"]["seed"] += 1
+        path.write_text(json.dumps(blob))
+        self.assert_refused_as_another_room(path)
 
     @pytest.mark.parametrize(
-        "line, column, token",
+        "edit",
         [
-            (1, 4, "inf"),  # a translation that was accepted
-            (2, 2, "nan"),  # a rotation that warned in det, or was accepted
-            (3, 1, "-inf"),
-            (4, 1, "nan"),  # the last-row test is False for NaN
-            (4, 4, "1e999"),
+            pytest.param(
+                lambda ds: replace_view(ds, 3, pixels=ds.observations[3].pixels + 0.5),
+                id="pixels",
+            ),
+            pytest.param(
+                lambda ds: replace_view(ds, 3, gt_coords=ds.observations[3].gt_coords * 2.0),
+                id="gt_coords",
+            ),
+            pytest.param(lambda ds: ds.poses.update({2: PoseSE3.identity()}), id="pose"),
+            pytest.param(
+                lambda ds: ds.images.update({1: Image(ds.images[1].data[::-1])}), id="render"
+            ),
+            pytest.param(lambda ds: ds.test_ids.pop(), id="split"),
+            pytest.param(
+                lambda ds: ds.covis.corresponded.discard(min(ds.covis.corresponded)),
+                id="corresponded",
+            ),
         ],
     )
-    def test_non_finite_number_raises_parse_error(self, tmp_path, line, column, token):
-        rows = [row.split() for row in ("1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1")]
-        rows[line - 1][column - 1] = token
-        path = tmp_path / "p.txt"
-        path.write_text("".join(" ".join(row) + "\n" for row in rows))
-        with pytest.raises(ParseError, match="bad number") as exc:
-            parse_7scenes_pose(path)
-        assert (exc.value.path, exc.value.line, exc.value.column) == (path, line, column)
+    def test_room_changed_before_the_save_raises_parse_error(self, tmp_path, edit):
+        ds = build_dataset(small_cfg(render_images=True))
+        edit(ds)
+        self.assert_refused_as_another_room(save_dataset(ds, tmp_path / "d") / "manifest.json")
