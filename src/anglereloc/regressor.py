@@ -58,7 +58,7 @@ from anglereloc.losses import (  # ConfigError is re-exported here
     photometric_image_loss,
     reproj_terms,
 )
-from anglereloc.scenegen import DESCRIPTOR_DIM, ParseError, is_count
+from anglereloc.scenegen import DESCRIPTOR_DIM, ParseError, column_bounds, is_count
 
 
 class PhotometricInactiveWarning(UserWarning):
@@ -200,7 +200,12 @@ class PatchMLP:
 
     @classmethod
     def from_state(cls, state):
-        return cls(state["weights"], state["biases"])
+        """Inverse of ``state_dict``. Raises ``ConfigError`` for a weight or
+        bias that is not a number (see ``_numbers``)."""
+        return cls(
+            [_numbers(w, "PatchMLP weights") for w in state["weights"]],
+            [_numbers(b, "PatchMLP biases") for b in state["biases"]],
+        )
 
 
 class FreeTable:
@@ -257,7 +262,8 @@ class FreeTable:
         being left out."""
         rng = np.random.default_rng(seed)
         observations = dataset.observations
-        lo, hi = _column_bounds([o.gt_coords for o in observations.values()])
+        # the joined rows live only in this call, freed before the table is drawn
+        lo, hi = column_bounds(np.concatenate([o.gt_coords for o in observations.values()]))
         center, half = (lo + hi) / 2, (hi - lo) / 2
         low, high = center - 2 * half, center + 2 * half
         image_ids = sorted(observations)
@@ -267,7 +273,7 @@ class FreeTable:
         }
         # rng.uniform(low, high) is low + (high - low) * rng.random(), element
         # by element: draw every view's rows in id order, keep the train
-        # views' rows and map them, a column at a time as in _column_bounds
+        # views' rows and map them, a column at a time as in column_bounds
         coords = np.empty((sum(len(ids) for ids in point_ids.values()), 3))
         stop = 0
         for image_id in image_ids:
@@ -349,8 +355,9 @@ class FreeTable:
     def from_state(cls, state):
         """Inverse of ``state_dict``. Raises ``ConfigError`` for an image or
         point id that is not an integer >= 0 (a bool or an integral float
-        included), and for image ids that are not strictly ascending, the
-        table's order; ``DimensionMismatchError`` when the rows are not one
+        included), for image ids that are not strictly ascending, the
+        table's order, and for a coordinate that is not a number (see
+        ``_numbers``); ``DimensionMismatchError`` when the rows are not one
         3-vector per point id."""
         point_ids, last = {}, -1
         for image_id, ids in state["point_ids"]:
@@ -361,19 +368,20 @@ class FreeTable:
                 raise ConfigError(f"FreeTable image {image_id} is out of table order")
             point_ids[image_id] = np.array(ids, dtype=np.int64)
             last = image_id
-        return cls(state["coords"], point_ids)
+        return cls(_numbers(state["coords"], "FreeTable coords"), point_ids)
 
 
-def _column_bounds(arrays):
-    """Column minima and maxima over the rows of (n_i, 3) arrays, one column
-    at a time: numpy reduces or broadcasts over an (n, 3) array 3 elements at
-    a time, several times slower at 100k rows. The joined rows live only in
-    this call, so ``FreeTable.init`` frees them before it draws the table."""
-    rows = np.concatenate(arrays)
-    return (
-        np.array([rows[:, k].min() for k in range(3)]),
-        np.array([rows[:, k].max() for k in range(3)]),
-    )
+def _numbers(value, what):
+    """``value``, a number or nested lists of numbers as JSON holds them, as
+    a float64 array. Raises ``ConfigError`` naming ``what`` for an entry that
+    is not an int or a float: numpy would read the string ``"1.5"`` as 1.5,
+    ``true`` as 1.0 and ``null`` as NaN."""
+    entries = np.asarray(value, dtype=object)
+    flat = entries.ravel().tolist()
+    if not set(map(type, flat)) <= {int, float}:
+        bad = next(v for v in flat if type(v) not in (int, float))
+        raise ConfigError(f"{what} hold {bad!r}, which is not a number")
+    return entries.astype(np.float64)
 
 
 class GtLookup:
@@ -561,8 +569,9 @@ class TrainConfig:
     counts (``seed``, ``iterations``, ``checkpoint_every``,
     ``photo_neighbor_max_offset``) must be integers, not bools or floats,
     ``checkpoint_every`` 0 records only the end,
-    ``photo_neighbor_max_offset`` must leave each view a neighbor id, and
-    ``lr_halving_fractions`` must be a tuple of numbers in [0, 1], not bools.
+    ``photo_neighbor_max_offset`` must leave each view a neighbor id,
+    ``lr_halving_fractions`` must be a tuple of numbers in [0, 1], not bools,
+    and ``hidden_sizes`` a tuple of integers > 0, not bools or floats.
     A ``PatchMLP`` has the layer sizes ``network_sizes(cfg)``."""
 
     mode: str = TrainMode.ANGLE.value
@@ -585,7 +594,12 @@ class TrainConfig:
             ("lr", 0 < self.lr < math.inf, "finite and > 0"),
             ("init_fraction", 0 <= self.init_fraction <= 1, "in [0, 1]"),
             ("checkpoint_every", is_count(self.checkpoint_every, 0), "an integer >= 0"),
-            ("hidden_sizes", all(is_count(n, 1) for n in self.hidden_sizes), "integers > 0"),
+            (
+                "hidden_sizes",
+                isinstance(self.hidden_sizes, tuple)
+                and all(is_count(n, 1) for n in self.hidden_sizes),
+                "a tuple of integers > 0",
+            ),
             (
                 "lr_halving_fractions",
                 isinstance(self.lr_halving_fractions, tuple)
@@ -900,8 +914,9 @@ def load_checkpoint(path):
     parsed, or does not hold the current ``CHECKPOINT_VERSION``, a known
     model kind with its state, and exactly the ``TrainConfig`` fields with
     exactly the ``LossConfig`` fields under ``loss``; when a config value is
-    refused; when a ``FreeTable`` id is not an integer >= 0 (see
-    ``FreeTable.from_state``); and when a ``PatchMLP``'s layer sizes are not
+    refused; when a ``FreeTable`` id is not an integer >= 0, or a table
+    coordinate, weight or bias is not a number (see ``FreeTable.from_state``
+    and ``PatchMLP.from_state``); and when a ``PatchMLP``'s layer sizes are not
     ``network_sizes`` of its own config.
     """
     try:
@@ -942,16 +957,13 @@ def _checkpoint_contents(blob):
         raise ConfigError(f"unknown model kind {kind!r} in checkpoint")
     _check_keys("train_config", raw, TrainConfig)
     _check_keys("train_config.loss", raw["loss"], LossConfig)
-    fractions = raw["lr_halving_fractions"]
-    cfg = TrainConfig(
-        **dict(
-            raw,
-            # JSON arrays come back as lists; anything else is left for the check
-            lr_halving_fractions=tuple(fractions) if isinstance(fractions, list) else fractions,
-            loss=LossConfig(**raw["loss"]),
-            hidden_sizes=tuple(raw["hidden_sizes"]),
-        )
-    )
+    # JSON arrays come back as lists; anything else is left for the checks
+    tuples = {
+        name: tuple(raw[name])
+        for name in ("lr_halving_fractions", "hidden_sizes")
+        if isinstance(raw[name], list)
+    }
+    cfg = TrainConfig(**dict(raw, **tuples, loss=LossConfig(**raw["loss"])))
     model = MODEL_KINDS[kind].from_state(state)
     if kind == PatchMLP.kind and model.layer_sizes != network_sizes(cfg):
         raise ConfigError(

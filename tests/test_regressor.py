@@ -932,6 +932,9 @@ class TestTrainConfig:
             pytest.param("lr_halving_fractions", (-0.1,), id="lr_halving_fractions-negative"),
             pytest.param("lr_halving_fractions", (math.inf,), id="lr_halving_fractions-inf"),
             pytest.param("lr_halving_fractions", [0.5], id="lr_halving_fractions-list"),
+            # a bare TypeError from iterating over the int
+            pytest.param("hidden_sizes", 64, id="hidden_sizes-bare-64"),
+            pytest.param("hidden_sizes", [64, 64], id="hidden_sizes-list"),
         ],
     )
     def test_bad_value_raises_config_error_naming_the_field(self, field, bad):
@@ -1094,6 +1097,30 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: FreeTable id {bad!r} ")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # loaded as 1.5, 1.0 and NaN
+            pytest.param("1.5", id="string"),
+            pytest.param(True, id="true"),
+            pytest.param(None, id="null"),
+            pytest.param([1.5], id="list"),
+        ],
+    )
+    def test_free_table_coordinate_that_is_not_a_number_raises_config_error(
+        self, room, tmp_path, bad
+    ):
+        path = self._write_table(room, tmp_path, lambda m: m["coords"][3].__setitem__(1, bad))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: FreeTable coords hold {bad!r}, which is not a number"
+
+    def test_free_table_integer_coordinates_load_as_floats(self, room, tmp_path):
+        path = self._write_table(room, tmp_path, lambda m: m["coords"].__setitem__(0, [1, -2, 0]))
+        table, _ = load_checkpoint(path)
+        assert table.coords.dtype == np.float64
+        assert table.coords[0].tolist() == [1.0, -2.0, 0.0]
+
     def test_free_table_point_id_beyond_int64_raises_config_error(self, room, tmp_path):
         path = self._write_table(room, tmp_path, lambda m: m["point_ids"][0][1].append(2**70))
         with pytest.raises(ConfigError, match="OverflowError") as err:
@@ -1146,6 +1173,34 @@ class TestCheckpoint:
         edit(blob)
         path.write_text(json.dumps(blob))
         return path
+
+    @pytest.mark.parametrize(
+        "where, bad",
+        [
+            pytest.param("weights", "0.25", id="string-weight"),
+            pytest.param("weights", True, id="true-weight"),
+            pytest.param("biases", "0.25", id="string-bias"),
+            pytest.param("biases", False, id="false-bias"),
+            pytest.param("biases", None, id="null-bias"),
+        ],
+    )
+    def test_patch_mlp_value_that_is_not_a_number_raises_config_error(
+        self, tmp_path, where, bad
+    ):
+        def edit(blob):
+            layer = blob["model"][where][1]
+            (layer[2] if where == "weights" else layer)[1] = bad
+
+        path = self._write(tmp_path, edit)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: PatchMLP {where} hold {bad!r}, which is not a number"
+
+    def test_bare_hidden_sizes_names_path_and_field(self, tmp_path):
+        path = self._write(tmp_path, lambda b: b["train_config"].update(hidden_sizes=4))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: hidden_sizes must be a tuple of integers > 0, got 4"
 
     def test_unknown_train_config_key_raises_config_error(self, tmp_path):
         path = self._write(tmp_path, lambda b: b["train_config"].update(bogus=1))

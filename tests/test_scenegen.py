@@ -292,6 +292,225 @@ class TestGenTrajectory:
         assert 0 < len(calls) <= cfg.n_planes
 
 
+def whole_scene_rows(points, pose):
+    """In-frame ids and pixels of a projection of every point."""
+    cam = pose.world_to_camera(points)
+    return _in_frame(scenegen.INTRINSICS, cam, scenegen.WIDTH, scenegen.HEIGHT)
+
+
+def assert_cull_matches_whole(points, grid, pose):
+    """The culled projection's ids and pixels equal, bit for bit, those of a
+    projection of every point; returns how many points are in the frame."""
+    ids, pixels = scenegen._in_view(points, grid, pose)
+    want_ids, want_pixels = whole_scene_rows(points, pose)
+    assert_same_bits(ids, want_ids)
+    assert_same_bits(pixels, want_pixels)
+    return len(ids)
+
+
+class TestFrustumCull:
+    """Rooms of ``CULL_MIN_POINTS`` or more points project, per pose draw,
+    only the points of the grid cells whose spheres meet the frustum."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            pytest.param({"n_points": scenegen.CULL_MIN_POINTS, "seed": 5}, id="at-threshold"),
+            pytest.param({"n_points": 20000, "n_planes": 8, "seed": 2}, id="panels"),
+            pytest.param({"n_points": 6000, "free_space_fraction": 1.0, "seed": 3}, id="free"),
+            pytest.param({"n_points": 6000, "n_planes": 0, "seed": 4}, id="no-planes"),
+            pytest.param({"n_points": 8000, "half_extent": 3.0, "seed": 6}, id="small-room"),
+        ],
+    )
+    def test_accepted_views_equal_a_whole_scene_projection(self, monkeypatch, kw):
+        kept = []
+        ids_in_view = scenegen._CellGrid.ids_in_view
+
+        def spy(grid, pose):
+            near = ids_in_view(grid, pose)
+            kept.append(len(near))
+            return near
+
+        monkeypatch.setattr(scenegen._CellGrid, "ids_in_view", spy)
+        cfg = DatasetConfig(n_images=12, **kw)
+        scene = gen_scene(cfg)
+        views = gen_trajectory(scene, cfg)
+        assert len(views) == 12 and len(kept) >= 12
+        # every draw was culled: a view keeps about 12% of these rooms, and sees 4-7%
+        assert max(kept) < 0.25 * len(scene.points)
+        for pose, ids, pixels in views.values():
+            want_ids, want_pixels = whole_scene_rows(scene.points, pose)
+            assert_same_bits(ids, want_ids)
+            assert_same_bits(pixels, want_pixels)
+
+    def test_rooms_below_the_threshold_project_every_point(self, monkeypatch):
+        rows = []
+        in_frame = scenegen._in_frame
+
+        def spy(intr, cam, width, height):
+            rows.append(len(cam))
+            return in_frame(intr, cam, width, height)
+
+        monkeypatch.setattr(scenegen, "_in_frame", spy)
+        cfg = DatasetConfig(n_points=scenegen.CULL_MIN_POINTS - 1, n_images=6)
+        gen_trajectory(gen_scene(cfg), cfg)
+        assert len(rows) >= 6 and set(rows) == {cfg.n_points}
+
+    def test_no_grid_for_few_or_non_finite_points(self):
+        n = scenegen.CULL_MIN_POINTS
+        points = np.random.default_rng(0).uniform(-5, 5, size=(n, 3))
+        assert scenegen._CellGrid.over(points[:-1]) is None
+        assert scenegen._CellGrid.over(points) is not None
+        for bad in (np.nan, np.inf, -np.inf):
+            points[7, 1] = bad
+            assert scenegen._CellGrid.over(points) is None
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def rotation_taking(a, b, rng):
+    """A rotation taking the unit vector ``a`` to ``b`` (up to rounding),
+    turned by a random angle about ``b``."""
+
+    def basis(v, helper):
+        e2 = helper - (helper @ v) * v
+        e2 /= np.linalg.norm(e2)
+        return np.column_stack([v, e2, np.cross(v, e2)])
+
+    return basis(b, rng.normal(size=3)) @ basis(a, rng.normal(size=3)).T
+
+
+def axis_rotations():
+    """The 24 rotations that map the axes onto the axes."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            R = np.zeros((3, 3))
+            R[perm, range(3)] = signs
+            if np.linalg.det(R) > 0:
+                out.append(R)
+    return out
+
+
+class TestCullStress:
+    """The cull against a projection of every point, on poses chosen to
+    stress it: cameras inside cells and on cell boundaries, views along an
+    axis, points on cell boundaries, and image edges that touch a cell's
+    sphere from outside exactly at the cell's corner."""
+
+    @pytest.fixture(scope="class")
+    def room(self):
+        """Points of the box [-5, 5]^3, whose grid cells are unit cubes (at
+        10 cells per axis): every cell corner, points on cell faces, and
+        points anywhere; with the grid over them."""
+        rng = np.random.default_rng(11)
+        ticks = np.linspace(-5.0, 5.0, scenegen.CULL_CELLS + 1)  # every cell boundary
+        corners = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), -1).reshape(-1, 3)
+        faces = rng.uniform(-5, 5, size=(3000, 3))
+        faces[np.arange(3000), rng.integers(3, size=3000)] = rng.choice(ticks, 3000)
+        anywhere = rng.uniform(-5, 5, size=(3000, 3))
+        points = np.concatenate([corners, faces, anywhere])
+        grid = scenegen._CellGrid.over(points)
+        assert grid is not None and grid.radius == pytest.approx(np.sqrt(3) / 2)
+        return points, grid, corners
+
+    def test_random_poses(self, room):
+        points, grid, _ = room
+        rng = np.random.default_rng(1)
+        seen = 0
+        for _ in range(300):
+            pose = PoseSE3(random_rotation(rng), rng.uniform(-7, 7, size=3))
+            seen += assert_cull_matches_whole(points, grid, pose)
+        assert seen > 10000
+
+    def test_cameras_inside_cells_and_on_their_boundaries(self, room):
+        points, grid, corners = room
+        rng = np.random.default_rng(2)
+        cells = rng.integers(-5, 5, size=(150, 3)).astype(float)
+        positions = np.concatenate(
+            [
+                cells + 0.5,  # cell centers
+                cells + rng.uniform(0, 1, size=(150, 3)),  # anywhere in a cell
+                cells,  # cell corners, which are points of the room
+                cells + [0.0, 0.5, 0.5],  # face centers
+            ]
+        )
+        seen = 0
+        for position in positions:
+            pose = PoseSE3(random_rotation(rng), position)
+            seen += assert_cull_matches_whole(points, grid, pose)
+        assert seen > 10000
+
+    def test_views_along_an_axis(self, room):
+        points, grid, _ = room
+        positions = [
+            [0.0, 0.0, 0.0],
+            [0.5, 0.5, 0.5],
+            [1.0, -2.0, 0.5],
+            [-3.0, 4.0, -4.0],
+            [2.25, 0.0, -1.0],
+            [0.0, 0.0, -6.0],
+        ]
+        seen = 0
+        for R in axis_rotations():
+            for position in positions:
+                seen += assert_cull_matches_whole(points, grid, PoseSE3(R, position))
+        assert seen > 10000
+
+    def test_image_edges_touching_a_cell_sphere_at_its_corner(self, room):
+        # Each pose puts a cell corner q on one image edge, its plane's
+        # inward normal pointing from the corner's cell center to q: the
+        # sphere lies outside that plane and touches it at q. Whether q lands
+        # in the frame is then decided by rounding, and in about half the
+        # cases it does; the margin must keep its cell whenever it does.
+        points, grid, corners = room
+        intr, w, h = scenegen.INTRINSICS, scenegen.WIDTH, scenegen.HEIGHT
+        rng = np.random.default_rng(3)
+        ids = rng.choice(len(corners), size=400)  # corners are the room's first rows
+        on_edge = 0
+        for k, point_id in enumerate(ids):
+            q = points[point_id]
+            center = grid.centers[:, grid.cell[point_id]]
+            normal = (q - center) / np.linalg.norm(q - center)
+            plane = k % 4
+            z = rng.uniform(0.5, 6.0)
+            # q in the camera frame: on the edge of `plane`, mid-way along it
+            q_cam = [
+                [-intr.cx * z / intr.f, 0.0, z],
+                [(w - 1 - intr.cx) * z / intr.f, 0.0, z],
+                [0.0, -intr.cy * z / intr.f, z],
+                [0.0, (h - 1 - intr.cy) * z / intr.f, z],
+            ][plane]
+            R = rotation_taking(scenegen.FRUSTUM_NORMALS[plane], normal, rng)
+            pose = PoseSE3(R, q - R @ q_cam)
+            assert_cull_matches_whole(points, grid, pose)
+            on_edge += point_id in whole_scene_rows(points, pose)[0]
+        assert 40 < on_edge < 360
+
+    def test_flat_and_single_point_rooms(self):
+        rng = np.random.default_rng(4)
+        n = scenegen.CULL_MIN_POINTS
+        flat = rng.uniform(-5, 5, size=(n, 3))
+        flat[:, 2] = 1.5  # one layer of cells along z
+        same = np.tile([2.0, 1.0, 0.5], (n, 1))
+        for points in (flat, same):
+            grid = scenegen._CellGrid.over(points)
+            for _ in range(100):
+                pose = PoseSE3(random_rotation(rng), rng.uniform(-3, 3, size=3))
+                assert_cull_matches_whole(points, grid, pose)
+            # looking straight at the layer or the point from 2 units away
+            R = np.diag([1.0, -1.0, -1.0])
+            target = points[0] if points is same else np.array([0.0, 0.0, 1.5])
+            seen = assert_cull_matches_whole(points, grid, PoseSE3(R, target + [0, 0, 2.0]))
+            assert seen > 0
+
+
 def pose_outcome(look_pose, position, forward):
     """The pose's bytes, or the type and text of what it raised."""
     try:
@@ -798,11 +1017,16 @@ PINNED_ROOMS = [
         {"n_planes": 8, "render_images": True, "n_images": 12},
         "abb21c335c8b756f8299a6ed0c15c2a4453d4f452bd989d760b01d74bd5457e4",
     ),
+    # above CULL_MIN_POINTS: each pose draw projects only the cells in view
+    (
+        {"n_points": 60000, "n_images": 8},
+        "d69393a4fb034fa7def3ada344acfc9d3adcf86217e2a42d821c8c87877edceb",
+    ),
 ]
 PINNED_DATASETS = pytest.mark.parametrize(
     "kw, digest",
     PINNED_ROOMS,
-    ids=["default", "pixel-noise", "rendered", "photo-rendered", "panels-rendered"],
+    ids=["default", "pixel-noise", "rendered", "photo-rendered", "panels-rendered", "dense"],
 )
 
 
