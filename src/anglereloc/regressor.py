@@ -7,7 +7,9 @@ coordinates through a small tanh network, and ``FreeTable`` gives every
 each loss from any appearance coupling. Training is plain Adam with the
 fixed betas ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` (only the
 learning rate is set), one image per iteration, fully deterministic given
-the config seed.
+the config seed. ``adam_step`` uses Kingma & Ba's efficient form: both
+bias corrections fold into a per-step learning rate and epsilon, so each
+element costs one divide and one sqrt.
 
 Each model's parameters are a few contiguous float64 arrays (one flat
 vector for ``PatchMLP``, views of the coordinate table cut between images
@@ -415,8 +417,8 @@ MODEL_KINDS = {
 # ---------------------------------------------------------------------------
 
 
-# elements per pass of adam_step: a block of each of p, g, m, v and the two
-# scratch buffers (6 x 128 KiB) stay in cache across the pass's operations
+# elements per pass of adam_step: a block of each of p, g, m, v and the
+# scratch buffer (5 x 128 KiB) stay in cache across the pass's operations
 ADAM_BLOCK = 16384
 # Adam's moment decay rates and the term that keeps its denominator positive
 ADAM_BETA1 = 0.9
@@ -463,16 +465,21 @@ def _all_positive_zero(a):
 def adam_step(state: AdamState, params, grads):
     """One Adam update of ``params`` and the state's moments, in place.
 
+    The update is Kingma & Ba's efficient form of Algorithm 1: both bias
+    corrections ``bc1 = 1 - b1^t`` and ``bc2 = 1 - b2^t`` fold into the
+    per-step scalars ``lr_t = lr sqrt(bc2) / bc1`` and
+    ``eps_t = eps sqrt(bc2)``, which equals ``lr m_hat / (sqrt(v_hat) + eps)``
+    in real arithmetic and costs one divide and one sqrt per element, where
+    dividing ``m`` and ``v`` by their corrections first costs three divides.
     Every element goes through the operations of
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
-    ``p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that order, with
-    ``b1``, ``b2`` and ``eps`` the constants ``ADAM_BETA1``, ``ADAM_BETA2``
-    and ``ADAM_EPS``, so the results equal those of the allocating form bit
-    for bit. Each array is swept in blocks of ``ADAM_BLOCK`` elements,
-    through two scratch buffers kept in ``state.work``, so one element makes
-    one trip from memory. Parameters and moments must be C-contiguous
-    float64 arrays. Non-finite gradients propagate into the moments and
-    parameters.
+    ``p = p - (m / (sqrt(v) + eps_t)) lr_t`` in that order, with ``b1``,
+    ``b2`` and ``eps`` the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``, so the results equal those of the allocating form bit for
+    bit. Each array is swept in blocks of ``ADAM_BLOCK`` elements, through
+    one scratch buffer kept in ``state.work``, so one element makes one trip
+    from memory. Parameters and moments must be C-contiguous float64 arrays.
+    Non-finite gradients propagate into the moments and parameters.
 
     A gradient of ``None`` stands for an all +0.0 array of its parameter's
     shape, and gives the same bits without building it: with ``g = +0.0``
@@ -482,28 +489,31 @@ def adam_step(state: AdamState, params, grads):
 
     An array whose moments are all +0.0 (``state.zero``) and whose gradient
     is all zero, signed zeros included, is skipped: its moments would stay
-    +0.0 and its update would be exactly ``p - 0.0``. That holds for
-    ``0 < lr < inf``; at any other learning rate every array is swept. Its
-    first nonzero gradient (NaN and +-inf included), or any other sweep,
-    clears the flag for good.
+    +0.0 and its update would be exactly ``p - 0.0``. That holds when
+    ``0 < lr`` and ``lr_t < inf`` (``lr_t`` may round to +0.0, which still
+    gives +0.0); at any other learning rate every array is swept. Its first
+    nonzero gradient (NaN and +-inf included), or any other sweep, clears
+    the flag for good.
     """
     if len(params) != len(grads) or any(
         g is not None and p.shape != g.shape for p, g in zip(params, grads)
     ):
         raise DimensionMismatchError("parameter/gradient shapes disagree")
-    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
+    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.lr
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
+    lr_t = lr * math.sqrt(bc2) / bc1
+    eps_t = ADAM_EPS * math.sqrt(bc2)
     if state.zero is None:
         state.zero = [
             _all_positive_zero(m) and _all_positive_zero(v) for m, v in zip(state.m, state.v)
         ]
-    skippable = 0.0 < lr < math.inf
+    skippable = 0.0 < lr and lr_t < math.inf
     block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
-    if state.work is None or state.work.shape[1] < block:
-        state.work = np.empty((2, block))
+    if state.work is None or state.work.size < block:
+        state.work = np.empty(block)
     for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         if state.zero[i]:
             if skippable and (g is None or not g.any()):
@@ -515,7 +525,7 @@ def adam_step(state: AdamState, params, grads):
         for start in range(0, p.size, ADAM_BLOCK):
             blk = slice(start, start + ADAM_BLOCK)
             pb, mb, vb = p[blk], m[blk], v[blk]
-            a, b = state.work[:, : pb.size]
+            a = state.work[: pb.size]
             np.multiply(mb, b1, out=mb)
             if g is None:
                 np.add(mb, 0.0, out=mb)  # the +0.0 terms of a +0.0 gradient
@@ -529,13 +539,11 @@ def adam_step(state: AdamState, params, grads):
                 np.multiply(gb, gb, out=a)
                 np.multiply(a, 1 - b2, out=a)
                 np.add(vb, a, out=vb)
-            np.divide(vb, bc2, out=a)
-            np.sqrt(a, out=a)
-            np.add(a, eps, out=a)  # sqrt(v_hat) + eps
-            np.divide(mb, bc1, out=b)
-            np.multiply(b, lr, out=b)
-            np.divide(b, a, out=b)
-            np.subtract(pb, b, out=pb)
+            np.sqrt(vb, out=a)
+            np.add(a, eps_t, out=a)
+            np.divide(mb, a, out=a)
+            np.multiply(a, lr_t, out=a)
+            np.subtract(pb, a, out=pb)
 
 
 # ---------------------------------------------------------------------------
@@ -739,11 +747,18 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     training views, and wall time.
     ``angle-multi`` and ``angle-photo`` draw their neighbor views from the
     train views only, so no held-out view's pose or pixels enter training.
+    A room without train views raises ``ConfigError``.
     ``angle-photo`` samples every train view's photometric target once,
     before the loop, and warns with ``PhotometricInactiveWarning`` when no
     photometric point was valid in the whole run.
     """
     mode = TrainMode(cfg.mode)
+    train_ids = list(dataset.train_ids)
+    if not train_ids:
+        raise ConfigError(
+            f"the room has no train views: all {len(dataset.observations)} views "
+            "are held out (test_every=1 holds out every view)"
+        )
     if model_kind == "patch_mlp":
         model = PatchMLP.init(network_sizes(cfg), seed=[cfg.seed, 12])
     elif model_kind == "free_table":
@@ -752,7 +767,6 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         raise ConfigError(f"model kind {model_kind!r} is not trainable")
     params = model.param_list()
     adam = AdamState.for_params(params, lr=cfg.lr)
-    train_ids = list(dataset.train_ids)
     intr, poses, observations = dataset.intrinsics, dataset.poses, dataset.observations
     order_rng = np.random.default_rng([cfg.seed, 11])
     image_order = order_rng.integers(0, len(train_ids), size=cfg.iterations)
@@ -876,8 +890,10 @@ def evaluate_coords(model, dataset, image_ids=None):
     """(median, mean) 3D error of predictions against ground truth over the
     observations of the given images (all images by default). A model with
     no prediction for one of them, such as a ``FreeTable`` for a held-out
-    view, raises ``IndexMismatchError``."""
+    view, raises ``IndexMismatchError``, as does an empty list of ids."""
     ids = list(image_ids) if image_ids is not None else sorted(dataset.observations)
+    if not ids:
+        raise IndexMismatchError("evaluate_coords needs at least one image id, got none")
     errs = []
     for image_id in ids:
         preds, _ = model.predict_image(dataset, image_id)
