@@ -6,10 +6,10 @@ coordinates through a small tanh network, and ``FreeTable`` gives every
 (image, point) observation its own free 3-vector, isolating the geometry of
 each loss from any appearance coupling. Training is plain Adam with the
 fixed betas ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` (only the
-learning rate is set), one image per iteration, fully deterministic given
-the config seed. ``adam_step`` uses Kingma & Ba's efficient form: both
-bias corrections fold into a per-step learning rate and epsilon, so each
-element costs one divide and one sqrt.
+learning rate is set, finite and > 0), one image per iteration, fully
+deterministic given the config seed. ``adam_step`` uses Kingma & Ba's
+efficient form: both bias corrections fold into a per-step learning rate
+and epsilon, so each element costs one divide and one sqrt.
 
 Each model's parameters are a few contiguous float64 arrays (one flat
 vector for ``PatchMLP``, views of the coordinate table cut between images
@@ -19,7 +19,7 @@ of images not drawn. A model's gradient list may hold ``None`` for an array
 the drawn image does not touch; ``adam_step`` reads it as an all +0.0
 gradient with the same bits and never builds that array. An array whose
 moments are still exactly zero and whose gradient is all zero is skipped,
-since its update is exactly zero.
+since its update is exactly zero at every learning rate Adam accepts.
 
 Non-finite losses or gradients are counted and applied as-is, never
 repaired: under the plain reprojection loss they are part of the behavior
@@ -28,7 +28,6 @@ under study.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -60,7 +59,7 @@ from anglereloc.losses import (  # ConfigError is re-exported here
     photometric_image_loss,
     reproj_terms,
 )
-from anglereloc.scenegen import DESCRIPTOR_DIM, ParseError, column_bounds, is_count
+from anglereloc.scenegen import DESCRIPTOR_DIM, column_bounds, is_count
 
 
 class PhotometricInactiveWarning(UserWarning):
@@ -397,19 +396,8 @@ class GtLookup:
     def param_list(self):
         return []
 
-    def state_dict(self):
-        return {"kind": self.kind}
 
-    @classmethod
-    def from_state(cls, state):
-        return cls()
-
-
-MODEL_KINDS = {
-    "patch_mlp": PatchMLP,
-    "free_table": FreeTable,
-    "gt_lookup": GtLookup,
-}
+MODEL_KINDS = {"patch_mlp": PatchMLP, "free_table": FreeTable}
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +475,23 @@ def adam_step(state: AdamState, params, grads):
     become ``b1 m + 0.0`` and ``b2 v + 0.0``. The add is kept: it turns
     -0.0 moments into +0.0, as the full form does.
 
-    An array whose moments are all +0.0 (``state.zero``) and whose gradient
-    is all zero, signed zeros included, is skipped: its moments would stay
-    +0.0 and its update would be exactly ``p - 0.0``. That holds when
-    ``0 < lr`` and ``lr_t < inf`` (``lr_t`` may round to +0.0, which still
-    gives +0.0); at any other learning rate every array is swept. Its first
-    nonzero gradient (NaN and +-inf included), or any other sweep, clears
-    the flag for good.
+    ``state.lr`` must be finite and > 0, as in ``TrainConfig``; any other
+    value raises ``ConfigError`` before anything changes. An array whose
+    moments are all +0.0 (``state.zero``) and whose gradient is all zero,
+    signed zeros included, is skipped: its moments would stay +0.0 and its
+    update would be ``p - lr_t * 0.0``, exactly ``p - 0.0`` since ``lr_t``
+    is finite and >= +0.0 at every such lr. From step 356 on ``bc1`` is
+    exactly 1, so ``lr_t <= lr``; before that ``lr_t`` stays finite even at
+    the largest finite lr. Its first nonzero gradient (NaN and +-inf
+    included), or any other sweep, clears the flag for good.
     """
     if len(params) != len(grads) or any(
         g is not None and p.shape != g.shape for p, g in zip(params, grads)
     ):
         raise DimensionMismatchError("parameter/gradient shapes disagree")
     b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.lr
+    if not 0.0 < lr < math.inf:
+        raise ConfigError(f"adam_step needs a learning rate finite and > 0, got {lr!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1**t
@@ -510,13 +502,12 @@ def adam_step(state: AdamState, params, grads):
         state.zero = [
             _all_positive_zero(m) and _all_positive_zero(v) for m, v in zip(state.m, state.v)
         ]
-    skippable = 0.0 < lr and lr_t < math.inf
     block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
     if state.work is None or state.work.size < block:
         state.work = np.empty(block)
     for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         if state.zero[i]:
-            if skippable and (g is None or not g.any()):
+            if g is None or not g.any():
                 continue
             state.zero[i] = False
         if g is not None:
@@ -569,17 +560,22 @@ def constant_depth_targets(
 # ---------------------------------------------------------------------------
 
 
+# angle-photo draws each train view's photometric neighbor from the other
+# train views within this many ids
+PHOTO_NEIGHBOR_MAX_OFFSET = 10
+
+
 @dataclass
 class TrainConfig:
-    """Training settings. Every loss weight and guard lives in ``loss``,
-    validated when that ``LossConfig`` is built. Values that would break a
-    run or silently change it raise ``ConfigError`` naming the field: the
-    counts (``seed``, ``iterations``, ``checkpoint_every``,
-    ``photo_neighbor_max_offset``) must be integers, not bools or floats,
-    ``checkpoint_every`` 0 records only the end,
-    ``photo_neighbor_max_offset`` must leave each view a neighbor id,
-    ``lr_halving_fractions`` must be a tuple of numbers in [0, 1], not bools,
-    and ``hidden_sizes`` a tuple of integers > 0, not bools or floats.
+    """Training settings. Every loss weight and guard lives in ``loss``, a
+    ``LossConfig``. A value that would break a run or silently change it
+    raises ``ConfigError`` naming the field; no number may be a bool.
+    ``mode`` is a ``TrainMode`` value string, not the member; the counts
+    (``seed``, ``iterations``, ``checkpoint_every``) are integers, and
+    ``checkpoint_every`` 0 records only the end; ``lr`` and ``const_depth``
+    (checked in every mode) are finite and > 0; ``lr_halving_fractions`` is
+    a tuple of numbers in [0, 1] and ``hidden_sizes`` one of integers > 0.
+    ``angle-photo``'s neighbor reach is ``PHOTO_NEIGHBOR_MAX_OFFSET``.
     A ``PatchMLP`` has the layer sizes ``network_sizes(cfg)``."""
 
     mode: str = TrainMode.ANGLE.value
@@ -592,15 +588,22 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 500
     hidden_sizes: tuple = (64, 64)
-    photo_neighbor_max_offset: int = 10
 
     def __post_init__(self):
+        modes = [m.value for m in TrainMode]
         # written so that NaN fails every rule
         for name, ok, rule in (
+            ("mode", isinstance(self.mode, str) and self.mode in modes, f"one of {modes}"),
+            ("loss", isinstance(self.loss, LossConfig), "a LossConfig"),
             ("seed", is_count(self.seed, 0), "an integer >= 0"),
             ("iterations", is_count(self.iterations, 1), "an integer > 0"),
-            ("lr", 0 < self.lr < math.inf, "finite and > 0"),
-            ("init_fraction", 0 <= self.init_fraction <= 1, "in [0, 1]"),
+            ("lr", _is_real(self.lr) and 0 < self.lr < math.inf, "finite and > 0"),
+            (
+                "const_depth",
+                _is_real(self.const_depth) and 0 < self.const_depth < math.inf,
+                "finite and > 0",
+            ),
+            ("init_fraction", _is_fraction(self.init_fraction), "in [0, 1]"),
             ("checkpoint_every", is_count(self.checkpoint_every, 0), "an integer >= 0"),
             (
                 "hidden_sizes",
@@ -614,22 +617,19 @@ class TrainConfig:
                 and all(_is_fraction(f) for f in self.lr_halving_fractions),
                 "a tuple of numbers in [0, 1]",
             ),
-            (
-                "photo_neighbor_max_offset",
-                is_count(self.photo_neighbor_max_offset, 1),
-                "an integer > 0",
-            ),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        if self.mode == TrainMode.CONST_DEPTH_REPROJ.value and not self.const_depth > 0:
-            raise ConfigError("const_depth must be positive for the init mode")
-        TrainMode(self.mode)  # validates the mode string
+
+
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool, NaN included."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_fraction(value) -> bool:
     """True for a real number in [0, 1] that is not a bool; False for NaN."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value <= 1
+    return _is_real(value) and 0 <= value <= 1
 
 
 def network_sizes(cfg: TrainConfig) -> tuple:
@@ -651,8 +651,6 @@ class TrainRecord:
 class TrainLog:
     records: list = field(default_factory=list)
 
-    CSV_COLUMNS = ("iter", "loss", "behind_frac", "nonfinite_events", "median_err", "seconds")
-
     def append(self, rec: TrainRecord):
         if self.records and rec.iteration <= self.records[-1].iteration:
             raise ValueError("iteration numbers must increase")
@@ -662,52 +660,6 @@ class TrainLog:
     def final(self) -> TrainRecord:
         return self.records[-1]
 
-    def to_csv(self, path):
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.CSV_COLUMNS)
-            for r in self.records:
-                w.writerow(
-                    [
-                        r.iteration,
-                        repr(float(r.loss)),
-                        repr(float(r.behind_frac)),
-                        r.nonfinite_events,
-                        repr(float(r.median_err)),
-                        f"{r.seconds:.3f}",
-                    ]
-                )
-
-    @classmethod
-    def from_csv(cls, path):
-        """Inverse of ``to_csv``. Raises ``ParseError`` naming ``path`` for an
-        unreadable file or a missing column, and also the line for a bad
-        number or a non-increasing iteration."""
-        log = cls()
-        try:
-            text = Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read file ({exc})", path=path) from exc
-        reader = csv.DictReader(text.splitlines())
-        missing = [c for c in cls.CSV_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ParseError(f"missing columns {missing}", path=path, line=1)
-        for row in reader:
-            try:
-                log.append(
-                    TrainRecord(
-                        int(row["iter"]),
-                        float(row["loss"]),
-                        float(row["behind_frac"]),
-                        int(row["nonfinite_events"]),
-                        float(row["median_err"]),
-                        float(row["seconds"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(str(exc), path=path, line=reader.line_num) from exc
-        return log
-
 
 def lr_at(cfg: TrainConfig, iteration: int) -> float:
     """Piecewise-constant schedule: halve at each configured fraction."""
@@ -716,9 +668,10 @@ def lr_at(cfg: TrainConfig, iteration: int) -> float:
     return cfg.lr * (0.5**halvings)
 
 
-def _photo_setup(dataset, train_ids, max_offset):
+def _photo_setup(dataset, train_ids):
     """Each train view's photometric target and its neighbor candidates: the
-    other train views within ``max_offset`` ids, in ``train_ids`` order.
+    other train views within ``PHOTO_NEIGHBOR_MAX_OFFSET`` ids, in
+    ``train_ids`` order.
     Raises ``ConfigError`` naming the first train view without a render."""
     missing = [i for i in train_ids if i not in dataset.images]
     if missing:
@@ -729,7 +682,7 @@ def _photo_setup(dataset, train_ids, max_offset):
     targets, neighbors = {}, {}
     for i in train_ids:
         targets[i] = photo_target(dataset.observations[i], dataset.images[i].data)
-        neighbors[i] = [j for j in train_ids if j != i and abs(j - i) <= max_offset]
+        neighbors[i] = [j for j in train_ids if j != i and abs(j - i) <= PHOTO_NEIGHBOR_MAX_OFFSET]
     return targets, neighbors
 
 
@@ -778,7 +731,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         else None
     )
     photo_targets, photo_neighbors = (
-        _photo_setup(dataset, train_ids, cfg.photo_neighbor_max_offset)
+        _photo_setup(dataset, train_ids)
         if mode is TrainMode.ANGLE_PHOTO
         else ({}, {})
     )
@@ -888,12 +841,16 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
 
 def evaluate_coords(model, dataset, image_ids=None):
     """(median, mean) 3D error of predictions against ground truth over the
-    observations of the given images (all images by default). A model with
-    no prediction for one of them, such as a ``FreeTable`` for a held-out
-    view, raises ``IndexMismatchError``, as does an empty list of ids."""
+    observations of the given images (all images by default). An empty
+    list of ids, an id the dataset lacks (the first one is named, whatever
+    the model) and a model with no prediction for one of them, such as a
+    ``FreeTable`` for a held-out view, raise ``IndexMismatchError``."""
     ids = list(image_ids) if image_ids is not None else sorted(dataset.observations)
     if not ids:
         raise IndexMismatchError("evaluate_coords needs at least one image id, got none")
+    missing = [i for i in ids if i not in dataset.observations]
+    if missing:
+        raise IndexMismatchError(f"evaluate_coords: the dataset has no image {missing[0]}")
     errs = []
     for image_id in ids:
         preds, _ = model.predict_image(dataset, image_id)
@@ -907,7 +864,7 @@ def evaluate_coords(model, dataset, image_ids=None):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(path, model, cfg: TrainConfig):

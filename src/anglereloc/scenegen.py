@@ -13,11 +13,13 @@ the plain reprojection loss cannot escape.
 One ``DatasetConfig`` sets every value of a room that the tests and the
 benchmark's workloads vary; ``gen_scene``, ``gen_trajectory`` and ``observe``
 read it and take no settings of their own. What no caller varies is a
-module constant, the same for every room: the camera (``INTRINSICS``, an
-80 x 60 image of ``WIDTH`` x ``HEIGHT`` pixels at focal length 40), the
-orbit (``ORBIT_RADIUS`` and its ``RADIUS_JITTER``, ``HEIGHT_JITTER``,
-``YAW_JITTER_DEG`` and ``PITCH_JITTER_DEG``), the descriptor width
-(``DESCRIPTOR_DIM``), and the free-space and pose-draw limits.
+module constant, the same for every room, read where it is used and never
+passed: the camera (``INTRINSICS``, an 80 x 60 image of ``WIDTH`` x
+``HEIGHT`` pixels at focal length 40, which ``_in_frame`` projects into and
+``render_image`` renders), the orbit (``ORBIT_RADIUS`` and its
+``RADIUS_JITTER``, ``HEIGHT_JITTER``, ``YAW_JITTER_DEG`` and
+``PITCH_JITTER_DEG``), the descriptor width (``DESCRIPTOR_DIM``), and the
+free-space and pose-draw limits.
 ``build_dataset`` runs them in turn: ``gen_trajectory`` projects the
 scene's points in view once per pose it draws (see frustum culling below),
 and hands the accepted pose's in-frame point ids and pixels to ``observe``,
@@ -103,17 +105,11 @@ class InfeasibleViewpointError(Exception):
 
 
 class ParseError(Exception):
-    """A file that cannot be read as what it should hold, with its path and,
-    where known, the line."""
+    """A file that cannot be read as what it should hold, with its path."""
 
-    def __init__(self, message, path=None, line=None):
-        ctx = ""
-        if path is not None:
-            ctx += f" in {path}"
-        if line is not None:
-            ctx += f" at line {line}"
-        super().__init__(message + ctx)
-        self.path, self.line = path, line
+    def __init__(self, message, path=None):
+        super().__init__(message if path is None else f"{message} in {path}")
+        self.path = path
 
 
 SCHEMA_VERSION = 3
@@ -513,15 +509,17 @@ def _look_pose(position, forward):
     return PoseSE3(nearest_rotation(R), position)
 
 
-def _in_frame(intr, cam, width, height):
+def _in_frame(cam):
     """Rows of the camera-frame points ``cam`` that lie in front of the
-    camera and project inside the ``width`` x ``height`` image, ascending,
-    with their (M, 2) pixels. Only the rows in front are projected."""
+    camera and project inside the ``WIDTH`` x ``HEIGHT`` image of
+    ``INTRINSICS``, ascending, with their (M, 2) pixels. Only the rows in
+    front are projected."""
+    intr = INTRINSICS
     front = np.flatnonzero(cam[:, 2] > 0)
     d = cam.take(front, axis=0)
     x = intr.f * d[:, 0] / d[:, 2] + intr.cx
     y = intr.f * d[:, 1] / d[:, 2] + intr.cy
-    inside = (x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1)
+    inside = (x >= 0) & (x <= WIDTH - 1) & (y >= 0) & (y <= HEIGHT - 1)
     return front[inside], np.column_stack([x[inside], y[inside]])
 
 
@@ -600,11 +598,9 @@ def _in_view(points, grid, pose):
     their (M, 2) pixels: one ``_in_frame`` call, on the points of the cells
     that ``grid`` keeps, or on all points when ``grid`` is None."""
     if grid is None:
-        return _in_frame(INTRINSICS, pose.world_to_camera(points), WIDTH, HEIGHT)
+        return _in_frame(pose.world_to_camera(points))
     near = grid.ids_in_view(pose)
-    rows, pixels = _in_frame(
-        INTRINSICS, pose.world_to_camera(points.take(near, axis=0)), WIDTH, HEIGHT
-    )
+    rows, pixels = _in_frame(pose.world_to_camera(points.take(near, axis=0)))
     return near[rows], pixels
 
 
@@ -833,21 +829,16 @@ def render_rays(scene: SyntheticScene, origin, dirs):
     return shade
 
 
-def render_image(
-    scene: SyntheticScene,
-    pose: PoseSE3,
-    intr: CameraIntrinsics,
-    width: int,
-    height: int,
-) -> Image:
-    """Lambertian render: per pixel, intersect the view ray with the nearest
-    plane and evaluate its texture there. View-independent by construction.
+def render_image(scene: SyntheticScene, pose: PoseSE3) -> Image:
+    """Lambertian render of the ``WIDTH`` x ``HEIGHT`` image of
+    ``INTRINSICS``: per pixel, intersect the view ray with the nearest plane
+    and evaluate its texture there. View-independent by construction.
     Intensities are quantized to 16-bit steps."""
-    ys, xs = np.mgrid[0:height, 0:width]
+    ys, xs = np.mgrid[0:HEIGHT, 0:WIDTH]
     pixels = np.column_stack([xs.ravel(), ys.ravel()])
-    dirs = ray_vectors(intr, pixels) @ pose.rotation.T
+    dirs = ray_vectors(INTRINSICS, pixels) @ pose.rotation.T
     shade = render_rays(scene, pose.translation, dirs)
-    data = np.round(shade.reshape(height, width) * 65535.0) / 65535.0
+    data = np.round(shade.reshape(HEIGHT, WIDTH) * 65535.0) / 65535.0
     return Image(data)
 
 
@@ -912,7 +903,7 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
     images = {}
     if cfg.render_images:
         for image_id, pose in poses.items():
-            images[image_id] = render_image(scene, pose, INTRINSICS, WIDTH, HEIGHT)
+            images[image_id] = render_image(scene, pose)
     test_ids = [i for i in poses if cfg.test_every and (i % cfg.test_every == cfg.test_every - 1)]
     train_ids = [i for i in poses if i not in test_ids]
     return Dataset(

@@ -23,8 +23,7 @@ from anglereloc.regressor import (
     PatchMLP,
     PhotometricInactiveWarning,
     TrainConfig,
-    TrainLog,
-    TrainRecord,
+    TrainMode,
     adam_step,
     evaluate_coords,
     load_checkpoint,
@@ -33,7 +32,7 @@ from anglereloc.regressor import (
     save_checkpoint,
     train,
 )
-from anglereloc.scenegen import DatasetConfig, ParseError, build_dataset
+from anglereloc.scenegen import DatasetConfig, build_dataset
 
 
 @pytest.fixture(scope="module")
@@ -279,27 +278,19 @@ class TestAdamZeroSkip:
         assert not np.signbit(state.m[0][5]).any() and not np.signbit(state.v[1][9, 2])
 
     @pytest.mark.parametrize(
-        "hyper",
-        [
-            dict(lr=-0.0),  # -0.0 * m_hat turns p = -0.0 into +0.0
-            dict(lr=0.0),
-            dict(lr=np.inf),  # inf * 0 is NaN
-            dict(lr=-0.05),  # -lr * 0.0 is -0.0, and -0.0 - -0.0 is +0.0
-            dict(lr=-np.inf),
-        ],
-        ids=["lr=-0.0", "lr=0.0", "lr=inf", "lr=-0.05", "lr=-inf"],
+        "lr", [0.0, -0.0, -0.05, math.inf, -math.inf, math.nan], ids=lambda lr: f"lr={lr}"
     )
-    def test_hyperparameters_outside_the_exact_range_sweep_every_array(self, hyper):
-        params = self.params()[:1]
-        mine, ref = [p.copy() for p in params], [p.copy() for p in params]
-        state, ref_state = (AdamState.for_params(ps, **hyper) for ps in (mine, ref))
-        grads = [np.full((40, 3), -0.0)]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            adam_step(state, mine, grads)
-            ref = reference_adam_step(ref_state, ref, grads)
-        assert_bit_equal(mine, ref)
-        assert_bit_equal(state.m, ref_state.m)
-        assert_bit_equal(state.v, ref_state.v)
+    def test_learning_rates_outside_the_accepted_range_raise(self, lr):
+        params = self.params()[:2]
+        start = [p.copy() for p in params]
+        state = AdamState.for_params(params, lr=lr)
+        for grads in ([np.full((40, 3), -0.0), None], [np.ones((40, 3)), np.zeros((40, 3))]):
+            with pytest.raises(ConfigError, match="^adam_step needs a learning rate finite"):
+                adam_step(state, params, grads)
+        # refused before anything changed
+        assert state.step == 0 and state.zero is None
+        assert_bit_equal(params, start)
+        assert not any(a.any() for a in state.m + state.v)
 
     @pytest.mark.parametrize(
         "lr, step",
@@ -328,23 +319,18 @@ class TestAdamZeroSkip:
         assert_bit_equal(state.m, ref_state.m)
         assert_bit_equal(state.v, ref_state.v)
 
-    def test_an_infinite_folded_learning_rate_sweeps(self, monkeypatch):
-        # with the betas swapped, sqrt(bc2) / bc1 is about 316 at t = 1, so
-        # lr_t overflows though lr is finite: inf * 0.0 is NaN, not +0.0
-        monkeypatch.setattr(regressor, "ADAM_BETA1", ADAM_BETA2)
-        monkeypatch.setattr(regressor, "ADAM_BETA2", ADAM_BETA1)
-        params = self.params()[:1]
-        mine, ref = [p.copy() for p in params], [p.copy() for p in params]
-        state, ref_state = (AdamState.for_params(ps, lr=1e308) for ps in (mine, ref))
-        grads = [np.zeros((40, 3))]
-        with np.errstate(invalid="ignore"):
-            adam_step(state, mine, grads)
-            ref = reference_adam_step(ref_state, ref, grads)
-        assert state.zero == [False]
-        assert np.isnan(mine[0]).all()
-        assert_bit_equal(mine, ref)
-        assert_bit_equal(state.m, ref_state.m)
-        assert_bit_equal(state.v, ref_state.v)
+    def test_folded_learning_rate_is_finite_at_the_largest_lr(self):
+        # adam_step's own Python-float arithmetic: finite at the largest
+        # finite lr is finite at every smaller one, since rounding is monotone
+        lr = 1.7976931348623157e308
+        for t in range(1, 401):
+            bc1 = 1.0 - ADAM_BETA1**t
+            bc2 = 1.0 - ADAM_BETA2**t
+            lr_t = lr * math.sqrt(bc2) / bc1
+            assert 0.0 < lr_t <= lr < math.inf
+            assert (bc1 == 1.0) == (t >= 356)
+        # from step 356 on bc1 is exactly 1, so lr_t = lr sqrt(bc2) <= lr
+        assert 1.0 - ADAM_BETA1**356 == 1.0
 
 
 class TestAdamFoldedForm:
@@ -464,28 +450,6 @@ class TestAdamNoneGradient:
         assert state.zero == [False, True]
         assert params[1].tobytes() == start[1].tobytes()
 
-    @pytest.mark.parametrize(
-        "hyper",
-        [
-            dict(lr=-0.0),
-            dict(lr=0.0),
-            dict(lr=np.inf),
-            dict(lr=np.nan),
-            dict(lr=-0.05),
-            dict(lr=-np.inf),
-        ],
-        ids=["lr=-0.0", "lr=0.0", "lr=inf", "lr=nan", "lr=-0.05", "lr=-inf"],
-    )
-    @pytest.mark.parametrize("moments", ["fresh", "special"])
-    def test_hyperparameters_outside_the_skippable_ranges(self, hyper, moments):
-        def make_state(ps):
-            state = AdamState.for_params(ps, **hyper)
-            return self.special_moments(state) if moments == "special" else state
-
-        _, state = self.run(make_state)
-        # outside those ranges every array is swept from the first step
-        assert state.zero == [False, False]
-
 
 def test_lr_halves_at_each_boundary():
     cfg = TrainConfig(iterations=100, lr=0.08)
@@ -495,63 +459,6 @@ def test_lr_halves_at_each_boundary():
     assert [lr_at(long, t) for t in (11999, 12000, 15999, 16000, 17999, 18000)] == [
         1.0, 0.5, 0.5, 0.25, 0.25, 0.125,
     ]
-
-
-def test_train_log_csv_round_trip(tmp_path):
-    log = TrainLog()
-    log.append(TrainRecord(10, 0.1 + 0.2, 1 / 3, 0, 2.5e-17, 0.0123456))
-    log.append(TrainRecord(20, float("inf"), 1.0, 4, float("nan"), 1.9996))
-    log.append(TrainRecord(30, -0.0, 0.0, 4, 7.0, 12.0))
-    path = tmp_path / "log.csv"
-    log.to_csv(path)
-    back = TrainLog.from_csv(path)
-    assert len(back.records) == 3
-    for r, b in zip(log.records, back.records):
-        # every value exact, wall time to the millisecond
-        assert repr(astuple(b)[:-1]) == repr(astuple(r)[:-1])
-        assert b.seconds == float(f"{r.seconds:.3f}")
-    assert path.read_text().splitlines()[0] == ",".join(TrainLog.CSV_COLUMNS)
-
-
-class TestTrainLogFromCsv:
-    ROWS = [
-        "iter,loss,behind_frac,nonfinite_events,median_err,seconds",
-        "10,0.5,0.0,0,1.5,0.010",
-    ]
-
-    def _read(self, tmp_path, lines):
-        path = tmp_path / "log.csv"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as err:
-            TrainLog.from_csv(path)
-        assert str(path) in str(err.value)
-        return err.value
-
-    @pytest.mark.parametrize("data", [None, b"iter,loss\n\xff\xfe\n"])
-    def test_missing_or_undecodable_file(self, tmp_path, data):
-        path = tmp_path / "log.csv"
-        if data is not None:
-            path.write_bytes(data)
-        with pytest.raises(ParseError) as err:
-            TrainLog.from_csv(path)
-        assert str(path) in str(err.value)
-
-    def test_missing_column(self, tmp_path):
-        header = self.ROWS[0].replace(",median_err", "")
-        err = self._read(tmp_path, [header, "10,0.5,0.0,0,0.010"])
-        assert "median_err" in str(err) and err.line == 1
-
-    def test_bad_number(self, tmp_path):
-        err = self._read(tmp_path, self.ROWS + ["20,0.4,zero,0,1.4,0.020"])
-        assert "zero" in str(err) and err.line == 3
-
-    def test_short_row(self, tmp_path):
-        assert self._read(tmp_path, self.ROWS + ["20,0.4"]).line == 3
-
-    def test_non_increasing_iteration(self, tmp_path):
-        rows = ["20,0.4,0.0,0,1.4,0.020", "20,0.3,0.0,0,1.3,0.030"]
-        err = self._read(tmp_path, self.ROWS + rows)
-        assert "increase" in str(err) and err.line == 4
 
 
 class TestPatchMLP:
@@ -653,6 +560,22 @@ class TestEvaluateCoords:
     def test_ground_truth_lookup_gives_zero_error(self, room):
         assert evaluate_coords(GtLookup(), room) == (0.0, 0.0)
         assert evaluate_coords(GtLookup(), room, room.test_ids) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            lambda room: GtLookup(),
+            lambda room: FreeTable.init(room),
+            lambda room: PatchMLP.init((scenegen.DESCRIPTOR_DIM, 4, 3)),
+        ],
+        ids=["gt_lookup", "free_table", "patch_mlp"],
+    )
+    def test_image_the_dataset_lacks_raises_naming_it(self, room, model):
+        # GtLookup and PatchMLP raised a bare KeyError
+        ids = [room.train_ids[0], 99, 100]
+        with pytest.raises(losses.IndexMismatchError) as err:
+            evaluate_coords(model(room), room, ids)
+        assert str(err.value) == "evaluate_coords: the dataset has no image 99"
 
     def test_no_image_ids_raises(self, room):
         with pytest.raises(losses.IndexMismatchError, match="at least one image id"):
@@ -1035,8 +958,6 @@ class TestTrainConfig:
             ("init_fraction", -0.1),
             ("init_fraction", float("nan")),
             ("checkpoint_every", -1),  # evaluated and recorded at every iteration
-            ("photo_neighbor_max_offset", -1),  # no view had a neighbor
-            ("photo_neighbor_max_offset", 0),
             # a zero-width layer
             pytest.param("hidden_sizes", (0,), id="hidden_sizes-zero-width"),
             pytest.param("hidden_sizes", (8, -4), id="hidden_sizes-negative"),
@@ -1049,7 +970,6 @@ class TestTrainConfig:
             ("checkpoint_every", 2.5),  # recorded at [5, 10] of 12 iterations
             ("checkpoint_every", True),
             pytest.param("hidden_sizes", (True,), id="hidden_sizes-bool"),
-            ("photo_neighbor_max_offset", 2.5),  # behaved as 2
             # these three trained without ever halving the rate
             pytest.param("lr_halving_fractions", (math.nan,), id="lr_halving_fractions-nan"),
             pytest.param("lr_halving_fractions", (2.0,), id="lr_halving_fractions-2.0"),
@@ -1063,6 +983,21 @@ class TestTrainConfig:
             # a bare TypeError from iterating over the int
             pytest.param("hidden_sizes", 64, id="hidden_sizes-bare-64"),
             pytest.param("hidden_sizes", [64, 64], id="hidden_sizes-list"),
+            ("mode", "nope"),  # a bare ValueError from TrainMode
+            # accepted, and save_checkpoint failed: TrainMode is not JSON
+            pytest.param("mode", TrainMode.ANGLE, id="mode-member"),
+            ("lr", True),
+            ("lr", "0.1"),  # a bare TypeError from the comparison
+            ("init_fraction", True),
+            # accepted, and train failed reading loss.epsilon_norm
+            pytest.param("loss", {}, id="loss-dict"),
+            # const_depth is checked in every mode, not only const-depth-reproj
+            ("const_depth", 0.0),
+            ("const_depth", -1.0),
+            ("const_depth", math.inf),  # trained to NaN coordinates
+            ("const_depth", math.nan),
+            ("const_depth", "x"),
+            ("const_depth", True),
         ],
     )
     def test_bad_value_raises_config_error_naming_the_field(self, field, bad):
@@ -1070,7 +1005,11 @@ class TestTrainConfig:
             TrainConfig(**{field: bad})
 
     def test_limits_are_accepted(self):
-        TrainConfig(init_fraction=0.0, checkpoint_every=0, photo_neighbor_max_offset=1)
+        TrainConfig(init_fraction=0.0, checkpoint_every=0)
+        TrainConfig(const_depth=5e-324, lr=1.7976931348623157e308)
+        TrainConfig(const_depth=2, lr=1, init_fraction=np.float32(0.5))
+        for mode in TrainMode:
+            TrainConfig(mode=mode.value)
         TrainConfig(init_fraction=1.0, hidden_sizes=())
         TrainConfig(lr_halving_fractions=())
         TrainConfig(lr_halving_fractions=(0, 1, 0.0, 1.0, np.float32(0.5), np.int64(1)))
@@ -1133,7 +1072,7 @@ class TestCheckpoint:
         path = tmp_path / "table.json"
         save_checkpoint(path, table, cfg)
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 3
+        assert blob["schema_version"] == 4
         assert sorted(blob["model"]) == ["coords", "kind", "point_ids"]
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
@@ -1271,7 +1210,7 @@ class TestCheckpoint:
         path = tmp_path / "mlp.json"
         save_checkpoint(path, net, TrainConfig(mode="angle-multi", hidden_sizes=(8,)))
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 3
+        assert blob["schema_version"] == 4
         assert sorted(blob["model"]) == ["biases", "kind", "weights"]
         loaded, cfg = load_checkpoint(path)
         assert cfg.mode == "angle-multi" and cfg.hidden_sizes == (8,)
@@ -1289,7 +1228,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, PatchMLP.init(network_sizes(cfg)), cfg)
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 3
+        assert blob["schema_version"] == 4
         assert blob["train_config"]["loss"]["lambda_photo"] == 0.25
         _, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg and isinstance(loaded_cfg.loss, LossConfig)
@@ -1425,6 +1364,30 @@ class TestCheckpoint:
             with pytest.raises(ConfigError, match="unsupported checkpoint version 2") as err:
                 load_checkpoint(path)
             assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b.update(schema_version=3), "unsupported checkpoint version 3"),
+            # no migration: version 3's field is an unknown key at version 4
+            (
+                lambda b: b["train_config"].update(photo_neighbor_max_offset=10),
+                "train_config keys: unknown ['photo_neighbor_max_offset'], missing []",
+            ),
+        ],
+        ids=["version-3", "photo_neighbor_max_offset"],
+    )
+    def test_version_3_checkpoints_are_refused(self, tmp_path, edit, message):
+        path = self._write(tmp_path, edit)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_gt_lookup_model_kind_is_unknown(self, tmp_path):
+        path = self._write(tmp_path, lambda b: b.update(model={"kind": "gt_lookup"}))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: unknown model kind 'gt_lookup' in checkpoint"
 
     def test_constant_model_kind_is_unknown(self, tmp_path):
         path = self._write(

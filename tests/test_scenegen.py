@@ -295,7 +295,7 @@ class TestGenTrajectory:
 def whole_scene_rows(points, pose):
     """In-frame ids and pixels of a projection of every point."""
     cam = pose.world_to_camera(points)
-    return _in_frame(scenegen.INTRINSICS, cam, scenegen.WIDTH, scenegen.HEIGHT)
+    return _in_frame(cam)
 
 
 def assert_cull_matches_whole(points, grid, pose):
@@ -347,9 +347,9 @@ class TestFrustumCull:
         rows = []
         in_frame = scenegen._in_frame
 
-        def spy(intr, cam, width, height):
+        def spy(cam):
             rows.append(len(cam))
-            return in_frame(intr, cam, width, height)
+            return in_frame(cam)
 
         monkeypatch.setattr(scenegen, "_in_frame", spy)
         cfg = DatasetConfig(n_points=scenegen.CULL_MIN_POINTS - 1, n_images=6)
@@ -608,7 +608,7 @@ class TestObserve:
                         z * rng.uniform(-0.35, 0.35, 10000), z], axis=1)
         scene = SyntheticScene(pts, [], np.full(3, -10.0), np.full(3, 10.0), 20.0)
         cfg = DatasetConfig(seed=1, pixel_noise_sigma=1.0)
-        ids, clean = _in_frame(scenegen.INTRINSICS, pts, scenegen.WIDTH, scenegen.HEIGHT)
+        ids, clean = _in_frame(pts)
         assert len(ids) > 9000
         obs = observe(scene, cfg, 0, ids, clean)
         assert_same_bits(obs.point_ids, ids)
@@ -645,7 +645,7 @@ class TestObserveMatchesLoop:
         for seed in range(4):
             cfg = scene_cfg(seed, 400)
             scene = gen_scene(cfg)
-            rows = _in_frame(scenegen.INTRINSICS, pose.world_to_camera(scene.points), 80, 60)
+            rows = _in_frame(pose.world_to_camera(scene.points))
             assert_rows_match_oracle(rows, scene, pose)
             assert (len(rows[0]) > 0) == seen
 
@@ -655,12 +655,12 @@ class TestRender:
     def _setup():
         cfg = scene_cfg(5, 200, n_images=1, min_visible=5)
         scene = gen_scene(cfg)
-        return scene, gen_trajectory(scene, cfg)[0][0], scenegen.INTRINSICS
+        return scene, gen_trajectory(scene, cfg)[0][0]
 
     def test_same_pose_identical(self):
-        scene, pose, intr = self._setup()
-        a = render_image(scene, pose, intr, 80, 60)
-        b = render_image(scene, pose, intr, 80, 60)
+        scene, pose = self._setup()
+        a = render_image(scene, pose)
+        b = render_image(scene, pose)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_view_independence_at_surface_point(self):
@@ -682,8 +682,8 @@ class TestRender:
         assert shade[0] == 0.5
 
     def test_render_values_in_range(self):
-        scene, pose, intr = self._setup()
-        img = render_image(scene, pose, intr, 80, 60)
+        scene, pose = self._setup()
+        img = render_image(scene, pose)
         assert img.data.min() >= 0.0 and img.data.max() <= 1.0
         assert img.data.std() > 0.01  # actually textured
 
