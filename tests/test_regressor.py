@@ -450,6 +450,24 @@ class TestAdamNoneGradient:
         assert state.zero == [False, True]
         assert params[1].tobytes() == start[1].tobytes()
 
+    @pytest.mark.parametrize(
+        "lr", [-0.0, 0.0, math.inf, math.nan, -0.05, -math.inf], ids=lambda lr: f"lr={lr}"
+    )
+    @pytest.mark.parametrize("moments", ["fresh", "special"])
+    def test_learning_rates_outside_the_accepted_range_raise(self, lr, moments):
+        params, start = self.params(), self.params()
+        state = AdamState.for_params(params, lr=lr)
+        if moments == "special":
+            self.special_moments(state)
+        m0, v0 = [m.copy() for m in state.m], [v.copy() for v in state.v]
+        with pytest.raises(ConfigError, match="^adam_step needs a learning rate finite"):
+            adam_step(state, params, [None, None])
+        # refused before the sweep: no -0.0 moment turned +0.0, no flag set
+        assert state.step == 0 and state.zero is None
+        assert_bit_equal(params, start)
+        assert_bit_equal(state.m, m0)
+        assert_bit_equal(state.v, v0)
+
 
 def test_lr_halves_at_each_boundary():
     cfg = TrainConfig(iterations=100, lr=0.08)
