@@ -50,6 +50,7 @@ projection and one chain rule through it (``_project``, ``_project_grads``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -86,7 +87,9 @@ SSIM_C2 = 0.03**2
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Balance weights and guards shared by the composite losses."""
+    """Balance weights and guards shared by the composite losses. A value
+    that is not a real number, a bool included, or lies outside its range
+    raises ``ConfigError`` naming the field."""
 
     lambda_multiview: float = 60.0
     lambda_photo: float = 20.0
@@ -96,18 +99,33 @@ class LossConfig:
     def __post_init__(self):
         # written so that NaN fails every rule
         for name, ok, rule in (
-            ("lambda_multiview", 0 <= self.lambda_multiview < math.inf, "finite and >= 0"),
-            ("lambda_photo", 0 <= self.lambda_photo < math.inf, "finite and >= 0"),
-            ("alpha_ssim", 0 <= self.alpha_ssim <= 1, "in [0, 1]"),
+            (
+                "lambda_multiview",
+                _is_real(self.lambda_multiview) and 0 <= self.lambda_multiview < math.inf,
+                "finite and >= 0",
+            ),
+            (
+                "lambda_photo",
+                _is_real(self.lambda_photo) and 0 <= self.lambda_photo < math.inf,
+                "finite and >= 0",
+            ),
+            ("alpha_ssim", _is_real(self.alpha_ssim) and 0 <= self.alpha_ssim <= 1, "in [0, 1]"),
         ):
             if not ok:
                 raise ConfigError(
                     f"loss weights: {name} must be {rule}, got {getattr(self, name)!r}"
                 )
+        if not _is_real(self.epsilon_norm):
+            raise ConfigError(f"epsilon_norm must be a number, got {self.epsilon_norm!r}")
         if not self.epsilon_norm > 0:
             raise ConfigError("epsilon_norm must be positive")
         if not self.epsilon_norm < math.inf:
             raise ConfigError(f"epsilon_norm must be finite, got {self.epsilon_norm!r}")
+
+
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool, NaN included."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class LossReport(NamedTuple):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -51,6 +50,7 @@ from anglereloc.losses import (  # ConfigError is re-exported here
     IndexMismatchError,
     LossConfig,
     LossReport,
+    _is_real,
     _row_norms,
     angle_terms,
     build_multiview_index,
@@ -620,11 +620,6 @@ class TrainConfig:
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-
-def _is_real(value) -> bool:
-    """True for a real number that is not a bool, NaN included."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_fraction(value) -> bool:

@@ -55,12 +55,33 @@ faster in every pair from 5000 (27 against 66 ms at 60000 points).
 
 Rendering is Lambertian by construction: wall intensity is a pure function
 of the surface point, so two views of the same point agree exactly. A view
-casts one ray per pixel and keeps each ray's nearest plane hit; each plane
-computes its unnormalized normal, squared edge lengths and texture scale
-once, on first use, for every view. The texture is multi-octave value
-noise: per octave, the lattice hashes are computed once over the box of
-lattice cells the hits span and gathered per sample, so each lattice point
-is hashed once per call.
+casts one ray per pixel and keeps each ray's nearest plane hit. The
+camera-frame rays of every pixel are built once, on the first render, and
+each view rotates them. Each plane computes its unnormalized normal,
+squared edge lengths, corners, texture scale and texture tables once, on
+first use, for every view. The texture is multi-octave value noise blended
+between hashed lattice values. ``value_noise`` hashes, per octave, the box
+of lattice cells its samples span, once per call. A plane's ``shade``
+gathers from tables that span the plane's whole lattice, hashed on its first
+shade; they hold about 13.4 float64 per square unit of a plane (12.6 KB for
+a default 10 x 10 wall), so their memory grows with the plane's area.
+
+Render culling: ``render_image`` traces only the planes its view may see.
+A plane is dropped when its four corners all lie outside one of five
+half-spaces (``VIEW_HALF_SPACES``): the four of ``FRUSTUM_NORMALS`` and
+depth >= 0. They must lie outside by more than ``CULL_MARGIN`` times the
+largest coordinate magnitude in play, the corners' plus the camera's, as in
+the point cull above. Every pixel ray lies inside all five half-spaces, so
+in exact arithmetic no pixel ray meets a dropped rectangle. In floating
+point, the hit test accepts a ray only when its rounded (u, v) lie in
+[0, 1]^2; that names a point of the rectangle within a few ulps of that
+magnitude of a point on the ray. The rotated rays, the rotated normals and
+the cull's distances round by as much, about 10^5 times less than the
+margin. So no dropped plane would have had a hit, a plane without hits
+changes no pixel, and every render keeps its bits. The hit test's region is
+the rectangle only when the edges are perpendicular, so a plane whose edges
+are not (to 1e-12 of their lengths' product) has NaN corners and is never
+dropped. ``render_rays``, on arbitrary rays, tests every plane.
 
 Determinism: every random quantity is drawn from ``np.random.default_rng``
 seeded with an integer list ``[seed, stream, ...]``, so a room is a pure
@@ -88,7 +109,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +167,10 @@ YAW_JITTER_DEG = 8.0
 PITCH_JITTER_DEG = 14.0
 # length of each point's appearance descriptor
 DESCRIPTOR_DIM = 16
+# octaves of value noise, each at twice the frequency and TEXTURE_GAIN times
+# the amplitude of the last
+TEXTURE_OCTAVES = 3
+TEXTURE_GAIN = 0.5
 
 
 def column_bounds(rows):
@@ -252,7 +277,7 @@ def _hash01(ix, iy, seed):
     return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
-def value_noise(s, t, seed, octaves=3, gain=0.5):
+def value_noise(s, t, seed, octaves=TEXTURE_OCTAVES, gain=TEXTURE_GAIN):
     """Multi-octave value noise at coordinates (s, t), smoothstep-blended
     between hashed lattice values. Output roughly in [0, 1].
 
@@ -261,7 +286,9 @@ def value_noise(s, t, seed, octaves=3, gain=0.5):
     every sample gathers its four corners from it. The table holds one
     float64 per lattice point of that box, so its memory grows with the
     box's area (the coordinates' range times the octave's frequency, per
-    axis), not with the number of samples. Raises ``ValueError`` for NaN or
+    axis), not with the number of samples. ``TexturedPlane.shade`` blends the
+    same way from tables kept on the plane, which span the plane's whole
+    lattice and so grow with its area. Raises ``ValueError`` for NaN or
     infinite coordinates, and for those whose scaled value at the finest
     octave is 2^53 or more in magnitude, where the lattice cell is lost."""
     s = np.asarray(s, dtype=np.float64)
@@ -273,6 +300,21 @@ def value_noise(s, t, seed, octaves=3, gain=0.5):
         raise ValueError(
             f"value_noise coordinates must be finite and below {limit:g} in magnitude"
         )
+
+    def corners(octave, x0, y0):
+        (lo_x, hi_x), (lo_y, hi_y) = ((a.min(), a.max()) if a.size else (0, 0) for a in (x0, y0))
+        ny = hi_y - lo_y + 2
+        table = _lattice_table(lo_x, lo_y, hi_x - lo_x + 2, ny, _octave_seed(seed, octave))
+        return _gather_corners(table, ny, x0 - lo_x, y0 - lo_y)
+
+    return _blend(s, t, corners, octaves, gain)
+
+
+def _blend(s, t, corners, octaves, gain):
+    """The noise of ``value_noise`` at (s, t): per octave, the smoothstep
+    blend of the four lattice values around each sample, which
+    ``corners(octave, x0, y0)`` gives for the lower-left cell corners
+    (x0, y0)."""
     total = np.zeros_like(s)
     amp, freq, norm = 1.0, 1.0, 0.0
     for octave in range(octaves):
@@ -282,7 +324,7 @@ def value_noise(s, t, seed, octaves=3, gain=0.5):
         fx, fy = xs - x0, ys - y0
         wx = fx * fx * (3 - 2 * fx)
         wy = fy * fy * (3 - 2 * fy)
-        v00, v01, v10, v11 = _lattice_corners(x0, y0, seed * 1000003 + octave)
+        v00, v01, v10, v11 = corners(octave, x0, y0)
         top = v00 * (1 - wx) + v01 * wx
         bot = v10 * (1 - wx) + v11 * wx
         total += amp * (top * (1 - wy) + bot * wy)
@@ -294,17 +336,23 @@ def value_noise(s, t, seed, octaves=3, gain=0.5):
     return 0.1 + 0.8 * out
 
 
-def _lattice_corners(x0, y0, seed):
-    """``_hash01`` at the corners (x0, y0), (x0 + 1, y0), (x0, y0 + 1) and
-    (x0 + 1, y0 + 1), gathered from one table over the box they span."""
-    (lo_x, hi_x), (lo_y, hi_y) = (
-        (a.min(), a.max()) if a.size else (0, 0) for a in (x0, y0)
-    )
-    ny = hi_y - lo_y + 2
-    table = _hash01(
-        np.arange(lo_x, hi_x + 2)[:, None], np.arange(lo_y, lo_y + ny)[None, :], seed
+def _octave_seed(seed, octave):
+    """The ``_hash01`` seed of one octave of noise seeded ``seed``."""
+    return seed * 1000003 + octave
+
+
+def _lattice_table(lo_x, lo_y, nx, ny, seed):
+    """``_hash01`` over the ``nx`` x ``ny`` lattice points from (lo_x, lo_y),
+    flattened with y fastest."""
+    return _hash01(
+        np.arange(lo_x, lo_x + nx)[:, None], np.arange(lo_y, lo_y + ny)[None, :], seed
     ).ravel()
-    i00 = (x0 - lo_x) * ny + (y0 - lo_y)
+
+
+def _gather_corners(table, ny, x0, y0):
+    """The values at lattice offsets (x0, y0), (x0 + 1, y0), (x0, y0 + 1) and
+    (x0 + 1, y0 + 1) of a ``_lattice_table`` of ``ny`` columns."""
+    i00 = x0 * ny + y0
     return (table.take(i) for i in (i00, i00 + ny, i00 + 1, i00 + ny + 1))
 
 
@@ -317,7 +365,8 @@ TEXTURE_CELLS_PER_UNIT = 0.8
 
 @dataclass(frozen=True)
 class TexturedPlane:
-    """Finite textured rectangle: origin corner plus two edge vectors."""
+    """Finite textured rectangle: origin corner plus two perpendicular edge
+    vectors."""
 
     origin: np.ndarray
     edge_u: np.ndarray
@@ -337,6 +386,20 @@ class TexturedPlane:
         )
 
     @cached_property
+    def corners(self):
+        """(4, 3) corners: ``origin``, plus ``edge_u``, plus ``edge_v``, plus
+        both. They bound the points whose (u, v) the hit test of
+        ``render_rays`` accepts only when the edges are perpendicular; where
+        ``|edge_u . edge_v|`` exceeds 1e-12 of the product of the edge
+        lengths (or is NaN), every corner is NaN, and no render cull drops
+        the plane."""
+        o, eu, ev = self.origin, self.edge_u, self.edge_v
+        corners = np.array([o, o + eu, o + ev, o + eu + ev], dtype=np.float64)
+        if not abs(eu @ ev) <= 1e-12 * np.linalg.norm(eu) * np.linalg.norm(ev):
+            corners[:] = np.nan
+        return corners
+
+    @cached_property
     def texture_scale(self):
         """Texture lattice cells along ``edge_u`` and ``edge_v``."""
         return (
@@ -344,11 +407,43 @@ class TexturedPlane:
             np.linalg.norm(self.edge_v) * TEXTURE_CELLS_PER_UNIT,
         )
 
+    @cached_property
+    def texture_tables(self):
+        """Per octave, the ``_lattice_table`` over every lattice point that
+        ``shade`` can reach, from (0, 0) to one past the cell of (u, v) =
+        (1, 1), with its column count. A table holds one float64 per lattice
+        point, so the tables grow with the plane's area: about 13.4 float64
+        per square unit of a large plane ((1 + 4 + 16) x 0.64), and 1580
+        (12.6 KB) for a 10 x 10 wall."""
+        su, sv = self.texture_scale
+        tables = []
+        for octave in range(TEXTURE_OCTAVES):
+            freq = 2.0**octave
+            nx, ny = math.floor(su * freq) + 2, math.floor(sv * freq) + 2
+            seed = _octave_seed(self.texture_seed, octave)
+            tables.append((_lattice_table(0, 0, nx, ny, seed), ny))
+        return tables
+
     def shade(self, u, v):
         """Intensity at plane coordinates (u, v) in [0, 1]^2, scaled to the
-        plane's physical size so texture frequency is uniform across walls."""
+        plane's physical size so texture frequency is uniform across walls:
+        ``value_noise(u * su, v * sv, texture_seed)`` for the
+        ``texture_scale`` (su, sv), bit for bit, gathered from
+        ``texture_tables``. Raises ``ValueError`` for u or v outside [0, 1]
+        or NaN, whose lattice cells lie outside the tables."""
+        u = np.asarray(u, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64)
+        if not (((u >= 0) & (u <= 1)).all() and ((v >= 0) & (v <= 1)).all()):
+            raise ValueError("plane coordinates u and v must lie in [0, 1]")
         su, sv = self.texture_scale
-        return value_noise(np.asarray(u) * su, np.asarray(v) * sv, self.texture_seed)
+        tables = self.texture_tables
+        return _blend(
+            u * su,
+            v * sv,
+            lambda octave, x0, y0: _gather_corners(*tables[octave], x0, y0),
+            TEXTURE_OCTAVES,
+            TEXTURE_GAIN,
+        )
 
 
 @dataclass
@@ -519,27 +614,32 @@ def _in_frame(cam):
     d = cam.take(front, axis=0)
     x = intr.f * d[:, 0] / d[:, 2] + intr.cx
     y = intr.f * d[:, 1] / d[:, 2] + intr.cy
-    inside = (x >= 0) & (x <= WIDTH - 1) & (y >= 0) & (y <= HEIGHT - 1)
-    return front[inside], np.column_stack([x[inside], y[inside]])
+    inside = np.flatnonzero((x >= 0) & (x <= WIDTH - 1) & (y >= 0) & (y <= HEIGHT - 1))
+    pixels = np.empty((len(inside), 2))
+    pixels[:, 0] = x.take(inside)
+    pixels[:, 1] = y.take(inside)
+    return front.take(inside), pixels
 
 
-def _frustum_normals(intr, width, height):
+def _frustum_normals():
     """(4, 3) inward unit normals, in the camera frame, of the planes
-    through the camera center and the four image edges: a point is in the
-    frame when it lies on the inner side of all four. Together they also
-    require a depth >= 0, since the principal point lies inside the image."""
+    through the camera center and the four edges of the ``WIDTH`` x
+    ``HEIGHT`` image of ``INTRINSICS``: a point is in the frame when it lies
+    on the inner side of all four. Together they also require a depth >= 0,
+    since the principal point lies inside the image."""
+    f, cx, cy = INTRINSICS.f, INTRINSICS.cx, INTRINSICS.cy
     n = np.array(
         [
-            [intr.f, 0.0, intr.cx],  # x >= 0
-            [-intr.f, 0.0, width - 1 - intr.cx],  # x <= width - 1
-            [0.0, intr.f, intr.cy],  # y >= 0
-            [0.0, -intr.f, height - 1 - intr.cy],  # y <= height - 1
+            [f, 0.0, cx],  # x >= 0
+            [-f, 0.0, WIDTH - 1 - cx],  # x <= WIDTH - 1
+            [0.0, f, cy],  # y >= 0
+            [0.0, -f, HEIGHT - 1 - cy],  # y <= HEIGHT - 1
         ]
     )
     return n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
-FRUSTUM_NORMALS = _frustum_normals(INTRINSICS, WIDTH, HEIGHT)
+FRUSTUM_NORMALS = _frustum_normals()
 
 
 @dataclass(frozen=True)
@@ -792,15 +892,20 @@ class Image:
 
 
 def render_rays(scene: SyntheticScene, origin, dirs):
-    """Shade world-space rays against the scene planes: nearest-hit
+    """Shade world-space rays against every scene plane: nearest-hit
     intersection, value-noise texture at the hit, 0.5 background."""
     if not scene.planes:
         raise NoGeometryError("scene has no textured planes to render")
+    return _trace(scene.planes, origin, dirs)
+
+
+def _trace(planes, origin, dirs):
+    """``render_rays`` against ``planes``, in their order."""
     n = len(dirs)
     best_s = np.full(n, np.inf)
     shade = np.full(n, 0.5)
     local = np.empty((n, 3))  # hit point relative to the plane's origin
-    for plane in scene.planes:
+    for plane in planes:
         normal, uu, vv = plane.hit_constants
         denom = dirs @ normal
         # a ray parallel to the plane gets s = +-inf or NaN and a non-finite
@@ -829,15 +934,46 @@ def render_rays(scene: SyntheticScene, origin, dirs):
     return shade
 
 
+@cache
+def _pixel_rays():
+    """(HEIGHT * WIDTH, 3) camera-frame rays of every pixel of ``INTRINSICS``,
+    row by row, built on the first render and read-only."""
+    ys, xs = np.mgrid[0:HEIGHT, 0:WIDTH]
+    rays = ray_vectors(INTRINSICS, np.column_stack([xs.ravel(), ys.ravel()]))
+    rays.flags.writeable = False
+    return rays
+
+
+# inward unit normals, in the camera frame, of the five half-spaces that hold
+# every pixel ray: the four of FRUSTUM_NORMALS and depth >= 0
+VIEW_HALF_SPACES = np.vstack([FRUSTUM_NORMALS, [0.0, 0.0, 1.0]])
+
+
+def _planes_in_view(planes, pose):
+    """The ``planes`` a pixel ray of ``pose`` may hit, in order: all but
+    those whose four ``corners`` lie outside one of ``VIEW_HALF_SPACES`` by
+    more than ``CULL_MARGIN`` times the largest coordinate magnitude in play,
+    the corners' plus the camera's (see the module docstring)."""
+    corners = np.array([p.corners for p in planes])  # (P, 4, 3)
+    t = pose.translation
+    normals = VIEW_HALF_SPACES @ pose.rotation.T  # (5, 3), in the world frame
+    # NaN, from a corner or the camera, makes no corner outside
+    margin = CULL_MARGIN * (float(np.abs(corners).max()) + float(np.abs(t).max()))
+    outside = ((corners - t) @ normals.T < -margin).all(axis=1).any(axis=1)
+    return [p for p, out in zip(planes, outside.tolist()) if not out]
+
+
 def render_image(scene: SyntheticScene, pose: PoseSE3) -> Image:
     """Lambertian render of the ``WIDTH`` x ``HEIGHT`` image of
     ``INTRINSICS``: per pixel, intersect the view ray with the nearest plane
     and evaluate its texture there. View-independent by construction.
-    Intensities are quantized to 16-bit steps."""
-    ys, xs = np.mgrid[0:HEIGHT, 0:WIDTH]
-    pixels = np.column_stack([xs.ravel(), ys.ravel()])
-    dirs = ray_vectors(INTRINSICS, pixels) @ pose.rotation.T
-    shade = render_rays(scene, pose.translation, dirs)
+    Intensities are quantized to 16-bit steps. Rays are traced against the
+    planes the view may see (``_planes_in_view``), which gives the bits of
+    ``render_rays`` against every plane."""
+    if not scene.planes:
+        raise NoGeometryError("scene has no textured planes to render")
+    dirs = _pixel_rays() @ pose.rotation.T
+    shade = _trace(_planes_in_view(scene.planes, pose), pose.translation, dirs)
     data = np.round(shade.reshape(HEIGHT, WIDTH) * 65535.0) / 65535.0
     return Image(data)
 

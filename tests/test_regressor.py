@@ -1065,6 +1065,34 @@ class TestLossConfig:
             LossConfig(**{field: value})
         assert str(err.value).startswith("loss weights: " + message)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # these four constructed
+            ("lambda_multiview", True, "loss weights: lambda_multiview must be"),
+            ("lambda_photo", True, "loss weights: lambda_photo must be"),
+            ("alpha_ssim", False, "loss weights: alpha_ssim must be"),
+            ("epsilon_norm", True, "epsilon_norm must be a number, got True"),
+            # these raised a bare TypeError from the comparison
+            ("lambda_multiview", "1", "loss weights: lambda_multiview must be"),
+            ("alpha_ssim", None, "loss weights: alpha_ssim must be"),
+            ("epsilon_norm", "x", "epsilon_norm must be a number, got 'x'"),
+            ("epsilon_norm", [1e-8], "epsilon_norm must be a number"),
+        ],
+    )
+    def test_bool_or_non_number_names_the_field(self, field, value, message):
+        with pytest.raises(ConfigError) as err:
+            LossConfig(**{field: value})
+        assert str(err.value).startswith(message)
+
+    def test_numpy_numbers_are_accepted(self):
+        LossConfig(
+            lambda_multiview=np.float32(2.5),
+            lambda_photo=np.int64(3),
+            alpha_ssim=np.float64(0.5),
+            epsilon_norm=np.float64(1e-6),
+        )
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, -1e-300])
     def test_bad_epsilon_norm_names_the_field(self, value):
         with pytest.raises(ConfigError, match="^epsilon_norm must be"):

@@ -835,6 +835,199 @@ class TestRenderMatchesOracle:
         assert occluded > 0
 
 
+def texture_planes():
+    """Walls of rooms of three sizes, whose texture scales are 8, 4.8 and
+    3.36 cells, and the interior panels of an 8-plane room."""
+    planes = []
+    for half_extent in (5.0, 3.0, 2.1):
+        planes += gen_scene(scene_cfg(1, 50, half_extent=half_extent)).planes
+    return planes + gen_scene(scene_cfg(2, 50, 8)).planes[6:]
+
+
+class TestPlaneShade:
+    """``TexturedPlane.shade`` gathers from tables kept on the plane."""
+
+    @pytest.mark.parametrize("plane", texture_planes())
+    def test_equals_value_noise(self, plane):
+        rng = np.random.default_rng(plane.texture_seed)
+        edges = [0.0, 1.0, -0.0, 0.5, np.nextafter(1.0, 0.0), 5e-324]
+        u = np.concatenate([rng.uniform(size=500), np.repeat(edges, len(edges))])
+        v = np.concatenate([rng.uniform(size=500), np.tile(edges, len(edges))])
+        su, sv = plane.texture_scale
+        for a, b in ((u, v), (u.reshape(-1, 4), v.reshape(-1, 4)), (1.0, 0.0), (u[:0], v[:0])):
+            want = value_noise(np.asarray(a) * su, np.asarray(b) * sv, plane.texture_seed)
+            assert_same_bits(plane.shade(a, b), want)
+
+    @pytest.mark.parametrize(
+        "bad", [np.nextafter(0.0, -1.0), -1.0, np.nextafter(1.0, 2.0), 2.0, np.nan, np.inf, -np.inf]
+    )
+    def test_refuses_coordinates_outside_the_unit_square(self, bad):
+        plane = gen_scene(scene_cfg(1, 50)).planes[0]
+        good = np.array([0.0, 0.5, 1.0])
+        for u, v in ((np.append(good, bad), np.append(good, 0.5)), (good[:1], np.array([bad]))):
+            with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+                plane.shade(u, v)
+            with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+                plane.shade(v, u)
+
+    def test_tables_span_the_plane_and_are_hashed_once(self, monkeypatch):
+        ds = build_dataset(DatasetConfig(n_images=8))
+        wall = ds.scene.planes[0]  # 10 x 10 units, 8 lattice cells a side
+        assert [(len(table), ny) for table, ny in wall.texture_tables] == [
+            (10 * 10, 10),
+            (18 * 18, 18),
+            (34 * 34, 34),
+        ]
+        calls = []
+        hash01 = scenegen._hash01
+        monkeypatch.setattr(scenegen, "_hash01", lambda *a: calls.append(a) or hash01(*a))
+        for pose in ds.poses.values():
+            render_image(ds.scene, pose)
+        # the wall's tables are cached; only the other walls' are hashed, once each
+        assert 0 < len(calls) <= (len(ds.scene.planes) - 1) * scenegen.TEXTURE_OCTAVES
+        before = len(calls)
+        for pose in ds.poses.values():
+            render_image(ds.scene, pose)
+        assert len(calls) == before
+
+
+def render_every_plane(scene, pose):
+    """The image that ``render_rays`` gives against every plane on the
+    pixel rays of ``pose``, quantized as ``render_image`` quantizes."""
+    w, h = scenegen.WIDTH, scenegen.HEIGHT
+    shade = render_rays(scene, pose.translation, camera_rays(pose, scenegen.INTRINSICS, w, h))
+    return np.round(shade.reshape(h, w) * 65535.0) / 65535.0
+
+
+def assert_render_matches_every_plane(scene, pose):
+    """``render_image`` equals the render against every plane bit for bit;
+    returns how many planes the cull kept."""
+    assert_same_bits(render_image(scene, pose).data, render_every_plane(scene, pose))
+    return len(scenegen._planes_in_view(scene.planes, pose))
+
+
+# the 0.5 background, quantized
+BACKGROUND = np.round(0.5 * 65535.0) / 65535.0
+# a camera at the origin looking along -x, with y down
+LOOKING_ALONG_MINUS_X = PoseSE3(
+    np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), np.zeros(3)
+)
+
+ROOMS = {
+    "one-wall": scene_cfg(5, 50, 1),
+    "walls": scene_cfg(5, 50),
+    "panels": scene_cfg(2, 50, 8),
+    "small-room": scene_cfg(4, 50, half_extent=3.0),
+}
+
+
+class TestRenderCull:
+    """``render_image`` traces only the planes its view may see, and gives
+    the bits of ``render_rays`` against every plane."""
+
+    @pytest.fixture(scope="class", params=list(ROOMS), ids=list(ROOMS))
+    def scene(self, request):
+        return gen_scene(ROOMS[request.param])
+
+    def test_pixel_rays_lie_in_every_view_half_space(self):
+        w, h = scenegen.WIDTH, scenegen.HEIGHT
+        rays = scenegen._pixel_rays()
+        assert rays is scenegen._pixel_rays() and not rays.flags.writeable
+        pixels = np.stack(np.meshgrid(np.arange(w), np.arange(h)), -1).reshape(-1, 2)
+        assert_same_bits(rays, scenegen.ray_vectors(scenegen.INTRINSICS, pixels))
+        inner = scenegen.VIEW_HALF_SPACES @ rays.T
+        assert inner.min() > -1e-12
+        # the image's edge pixels lie on the edge planes, up to rounding
+        on_edge = (np.abs(inner[:4]) < 1e-12).sum(axis=1)
+        assert on_edge.tolist() == [h, h, w, w]
+
+    def test_random_poses(self, scene):
+        rng = np.random.default_rng(7)
+        reach = np.abs(scene.bounds_lo).max() + 2.0
+        kept = 0
+        for _ in range(40):
+            pose = PoseSE3(random_rotation(rng), rng.uniform(-reach, reach, size=3))
+            kept += assert_render_matches_every_plane(scene, pose)
+        assert 0 < kept < 40 * len(scene.planes)
+
+    def test_views_along_an_axis(self, scene):
+        positions = [[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [0.0, 0.0, -2.5]]
+        kept = 0
+        for R in axis_rotations():
+            for position in positions:
+                kept += assert_render_matches_every_plane(scene, PoseSE3(R, position))
+        assert kept < 72 * len(scene.planes)
+
+    def test_cameras_on_a_wall(self, scene):
+        rng = np.random.default_rng(8)
+        for plane in scene.planes:
+            for u, v in [(0.0, 0.0), (1.0, 1.0), (0.5, 0.0), *rng.uniform(size=(3, 2))]:
+                position = plane.origin + u * plane.edge_u + v * plane.edge_v
+                assert_render_matches_every_plane(scene, PoseSE3(random_rotation(rng), position))
+
+    def test_plane_corner_on_an_image_edge(self):
+        # Each pose puts a corner q of the one wall on the ray of a pixel at
+        # the image edge, with the wall on the outer side of that edge's
+        # plane: q lies on the plane, the rest of the wall outside it.
+        # Whether the pixel's ray hits the wall is then decided by rounding;
+        # the cull must keep the wall either way.
+        scene = gen_scene(ROOMS["one-wall"])
+        (plane,) = scene.planes
+        intr, w, h = scenegen.INTRINSICS, scenegen.WIDTH, scenegen.HEIGHT
+        rng = np.random.default_rng(9)
+        hits = 0
+        for k in range(200):
+            corner = k % 4
+            a, b = plane.edge_u, plane.edge_v
+            q = plane.origin + [0, a, b, a + b][corner]
+            away = [(a, b), (-a, b), (a, -b), (-a, -b)][corner]
+            normal = -(away[0] / np.linalg.norm(a) + away[1] / np.linalg.norm(b))
+            normal += rng.uniform(-1, 1) * np.cross(a, b) / np.linalg.norm(np.cross(a, b))
+            normal /= np.linalg.norm(normal)
+            edge = (k // 4) % 4
+            row, col = rng.integers(h), rng.integers(w)
+            x, y = [(0, row), (w - 1, row), (col, 0), (col, h - 1)][edge]
+            z = rng.uniform(0.5, 6.0)
+            q_cam = np.array([(x - intr.cx) * z / intr.f, (y - intr.cy) * z / intr.f, z])
+            R = rotation_taking(scenegen.FRUSTUM_NORMALS[edge], normal, rng)
+            pose = PoseSE3(R, q - R @ q_cam)
+            assert assert_render_matches_every_plane(scene, pose) == 1
+            hits += int(np.sum(render_every_plane(scene, pose) != BACKGROUND))
+        assert 0 < hits < 200  # about three in four
+
+    def test_planes_behind_the_camera_are_dropped(self):
+        scene = gen_scene(ROOMS["one-wall"])  # the wall x = 5
+        # the wall spans the image sideways but lies behind the camera
+        pose = LOOKING_ALONG_MINUS_X
+        corners = pose.world_to_camera(scene.planes[0].corners)
+        assert (corners[:, 2] < 0).all()
+        assert (scenegen.FRUSTUM_NORMALS @ corners.T > 0).any(axis=1).all()
+        assert assert_render_matches_every_plane(scene, pose) == 0
+        assert (render_image(scene, pose).data == BACKGROUND).all()
+
+    def test_default_room_views_keep_at_most_half_their_planes(self):
+        ds = build_dataset(DatasetConfig())
+        kept = [len(scenegen._planes_in_view(ds.scene.planes, p)) for p in ds.poses.values()]
+        assert 1 <= min(kept) and max(kept) <= len(ds.scene.planes) // 2
+
+    def test_skewed_or_non_finite_planes_are_kept(self):
+        skewed = scenegen.TexturedPlane(
+            np.array([5.0, -1.0, -1.0]), np.array([0.0, 2.0, 0.0]), np.array([0.0, 1e-6, 2.0]), 7
+        )
+        broken = scenegen.TexturedPlane(
+            np.array([5.0, np.nan, 0.0]), np.array([0.0, 2.0, 0.0]), np.array([0.0, 0.0, 2.0]), 8
+        )
+        assert np.isnan(skewed.corners).all() and np.isnan(broken.corners[:, 1]).all()
+        # both lie behind the camera, where a rectangle would be dropped
+        planes = [skewed, broken]
+        assert scenegen._planes_in_view(planes, LOOKING_ALONG_MINUS_X) == planes
+
+    def test_no_planes_raise(self):
+        scene = gen_scene(scene_cfg(5, 50, 0))
+        with pytest.raises(NoGeometryError):
+            render_image(scene, PoseSE3.identity())
+
+
 class TestCoVisibility:
     def test_single_view_point_not_corresponded(self):
         ds = build_dataset(small_cfg())
@@ -1022,11 +1215,24 @@ PINNED_ROOMS = [
         {"n_points": 60000, "n_images": 8},
         "d69393a4fb034fa7def3ada344acfc9d3adcf86217e2a42d821c8c87877edceb",
     ),
+    # a small room, whose views see more walls; pinned before renders were culled
+    (
+        {"half_extent": 3.0, "n_points": 1000, "render_images": True, "n_images": 8},
+        "bc1ee93293c7b631b085a3ff5c1a8749db324c5197b7f6b9924e0983b1c191c1",
+    ),
 ]
 PINNED_DATASETS = pytest.mark.parametrize(
     "kw, digest",
     PINNED_ROOMS,
-    ids=["default", "pixel-noise", "rendered", "photo-rendered", "panels-rendered", "dense"],
+    ids=[
+        "default",
+        "pixel-noise",
+        "rendered",
+        "photo-rendered",
+        "panels-rendered",
+        "dense",
+        "small-room-rendered",
+    ],
 )
 
 
