@@ -15,11 +15,18 @@ Each model's parameters are a few contiguous float64 arrays (one flat
 vector for ``PatchMLP``, views of the coordinate table cut between images
 for ``FreeTable``) that ``adam_step`` updates in place. Adam is dense in its
 results: every row's moments decay on every step, including the table rows
-of images not drawn. A model's gradient list may hold ``None`` for an array
-the drawn image does not touch; ``adam_step`` reads it as an all +0.0
-gradient with the same bits and never builds that array. An array whose
-moments are still exactly zero and whose gradient is all zero is skipped,
-since its update is exactly zero at every learning rate Adam accepts.
+of images not drawn, though not always at that step. A model's gradient
+list may hold ``None`` for an array the drawn image does not touch;
+``adam_step`` reads it as an all +0.0 gradient with the same bits and never
+builds that array. An array whose moments are still exactly zero and whose
+gradient is all zero is skipped, since its update is exactly zero at every
+learning rate Adam accepts. ``train`` also tells ``adam_step`` which arrays
+are read before its next step: the next image's run (``param_reads``), or
+every array before a record and at the end. The sweep of an array with a
+``None`` gradient that nobody reads is deferred and replayed, in step order,
+before the array is next swept. Each element's operations and their order
+are those of sweeping it at every step, so the bits are the same; the
+replay runs one array's steps back to back while its blocks are in cache.
 
 Non-finite losses or gradients are counted and applied as-is, never
 repaired: under the plain reprojection loss they are part of the behavior
@@ -184,6 +191,10 @@ class PatchMLP:
     def param_list(self):
         return [self.params]
 
+    def param_reads(self, image_id):
+        """Every image reads the whole network: None, all of ``param_list``."""
+        return None
+
     def predict_image(self, dataset, image_id):
         obs = dataset.observations[image_id]
         y, acts = self.forward_cached(obs.descriptors)
@@ -226,7 +237,9 @@ class FreeTable:
     returns a gradient for the one run that holds the image and ``None`` for
     every other run, which ``adam_step`` reads as an all +0.0 gradient. A
     run no image has drawn yet keeps zero moments, which ``adam_step``
-    skips.
+    skips. ``param_reads`` names the run an image's prediction reads, so
+    ``train`` lets ``adam_step`` defer the sweeps of the other runs until
+    they are read or get a gradient.
     """
 
     kind = "free_table"
@@ -324,6 +337,12 @@ class FreeTable:
     def param_list(self):
         return [self.coords[run] for run in self._runs]
 
+    def param_reads(self, image_id):
+        """Indices of the ``param_list`` runs that ``predict_image`` reads
+        for the image: the run holding its rows, none when it has no rows."""
+        rows = self._spans[image_id]
+        return (self._run_at[rows.start],) if rows.stop > rows.start else ()
+
     def predict_image(self, dataset, image_id):
         rows = self.rows_for_image(dataset, image_id)
         return self.coords[rows].copy(), rows
@@ -419,7 +438,9 @@ class AdamState:
     """First/second moment accumulators, the step counter, the learning
     rate, and the scratch space of ``adam_step``. ``zero[i]`` is true while
     array i's moments are all exactly +0.0; ``adam_step`` sets it from the
-    moments on first use."""
+    moments on first use. ``pending[i]`` holds the ``(lr_t, eps_t)`` of each
+    step whose sweep of array i is deferred, in step order; while it is not
+    empty, array i and its moments lag behind ``step``."""
 
     m: list
     v: list
@@ -427,6 +448,7 @@ class AdamState:
     lr: float = 1e-4
     work: np.ndarray | None = field(default=None, repr=False)
     zero: list | None = field(default=None, repr=False)
+    pending: list | None = field(default=None, repr=False)
 
     @classmethod
     def for_params(cls, params, lr=1e-4):
@@ -450,7 +472,50 @@ def _all_positive_zero(a):
     return not _flat_view(a).view(np.uint64).any()
 
 
-def adam_step(state: AdamState, params, grads):
+def _read_set(read, n):
+    """``read`` as a set of indices of ``n`` arrays, or None for every
+    array. Raises ``ConfigError`` naming an entry that is a bool, not an
+    integer, or outside ``[0, n)``, or a ``read`` that is not a collection."""
+    if read is None:
+        return None
+    try:
+        entries = list(read)
+    except TypeError:
+        raise ConfigError(
+            f"adam_step needs a collection of array indices to read, got {read!r}"
+        ) from None
+    for k in entries:
+        if not (is_count(k, 0) and k < n):
+            raise ConfigError(
+                f"adam_step read set holds {k!r}, which is not an index of the {n} arrays"
+            )
+    return set(entries)
+
+
+def _adam_block(pb, gb, mb, vb, a, lr_t, eps_t):
+    """One Adam step of a block of p, m and v in place, with ``a`` as
+    scratch; ``gb`` None is an all +0.0 gradient."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    np.multiply(mb, b1, out=mb)
+    if gb is None:
+        np.add(mb, 0.0, out=mb)  # the +0.0 terms of a +0.0 gradient
+        np.multiply(vb, b2, out=vb)
+        np.add(vb, 0.0, out=vb)
+    else:
+        np.multiply(gb, 1 - b1, out=a)
+        np.add(mb, a, out=mb)
+        np.multiply(vb, b2, out=vb)
+        np.multiply(gb, gb, out=a)
+        np.multiply(a, 1 - b2, out=a)
+        np.add(vb, a, out=vb)
+    np.sqrt(vb, out=a)
+    np.add(a, eps_t, out=a)
+    np.divide(mb, a, out=a)
+    np.multiply(a, lr_t, out=a)
+    np.subtract(pb, a, out=pb)
+
+
+def adam_step(state: AdamState, params, grads, read=None):
     """One Adam update of ``params`` and the state's moments, in place.
 
     The update is Kingma & Ba's efficient form of Algorithm 1: both bias
@@ -475,6 +540,20 @@ def adam_step(state: AdamState, params, grads):
     become ``b1 m + 0.0`` and ``b2 v + 0.0``. The add is kept: it turns
     -0.0 moments into +0.0, as the full form does.
 
+    ``read`` holds the indices of the arrays the caller reads, parameters or
+    moments, before its next call; None, the default, is every array. The
+    sweep of an array outside it whose gradient is ``None`` is deferred:
+    the step's ``lr_t`` and ``eps_t`` go to ``state.pending``, and the
+    array's next sweep, from a gradient or from ``read``, first replays the
+    pending steps in step order, block by block. Each element is an
+    independent chain of operations on its own p, m and v, with the step's
+    scalars and gradient as its only other inputs, so running the steps of
+    one block back to back gives each element the operations and order of
+    sweeping every array at every step: the same bits, while a block stays
+    in cache across the steps. Every array in ``read`` is up to date when
+    the call returns. An index that is a bool, not an integer, or outside
+    the arrays raises ``ConfigError`` before anything changes.
+
     ``state.lr`` must be finite and > 0, as in ``TrainConfig``; any other
     value raises ``ConfigError`` before anything changes. An array whose
     moments are all +0.0 (``state.zero``) and whose gradient is all zero,
@@ -483,25 +562,29 @@ def adam_step(state: AdamState, params, grads):
     is finite and >= +0.0 at every such lr. From step 356 on ``bc1`` is
     exactly 1, so ``lr_t <= lr``; before that ``lr_t`` stays finite even at
     the largest finite lr. Its first nonzero gradient (NaN and +-inf
-    included), or any other sweep, clears the flag for good.
+    included), or any other sweep, clears the flag for good; an array has
+    deferred steps only once its flag is cleared.
     """
     if len(params) != len(grads) or any(
         g is not None and p.shape != g.shape for p, g in zip(params, grads)
     ):
         raise DimensionMismatchError("parameter/gradient shapes disagree")
-    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.lr
+    lr = state.lr
     if not 0.0 < lr < math.inf:
         raise ConfigError(f"adam_step needs a learning rate finite and > 0, got {lr!r}")
+    read = _read_set(read, len(params))
     state.step += 1
     t = state.step
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     lr_t = lr * math.sqrt(bc2) / bc1
     eps_t = ADAM_EPS * math.sqrt(bc2)
     if state.zero is None:
         state.zero = [
             _all_positive_zero(m) and _all_positive_zero(v) for m, v in zip(state.m, state.v)
         ]
+    if state.pending is None:
+        state.pending = [[] for _ in params]
     block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
     if state.work is None or state.work.size < block:
         state.work = np.empty(block)
@@ -510,6 +593,10 @@ def adam_step(state: AdamState, params, grads):
             if g is None or not g.any():
                 continue
             state.zero[i] = False
+        steps = state.pending[i]
+        if g is None and read is not None and i not in read:
+            steps.append((lr_t, eps_t))
+            continue
         if g is not None:
             g = np.ravel(g)
         p, m, v = _flat_view(p), _flat_view(m), _flat_view(v)
@@ -517,24 +604,10 @@ def adam_step(state: AdamState, params, grads):
             blk = slice(start, start + ADAM_BLOCK)
             pb, mb, vb = p[blk], m[blk], v[blk]
             a = state.work[: pb.size]
-            np.multiply(mb, b1, out=mb)
-            if g is None:
-                np.add(mb, 0.0, out=mb)  # the +0.0 terms of a +0.0 gradient
-                np.multiply(vb, b2, out=vb)
-                np.add(vb, 0.0, out=vb)
-            else:
-                gb = g[blk]
-                np.multiply(gb, 1 - b1, out=a)
-                np.add(mb, a, out=mb)
-                np.multiply(vb, b2, out=vb)
-                np.multiply(gb, gb, out=a)
-                np.multiply(a, 1 - b2, out=a)
-                np.add(vb, a, out=vb)
-            np.sqrt(vb, out=a)
-            np.add(a, eps_t, out=a)
-            np.divide(mb, a, out=a)
-            np.multiply(a, lr_t, out=a)
-            np.subtract(pb, a, out=pb)
+            for lr_d, eps_d in steps:  # the deferred steps, in step order
+                _adam_block(pb, None, mb, vb, a, lr_d, eps_d)
+            _adam_block(pb, None if g is None else g[blk], mb, vb, a, lr_t, eps_t)
+        steps.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +890,14 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
 
         model_grads = model.grads_for_image(ctx, rep.grads)
         adam.lr = lr_at(cfg, t)
-        adam_step(adam, params, model_grads)
+        recording = cfg.checkpoint_every and (t + 1) % cfg.checkpoint_every == 0
+        # before the next step only the next image's prediction reads the
+        # parameters; a record and the returned model read every array
+        read_all = recording or t + 1 == cfg.iterations
+        read = None if read_all else model.param_reads(train_ids[int(image_order[t + 1])])
+        adam_step(adam, params, model_grads, read)
 
-        if cfg.checkpoint_every and (t + 1) % cfg.checkpoint_every == 0:
+        if recording:
             record(t + 1)
 
     if not log.records or log.final.iteration != cfg.iterations:

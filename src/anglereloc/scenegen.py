@@ -645,11 +645,14 @@ FRUSTUM_NORMALS = _frustum_normals()
 @dataclass(frozen=True)
 class _CellGrid:
     """A ``CULL_CELLS``^3 grid over the bounding box of a room's points:
-    each point's flat cell index, and the centers of the cells' bounding
-    spheres. Every sphere has the radius ``radius``, half the cell diagonal;
-    ``reach`` is the largest coordinate magnitude of the box."""
+    each point's flat cell index, the point ids grouped by cell, and the
+    centers of the cells' bounding spheres. Every sphere has the radius
+    ``radius``, half the cell diagonal; ``reach`` is the largest coordinate
+    magnitude of the box."""
 
     cell: np.ndarray  # (P,) flat cell index of each point
+    order: np.ndarray  # (P,) point ids grouped by cell
+    offsets: np.ndarray  # (cells + 1,) cell c's ids are order[offsets[c]:offsets[c + 1]]
     centers: np.ndarray  # (3, CULL_CELLS**3): column c is cell c's center
     radius: float
     reach: float
@@ -677,7 +680,10 @@ class _CellGrid:
         axes = lo[:, None] + size[:, None] * (np.arange(n) + 0.5)  # (3, n)
         centers = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
         reach = float(max(np.abs(lo).max(), np.abs(hi).max()))
-        return cls(cell, centers, float(np.linalg.norm(size)) / 2, reach)
+        offsets = np.zeros(n**3 + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cell, minlength=n**3), out=offsets[1:])
+        order = np.argsort(cell)
+        return cls(cell, order, offsets, centers, float(np.linalg.norm(size)) / 2, reach)
 
     def ids_in_view(self, pose):
         """Ascending ids of the points in every cell whose inflated sphere is
@@ -689,8 +695,14 @@ class _CellGrid:
         # signed distance of each center from each plane, less the plane's limit
         signed = normals @ self.centers
         signed -= (normals @ t - radius)[:, None]
-        keep = signed.min(axis=0) >= 0
-        return np.flatnonzero(keep.take(self.cell))
+        kept = np.flatnonzero(signed.min(axis=0) >= 0)
+        # gather the kept cells' runs of ``order``: entry k of a run of
+        # ``lengths[c]`` ids is order[starts[c] + k]
+        starts = self.offsets.take(kept)
+        lengths = self.offsets.take(kept + 1) - starts
+        firsts = np.cumsum(lengths) - lengths  # where each run lands
+        index = np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())
+        return np.sort(self.order.take(index))
 
 
 def _in_view(points, grid, pose):

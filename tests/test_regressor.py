@@ -469,6 +469,114 @@ class TestAdamNoneGradient:
         assert_bit_equal(state.v, v0)
 
 
+class TestAdamDeferredSweeps:
+    """Sweeps deferred by ``read`` give eager ``adam_step``'s bits: random
+    schedules of real, zero and ``None`` gradients, a new learning rate
+    every step, arrays spanning several blocks, and moments that start
+    +0.0, -0.0, NaN, +-inf or ordinary."""
+
+    SPECIAL = TestAdamNoneGradient.SPECIAL
+    SHAPES = [(40, 3), (1,), (250,), (33, 3), (5, 3), (70,)]
+    STEPS = 40
+
+    def start(self, seed):
+        """Parameters and a state: arrays 0 and 1 with +0.0 moments, 2 with
+        special moments, 3 with -0.0 moments, the others ordinary."""
+        rng = np.random.default_rng([11, seed])
+        params = [rng.normal(size=s) for s in self.SHAPES]
+        params[2][:9] = self.SPECIAL[:9]
+        state = AdamState.for_params(params)
+        state.m[2][...] = rng.choice(self.SPECIAL, size=self.SHAPES[2])
+        state.v[2][...] = rng.choice(self.SPECIAL, size=self.SHAPES[2])
+        state.m[3][...] = state.v[3][...] = -0.0
+        for m, v in zip(state.m[4:], state.v[4:]):
+            m[...] = rng.normal(size=m.shape)
+            v[...] = rng.uniform(0, 2, size=v.shape)
+        return params, state
+
+    def schedule(self, seed):
+        """Per step: the learning rate, the gradients and the read set, the
+        last one None so every array settles."""
+        rng = np.random.default_rng([12, seed])
+        steps = []
+        for t in range(self.STEPS):
+            grads = []
+            for shape in self.SHAPES:
+                kind = rng.random()
+                if kind < 0.25:
+                    g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                    if rng.random() < 0.2:
+                        g.flat[rng.integers(g.size)] = rng.choice([np.nan, np.inf, -np.inf])
+                elif kind < 0.35:
+                    g = np.full(shape, rng.choice([0.0, -0.0]))
+                else:
+                    g = None
+                grads.append(g)
+            picked = np.flatnonzero(rng.random(len(self.SHAPES)) < 0.3)
+            read = [list(picked), tuple(picked.tolist()), picked, set(picked.tolist())][t % 4]
+            steps.append((10.0 ** rng.uniform(-4, 0), grads, read))
+        steps[-1] = steps[-1][:2] + (None,)
+        return steps
+
+    @pytest.mark.parametrize("block", [7, 64, ADAM_BLOCK])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_schedules_match_eager_steps(self, monkeypatch, block, seed):
+        monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
+        mine, state = self.start(seed)
+        eager, eager_state = self.start(seed)
+        deferred = 0
+        with np.errstate(all="ignore"):
+            for lr, grads, read in self.schedule(seed):
+                state.lr = eager_state.lr = lr
+                adam_step(state, mine, grads, read)
+                adam_step(eager_state, eager, grads)
+                assert state.zero == eager_state.zero and state.step == eager_state.step
+                # what the caller said it reads is up to date
+                for i in range(len(mine)) if read is None else read:
+                    for a, b in ((mine, eager), (state.m, eager_state.m), (state.v, eager_state.v)):
+                        assert a[i].tobytes() == b[i].tobytes()
+                deferred = max(deferred, sum(map(len, state.pending)))
+        assert deferred > 5 and not any(state.pending)
+        assert_bit_equal(mine, eager)
+        assert_bit_equal(state.m, eager_state.m)
+        assert_bit_equal(state.v, eager_state.v)
+        # the special and -0.0 moments went through real sweeps
+        assert state.zero[2:] == [False] * (len(self.SHAPES) - 2)
+        assert np.isnan(state.v[2]).any()
+
+    @pytest.mark.parametrize(
+        "read, bad",
+        [
+            ([0, 6], "6"),
+            ([-1], "-1"),
+            ([True], "True"),
+            ([np.True_], "np.True_"),
+            ([1.0], "1.0"),
+            ([2, 0.5], "0.5"),
+            (["0"], "'0'"),
+            ([None], "None"),
+            (np.array([0.0]), "np.float64(0.0)"),
+            (3, "3"),
+        ],
+        ids=lambda x: repr(x) if not isinstance(x, str) else f"names-{x}",
+    )
+    def test_bad_read_set_is_refused_before_anything_changes(self, read, bad):
+        params, state = self.start(0)
+        grads = [None] * len(params)
+        grads[0] = np.ones(self.SHAPES[0])
+        with np.errstate(all="ignore"):
+            adam_step(state, params, grads, read=[0])  # arrays 2-5 now have a pending step
+        before = [p.copy() for p in params], [m.copy() for m in state.m], [v.copy() for v in state.v]
+        flags, pending = list(state.zero), [list(q) for q in state.pending]
+        assert sum(map(len, pending)) == 4
+        with pytest.raises(ConfigError, match="^adam_step") as err:
+            adam_step(state, params, grads, read=read)
+        assert bad in str(err.value)
+        assert state.step == 1 and state.zero == flags and state.pending == pending
+        for now, then in zip((params, state.m, state.v), before):
+            assert_bit_equal(now, then)
+
+
 def test_lr_halves_at_each_boundary():
     cfg = TrainConfig(iterations=100, lr=0.08)
     expected = {0: 0.08, 59: 0.08, 60: 0.04, 79: 0.04, 80: 0.02, 89: 0.02, 90: 0.01, 99: 0.01}
@@ -663,6 +771,10 @@ class TestFreeTableRuns:
         assert np.concatenate(dense).tobytes() == expected.tobytes()
         (held,) = [g for g in grads if g is not None]
         assert held.base is table._grad
+        # the run Adam must bring up to date before the image is predicted
+        assert table.param_reads(image_id) == tuple(
+            k for k, g in enumerate(grads) if g is not None
+        )
         # the same buffer again, now holding the next image only
         preds_b, rows_b = table.predict_image(room, room.train_ids[0])
         again = table.grads_for_image(rows_b, np.ones_like(preds_b))
@@ -673,9 +785,9 @@ class TestFreeTableRuns:
         assert np.count_nonzero(np.concatenate(dense)) == preds_b.size
 
 
-def _reference_in_place(state, params, grads):
+def _reference_in_place(state, params, grads, read=None):
     """The reference Adam, in place, with each ``None`` gradient turned into
-    +0.0 zeros."""
+    +0.0 zeros; eager, so it ignores ``read``."""
     grads = [np.zeros(p.shape) if g is None else g for p, g in zip(params, grads)]
     for p, new in zip(params, reference_adam_step(state, params, grads)):
         p[...] = new
@@ -692,11 +804,13 @@ def test_train_with_skipped_runs_matches_the_reference_adam(request, monkeypatch
         patch.setattr(regressor, "adam_step", _reference_in_place)
         ref_model, ref_log = train(room, "free_table", cfg)
     monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
-    steps = []
+    steps, deferred, states = [], [], []
 
-    def spy(state, params, grads):
-        adam_step(state, params, grads)
+    def spy(state, params, grads, read=None):
+        adam_step(state, params, grads, read)
         steps.append(list(state.zero))
+        deferred.append(sum(map(len, state.pending)))
+        states.append(state)
 
     monkeypatch.setattr(regressor, "adam_step", spy)
     model, log = train(room, "free_table", cfg)
@@ -709,6 +823,12 @@ def test_train_with_skipped_runs_matches_the_reference_adam(request, monkeypatch
     n_runs = len(model.param_list())
     assert n_runs > 2 and sum(steps[0]) == n_runs - 1
     assert all(a >= b for before, after in zip(steps, steps[1:]) for a, b in zip(before, after))
+    # sweeps were deferred during the run, and none is pending once it returns
+    assert len({id(s) for s in states}) == 1
+    assert max(deferred) > 0 and not any(states[-1].pending)
+    # a record reads every row, so nothing is pending after its step
+    records = range(cfg.checkpoint_every - 1, cfg.iterations, cfg.checkpoint_every)
+    assert [deferred[t] for t in records] == [0] * len(records)
 
 
 @pytest.mark.parametrize("kind", ["free_table", "patch_mlp"])

@@ -300,7 +300,10 @@ def whole_scene_rows(points, pose):
 
 def assert_cull_matches_whole(points, grid, pose):
     """The culled projection's ids and pixels equal, bit for bit, those of a
-    projection of every point; returns how many points are in the frame."""
+    projection of every point, and the cull keeps whole cells, each id once
+    and ascending; returns how many points are in the frame."""
+    near = grid.ids_in_view(pose)
+    assert_same_bits(near, np.flatnonzero(np.isin(grid.cell, grid.cell[near])))
     ids, pixels = scenegen._in_view(points, grid, pose)
     want_ids, want_pixels = whole_scene_rows(points, pose)
     assert_same_bits(ids, want_ids)
