@@ -76,8 +76,24 @@ class DimensionMismatchError(Exception):
 
 
 class ConfigError(Exception):
-    """Inconsistent loss or training configuration, or a checkpoint that
-    cannot be loaded."""
+    """Inconsistent dataset, loss or training configuration, or a checkpoint
+    that cannot be loaded."""
+
+
+def is_count(value, least) -> bool:
+    """True for a Python or numpy integer of at least ``least``; False for a
+    bool and for a float, even an integral one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool, NaN included."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_fraction(value) -> bool:
+    """True for a real number in [0, 1] that is not a bool; False for NaN."""
+    return _is_real(value) and 0 <= value <= 1
 
 
 # SSIM stabilizers for intensities in [0, 1]
@@ -109,23 +125,15 @@ class LossConfig:
                 _is_real(self.lambda_photo) and 0 <= self.lambda_photo < math.inf,
                 "finite and >= 0",
             ),
-            ("alpha_ssim", _is_real(self.alpha_ssim) and 0 <= self.alpha_ssim <= 1, "in [0, 1]"),
+            ("alpha_ssim", _is_fraction(self.alpha_ssim), "in [0, 1]"),
+            (
+                "epsilon_norm",
+                _is_real(self.epsilon_norm) and 0 < self.epsilon_norm < math.inf,
+                "finite and > 0",
+            ),
         ):
             if not ok:
-                raise ConfigError(
-                    f"loss weights: {name} must be {rule}, got {getattr(self, name)!r}"
-                )
-        if not _is_real(self.epsilon_norm):
-            raise ConfigError(f"epsilon_norm must be a number, got {self.epsilon_norm!r}")
-        if not self.epsilon_norm > 0:
-            raise ConfigError("epsilon_norm must be positive")
-        if not self.epsilon_norm < math.inf:
-            raise ConfigError(f"epsilon_norm must be finite, got {self.epsilon_norm!r}")
-
-
-def _is_real(value) -> bool:
-    """True for a real number that is not a bool, NaN included."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 class LossReport(NamedTuple):
@@ -385,10 +393,11 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
     ``poses`` and ``observations_by_image`` are mappings keyed by image id;
     only the given images are indexed, so a row's entries never point at an
     image left out, and each of them needs a pose: the first one without
-    raises ``IndexMismatchError``. ``corresponded`` holds the point ids that
-    get entries. One stable argsort groups all rows by point id, images
-    ascending and rows in order within a group; each corresponded row's
-    entries are its group without the rows of its own image.
+    raises ``IndexMismatchError``. ``corresponded`` is an integer array of
+    the point ids that get entries. One stable argsort groups all rows by
+    point id, images ascending and rows in order within a group; each
+    corresponded row's entries are its group without the rows of its own
+    image.
     """
     image_ids = np.array(sorted(observations_by_image), dtype=np.int64)
     missing = [i for i in image_ids.tolist() if i not in poses]
@@ -404,7 +413,7 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
     order = np.argsort(rows, kind="stable")
     grouped = rows[order]
     lo = np.searchsorted(grouped, rows)
-    keep = np.isin(rows, np.fromiter(corresponded, np.int64, len(corresponded)))
+    keep = np.isin(rows, corresponded)
     span = np.where(keep, np.searchsorted(grouped, rows, side="right") - lo, 0)
 
     # every corresponded row's whole group, then without its own image's rows

@@ -57,16 +57,18 @@ from anglereloc.losses import (  # ConfigError is re-exported here
     IndexMismatchError,
     LossConfig,
     LossReport,
+    _is_fraction,
     _is_real,
     _row_norms,
     angle_terms,
     build_multiview_index,
+    is_count,
     multiview_image_loss,
     photo_target,
     photometric_image_loss,
     reproj_terms,
 )
-from anglereloc.scenegen import DESCRIPTOR_DIM, column_bounds, is_count
+from anglereloc.scenegen import DESCRIPTOR_DIM, column_bounds
 
 
 class PhotometricInactiveWarning(UserWarning):
@@ -693,11 +695,6 @@ class TrainConfig:
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-
-def _is_fraction(value) -> bool:
-    """True for a real number in [0, 1] that is not a bool; False for NaN."""
-    return _is_real(value) and 0 <= value <= 1
 
 
 def network_sizes(cfg: TrainConfig) -> tuple:

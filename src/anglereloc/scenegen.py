@@ -60,11 +60,10 @@ camera-frame rays of every pixel are built once, on the first render, and
 each view rotates them. Each plane computes its unnormalized normal,
 squared edge lengths, corners, texture scale and texture tables once, on
 first use, for every view. The texture is multi-octave value noise blended
-between hashed lattice values. ``value_noise`` hashes, per octave, the box
-of lattice cells its samples span, once per call. A plane's ``shade``
-gathers from tables that span the plane's whole lattice, hashed on its first
-shade; they hold about 13.4 float64 per square unit of a plane (12.6 KB for
-a default 10 x 10 wall), so their memory grows with the plane's area.
+between hashed lattice values. A plane's ``shade`` gathers them from tables
+that span the plane's whole lattice, hashed on its first shade; they hold
+about 13.4 float64 per square unit of a plane (12.6 KB for a default 10 x 10
+wall), so their memory grows with the plane's area.
 
 Render culling: ``render_image`` traces only the planes its view may see.
 A plane is dropped when its four corners all lie outside one of five
@@ -81,7 +80,7 @@ margin. So no dropped plane would have had a hit, a plane without hits
 changes no pixel, and every render keeps its bits. The hit test's region is
 the rectangle only when the edges are perpendicular, so a plane whose edges
 are not (to 1e-12 of their lengths' product) has NaN corners and is never
-dropped. ``render_rays``, on arbitrary rays, tests every plane.
+dropped.
 
 Determinism: every random quantity is drawn from ``np.random.default_rng``
 seeded with an integer list ``[seed, stream, ...]``, so a room is a pure
@@ -115,6 +114,7 @@ from pathlib import Path
 import numpy as np
 
 from anglereloc.geometry import CameraIntrinsics, PoseSE3, nearest_rotation, ray_vectors
+from anglereloc.losses import ConfigError, _is_fraction, _is_real, is_count
 
 
 class NoGeometryError(Exception):
@@ -183,12 +183,6 @@ def column_bounds(rows):
     )
 
 
-def is_count(value, least) -> bool:
-    """True for a Python or numpy integer of at least ``least``; False for a
-    bool and for a float, even an integral one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-
-
 @dataclass
 class DatasetConfig:
     """Everything needed to regenerate a dataset deterministically, together
@@ -197,10 +191,11 @@ class DatasetConfig:
     test or a benchmark workload varies it.
 
     Values that would break a room or silently change it raise
-    ``ValueError`` naming the field; the counts (``seed``, ``n_points``,
+    ``ConfigError`` naming the field; the counts (``seed``, ``n_points``,
     ``n_planes``, ``n_images``, ``test_every``, ``min_visible``) must be
-    integers, not bools or floats, the two noise sigmas finite and >= 0, and
-    ``render_images`` a bool."""
+    integers, not bools or floats; ``half_extent`` finite and > 0, the two
+    fractions in [0, 1] and the two noise sigmas finite and >= 0, each a real
+    number and not a bool; and ``render_images`` a bool."""
 
     seed: int = 0
     n_points: int = 500
@@ -221,25 +216,34 @@ class DatasetConfig:
             ("seed", is_count(self.seed, 0), "an integer >= 0"),
             ("n_points", is_count(self.n_points, 1), "an integer > 0"),
             ("n_planes", is_count(self.n_planes, 0), "an integer >= 0"),
-            ("half_extent", 0 < self.half_extent < math.inf, "finite and > 0"),
-            ("free_space_fraction", 0 <= self.free_space_fraction <= 1, "in [0, 1]"),
+            (
+                "half_extent",
+                _is_real(self.half_extent) and 0 < self.half_extent < math.inf,
+                "finite and > 0",
+            ),
+            ("free_space_fraction", _is_fraction(self.free_space_fraction), "in [0, 1]"),
             ("n_images", is_count(self.n_images, 1), "an integer > 0"),
             ("test_every", is_count(self.test_every, 0), "an integer >= 0"),
             ("min_visible", is_count(self.min_visible, 0), "an integer >= 0"),
-            ("pixel_noise_sigma", 0 <= self.pixel_noise_sigma < math.inf, "finite and >= 0"),
             (
-                "descriptor_noise_sigma",
-                0 <= self.descriptor_noise_sigma < math.inf,
+                "pixel_noise_sigma",
+                _is_real(self.pixel_noise_sigma) and 0 <= self.pixel_noise_sigma < math.inf,
                 "finite and >= 0",
             ),
-            ("covis_keep_fraction", 0 <= self.covis_keep_fraction <= 1, "in [0, 1]"),
+            (
+                "descriptor_noise_sigma",
+                _is_real(self.descriptor_noise_sigma)
+                and 0 <= self.descriptor_noise_sigma < math.inf,
+                "finite and >= 0",
+            ),
+            ("covis_keep_fraction", _is_fraction(self.covis_keep_fraction), "in [0, 1]"),
             ("render_images", isinstance(self.render_images, bool), "a bool"),
         ):
             if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         # no free-space candidate of the cube [-h, h]^3 could clear the radius
         if self.n_free_space and not self.half_extent * math.sqrt(3) > FREE_SPACE_MIN_RADIUS:
-            raise ValueError(
+            raise ConfigError(
                 f"half_extent must be > FREE_SPACE_MIN_RADIUS / sqrt(3) = "
                 f"{FREE_SPACE_MIN_RADIUS / math.sqrt(3):.4f} in a room with free-space "
                 f"points, got {self.half_extent!r}"
@@ -277,83 +281,33 @@ def _hash01(ix, iy, seed):
     return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
-def value_noise(s, t, seed, octaves=TEXTURE_OCTAVES, gain=TEXTURE_GAIN):
-    """Multi-octave value noise at coordinates (s, t), smoothstep-blended
-    between hashed lattice values. Output roughly in [0, 1].
-
-    Each octave hashes its lattice once: one ``_hash01`` table spans the
-    lattice box of the samples' cells plus one corner row and column, and
-    every sample gathers its four corners from it. The table holds one
-    float64 per lattice point of that box, so its memory grows with the
-    box's area (the coordinates' range times the octave's frequency, per
-    axis), not with the number of samples. ``TexturedPlane.shade`` blends the
-    same way from tables kept on the plane, which span the plane's whole
-    lattice and so grow with its area. Raises ``ValueError`` for NaN or
-    infinite coordinates, and for those whose scaled value at the finest
-    octave is 2^53 or more in magnitude, where the lattice cell is lost."""
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    # the finest octave scales by a power of two, so this test is exact; it
-    # is False for NaN and +-inf
-    limit = 2.0**53 / 2.0 ** max(octaves - 1, 0)
-    if not ((np.abs(s) < limit).all() and (np.abs(t) < limit).all()):
-        raise ValueError(
-            f"value_noise coordinates must be finite and below {limit:g} in magnitude"
-        )
-
-    def corners(octave, x0, y0):
-        (lo_x, hi_x), (lo_y, hi_y) = ((a.min(), a.max()) if a.size else (0, 0) for a in (x0, y0))
-        ny = hi_y - lo_y + 2
-        table = _lattice_table(lo_x, lo_y, hi_x - lo_x + 2, ny, _octave_seed(seed, octave))
-        return _gather_corners(table, ny, x0 - lo_x, y0 - lo_y)
-
-    return _blend(s, t, corners, octaves, gain)
-
-
-def _blend(s, t, corners, octaves, gain):
-    """The noise of ``value_noise`` at (s, t): per octave, the smoothstep
-    blend of the four lattice values around each sample, which
-    ``corners(octave, x0, y0)`` gives for the lower-left cell corners
-    (x0, y0)."""
+def _blend(s, t, tables):
+    """Multi-octave value noise at (s, t) from a plane's ``texture_tables``:
+    per octave, at twice the frequency and ``TEXTURE_GAIN`` times the
+    amplitude of the last, the smoothstep blend of the four hashed lattice
+    values around each sample, gathered from the octave's table. The
+    amplitude-weighted mean lies in [0, 1] and is mapped into [0.1, 0.9]."""
     total = np.zeros_like(s)
     amp, freq, norm = 1.0, 1.0, 0.0
-    for octave in range(octaves):
+    for table, ny in tables:
         xs, ys = s * freq, t * freq
         x0 = np.floor(xs).astype(np.int64)
         y0 = np.floor(ys).astype(np.int64)
         fx, fy = xs - x0, ys - y0
         wx = fx * fx * (3 - 2 * fx)
         wy = fy * fy * (3 - 2 * fy)
-        v00, v01, v10, v11 = corners(octave, x0, y0)
+        # the table is flattened with y fastest: (x0 + 1, y0) is ny entries on
+        i00 = x0 * ny + y0
+        v00, v01, v10, v11 = (table.take(i) for i in (i00, i00 + ny, i00 + 1, i00 + ny + 1))
         top = v00 * (1 - wx) + v01 * wx
         bot = v10 * (1 - wx) + v11 * wx
         total += amp * (top * (1 - wy) + bot * wy)
         norm += amp
-        amp *= gain
+        amp *= TEXTURE_GAIN
         freq *= 2.0
     out = total / norm
     # keep a margin inside [0, 1] so quantized renders never saturate
     return 0.1 + 0.8 * out
-
-
-def _octave_seed(seed, octave):
-    """The ``_hash01`` seed of one octave of noise seeded ``seed``."""
-    return seed * 1000003 + octave
-
-
-def _lattice_table(lo_x, lo_y, nx, ny, seed):
-    """``_hash01`` over the ``nx`` x ``ny`` lattice points from (lo_x, lo_y),
-    flattened with y fastest."""
-    return _hash01(
-        np.arange(lo_x, lo_x + nx)[:, None], np.arange(lo_y, lo_y + ny)[None, :], seed
-    ).ravel()
-
-
-def _gather_corners(table, ny, x0, y0):
-    """The values at lattice offsets (x0, y0), (x0 + 1, y0), (x0, y0 + 1) and
-    (x0 + 1, y0 + 1) of a ``_lattice_table`` of ``ny`` columns."""
-    i00 = x0 * ny + y0
-    return (table.take(i) for i in (i00, i00 + ny, i00 + 1, i00 + ny + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +332,7 @@ class TexturedPlane:
     @cached_property
     def hit_constants(self):
         """The unnormalized normal ``edge_u x edge_v`` and the squared
-        lengths of ``edge_u`` and ``edge_v``, as ``render_rays`` uses them."""
+        lengths of ``edge_u`` and ``edge_v``, as ``_trace`` uses them."""
         return (
             np.cross(self.edge_u, self.edge_v),
             self.edge_u @ self.edge_u,
@@ -388,8 +342,8 @@ class TexturedPlane:
     @cached_property
     def corners(self):
         """(4, 3) corners: ``origin``, plus ``edge_u``, plus ``edge_v``, plus
-        both. They bound the points whose (u, v) the hit test of
-        ``render_rays`` accepts only when the edges are perpendicular; where
+        both. They bound the points whose (u, v) the hit test of ``_trace``
+        accepts only when the edges are perpendicular; where
         ``|edge_u . edge_v|`` exceeds 1e-12 of the product of the edge
         lengths (or is NaN), every corner is NaN, and no render cull drops
         the plane."""
@@ -409,41 +363,34 @@ class TexturedPlane:
 
     @cached_property
     def texture_tables(self):
-        """Per octave, the ``_lattice_table`` over every lattice point that
-        ``shade`` can reach, from (0, 0) to one past the cell of (u, v) =
-        (1, 1), with its column count. A table holds one float64 per lattice
-        point, so the tables grow with the plane's area: about 13.4 float64
-        per square unit of a large plane ((1 + 4 + 16) x 0.64), and 1580
-        (12.6 KB) for a 10 x 10 wall."""
+        """Per octave, ``_hash01`` over every lattice point that ``shade``
+        can reach, from (0, 0) to one past the cell of (u, v) = (1, 1),
+        flattened with y fastest, with its column count. A table holds one
+        float64 per lattice point, so the tables grow with the plane's area:
+        about 13.4 float64 per square unit of a large plane
+        ((1 + 4 + 16) x 0.64), and 1580 (12.6 KB) for a 10 x 10 wall."""
         su, sv = self.texture_scale
         tables = []
         for octave in range(TEXTURE_OCTAVES):
             freq = 2.0**octave
             nx, ny = math.floor(su * freq) + 2, math.floor(sv * freq) + 2
-            seed = _octave_seed(self.texture_seed, octave)
-            tables.append((_lattice_table(0, 0, nx, ny, seed), ny))
+            seed = self.texture_seed * 1000003 + octave
+            table = _hash01(np.arange(nx)[:, None], np.arange(ny)[None, :], seed)
+            tables.append((table.ravel(), ny))
         return tables
 
     def shade(self, u, v):
         """Intensity at plane coordinates (u, v) in [0, 1]^2, scaled to the
         plane's physical size so texture frequency is uniform across walls:
-        ``value_noise(u * su, v * sv, texture_seed)`` for the
-        ``texture_scale`` (su, sv), bit for bit, gathered from
-        ``texture_tables``. Raises ``ValueError`` for u or v outside [0, 1]
-        or NaN, whose lattice cells lie outside the tables."""
+        the value noise of ``texture_tables`` at (u * su, v * sv) for the
+        ``texture_scale`` (su, sv). Raises ``ValueError`` for u or v outside
+        [0, 1] or NaN, whose lattice cells lie outside the tables."""
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         if not (((u >= 0) & (u <= 1)).all() and ((v >= 0) & (v <= 1)).all()):
             raise ValueError("plane coordinates u and v must lie in [0, 1]")
         su, sv = self.texture_scale
-        tables = self.texture_tables
-        return _blend(
-            u * su,
-            v * sv,
-            lambda octave, x0, y0: _gather_corners(*tables[octave], x0, y0),
-            TEXTURE_OCTAVES,
-            TEXTURE_GAIN,
-        )
+        return _blend(u * su, v * sv, self.texture_tables)
 
 
 @dataclass
@@ -542,7 +489,7 @@ def gen_scene(cfg: DatasetConfig) -> SyntheticScene:
 
     surface = np.empty((0, 3))
     if n_surface > 0:
-        # the cached normal is edge_u x edge_v, which render_rays reuses
+        # the cached normal is edge_u x edge_v, which _trace reuses
         areas = np.array([np.linalg.norm(p.hit_constants[0]) for p in planes])
         choice = rng.choice(len(planes), size=n_surface, p=areas / areas.sum())
         uv = rng.uniform(size=(n_surface, 2))
@@ -644,13 +591,11 @@ FRUSTUM_NORMALS = _frustum_normals()
 
 @dataclass(frozen=True)
 class _CellGrid:
-    """A ``CULL_CELLS``^3 grid over the bounding box of a room's points:
-    each point's flat cell index, the point ids grouped by cell, and the
-    centers of the cells' bounding spheres. Every sphere has the radius
-    ``radius``, half the cell diagonal; ``reach`` is the largest coordinate
-    magnitude of the box."""
+    """A ``CULL_CELLS``^3 grid over the bounding box of a room's points: the
+    point ids grouped by flat cell index, and the centers of the cells'
+    bounding spheres. Every sphere has the radius ``radius``, half the cell
+    diagonal; ``reach`` is the largest coordinate magnitude of the box."""
 
-    cell: np.ndarray  # (P,) flat cell index of each point
     order: np.ndarray  # (P,) point ids grouped by cell
     offsets: np.ndarray  # (cells + 1,) cell c's ids are order[offsets[c]:offsets[c + 1]]
     centers: np.ndarray  # (3, CULL_CELLS**3): column c is cell c's center
@@ -683,7 +628,7 @@ class _CellGrid:
         offsets = np.zeros(n**3 + 1, dtype=np.intp)
         np.cumsum(np.bincount(cell, minlength=n**3), out=offsets[1:])
         order = np.argsort(cell)
-        return cls(cell, order, offsets, centers, float(np.linalg.norm(size)) / 2, reach)
+        return cls(order, offsets, centers, float(np.linalg.norm(size)) / 2, reach)
 
     def ids_in_view(self, pose):
         """Ascending ids of the points in every cell whose inflated sphere is
@@ -845,11 +790,12 @@ def observe(
 @dataclass
 class CoVisibilityGraph:
     """The points that the multi-view loss corresponds: seen in at least two
-    observation rows and not dropped by sparsification, as a set of Python
-    ints. Which images see a point is read from the observations themselves
-    (``losses.build_multiview_index``), so it is stored nowhere else."""
+    observation rows and not dropped by sparsification, as ascending int64
+    point ids. Which images see a point is read from the observations
+    themselves (``losses.build_multiview_index``), so it is stored nowhere
+    else."""
 
-    corresponded: set
+    corresponded: np.ndarray
 
 
 def build_covis(observations_by_image: dict) -> CoVisibilityGraph:
@@ -861,7 +807,7 @@ def build_covis(observations_by_image: dict) -> CoVisibilityGraph:
         [np.empty(0, np.int64)]
         + [np.asarray(o.point_ids).astype(np.int64) for o in observations_by_image.values()]
     )
-    return CoVisibilityGraph(set(np.flatnonzero(np.bincount(rows) >= 2).tolist()))
+    return CoVisibilityGraph(np.flatnonzero(np.bincount(rows) >= 2))
 
 
 def sparsify_covis(
@@ -869,18 +815,14 @@ def sparsify_covis(
 ) -> CoVisibilityGraph:
     """Keep correspondence status for a random fraction of the multi-view
     points, demoting the rest to single-view terms. Mirrors the sparse
-    correspondence sets that reconstruction tooling provides in practice."""
-    if not 0 <= keep_fraction <= 1:
-        raise ValueError("keep_fraction must be in [0, 1]")
+    correspondence sets that reconstruction tooling provides in practice.
+    Raises ``ConfigError`` unless ``keep_fraction`` is a number in [0, 1]."""
+    if not _is_fraction(keep_fraction):
+        raise ConfigError(f"keep_fraction must be in [0, 1], got {keep_fraction!r}")
     rng = np.random.default_rng([seed, 5])
-    multi = sorted(graph.corresponded)
+    multi = graph.corresponded
     n_keep = int(round(len(multi) * keep_fraction))
-    kept = set(
-        np.array(multi)[rng.permutation(len(multi))[:n_keep]].tolist()
-        if multi
-        else []
-    )
-    return CoVisibilityGraph(kept)
+    return CoVisibilityGraph(np.sort(multi[rng.permutation(len(multi))[:n_keep]]))
 
 
 # ---------------------------------------------------------------------------
@@ -903,16 +845,10 @@ class Image:
         self.data = d
 
 
-def render_rays(scene: SyntheticScene, origin, dirs):
-    """Shade world-space rays against every scene plane: nearest-hit
-    intersection, value-noise texture at the hit, 0.5 background."""
-    if not scene.planes:
-        raise NoGeometryError("scene has no textured planes to render")
-    return _trace(scene.planes, origin, dirs)
-
-
 def _trace(planes, origin, dirs):
-    """``render_rays`` against ``planes``, in their order."""
+    """Shade the world-space rays ``dirs`` from ``origin`` against
+    ``planes``, in their order: per ray, the nearest hit's ``shade``, or
+    0.5 background where no plane is hit."""
     n = len(dirs)
     best_s = np.full(n, np.inf)
     shade = np.full(n, 0.5)
@@ -981,7 +917,7 @@ def render_image(scene: SyntheticScene, pose: PoseSE3) -> Image:
     and evaluate its texture there. View-independent by construction.
     Intensities are quantized to 16-bit steps. Rays are traced against the
     planes the view may see (``_planes_in_view``), which gives the bits of
-    ``render_rays`` against every plane."""
+    ``_trace`` against every plane."""
     if not scene.planes:
         raise NoGeometryError("scene has no textured planes to render")
     dirs = _pixel_rays() @ pose.rotation.T
@@ -1088,7 +1024,7 @@ def room_digest(ds: Dataset) -> str:
         for a in arrays:
             h.update(a.tobytes())
     h.update(
-        repr((ds.train_ids, ds.test_ids, sorted(ds.covis.corresponded), ds.diameter)).encode()
+        repr((ds.train_ids, ds.test_ids, ds.covis.corresponded.tolist(), ds.diameter)).encode()
     )
     return h.hexdigest()
 
@@ -1130,7 +1066,7 @@ def load_dataset(in_dir) -> Dataset:
         raise ParseError(f"unsupported schema version {version}", path=path)
     try:
         cfg, digest = DatasetConfig(**manifest["config"]), manifest["sha256"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError) as exc:
         raise ParseError(f"malformed contents ({exc!r})", path=path) from exc
     try:
         ds = build_dataset(cfg)

@@ -25,12 +25,14 @@ time, as the loop form of ``anglereloc.losses.build_multiview_index``.
 cross products were written out on Python floats: two ``np.cross`` calls
 and ``np.column_stack``.
 
-``value_noise`` and ``render_rays`` are the renderer as it was before it
-gathered lattice hashes from a per-octave table and kept per-plane
-constants: four ``_hash01`` calls per sample and octave, and the normal,
-squared edge lengths, texture scale and hit point recomputed per call. They
-warn where the package does not (scalar overflow on 0-d input, inf * 0 on
-rays parallel to a plane), so tests call them under
+``value_noise``, ``shade`` and ``render_rays`` are the only reference for
+the renderer, which the package no longer holds in this form: four
+``_hash01`` calls per sample and octave, and the normal, squared edge
+lengths, texture scale and hit point recomputed per call. A plane's
+``shade`` gathers its lattice hashes from per-plane tables, and
+``anglereloc.scenegen._trace`` reuses per-plane constants; both must match
+these bit for bit. They warn where the package does not (scalar overflow on
+0-d input, inf * 0 on rays parallel to a plane), so tests call them under
 ``np.errstate(all="ignore")``.
 """
 

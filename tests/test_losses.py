@@ -420,7 +420,7 @@ class TestMultiviewLoss:
         obs1 = SimpleNamespace(point_ids=obs0.point_ids.copy(), pixels=np.array(pix1))
         poses = {0: pose0, 1: pose1}
         obs_by_img = {0: obs0, 1: obs1}
-        return poses, obs_by_img, set(corresponded), coords
+        return poses, obs_by_img, np.array(corresponded, dtype=np.int64), coords
 
     def test_no_correspondences_reduces_to_angle_loss(self, intr, rng):
         poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
@@ -556,7 +556,7 @@ def index_sha256(index):
 def assert_index_matches_oracle(index, observations, corresponded):
     """Every row's entries, in order, equal ``oracles.multiview_entries``, and
     the images' offsets tile the flat entry arrays in image order."""
-    want = oracles.multiview_entries(observations, corresponded)
+    want = oracles.multiview_entries(observations, set(np.asarray(corresponded).tolist()))
     assert index.image_ids.tolist() == sorted(observations)
     assert index.other_pos.dtype == np.int64 and index.other_pixels.dtype == np.float64
     end = 0
@@ -628,7 +628,7 @@ class TestMultiviewIndex:
     def test_image_without_observations(self):
         obs = {0: _obs([1, 2, 3]), 1: _obs([]), 2: _obs([3, 2])}
         corresponded = build_covis(obs).corresponded
-        assert corresponded == {2, 3}
+        assert corresponded.dtype == np.int64 and corresponded.tolist() == [2, 3]
         index = build_multiview_index(identity_poses(obs), obs, corresponded)
         assert_index_matches_oracle(index, obs, corresponded)
         assert index.images[1].offsets.tolist() == [2]
@@ -638,11 +638,12 @@ class TestMultiviewIndex:
         pose = random_pose(rng)
         obs = {0: _obs([1, 2]), 4: _obs([2, 1])}
         with pytest.raises(IndexMismatchError, match="no pose for indexed image 4"):
-            build_multiview_index({0: pose}, obs, {1, 2})
+            build_multiview_index({0: pose}, obs, np.array([1, 2]))
         # poses of images that are not indexed are neither needed nor kept
         other = random_pose(rng)
-        index = build_multiview_index({0: pose, 4: other, 7: random_pose(rng)}, obs, {1, 2})
-        assert_index_matches_oracle(index, obs, {1, 2})
+        ids = np.array([1, 2])
+        index = build_multiview_index({0: pose, 4: other, 7: random_pose(rng)}, obs, ids)
+        assert_index_matches_oracle(index, obs, ids)
         assert list(index.poses) == [0, 4]
         assert index.rotations.tobytes() == pose.rotation.tobytes() + other.rotation.tobytes()
         assert index.translations.tobytes() == (
@@ -653,7 +654,7 @@ class TestMultiviewIndex:
     def test_duplicate_point_ids_within_one_image(self):
         obs = {5: _obs([3, 9, 1]), 2: _obs([]), 0: _obs([9, 8, 3, 3])}
         corresponded = build_covis(obs).corresponded
-        assert corresponded == {3, 9}
+        assert corresponded.dtype == np.int64 and corresponded.tolist() == [3, 9]
         index = build_multiview_index(identity_poses(obs), obs, corresponded)
         assert_index_matches_oracle(index, obs, corresponded)
         # image 5's row of point 3 has one entry per row of image 0 that sees it
@@ -664,8 +665,9 @@ class TestMultiviewIndex:
 
     def test_corresponded_point_seen_once_gets_no_entries(self):
         obs = {0: _obs([1, 4]), 1: _obs([1])}
-        index = build_multiview_index(identity_poses(obs), obs, {1, 4, 99})
-        assert_index_matches_oracle(index, obs, {1, 4, 99})
+        ids = np.array([1, 4, 99])
+        index = build_multiview_index(identity_poses(obs), obs, ids)
+        assert_index_matches_oracle(index, obs, ids)
         assert np.diff(index.images[0].offsets).tolist() == [1, 0]
 
     def test_no_images(self):
@@ -1246,7 +1248,7 @@ class TestVectorizedEquivalence:
         cfg = LossConfig()
         index = build_multiview_index(room.poses, room.observations, room.covis.corresponded)
         covis = oracles.build_covis(room.observations)
-        assert covis.corresponded == room.covis.corresponded
+        assert room.covis.corresponded.tolist() == sorted(covis.corresponded)
         corresponded = 0
         for t, image_id in enumerate(room.train_ids):
             obs = room.observations[image_id]

@@ -13,7 +13,12 @@ import pytest
 
 from anglereloc import scenegen
 from anglereloc.geometry import PoseSE3
-from anglereloc.losses import build_multiview_index, photo_target, photometric_image_loss
+from anglereloc.losses import (
+    ConfigError,
+    build_multiview_index,
+    photo_target,
+    photometric_image_loss,
+)
 from anglereloc.scenegen import (
     DatasetConfig,
     Image,
@@ -30,11 +35,9 @@ from anglereloc.scenegen import (
     load_dataset,
     observe,
     render_image,
-    render_rays,
     room_digest,
     save_dataset,
     sparsify_covis,
-    value_noise,
 )
 
 import oracles
@@ -54,10 +57,9 @@ def assert_same_bits(a, b):
 
 
 def assert_same_covis(got, want):
-    """Equal corresponded sets, held as Python ints."""
-    assert type(got.corresponded) is set
-    assert got.corresponded == want.corresponded
-    assert all(type(k) is int for k in got.corresponded)
+    """The corresponded ids of ``got``, one ascending int64 array, are those
+    of the oracle's set."""
+    assert_same_bits(got.corresponded, np.array(sorted(want.corresponded), dtype=np.int64))
 
 
 def scene_cfg(seed, n_points, n_planes=6, **kw):
@@ -83,9 +85,13 @@ class TestDatasetConfig:
             ("half_extent", float("inf")),
             # no free-space candidate can clear FREE_SPACE_MIN_RADIUS: gen_scene hung
             ("half_extent", 2.0),
+            ("half_extent", "5"),  # a bare TypeError from the comparison
+            ("half_extent", True),
             ("free_space_fraction", 2.0),  # gen_scene made 2x the points
             ("free_space_fraction", -0.5),  # and 1.5x here
             ("free_space_fraction", float("nan")),
+            ("free_space_fraction", True),  # built a room of free-space points only
+            ("free_space_fraction", "0.2"),
             ("n_images", 0),
             ("n_images", 8.0),  # a bare TypeError deep in gen_trajectory
             ("test_every", -4),  # held out no view
@@ -94,19 +100,25 @@ class TestDatasetConfig:
             ("pixel_noise_sigma", -0.1),
             ("pixel_noise_sigma", float("nan")),
             ("pixel_noise_sigma", float("inf")),  # pinned noisy pixels to the border
+            ("pixel_noise_sigma", None),  # a bare TypeError from the comparison
+            ("pixel_noise_sigma", True),
             ("descriptor_noise_sigma", -0.5),  # built a room without noise
             ("descriptor_noise_sigma", float("nan")),  # and so did this
             ("descriptor_noise_sigma", float("inf")),  # every descriptor non-finite
+            ("descriptor_noise_sigma", False),
+            ("descriptor_noise_sigma", "0.01"),
             ("render_images", "no"),  # rendered every view
             ("render_images", 1),
             ("covis_keep_fraction", 1.5),  # behaved as 1.0
             ("covis_keep_fraction", -0.1),
+            ("covis_keep_fraction", "1"),  # a bare TypeError from the comparison
+            ("covis_keep_fraction", True),
             ("min_visible", 2.5),  # behaved as 3
             ("min_visible", -1),
         ],
     )
     def test_bad_value_raises_naming_the_field(self, field, bad):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
             DatasetConfig(**{field: bad})
 
     def test_limits_are_accepted(self):
@@ -160,7 +172,7 @@ class TestGenScene:
         assert scene.planes == []
         assert len(scene.points) == 50
         with pytest.raises(NoGeometryError):
-            render_rays(scene, np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
+            render_image(scene, PoseSE3.identity())
 
 
 class TestGenSceneMatchesLoop:
@@ -298,12 +310,21 @@ def whole_scene_rows(points, pose):
     return _in_frame(cam)
 
 
+def point_cells(grid):
+    """Each point's flat cell index, read from the ids ``grid`` groups by
+    cell."""
+    cells = np.empty(len(grid.order), dtype=np.intp)
+    cells[grid.order] = np.repeat(np.arange(len(grid.offsets) - 1), np.diff(grid.offsets))
+    return cells
+
+
 def assert_cull_matches_whole(points, grid, pose):
     """The culled projection's ids and pixels equal, bit for bit, those of a
     projection of every point, and the cull keeps whole cells, each id once
     and ascending; returns how many points are in the frame."""
     near = grid.ids_in_view(pose)
-    assert_same_bits(near, np.flatnonzero(np.isin(grid.cell, grid.cell[near])))
+    cells = point_cells(grid)
+    assert_same_bits(near, np.flatnonzero(np.isin(cells, cells[near])))
     ids, pixels = scenegen._in_view(points, grid, pose)
     want_ids, want_pixels = whole_scene_rows(points, pose)
     assert_same_bits(ids, want_ids)
@@ -476,10 +497,11 @@ class TestCullStress:
         intr, w, h = scenegen.INTRINSICS, scenegen.WIDTH, scenegen.HEIGHT
         rng = np.random.default_rng(3)
         ids = rng.choice(len(corners), size=400)  # corners are the room's first rows
+        cells = point_cells(grid)
         on_edge = 0
         for k, point_id in enumerate(ids):
             q = points[point_id]
-            center = grid.centers[:, grid.cell[point_id]]
+            center = grid.centers[:, cells[point_id]]
             normal = (q - center) / np.linalg.norm(q - center)
             plane = k % 4
             z = rng.uniform(0.5, 6.0)
@@ -673,15 +695,15 @@ class TestRender:
         target = plane.origin + 0.3 * plane.edge_u + 0.6 * plane.edge_v
         o1 = np.array([0.5, 0.2, -0.1])
         o2 = np.array([-1.0, 0.8, 0.4])
-        s1 = render_rays(scene, o1, (target - o1)[None, :])
-        s2 = render_rays(scene, o2, (target - o2)[None, :])
+        s1 = scenegen._trace(scene.planes, o1, (target - o1)[None, :])
+        s2 = scenegen._trace(scene.planes, o2, (target - o2)[None, :])
         assert abs(s1[0] - s2[0]) < 1e-12
 
     def test_miss_gives_background(self):
         scene = gen_scene(scene_cfg(5, 50, half_extent=5.0))
         # ray escaping through where there is no plane: shrink to one wall
         scene.planes[:] = scene.planes[:1]
-        shade = render_rays(scene, np.zeros(3), np.array([[-1.0, 0.0, 0.0]]))
+        shade = scenegen._trace(scene.planes, np.zeros(3), np.array([[-1.0, 0.0, 0.0]]))
         assert shade[0] == 0.5
 
     def test_render_values_in_range(self):
@@ -705,69 +727,15 @@ def camera_rays(pose, intr, width, height):
     return rays_cam @ pose.rotation.T
 
 
-class TestValueNoiseMatchesOracle:
-    """The table-gathered ``value_noise`` against four hashes per sample."""
-
-    @pytest.mark.parametrize(
-        "s, t",
-        [
-            pytest.param(*np.random.default_rng(0).uniform(-20, 20, (2, 1000)), id="random"),
-            pytest.param(*np.random.default_rng(1).uniform(-3, 3, (2, 7, 5)), id="random-2d"),
-            pytest.param(*np.random.default_rng(2).uniform(-50, -3, (2, 300)), id="negative"),
-            pytest.param(*np.random.default_rng(3).uniform(1e6, 1e6 + 4, (2, 300)), id="far"),
-            pytest.param(
-                *np.meshgrid(np.arange(-4.0, 5.0), np.arange(-3.0, 4.0, 0.5)), id="integers"
-            ),
-            pytest.param(np.empty(0), np.empty(0), id="empty"),
-            pytest.param(np.empty((0, 3)), np.empty((0, 3)), id="empty-2d"),
-            pytest.param(np.array([-0.25]), np.array([7.75]), id="one"),
-            pytest.param(np.array(-2.5), np.array(0.3), id="0d"),
-            pytest.param(-2.5, 3, id="scalars"),
-            pytest.param(np.linspace(-2, 2, 9), np.array(1.3), id="broadcast"),
-        ],
-    )
-    def test_bit_identical(self, s, t):
-        for seed in (0, 7, 550):
-            got, want = value_noise(s, t, seed), oracle(oracles.value_noise, s, t, seed)
-            assert_same_bits(got, want)
-            assert type(got) is type(want)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_coordinates_raise(self, bad):
-        good = np.array([0.5, 1.5])
-        with pytest.raises(ValueError, match="finite"):
-            value_noise(np.array([0.5, bad]), good, 1)
-        with pytest.raises(ValueError, match="finite"):
-            value_noise(good, np.array([bad, 0.5]), 1)
-        with pytest.raises(ValueError, match="finite"):
-            value_noise(bad, 0.5, 1)
-
-    @pytest.mark.parametrize("octaves", [1, 3])
-    def test_huge_coordinates_raise_without_warnings(self, octaves):
-        # the finest octave scales by 2 ** (octaves - 1); at 2 ** 53 and beyond
-        # the lattice cell is lost (1e19 used to give 1.8e58 with cast warnings)
-        limit = 2.0**53 / 2.0 ** (octaves - 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for bad in (1e19, -1e19, limit, -limit, 1e308):
-                with pytest.raises(ValueError, match="below"):
-                    value_noise(np.array([bad]), np.array([0.0]), 1, octaves)
-                with pytest.raises(ValueError, match="below"):
-                    value_noise(np.array([0.5, 0.25]), np.array([0.0, bad]), 1, octaves)
-            # one sample at a time: two far apart would span a huge lattice box
-            for ok in (np.nextafter(limit, 0), -np.nextafter(limit, 0)):
-                out = value_noise(np.array([ok]), np.array([ok]), 1, octaves)
-                assert 0.1 <= out[0] <= 0.9
-
-
 class TestRenderMatchesOracle:
-    """``render_rays`` and ``render_image`` against the renderer that
-    recomputed every per-plane constant and hashed every corner per call."""
+    """``_trace`` against every plane, and ``render_image``, against the
+    renderer that recomputed every per-plane constant and hashed every
+    corner per call."""
 
     @staticmethod
     def assert_rays_match(scene, origin, dirs):
         dirs = np.asarray(dirs, dtype=np.float64)
-        got = render_rays(scene, origin, dirs)
+        got = scenegen._trace(scene.planes, origin, dirs)
         assert_same_bits(got, oracle(oracles.render_rays, scene, origin, dirs))
         return got
 
@@ -824,9 +792,7 @@ class TestRenderMatchesOracle:
 
     def test_interior_panels_occlude_walls(self):
         ds = build_dataset(DatasetConfig(n_planes=8, render_images=True, n_images=12))
-        walls = SyntheticScene(
-            ds.scene.points, ds.scene.planes[:6], ds.scene.bounds_lo, ds.scene.bounds_hi, 10.0
-        )
+        walls = ds.scene.planes[:6]
         occluded = 0
         for image_id, pose in ds.poses.items():
             width, height = scenegen.WIDTH, scenegen.HEIGHT
@@ -834,7 +800,7 @@ class TestRenderMatchesOracle:
             shade = self.assert_rays_match(ds.scene, pose.translation, dirs)
             want = np.round(shade.reshape(height, width) * 65535.0) / 65535.0
             assert_same_bits(ds.images[image_id].data, want)
-            occluded += int(np.sum(shade != render_rays(walls, pose.translation, dirs)))
+            occluded += int(np.sum(shade != scenegen._trace(walls, pose.translation, dirs)))
         assert occluded > 0
 
 
@@ -851,15 +817,13 @@ class TestPlaneShade:
     """``TexturedPlane.shade`` gathers from tables kept on the plane."""
 
     @pytest.mark.parametrize("plane", texture_planes())
-    def test_equals_value_noise(self, plane):
+    def test_equals_oracle_shade(self, plane):
         rng = np.random.default_rng(plane.texture_seed)
         edges = [0.0, 1.0, -0.0, 0.5, np.nextafter(1.0, 0.0), 5e-324]
         u = np.concatenate([rng.uniform(size=500), np.repeat(edges, len(edges))])
         v = np.concatenate([rng.uniform(size=500), np.tile(edges, len(edges))])
-        su, sv = plane.texture_scale
         for a, b in ((u, v), (u.reshape(-1, 4), v.reshape(-1, 4)), (1.0, 0.0), (u[:0], v[:0])):
-            want = value_noise(np.asarray(a) * su, np.asarray(b) * sv, plane.texture_seed)
-            assert_same_bits(plane.shade(a, b), want)
+            assert_same_bits(plane.shade(a, b), oracle(oracles.shade, plane, a, b))
 
     @pytest.mark.parametrize(
         "bad", [np.nextafter(0.0, -1.0), -1.0, np.nextafter(1.0, 2.0), 2.0, np.nan, np.inf, -np.inf]
@@ -895,10 +859,11 @@ class TestPlaneShade:
 
 
 def render_every_plane(scene, pose):
-    """The image that ``render_rays`` gives against every plane on the
-    pixel rays of ``pose``, quantized as ``render_image`` quantizes."""
+    """The image that ``_trace`` gives against every plane on the pixel rays
+    of ``pose``, quantized as ``render_image`` quantizes."""
     w, h = scenegen.WIDTH, scenegen.HEIGHT
-    shade = render_rays(scene, pose.translation, camera_rays(pose, scenegen.INTRINSICS, w, h))
+    rays = camera_rays(pose, scenegen.INTRINSICS, w, h)
+    shade = scenegen._trace(scene.planes, pose.translation, rays)
     return np.round(shade.reshape(h, w) * 65535.0) / 65535.0
 
 
@@ -926,7 +891,7 @@ ROOMS = {
 
 class TestRenderCull:
     """``render_image`` traces only the planes its view may see, and gives
-    the bits of ``render_rays`` against every plane."""
+    the bits of ``_trace`` against every plane."""
 
     @pytest.fixture(scope="class", params=list(ROOMS), ids=list(ROOMS))
     def scene(self, request):
@@ -1036,7 +1001,7 @@ class TestCoVisibility:
         ds = build_dataset(small_cfg())
         first = {0: ds.observations[0]}
         graph = build_covis(first)
-        assert graph.corresponded == set()
+        assert graph.corresponded.dtype == np.int64 and graph.corresponded.tolist() == []
         index = build_multiview_index(ds.poses, first, graph.corresponded)
         assert len(index.other_pos) == 0
 
@@ -1046,7 +1011,7 @@ class TestCoVisibility:
             for i in (1, 2, 3)
         }
         graph = build_covis(o)
-        assert graph.corresponded == {7}
+        assert graph.corresponded.dtype == np.int64 and graph.corresponded.tolist() == [7]
         poses = {i: PoseSE3.identity() for i in o}
         index = build_multiview_index(poses, o, graph.corresponded)
         for i, others in ((1, [2, 3]), (2, [1, 3]), (3, [1, 2])):
@@ -1074,7 +1039,7 @@ class TestCoVisibility:
         ds = build_dataset(small_cfg())
         index = build_multiview_index(ds.poses, ds.observations, ds.covis.corresponded)
         for i, obs in ds.observations.items():
-            mask = np.isin(obs.point_ids, list(ds.covis.corresponded))
+            mask = np.isin(obs.point_ids, ds.covis.corresponded)
             others = np.diff(index.images[i].offsets) > 0
             assert len(mask) == len(obs.point_ids)
             assert mask.tolist() == others.tolist()
@@ -1119,9 +1084,16 @@ class TestCoVisibility:
         full = len(ds.covis.corresponded)
         sparse = sparsify_covis(ds.covis, 0.2, seed=1)
         assert len(sparse.corresponded) == round(full * 0.2)
-        assert sparse.corresponded <= ds.covis.corresponded
+        assert np.isin(sparse.corresponded, ds.covis.corresponded).all()
+        assert (np.diff(sparse.corresponded) > 0).all()
         again = sparsify_covis(ds.covis, 0.2, seed=1)
-        assert sparse.corresponded == again.corresponded
+        assert_same_bits(sparse.corresponded, again.corresponded)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan"), True, "0.5"])
+    def test_sparsify_refuses_a_bad_fraction(self, bad):
+        graph = build_covis(build_dataset(small_cfg()).observations)
+        with pytest.raises(ConfigError, match="^keep_fraction must be in"):
+            sparsify_covis(graph, bad, seed=1)
 
 
 class TestDatasetBuild:
@@ -1190,7 +1162,7 @@ def dataset_sha256(ds):
     h.update(repr((ds.train_ids, ds.test_ids, ds.diameter)).encode())
     # the point -> images map the package once stored, rebuilt from the observations
     h.update(repr(list(oracles.build_covis(ds.observations).point_to_images.items())).encode())
-    h.update(repr(sorted(ds.covis.corresponded)).encode())
+    h.update(repr(ds.covis.corresponded.tolist()).encode())
     return h.hexdigest()
 
 
@@ -1261,6 +1233,22 @@ class TestPinnedDatasets:
         assert drawn(ds) == (False, [])
         assert dataset_sha256(ds) == digest
 
+    @pytest.mark.parametrize(
+        "kw, digest",
+        [
+            ({}, "0dbc726ca5565f0802df8f909b2b3c1a6f838109d547930edec48e097d6a3494"),
+            (
+                {"seed": 2, "covis_keep_fraction": 0.3},
+                "22b657a78f53aa391246ce1e1919fddccc04318c04d3f5dc43aa160cbf18b632",
+            ),
+        ],
+        ids=["default", "sparsified"],
+    )
+    def test_room_digest(self, kw, digest):
+        """The ``sha256`` that a manifest holds, so that the manifests an
+        earlier build saved still load."""
+        assert room_digest(build_dataset(DatasetConfig(**kw))) == digest
+
 
 class TestLazyDescriptors:
     """Neither ``build_dataset`` nor ``load_dataset`` draws a descriptor: a
@@ -1330,7 +1318,7 @@ class TestDatasetIO:
         assert back.config == ds.config and back.intrinsics == ds.intrinsics
         assert back.diameter == ds.diameter == ds.scene.diameter
         assert back.train_ids == ds.train_ids and back.test_ids == ds.test_ids
-        assert back.covis.corresponded == ds.covis.corresponded
+        assert_same_bits(back.covis.corresponded, ds.covis.corresponded)
         assert_same_bits(back.descriptors, ds.descriptors)
         for i, obs in ds.observations.items():
             b = back.observations[i]
@@ -1392,6 +1380,10 @@ class TestDatasetIO:
             pytest.param(
                 lambda m: m["config"].update(free_space_fraction=2.0),
                 id="manifest-free_space_fraction-2.0",
+            ),
+            pytest.param(
+                lambda m: m["config"].update(free_space_fraction=True),
+                id="manifest-free_space_fraction-true",
             ),
             pytest.param(
                 lambda m: m["config"].update(descriptor_noise_sigma=-0.5),
@@ -1507,7 +1499,7 @@ class TestDatasetIO:
             ),
             pytest.param(lambda ds: ds.test_ids.pop(), id="split"),
             pytest.param(
-                lambda ds: ds.covis.corresponded.discard(min(ds.covis.corresponded)),
+                lambda ds: setattr(ds.covis, "corresponded", ds.covis.corresponded[1:]),
                 id="corresponded",
             ),
         ],
