@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -91,9 +91,71 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _is_fraction(value) -> bool:
-    """True for a real number in [0, 1] that is not a bool; False for NaN."""
-    return _is_real(value) and 0 <= value <= 1
+def _is_finite(value) -> bool:
+    """True for a real number, not a bool, that a float holds finite: NaN,
+    infinities and ints beyond the float range are not. A float skips the
+    ABC test (about 1 us), as ``adam_step`` tests its lr every step."""
+    try:
+        return (type(value) is float or _is_real(value)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+class Rule(NamedTuple):
+    """What a config value must be: the test it passes, and the words that
+    name the test in a refusal."""
+
+    holds: Callable[[object], bool]
+    text: str
+
+    def check(self, name, value):
+        """Raise ``ConfigError`` naming ``name`` unless ``value`` passes."""
+        if not self.holds(value):
+            raise ConfigError(f"{name} must be {self.text}, got {value!r}")
+
+
+# a config count is at most what numpy's int64 sizes and draws take
+_INT64_MAX = np.iinfo(np.int64).max
+COUNT = Rule(lambda v: is_count(v, 0) and v <= _INT64_MAX, "an integer >= 0")
+POSITIVE_COUNT = Rule(lambda v: is_count(v, 1) and v <= _INT64_MAX, "an integer > 0")
+POSITIVE = Rule(lambda v: _is_finite(v) and v > 0, "finite and > 0")
+NON_NEGATIVE = Rule(lambda v: _is_finite(v) and v >= 0, "finite and >= 0")
+FRACTION = Rule(lambda v: _is_real(v) and 0 <= v <= 1, "in [0, 1]")
+
+
+def ruled(rule, default=MISSING, default_factory=MISSING):
+    """A dataclass field whose value must pass ``rule``."""
+    return field(default=default, default_factory=default_factory, metadata={"rule": rule})
+
+
+def check_fields(config):
+    """Raise ``ConfigError`` naming the first field of the dataclass
+    ``config`` whose value fails its ``ruled`` rule."""
+    for f in fields(config):
+        f.metadata["rule"].check(f.name, getattr(config, f.name))
+
+
+def config_from_json(cls, raw, what):
+    """The ``cls`` config whose ``asdict`` JSON decoded to ``raw``, named
+    ``what`` in a refusal. Raises ``ConfigError`` for a ``raw`` that is no
+    JSON object, that lacks a field or holds another key, or whose values
+    ``cls`` refuses. A list in a ``tuple`` field comes back as a tuple, and
+    a field whose type is a config is read by the same rules."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    names = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(raw) - names), sorted(names - set(raw))
+    if unknown or missing:
+        raise ConfigError(f"{what} keys: unknown {unknown}, missing {missing}")
+    types = get_type_hints(cls)
+    values = {}
+    for name, value in raw.items():
+        if is_dataclass(types[name]):
+            value = config_from_json(types[name], value, f"{what}.{name}")
+        elif types[name] is tuple and isinstance(value, list):
+            value = tuple(value)
+        values[name] = value
+    return cls(**values)
 
 
 # SSIM stabilizers for intensities in [0, 1]
@@ -103,37 +165,15 @@ SSIM_C2 = 0.03**2
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Balance weights and guards shared by the composite losses. A value
-    that is not a real number, a bool included, or lies outside its range
-    raises ``ConfigError`` naming the field."""
+    """Balance weights and guards shared by the composite losses; a value
+    that fails its field's rule raises ``ConfigError`` naming the field."""
 
-    lambda_multiview: float = 60.0
-    lambda_photo: float = 20.0
-    alpha_ssim: float = 0.85
-    epsilon_norm: float = 1e-8
+    lambda_multiview: float = ruled(NON_NEGATIVE, 60.0)
+    lambda_photo: float = ruled(NON_NEGATIVE, 20.0)
+    alpha_ssim: float = ruled(FRACTION, 0.85)
+    epsilon_norm: float = ruled(POSITIVE, 1e-8)
 
-    def __post_init__(self):
-        # written so that NaN fails every rule
-        for name, ok, rule in (
-            (
-                "lambda_multiview",
-                _is_real(self.lambda_multiview) and 0 <= self.lambda_multiview < math.inf,
-                "finite and >= 0",
-            ),
-            (
-                "lambda_photo",
-                _is_real(self.lambda_photo) and 0 <= self.lambda_photo < math.inf,
-                "finite and >= 0",
-            ),
-            ("alpha_ssim", _is_fraction(self.alpha_ssim), "in [0, 1]"),
-            (
-                "epsilon_norm",
-                _is_real(self.epsilon_norm) and 0 < self.epsilon_norm < math.inf,
-                "finite and > 0",
-            ),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+    __post_init__ = check_fields
 
 
 class LossReport(NamedTuple):
@@ -201,7 +241,7 @@ def _row_dots(a, b):
     return p[:, 0] + p[:, 1] + p[:, 2]
 
 
-def _row_norms(a):
+def row_norms(a):
     """Row norms of an (N, 3) array: the bits of ``np.linalg.norm(a, axis=1)``."""
     return np.sqrt(_row_dots(a, a))
 
@@ -258,7 +298,7 @@ def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
         r = _project(intr, D) - pixels
         values = np.linalg.norm(r, axis=1)
         rhat = np.where(values[:, None] > 0, r / values[:, None], 0.0)
-        thetas = _angles_between(D, rays, _row_norms(D), _row_norms(rays))
+        thetas = _angles_between(D, rays, row_norms(D), row_norms(rays))
     grads = _project_grads(intr, pose.rotation, D, rhat)
     return LossReport(values, grads, depth_statuses(D[:, 2]), thetas)
 
@@ -277,13 +317,13 @@ def _angle_kernel(D, rays, eps_norm):
     rows, so they run only when some row needs them; either way every other
     row gets the same bits.
     """
-    norms_D_raw = _row_norms(D)
-    norms_d = _row_norms(rays)
+    norms_D_raw = row_norms(D)
+    norms_d = row_norms(rays)
     norms_D = np.maximum(norms_D_raw, eps_norm)
     scale = (norms_d / norms_D)[:, None]
     g = scale * D
     g -= rays
-    values = _row_norms(g)
+    values = row_norms(g)
     with np.errstate(invalid="ignore", divide="ignore"):
         ghat = g / values[:, None]
         thetas = _angles_between(D, rays, norms_D_raw, norms_d)

@@ -40,7 +40,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,21 +52,27 @@ from anglereloc.geometry import (
     ray_vectors,
 )
 from anglereloc.losses import (  # ConfigError is re-exported here
+    COUNT,
+    FRACTION,
+    POSITIVE,
+    POSITIVE_COUNT,
     ConfigError,
     DimensionMismatchError,
     IndexMismatchError,
     LossConfig,
     LossReport,
-    _is_fraction,
-    _is_real,
-    _row_norms,
+    Rule,
     angle_terms,
     build_multiview_index,
+    check_fields,
+    config_from_json,
     is_count,
     multiview_image_loss,
     photo_target,
     photometric_image_loss,
     reproj_terms,
+    row_norms,
+    ruled,
 )
 from anglereloc.scenegen import DESCRIPTOR_DIM, column_bounds
 
@@ -572,8 +578,8 @@ def adam_step(state: AdamState, params, grads, read=None):
     ):
         raise DimensionMismatchError("parameter/gradient shapes disagree")
     lr = state.lr
-    if not 0.0 < lr < math.inf:
-        raise ConfigError(f"adam_step needs a learning rate finite and > 0, got {lr!r}")
+    if not POSITIVE.holds(lr):
+        raise ConfigError(f"adam_step needs a learning rate {POSITIVE.text}, got {lr!r}")
     read = _read_set(read, len(params))
     state.step += 1
     t = state.step
@@ -622,9 +628,8 @@ def constant_depth_targets(
 ):
     """Dummy scene coordinates at camera-frame depth ``d`` along each
     observation's viewing ray; the initialization baseline's regression
-    targets."""
-    if not d > 0:
-        raise ValueError("constant depth d must be positive")
+    targets. A ``d`` that is not finite and > 0 raises ``ConfigError``."""
+    POSITIVE.check("constant depth d", d)
     rays = ray_vectors(intr, observations.pixels)
     cam = rays * (d / intr.f)  # third component becomes exactly d
     return pose.camera_to_world(cam)
@@ -640,61 +645,41 @@ def constant_depth_targets(
 PHOTO_NEIGHBOR_MAX_OFFSET = 10
 
 
+_MODES = [m.value for m in TrainMode]
+
+
+def _tuple_of(rule, items):
+    """The rule of a tuple whose every item passes ``rule``."""
+    return Rule(lambda v: isinstance(v, tuple) and all(map(rule.holds, v)), f"a tuple of {items}")
+
+
 @dataclass
 class TrainConfig:
     """Training settings. Every loss weight and guard lives in ``loss``, a
-    ``LossConfig``. A value that would break a run or silently change it
-    raises ``ConfigError`` naming the field; no number may be a bool.
-    ``mode`` is a ``TrainMode`` value string, not the member; the counts
-    (``seed``, ``iterations``, ``checkpoint_every``) are integers, and
-    ``checkpoint_every`` 0 records only the end; ``lr`` and ``const_depth``
-    (checked in every mode) are finite and > 0; ``lr_halving_fractions`` is
-    a tuple of numbers in [0, 1] and ``hidden_sizes`` one of integers > 0.
-    ``angle-photo``'s neighbor reach is ``PHOTO_NEIGHBOR_MAX_OFFSET``.
-    A ``PatchMLP`` has the layer sizes ``network_sizes(cfg)``."""
+    ``LossConfig``. A value that fails its field's rule raises
+    ``ConfigError`` naming the field. ``mode`` is a ``TrainMode`` value
+    string, not the member; ``checkpoint_every`` 0 records only the end;
+    ``const_depth`` is checked in every mode. ``angle-photo``'s neighbor
+    reach is ``PHOTO_NEIGHBOR_MAX_OFFSET``. A ``PatchMLP`` has the layer
+    sizes ``network_sizes(cfg)``."""
 
-    mode: str = TrainMode.ANGLE.value
-    iterations: int = 20000
-    lr: float = 1e-4
-    lr_halving_fractions: tuple = (0.6, 0.8, 0.9)
-    loss: LossConfig = field(default_factory=LossConfig)
-    const_depth: float = 3.0
-    init_fraction: float = 0.25
-    seed: int = 0
-    checkpoint_every: int = 500
-    hidden_sizes: tuple = (64, 64)
+    mode: str = ruled(
+        Rule(lambda v: isinstance(v, str) and v in _MODES, f"one of {_MODES}"),
+        TrainMode.ANGLE.value,
+    )
+    iterations: int = ruled(POSITIVE_COUNT, 20000)
+    lr: float = ruled(POSITIVE, 1e-4)
+    lr_halving_fractions: tuple = ruled(_tuple_of(FRACTION, "numbers in [0, 1]"), (0.6, 0.8, 0.9))
+    loss: LossConfig = ruled(
+        Rule(lambda v: isinstance(v, LossConfig), "a LossConfig"), default_factory=LossConfig
+    )
+    const_depth: float = ruled(POSITIVE, 3.0)
+    init_fraction: float = ruled(FRACTION, 0.25)
+    seed: int = ruled(COUNT, 0)
+    checkpoint_every: int = ruled(COUNT, 500)
+    hidden_sizes: tuple = ruled(_tuple_of(POSITIVE_COUNT, "integers > 0"), (64, 64))
 
-    def __post_init__(self):
-        modes = [m.value for m in TrainMode]
-        # written so that NaN fails every rule
-        for name, ok, rule in (
-            ("mode", isinstance(self.mode, str) and self.mode in modes, f"one of {modes}"),
-            ("loss", isinstance(self.loss, LossConfig), "a LossConfig"),
-            ("seed", is_count(self.seed, 0), "an integer >= 0"),
-            ("iterations", is_count(self.iterations, 1), "an integer > 0"),
-            ("lr", _is_real(self.lr) and 0 < self.lr < math.inf, "finite and > 0"),
-            (
-                "const_depth",
-                _is_real(self.const_depth) and 0 < self.const_depth < math.inf,
-                "finite and > 0",
-            ),
-            ("init_fraction", _is_fraction(self.init_fraction), "in [0, 1]"),
-            ("checkpoint_every", is_count(self.checkpoint_every, 0), "an integer >= 0"),
-            (
-                "hidden_sizes",
-                isinstance(self.hidden_sizes, tuple)
-                and all(is_count(n, 1) for n in self.hidden_sizes),
-                "a tuple of integers > 0",
-            ),
-            (
-                "lr_halving_fractions",
-                isinstance(self.lr_halving_fractions, tuple)
-                and all(_is_fraction(f) for f in self.lr_halving_fractions),
-                "a tuple of numbers in [0, 1]",
-            ),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+    __post_init__ = check_fields
 
 
 def network_sizes(cfg: TrainConfig) -> tuple:
@@ -924,7 +909,7 @@ def evaluate_coords(model, dataset, image_ids=None):
     errs = []
     for image_id in ids:
         preds, _ = model.predict_image(dataset, image_id)
-        errs.append(_row_norms(preds - dataset.observations[image_id].gt_coords))
+        errs.append(row_norms(preds - dataset.observations[image_id].gt_coords))
     errs = np.concatenate(errs)
     with np.errstate(invalid="ignore"):
         return float(np.median(errs)), float(np.mean(errs))
@@ -955,12 +940,13 @@ def load_checkpoint(path):
 
     Raises ``ConfigError`` naming ``path`` when the file cannot be read or
     parsed, or does not hold the current ``CHECKPOINT_VERSION``, a known
-    model kind with its state, and exactly the ``TrainConfig`` fields with
-    exactly the ``LossConfig`` fields under ``loss``; when a config value is
-    refused; when a ``FreeTable`` id is not an integer >= 0, or a table
+    model kind with its state, and a ``train_config`` that
+    ``config_from_json`` reads: exactly the ``TrainConfig`` fields with
+    exactly the ``LossConfig`` fields under ``loss``, each passing its rule.
+    It also raises when a ``FreeTable`` id is not an integer >= 0, or a table
     coordinate, weight or bias is not a number (see ``FreeTable.from_state``
-    and ``PatchMLP.from_state``); and when a ``PatchMLP``'s layer sizes are not
-    ``network_sizes`` of its own config.
+    and ``PatchMLP.from_state``), and when a ``PatchMLP``'s layer sizes are
+    not ``network_sizes`` of its own config.
     """
     try:
         blob = json.loads(Path(path).read_text())
@@ -976,17 +962,6 @@ def load_checkpoint(path):
         raise ConfigError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 
-def _check_keys(what, raw, cls):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} is not a JSON object")
-    names = {f.name for f in fields(cls)}
-    if set(raw) != names:
-        raise ConfigError(
-            f"{what} keys: unknown {sorted(set(raw) - names)}, "
-            f"missing {sorted(names - set(raw))}"
-        )
-
-
 def _checkpoint_contents(blob):
     if not isinstance(blob, dict):
         raise ConfigError("checkpoint is not a JSON object")
@@ -998,15 +973,7 @@ def _checkpoint_contents(blob):
     kind = state.get("kind")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r} in checkpoint")
-    _check_keys("train_config", raw, TrainConfig)
-    _check_keys("train_config.loss", raw["loss"], LossConfig)
-    # JSON arrays come back as lists; anything else is left for the checks
-    tuples = {
-        name: tuple(raw[name])
-        for name in ("lr_halving_fractions", "hidden_sizes")
-        if isinstance(raw[name], list)
-    }
-    cfg = TrainConfig(**dict(raw, **tuples, loss=LossConfig(**raw["loss"])))
+    cfg = config_from_json(TrainConfig, raw, "train_config")
     model = MODEL_KINDS[kind].from_state(state)
     if kind == PatchMLP.kind and model.layer_sizes != network_sizes(cfg):
         raise ConfigError(

@@ -114,7 +114,18 @@ from pathlib import Path
 import numpy as np
 
 from anglereloc.geometry import CameraIntrinsics, PoseSE3, nearest_rotation, ray_vectors
-from anglereloc.losses import ConfigError, _is_fraction, _is_real, is_count
+from anglereloc.losses import (
+    COUNT,
+    FRACTION,
+    NON_NEGATIVE,
+    POSITIVE,
+    POSITIVE_COUNT,
+    ConfigError,
+    Rule,
+    check_fields,
+    config_from_json,
+    ruled,
+)
 
 
 class NoGeometryError(Exception):
@@ -190,57 +201,26 @@ class DatasetConfig:
     width), which are the same for every room. Each field is here because a
     test or a benchmark workload varies it.
 
-    Values that would break a room or silently change it raise
-    ``ConfigError`` naming the field; the counts (``seed``, ``n_points``,
-    ``n_planes``, ``n_images``, ``test_every``, ``min_visible``) must be
-    integers, not bools or floats; ``half_extent`` finite and > 0, the two
-    fractions in [0, 1] and the two noise sigmas finite and >= 0, each a real
-    number and not a bool; and ``render_images`` a bool."""
+    A value that fails its field's rule raises ``ConfigError`` naming the
+    field, as does a ``half_extent`` too small for the room's free-space
+    points."""
 
-    seed: int = 0
-    n_points: int = 500
-    n_planes: int = 6
-    half_extent: float = 5.0
-    free_space_fraction: float = 0.2
-    n_images: int = 40
-    test_every: int = 4  # every k-th image is held out for evaluation; 0 holds out none
-    min_visible: int = 20
-    pixel_noise_sigma: float = 0.0
-    descriptor_noise_sigma: float = 0.01
-    covis_keep_fraction: float = 1.0
-    render_images: bool = False
+    seed: int = ruled(COUNT, 0)
+    n_points: int = ruled(POSITIVE_COUNT, 500)
+    n_planes: int = ruled(COUNT, 6)
+    half_extent: float = ruled(POSITIVE, 5.0)
+    free_space_fraction: float = ruled(FRACTION, 0.2)
+    n_images: int = ruled(POSITIVE_COUNT, 40)
+    # every k-th image is held out for evaluation; 0 holds out none
+    test_every: int = ruled(COUNT, 4)
+    min_visible: int = ruled(COUNT, 20)
+    pixel_noise_sigma: float = ruled(NON_NEGATIVE, 0.0)
+    descriptor_noise_sigma: float = ruled(NON_NEGATIVE, 0.01)
+    covis_keep_fraction: float = ruled(FRACTION, 1.0)
+    render_images: bool = ruled(Rule(lambda v: isinstance(v, bool), "a bool"), False)
 
     def __post_init__(self):
-        # written so that NaN fails every rule
-        for name, ok, rule in (
-            ("seed", is_count(self.seed, 0), "an integer >= 0"),
-            ("n_points", is_count(self.n_points, 1), "an integer > 0"),
-            ("n_planes", is_count(self.n_planes, 0), "an integer >= 0"),
-            (
-                "half_extent",
-                _is_real(self.half_extent) and 0 < self.half_extent < math.inf,
-                "finite and > 0",
-            ),
-            ("free_space_fraction", _is_fraction(self.free_space_fraction), "in [0, 1]"),
-            ("n_images", is_count(self.n_images, 1), "an integer > 0"),
-            ("test_every", is_count(self.test_every, 0), "an integer >= 0"),
-            ("min_visible", is_count(self.min_visible, 0), "an integer >= 0"),
-            (
-                "pixel_noise_sigma",
-                _is_real(self.pixel_noise_sigma) and 0 <= self.pixel_noise_sigma < math.inf,
-                "finite and >= 0",
-            ),
-            (
-                "descriptor_noise_sigma",
-                _is_real(self.descriptor_noise_sigma)
-                and 0 <= self.descriptor_noise_sigma < math.inf,
-                "finite and >= 0",
-            ),
-            ("covis_keep_fraction", _is_fraction(self.covis_keep_fraction), "in [0, 1]"),
-            ("render_images", isinstance(self.render_images, bool), "a bool"),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_fields(self)
         # no free-space candidate of the cube [-h, h]^3 could clear the radius
         if self.n_free_space and not self.half_extent * math.sqrt(3) > FREE_SPACE_MIN_RADIUS:
             raise ConfigError(
@@ -817,8 +797,7 @@ def sparsify_covis(
     points, demoting the rest to single-view terms. Mirrors the sparse
     correspondence sets that reconstruction tooling provides in practice.
     Raises ``ConfigError`` unless ``keep_fraction`` is a number in [0, 1]."""
-    if not _is_fraction(keep_fraction):
-        raise ConfigError(f"keep_fraction must be in [0, 1], got {keep_fraction!r}")
+    FRACTION.check("keep_fraction", keep_fraction)
     rng = np.random.default_rng([seed, 5])
     multi = graph.corresponded
     n_keep = int(round(len(multi) * keep_fraction))
@@ -1048,12 +1027,13 @@ def load_dataset(in_dir) -> Dataset:
     """The room that ``save_dataset`` wrote to ``in_dir``, rebuilt from its
     manifest's config by ``build_dataset``. Raises ``ParseError`` naming
     ``manifest.json`` when the file is missing, unreadable or not a JSON
-    object, holds another ``SCHEMA_VERSION``, lacks ``config`` or ``sha256``,
-    holds a config that ``DatasetConfig`` refuses or that cannot be built, or
-    when the rebuilt room's ``room_digest`` differs from the saved one: the
-    room or the generator changed since the save (a different numpy or BLAS
-    build can change a room's bits). So a load gives the saved room or
-    refuses."""
+    object, holds another ``SCHEMA_VERSION``, lacks ``sha256``, holds a
+    ``config`` that ``config_from_json`` refuses (no JSON object, a missing
+    field or another key, or a value that fails its field's rule) or that
+    cannot be built, or when the rebuilt room's ``room_digest`` differs from
+    the saved one: the room or the generator changed since the save (a
+    different numpy or BLAS build can change a room's bits). So a load gives
+    the saved room or refuses."""
     path = Path(in_dir) / "manifest.json"
     try:
         manifest = json.loads(path.read_text())
@@ -1065,8 +1045,9 @@ def load_dataset(in_dir) -> Dataset:
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {version}", path=path)
     try:
-        cfg, digest = DatasetConfig(**manifest["config"]), manifest["sha256"]
-    except (ConfigError, KeyError, TypeError) as exc:
+        cfg = config_from_json(DatasetConfig, manifest.get("config"), "config")
+        digest = manifest["sha256"]
+    except (ConfigError, KeyError) as exc:
         raise ParseError(f"malformed contents ({exc!r})", path=path) from exc
     try:
         ds = build_dataset(cfg)

@@ -1,6 +1,6 @@
 """The package is numpy-only: every import in ``src/anglereloc`` is from the
-standard library, numpy or the package itself. Every name the package
-exports resolves."""
+standard library, numpy or the package itself, and no module imports
+another's ``_``-prefixed name. Every name the package exports resolves."""
 
 import ast
 import sys
@@ -22,6 +22,31 @@ def imported_packages(source):
             yield from (alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             yield "anglereloc" if node.level else node.module.split(".")[0]
+
+
+def private_imports(source):
+    """Every ``_``-prefixed name that ``source`` imports from the package."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.split(".")[0] == "anglereloc"
+        ):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_no_private_name_of_another_module(path):
+    private = sorted(set(private_imports(path.read_text())))
+    assert not private, f"{path.name} imports {private}"
+
+
+def test_the_private_name_guard_sees_package_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from anglereloc.losses import ConfigError, _is_real\n"
+        "from .losses import _row_norms\n"
+    )
+    assert list(private_imports(source)) == ["_is_real", "_row_norms"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -4,13 +4,13 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from anglereloc import losses, regressor, scenegen
-from anglereloc.losses import LossConfig
+from anglereloc.losses import LossConfig, Rule
 from anglereloc.regressor import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -25,6 +25,7 @@ from anglereloc.regressor import (
     TrainConfig,
     TrainMode,
     adam_step,
+    constant_depth_targets,
     evaluate_coords,
     load_checkpoint,
     lr_at,
@@ -278,7 +279,10 @@ class TestAdamZeroSkip:
         assert not np.signbit(state.m[0][5]).any() and not np.signbit(state.v[1][9, 2])
 
     @pytest.mark.parametrize(
-        "lr", [0.0, -0.0, -0.05, math.inf, -math.inf, math.nan], ids=lambda lr: f"lr={lr}"
+        "lr",
+        # 10**400 raised a bare OverflowError after counting the step
+        [0.0, -0.0, -0.05, math.inf, -math.inf, math.nan, pytest.param(10**400, id="lr=1e400")],
+        ids=lambda lr: f"lr={lr}",
     )
     def test_learning_rates_outside_the_accepted_range_raise(self, lr):
         params = self.params()[:2]
@@ -451,7 +455,9 @@ class TestAdamNoneGradient:
         assert params[1].tobytes() == start[1].tobytes()
 
     @pytest.mark.parametrize(
-        "lr", [-0.0, 0.0, math.inf, math.nan, -0.05, -math.inf], ids=lambda lr: f"lr={lr}"
+        "lr",
+        [-0.0, 0.0, math.inf, math.nan, -0.05, -math.inf, pytest.param(10**400, id="lr=1e400")],
+        ids=lambda lr: f"lr={lr}",
     )
     @pytest.mark.parametrize("moments", ["fresh", "special"])
     def test_learning_rates_outside_the_accepted_range_raise(self, lr, moments):
@@ -1092,6 +1098,8 @@ class TestTrainConfig:
             ("lr", 0.0),  # trained nothing, without complaint
             ("lr", -0.01),
             ("lr", float("inf")),
+            # a bare OverflowError from adam_step
+            pytest.param("lr", 10**400, id="lr-1e400"),
             ("init_fraction", 2.0),  # never left the regression phase
             ("init_fraction", -0.1),
             ("init_fraction", float("nan")),
@@ -1105,6 +1113,7 @@ class TestTrainConfig:
             ("seed", -1),  # default_rng refuses negative entries
             ("iterations", 5.5),  # a bare TypeError deep in train
             ("iterations", True),
+            ("iterations", 2**63),  # beyond int64
             ("checkpoint_every", 2.5),  # recorded at [5, 10] of 12 iterations
             ("checkpoint_every", True),
             pytest.param("hidden_sizes", (True,), id="hidden_sizes-bool"),
@@ -1136,6 +1145,8 @@ class TestTrainConfig:
             ("const_depth", math.nan),
             ("const_depth", "x"),
             ("const_depth", True),
+            # a bare OverflowError from constant_depth_targets
+            pytest.param("const_depth", 10**400, id="const_depth-1e400"),
         ],
     )
     def test_bad_value_raises_config_error_naming_the_field(self, field, bad):
@@ -1175,6 +1186,19 @@ class TestLossConfig:
             ("lambda_multiview", math.nan, "lambda_multiview must be finite and >= 0, got nan"),
             ("lambda_photo", math.nan, "lambda_photo must be finite and >= 0, got nan"),
             ("lambda_photo", math.inf, "lambda_photo must be finite and >= 0, got inf"),
+            # these two constructed, and train raised a bare OverflowError
+            pytest.param(
+                "lambda_multiview",
+                10**400,
+                f"lambda_multiview must be finite and >= 0, got {10**400}",
+                id="lambda_multiview-1e400",
+            ),
+            pytest.param(
+                "lambda_photo",
+                10**400,
+                f"lambda_photo must be finite and >= 0, got {10**400}",
+                id="lambda_photo-1e400",
+            ),
             ("alpha_ssim", math.nan, "alpha_ssim must be in [0, 1], got nan"),
             ("alpha_ssim", 1.5, "alpha_ssim must be in [0, 1], got 1.5"),
             ("alpha_ssim", np.nextafter(1.0, 2.0), "alpha_ssim must be in [0, 1]"),
@@ -1213,7 +1237,9 @@ class TestLossConfig:
             epsilon_norm=np.float64(1e-6),
         )
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, -1e-300, 0.0, math.nan])
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, -1e-300, 0.0, math.nan, pytest.param(10**400, id="1e400")]
+    )
     def test_bad_epsilon_norm_names_the_field(self, value):
         with pytest.raises(ConfigError, match="^epsilon_norm must be finite and > 0, got"):
             LossConfig(epsilon_norm=value)
@@ -1225,6 +1251,25 @@ class TestLossConfig:
 
     def test_one_config_error_class(self):
         assert regressor.ConfigError is losses.ConfigError
+
+
+@pytest.mark.parametrize("cls", [DatasetConfig, TrainConfig, LossConfig], ids=lambda c: c.__name__)
+class TestConfigRules:
+    def test_every_field_carries_a_rule(self, cls):
+        unruled = [f.name for f in fields(cls) if not isinstance(f.metadata.get("rule"), Rule)]
+        assert not unruled, f"{cls.__name__} fields without a rule: {unruled}"
+
+    def test_default_config_round_trips_through_json(self, cls):
+        raw = json.loads(json.dumps(asdict(cls())))
+        assert losses.config_from_json(cls, raw, "config") == cls()
+
+
+@pytest.mark.parametrize("d", [0, -1, math.nan, math.inf, pytest.param(10**400, id="1e400")])
+def test_constant_depth_targets_refuse_a_depth_not_finite_and_positive(room, d):
+    # a bare ValueError, and a bare OverflowError for 10**400; inf was accepted
+    i = room.train_ids[0]
+    with pytest.raises(ConfigError, match="^constant depth d must be finite and > 0, got"):
+        constant_depth_targets(room.intrinsics, room.poses[i], room.observations[i], d)
 
 
 # a config whose network is small: PatchMLP (DESCRIPTOR_DIM, 4, 3)
@@ -1489,6 +1534,13 @@ class TestCheckpoint:
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: lr must be finite and > 0, got -0.01"
+
+    def test_integer_lr_beyond_the_float_range_names_path_and_field(self, tmp_path):
+        # a JSON integer that no float holds: it loaded
+        path = self._write(tmp_path, lambda b: b["train_config"].update(lr=10**400))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: lr must be finite and > 0, got {10**400}"
 
     @pytest.mark.parametrize(
         "edit",

@@ -77,6 +77,9 @@ class TestDatasetConfig:
             ("n_points", -3),
             ("n_points", 300.5),  # a bare TypeError deep in gen_scene
             ("n_points", True),
+            # a bare OverflowError from n_free_space
+            pytest.param("n_points", 10**400, id="n_points-1e400"),
+            ("n_points", 2**63),  # beyond int64
             ("n_planes", -1),
             ("n_planes", 6.0),  # a bare TypeError in gen_scene's slice
             ("half_extent", -1.0),  # numpy's bare "high - low < 0" in gen_scene
@@ -87,6 +90,8 @@ class TestDatasetConfig:
             ("half_extent", 2.0),
             ("half_extent", "5"),  # a bare TypeError from the comparison
             ("half_extent", True),
+            # a bare OverflowError from the radius check
+            pytest.param("half_extent", 10**400, id="half_extent-1e400"),
             ("free_space_fraction", 2.0),  # gen_scene made 2x the points
             ("free_space_fraction", -0.5),  # and 1.5x here
             ("free_space_fraction", float("nan")),
@@ -1395,6 +1400,13 @@ class TestDatasetIO:
             # a count DatasetConfig refuses
             pytest.param(
                 lambda m: m["config"].update(n_points=150.5), id="manifest-n_points-150.5"
+            ),
+            # these two raised a bare OverflowError
+            pytest.param(
+                lambda m: m["config"].update(n_points=10**400), id="manifest-n_points-1e400"
+            ),
+            pytest.param(
+                lambda m: m["config"].update(half_extent=10**400), id="manifest-half_extent-1e400"
             ),
         ],
     )
