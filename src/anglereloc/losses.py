@@ -130,9 +130,19 @@ def ruled(rule, default=MISSING, default_factory=MISSING):
 
 def check_fields(config):
     """Raise ``ConfigError`` naming the first field of the dataclass
-    ``config`` whose value fails its ``ruled`` rule."""
+    ``config`` whose value fails its ``ruled`` rule; store each accepted
+    numpy number, in a tuple too, as the Python number ``.item()`` gives."""
     for f in fields(config):
-        f.metadata["rule"].check(f.name, getattr(config, f.name))
+        value = getattr(config, f.name)
+        f.metadata["rule"].check(f.name, value)
+        object.__setattr__(config, f.name, _python_numbers(value))
+
+
+def _python_numbers(value):
+    """``value`` with each numpy number, in a tuple too, as a Python one."""
+    if isinstance(value, tuple):
+        return tuple(map(_python_numbers, value))
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def config_from_json(cls, raw, what):
@@ -345,7 +355,7 @@ def _angle_kernel(D, rays, eps_norm):
 
 
 def angle_terms(
-    intr: CameraIntrinsics, pose: PoseSE3, preds, pixels, eps_norm: float = 1e-8
+    intr: CameraIntrinsics, pose: PoseSE3, preds, pixels, eps_norm: float = LossConfig.epsilon_norm
 ):
     """Angle-based reprojection loss per point.
 

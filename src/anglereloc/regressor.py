@@ -242,8 +242,9 @@ class FreeTable:
     ``param_list`` hands Adam views of ``coords`` cut only between images:
     consecutive images grouped into runs of at most ``ADAM_BLOCK`` elements,
     a single larger image being a run of its own. ``grads_for_image``
-    returns a gradient for the one run that holds the image and ``None`` for
-    every other run, which ``adam_step`` reads as an all +0.0 gradient. A
+    returns a new run-sized gradient for the one run that holds the image
+    and ``None`` for every other run, which ``adam_step`` reads as an all
+    +0.0 gradient, so no table-sized gradient is ever built. A
     run no image has drawn yet keeps zero moments, which ``adam_step``
     skips. ``param_reads`` names the run an image's prediction reads, so
     ``train`` lets ``adam_step`` defer the sweeps of the other runs until
@@ -268,11 +269,6 @@ class FreeTable:
             )
         # Adam runs, and the run holding each image's first row
         self._runs, self._run_at = self._run_slices()
-        # gradient buffer reused by grads_for_image, its views by run, and
-        # the slice of its nonzero rows
-        self._grad = None
-        self._grad_runs = None
-        self._grad_span = slice(0, 0)
 
     @classmethod
     def init(cls, dataset, seed=0):
@@ -358,19 +354,14 @@ class FreeTable:
     def grads_for_image(self, ctx, dl_dy):
         """Table gradient, one entry per ``param_list`` run: ``dl_dy`` at the
         row slice ``ctx`` that ``predict_image`` returned and +0.0 elsewhere.
-        The run holding those rows gets a view of a reused buffer, which the
-        next call overwrites; every other run gets ``None``."""
-        if self._grad is None:
-            self._grad = np.zeros_like(self.coords)
-            self._grad_runs = [self._grad[run] for run in self._runs]
-        else:
-            self._grad[self._grad_span] = 0.0
+        The run holding those rows gets a new array of its shape; every other
+        run gets ``None``."""
         grads = [None] * len(self._runs)
         if ctx.stop > ctx.start:
-            self._grad_span = ctx
-            self._grad[ctx] = dl_dy
             k = self._run_at[ctx.start]
-            grads[k] = self._grad_runs[k]
+            run = self._runs[k]
+            grads[k] = np.zeros((run.stop - run.start, 3))
+            grads[k][ctx.start - run.start : ctx.stop - run.start] = dl_dy
         return grads
 
     def state_dict(self):
@@ -419,9 +410,6 @@ class GtLookup:
 
     def predict_image(self, dataset, image_id):
         return dataset.observations[image_id].gt_coords.copy(), None
-
-    def param_list(self):
-        return []
 
 
 MODEL_KINDS = {"patch_mlp": PatchMLP, "free_table": FreeTable}

@@ -202,8 +202,8 @@ class DatasetConfig:
     test or a benchmark workload varies it.
 
     A value that fails its field's rule raises ``ConfigError`` naming the
-    field, as does a ``half_extent`` too small for the room's free-space
-    points."""
+    field, as do a ``half_extent`` too small for the room's free-space
+    points and ``render_images`` in a room without planes."""
 
     seed: int = ruled(COUNT, 0)
     n_points: int = ruled(POSITIVE_COUNT, 500)
@@ -228,6 +228,8 @@ class DatasetConfig:
                 f"{FREE_SPACE_MIN_RADIUS / math.sqrt(3):.4f} in a room with free-space "
                 f"points, got {self.half_extent!r}"
             )
+        if self.render_images and not self.n_planes:
+            raise ConfigError("render_images must be False in a room without planes (n_planes 0)")
 
     @property
     def n_free_space(self) -> int:

@@ -776,19 +776,20 @@ class TestFreeTableRuns:
         expected[rows] = 2.0
         assert np.concatenate(dense).tobytes() == expected.tobytes()
         (held,) = [g for g in grads if g is not None]
-        assert held.base is table._grad
+        assert held.dtype == np.float64 and held.flags.c_contiguous
+        kept = held.copy()
         # the run Adam must bring up to date before the image is predicted
         assert table.param_reads(image_id) == tuple(
             k for k, g in enumerate(grads) if g is not None
         )
-        # the same buffer again, now holding the next image only
+        # the next image's gradient holds that image only, and leaves the
+        # gradient returned before it as it was
         preds_b, rows_b = table.predict_image(room, room.train_ids[0])
         again = table.grads_for_image(rows_b, np.ones_like(preds_b))
-        assert all(x is y for x, y in zip(again, table._grad_runs) if x is not None)
         assert sum(g is not None for g in again) == 1
-        assert np.count_nonzero(table._grad) == preds_b.size
         dense = [np.zeros(p.shape) if g is None else g for g, p in zip(again, params)]
         assert np.count_nonzero(np.concatenate(dense)) == preds_b.size
+        assert held.tobytes() == kept.tobytes()
 
 
 def _reference_in_place(state, params, grads, read=None):
@@ -861,6 +862,29 @@ def test_multiview_free_table_converges(monkeypatch):
     assert len(model.param_list()) > 2
     assert evaluate_coords(FreeTable.init(ds, seed=[1, 12]), ds, ds.train_ids)[0] > 10
     assert log.final.median_err < 0.3
+
+
+@pytest.mark.parametrize("room_seed", [1, 2, 3])
+def test_angle_from_scratch_comes_in_front_where_reproj_stays_behind(room_seed):
+    """The paper's headline claim on small fixed rooms: from a random table
+    the plain reprojection loss leaves about half of the train rows behind
+    their camera (0.53-0.58 on rooms 1-8, the same at 300 iterations), and
+    the angle loss brings them in front (at most 0.017 behind on rooms
+    1-8). The share counts every train row at the end, where
+    ``log.final.behind_frac`` covers the last image only. ``min_visible``
+    10 lets every room of 1-8 place its views."""
+    ds = build_dataset(DatasetConfig(seed=room_seed, n_points=300, n_images=12, min_visible=10))
+
+    def behind_share(mode):
+        cfg = TrainConfig(mode=mode, iterations=1000, lr=0.05, seed=1, checkpoint_every=0)
+        model, _ = train(ds, "free_table", cfg)
+        depths = [
+            ds.poses[i].world_to_camera(model.predict_image(ds, i)[0])[:, 2] for i in ds.train_ids
+        ]
+        return np.mean(np.concatenate(depths) < 0)
+
+    assert behind_share("reproj") >= 0.4
+    assert behind_share("angle") <= 0.05
 
 
 @pytest.mark.parametrize(
@@ -1163,6 +1187,13 @@ class TestTrainConfig:
         TrainConfig(lr_halving_fractions=())
         TrainConfig(lr_halving_fractions=(0, 1, 0.0, 1.0, np.float32(0.5), np.int64(1)))
 
+    def test_numpy_numbers_train_as_python_numbers(self):
+        # an np.float32 lr gave an np.float32 rate, and Adam's lr_t in float32
+        cfg = TrainConfig(lr=np.float32(0.05), lr_halving_fractions=(np.float32(0.5),))
+        assert type(cfg.lr) is float and type(cfg.lr_halving_fractions[0]) is float
+        assert type(lr_at(cfg, 0)) is float and lr_at(cfg, 0) == float(np.float32(0.05))
+        assert type(lr_at(cfg, cfg.iterations - 1)) is float
+
 
 class TestLossConfig:
     @pytest.mark.parametrize(
@@ -1230,12 +1261,16 @@ class TestLossConfig:
         assert str(err.value).startswith(message)
 
     def test_numpy_numbers_are_accepted(self):
-        LossConfig(
+        cfg = LossConfig(
             lambda_multiview=np.float32(2.5),
             lambda_photo=np.int64(3),
             alpha_ssim=np.float64(0.5),
             epsilon_norm=np.float64(1e-6),
         )
+        # stored as Python numbers: a numpy one computed in its own precision
+        # and could not be saved
+        assert astuple(cfg) == (2.5, 3, 0.5, 1e-6)
+        assert [type(v) for v in astuple(cfg)] == [float, int, float, float]
 
     @pytest.mark.parametrize(
         "value", [math.inf, -math.inf, -1e-300, 0.0, math.nan, pytest.param(10**400, id="1e400")]
@@ -1296,6 +1331,18 @@ class TestCheckpoint:
                 loaded.predict_image(room, image_id)[0].tobytes()
                 == table.predict_image(room, image_id)[0].tobytes()
             )
+
+    def test_config_of_numpy_numbers_round_trips(self, room, tmp_path):
+        # save_checkpoint raised "Object of type int64 is not JSON serializable"
+        cfg = TrainConfig(
+            iterations=np.int64(5),
+            lr=np.float32(0.05),
+            hidden_sizes=(np.int64(8),),
+            loss=LossConfig(lambda_photo=np.int64(3)),
+        )
+        path = tmp_path / "table.json"
+        save_checkpoint(path, FreeTable.init(room), cfg)
+        assert load_checkpoint(path)[1] == cfg
 
     @staticmethod
     def _write_table(room, tmp_path, edit):

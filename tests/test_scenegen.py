@@ -135,6 +135,11 @@ class TestDatasetConfig:
             DatasetConfig(**kw)
         assert build_dataset(small_cfg(test_every=0)).test_ids == []
 
+    def test_render_images_without_planes_raises(self):
+        # load_dataset let render_image's bare NoGeometryError escape
+        with pytest.raises(ConfigError, match="^render_images must be False in a room without"):
+            DatasetConfig(n_planes=0, render_images=True)
+
     def test_small_room_without_free_space_fails_in_its_trajectory(self):
         cfg = DatasetConfig(half_extent=2.0, free_space_fraction=0.0)
         assert cfg.n_free_space == 0
@@ -1334,6 +1339,12 @@ class TestDatasetIO:
             assert_same_bits(back.images[i].data, img.data)
         assert_same_bits(back.scene.points, ds.scene.points)
 
+    def test_config_of_numpy_numbers_round_trips(self, tmp_path):
+        # save_dataset raised "Object of type int64 is not JSON serializable"
+        cfg = small_cfg(n_points=np.int64(150), half_extent=np.float32(5.0))
+        assert type(cfg.n_points) is int and type(cfg.half_extent) is float
+        assert load_dataset(save_dataset(build_dataset(cfg), tmp_path / "d")).config == cfg
+
     def test_saved_directory_holds_only_the_manifest(self, saved):
         assert [p.name for p in saved.iterdir()] == ["manifest.json"]
         blob = json.loads((saved / "manifest.json").read_text())
@@ -1407,6 +1418,11 @@ class TestDatasetIO:
             ),
             pytest.param(
                 lambda m: m["config"].update(half_extent=10**400), id="manifest-half_extent-1e400"
+            ),
+            # a bare NoGeometryError from render_image
+            pytest.param(
+                lambda m: m["config"].update(n_planes=0, render_images=True),
+                id="manifest-render_images-without-planes",
             ),
         ],
     )
