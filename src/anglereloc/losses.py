@@ -197,11 +197,11 @@ class LossReport(NamedTuple):
     ``valid_mask`` marks the rows that count, for a loss that masks some
     (None: every row counts). ``total`` sums only the finite values;
     non-finite terms are surfaced through ``nonfinite`` instead of poisoning
-    the sum. The training loop reads ``total``, ``behind_frac`` and
-    ``nonfinite`` every iteration, so each counts with ``np.count_nonzero``
-    and sums the values without a copy when all of them are finite. Each
-    returns a Python float or bool, and a report without rows has
-    ``behind_frac`` 0.0.
+    the sum. The training loop reads ``nonfinite`` every iteration, and
+    ``total`` and ``behind_frac`` at each record, so each counts with
+    ``np.count_nonzero`` and sums the values without a copy when all of them
+    are finite. Each returns a Python float or bool, and a report without
+    rows has ``behind_frac`` 0.0.
     """
 
     values: np.ndarray
@@ -504,8 +504,8 @@ def multiview_image_loss(
     """Angle loss with multi-view correspondence terms for one image.
 
     ``coords`` is (N, 3), one predicted world coordinate per observation row
-    of the image in ``index``; any other shape raises
-    ``IndexMismatchError``. Rows without correspondences contribute their
+    of the image in ``index``; any other shape, or an image the index lacks,
+    raises ``IndexMismatchError``. Rows without correspondences contribute their
     single-view angle term. Each corresponded row contributes, weighted by
     ``lambda_multiview``, its angle term in this image plus one more in a
     neighbor image drawn uniformly (via ``rng``) from the indexed images that
@@ -523,7 +523,9 @@ def multiview_image_loss(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    own = index.images[image_id]
+    own = index.images.get(image_id)
+    if own is None:
+        raise IndexMismatchError(f"the multi-view index has no rows for image {image_id}")
     coords = _aligned(coords, len(own.pixels))
     rep = angle_terms(intr, index.poses[image_id], coords, own.pixels, cfg.epsilon_norm)
     rows, entries = index.draw(image_id, rng)

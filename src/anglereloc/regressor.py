@@ -26,7 +26,7 @@ every array before a record and at the end. The sweep of an array with a
 ``None`` gradient that nobody reads is deferred and replayed, in step order,
 before the array is next swept. Each element's operations and their order
 are those of sweeping it at every step, so the bits are the same; the
-replay runs one array's steps back to back while its blocks are in cache.
+replay runs one array's steps back to back while it is in cache.
 
 Non-finite losses or gradients are counted and applied as-is, never
 repaired: under the plain reprojection loss they are part of the behavior
@@ -35,7 +35,6 @@ under study.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import time
@@ -82,14 +81,6 @@ class PhotometricInactiveWarning(UserWarning):
     trained as plain ``angle``."""
 
 
-class TrainMode(enum.Enum):
-    REPROJ = "reproj"
-    ANGLE = "angle"
-    ANGLE_MULTI = "angle-multi"
-    ANGLE_PHOTO = "angle-photo"
-    CONST_DEPTH_REPROJ = "const-depth-reproj"
-
-
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------
@@ -111,7 +102,7 @@ class PatchMLP:
         weights = [np.asarray(w, dtype=np.float64) for w in weights]
         biases = [np.asarray(b, dtype=np.float64) for b in biases]
         chained = (
-            len(weights) == len(biases)
+            len(weights) == len(biases) > 0
             and all(w.ndim == 2 and b.shape == w.shape[1:] for w, b in zip(weights, biases))
             and all(w.shape[1] == nxt.shape[0] for w, nxt in zip(weights, weights[1:]))
         )
@@ -162,9 +153,9 @@ class PatchMLP:
     def forward_cached(self, x):
         """Forward pass keeping activations for the backward pass."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[1] != self.input_dim:
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionMismatchError(
-                f"descriptor length {x.shape[1]} != input layer {self.input_dim}"
+                f"descriptors of shape {x.shape} are not (N, {self.input_dim}) rows"
             )
         acts = [x]
         h = x
@@ -314,9 +305,7 @@ class FreeTable:
         image (a held-out view, or one it was not built on) or was built on
         other point ids for it.
         """
-        rows = self._spans.get(image_id)
-        if rows is None:
-            raise IndexMismatchError(f"FreeTable has no rows for image {image_id}")
+        rows = self._span(image_id)
         if not np.array_equal(
             self.point_ids[image_id], dataset.observations[image_id].point_ids
         ):
@@ -324,6 +313,12 @@ class FreeTable:
                 f"image {image_id}: the dataset's point ids differ from the FreeTable's"
             )
         return rows
+
+    def _span(self, image_id):
+        """The slice of the image's rows; ``IndexMismatchError`` if it has none."""
+        if image_id not in self._spans:
+            raise IndexMismatchError(f"FreeTable has no rows for image {image_id}")
+        return self._spans[image_id]
 
     def _run_slices(self):
         """Row slices tiling the table, cut only at an image's first row and
@@ -343,8 +338,9 @@ class FreeTable:
 
     def param_reads(self, image_id):
         """Indices of the ``param_list`` runs that ``predict_image`` reads
-        for the image: the run holding its rows, none when it has no rows."""
-        rows = self._spans[image_id]
+        for the image: the run holding its rows, none when it has no rows.
+        Raises ``IndexMismatchError`` for an image the table lacks."""
+        rows = self._span(image_id)
         return (self._run_at[rows.start],) if rows.stop > rows.start else ()
 
     def predict_image(self, dataset, image_id):
@@ -420,8 +416,8 @@ MODEL_KINDS = {"patch_mlp": PatchMLP, "free_table": FreeTable}
 # ---------------------------------------------------------------------------
 
 
-# elements per pass of adam_step: a block of each of p, g, m, v and the
-# scratch buffer (5 x 128 KiB) stay in cache across the pass's operations
+# the elements of a FreeTable Adam run (see FreeTable._run_slices): a run's
+# p, g, m, v and adam_step's scratch (5 x 128 KiB) stay in cache across a sweep
 ADAM_BLOCK = 16384
 # Adam's moment decay rates and the term that keeps its denominator positive
 ADAM_BETA1 = 0.9
@@ -456,10 +452,10 @@ class AdamState:
 
 
 def _flat_view(a):
-    """1-D view of a C-contiguous array; refuses rather than copy, since the
-    caller writes through it."""
-    if not a.flags.c_contiguous:
-        raise ValueError("adam_step updates in place: arrays must be C-contiguous")
+    """1-D view of a C-contiguous float64 array; refuses rather than copy or
+    convert, since the caller writes through it."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError("adam_step updates in place: arrays must be C-contiguous float64")
     return a.reshape(-1)
 
 
@@ -488,27 +484,27 @@ def _read_set(read, n):
     return set(entries)
 
 
-def _adam_block(pb, gb, mb, vb, a, lr_t, eps_t):
-    """One Adam step of a block of p, m and v in place, with ``a`` as
-    scratch; ``gb`` None is an all +0.0 gradient."""
+def _adam_sweep(p, g, m, v, a, lr_t, eps_t):
+    """One Adam step of flat p, m and v in place, with ``a`` as scratch;
+    ``g`` None is an all +0.0 gradient."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    np.multiply(mb, b1, out=mb)
-    if gb is None:
-        np.add(mb, 0.0, out=mb)  # the +0.0 terms of a +0.0 gradient
-        np.multiply(vb, b2, out=vb)
-        np.add(vb, 0.0, out=vb)
+    np.multiply(m, b1, out=m)
+    if g is None:
+        np.add(m, 0.0, out=m)  # the +0.0 terms of a +0.0 gradient
+        np.multiply(v, b2, out=v)
+        np.add(v, 0.0, out=v)
     else:
-        np.multiply(gb, 1 - b1, out=a)
-        np.add(mb, a, out=mb)
-        np.multiply(vb, b2, out=vb)
-        np.multiply(gb, gb, out=a)
+        np.multiply(g, 1 - b1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, g, out=a)
         np.multiply(a, 1 - b2, out=a)
-        np.add(vb, a, out=vb)
-    np.sqrt(vb, out=a)
+        np.add(v, a, out=v)
+    np.sqrt(v, out=a)
     np.add(a, eps_t, out=a)
-    np.divide(mb, a, out=a)
+    np.divide(m, a, out=a)
     np.multiply(a, lr_t, out=a)
-    np.subtract(pb, a, out=pb)
+    np.subtract(p, a, out=p)
 
 
 def adam_step(state: AdamState, params, grads, read=None):
@@ -525,10 +521,12 @@ def adam_step(state: AdamState, params, grads, read=None):
     ``p = p - (m / (sqrt(v) + eps_t)) lr_t`` in that order, with ``b1``,
     ``b2`` and ``eps`` the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
     ``ADAM_EPS``, so the results equal those of the allocating form bit for
-    bit. Each array is swept in blocks of ``ADAM_BLOCK`` elements, through
-    one scratch buffer kept in ``state.work``, so one element makes one trip
-    from memory. Parameters and moments must be C-contiguous float64 arrays.
-    Non-finite gradients propagate into the moments and parameters.
+    bit. Each array is swept whole through one scratch buffer kept in
+    ``state.work``, sized to the largest array; a ``FreeTable``'s runs of at
+    most ``ADAM_BLOCK`` elements keep a sweep in cache. Parameters and
+    moments must be C-contiguous float64 arrays: a parameter that is not
+    raises ``ValueError`` before anything changes. Non-finite gradients
+    propagate into the moments and parameters.
 
     A gradient of ``None`` stands for an all +0.0 array of its parameter's
     shape, and gives the same bits without building it: with ``g = +0.0``
@@ -541,14 +539,14 @@ def adam_step(state: AdamState, params, grads, read=None):
     sweep of an array outside it whose gradient is ``None`` is deferred:
     the step's ``lr_t`` and ``eps_t`` go to ``state.pending``, and the
     array's next sweep, from a gradient or from ``read``, first replays the
-    pending steps in step order, block by block. Each element is an
-    independent chain of operations on its own p, m and v, with the step's
-    scalars and gradient as its only other inputs, so running the steps of
-    one block back to back gives each element the operations and order of
-    sweeping every array at every step: the same bits, while a block stays
-    in cache across the steps. Every array in ``read`` is up to date when
-    the call returns. An index that is a bool, not an integer, or outside
-    the arrays raises ``ConfigError`` before anything changes.
+    pending steps in step order. Each element is an independent chain of
+    operations on its own p, m and v, with the step's scalars and gradient
+    as its only other inputs, so running one array's steps back to back
+    gives each element the operations and order of sweeping every array at
+    every step: the same bits, while the array stays in cache across the
+    steps. Every array in ``read`` is up to date when the call returns. An
+    index that is a bool, not an integer, or outside the arrays raises
+    ``ConfigError`` before anything changes.
 
     ``state.lr`` must be finite and > 0, as in ``TrainConfig``; any other
     value raises ``ConfigError`` before anything changes. An array whose
@@ -569,6 +567,7 @@ def adam_step(state: AdamState, params, grads, read=None):
     if not POSITIVE.holds(lr):
         raise ConfigError(f"adam_step needs a learning rate {POSITIVE.text}, got {lr!r}")
     read = _read_set(read, len(params))
+    flat = [_flat_view(p) for p in params]
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
@@ -581,10 +580,10 @@ def adam_step(state: AdamState, params, grads, read=None):
         ]
     if state.pending is None:
         state.pending = [[] for _ in params]
-    block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
-    if state.work is None or state.work.size < block:
-        state.work = np.empty(block)
-    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
+    size = max((p.size for p in flat), default=0)
+    if state.work is None or state.work.size < size:
+        state.work = np.empty(size)
+    for i, (p, g, m, v) in enumerate(zip(flat, grads, state.m, state.v)):
         if state.zero[i]:
             if g is None or not g.any():
                 continue
@@ -595,14 +594,10 @@ def adam_step(state: AdamState, params, grads, read=None):
             continue
         if g is not None:
             g = np.ravel(g)
-        p, m, v = _flat_view(p), _flat_view(m), _flat_view(v)
-        for start in range(0, p.size, ADAM_BLOCK):
-            blk = slice(start, start + ADAM_BLOCK)
-            pb, mb, vb = p[blk], m[blk], v[blk]
-            a = state.work[: pb.size]
-            for lr_d, eps_d in steps:  # the deferred steps, in step order
-                _adam_block(pb, None, mb, vb, a, lr_d, eps_d)
-            _adam_block(pb, None if g is None else g[blk], mb, vb, a, lr_t, eps_t)
+        m, v, a = _flat_view(m), _flat_view(v), state.work[: p.size]
+        for lr_d, eps_d in steps:  # the deferred steps, in step order
+            _adam_sweep(p, None, m, v, a, lr_d, eps_d)
+        _adam_sweep(p, g, m, v, a, lr_t, eps_t)
         steps.clear()
 
 
@@ -633,7 +628,17 @@ def constant_depth_targets(
 PHOTO_NEIGHBOR_MAX_OFFSET = 10
 
 
-_MODES = [m.value for m in TrainMode]
+# Each mode's phases as (start, loss name): a phase's loss trains from
+# iteration int(start * iterations) until the next phase starts.
+# const-depth-reproj is DSAC++'s two-stage recipe (Brachmann & Rother,
+# CVPR 2018): regress constant-depth targets, then the reprojection loss.
+MODES = {
+    "reproj": ((0.0, "reproj"),),
+    "angle": ((0.0, "angle"),),
+    "angle-multi": ((0.0, "angle-multi"),),
+    "angle-photo": ((0.0, "angle-photo"),),
+    "const-depth-reproj": ((0.0, "const-depth"), (0.25, "reproj")),
+}
 
 
 def _tuple_of(rule, items):
@@ -645,15 +650,15 @@ def _tuple_of(rule, items):
 class TrainConfig:
     """Training settings. Every loss weight and guard lives in ``loss``, a
     ``LossConfig``. A value that fails its field's rule raises
-    ``ConfigError`` naming the field. ``mode`` is a ``TrainMode`` value
-    string, not the member; ``checkpoint_every`` 0 records only the end;
-    ``const_depth`` is checked in every mode. ``angle-photo``'s neighbor
-    reach is ``PHOTO_NEIGHBOR_MAX_OFFSET``. A ``PatchMLP`` has the layer
-    sizes ``network_sizes(cfg)``."""
+    ``ConfigError`` naming the field. ``mode`` is a key of ``MODES``, which
+    holds its phases; ``checkpoint_every`` 0 records only the end;
+    ``const_depth``, the depth of the ``const-depth`` loss's targets, is
+    checked in every mode. ``angle-photo``'s neighbor reach is
+    ``PHOTO_NEIGHBOR_MAX_OFFSET``. A ``PatchMLP`` has the layer sizes
+    ``network_sizes(cfg)``."""
 
     mode: str = ruled(
-        Rule(lambda v: isinstance(v, str) and v in _MODES, f"one of {_MODES}"),
-        TrainMode.ANGLE.value,
+        Rule(lambda v: isinstance(v, str) and v in MODES, f"one of {list(MODES)}"), "angle"
     )
     iterations: int = ruled(POSITIVE_COUNT, 20000)
     lr: float = ruled(POSITIVE, 1e-4)
@@ -662,7 +667,6 @@ class TrainConfig:
         Rule(lambda v: isinstance(v, LossConfig), "a LossConfig"), default_factory=LossConfig
     )
     const_depth: float = ruled(POSITIVE, 3.0)
-    init_fraction: float = ruled(FRACTION, 0.25)
     seed: int = ruled(COUNT, 0)
     checkpoint_every: int = ruled(COUNT, 500)
     hidden_sizes: tuple = ruled(_tuple_of(POSITIVE_COUNT, "integers > 0"), (64, 64))
@@ -728,22 +732,26 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     """Optimize a model on the dataset's training views under ``cfg.mode``.
 
     One training image per iteration (drawn uniformly with the config seed),
-    per-point gradients from the mode's loss accumulated into the model by
-    Adam. Each mode's loss returns the image's ``LossReport``, and the loop
-    reads its diagnostics from it: ``total``, ``behind_frac`` and
-    ``nonfinite``, and for ``angle-photo`` the photometric ``valid_mask``.
-    Returns ``(model, TrainLog)``; the log records the last loss and
-    behind-camera fraction, the running count of iterations with a
-    non-finite loss or gradient, the median 3D coordinate error over the
-    training views, and wall time.
+    per-point gradients from the current phase's loss accumulated into the
+    model by Adam. The phases are the mode's row of ``MODES``: a phase
+    starting at fraction ``start`` takes over at iteration
+    ``int(start * iterations)``. Each loss returns the image's
+    ``LossReport``; the loop counts its ``nonfinite`` and, for
+    ``angle-photo``, its photometric ``valid_mask`` at every iteration.
+    Returns ``(model, TrainLog)``; each record holds the ``total`` and
+    ``behind_frac`` of the last report, the running count of iterations
+    with a non-finite loss or gradient, the median 3D coordinate error over
+    the training views, and wall time.
     ``angle-multi`` and ``angle-photo`` draw their neighbor views from the
     train views only, so no held-out view's pose or pixels enter training.
     A room without train views raises ``ConfigError``.
-    ``angle-photo`` samples every train view's photometric target once,
-    before the loop, and warns with ``PhotometricInactiveWarning`` when no
-    photometric point was valid in the whole run.
+    A run with an ``angle-photo`` phase samples every train view's
+    photometric target once, before the loop, and warns with
+    ``PhotometricInactiveWarning`` when no photometric point was valid in
+    the whole run.
     """
-    mode = TrainMode(cfg.mode)
+    phases = MODES[cfg.mode]
+    used = {name for _, name in phases}
     train_ids = list(dataset.train_ids)
     if not train_ids:
         raise ConfigError(
@@ -765,16 +773,14 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         build_multiview_index(
             poses, {i: observations[i] for i in train_ids}, dataset.covis.corresponded
         )
-        if mode is TrainMode.ANGLE_MULTI
+        if "angle-multi" in used
         else None
     )
     photo_targets, photo_neighbors = (
-        _photo_setup(dataset, train_ids)
-        if mode is TrainMode.ANGLE_PHOTO
-        else ({}, {})
+        _photo_setup(dataset, train_ids) if "angle-photo" in used else ({}, {})
     )
 
-    # One loss per mode, each mapping (iteration, image id, predictions) to
+    # One loss per loss name, each mapping (iteration, image id, predictions) to
     # the image's LossReport. The kernels are looked up as module globals on
     # every call, so wrappers installed on them see every call.
     def reproj(t, image_id, preds):
@@ -805,13 +811,8 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
             valid_mask=photo.valid_mask,
         )
 
-    init_cutoff = int(cfg.init_fraction * cfg.iterations)
-
-    def const_depth_reproj(t, image_id, preds):
-        """Regress onto constant-depth targets, then the plain reprojection
-        loss from ``init_cutoff`` on."""
-        if t >= init_cutoff:
-            return reproj(t, image_id, preds)
+    def const_depth(t, image_id, preds):
+        """Regress onto targets at depth ``cfg.const_depth``."""
         pose = poses[image_id]
         targets = constant_depth_targets(intr, pose, observations[image_id], cfg.const_depth)
         diff = preds - targets
@@ -822,38 +823,31 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
             np.full(len(preds), np.nan),
         )
 
-    image_loss = {
-        TrainMode.REPROJ: reproj,
-        TrainMode.ANGLE: angle,
-        TrainMode.ANGLE_MULTI: angle_multi,
-        TrainMode.ANGLE_PHOTO: angle_photo,
-        TrainMode.CONST_DEPTH_REPROJ: const_depth_reproj,
-    }[mode]
+    image_losses = {
+        "reproj": reproj,
+        "angle": angle,
+        "angle-multi": angle_multi,
+        "angle-photo": angle_photo,
+        "const-depth": const_depth,
+    }
+    # each phase's (first iteration, loss), the next one to start last
+    switches = [(int(frac * cfg.iterations), image_losses[name]) for frac, name in phases][::-1]
 
     log = TrainLog()
     nonfinite_events = photo_valid = 0
-    behind_frac = 0.0
-    total = float("nan")
     start = time.perf_counter()
 
-    def record(iteration):
+    def record(iteration):  # reads the last iteration's report
         med, _ = evaluate_coords(model, dataset, train_ids)
-        log.append(
-            TrainRecord(
-                iteration,
-                total,
-                behind_frac,
-                nonfinite_events,
-                med,
-                time.perf_counter() - start,
-            )
-        )
+        wall = time.perf_counter() - start
+        log.append(TrainRecord(iteration, rep.total, rep.behind_frac, nonfinite_events, med, wall))
 
     for t in range(cfg.iterations):
         image_id = train_ids[int(image_order[t])]
         preds, ctx = model.predict_image(dataset, image_id)
+        while switches and switches[-1][0] <= t:
+            image_loss = switches.pop()[1]
         rep = image_loss(t, image_id, preds)
-        total, behind_frac = rep.total, rep.behind_frac
         nonfinite_events += int(rep.nonfinite)
         if rep.valid_mask is not None:
             photo_valid += int(np.count_nonzero(rep.valid_mask))
@@ -872,7 +866,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
 
     if not log.records or log.final.iteration != cfg.iterations:
         record(cfg.iterations)
-    if mode is TrainMode.ANGLE_PHOTO and photo_valid == 0:
+    if "angle-photo" in used and photo_valid == 0:
         warnings.warn(
             f"no valid photometric point in {cfg.iterations} iterations: "
             "the angle-photo run trained as plain angle",
@@ -907,7 +901,7 @@ def evaluate_coords(model, dataset, image_ids=None):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(path, model, cfg: TrainConfig):

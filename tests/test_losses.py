@@ -494,6 +494,14 @@ class TestMultiviewLoss:
         rep = multiview_image_loss(intr, index, 0, coords, rng=np.random.default_rng(0))
         assert rep.total < 1e-6
 
+    def test_image_outside_the_index_raises_naming_it(self, intr, rng):
+        # a bare KeyError: 1 for a view left out of the index, as a held-out one is
+        poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
+        index = build_multiview_index(poses, {0: obs_by_img[0]}, corresponded)
+        with pytest.raises(IndexMismatchError) as err:
+            multiview_image_loss(intr, index, 1, coords, rng=np.random.default_rng(0))
+        assert str(err.value) == "the multi-view index has no rows for image 1"
+
     def test_index_mismatch_raises(self, intr, rng):
         poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
         index = build_multiview_index(poses, obs_by_img, corresponded)

@@ -23,7 +23,6 @@ from anglereloc.regressor import (
     PatchMLP,
     PhotometricInactiveWarning,
     TrainConfig,
-    TrainMode,
     adam_step,
     constant_depth_targets,
     evaluate_coords,
@@ -124,7 +123,7 @@ def test_adam_step_shape_mismatch_raises_the_losses_error():
 class TestAdamStep:
     def test_table_shaped_sparse_gradients_bit_identical(self):
         rng = np.random.default_rng(0)
-        # more than two blocks, the last one partial
+        # an array over twice the size of a FreeTable run
         n_rows = (2 * ADAM_BLOCK + 1000) // 3
         table = rng.uniform(-5, 5, size=(n_rows, 3))
 
@@ -171,6 +170,16 @@ class TestAdamStep:
         p = np.ones((6, 4))[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
             adam_step(AdamState.for_params([p]), [p], [np.ones_like(p)])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_refuses_an_array_that_is_not_float64(self, n):
+        # float32 of length 3 failed inside numpy's view; of length 4 it trained
+        params = [np.ones(5), np.ones(n, dtype=np.float32)]
+        state = AdamState.for_params(params)
+        with pytest.raises(ValueError, match="must be C-contiguous float64$"):
+            adam_step(state, params, [np.ones(5), np.ones(n, dtype=np.float32)])
+        assert state.step == 0 and state.zero is None
+        assert np.all(params[0] == 1.0) and np.all(params[1] == 1.0)
 
     def test_nonfinite_gradient_rows_propagate(self):
         rng = np.random.default_rng(2)
@@ -390,7 +399,7 @@ class TestAdamNoneGradient:
 
     def params(self):
         rng = np.random.default_rng(6)
-        # the second array spans more than one block of the sweep
+        # the second array is larger than a FreeTable run
         params = [rng.normal(size=(40, 3)), rng.normal(size=(ADAM_BLOCK // 3 + 50, 3))]
         for p in params:
             p[:3] = self.SPECIAL[:9].reshape(3, 3)
@@ -478,8 +487,8 @@ class TestAdamNoneGradient:
 class TestAdamDeferredSweeps:
     """Sweeps deferred by ``read`` give eager ``adam_step``'s bits: random
     schedules of real, zero and ``None`` gradients, a new learning rate
-    every step, arrays spanning several blocks, and moments that start
-    +0.0, -0.0, NaN, +-inf or ordinary."""
+    every step, arrays of several sizes, and moments that start +0.0, -0.0,
+    NaN, +-inf or ordinary."""
 
     SPECIAL = TestAdamNoneGradient.SPECIAL
     SHAPES = [(40, 3), (1,), (250,), (33, 3), (5, 3), (70,)]
@@ -524,10 +533,8 @@ class TestAdamDeferredSweeps:
         steps[-1] = steps[-1][:2] + (None,)
         return steps
 
-    @pytest.mark.parametrize("block", [7, 64, ADAM_BLOCK])
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_schedules_match_eager_steps(self, monkeypatch, block, seed):
-        monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
+    def test_random_schedules_match_eager_steps(self, seed):
         mine, state = self.start(seed)
         eager, eager_state = self.start(seed)
         deferred = 0
@@ -622,6 +629,22 @@ class TestPatchMLP:
             numeric[i] = (hi - lo) / (2 * h)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
+    def test_network_without_layers_raises_naming_the_shapes(self):
+        # a bare IndexError
+        with pytest.raises(losses.DimensionMismatchError) as err:
+            PatchMLP([], [])
+        assert str(err.value) == "weights [] and biases [] do not form a network"
+
+    @pytest.mark.parametrize(
+        "shape", [(16,), (2, 2, 16), (3, 8), ()], ids=["flat", "3-d", "narrow", "scalar"]
+    )
+    def test_descriptors_that_are_not_rows_of_the_input_width_raise(self, shape):
+        # (16,) and () raised a bare IndexError; (2, 2, 16) was read as length 2
+        net = PatchMLP.init((16, 4, 3))
+        with pytest.raises(losses.DimensionMismatchError) as err:
+            net.forward(np.zeros(shape))
+        assert str(err.value) == f"descriptors of shape {shape} are not (N, 16) rows"
+
 
 class TestFreeTable:
     def test_init_rows_match_the_image_point_mapping(self, room):
@@ -675,6 +698,15 @@ class TestFreeTable:
         table.point_ids[image_id] = table.point_ids[image_id][:-1]
         with pytest.raises(losses.IndexMismatchError, match=f"image {image_id}"):
             table.predict_image(room, image_id)
+
+    def test_param_reads_of_an_image_without_rows_raises_naming_it(self, room):
+        # a bare KeyError, where predict_image named the image
+        table = FreeTable.init(room)
+        held_out = room.test_ids[0]
+        for ask in (table.param_reads, lambda i: table.predict_image(room, i)):
+            with pytest.raises(losses.IndexMismatchError) as err:
+                ask(held_out)
+            assert str(err.value) == f"FreeTable has no rows for image {held_out}"
 
     def test_gradient_buffer_holds_only_the_last_image(self, room):
         table = FreeTable.init(room)
@@ -942,8 +974,11 @@ class TestModeDispatch:
         angle = self.run(rendered_room, kind, mode="angle")
         assert photo[0] != angle[0] and photo[1] != angle[1]
 
-    def test_const_depth_without_init_phase_is_reproj(self, rendered_room, kind):
-        const = self.run(rendered_room, kind, mode="const-depth-reproj", init_fraction=0.0)
+    def test_const_depth_without_init_phase_is_reproj(self, rendered_room, kind, monkeypatch):
+        # a const-depth phase of no iterations: reproj from the first one
+        phases = ((0.0, "const-depth"), (0.0, "reproj"))
+        monkeypatch.setitem(regressor.MODES, "const-depth-reproj", phases)
+        const = self.run(rendered_room, kind, mode="const-depth-reproj")
         assert const == self.run(rendered_room, kind, mode="reproj")
 
     def test_multi_without_correspondences_is_angle(self, uncorresponded_room, kind):
@@ -962,6 +997,61 @@ class TestModeDispatch:
         multi = self.run(ds, kind, mode="angle-multi")
         assert multi == self.run(swapped, kind, mode="angle-multi")
         assert multi != self.run(ds, kind, mode="angle")
+
+
+class TestModes:
+    """``MODES`` is the one table of training modes: ``TrainConfig`` accepts
+    its keys, and ``train`` runs each row's phases."""
+
+    def test_every_row_is_phases_from_zero_in_ascending_order(self):
+        assert list(regressor.MODES) == [
+            "reproj", "angle", "angle-multi", "angle-photo", "const-depth-reproj"
+        ]
+        for phases in regressor.MODES.values():
+            starts = [start for start, _ in phases]
+            assert starts[0] == 0.0 and starts == sorted(starts)
+            assert all(0 <= start < 1 for start in starts)
+        assert regressor.MODES["const-depth-reproj"] == ((0.0, "const-depth"), (0.25, "reproj"))
+
+    def test_every_loss_a_row_names_trains(self, rendered_room, monkeypatch):
+        names = {name for phases in regressor.MODES.values() for _, name in phases}
+        assert names == {"reproj", "angle", "angle-multi", "angle-photo", "const-depth"}
+        cfg = TrainConfig(iterations=2, lr=0.05, checkpoint_every=0)
+        for name in names:
+            monkeypatch.setitem(regressor.MODES, "angle", ((0.0, name),))
+            train(rendered_room, "free_table", cfg)
+        monkeypatch.setitem(regressor.MODES, "angle", ((0.0, "nope"),))
+        with pytest.raises(KeyError, match="nope"):
+            train(rendered_room, "free_table", cfg)
+
+    def test_unknown_mode_is_refused_naming_every_mode(self):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(mode="nope")
+        assert str(err.value) == (
+            "mode must be one of ['reproj', 'angle', 'angle-multi', 'angle-photo', "
+            "'const-depth-reproj'], got 'nope'"
+        )
+
+    def test_const_depth_phase_ends_at_the_floor_of_its_share(self, room, monkeypatch):
+        """Of 10 iterations, const-depth-reproj regresses the constant-depth
+        targets in int(0.25 * 10) = 2, where a ratio rule t / 10 < 0.25
+        would give 3, then trains the reprojection loss."""
+        losses_at = []
+        targets, reproj = regressor.constant_depth_targets, regressor.reproj_terms
+
+        def spy_targets(*args):
+            losses_at.append("const-depth")
+            return targets(*args)
+
+        def spy_reproj(*args):
+            losses_at.append("reproj")
+            return reproj(*args)
+
+        monkeypatch.setattr(regressor, "constant_depth_targets", spy_targets)
+        monkeypatch.setattr(regressor, "reproj_terms", spy_reproj)
+        cfg = TrainConfig(mode="const-depth-reproj", iterations=10, lr=0.05, checkpoint_every=0)
+        train(room, "free_table", cfg)
+        assert losses_at == ["const-depth"] * 2 + ["reproj"] * 8
 
 
 class TestTracedLookups:
@@ -1124,9 +1214,6 @@ class TestTrainConfig:
             ("lr", float("inf")),
             # a bare OverflowError from adam_step
             pytest.param("lr", 10**400, id="lr-1e400"),
-            ("init_fraction", 2.0),  # never left the regression phase
-            ("init_fraction", -0.1),
-            ("init_fraction", float("nan")),
             ("checkpoint_every", -1),  # evaluated and recorded at every iteration
             # a zero-width layer
             pytest.param("hidden_sizes", (0,), id="hidden_sizes-zero-width"),
@@ -1154,12 +1241,10 @@ class TestTrainConfig:
             # a bare TypeError from iterating over the int
             pytest.param("hidden_sizes", 64, id="hidden_sizes-bare-64"),
             pytest.param("hidden_sizes", [64, 64], id="hidden_sizes-list"),
-            ("mode", "nope"),  # a bare ValueError from TrainMode
-            # accepted, and save_checkpoint failed: TrainMode is not JSON
-            pytest.param("mode", TrainMode.ANGLE, id="mode-member"),
+            ("mode", "nope"),
+            pytest.param("mode", b"angle", id="mode-bytes"),
             ("lr", True),
             ("lr", "0.1"),  # a bare TypeError from the comparison
-            ("init_fraction", True),
             # accepted, and train failed reading loss.epsilon_norm
             pytest.param("loss", {}, id="loss-dict"),
             # const_depth is checked in every mode, not only const-depth-reproj
@@ -1178,12 +1263,12 @@ class TestTrainConfig:
             TrainConfig(**{field: bad})
 
     def test_limits_are_accepted(self):
-        TrainConfig(init_fraction=0.0, checkpoint_every=0)
+        TrainConfig(checkpoint_every=0)
         TrainConfig(const_depth=5e-324, lr=1.7976931348623157e308)
-        TrainConfig(const_depth=2, lr=1, init_fraction=np.float32(0.5))
-        for mode in TrainMode:
-            TrainConfig(mode=mode.value)
-        TrainConfig(init_fraction=1.0, hidden_sizes=())
+        TrainConfig(const_depth=2, lr=1)
+        for mode in regressor.MODES:
+            TrainConfig(mode=mode)
+        TrainConfig(hidden_sizes=())
         TrainConfig(lr_halving_fractions=())
         TrainConfig(lr_halving_fractions=(0, 1, 0.0, 1.0, np.float32(0.5), np.int64(1)))
 
@@ -1318,7 +1403,7 @@ class TestCheckpoint:
         path = tmp_path / "table.json"
         save_checkpoint(path, table, cfg)
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 4
+        assert blob["schema_version"] == 5
         assert sorted(blob["model"]) == ["coords", "kind", "point_ids"]
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
@@ -1468,7 +1553,7 @@ class TestCheckpoint:
         path = tmp_path / "mlp.json"
         save_checkpoint(path, net, TrainConfig(mode="angle-multi", hidden_sizes=(8,)))
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 4
+        assert blob["schema_version"] == 5
         assert sorted(blob["model"]) == ["biases", "kind", "weights"]
         loaded, cfg = load_checkpoint(path)
         assert cfg.mode == "angle-multi" and cfg.hidden_sizes == (8,)
@@ -1486,7 +1571,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, PatchMLP.init(network_sizes(cfg)), cfg)
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 4
+        assert blob["schema_version"] == 5
         assert blob["train_config"]["loss"]["lambda_photo"] == 0.25
         _, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg and isinstance(loaded_cfg.loss, LossConfig)
@@ -1647,6 +1732,34 @@ class TestCheckpoint:
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b.update(schema_version=4), "unsupported checkpoint version 4"),
+            # no migration: version 4's field is an unknown key at version 5
+            (
+                lambda b: b["train_config"].update(init_fraction=0.25),
+                "train_config keys: unknown ['init_fraction'], missing []",
+            ),
+        ],
+        ids=["version-4", "init_fraction"],
+    )
+    def test_version_4_checkpoints_are_refused(self, tmp_path, edit, message):
+        path = self._write(tmp_path, edit)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_patch_mlp_without_layers_raises_config_error(self, tmp_path):
+        # "malformed checkpoint: IndexError('list index out of range')"
+        path = self._write(tmp_path, lambda b: b["model"].update(weights=[], biases=[]))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (
+            f"{path}: malformed checkpoint: "
+            "DimensionMismatchError('weights [] and biases [] do not form a network')"
+        )
 
     def test_gt_lookup_model_kind_is_unknown(self, tmp_path):
         path = self._write(tmp_path, lambda b: b.update(model={"kind": "gt_lookup"}))
