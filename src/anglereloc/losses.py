@@ -427,12 +427,19 @@ class MultiviewIndex:
     other_pos: np.ndarray  # (E,) position of each entry's other image
     other_pixels: np.ndarray  # (E, 2) the point's pixel in that image
 
+    def rows_of(self, image_id) -> _ImageRows:
+        """``image_id``'s rows; ``IndexMismatchError`` if the index lacks it."""
+        if image_id not in self.images:
+            raise IndexMismatchError(f"the multi-view index has no rows for image {image_id}")
+        return self.images[image_id]
+
     def draw(self, image_id, rng: np.random.Generator):
         """One other view per corresponded row of ``image_id``, uniform over
         the entries of the row. All rows draw from one ``rng.integers`` call
         in row order, which yields the same stream as one scalar draw per
-        row. Returns ``(rows, entries)``."""
-        own = self.images[image_id]
+        row. Returns ``(rows, entries)``; an image the index lacks raises
+        ``IndexMismatchError``."""
+        own = self.rows_of(image_id)
         return own.drawn_rows, own.drawn_first + rng.integers(own.drawn_counts)
 
 
@@ -523,9 +530,7 @@ def multiview_image_loss(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    own = index.images.get(image_id)
-    if own is None:
-        raise IndexMismatchError(f"the multi-view index has no rows for image {image_id}")
+    own = index.rows_of(image_id)
     coords = _aligned(coords, len(own.pixels))
     rep = angle_terms(intr, index.poses[image_id], coords, own.pixels, cfg.epsilon_norm)
     rows, entries = index.draw(image_id, rng)

@@ -52,7 +52,6 @@ from anglereloc.geometry import (
 )
 from anglereloc.losses import (  # ConfigError is re-exported here
     COUNT,
-    FRACTION,
     POSITIVE,
     POSITIVE_COUNT,
     ConfigError,
@@ -628,8 +627,9 @@ def constant_depth_targets(
 PHOTO_NEIGHBOR_MAX_OFFSET = 10
 
 
-# Each mode's phases as (start, loss name): a phase's loss trains from
-# iteration int(start * iterations) until the next phase starts.
+# Each mode's phases as (start, loss name), and the fractions of a run at
+# which the lr halves. A fraction f of a run of T iterations is reached at
+# the first iteration t with t / T >= f; see schedule_at.
 # const-depth-reproj is DSAC++'s two-stage recipe (Brachmann & Rother,
 # CVPR 2018): regress constant-depth targets, then the reprojection loss.
 MODES = {
@@ -639,6 +639,7 @@ MODES = {
     "angle-photo": ((0.0, "angle-photo"),),
     "const-depth-reproj": ((0.0, "const-depth"), (0.25, "reproj")),
 }
+LR_HALVINGS = (0.6, 0.8, 0.9)
 
 
 def _tuple_of(rule, items):
@@ -651,7 +652,9 @@ class TrainConfig:
     """Training settings. Every loss weight and guard lives in ``loss``, a
     ``LossConfig``. A value that fails its field's rule raises
     ``ConfigError`` naming the field. ``mode`` is a key of ``MODES``, which
-    holds its phases; ``checkpoint_every`` 0 records only the end;
+    holds its phases; ``lr`` halves at each fraction of ``LR_HALVINGS``. A
+    fraction f of the run is reached at the first iteration t with
+    t / iterations >= f. ``checkpoint_every`` 0 records only the end;
     ``const_depth``, the depth of the ``const-depth`` loss's targets, is
     checked in every mode. ``angle-photo``'s neighbor reach is
     ``PHOTO_NEIGHBOR_MAX_OFFSET``. A ``PatchMLP`` has the layer sizes
@@ -662,7 +665,6 @@ class TrainConfig:
     )
     iterations: int = ruled(POSITIVE_COUNT, 20000)
     lr: float = ruled(POSITIVE, 1e-4)
-    lr_halving_fractions: tuple = ruled(_tuple_of(FRACTION, "numbers in [0, 1]"), (0.6, 0.8, 0.9))
     loss: LossConfig = ruled(
         Rule(lambda v: isinstance(v, LossConfig), "a LossConfig"), default_factory=LossConfig
     )
@@ -703,11 +705,14 @@ class TrainLog:
         return self.records[-1]
 
 
-def lr_at(cfg: TrainConfig, iteration: int) -> float:
-    """Piecewise-constant schedule: halve at each configured fraction."""
-    frac = iteration / cfg.iterations
-    halvings = sum(1 for f in cfg.lr_halving_fractions if frac >= f)
-    return cfg.lr * (0.5**halvings)
+def schedule_at(cfg: TrainConfig, t: int):
+    """``(loss name, lr)`` of iteration ``t`` of a run under ``cfg``: the
+    loss of the last phase in ``MODES[cfg.mode]`` whose start is reached,
+    and ``cfg.lr`` halved once per fraction of ``LR_HALVINGS`` reached. A
+    fraction f is reached at the first t with ``t / cfg.iterations >= f``."""
+    frac = t / cfg.iterations
+    name = [name for start, name in MODES[cfg.mode] if frac >= start][-1]
+    return name, cfg.lr * (0.5 ** sum(frac >= f for f in LR_HALVINGS))
 
 
 def _photo_setup(dataset, train_ids):
@@ -733,15 +738,15 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
 
     One training image per iteration (drawn uniformly with the config seed),
     per-point gradients from the current phase's loss accumulated into the
-    model by Adam. The phases are the mode's row of ``MODES``: a phase
-    starting at fraction ``start`` takes over at iteration
-    ``int(start * iterations)``. Each loss returns the image's
-    ``LossReport``; the loop counts its ``nonfinite`` and, for
-    ``angle-photo``, its photometric ``valid_mask`` at every iteration.
-    Returns ``(model, TrainLog)``; each record holds the ``total`` and
-    ``behind_frac`` of the last report, the running count of iterations
-    with a non-finite loss or gradient, the median 3D coordinate error over
-    the training views, and wall time.
+    model by Adam. ``schedule_at`` gives each iteration's loss, from the
+    phases in the mode's row of ``MODES``, and its learning rate. Each loss
+    returns the image's ``LossReport``; the loop counts its ``nonfinite``
+    and, for ``angle-photo``, its photometric ``valid_mask`` at every
+    iteration. Returns ``(model, TrainLog)``, recorded every
+    ``checkpoint_every`` iterations and at the end; each record holds the
+    ``total`` and ``behind_frac`` of the last report, the running count of
+    iterations with a non-finite loss or gradient, the median 3D coordinate
+    error over the training views, and wall time.
     ``angle-multi`` and ``angle-photo`` draw their neighbor views from the
     train views only, so no held-out view's pose or pixels enter training.
     A room without train views raises ``ConfigError``.
@@ -750,8 +755,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     ``PhotometricInactiveWarning`` when no photometric point was valid in
     the whole run.
     """
-    phases = MODES[cfg.mode]
-    used = {name for _, name in phases}
+    used = {name for _, name in MODES[cfg.mode]}
     train_ids = list(dataset.train_ids)
     if not train_ids:
         raise ConfigError(
@@ -768,7 +772,8 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     adam = AdamState.for_params(params, lr=cfg.lr)
     intr, poses, observations = dataset.intrinsics, dataset.poses, dataset.observations
     order_rng = np.random.default_rng([cfg.seed, 11])
-    image_order = order_rng.integers(0, len(train_ids), size=cfg.iterations)
+    drawn = order_rng.integers(0, len(train_ids), size=cfg.iterations)
+    order = [train_ids[i] for i in drawn.tolist()]  # each iteration's image id
     multiview = (
         build_multiview_index(
             poses, {i: observations[i] for i in train_ids}, dataset.covis.corresponded
@@ -830,42 +835,32 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         "angle-photo": angle_photo,
         "const-depth": const_depth,
     }
-    # each phase's (first iteration, loss), the next one to start last
-    switches = [(int(frac * cfg.iterations), image_losses[name]) for frac, name in phases][::-1]
+    image_losses = {name: image_losses[name] for name in used}  # an unknown name fails here
 
     log = TrainLog()
     nonfinite_events = photo_valid = 0
+    every = cfg.checkpoint_every or cfg.iterations  # 0 records only the end
     start = time.perf_counter()
-
-    def record(iteration):  # reads the last iteration's report
-        med, _ = evaluate_coords(model, dataset, train_ids)
-        wall = time.perf_counter() - start
-        log.append(TrainRecord(iteration, rep.total, rep.behind_frac, nonfinite_events, med, wall))
-
-    for t in range(cfg.iterations):
-        image_id = train_ids[int(image_order[t])]
+    for t, image_id in enumerate(order):
+        name, adam.lr = schedule_at(cfg, t)
         preds, ctx = model.predict_image(dataset, image_id)
-        while switches and switches[-1][0] <= t:
-            image_loss = switches.pop()[1]
-        rep = image_loss(t, image_id, preds)
+        rep = image_losses[name](t, image_id, preds)
         nonfinite_events += int(rep.nonfinite)
         if rep.valid_mask is not None:
             photo_valid += int(np.count_nonzero(rep.valid_mask))
 
         model_grads = model.grads_for_image(ctx, rep.grads)
-        adam.lr = lr_at(cfg, t)
-        recording = cfg.checkpoint_every and (t + 1) % cfg.checkpoint_every == 0
+        recording = (t + 1) % every == 0 or t + 1 == cfg.iterations
         # before the next step only the next image's prediction reads the
         # parameters; a record and the returned model read every array
-        read_all = recording or t + 1 == cfg.iterations
-        read = None if read_all else model.param_reads(train_ids[int(image_order[t + 1])])
+        read = None if recording else model.param_reads(order[t + 1])
         adam_step(adam, params, model_grads, read)
 
         if recording:
-            record(t + 1)
+            med, _ = evaluate_coords(model, dataset, train_ids)
+            wall = time.perf_counter() - start
+            log.append(TrainRecord(t + 1, rep.total, rep.behind_frac, nonfinite_events, med, wall))
 
-    if not log.records or log.final.iteration != cfg.iterations:
-        record(cfg.iterations)
     if "angle-photo" in used and photo_valid == 0:
         warnings.warn(
             f"no valid photometric point in {cfg.iterations} iterations: "
@@ -901,7 +896,7 @@ def evaluate_coords(model, dataset, image_ids=None):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def save_checkpoint(path, model, cfg: TrainConfig):

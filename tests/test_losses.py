@@ -633,6 +633,18 @@ class TestMultiviewIndex:
             assert_index_matches_oracle(index, train, corresponded)
             assert set(index.image_ids[index.other_pos].tolist()) <= set(ds.train_ids)
 
+    def test_draw_for_an_image_outside_the_index_raises_naming_it(self):
+        # a bare KeyError: 3 for the first held-out view of a 12-view room
+        ds = build_dataset(DatasetConfig(seed=0, n_points=300, n_images=12, min_visible=10))
+        train = {i: ds.observations[i] for i in ds.train_ids}
+        index = build_multiview_index(ds.poses, train, ds.covis.corresponded)
+        assert ds.test_ids[0] == 3
+        with pytest.raises(IndexMismatchError) as err:
+            index.draw(3, np.random.default_rng(0))
+        assert str(err.value) == "the multi-view index has no rows for image 3"
+        rows, entries = index.draw(ds.train_ids[0], np.random.default_rng(0))
+        assert len(rows) == len(entries) > 0
+
     def test_image_without_observations(self):
         obs = {0: _obs([1, 2, 3]), 1: _obs([]), 2: _obs([3, 2])}
         corresponded = build_covis(obs).corresponded

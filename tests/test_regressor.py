@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, astuple, fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ from anglereloc.regressor import (
     constant_depth_targets,
     evaluate_coords,
     load_checkpoint,
-    lr_at,
     network_sizes,
     save_checkpoint,
+    schedule_at,
     train,
 )
 from anglereloc.scenegen import DatasetConfig, build_dataset
@@ -593,11 +594,30 @@ class TestAdamDeferredSweeps:
 def test_lr_halves_at_each_boundary():
     cfg = TrainConfig(iterations=100, lr=0.08)
     expected = {0: 0.08, 59: 0.08, 60: 0.04, 79: 0.04, 80: 0.02, 89: 0.02, 90: 0.01, 99: 0.01}
-    assert {t: lr_at(cfg, t) for t in expected} == expected
+    assert {t: schedule_at(cfg, t) for t in expected} == {
+        t: ("angle", lr) for t, lr in expected.items()
+    }
     long = TrainConfig(iterations=20000, lr=1.0)
-    assert [lr_at(long, t) for t in (11999, 12000, 15999, 16000, 17999, 18000)] == [
+    assert [schedule_at(long, t)[1] for t in (11999, 12000, 15999, 16000, 17999, 18000)] == [
         1.0, 0.5, 0.5, 0.25, 0.25, 0.125,
     ]
+
+
+@pytest.mark.parametrize("iterations", [4, 10, 90, 250])
+@pytest.mark.parametrize("f", [0.25, 0.6, 0.7, 0.8, 0.9])
+def test_phase_and_halving_start_at_the_first_iteration_reaching_their_fraction(
+    iterations, f, monkeypatch
+):
+    """A phase starting at f and a halving at f both first apply at the first
+    t with t / T >= f, the exact decimal boundary ceil(f * T): 63 of 90 for
+    0.7, where int(0.7 * 90) is 62, and 3 of 10 for 0.25."""
+    monkeypatch.setitem(regressor.MODES, "angle", ((0.0, "angle"), (f, "reproj")))
+    monkeypatch.setattr(regressor, "LR_HALVINGS", (f,))
+    cfg = TrainConfig(iterations=iterations, lr=1.0)
+    first = math.ceil(Fraction(str(f)) * iterations)
+    assert [schedule_at(cfg, t) for t in range(iterations)] == (
+        [("angle", 1.0)] * first + [("reproj", 0.5)] * (iterations - first)
+    )
 
 
 class TestPatchMLP:
@@ -1032,10 +1052,12 @@ class TestModes:
             "'const-depth-reproj'], got 'nope'"
         )
 
-    def test_const_depth_phase_ends_at_the_floor_of_its_share(self, room, monkeypatch):
+    def test_const_depth_phase_ends_at_the_first_iteration_reaching_its_share(
+        self, room, monkeypatch
+    ):
         """Of 10 iterations, const-depth-reproj regresses the constant-depth
-        targets in int(0.25 * 10) = 2, where a ratio rule t / 10 < 0.25
-        would give 3, then trains the reprojection loss."""
+        targets in 3, the iterations t with t / 10 < 0.25 (int(0.25 * 10)
+        would give 2), then trains the reprojection loss."""
         losses_at = []
         targets, reproj = regressor.constant_depth_targets, regressor.reproj_terms
 
@@ -1051,7 +1073,7 @@ class TestModes:
         monkeypatch.setattr(regressor, "reproj_terms", spy_reproj)
         cfg = TrainConfig(mode="const-depth-reproj", iterations=10, lr=0.05, checkpoint_every=0)
         train(room, "free_table", cfg)
-        assert losses_at == ["const-depth"] * 2 + ["reproj"] * 8
+        assert losses_at == ["const-depth"] * 3 + ["reproj"] * 7
 
 
 class TestTracedLookups:
@@ -1228,16 +1250,6 @@ class TestTrainConfig:
             ("checkpoint_every", 2.5),  # recorded at [5, 10] of 12 iterations
             ("checkpoint_every", True),
             pytest.param("hidden_sizes", (True,), id="hidden_sizes-bool"),
-            # these three trained without ever halving the rate
-            pytest.param("lr_halving_fractions", (math.nan,), id="lr_halving_fractions-nan"),
-            pytest.param("lr_halving_fractions", (2.0,), id="lr_halving_fractions-2.0"),
-            pytest.param("lr_halving_fractions", (True,), id="lr_halving_fractions-bool"),
-            # these two raised a bare TypeError from lr_at at iteration 0
-            pytest.param("lr_halving_fractions", ("a",), id="lr_halving_fractions-string"),
-            pytest.param("lr_halving_fractions", 0.5, id="lr_halving_fractions-bare-0.5"),
-            pytest.param("lr_halving_fractions", (-0.1,), id="lr_halving_fractions-negative"),
-            pytest.param("lr_halving_fractions", (math.inf,), id="lr_halving_fractions-inf"),
-            pytest.param("lr_halving_fractions", [0.5], id="lr_halving_fractions-list"),
             # a bare TypeError from iterating over the int
             pytest.param("hidden_sizes", 64, id="hidden_sizes-bare-64"),
             pytest.param("hidden_sizes", [64, 64], id="hidden_sizes-list"),
@@ -1269,15 +1281,14 @@ class TestTrainConfig:
         for mode in regressor.MODES:
             TrainConfig(mode=mode)
         TrainConfig(hidden_sizes=())
-        TrainConfig(lr_halving_fractions=())
-        TrainConfig(lr_halving_fractions=(0, 1, 0.0, 1.0, np.float32(0.5), np.int64(1)))
 
     def test_numpy_numbers_train_as_python_numbers(self):
         # an np.float32 lr gave an np.float32 rate, and Adam's lr_t in float32
-        cfg = TrainConfig(lr=np.float32(0.05), lr_halving_fractions=(np.float32(0.5),))
-        assert type(cfg.lr) is float and type(cfg.lr_halving_fractions[0]) is float
-        assert type(lr_at(cfg, 0)) is float and lr_at(cfg, 0) == float(np.float32(0.05))
-        assert type(lr_at(cfg, cfg.iterations - 1)) is float
+        cfg = TrainConfig(lr=np.float32(0.05))
+        assert type(cfg.lr) is float
+        assert type(schedule_at(cfg, 0)[1]) is float
+        assert schedule_at(cfg, 0)[1] == float(np.float32(0.05))
+        assert type(schedule_at(cfg, cfg.iterations - 1)[1]) is float
 
 
 class TestLossConfig:
@@ -1403,7 +1414,7 @@ class TestCheckpoint:
         path = tmp_path / "table.json"
         save_checkpoint(path, table, cfg)
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 5
+        assert blob["schema_version"] == 6
         assert sorted(blob["model"]) == ["coords", "kind", "point_ids"]
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
@@ -1553,7 +1564,7 @@ class TestCheckpoint:
         path = tmp_path / "mlp.json"
         save_checkpoint(path, net, TrainConfig(mode="angle-multi", hidden_sizes=(8,)))
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 5
+        assert blob["schema_version"] == 6
         assert sorted(blob["model"]) == ["biases", "kind", "weights"]
         loaded, cfg = load_checkpoint(path)
         assert cfg.mode == "angle-multi" and cfg.hidden_sizes == (8,)
@@ -1571,7 +1582,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, PatchMLP.init(network_sizes(cfg)), cfg)
         blob = json.loads(path.read_text())
-        assert blob["schema_version"] == 5
+        assert blob["schema_version"] == 6
         assert blob["train_config"]["loss"]["lambda_photo"] == 0.25
         _, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg and isinstance(loaded_cfg.loss, LossConfig)
@@ -1693,15 +1704,6 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: ")
 
-    @pytest.mark.parametrize(
-        "value", [[2.0], 0.5, ["a"], [None]], ids=["2.0", "bare-0.5", "string", "null"]
-    )
-    def test_bad_lr_halving_fractions_names_path_and_field(self, tmp_path, value):
-        path = self._write(tmp_path, lambda b: b["train_config"].update(lr_halving_fractions=value))
-        with pytest.raises(ConfigError) as err:
-            load_checkpoint(path)
-        assert str(err.value).startswith(f"{path}: lr_halving_fractions must be a tuple")
-
     def test_version_2_checkpoints_are_refused(self, room, tmp_path):
         # version 2 stored a table's [image, point, row] triples and a
         # network's layer_sizes beside its weights
@@ -1746,6 +1748,24 @@ class TestCheckpoint:
         ids=["version-4", "init_fraction"],
     )
     def test_version_4_checkpoints_are_refused(self, tmp_path, edit, message):
+        path = self._write(tmp_path, edit)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b.update(schema_version=5), "unsupported checkpoint version 5"),
+            # no migration: version 5's field is an unknown key at version 6
+            (
+                lambda b: b["train_config"].update(lr_halving_fractions=[0.6, 0.8, 0.9]),
+                "train_config keys: unknown ['lr_halving_fractions'], missing []",
+            ),
+        ],
+        ids=["version-5", "lr_halving_fractions"],
+    )
+    def test_version_5_checkpoints_are_refused(self, tmp_path, edit, message):
         path = self._write(tmp_path, edit)
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
