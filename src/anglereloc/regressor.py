@@ -95,28 +95,30 @@ class PatchMLP:
     the whole network as one array.
     """
 
-    kind = "patch_mlp"
-
-    def __init__(self, weights, biases):
-        weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        chained = (
-            len(weights) == len(biases) > 0
-            and all(w.ndim == 2 and b.shape == w.shape[1:] for w, b in zip(weights, biases))
-            and all(w.shape[1] == nxt.shape[0] for w, nxt in zip(weights, weights[1:]))
-        )
-        if not chained:
+    def __init__(self, layer_sizes, params):
+        """The network of ``layer_sizes``, ``(input, *hidden, 3)``, whose
+        weights and biases are the flat vector ``params`` (copied as
+        float64). Raises ``DimensionMismatchError`` for sizes that are not
+        integers > 0 ending in 3, or for ``params`` that are not the
+        ``param_count(layer_sizes)`` values of such a network."""
+        sizes = tuple(layer_sizes)
+        if not (len(sizes) > 1 and sizes[-1] == 3 and all(is_count(n, 1) for n in sizes)):
             raise DimensionMismatchError(
-                f"weights {[w.shape for w in weights]} and biases "
-                f"{[b.shape for b in biases]} do not form a network"
+                f"layer sizes {sizes} are not integers > 0 from an input to 3 outputs"
             )
-        if weights[-1].shape[1] != 3:
-            raise DimensionMismatchError("output layer must produce 3 values")
-        arrays = [a for pair in zip(weights, biases) for a in pair]
-        stops = np.cumsum([a.size for a in arrays]).tolist()
+        self.layer_sizes = sizes
+        self.params = np.array(params, dtype=np.float64)
+        if self.params.shape != (param_count(sizes),):
+            raise DimensionMismatchError(
+                f"params of shape {self.params.shape} are not the "
+                f"{param_count(sizes)} values of layer sizes {sizes}"
+            )
         # (start, stop, shape) of W0, b0, W1, b1, ... in the flat vector
-        self._layout = [(stop - a.size, stop, a.shape) for a, stop in zip(arrays, stops)]
-        self.params = np.concatenate([a.ravel() for a in arrays])
+        self._layout, stop = [], 0
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                start, stop = stop, stop + math.prod(shape)
+                self._layout.append((start, stop, shape))
         views = self._views(self.params)
         self.weights, self.biases = views[0::2], views[1::2]
 
@@ -128,22 +130,10 @@ class PatchMLP:
     def init(cls, layer_sizes=(16, 64, 64, 3), seed=0):
         """Uniform [-0.5, 0.5] weights scaled by 1/sqrt(fan_in), zero biases."""
         rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            weights.append(
-                rng.uniform(-0.5, 0.5, size=(fan_in, fan_out)) / np.sqrt(fan_in)
-            )
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases)
-
-    @property
-    def input_dim(self):
-        return self.weights[0].shape[0]
-
-    @property
-    def layer_sizes(self):
-        """``(input, *hidden, 3)``: the sizes ``init`` takes."""
-        return (self.input_dim, *(w.shape[1] for w in self.weights))
+        net = cls(layer_sizes, np.zeros(param_count(layer_sizes)))
+        for W in net.weights:
+            W[...] = rng.uniform(-0.5, 0.5, size=W.shape) / np.sqrt(W.shape[0])
+        return net
 
     def forward(self, x):
         """Evaluate the network on (N, in) descriptors -> (N, 3)."""
@@ -152,9 +142,9 @@ class PatchMLP:
     def forward_cached(self, x):
         """Forward pass keeping activations for the backward pass."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise DimensionMismatchError(
-                f"descriptors of shape {x.shape} are not (N, {self.input_dim}) rows"
+                f"descriptors of shape {x.shape} are not (N, {self.layer_sizes[0]}) rows"
             )
         acts = [x]
         h = x
@@ -201,21 +191,12 @@ class PatchMLP:
     def grads_for_image(self, ctx, dl_dy):
         return self.backward(ctx, dl_dy)
 
-    def state_dict(self):
-        return {
-            "kind": self.kind,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
 
-    @classmethod
-    def from_state(cls, state):
-        """Inverse of ``state_dict``. Raises ``ConfigError`` for a weight or
-        bias that is not a number (see ``_numbers``)."""
-        return cls(
-            [_numbers(w, "PatchMLP weights") for w in state["weights"]],
-            [_numbers(b, "PatchMLP biases") for b in state["biases"]],
-        )
+def param_count(layer_sizes):
+    """The number of values in the ``params`` of a ``PatchMLP`` of
+    ``layer_sizes``: a weight per pair of units in consecutive layers and a
+    bias per unit after the input."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
 
 
 class FreeTable:
@@ -240,8 +221,6 @@ class FreeTable:
     ``train`` lets ``adam_step`` defer the sweeps of the other runs until
     they are read or get a gradient.
     """
-
-    kind = "free_table"
 
     def __init__(self, coords, point_ids):
         """``coords`` holds the rows of the images of ``point_ids`` in the
@@ -359,55 +338,12 @@ class FreeTable:
             grads[k][ctx.start - run.start : ctx.stop - run.start] = dl_dy
         return grads
 
-    def state_dict(self):
-        """The table's rows and, in table order, each image's id and point
-        ids as ``[image_id, [point ids]]`` pairs."""
-        point_ids = [[int(i), self.point_ids[i].tolist()] for i in sorted(self._spans)]
-        return {"kind": self.kind, "coords": self.coords.tolist(), "point_ids": point_ids}
-
-    @classmethod
-    def from_state(cls, state):
-        """Inverse of ``state_dict``. Raises ``ConfigError`` for an image or
-        point id that is not an integer >= 0 (a bool or an integral float
-        included), for image ids that are not strictly ascending, the
-        table's order, and for a coordinate that is not a number (see
-        ``_numbers``); ``DimensionMismatchError`` when the rows are not one
-        3-vector per point id."""
-        point_ids, last = {}, -1
-        for image_id, ids in state["point_ids"]:
-            for k in (image_id, *ids):
-                if not is_count(k, 0):
-                    raise ConfigError(f"FreeTable id {k!r} is not an integer >= 0")
-            if not image_id > last:
-                raise ConfigError(f"FreeTable image {image_id} is out of table order")
-            point_ids[image_id] = np.array(ids, dtype=np.int64)
-            last = image_id
-        return cls(_numbers(state["coords"], "FreeTable coords"), point_ids)
-
-
-def _numbers(value, what):
-    """``value``, a number or nested lists of numbers as JSON holds them, as
-    a float64 array. Raises ``ConfigError`` naming ``what`` for an entry that
-    is not an int or a float: numpy would read the string ``"1.5"`` as 1.5,
-    ``true`` as 1.0 and ``null`` as NaN."""
-    entries = np.asarray(value, dtype=object)
-    flat = entries.ravel().tolist()
-    if not set(map(type, flat)) <= {int, float}:
-        bad = next(v for v in flat if type(v) not in (int, float))
-        raise ConfigError(f"{what} hold {bad!r}, which is not a number")
-    return entries.astype(np.float64)
-
 
 class GtLookup:
     """Oracle pseudo-model: predicts the recorded ground-truth coordinate."""
 
-    kind = "gt_lookup"
-
     def predict_image(self, dataset, image_id):
         return dataset.observations[image_id].gt_coords.copy(), None
-
-
-MODEL_KINDS = {"patch_mlp": PatchMLP, "free_table": FreeTable}
 
 
 # ---------------------------------------------------------------------------
@@ -896,34 +832,44 @@ def evaluate_coords(model, dataset, image_ids=None):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 def save_checkpoint(path, model, cfg: TrainConfig):
-    """Write ``model`` and ``cfg`` to ``path`` as one JSON object at
-    ``CHECKPOINT_VERSION``: the config's fields and the model's
-    ``state_dict`` (a ``PatchMLP``'s weights and biases, a ``FreeTable``'s
-    rows and per-image point ids), each stored once."""
+    """Write a ``PatchMLP`` trained under ``cfg`` to ``path`` as one JSON
+    object at ``CHECKPOINT_VERSION`` with three keys: ``schema_version``,
+    ``train_config`` (the config's fields) and ``params`` (the network's flat
+    parameter vector, the one Adam trains). The network's shape is
+    ``network_sizes(cfg)``, so it is stored once, in the config. Raises
+    ``ConfigError`` naming ``path``, and writes no file, for any other model:
+    a ``FreeTable``, a ``GtLookup``, or a network of other layer sizes."""
+    sizes = network_sizes(cfg)
+    if not isinstance(model, PatchMLP):
+        raise ConfigError(f"{path}: a checkpoint holds a PatchMLP, got a {type(model).__name__}")
+    if model.layer_sizes != sizes:
+        raise ConfigError(
+            f"{path}: network layer sizes {model.layer_sizes} are not {sizes}, "
+            "the descriptor width, hidden_sizes and 3"
+        )
     blob = {
         "schema_version": CHECKPOINT_VERSION,
         "train_config": asdict(cfg),
-        "model": model.state_dict(),
+        "params": model.params.tolist(),
     }
     Path(path).write_text(json.dumps(blob) + "\n")
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by ``save_checkpoint``: ``(model, TrainConfig)``.
+    """Read a checkpoint written by ``save_checkpoint``: ``(PatchMLP, TrainConfig)``.
 
     Raises ``ConfigError`` naming ``path`` when the file cannot be read or
-    parsed, or does not hold the current ``CHECKPOINT_VERSION``, a known
-    model kind with its state, and a ``train_config`` that
-    ``config_from_json`` reads: exactly the ``TrainConfig`` fields with
-    exactly the ``LossConfig`` fields under ``loss``, each passing its rule.
-    It also raises when a ``FreeTable`` id is not an integer >= 0, or a table
-    coordinate, weight or bias is not a number (see ``FreeTable.from_state``
-    and ``PatchMLP.from_state``), and when a ``PatchMLP``'s layer sizes are
-    not ``network_sizes`` of its own config.
+    parsed, is not a JSON object at the current ``CHECKPOINT_VERSION``, or
+    holds a ``train_config`` that ``config_from_json`` refuses (exactly the
+    ``TrainConfig`` fields with exactly the ``LossConfig`` fields under
+    ``loss``, each passing its rule). The config gives the network's layer
+    sizes, ``network_sizes(cfg)``; ``params`` must then be a flat list of
+    exactly ``param_count`` of them, checked before anything is built, each
+    a number (see ``_numbers``).
     """
     try:
         blob = json.loads(Path(path).read_text())
@@ -933,10 +879,6 @@ def load_checkpoint(path):
         return _checkpoint_contents(blob)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except (
-        KeyError, IndexError, OverflowError, TypeError, ValueError, DimensionMismatchError
-    ) as exc:
-        raise ConfigError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 
 def _checkpoint_contents(blob):
@@ -944,17 +886,34 @@ def _checkpoint_contents(blob):
         raise ConfigError("checkpoint is not a JSON object")
     if blob.get("schema_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {blob.get('schema_version')}")
-    state, raw = blob.get("model"), blob.get("train_config")
-    if not isinstance(state, dict) or not isinstance(raw, dict):
-        raise ConfigError("checkpoint needs 'model' and 'train_config' objects")
-    kind = state.get("kind")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r} in checkpoint")
-    cfg = config_from_json(TrainConfig, raw, "train_config")
-    model = MODEL_KINDS[kind].from_state(state)
-    if kind == PatchMLP.kind and model.layer_sizes != network_sizes(cfg):
+    cfg = config_from_json(TrainConfig, blob.get("train_config"), "train_config")
+    sizes, params = network_sizes(cfg), blob.get("params")
+    n = param_count(sizes)
+    if not (isinstance(params, list) and len(params) == n):
+        got = f"a list of {len(params)}" if isinstance(params, list) else type(params).__name__
         raise ConfigError(
-            f"network layer sizes {model.layer_sizes} are not {network_sizes(cfg)}, "
-            "the descriptor width, hidden_sizes and 3"
+            f"params must be a list of the {n} numbers of a PatchMLP of layer sizes "
+            f"{sizes}, got {got}"
         )
-    return model, cfg
+    return PatchMLP(sizes, _numbers(params, "params")), cfg
+
+
+def _is_number(value):
+    """True for a float, NaN and infinities included, and for an int that a
+    float holds; False for a bool, a string, None, a list and ``10**400``."""
+    try:
+        return type(value) is float or (type(value) is int and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _numbers(values, what):
+    """``values``, a flat list of numbers as JSON holds them, as a float64
+    array. Raises ``ConfigError`` naming ``what`` for an entry that is not a
+    number (see ``_is_number``): numpy would read the string ``"1.5"`` as
+    1.5, ``true`` as 1.0 and ``null`` as NaN, and raise ``OverflowError`` on
+    ``10**400``."""
+    bad = [v for v in values if not _is_number(v)]
+    if bad:
+        raise ConfigError(f"{what} hold {bad[0]!r}, which is not a number")
+    return np.array(values, dtype=np.float64)

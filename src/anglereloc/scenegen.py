@@ -85,9 +85,10 @@ dropped.
 Determinism: every random quantity is drawn from ``np.random.default_rng``
 seeded with an integer list ``[seed, stream, ...]``, so a room is a pure
 function of its ``DatasetConfig`` (on a given numpy and BLAS build). That is
-how rooms persist: ``save_dataset`` writes one ``manifest.json`` holding the
-config and the room's ``room_digest``, and ``load_dataset`` rebuilds the
-room with ``build_dataset`` and refuses it unless the digests match.
+how rooms persist: ``save_dataset`` writes a room as one JSON file, its
+manifest, at the path the caller names, holding the config and the room's
+``room_digest``; ``load_dataset`` reads that file, rebuilds the room with
+``build_dataset`` and refuses it unless the digests match.
 Descriptors are a pure function of the config and a view's point ids, and
 neither ``build_dataset``, ``room_digest`` nor ``load_dataset`` draws them: a
 room's ``DescriptorSource`` draws the base and each view's noise on first
@@ -417,7 +418,8 @@ def _free_space_points(rng, n, half_extent, min_radius):
     candidate is kept and the draws would run for minutes or forever. Once
     ``FREE_SPACE_PATIENCE`` candidates are drawn, a room that has kept fewer
     than one in ``FREE_SPACE_DRAWS_PER_POINT`` of them, and still needs
-    points, raises ``ValueError`` naming ``half_extent``. A room that gets
+    points, raises ``ConfigError`` naming ``half_extent``, as
+    ``DatasetConfig`` refuses a cube no candidate can clear. A room that gets
     its points keeps every bit."""
     batches = [np.empty((0, 3))]
     drawn = kept = 0
@@ -434,7 +436,7 @@ def _free_space_points(rng, n, half_extent, min_radius):
         drawn += len(cand)
         kept += len(batches[-1])
         if n > 0 and drawn >= FREE_SPACE_PATIENCE and kept * FREE_SPACE_DRAWS_PER_POINT < drawn:
-            raise ValueError(
+            raise ConfigError(
                 f"half_extent {half_extent!r} leaves too little free space: {kept} of "
                 f"{drawn} candidates in the cube lie at least {min_radius} from the "
                 f"origin, fewer than one in {FREE_SPACE_DRAWS_PER_POINT}"
@@ -447,7 +449,7 @@ def gen_scene(cfg: DatasetConfig) -> SyntheticScene:
     interior panels beyond six), with ``cfg.n_points`` points sampled on the
     plane surfaces and, a ``cfg.free_space_fraction`` of them, in free space
     at least ``FREE_SPACE_MIN_RADIUS`` from the origin. A room whose cube
-    leaves almost no such space raises ``ValueError`` naming ``half_extent``
+    leaves almost no such space raises ``ConfigError`` naming ``half_extent``
     (see ``_free_space_points``)."""
     seed, half_extent = cfg.seed, cfg.half_extent
     rng = np.random.default_rng([seed, 1])
@@ -1010,33 +1012,32 @@ def room_digest(ds: Dataset) -> str:
     return h.hexdigest()
 
 
-def save_dataset(ds: Dataset, out_dir) -> Path:
-    """Write the room's one file, ``manifest.json``: the schema version, the
-    config the room is built from, and the ``room_digest`` of the room as
-    saved. Draws no descriptor."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def save_dataset(ds: Dataset, path) -> Path:
+    """Write the room to ``path`` as one JSON file, its manifest: the schema
+    version, the config the room is built from, and the ``room_digest`` of
+    the room as saved. Returns ``path``. Draws no descriptor."""
+    path = Path(path)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(ds.config),
         "sha256": room_digest(ds),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    return out
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    return path
 
 
-def load_dataset(in_dir) -> Dataset:
-    """The room that ``save_dataset`` wrote to ``in_dir``, rebuilt from its
+def load_dataset(path) -> Dataset:
+    """The room that ``save_dataset`` wrote to ``path``, rebuilt from its
     manifest's config by ``build_dataset``. Raises ``ParseError`` naming
-    ``manifest.json`` when the file is missing, unreadable or not a JSON
-    object, holds another ``SCHEMA_VERSION``, lacks ``sha256``, holds a
-    ``config`` that ``config_from_json`` refuses (no JSON object, a missing
-    field or another key, or a value that fails its field's rule) or that
-    cannot be built, or when the rebuilt room's ``room_digest`` differs from
-    the saved one: the room or the generator changed since the save (a
-    different numpy or BLAS build can change a room's bits). So a load gives
-    the saved room or refuses."""
-    path = Path(in_dir) / "manifest.json"
+    ``path`` when the file is missing, unreadable or not a JSON object,
+    holds another ``SCHEMA_VERSION``, lacks ``sha256``, holds a ``config``
+    that ``config_from_json`` refuses (no JSON object, a missing field or
+    another key, or a value that fails its field's rule) or that cannot be
+    built, or when the rebuilt room's ``room_digest`` differs from the saved
+    one: the room or the generator changed since the save (a different numpy
+    or BLAS build can change a room's bits). So a load gives the saved room
+    or refuses."""
+    path = Path(path)
     try:
         manifest = json.loads(path.read_text())
     except (OSError, ValueError) as exc:  # a decode error or malformed JSON is a ValueError
@@ -1053,7 +1054,7 @@ def load_dataset(in_dir) -> Dataset:
         raise ParseError(f"malformed contents ({exc!r})", path=path) from exc
     try:
         ds = build_dataset(cfg)
-    except (InfeasibleViewpointError, ValueError) as exc:
+    except (InfeasibleViewpointError, ConfigError) as exc:
         raise ParseError(f"cannot rebuild the room ({exc})", path=path) from exc
     if room_digest(ds) != digest:
         raise ParseError("the rebuilt room differs from the saved one (sha256)", path=path)

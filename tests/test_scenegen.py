@@ -151,7 +151,7 @@ class TestDatasetConfig:
         # candidate in a million does: gen_scene ran on for minutes
         cfg = DatasetConfig(half_extent=2.03)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="^half_extent 2.03 leaves too little free space"):
+        with pytest.raises(ConfigError, match="^half_extent 2.03 leaves too little free space"):
             gen_scene(cfg)
         assert time.perf_counter() - start < 1.0
         # a room a little larger still gets its points
@@ -1239,7 +1239,7 @@ class TestPinnedDatasets:
 
     @PINNED_DATASETS
     def test_saved_and_loaded_room_has_the_digest(self, tmp_path, kw, digest):
-        ds = load_dataset(save_dataset(build_dataset(DatasetConfig(**kw)), tmp_path / "d"))
+        ds = load_dataset(save_dataset(build_dataset(DatasetConfig(**kw)), tmp_path / "room.json"))
         assert drawn(ds) == (False, [])
         assert dataset_sha256(ds) == digest
 
@@ -1287,7 +1287,7 @@ class TestLazyDescriptors:
 
     def test_loaded_room_reads_the_built_bytes_on_first_read(self, tmp_path):
         built = build_dataset(small_cfg(pixel_noise_sigma=0.5))
-        ds = load_dataset(save_dataset(built, tmp_path / "d"))
+        ds = load_dataset(save_dataset(built, tmp_path / "room.json"))
         assert drawn(built) == drawn(ds) == (False, [])
         want = {i: o.descriptors for i, o in sorted(built.observations.items())}
         # the loaded room is read the other way round from the built one
@@ -1318,13 +1318,13 @@ def replace_view(ds, image_id, **changes):
 
 class TestDatasetIO:
     @pytest.fixture
-    def saved(self, tmp_path):
+    def path(self, tmp_path):
         ds = build_dataset(small_cfg(render_images=True))
-        return save_dataset(ds, tmp_path / "d")
+        return save_dataset(ds, tmp_path / "room.json")
 
     def test_roundtrip_bit_identical(self, tmp_path):
         ds = build_dataset(small_cfg(render_images=True, pixel_noise_sigma=0.5))
-        back = load_dataset(save_dataset(ds, tmp_path / "d"))
+        back = load_dataset(save_dataset(ds, tmp_path / "room.json"))
         assert back.config == ds.config and back.intrinsics == ds.intrinsics
         assert back.diameter == ds.diameter == ds.scene.diameter
         assert back.train_ids == ds.train_ids and back.test_ids == ds.test_ids
@@ -1343,15 +1343,15 @@ class TestDatasetIO:
         # save_dataset raised "Object of type int64 is not JSON serializable"
         cfg = small_cfg(n_points=np.int64(150), half_extent=np.float32(5.0))
         assert type(cfg.n_points) is int and type(cfg.half_extent) is float
-        assert load_dataset(save_dataset(build_dataset(cfg), tmp_path / "d")).config == cfg
+        assert load_dataset(save_dataset(build_dataset(cfg), tmp_path / "room.json")).config == cfg
 
-    def test_saved_directory_holds_only_the_manifest(self, saved):
-        assert [p.name for p in saved.iterdir()] == ["manifest.json"]
-        blob = json.loads((saved / "manifest.json").read_text())
+    def test_saved_room_is_the_one_file_named(self, path):
+        assert list(path.parent.iterdir()) == [path] and path.name == "room.json"
+        blob = json.loads(path.read_text())
         assert sorted(blob) == ["config", "schema_version", "sha256"]
         assert blob["schema_version"] == scenegen.SCHEMA_VERSION == 3
         assert blob["config"] == asdict(small_cfg(render_images=True))
-        assert blob["sha256"] == room_digest(load_dataset(saved))
+        assert blob["sha256"] == room_digest(load_dataset(path))
 
     def test_room_digest_draws_no_descriptor(self):
         ds = build_dataset(small_cfg())
@@ -1364,23 +1364,21 @@ class TestDatasetIO:
                 Image(np.zeros(shape))
 
     @pytest.mark.parametrize("how", ["missing", "directory", "not-utf-8"])
-    def test_missing_or_unreadable_manifest_raises_parse_error(self, saved, how):
-        path = saved / "manifest.json"
+    def test_missing_or_unreadable_manifest_raises_parse_error(self, path, how):
         path.unlink()
         if how == "directory":
             path.mkdir()
         elif how == "not-utf-8":
             path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ParseError, match="cannot read the manifest") as exc:
-            load_dataset(saved)
-        assert exc.value.path == path and "manifest.json" in str(exc.value)
+            load_dataset(path)
+        assert exc.value.path == path and str(path) in str(exc.value)
 
     @pytest.mark.parametrize("text", ["[1, 2]", "{not json", "null", '"room"'])
-    def test_manifest_that_is_no_json_object_raises_parse_error(self, saved, text):
-        path = saved / "manifest.json"
+    def test_manifest_that_is_no_json_object_raises_parse_error(self, path, text):
         path.write_text(text)
         with pytest.raises(ParseError) as exc:
-            load_dataset(saved)
+            load_dataset(path)
         assert exc.value.path == path
 
     @pytest.mark.parametrize(
@@ -1426,28 +1424,38 @@ class TestDatasetIO:
             ),
         ],
     )
-    def test_malformed_json_contents_raise_parse_error(self, saved, edit):
-        path = saved / "manifest.json"
+    def test_malformed_json_contents_raise_parse_error(self, path, edit):
         blob = json.loads(path.read_text())
         edit(blob)
         path.write_text(json.dumps(blob))
         with pytest.raises(ParseError, match="malformed contents") as exc:
-            load_dataset(saved)
+            load_dataset(path)
         assert exc.value.path == path
 
-    def test_config_that_cannot_be_built_raises_parse_error(self, saved):
-        path = saved / "manifest.json"
+    @pytest.mark.parametrize(
+        "change, why",
+        [
+            # the room has 150 points
+            pytest.param(dict(min_visible=1000), "no viewpoint with >= 1000", id="min_visible"),
+            # gen_scene raised a bare ValueError
+            pytest.param(
+                dict(half_extent=2.03),
+                "half_extent 2.03 leaves too little free space",
+                id="half_extent-2.03",
+            ),
+        ],
+    )
+    def test_config_that_cannot_be_built_raises_parse_error(self, path, change, why):
         blob = json.loads(path.read_text())
-        blob["config"]["min_visible"] = 1000  # the room has 150 points
+        blob["config"].update(change)
         path.write_text(json.dumps(blob))
-        with pytest.raises(ParseError, match="cannot rebuild the room") as exc:
-            load_dataset(saved)
+        with pytest.raises(ParseError, match=rf"^cannot rebuild the room \({why}") as exc:
+            load_dataset(path)
         assert exc.value.path == path
 
-    def test_manifest_of_schema_version_1_raises_parse_error(self, saved):
+    def test_manifest_of_schema_version_1_raises_parse_error(self, path):
         # version 1 carried the camera, orbit and descriptor width in its
         # config, and the base descriptors in descriptors.txt
-        path = saved / "manifest.json"
         blob = json.loads(path.read_text())
         blob["schema_version"] = 1
         blob["config"].update(
@@ -1456,13 +1464,12 @@ class TestDatasetIO:
         )
         path.write_text(json.dumps(blob))
         with pytest.raises(ParseError, match="unsupported schema version 1") as exc:
-            load_dataset(saved)
-        assert exc.value.path == path and "manifest.json" in str(exc.value)
+            load_dataset(path)
+        assert exc.value.path == path and str(path) in str(exc.value)
 
-    def test_manifest_of_schema_version_2_raises_parse_error(self, saved):
+    def test_manifest_of_schema_version_2_raises_parse_error(self, path):
         # version 2 held the image ids, split and diameter, with a text file
         # per pose and view, covis.json and 16-bit PGM renders beside it
-        path = saved / "manifest.json"
         blob = json.loads(path.read_text())
         del blob["sha256"]
         ds = build_dataset(DatasetConfig(**blob["config"]))
@@ -1476,26 +1483,24 @@ class TestDatasetIO:
         )
         path.write_text(json.dumps(blob))
         with pytest.raises(ParseError, match="^unsupported schema version 2 in ") as exc:
-            load_dataset(saved)
-        assert exc.value.path == path and "manifest.json" in str(exc.value)
+            load_dataset(path)
+        assert exc.value.path == path and str(path) in str(exc.value)
 
-    def test_manifest_without_a_schema_version_raises_parse_error(self, saved):
-        path = saved / "manifest.json"
+    def test_manifest_without_a_schema_version_raises_parse_error(self, path):
         blob = json.loads(path.read_text())
         del blob["schema_version"]
         path.write_text(json.dumps(blob))
         with pytest.raises(ParseError, match="^unsupported schema version None in ") as exc:
-            load_dataset(saved)
+            load_dataset(path)
         assert exc.value.path == path
 
     @staticmethod
     def assert_refused_as_another_room(path):
         with pytest.raises(ParseError, match="differs from the saved one") as exc:
-            load_dataset(path.parent)
+            load_dataset(path)
         assert exc.value.path == path
 
-    def test_edited_digest_raises_parse_error(self, saved):
-        path = saved / "manifest.json"
+    def test_edited_digest_raises_parse_error(self, path):
         blob = json.loads(path.read_text())
         blob["sha256"] = blob["sha256"][:-1] + ("0" if blob["sha256"][-1] != "0" else "1")
         path.write_text(json.dumps(blob))
@@ -1504,7 +1509,7 @@ class TestDatasetIO:
     def test_other_seed_with_the_old_digest_raises_parse_error(self, tmp_path):
         # seed 3 would build, so only the digest refuses the room (seed 4,
         # one more than small_cfg's, finds no viewpoint at this size)
-        path = save_dataset(build_dataset(small_cfg(seed=2)), tmp_path / "d") / "manifest.json"
+        path = save_dataset(build_dataset(small_cfg(seed=2)), tmp_path / "room.json")
         blob = json.loads(path.read_text())
         blob["config"]["seed"] += 1
         path.write_text(json.dumps(blob))
@@ -1535,4 +1540,4 @@ class TestDatasetIO:
     def test_room_changed_before_the_save_raises_parse_error(self, tmp_path, edit):
         ds = build_dataset(small_cfg(render_images=True))
         edit(ds)
-        self.assert_refused_as_another_room(save_dataset(ds, tmp_path / "d") / "manifest.json")
+        self.assert_refused_as_another_room(save_dataset(ds, tmp_path / "room.json"))
