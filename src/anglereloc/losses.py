@@ -292,16 +292,28 @@ def _project_grads(intr: CameraIntrinsics, R, D, dl_dq):
         return grad_D @ R.T
 
 
+def _aligned(coords, n_rows):
+    """``coords`` as float64, refused with ``IndexMismatchError`` unless it
+    holds one 3-vector per row of the loss's observations."""
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape != (n_rows, 3):
+        raise IndexMismatchError(
+            f"coords of shape {coords.shape} do not match {n_rows} observation rows"
+        )
+    return coords
+
+
 def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
     """Plain reprojection loss per point: pixel distance between the
     projected prediction and the observation.
 
     Returns a ``LossReport`` over the batch. There is no guard at Z = 0:
     values and gradients go non-finite there, which is exactly what its
-    ``nonfinite`` flag is meant to catch.
+    ``nonfinite`` flag is meant to catch. ``preds`` other than one (N, 3)
+    row per (N, 2) pixel row raise ``IndexMismatchError``.
     """
-    preds = np.asarray(preds, dtype=np.float64)
     pixels = np.asarray(pixels, dtype=np.float64)
+    preds = _aligned(preds, len(pixels))
     D = pose.world_to_camera(preds)
     rays = ray_vectors(intr, pixels)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -363,26 +375,16 @@ def angle_terms(
     the camera center and compared to the observed ray vector, so the value
     equals the chord ``2 |ray| sin(theta / 2)``. Bounded by ``2 |ray|``, and
     with the ``eps_norm`` guard its gradient stays finite all the way to the
-    camera center. Returns a ``LossReport`` over the batch.
+    camera center. Returns a ``LossReport`` over the batch; ``preds`` other
+    than one (N, 3) row per (N, 2) pixel row raise ``IndexMismatchError``.
 
     The predictions go into the camera frame and the pixels become rays;
     ``_angle_kernel`` does the rest there, and its ``dL/dD`` is rotated back
     to the world frame once.
     """
-    D = pose.world_to_camera(preds)
+    D = pose.world_to_camera(_aligned(preds, len(pixels)))
     values, grad_D, statuses, thetas = _angle_kernel(D, ray_vectors(intr, pixels), eps_norm)
     return LossReport(values, grad_D @ pose.rotation.T, statuses, thetas)
-
-
-def _aligned(coords, n_rows):
-    """``coords`` as float64, refused with ``IndexMismatchError`` unless it
-    holds one 3-vector per row of the loss's observations."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape != (n_rows, 3):
-        raise IndexMismatchError(
-            f"coords of shape {coords.shape} do not match {n_rows} observation rows"
-        )
-    return coords
 
 
 class _ImageRows(NamedTuple):
@@ -506,7 +508,8 @@ def multiview_image_loss(
     image_id,
     coords,
     cfg: LossConfig = LossConfig(),
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> LossReport:
     """Angle loss with multi-view correspondence terms for one image.
 
@@ -515,10 +518,10 @@ def multiview_image_loss(
     raises ``IndexMismatchError``. Rows without correspondences contribute their
     single-view angle term. Each corresponded row contributes, weighted by
     ``lambda_multiview``, its angle term in this image plus one more in a
-    neighbor image drawn uniformly (via ``rng``) from the indexed images that
-    also see the point; the same predicted coordinate is reprojected there,
-    so gradients from both views accumulate into it. The report's
-    ``statuses`` and ``thetas`` are those of this image.
+    neighbor image drawn uniformly (via ``rng``, a required keyword) from the
+    indexed images that also see the point; the same predicted coordinate is
+    reprojected there, so gradients from both views accumulate into it. The
+    report's ``statuses`` and ``thetas`` are those of this image.
 
     ``index`` comes from ``build_multiview_index``, built once per training
     run. Neighbors are drawn by ``index.draw``: one ``rng.integers`` call
@@ -528,8 +531,6 @@ def multiview_image_loss(
     the per-row poses gathered from the index. With no correspondences this
     reduces exactly to ``angle_terms`` under the image's pose.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     own = index.rows_of(image_id)
     coords = _aligned(coords, len(own.pixels))
     rep = angle_terms(intr, index.poses[image_id], coords, own.pixels, cfg.epsilon_norm)

@@ -13,12 +13,14 @@ and epsilon, so each element costs one divide and one sqrt.
 
 Each model's parameters are a few contiguous float64 arrays (one flat
 vector for ``PatchMLP``, views of the coordinate table cut between images
-for ``FreeTable``) that ``adam_step`` updates in place. Adam is dense in its
+for ``FreeTable``) that ``adam_step`` updates in place. ``AdamState(params,
+lr)`` starts their moments at +0.0 and only ``adam_step`` writes them, so,
+given gradual underflow, no moment is ever -0.0. Adam is dense in its
 results: every row's moments decay on every step, including the table rows
 of images not drawn, though not always at that step. A model's gradient
 list may hold ``None`` for an array the drawn image does not touch;
 ``adam_step`` reads it as an all +0.0 gradient with the same bits and never
-builds that array. An array whose moments are still exactly zero and whose
+builds that array. An array whose moments are still +0.0 and whose
 gradient is all zero is skipped, since its update is exactly zero at every
 learning rate Adam accepts. ``train`` also tells ``adam_step`` which arrays
 are read before its next step: the next image's run (``param_reads``), or
@@ -360,43 +362,24 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators, the step counter, the learning
-    rate, and the scratch space of ``adam_step``. ``zero[i]`` is true while
-    array i's moments are all exactly +0.0; ``adam_step`` sets it from the
-    moments on first use. ``pending[i]`` holds the ``(lr_t, eps_t)`` of each
-    step whose sweep of array i is deferred, in step order; while it is not
-    empty, array i and its moments lag behind ``step``."""
+    """Adam's moments, step counter, learning rate and scratch space for one
+    list of parameter arrays. The state owns its moments: they start +0.0,
+    as in Kingma & Ba, and only ``adam_step`` writes them, so, given gradual
+    underflow, none is ever -0.0 (see ``adam_step``). ``zero[i]`` is true
+    until array i is first swept, its moments +0.0; ``pending[i]`` holds the
+    ``(lr_t, eps_t)`` of each step whose sweep of array i is deferred, in
+    step order, and while it is not empty array i and its moments lag
+    behind ``step``. ``work`` is scratch the size of the largest array."""
 
-    m: list
-    v: list
-    step: int = 0
-    lr: float = 1e-4
-    work: np.ndarray | None = field(default=None, repr=False)
-    zero: list | None = field(default=None, repr=False)
-    pending: list | None = field(default=None, repr=False)
-
-    @classmethod
-    def for_params(cls, params, lr=1e-4):
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            lr=lr,
-        )
-
-
-def _flat_view(a):
-    """1-D view of a C-contiguous float64 array; refuses rather than copy or
-    convert, since the caller writes through it."""
-    if a.dtype != np.float64 or not a.flags.c_contiguous:
-        raise ValueError("adam_step updates in place: arrays must be C-contiguous float64")
-    return a.reshape(-1)
-
-
-def _all_positive_zero(a):
-    """True when every element of the float64 array is +0.0 (not -0.0)."""
-    return not _flat_view(a).view(np.uint64).any()
+    def __init__(self, params, lr):
+        self.m = [np.zeros(p.shape) for p in params]
+        self.v = [np.zeros(p.shape) for p in params]
+        self.step = 0
+        self.lr = lr
+        self.zero = [True] * len(params)
+        self.pending = [[] for _ in params]
+        self.work = np.empty(max((p.size for p in params), default=0))
 
 
 def _read_set(read, n):
@@ -424,10 +407,8 @@ def _adam_sweep(p, g, m, v, a, lr_t, eps_t):
     ``g`` None is an all +0.0 gradient."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     np.multiply(m, b1, out=m)
-    if g is None:
-        np.add(m, 0.0, out=m)  # the +0.0 terms of a +0.0 gradient
+    if g is None:  # b1 m + 0.0 is b1 m, as no moment is -0.0 (see adam_step)
         np.multiply(v, b2, out=v)
-        np.add(v, 0.0, out=v)
     else:
         np.multiply(g, 1 - b1, out=a)
         np.add(m, a, out=m)
@@ -451,23 +432,25 @@ def adam_step(state: AdamState, params, grads, read=None):
     ``eps_t = eps sqrt(bc2)``, which equals ``lr m_hat / (sqrt(v_hat) + eps)``
     in real arithmetic and costs one divide and one sqrt per element, where
     dividing ``m`` and ``v`` by their corrections first costs three divides.
-    Every element goes through the operations of
-    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
-    ``p = p - (m / (sqrt(v) + eps_t)) lr_t`` in that order, with ``b1``,
-    ``b2`` and ``eps`` the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
-    ``ADAM_EPS``, so the results equal those of the allocating form bit for
-    bit. Each array is swept whole through one scratch buffer kept in
-    ``state.work``, sized to the largest array; a ``FreeTable``'s runs of at
-    most ``ADAM_BLOCK`` elements keep a sweep in cache. Parameters and
-    moments must be C-contiguous float64 arrays: a parameter that is not
-    raises ``ValueError`` before anything changes. Non-finite gradients
-    propagate into the moments and parameters.
+    Every element goes through ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g^2``, ``p = p - (m / (sqrt(v) + eps_t)) lr_t`` in
+    that order (``b1``, ``b2``, ``eps``: ``ADAM_BETA1``, ``ADAM_BETA2``,
+    ``ADAM_EPS``), the bits of the allocating form. Each array is swept
+    whole through the scratch ``state.work``; a ``FreeTable``'s runs of at
+    most ``ADAM_BLOCK`` elements keep a sweep in cache. ``params`` must be
+    the state's arrays, C-contiguous float64: another dtype or layout
+    raises ``ValueError``, and a count or shape other than the moments' (or
+    a gradient's) ``DimensionMismatchError``, both before anything changes.
+    Non-finite gradients propagate into the moments and parameters.
 
     A gradient of ``None`` stands for an all +0.0 array of its parameter's
-    shape, and gives the same bits without building it: with ``g = +0.0``
-    the terms ``(1 - b1) g`` and ``(1 - b2) g^2`` are +0.0, so the moments
-    become ``b1 m + 0.0`` and ``b2 v + 0.0``. The add is kept: it turns
-    -0.0 moments into +0.0, as the full form does.
+    shape, and gives the same bits without building it: the moments become
+    ``b1 m`` and ``b2 v``, since the terms ``(1 - b1) g`` and
+    ``(1 - b2) g^2`` are +0.0 and ``x + 0.0`` is ``x`` for every x but -0.0,
+    which no moment ever is. Moments start +0.0, a sum is -0.0 only when
+    both its terms are, ``g^2`` never is, and, given gradual underflow (0.9
+    and 0.999 times the smallest subnormal round back to it), ``b1 m`` or
+    ``b2 v`` is -0.0 only when the moment is.
 
     ``read`` holds the indices of the arrays the caller reads, parameters or
     moments, before its next call; None, the default, is every array. The
@@ -494,30 +477,25 @@ def adam_step(state: AdamState, params, grads, read=None):
     included), or any other sweep, clears the flag for good; an array has
     deferred steps only once its flag is cleared.
     """
-    if len(params) != len(grads) or any(
-        g is not None and p.shape != g.shape for p, g in zip(params, grads)
+    if not len(params) == len(grads) == len(state.m) or any(
+        p.shape != m.shape or (g is not None and g.shape != m.shape)
+        for p, g, m in zip(params, grads, state.m)
     ):
-        raise DimensionMismatchError("parameter/gradient shapes disagree")
+        raise DimensionMismatchError("params, gradients and Adam moments differ in count or shape")
     lr = state.lr
     if not POSITIVE.holds(lr):
         raise ConfigError(f"adam_step needs a learning rate {POSITIVE.text}, got {lr!r}")
     read = _read_set(read, len(params))
-    flat = [_flat_view(p) for p in params]
+    # flat views, never copies or conversions: the sweeps write through them
+    if any(p.dtype != np.float64 or not p.flags.c_contiguous for p in params):
+        raise ValueError("adam_step updates in place: arrays must be C-contiguous float64")
+    flat = [p.reshape(-1) for p in params]
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     lr_t = lr * math.sqrt(bc2) / bc1
     eps_t = ADAM_EPS * math.sqrt(bc2)
-    if state.zero is None:
-        state.zero = [
-            _all_positive_zero(m) and _all_positive_zero(v) for m, v in zip(state.m, state.v)
-        ]
-    if state.pending is None:
-        state.pending = [[] for _ in params]
-    size = max((p.size for p in flat), default=0)
-    if state.work is None or state.work.size < size:
-        state.work = np.empty(size)
     for i, (p, g, m, v) in enumerate(zip(flat, grads, state.m, state.v)):
         if state.zero[i]:
             if g is None or not g.any():
@@ -529,7 +507,7 @@ def adam_step(state: AdamState, params, grads, read=None):
             continue
         if g is not None:
             g = np.ravel(g)
-        m, v, a = _flat_view(m), _flat_view(v), state.work[: p.size]
+        m, v, a = m.reshape(-1), v.reshape(-1), state.work[: p.size]
         for lr_d, eps_d in steps:  # the deferred steps, in step order
             _adam_sweep(p, None, m, v, a, lr_d, eps_d)
         _adam_sweep(p, g, m, v, a, lr_t, eps_t)
@@ -576,6 +554,10 @@ MODES = {
     "const-depth-reproj": ((0.0, "const-depth"), (0.25, "reproj")),
 }
 LR_HALVINGS = (0.6, 0.8, 0.9)
+_LR = Rule(
+    lambda v: POSITIVE.holds(v) and v * 0.5 ** len(LR_HALVINGS) > 0,
+    "finite and > 0 after its last halving",
+)
 
 
 def _tuple_of(rule, items):
@@ -588,19 +570,19 @@ class TrainConfig:
     """Training settings. Every loss weight and guard lives in ``loss``, a
     ``LossConfig``. A value that fails its field's rule raises
     ``ConfigError`` naming the field. ``mode`` is a key of ``MODES``, which
-    holds its phases; ``lr`` halves at each fraction of ``LR_HALVINGS``. A
-    fraction f of the run is reached at the first iteration t with
-    t / iterations >= f. ``checkpoint_every`` 0 records only the end;
-    ``const_depth``, the depth of the ``const-depth`` loss's targets, is
-    checked in every mode. ``angle-photo``'s neighbor reach is
-    ``PHOTO_NEIGHBOR_MAX_OFFSET``. A ``PatchMLP`` has the layer sizes
-    ``network_sizes(cfg)``."""
+    holds its phases; ``lr`` halves at each fraction of ``LR_HALVINGS``
+    and must stay > 0 after the last halving. A fraction f of the run is
+    reached at the first iteration t with t / iterations >= f.
+    ``checkpoint_every`` 0 records only the end; ``const_depth``, the depth
+    of the ``const-depth`` loss's targets, is checked in every mode.
+    ``angle-photo``'s neighbor reach is ``PHOTO_NEIGHBOR_MAX_OFFSET``. A
+    ``PatchMLP`` has the layer sizes ``network_sizes(cfg)``."""
 
     mode: str = ruled(
         Rule(lambda v: isinstance(v, str) and v in MODES, f"one of {list(MODES)}"), "angle"
     )
     iterations: int = ruled(POSITIVE_COUNT, 20000)
-    lr: float = ruled(POSITIVE, 1e-4)
+    lr: float = ruled(_LR, 1e-4)
     loss: LossConfig = ruled(
         Rule(lambda v: isinstance(v, LossConfig), "a LossConfig"), default_factory=LossConfig
     )
@@ -705,7 +687,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     else:
         raise ConfigError(f"model kind {model_kind!r} is not trainable")
     params = model.param_list()
-    adam = AdamState.for_params(params, lr=cfg.lr)
+    adam = AdamState(params, cfg.lr)
     intr, poses, observations = dataset.intrinsics, dataset.poses, dataset.observations
     order_rng = np.random.default_rng([cfg.seed, 11])
     drawn = order_rng.integers(0, len(train_ids), size=cfg.iterations)
@@ -733,7 +715,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
 
     def angle_multi(t, image_id, preds):
         rng = np.random.default_rng([cfg.seed, t, image_id])
-        return multiview_image_loss(intr, multiview, image_id, preds, cfg.loss, rng)
+        return multiview_image_loss(intr, multiview, image_id, preds, cfg.loss, rng=rng)
 
     def angle_photo(t, image_id, preds):
         rep = angle(t, image_id, preds)

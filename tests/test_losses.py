@@ -318,6 +318,22 @@ class TestImageLoss:
         assert abs(np.sum(rep.values) - expected) < 1e-9 * expected
         assert np.sum(rep.statuses == int(DepthStatus.BEHIND)) == 9
 
+    @pytest.mark.parametrize("kernel", [angle_terms, reproj_terms])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 3),  # the angle loss broadcast it to 4 values and a (4, 3) gradient
+            (5, 3),  # a bare ValueError
+            (3,),  # a bare IndexError
+        ],
+        ids=str,
+    )
+    def test_predictions_not_one_row_per_pixel_row_raise(self, intr, rng, kernel, shape):
+        pose = random_pose(rng)
+        obs, _ = make_obs(rng, pose, intr, 4)
+        with pytest.raises(IndexMismatchError, match=r"do not match 4 observation rows$"):
+            kernel(intr, pose, np.ones(shape), obs.pixels)
+
 
 class TestLossReport:
     """The diagnostics ``train`` reads from every loss's report."""
@@ -461,7 +477,7 @@ class TestMultiviewLoss:
             0,
             preds_arr,
             cfg,
-            np.random.default_rng(9),
+            rng=np.random.default_rng(9),
         )
         # with two images, the drawn extra view for point 2 can only be image 1
         expected = 0.0
@@ -524,7 +540,7 @@ class TestMultiviewLoss:
                 0,
                 arr,
                 cfg,
-                np.random.default_rng(5),
+                rng=np.random.default_rng(5),
             )
 
         rep = total_for(preds_arr)
@@ -1256,7 +1272,9 @@ class TestVectorizedEquivalence:
         for t, image_id in enumerate(room.train_ids):
             preds = _noisy_predictions(room, image_id, 2.0, t)
             rng = np.random.default_rng([t, 1])
-            rep = multiview_image_loss(room.intrinsics, index, image_id, preds, LossConfig(), rng)
+            rep = multiview_image_loss(
+                room.intrinsics, index, image_id, preds, LossConfig(), rng=rng
+            )
             assert rep.valid_mask is None
             for a in rep[:4]:
                 h.update(repr((a.dtype.str, a.shape)).encode() + a.tobytes())
@@ -1274,7 +1292,7 @@ class TestVectorizedEquivalence:
             obs = room.observations[image_id]
             preds = _noisy_predictions(room, image_id, 2.0, t)
             rep = multiview_image_loss(
-                room.intrinsics, index, image_id, preds, cfg, np.random.default_rng([t, 1])
+                room.intrinsics, index, image_id, preds, cfg, rng=np.random.default_rng([t, 1])
             )
             values, grads, statuses, drawn = _multiview_reference(
                 room.intrinsics, room.poses, image_id, preds, room.observations,

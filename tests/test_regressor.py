@@ -90,8 +90,8 @@ def run_both(params, grad_fn, steps, lr_fn=lambda t: 0.05):
     """Run ``adam_step`` and the reference side by side from ``params``."""
     mine = [p.copy() for p in params]
     ref = [p.copy() for p in params]
-    state = AdamState.for_params(mine)
-    ref_state = AdamState.for_params(ref)
+    state = AdamState(mine, lr_fn(0))
+    ref_state = AdamState(ref, lr_fn(0))
     for t in range(steps):
         grads = grad_fn(t)
         state.lr = ref_state.lr = lr_fn(t)
@@ -106,9 +106,26 @@ def assert_bit_equal(a, b):
         assert x.tobytes() == y.tobytes()
 
 
+def assert_no_negative_zero(arrays):
+    for a in arrays:
+        assert not np.signbit(a[a == 0.0]).any()
+
+
+def test_numpy_keeps_subnormals_through_the_moment_decay():
+    # no moment is ever -0.0 because b1 m and b2 v are zero only when m or v
+    # is: 0.9 and 0.999 times the smallest subnormal round back to it
+    tiny = np.array([5e-324, -5e-324] * 32)  # long enough for the SIMD loops
+    for beta in (ADAM_BETA1, ADAM_BETA2):
+        assert 5e-324 * beta == 5e-324 and -5e-324 * beta == -5e-324
+        assert np.multiply(tiny, beta).tobytes() == tiny.tobytes()
+        out = tiny.copy()
+        np.multiply(out, beta, out=out)
+        assert out.tobytes() == tiny.tobytes()
+
+
 def test_adam_step_shape_mismatch_raises_the_losses_error():
     params = [np.zeros((4, 3)), np.zeros(3)]
-    state = AdamState.for_params(params)
+    state = AdamState(params, 1e-4)
     with pytest.raises(losses.DimensionMismatchError):
         adam_step(state, params, [np.zeros((4, 3)), np.zeros(2)])
     with pytest.raises(losses.DimensionMismatchError):
@@ -121,6 +138,33 @@ def test_adam_step_shape_mismatch_raises_the_losses_error():
     with pytest.raises(losses.DimensionMismatchError):
         adam_step(state, params, [np.zeros((3, 4)), None])
     assert state.step == 0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        # a longer array raised a bare ValueError after counting the step
+        pytest.param(lambda ps: [ps[0], np.ones(5)], id="longer-array"),
+        pytest.param(lambda ps: [ps[0], np.ones(2)], id="shorter-array"),
+        pytest.param(lambda ps: [ps[0], np.ones((1, 3))], id="reshaped-array"),
+        # fewer arrays trained silently: zip dropped the extra moments
+        pytest.param(lambda ps: ps[:1], id="fewer-arrays"),
+        pytest.param(lambda ps: [*ps, np.ones(2)], id="more-arrays"),
+    ],
+)
+def test_params_the_state_was_not_built_for_are_refused_before_anything_changes(change):
+    params = [np.ones((4, 3)), np.ones(3)]
+    state = AdamState(params, 0.05)
+    adam_step(state, params, [np.ones((4, 3)), None])
+    before = [p.copy() for p in params], [m.copy() for m in state.m], [v.copy() for v in state.v]
+    others = change([p.copy() for p in params])
+    kept = [p.copy() for p in others]
+    with pytest.raises(losses.DimensionMismatchError, match="differ in count or shape$"):
+        adam_step(state, others, [np.ones(p.shape) for p in others])
+    assert state.step == 1 and state.zero == [False, True] and not any(state.pending)
+    for now, then in zip((params, state.m, state.v), before):
+        assert_bit_equal(now, then)
+    assert_bit_equal(others, kept)
 
 
 class TestAdamStep:
@@ -163,7 +207,7 @@ class TestAdamStep:
 
     def test_updates_in_place(self):
         p = np.ones((5, 3))
-        state = AdamState.for_params([p])
+        state = AdamState([p], 1e-4)
         m = state.m[0]
         adam_step(state, [p], [np.full((5, 3), 2.0)])
         assert state.m[0] is m
@@ -172,16 +216,16 @@ class TestAdamStep:
     def test_refuses_to_update_a_copy(self):
         p = np.ones((6, 4))[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
-            adam_step(AdamState.for_params([p]), [p], [np.ones_like(p)])
+            adam_step(AdamState([p], 1e-4), [p], [np.ones_like(p)])
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_refuses_an_array_that_is_not_float64(self, n):
         # float32 of length 3 failed inside numpy's view; of length 4 it trained
         params = [np.ones(5), np.ones(n, dtype=np.float32)]
-        state = AdamState.for_params(params)
+        state = AdamState(params, 1e-4)
         with pytest.raises(ValueError, match="must be C-contiguous float64$"):
             adam_step(state, params, [np.ones(5), np.ones(n, dtype=np.float32)])
-        assert state.step == 0 and state.zero is None
+        assert state.step == 0 and all(state.zero)
         assert np.all(params[0] == 1.0) and np.all(params[1] == 1.0)
 
     def test_nonfinite_gradient_rows_propagate(self):
@@ -205,7 +249,7 @@ class TestAdamStep:
 
     def test_two_steps_by_hand(self):
         p = np.array([1.0, -2.0])
-        state = AdamState.for_params([p], lr=0.1)
+        state = AdamState([p], 0.1)
         adam_step(state, [p], [np.array([0.5, 0.0])])
         # m = 0.1 * 0.5, v = 0.001 * 0.25; bias-corrected 0.5 and 0.25
         assert state.m[0][0] == pytest.approx(0.05, rel=1e-12)
@@ -265,30 +309,29 @@ class TestAdamZeroSkip:
 
     def test_flag_is_cleared_at_the_first_nonzero_gradient(self):
         params = self.params()
-        state = AdamState.for_params(params, lr=0.05)
+        state = AdamState(params, 0.05)
         with np.errstate(invalid="ignore"):
             for t in range(self.STEPS):
                 adam_step(state, params, self.grads(t))
                 assert state.zero[1:3] == [t < self.FIRST] * 2
 
-    @pytest.mark.parametrize("start", [1e-3, -0.0])
-    def test_state_with_nonzero_moments_is_never_skipped(self, start):
-        # a -0.0 moment is not +0.0: a zero gradient turns it into +0.0
+    def test_array_with_nonzero_moments_is_never_skipped(self):
+        # one gradient makes a few moments nonzero; zero gradients follow
         params = self.params()[:2]
         mine, ref = [p.copy() for p in params], [p.copy() for p in params]
-        state, ref_state = AdamState.for_params(mine), AdamState.for_params(ref)
-        for st in (state, ref_state):
-            st.m[0][5] = start
-            st.v[1][9, 2] = start
-        for _ in range(3):
-            grads = [np.zeros((40, 3)), np.full((40, 3), -0.0)]
-            adam_step(state, mine, grads)
-            ref = reference_adam_step(ref_state, ref, grads)
+        state, ref_state = AdamState(mine, 0.05), AdamState(ref, 0.05)
+        warm = [np.zeros((40, 3)), np.zeros((40, 3))]
+        warm[0][5], warm[1][9, 2] = 1e-3, -1e-3
+        grads = [np.zeros((40, 3)), np.full((40, 3), -0.0)]
+        for g in (warm, grads, grads, grads):
+            adam_step(state, mine, g)
+            ref = reference_adam_step(ref_state, ref, g)
         assert state.zero == [False, False]
         assert_bit_equal(mine, ref)
         assert_bit_equal(state.m, ref_state.m)
         assert_bit_equal(state.v, ref_state.v)
-        assert not np.signbit(state.m[0][5]).any() and not np.signbit(state.v[1][9, 2])
+        assert np.all(state.m[0][5] > 0) and state.v[1][9, 2] > 0
+        assert_no_negative_zero(state.m + state.v)
 
     @pytest.mark.parametrize(
         "lr",
@@ -299,12 +342,12 @@ class TestAdamZeroSkip:
     def test_learning_rates_outside_the_accepted_range_raise(self, lr):
         params = self.params()[:2]
         start = [p.copy() for p in params]
-        state = AdamState.for_params(params, lr=lr)
+        state = AdamState(params, lr)
         for grads in ([np.full((40, 3), -0.0), None], [np.ones((40, 3)), np.zeros((40, 3))]):
             with pytest.raises(ConfigError, match="^adam_step needs a learning rate finite"):
                 adam_step(state, params, grads)
         # refused before anything changed
-        assert state.step == 0 and state.zero is None
+        assert state.step == 0 and all(state.zero)
         assert_bit_equal(params, start)
         assert not any(a.any() for a in state.m + state.v)
 
@@ -324,7 +367,7 @@ class TestAdamZeroSkip:
         # lr_t * +0.0 is +0.0 for every finite lr_t >= +0.0, so p - 0.0 keeps p
         params = self.params()[:1]
         mine, ref = [p.copy() for p in params], [p.copy() for p in params]
-        state, ref_state = (AdamState.for_params(ps, lr=lr) for ps in (mine, ref))
+        state, ref_state = (AdamState(ps, lr) for ps in (mine, ref))
         state.step = ref_state.step = step
         grads = [np.full((40, 3), -0.0)]
         for _ in range(3):
@@ -369,7 +412,7 @@ class TestAdamFoldedForm:
     def test_each_update_matches_the_textbook_form(self):
         # from p = 0 the new parameter is minus the update itself, exactly
         n = self.SCALES.size
-        state, book = AdamState.for_params([np.zeros(n)]), AdamState.for_params([np.zeros(n)])
+        state, book = AdamState([np.zeros(n)], self.lr(0)), AdamState([np.zeros(n)], self.lr(0))
         for t in range(self.STEPS):
             state.lr = book.lr = self.lr(t)
             p = [np.zeros(n)]
@@ -384,7 +427,7 @@ class TestAdamFoldedForm:
     def test_trajectory_matches_the_textbook_form(self):
         start = np.random.default_rng(10).uniform(-5, 5, size=self.SCALES.size)
         mine, book = [start.copy()], [start.copy()]
-        state, book_state = AdamState.for_params(mine), AdamState.for_params(book)
+        state, book_state = AdamState(mine, self.lr(0)), AdamState(book, self.lr(0))
         for t in range(self.STEPS):
             state.lr = book_state.lr = self.lr(t)
             adam_step(state, mine, self.grads(t))
@@ -399,6 +442,10 @@ class TestAdamNoneGradient:
 
     # signed zeros, NaN, infinities, subnormals and ordinary values
     SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1.5, -3.0])
+    # warm-up gradients, which give moments that are NaN, +-inf, subnormal
+    # (from +-5e-323 and smaller), +0.0 or ordinary
+    WARM = np.append(SPECIAL, [5e-323, -5e-323, 1e-320])
+    WARM_STEPS = 3
 
     def params(self):
         rng = np.random.default_rng(6)
@@ -408,11 +455,18 @@ class TestAdamNoneGradient:
             p[:3] = self.SPECIAL[:9].reshape(3, 3)
         return params
 
-    def special_moments(self, state):
-        rng = np.random.default_rng(7)
-        for m, v in zip(state.m, state.v):
-            m[...] = rng.choice(self.SPECIAL, size=m.shape)
-            v[...] = rng.choice(self.SPECIAL, size=v.shape)
+    def warm_grads(self, t, params):
+        rng = np.random.default_rng([7, t])
+        return [rng.choice(self.WARM, size=p.shape) for p in params]
+
+    def warmed(self, params):
+        """A state whose moments went through ``WARM_STEPS`` eager steps of
+        ``WARM`` gradients: ``adam_step`` is the only way to special
+        moments."""
+        state = AdamState(params, 0.05)
+        with np.errstate(all="ignore"):
+            for t in range(self.WARM_STEPS):
+                adam_step(state, params, self.warm_grads(t, params))
         return state
 
     def grads(self, t):
@@ -437,17 +491,19 @@ class TestAdamNoneGradient:
         return with_none, state
 
     def test_special_moments(self):
-        mine, state = self.run(
-            lambda ps: self.special_moments(AdamState.for_params(ps, lr=0.05))
-        )
+        mine, state = self.run(self.warmed)
         assert state.zero == [False, False]
-        # -0.0 moments turned +0.0, and NaN and inf stayed
-        assert not np.signbit(state.m[1][state.m[1] == 0.0]).any()
-        assert np.isnan(state.v[1]).any() and np.isinf(state.m[1]).any()
+        # NaN, inf and subnormal moments stayed, and no zero moment is -0.0
+        m = np.abs(state.m[1])
+        assert np.isnan(state.v[1]).any() and np.isinf(m).any()
+        assert ((m > 0) & (m < np.finfo(float).smallest_normal)).any()
+        assert_no_negative_zero(state.m + state.v)
         # and both equal the allocating reference
         ref = self.params()
-        ref_state = self.special_moments(AdamState.for_params(ref, lr=0.05))
+        ref_state = AdamState(ref, 0.05)
         with np.errstate(all="ignore"):
+            for t in range(self.WARM_STEPS):
+                ref = reference_adam_step(ref_state, ref, self.warm_grads(t, ref))
             for t in range(6):
                 grads = [np.zeros(p.shape) if g is None else g for p, g in zip(ref, self.grads(t))]
                 ref = reference_adam_step(ref_state, ref, grads)
@@ -457,12 +513,12 @@ class TestAdamNoneGradient:
 
     def test_first_step_of_a_fresh_state_skips_the_run(self):
         start = self.params()
-        params, state = self.run(lambda ps: AdamState.for_params(ps, lr=0.05), steps=2)
+        params, state = self.run(lambda ps: AdamState(ps, 0.05), steps=2)
         # no gradient yet in either array: both skipped, flags still set
         assert state.zero == [True, True]
         assert_bit_equal(params, start)
         assert not state.m[1].view(np.uint64).any() and not state.v[1].view(np.uint64).any()
-        params, state = self.run(lambda ps: AdamState.for_params(ps, lr=0.05), steps=5)
+        params, state = self.run(lambda ps: AdamState(ps, 0.05), steps=5)
         assert state.zero == [False, True]
         assert params[1].tobytes() == start[1].tobytes()
 
@@ -473,15 +529,16 @@ class TestAdamNoneGradient:
     )
     @pytest.mark.parametrize("moments", ["fresh", "special"])
     def test_learning_rates_outside_the_accepted_range_raise(self, lr, moments):
-        params, start = self.params(), self.params()
-        state = AdamState.for_params(params, lr=lr)
-        if moments == "special":
-            self.special_moments(state)
+        params = self.params()
+        state = self.warmed(params) if moments == "special" else AdamState(params, 0.05)
+        state.lr = lr
+        step, flags = state.step, list(state.zero)
+        start = [p.copy() for p in params]
         m0, v0 = [m.copy() for m in state.m], [v.copy() for v in state.v]
         with pytest.raises(ConfigError, match="^adam_step needs a learning rate finite"):
             adam_step(state, params, [None, None])
-        # refused before the sweep: no -0.0 moment turned +0.0, no flag set
-        assert state.step == 0 and state.zero is None
+        # refused before the sweep: no step counted, no flag or moment changed
+        assert state.step == step and state.zero == flags
         assert_bit_equal(params, start)
         assert_bit_equal(state.m, m0)
         assert_bit_equal(state.v, v0)
@@ -490,26 +547,33 @@ class TestAdamNoneGradient:
 class TestAdamDeferredSweeps:
     """Sweeps deferred by ``read`` give eager ``adam_step``'s bits: random
     schedules of real, zero and ``None`` gradients, a new learning rate
-    every step, arrays of several sizes, and moments that start +0.0, -0.0,
-    NaN, +-inf or ordinary."""
+    every step, arrays of several sizes, and moments that start +0.0, NaN,
+    +-inf, subnormal or ordinary."""
 
     SPECIAL = TestAdamNoneGradient.SPECIAL
+    WARM = TestAdamNoneGradient.WARM
+    WARM_STEPS = TestAdamNoneGradient.WARM_STEPS
     SHAPES = [(40, 3), (1,), (250,), (33, 3), (5, 3), (70,)]
     STEPS = 40
 
     def start(self, seed):
-        """Parameters and a state: arrays 0 and 1 with +0.0 moments, 2 with
-        special moments, 3 with -0.0 moments, the others ordinary."""
+        """Parameters and a state after ``WARM_STEPS`` eager steps: arrays 0
+        and 1 with +0.0 moments and their flags set, 2 with special moments,
+        3 with the +0.0 moments of +-5e-324 gradients and its flag cleared,
+        the others ordinary."""
         rng = np.random.default_rng([11, seed])
         params = [rng.normal(size=s) for s in self.SHAPES]
         params[2][:9] = self.SPECIAL[:9]
-        state = AdamState.for_params(params)
-        state.m[2][...] = rng.choice(self.SPECIAL, size=self.SHAPES[2])
-        state.v[2][...] = rng.choice(self.SPECIAL, size=self.SHAPES[2])
-        state.m[3][...] = state.v[3][...] = -0.0
-        for m, v in zip(state.m[4:], state.v[4:]):
-            m[...] = rng.normal(size=m.shape)
-            v[...] = rng.uniform(0, 2, size=v.shape)
+        state = AdamState(params, 1e-4)
+        with np.errstate(all="ignore"):
+            for _ in range(self.WARM_STEPS):
+                grads = [None, np.full(self.SHAPES[1], -0.0)]
+                grads.append(rng.choice(self.WARM, size=self.SHAPES[2]))
+                grads.append(rng.choice([5e-324, -5e-324], size=self.SHAPES[3]))
+                grads += [rng.normal(size=s) for s in self.SHAPES[4:]]
+                adam_step(state, params, grads)
+        assert state.zero[:4] == [True, True, False, False]
+        assert not np.concatenate(state.m[3:4] + state.v[3:4]).view(np.uint64).any()
         return params, state
 
     def schedule(self, seed):
@@ -556,9 +620,63 @@ class TestAdamDeferredSweeps:
         assert_bit_equal(mine, eager)
         assert_bit_equal(state.m, eager_state.m)
         assert_bit_equal(state.v, eager_state.v)
-        # the special and -0.0 moments went through real sweeps
+        # the special and +-5e-324 moments went through real sweeps
         assert state.zero[2:] == [False] * (len(self.SHAPES) - 2)
         assert np.isnan(state.v[2]).any()
+
+    # gradient entries: signed zeros, subnormals, NaN and infinities
+    EDGE = np.array([0.0, -0.0, 5e-324, -5e-324, 5e-323, -5e-323, np.nan, np.inf, -np.inf])
+
+    def edge_schedule(self, seed):
+        """Per step: a learning rate, gradients that mix ``EDGE`` entries
+        into ordinary ones, hold only zeros and subnormals, or are None, and
+        a read set, the last one None."""
+        rng = np.random.default_rng([13, seed])
+        steps = []
+        for _ in range(self.STEPS):
+            grads = []
+            for shape in self.SHAPES:
+                kind = rng.random()
+                if kind < 0.4:
+                    g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                    edge = rng.random(shape) < 0.05
+                    g[edge] = rng.choice(self.EDGE, size=np.count_nonzero(edge))
+                elif kind < 0.55:
+                    g = rng.choice(self.EDGE[:6], size=shape)
+                else:
+                    g = None
+                grads.append(g)
+            read = np.flatnonzero(rng.random(len(self.SHAPES)) < 0.3).tolist()
+            steps.append((10.0 ** rng.uniform(-4, 0), grads, read))
+        steps[-1] = steps[-1][:2] + (None,)
+        return steps
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_moment_is_ever_negative_zero(self, seed):
+        """From fresh states, deferred and eager ``adam_step`` and the
+        allocating reference agree bit for bit, and no zero moment of either
+        state ever has its sign bit set."""
+        start = [np.random.default_rng([14, seed]).normal(size=s) for s in self.SHAPES]
+        mine, eager, ref = ([p.copy() for p in start] for _ in range(3))
+        state, eager_state, ref_state = (AdamState(ps, 1e-4) for ps in (mine, eager, ref))
+        subnormal = False
+        with np.errstate(all="ignore"):
+            for lr, grads, read in self.edge_schedule(seed):
+                state.lr = eager_state.lr = ref_state.lr = lr
+                adam_step(state, mine, grads, read)
+                adam_step(eager_state, eager, grads)
+                zeros = [np.zeros(p.shape) if g is None else g for p, g in zip(ref, grads)]
+                ref = reference_adam_step(ref_state, ref, zeros)
+                assert_bit_equal(eager, ref)
+                assert_bit_equal(eager_state.m, ref_state.m)
+                assert_bit_equal(eager_state.v, ref_state.v)
+                assert_no_negative_zero(state.m + state.v + eager_state.m + eager_state.v)
+                m = np.abs(np.concatenate([m.ravel() for m in eager_state.m]))
+                subnormal |= bool(((m > 0) & (m < np.finfo(float).smallest_normal)).any())
+        assert subnormal and not any(state.pending)
+        assert_bit_equal(mine, eager)
+        assert_bit_equal(state.m, eager_state.m)
+        assert_bit_equal(state.v, eager_state.v)
 
     @pytest.mark.parametrize(
         "read, bad",
@@ -588,7 +706,8 @@ class TestAdamDeferredSweeps:
         with pytest.raises(ConfigError, match="^adam_step") as err:
             adam_step(state, params, grads, read=read)
         assert bad in str(err.value)
-        assert state.step == 1 and state.zero == flags and state.pending == pending
+        assert state.step == self.WARM_STEPS + 1
+        assert state.zero == flags and state.pending == pending
         for now, then in zip((params, state.m, state.v), before):
             assert_bit_equal(now, then)
 
@@ -1260,6 +1379,8 @@ class TestTrainConfig:
             ("lr", float("inf")),
             # a bare OverflowError from adam_step
             pytest.param("lr", 10**400, id="lr-1e400"),
+            # halved to 0.0, so train died at 60% of the run
+            ("lr", 2e-323),
             ("checkpoint_every", -1),  # evaluated and recorded at every iteration
             # a zero-width layer
             pytest.param("hidden_sizes", (0,), id="hidden_sizes-zero-width"),
@@ -1298,13 +1419,18 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             TrainConfig(**{field: bad})
 
-    def test_limits_are_accepted(self):
+    def test_limits_are_accepted(self, room):
         TrainConfig(checkpoint_every=0)
         TrainConfig(const_depth=5e-324, lr=1.7976931348623157e308)
         TrainConfig(const_depth=2, lr=1)
         for mode in regressor.MODES:
             TrainConfig(mode=mode)
         TrainConfig(hidden_sizes=())
+        # the smallest lr whose last halving is > 0 trains to the end
+        cfg = TrainConfig(iterations=10, lr=4e-323, checkpoint_every=0)
+        assert schedule_at(cfg, cfg.iterations - 1)[1] == 5e-324
+        _, log = train(room, "free_table", cfg)
+        assert log.final.iteration == cfg.iterations
 
     def test_numpy_numbers_train_as_python_numbers(self):
         # an np.float32 lr gave an np.float32 rate, and Adam's lr_t in float32
@@ -1689,14 +1815,18 @@ class TestCheckpoint:
         path = self._write(tmp_path, lambda b: b["train_config"].update(lr=-0.01))
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
-        assert str(err.value) == f"{path}: lr must be finite and > 0, got -0.01"
+        assert str(err.value) == (
+            f"{path}: lr must be finite and > 0 after its last halving, got -0.01"
+        )
 
     def test_integer_lr_beyond_the_float_range_names_path_and_field(self, tmp_path):
         # a JSON integer that no float holds: it loaded
         path = self._write(tmp_path, lambda b: b["train_config"].update(lr=10**400))
         with pytest.raises(ConfigError) as err:
             load_checkpoint(path)
-        assert str(err.value) == f"{path}: lr must be finite and > 0, got {10**400}"
+        assert str(err.value) == (
+            f"{path}: lr must be finite and > 0 after its last halving, got {10**400}"
+        )
 
     @pytest.mark.parametrize(
         "edit, message",
