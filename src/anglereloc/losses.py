@@ -303,16 +303,26 @@ def _aligned(coords, n_rows):
     return coords
 
 
+def _pixel_rows(pixels):
+    """``pixels`` as float64, refused with ``DimensionMismatchError`` unless
+    they are (N, 2) rows."""
+    pixels = np.asarray(pixels, dtype=np.float64)
+    if pixels.ndim != 2 or pixels.shape[1] != 2:
+        raise DimensionMismatchError(f"pixels of shape {pixels.shape} are not (N, 2) rows")
+    return pixels
+
+
 def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
     """Plain reprojection loss per point: pixel distance between the
     projected prediction and the observation.
 
     Returns a ``LossReport`` over the batch. There is no guard at Z = 0:
     values and gradients go non-finite there, which is exactly what its
-    ``nonfinite`` flag is meant to catch. ``preds`` other than one (N, 3)
-    row per (N, 2) pixel row raise ``IndexMismatchError``.
+    ``nonfinite`` flag is meant to catch. Pixels that are not (N, 2) rows
+    raise ``DimensionMismatchError``, and ``preds`` other than one (N, 3)
+    row per pixel row ``IndexMismatchError``.
     """
-    pixels = np.asarray(pixels, dtype=np.float64)
+    pixels = _pixel_rows(pixels)
     preds = _aligned(preds, len(pixels))
     D = pose.world_to_camera(preds)
     rays = ray_vectors(intr, pixels)
@@ -375,13 +385,15 @@ def angle_terms(
     the camera center and compared to the observed ray vector, so the value
     equals the chord ``2 |ray| sin(theta / 2)``. Bounded by ``2 |ray|``, and
     with the ``eps_norm`` guard its gradient stays finite all the way to the
-    camera center. Returns a ``LossReport`` over the batch; ``preds`` other
-    than one (N, 3) row per (N, 2) pixel row raise ``IndexMismatchError``.
+    camera center. Returns a ``LossReport`` over the batch. Pixels that are
+    not (N, 2) rows raise ``DimensionMismatchError``, and ``preds`` other
+    than one (N, 3) row per pixel row ``IndexMismatchError``.
 
     The predictions go into the camera frame and the pixels become rays;
     ``_angle_kernel`` does the rest there, and its ``dL/dD`` is rotated back
     to the world frame once.
     """
+    pixels = _pixel_rows(pixels)
     D = pose.world_to_camera(_aligned(preds, len(pixels)))
     values, grad_D, statuses, thetas = _angle_kernel(D, ray_vectors(intr, pixels), eps_norm)
     return LossReport(values, grad_D @ pose.rotation.T, statuses, thetas)
@@ -452,12 +464,19 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
     ``poses`` and ``observations_by_image`` are mappings keyed by image id;
     only the given images are indexed, so a row's entries never point at an
     image left out, and each of them needs a pose: the first one without
-    raises ``IndexMismatchError``. ``corresponded`` is an integer array of
-    the point ids that get entries. One stable argsort groups all rows by
-    point id, images ascending and rows in order within a group; each
-    corresponded row's entries are its group without the rows of its own
-    image.
+    raises ``IndexMismatchError``. ``corresponded`` holds the point ids that
+    get entries: a 1-D integer array, list or range, or an empty one; any
+    other (a set, floats, 2-D) raises ``DimensionMismatchError``. One stable
+    argsort groups all rows by point id, images ascending and rows in order
+    within a group; each corresponded row's entries are its group without
+    the rows of its own image.
     """
+    wanted = np.asarray(corresponded)
+    if wanted.size and not (wanted.ndim == 1 and np.issubdtype(wanted.dtype, np.integer)):
+        raise DimensionMismatchError(
+            f"corresponded ({type(corresponded).__name__} of shape {wanted.shape}, dtype"
+            f" {wanted.dtype}) is not 1-D integer point ids"
+        )
     image_ids = np.array(sorted(observations_by_image), dtype=np.int64)
     missing = [i for i in image_ids.tolist() if i not in poses]
     if missing:
@@ -472,7 +491,7 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
     order = np.argsort(rows, kind="stable")
     grouped = rows[order]
     lo = np.searchsorted(grouped, rows)
-    keep = np.isin(rows, corresponded)
+    keep = np.isin(rows, wanted)
     span = np.where(keep, np.searchsorted(grouped, rows, side="right") - lo, 0)
 
     # every corresponded row's whole group, then without its own image's rows

@@ -129,7 +129,7 @@ class PatchMLP:
         return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     @classmethod
-    def init(cls, layer_sizes=(16, 64, 64, 3), seed=0):
+    def init(cls, layer_sizes, seed=0):
         """Uniform [-0.5, 0.5] weights scaled by 1/sqrt(fan_in), zero biases."""
         rng = np.random.default_rng(seed)
         net = cls(layer_sizes, np.zeros(param_count(layer_sizes)))
@@ -207,42 +207,26 @@ class FreeTable:
     such as a held-out one, has no prediction: asking for one raises
     ``IndexMismatchError``.
 
-    ``point_ids[i]`` holds image i's point ids in the dataset's order. The
-    table is laid out image by image in id order, each image's rows in the
-    order of its point ids, so an image's rows are one slice of the table
-    (``predict_image``'s context) and its predictions are one slice copy.
+    ``point_ids[i]`` holds train view i's point ids in the dataset's order.
+    The table is laid out image by image in id order, each image's rows in
+    the order of its point ids, so an image's rows are one slice of the
+    table and its predictions are one slice copy.
 
     ``param_list`` hands Adam views of ``coords`` cut only between images:
     consecutive images grouped into runs of at most ``ADAM_BLOCK`` elements,
-    a single larger image being a run of its own. ``grads_for_image``
-    returns a new run-sized gradient for the one run that holds the image
-    and ``None`` for every other run, which ``adam_step`` reads as an all
-    +0.0 gradient, so no table-sized gradient is ever built. A
-    run no image has drawn yet keeps zero moments, which ``adam_step``
-    skips. ``param_reads`` names the run an image's prediction reads, so
-    ``train`` lets ``adam_step`` defer the sweeps of the other runs until
-    they are read or get a gradient.
+    a single larger image being a run of its own. Each train view keeps its
+    ``(rows, run)``: its row slice and the index of the run that holds it,
+    ``None`` for a view without observations. That pair is
+    ``predict_image``'s context. ``grads_for_image`` returns a new run-sized
+    gradient for the image's run and ``None`` for every other run, which
+    ``adam_step`` reads as an all +0.0 gradient, so no table-sized gradient
+    is ever built. A run no image has drawn yet keeps zero moments, which
+    ``adam_step`` skips. ``param_reads`` names the image's run, so ``train``
+    lets ``adam_step`` defer the sweeps of the other runs until they are
+    read or get a gradient.
     """
 
-    def __init__(self, coords, point_ids):
-        """``coords`` holds the rows of the images of ``point_ids`` in the
-        table's layout: image by image in id order, one row per point id."""
-        self.coords = np.ascontiguousarray(coords, dtype=np.float64)
-        self.point_ids = point_ids  # image_id -> (n,) point ids
-        self._spans = {}  # image_id -> slice of its table rows
-        stop = 0
-        for image_id in sorted(point_ids):
-            start, stop = stop, stop + len(point_ids[image_id])
-            self._spans[image_id] = slice(start, stop)
-        if self.coords.shape != (stop, 3):
-            raise DimensionMismatchError(
-                f"FreeTable coords {self.coords.shape} do not hold {stop} rows of 3"
-            )
-        # Adam runs, and the run holding each image's first row
-        self._runs, self._run_at = self._run_slices()
-
-    @classmethod
-    def init(cls, dataset, seed=0):
+    def __init__(self, dataset, seed=0):
         """Entries uniform in the scene bounding box expanded 2x about its
         center (bounding box taken over all ground-truth coordinates). Rows
         belong to the train views. One draw still covers every view's
@@ -255,63 +239,39 @@ class FreeTable:
         lo, hi = column_bounds(np.concatenate([o.gt_coords for o in observations.values()]))
         center, half = (lo + hi) / 2, (hi - lo) / 2
         low, high = center - 2 * half, center + 2 * half
-        image_ids = sorted(observations)
         train_ids = set(dataset.train_ids)
-        point_ids = {
-            i: np.array(observations[i].point_ids) for i in image_ids if i in train_ids
+        self.point_ids = {  # image_id -> (n,) point ids
+            i: np.array(observations[i].point_ids) for i in sorted(observations) if i in train_ids
         }
         # rng.uniform(low, high) is low + (high - low) * rng.random(), element
         # by element: draw every view's rows in id order, keep the train
         # views' rows and map them, a column at a time as in column_bounds
-        coords = np.empty((sum(len(ids) for ids in point_ids.values()), 3))
-        stop = 0
-        for image_id in image_ids:
-            if image_id in point_ids:
-                start, stop = stop, stop + len(point_ids[image_id])
-                rng.random(out=coords[start:stop])
-            else:
-                rng.random((len(observations[image_id].point_ids), 3))
+        self.coords = np.empty((sum(map(len, self.point_ids.values())), 3))
+        self._images = {}  # image_id -> (rows, run)
+        starts, stop = [0], 0  # each run's first row
+        for image_id in sorted(observations):
+            n = len(observations[image_id].point_ids)
+            if image_id not in train_ids:
+                rng.random((n, 3))
+                continue
+            start, stop = stop, stop + n
+            rng.random(out=self.coords[start:stop])
+            # a new run starts at an image's first row once the run would
+            # pass ADAM_BLOCK elements (3 per row)
+            if n and start > 0 and 3 * (stop - starts[-1]) > ADAM_BLOCK:
+                starts.append(start)
+            self._images[image_id] = (slice(start, stop), len(starts) - 1 if n else None)
+        self._runs = [slice(a, b) for a, b in zip(starts, starts[1:] + [stop])]
         for k in range(3):
-            column = coords[:, k]
+            column = self.coords[:, k]
             column *= high[k] - low[k]
             column += low[k]
-        return cls(coords, point_ids)
 
-    def rows_for_image(self, dataset, image_id):
-        """The slice of table rows of the image's observations, in the
-        dataset's order.
-
-        Raises ``IndexMismatchError`` when the table has no rows for the
-        image (a held-out view, or one it was not built on) or was built on
-        other point ids for it.
-        """
-        rows = self._span(image_id)
-        if not np.array_equal(
-            self.point_ids[image_id], dataset.observations[image_id].point_ids
-        ):
-            raise IndexMismatchError(
-                f"image {image_id}: the dataset's point ids differ from the FreeTable's"
-            )
-        return rows
-
-    def _span(self, image_id):
-        """The slice of the image's rows; ``IndexMismatchError`` if it has none."""
-        if image_id not in self._spans:
+    def _image(self, image_id):
+        """The image's ``(rows, run)``; ``IndexMismatchError`` if it has no rows."""
+        if image_id not in self._images:
             raise IndexMismatchError(f"FreeTable has no rows for image {image_id}")
-        return self._spans[image_id]
-
-    def _run_slices(self):
-        """Row slices tiling the table, cut only at an image's first row and
-        greedily grouped up to ``ADAM_BLOCK`` elements (3 per row), and the
-        index of the slice holding each image's first row."""
-        n_rows = len(self.coords)
-        firsts = sorted({s.start for s in self._spans.values() if s.stop > s.start})
-        starts, run_at = [0], {}
-        for first, stop in zip(firsts, firsts[1:] + [n_rows]):
-            if first > 0 and 3 * (stop - starts[-1]) > ADAM_BLOCK:
-                starts.append(first)
-            run_at[first] = len(starts) - 1
-        return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])], run_at
+        return self._images[image_id]
 
     def param_list(self):
         return [self.coords[run] for run in self._runs]
@@ -320,24 +280,32 @@ class FreeTable:
         """Indices of the ``param_list`` runs that ``predict_image`` reads
         for the image: the run holding its rows, none when it has no rows.
         Raises ``IndexMismatchError`` for an image the table lacks."""
-        rows = self._span(image_id)
-        return (self._run_at[rows.start],) if rows.stop > rows.start else ()
+        run = self._image(image_id)[1]
+        return () if run is None else (run,)
 
     def predict_image(self, dataset, image_id):
-        rows = self.rows_for_image(dataset, image_id)
-        return self.coords[rows].copy(), rows
+        """The image's rows, in the dataset's order, and their ``(rows, run)``.
+        Raises ``IndexMismatchError`` when the table has no rows for the
+        image (a held-out view, or one it was not built on) or was built on
+        other point ids for it."""
+        ctx = self._image(image_id)
+        if not np.array_equal(self.point_ids[image_id], dataset.observations[image_id].point_ids):
+            raise IndexMismatchError(
+                f"image {image_id}: the dataset's point ids differ from the FreeTable's"
+            )
+        return self.coords[ctx[0]].copy(), ctx
 
     def grads_for_image(self, ctx, dl_dy):
         """Table gradient, one entry per ``param_list`` run: ``dl_dy`` at the
-        row slice ``ctx`` that ``predict_image`` returned and +0.0 elsewhere.
-        The run holding those rows gets a new array of its shape; every other
-        run gets ``None``."""
+        rows of the ``(rows, run)`` that ``predict_image`` returned and +0.0
+        elsewhere. That run gets a new array of its shape; every other run
+        gets ``None``."""
+        rows, k = ctx
         grads = [None] * len(self._runs)
-        if ctx.stop > ctx.start:
-            k = self._run_at[ctx.start]
+        if k is not None:
             run = self._runs[k]
             grads[k] = np.zeros((run.stop - run.start, 3))
-            grads[k][ctx.start - run.start : ctx.stop - run.start] = dl_dy
+            grads[k][rows.start - run.start : rows.stop - run.start] = dl_dy
         return grads
 
 
@@ -353,8 +321,9 @@ class GtLookup:
 # ---------------------------------------------------------------------------
 
 
-# the elements of a FreeTable Adam run (see FreeTable._run_slices): a run's
-# p, g, m, v and adam_step's scratch (5 x 128 KiB) stay in cache across a sweep
+# the elements of a FreeTable Adam run, which FreeTable(dataset, seed) cuts at
+# an image's first row and records in each image's (rows, run): a run's p, g,
+# m, v and adam_step's scratch (5 x 128 KiB) stay in cache across a sweep
 ADAM_BLOCK = 16384
 # Adam's moment decay rates and the term that keeps its denominator positive
 ADAM_BETA1 = 0.9
@@ -683,7 +652,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     if model_kind == "patch_mlp":
         model = PatchMLP.init(network_sizes(cfg), seed=[cfg.seed, 12])
     elif model_kind == "free_table":
-        model = FreeTable.init(dataset, seed=[cfg.seed, 12])
+        model = FreeTable(dataset, seed=[cfg.seed, 12])
     else:
         raise ConfigError(f"model kind {model_kind!r} is not trainable")
     params = model.param_list()

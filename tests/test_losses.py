@@ -334,6 +334,25 @@ class TestImageLoss:
         with pytest.raises(IndexMismatchError, match=r"do not match 4 observation rows$"):
             kernel(intr, pose, np.ones(shape), obs.pixels)
 
+    @pytest.mark.parametrize("kernel", [angle_terms, reproj_terms])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (4, 3),  # the angle loss ignored the third column; reproj raised a bare ValueError
+            (4, 1),  # a bare IndexError
+            (4,),  # a bare IndexError
+        ],
+        ids=str,
+    )
+    def test_pixels_that_are_not_rows_of_two_raise_naming_the_shape(
+        self, intr, rng, kernel, shape
+    ):
+        pose = random_pose(rng)
+        _, coords = make_obs(rng, pose, intr, 4)
+        with pytest.raises(DimensionMismatchError) as err:
+            kernel(intr, pose, coords, np.ones(shape))
+        assert str(err.value) == f"pixels of shape {shape} are not (N, 2) rows"
+
 
 class TestLossReport:
     """The diagnostics ``train`` reads from every loss's report."""
@@ -707,9 +726,35 @@ class TestMultiviewIndex:
         assert np.diff(index.images[0].offsets).tolist() == [1, 0]
 
     def test_no_images(self):
-        index = build_multiview_index({}, {}, set())
+        index = build_multiview_index({}, {}, np.array([], dtype=np.int64))
         assert index.image_ids.shape == (0,) and index.images == {}
         assert index.other_pos.shape == (0,) and index.other_pixels.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "given, named",
+        [
+            ({1, 2}, "set of shape (), dtype object"),  # read as one object: no entries
+            (np.array([1.0, 2.0]), "ndarray of shape (2,), dtype float64"),
+            (np.array([[1, 2]]), "ndarray of shape (1, 2), dtype int64"),
+        ],
+        ids=["set", "float", "2-d"],
+    )
+    def test_corresponded_that_is_not_integer_ids_raises_naming_it(self, given, named):
+        obs = {0: _obs([1, 2]), 1: _obs([2, 1])}
+        with pytest.raises(DimensionMismatchError) as err:
+            build_multiview_index(identity_poses(obs), obs, given)
+        assert str(err.value) == f"corresponded ({named}) is not 1-D integer point ids"
+
+    @pytest.mark.parametrize("given", [[1, 2], range(1, 3)], ids=["list", "range"])
+    def test_corresponded_list_of_ints_builds_the_array_index(self, given):
+        obs = {0: _obs([1, 2]), 1: _obs([2, 1])}
+        got = build_multiview_index(identity_poses(obs), obs, given)
+        want = build_multiview_index(identity_poses(obs), obs, np.array([1, 2]))
+        assert len(want.other_pos) == 4
+        assert got.other_pos.tobytes() == want.other_pos.tobytes()
+        assert got.other_pixels.tobytes() == want.other_pixels.tobytes()
+        for i in obs:
+            assert got.images[i].offsets.tolist() == want.images[i].offsets.tolist()
 
 
 class TestBilinearSample:

@@ -810,7 +810,7 @@ class TestPatchMLP:
 
 class TestFreeTable:
     def test_init_rows_match_the_image_point_mapping(self, room):
-        table = FreeTable.init(room, seed=5)
+        table = FreeTable(room, seed=5)
         # the mapping the table was once built as: every image in id order,
         # each image's points in the dataset's order, one uniform draw
         drawn, n = {}, 0
@@ -830,7 +830,7 @@ class TestFreeTable:
             for image_id in room.train_ids
             for k, r in zip(
                 table.point_ids[image_id],
-                range(len(table.coords))[table.rows_for_image(room, image_id)],
+                range(len(table.coords))[table.predict_image(room, image_id)[1][0]],
             )
         }
         assert got == expected
@@ -847,14 +847,14 @@ class TestFreeTable:
             assert table.predict_image(room, image_id)[0].tobytes() == draw[rows].tobytes()
 
     def test_unknown_image_raises_index_mismatch(self, room):
-        table = FreeTable.init(room)
+        table = FreeTable(room)
         missing = max(room.observations) + 1
         with pytest.raises(losses.IndexMismatchError, match=f"image {missing}"):
             table.predict_image(room, missing)
 
     def test_other_point_ids_raise_index_mismatch(self, room):
         image_id = room.train_ids[0]
-        table = FreeTable.init(room)
+        table = FreeTable(room)
         table.point_ids[image_id] = table.point_ids[image_id] + 1
         with pytest.raises(losses.IndexMismatchError, match=f"image {image_id}"):
             table.predict_image(room, image_id)
@@ -864,7 +864,7 @@ class TestFreeTable:
 
     def test_param_reads_of_an_image_without_rows_raises_naming_it(self, room):
         # a bare KeyError, where predict_image named the image
-        table = FreeTable.init(room)
+        table = FreeTable(room)
         held_out = room.test_ids[0]
         for ask in (table.param_reads, lambda i: table.predict_image(room, i)):
             with pytest.raises(losses.IndexMismatchError) as err:
@@ -872,14 +872,14 @@ class TestFreeTable:
             assert str(err.value) == f"FreeTable has no rows for image {held_out}"
 
     def test_gradient_buffer_holds_only_the_last_image(self, room):
-        table = FreeTable.init(room)
+        table = FreeTable(room)
         a, b = room.train_ids[:2]
-        preds_a, rows_a = table.predict_image(room, a)
-        preds_b, rows_b = table.predict_image(room, b)
-        table.grads_for_image(rows_a, np.ones_like(preds_a))
-        (g,) = table.grads_for_image(rows_b, np.full_like(preds_b, 2.0))
+        preds_a, ctx_a = table.predict_image(room, a)
+        preds_b, ctx_b = table.predict_image(room, b)
+        table.grads_for_image(ctx_a, np.ones_like(preds_a))
+        (g,) = table.grads_for_image(ctx_b, np.full_like(preds_b, 2.0))
         expected = np.zeros_like(table.coords)
-        expected[rows_b] = 2.0
+        expected[ctx_b[0]] = 2.0
         assert np.array_equal(g, expected)
 
 
@@ -892,7 +892,7 @@ class TestEvaluateCoords:
         "model",
         [
             lambda room: GtLookup(),
-            lambda room: FreeTable.init(room),
+            lambda room: FreeTable(room),
             lambda room: PatchMLP.init((scenegen.DESCRIPTOR_DIM, 4, 3)),
         ],
         ids=["gt_lookup", "free_table", "patch_mlp"],
@@ -909,7 +909,7 @@ class TestEvaluateCoords:
             evaluate_coords(GtLookup(), room, [])
 
     def test_median_and_mean_over_the_given_views(self, room):
-        table = FreeTable.init(room, seed=4)
+        table = FreeTable(room, seed=4)
         ids = room.train_ids[2:5]
         errs = np.concatenate(
             [table.predict_image(room, i)[0] - room.observations[i].gt_coords for i in ids]
@@ -918,7 +918,7 @@ class TestEvaluateCoords:
         assert evaluate_coords(table, room, ids) == (np.median(errs), np.mean(errs))
 
     def test_free_table_over_a_held_out_view_raises(self, room):
-        table = FreeTable.init(room)
+        table = FreeTable(room)
         first = min(room.test_ids)
         with pytest.raises(losses.IndexMismatchError, match=f"no rows for image {first}"):
             evaluate_coords(table, room)
@@ -929,7 +929,7 @@ class TestEvaluateCoords:
 class TestFreeTableRuns:
     """``param_list`` cuts the table into image-aligned runs for Adam."""
 
-    def check_runs(self, table):
+    def check_runs(self, table, room):
         views = table.param_list()
         sizes = [len(v) for v in views]
         assert sum(sizes) == len(table.coords)
@@ -937,38 +937,44 @@ class TestFreeTableRuns:
             v[...] = k  # views write through, cover every row once, in order
         assert np.array_equal(table.coords[:, 0], np.repeat(np.arange(len(views)), sizes))
         starts = set(np.cumsum([0] + sizes[:-1]).tolist())
-        for rows in table._spans.values():
-            # no image straddles a cut
-            assert len(np.unique(table.coords[rows, 0])) == 1
-        firsts = {rows.start for rows in table._spans.values()}
+        records = self.records(table, room)
+        for rows, run in records.values():
+            # no image straddles a cut, and its record names its run
+            assert np.array_equal(table.coords[rows, 0], np.full(rows.stop - rows.start, run))
+        firsts = {rows.start for rows, run in records.values() if run is not None}
         assert starts <= firsts | {0}
         return views
+
+    @staticmethod
+    def records(table, room):
+        """Each train view's ``(rows, run)``, read from ``predict_image``."""
+        return {i: table.predict_image(room, i)[1] for i in room.train_ids}
 
     # 60: every train view is over the bound, one run each; 150: mostly pairs
     @pytest.mark.parametrize("block, n_runs", [(60, 9), (150, 6), (10**6, 1)])
     def test_runs_are_image_aligned_and_bounded(self, room, monkeypatch, block, n_runs):
         monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
-        table = FreeTable.init(room, seed=1)
-        views = self.check_runs(table)
+        table = FreeTable(room, seed=1)
+        views = self.check_runs(table, room)
         assert len(views) == n_runs
-        stops = np.cumsum([len(v) for v in views])
-        for v, stop in zip(views, stops):
-            images = [i for i, r in table._spans.items() if stop - len(v) <= r.start < stop]
+        records = self.records(table, room).values()
+        for k, v in enumerate(views):
+            images = [rows for rows, run in records if run == k]
             assert v.size <= block or len(images) == 1
 
     def test_gradient_views_match_the_parameter_views(self, room, monkeypatch):
         monkeypatch.setattr(regressor, "ADAM_BLOCK", 150)
-        table = FreeTable.init(room)
+        table = FreeTable(room)
         image_id = room.train_ids[3]
-        preds, rows = table.predict_image(room, image_id)
-        grads = table.grads_for_image(rows, np.full_like(preds, 2.0))
+        preds, ctx = table.predict_image(room, image_id)
+        grads = table.grads_for_image(ctx, np.full_like(preds, 2.0))
         params = table.param_list()
         # one run holds the image; every other run's gradient is None, +0.0
         assert sum(g is not None for g in grads) == 1
         dense = [np.zeros(p.shape) if g is None else g for g, p in zip(grads, params)]
         assert [g.shape for g in dense] == [p.shape for p in params]
         expected = np.zeros_like(table.coords)
-        expected[rows] = 2.0
+        expected[ctx[0]] = 2.0
         assert np.concatenate(dense).tobytes() == expected.tobytes()
         (held,) = [g for g in grads if g is not None]
         assert held.dtype == np.float64 and held.flags.c_contiguous
@@ -979,12 +985,59 @@ class TestFreeTableRuns:
         )
         # the next image's gradient holds that image only, and leaves the
         # gradient returned before it as it was
-        preds_b, rows_b = table.predict_image(room, room.train_ids[0])
-        again = table.grads_for_image(rows_b, np.ones_like(preds_b))
+        preds_b, ctx_b = table.predict_image(room, room.train_ids[0])
+        again = table.grads_for_image(ctx_b, np.ones_like(preds_b))
         assert sum(g is not None for g in again) == 1
         dense = [np.zeros(p.shape) if g is None else g for g, p in zip(again, params)]
         assert np.count_nonzero(np.concatenate(dense)) == preds_b.size
         assert held.tobytes() == kept.tobytes()
+
+    @pytest.fixture(scope="class")
+    def sparse_room(self):
+        """A room whose train views 0, 6 and 10 see no point."""
+        room = build_dataset(DatasetConfig(seed=1, n_points=10, n_images=12, min_visible=0))
+        empty = [i for i in room.train_ids if len(room.observations[i].point_ids) == 0]
+        assert empty == [0, 6, 10]
+        return room
+
+    @pytest.mark.parametrize("block", [6, 60, ADAM_BLOCK])
+    def test_a_view_without_observations_reads_and_writes_no_run(
+        self, sparse_room, monkeypatch, block
+    ):
+        monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
+        table = FreeTable(sparse_room)
+        for image_id in (0, 6, 10):
+            assert table.param_reads(image_id) == ()
+            preds, ctx = table.predict_image(sparse_room, image_id)
+            assert preds.shape == (0, 3)
+            grads = table.grads_for_image(ctx, np.zeros((0, 3)))
+            assert len(grads) == len(table.param_list()) and all(g is None for g in grads)
+
+    @pytest.mark.parametrize("block, n_runs", [(6, 4), (60, 1), (ADAM_BLOCK, 1)])
+    @pytest.mark.parametrize("mode", ["angle", "angle-multi", "const-depth-reproj"])
+    def test_train_over_views_without_observations_matches_the_reference_adam(
+        self, sparse_room, monkeypatch, mode, block, n_runs
+    ):
+        cfg = TrainConfig(mode=mode, iterations=40, lr=0.05, checkpoint_every=10, seed=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(regressor, "adam_step", _reference_in_place)
+            ref_model, ref_log = train(sparse_room, "free_table", cfg)
+        monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
+        drawn = []
+        predict = FreeTable.predict_image
+
+        def spy(table, dataset, image_id):
+            drawn.append(image_id)
+            return predict(table, dataset, image_id)
+
+        monkeypatch.setattr(FreeTable, "predict_image", spy)
+        model, log = train(sparse_room, "free_table", cfg)
+        assert {0, 6, 10} <= set(drawn)
+        assert model.coords.tobytes() == ref_model.coords.tobytes()
+        assert [repr(astuple(r)[:-1]) for r in log.records] == [
+            repr(astuple(r)[:-1]) for r in ref_log.records
+        ]
+        assert len(self.check_runs(model, sparse_room)) == n_runs
 
 
 def _reference_in_place(state, params, grads, read=None):
@@ -1055,7 +1108,7 @@ def test_multiview_free_table_converges(monkeypatch):
     cfg = TrainConfig(mode="angle-multi", iterations=3000, lr=0.05, seed=1, checkpoint_every=0)
     model, log = train(ds, "free_table", cfg)
     assert len(model.param_list()) > 2
-    assert evaluate_coords(FreeTable.init(ds, seed=[1, 12]), ds, ds.train_ids)[0] > 10
+    assert evaluate_coords(FreeTable(ds, seed=[1, 12]), ds, ds.train_ids)[0] > 10
     assert log.final.median_err < 0.3
 
 
@@ -1624,7 +1677,7 @@ class TestCheckpoint:
         "make, message",
         [
             pytest.param(
-                lambda room: FreeTable.init(room),
+                lambda room: FreeTable(room),
                 "a checkpoint holds a PatchMLP, got a FreeTable",
                 id="free-table",
             ),
