@@ -385,14 +385,16 @@ def angle_terms(
     the camera center and compared to the observed ray vector, so the value
     equals the chord ``2 |ray| sin(theta / 2)``. Bounded by ``2 |ray|``, and
     with the ``eps_norm`` guard its gradient stays finite all the way to the
-    camera center. Returns a ``LossReport`` over the batch. Pixels that are
-    not (N, 2) rows raise ``DimensionMismatchError``, and ``preds`` other
-    than one (N, 3) row per pixel row ``IndexMismatchError``.
+    camera center. Returns a ``LossReport`` over the batch. An ``eps_norm``
+    that is not finite and > 0 raises ``ConfigError``, pixels that are not
+    (N, 2) rows ``DimensionMismatchError``, and ``preds`` other than one
+    (N, 3) row per pixel row ``IndexMismatchError``.
 
     The predictions go into the camera frame and the pixels become rays;
     ``_angle_kernel`` does the rest there, and its ``dL/dD`` is rotated back
     to the world frame once.
     """
+    POSITIVE.check("eps_norm", eps_norm)
     pixels = _pixel_rows(pixels)
     D = pose.world_to_camera(_aligned(preds, len(pixels)))
     values, grad_D, statuses, thetas = _angle_kernel(D, ray_vectors(intr, pixels), eps_norm)
@@ -534,13 +536,15 @@ def multiview_image_loss(
 
     ``coords`` is (N, 3), one predicted world coordinate per observation row
     of the image in ``index``; any other shape, or an image the index lacks,
-    raises ``IndexMismatchError``. Rows without correspondences contribute their
-    single-view angle term. Each corresponded row contributes, weighted by
-    ``lambda_multiview``, its angle term in this image plus one more in a
-    neighbor image drawn uniformly (via ``rng``, a required keyword) from the
-    indexed images that also see the point; the same predicted coordinate is
-    reprojected there, so gradients from both views accumulate into it. The
-    report's ``statuses`` and ``thetas`` are those of this image.
+    raises ``IndexMismatchError``, and a ``cfg.epsilon_norm`` that
+    ``angle_terms`` refuses raises ``ConfigError``. Rows without
+    correspondences contribute their single-view angle term. Each
+    corresponded row contributes, weighted by ``lambda_multiview``, its
+    angle term in this image plus one more in a neighbor image drawn
+    uniformly (via ``rng``, a required keyword) from the indexed images that
+    also see the point; the same predicted coordinate is reprojected there,
+    so gradients from both views accumulate into it. The report's
+    ``statuses`` and ``thetas`` are those of this image.
 
     ``index`` comes from ``build_multiview_index``, built once per training
     run. Neighbors are drawn by ``index.draw``: one ``rng.integers`` call

@@ -73,14 +73,12 @@ largest coordinate magnitude in play, the corners' plus the camera's, as in
 the point cull above. Every pixel ray lies inside all five half-spaces, so
 in exact arithmetic no pixel ray meets a dropped rectangle. In floating
 point, the hit test accepts a ray only when its rounded (u, v) lie in
-[0, 1]^2; that names a point of the rectangle within a few ulps of that
-magnitude of a point on the ray. The rotated rays, the rotated normals and
-the cull's distances round by as much, about 10^5 times less than the
-margin. So no dropped plane would have had a hit, a plane without hits
-changes no pixel, and every render keeps its bits. The hit test's region is
-the rectangle only when the edges are perpendicular, so a plane whose edges
-are not (to 1e-12 of their lengths' product) has NaN corners and is never
-dropped.
+[0, 1]^2; as ``TexturedPlane`` refuses edges that are not perpendicular,
+that names a point of the rectangle within a few ulps of that magnitude of
+a point on the ray. The rotated rays, the rotated normals and the cull's
+distances round by as much, about 10^5 times less than the margin. So no
+dropped plane would have had a hit, a plane without hits changes no pixel,
+and every render keeps its bits.
 
 Determinism: every random quantity is drawn from ``np.random.default_rng``
 seeded with an integer list ``[seed, stream, ...]``, so a room is a pure
@@ -90,9 +88,10 @@ manifest, at the path the caller names, holding the config and the room's
 ``room_digest``; ``load_dataset`` reads that file, rebuilds the room with
 ``build_dataset`` and refuses it unless the digests match.
 Descriptors are a pure function of the config and a view's point ids, and
-neither ``build_dataset``, ``room_digest`` nor ``load_dataset`` draws them: a
-room's ``DescriptorSource`` draws the base and each view's noise on first
-read. Only ``PatchMLP`` reads them, so training a ``FreeTable`` draws none.
+neither ``build_dataset``, ``room_digest`` nor ``load_dataset`` draws them:
+every observation of a room holds the room's one ``DescriptorSource``, which
+draws the base and each view's noise on first read. Only ``PatchMLP`` reads
+them, so training a ``FreeTable`` draws none.
 
 Batching rule: dataset assembly works in whole-array passes, and every
 stream is consumed in per-point order, so one ``size=(n, k)`` draw yields
@@ -140,8 +139,8 @@ class InfeasibleViewpointError(Exception):
 class ParseError(Exception):
     """A file that cannot be read as what it should hold, with its path."""
 
-    def __init__(self, message, path=None):
-        super().__init__(message if path is None else f"{message} in {path}")
+    def __init__(self, message, path):
+        super().__init__(f"{message} in {path}")
         self.path = path
 
 
@@ -303,12 +302,22 @@ TEXTURE_CELLS_PER_UNIT = 0.8
 @dataclass(frozen=True)
 class TexturedPlane:
     """Finite textured rectangle: origin corner plus two perpendicular edge
-    vectors."""
+    vectors. A non-finite origin or edge, or edges whose dot product exceeds
+    1e-12 of their lengths' product, raise ``ConfigError``."""
 
     origin: np.ndarray
     edge_u: np.ndarray
     edge_v: np.ndarray
     texture_seed: int
+
+    def __post_init__(self):
+        for name in ("origin", "edge_u", "edge_v"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        # scaled to a largest entry of 1, so that no product overflows
+        u, v = (e / (np.abs(e).max() or 1.0) for e in (self.edge_u, self.edge_v))
+        if not abs(u @ v) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v):
+            raise ConfigError(f"edges {self.edge_u!r} and {self.edge_v!r} are not perpendicular")
 
     # Per-plane constants, computed on first use; the edges are never
     # changed in place.
@@ -324,17 +333,9 @@ class TexturedPlane:
 
     @cached_property
     def corners(self):
-        """(4, 3) corners: ``origin``, plus ``edge_u``, plus ``edge_v``, plus
-        both. They bound the points whose (u, v) the hit test of ``_trace``
-        accepts only when the edges are perpendicular; where
-        ``|edge_u . edge_v|`` exceeds 1e-12 of the product of the edge
-        lengths (or is NaN), every corner is NaN, and no render cull drops
-        the plane."""
+        """(4, 3) corners: ``origin``, plus ``edge_u``, ``edge_v`` or both."""
         o, eu, ev = self.origin, self.edge_u, self.edge_v
-        corners = np.array([o, o + eu, o + ev, o + eu + ev], dtype=np.float64)
-        if not abs(eu @ ev) <= 1e-12 * np.linalg.norm(eu) * np.linalg.norm(ev):
-            corners[:] = np.nan
-        return corners
+        return np.array([o, o + eu, o + ev, o + eu + ev], dtype=np.float64)
 
     @cached_property
     def texture_scale(self):
@@ -378,17 +379,18 @@ class TexturedPlane:
 
 @dataclass
 class SyntheticScene:
+    """A room's points and textured planes, and its span: the largest side
+    of the box that holds the cube [-h, h]^3, every plane corner and point."""
+
     points: np.ndarray  # (P, 3) world coordinates; point id == row index
     planes: list[TexturedPlane]
-    bounds_lo: np.ndarray
-    bounds_hi: np.ndarray
-    diameter: float  # scene span: the largest bounding-box side
+    diameter: float
 
 
 def _room_planes(half_extent, seed):
     """Six inward-facing walls of the cubic room [-h, h]^3."""
     h = half_extent
-    corners = [
+    walls = [
         # origin, edge_u, edge_v
         ((+h, -h, -h), (0, 2 * h, 0), (0, 0, 2 * h)),
         ((-h, -h, -h), (0, 2 * h, 0), (0, 0, 2 * h)),
@@ -398,13 +400,8 @@ def _room_planes(half_extent, seed):
         ((-h, -h, -h), (2 * h, 0, 0), (0, 2 * h, 0)),
     ]
     return [
-        TexturedPlane(
-            np.array(o, dtype=float),
-            np.array(u, dtype=float),
-            np.array(v, dtype=float),
-            texture_seed=seed * 100 + i,
-        )
-        for i, (o, u, v) in enumerate(corners)
+        TexturedPlane(*(np.array(a, dtype=float) for a in wall), texture_seed=seed * 100 + i)
+        for i, wall in enumerate(walls)
     ]
 
 
@@ -449,9 +446,13 @@ def gen_scene(cfg: DatasetConfig) -> SyntheticScene:
     interior panels beyond six), with ``cfg.n_points`` points sampled on the
     plane surfaces and, a ``cfg.free_space_fraction`` of them, in free space
     at least ``FREE_SPACE_MIN_RADIUS`` from the origin. A room whose cube
-    leaves almost no such space raises ``ConfigError`` naming ``half_extent``
-    (see ``_free_space_points``)."""
+    leaves almost no such space (see ``_free_space_points``), or whose walls
+    have an area that overflows a float, raises ``ConfigError`` naming
+    ``half_extent``."""
     seed, half_extent = cfg.seed, cfg.half_extent
+    side = 2 * half_extent  # a wall's area is the norm of (side^2, 0, 0), which squares it
+    if cfg.n_planes and not math.isfinite(side * side * (side * side)):
+        raise ConfigError(f"half_extent {half_extent!r} gives walls whose area overflows a float")
     rng = np.random.default_rng([seed, 1])
     planes = _room_planes(half_extent, seed)[: cfg.n_planes]
     for extra in range(max(cfg.n_planes - 6, 0)):
@@ -485,22 +486,9 @@ def gen_scene(cfg: DatasetConfig) -> SyntheticScene:
     free = _free_space_points(rng, n_free, half_extent, FREE_SPACE_MIN_RADIUS)
     points = np.concatenate([surface, free])
 
-    lo = np.full(3, -half_extent)
-    hi = np.full(3, half_extent)
-    if planes:
-        for p in planes:
-            for corner in (
-                p.origin,
-                p.origin + p.edge_u,
-                p.origin + p.edge_v,
-                p.origin + p.edge_u + p.edge_v,
-            ):
-                lo = np.minimum(lo, corner)
-                hi = np.maximum(hi, corner)
-    points_lo, points_hi = column_bounds(points)
-    lo = np.minimum(lo, points_lo)
-    hi = np.maximum(hi, points_hi)
-    return SyntheticScene(points, planes, lo, hi, float(np.max(hi - lo)))
+    cube = np.array([[-half_extent] * 3, [half_extent] * 3])
+    lo, hi = column_bounds(np.concatenate([cube, *(p.corners for p in planes), points]))
+    return SyntheticScene(points, planes, float(np.max(hi - lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +695,6 @@ class DescriptorSource:
     n_points: int
     noise_sigma: float
 
-    @classmethod
-    def of(cls, cfg: DatasetConfig) -> DescriptorSource:
-        return cls(cfg.seed, cfg.n_points, cfg.descriptor_noise_sigma)
-
     @cached_property
     def base(self) -> np.ndarray:
         """(n_points, ``DESCRIPTOR_DIM``) base descriptors, drawn once."""
@@ -730,19 +714,17 @@ class DescriptorSource:
 @dataclass
 class ImageObservations:
     """One image's observed points: pixel and ground-truth coordinate per
-    point id. ``descriptors`` are drawn from ``descriptor_source`` on first
-    read and kept; an observation without a source has none."""
+    point id, and the room's one ``DescriptorSource``, from which
+    ``descriptors`` are drawn on first read and kept."""
 
     image_id: int
     point_ids: np.ndarray
     pixels: np.ndarray
     gt_coords: np.ndarray
-    descriptor_source: DescriptorSource | None = None
+    descriptor_source: DescriptorSource
 
     @cached_property
-    def descriptors(self) -> np.ndarray | None:
-        if self.descriptor_source is None:
-            return None
+    def descriptors(self) -> np.ndarray:
         return self.descriptor_source.view(self.image_id, self.point_ids)
 
 
@@ -752,11 +734,13 @@ def observe(
     image_id: int,
     point_ids: np.ndarray,
     pixels: np.ndarray,
+    source: DescriptorSource,
 ) -> ImageObservations:
     """One view's observations from its in-frame rows, as ``gen_trajectory``
     returns them: Gaussian pixel noise of ``cfg.pixel_noise_sigma`` from the
-    ``[seed, 2, image_id]`` stream, clamped back into the image. Ground-truth
-    coordinates are those of the points, free of the noise."""
+    ``[seed, 2, image_id]`` stream, clamped back into the image, and the
+    room's descriptor ``source``. Ground-truth coordinates are those of the
+    points, free of the noise."""
     sigma = cfg.pixel_noise_sigma
     if sigma > 0:
         rng = np.random.default_rng([cfg.seed, 2, image_id])
@@ -768,6 +752,7 @@ def observe(
         point_ids=point_ids,
         pixels=pixels,
         gt_coords=scene.points[point_ids],
+        descriptor_source=source,
     )
 
 
@@ -800,8 +785,10 @@ def sparsify_covis(
     """Keep correspondence status for a random fraction of the multi-view
     points, demoting the rest to single-view terms. Mirrors the sparse
     correspondence sets that reconstruction tooling provides in practice.
-    Raises ``ConfigError`` unless ``keep_fraction`` is a number in [0, 1]."""
+    Raises ``ConfigError`` unless ``keep_fraction`` is a number in [0, 1] and
+    ``seed`` an integer >= 0."""
     FRACTION.check("keep_fraction", keep_fraction)
+    COUNT.check("seed", seed)
     rng = np.random.default_rng([seed, 5])
     multi = graph.corresponded
     n_keep = int(round(len(multi) * keep_fraction))
@@ -888,7 +875,6 @@ def _planes_in_view(planes, pose):
     corners = np.array([p.corners for p in planes])  # (P, 4, 3)
     t = pose.translation
     normals = VIEW_HALF_SPACES @ pose.rotation.T  # (5, 3), in the world frame
-    # NaN, from a corner or the camera, makes no corner outside
     margin = CULL_MARGIN * (float(np.abs(corners).max()) + float(np.abs(t).max()))
     outside = ((corners - t) @ normals.T < -margin).all(axis=1).any(axis=1)
     return [p for p, out in zip(planes, outside.tolist()) if not out]
@@ -917,14 +903,14 @@ def render_image(scene: SyntheticScene, pose: PoseSE3) -> Image:
 @dataclass
 class Dataset:
     """A room as ``build_dataset`` makes it from ``config``; ``load_dataset``
-    rebuilds it the same way, so every room holds its scene."""
+    rebuilds it the same way, so every room holds its scene. Its descriptors
+    are read through its observations, which share one ``DescriptorSource``."""
 
     config: DatasetConfig
     scene: SyntheticScene
     observations: dict  # image_id -> ImageObservations
     poses: dict  # image_id -> PoseSE3
     covis: CoVisibilityGraph
-    descriptor_source: DescriptorSource  # shared with every observation
     images: dict  # image_id -> Image (renders; empty unless requested)
     train_ids: list
     test_ids: list
@@ -939,12 +925,6 @@ class Dataset:
         """The one camera of every view, ``INTRINSICS``."""
         return INTRINSICS
 
-    @property
-    def descriptors(self) -> np.ndarray:
-        """(P, ``DESCRIPTOR_DIM``) base descriptor per point id, drawn on
-        first read."""
-        return self.descriptor_source.base
-
 
 def build_dataset(cfg: DatasetConfig) -> Dataset:
     """Generate a room from ``cfg``: the scene; the trajectory, whose
@@ -954,16 +934,15 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
     view's observations from those rows
     (``observe``, which projects nothing); co-visibility and (optionally)
     renders. Views are split into interleaved train/test ids. No descriptor
-    is drawn here: the room and its observations share one
-    ``DescriptorSource``, which draws them on first read."""
+    is drawn here: the observations share one ``DescriptorSource``, which
+    draws them on first read."""
     scene = gen_scene(cfg)
     views = gen_trajectory(scene, cfg)
     poses = {i: pose for i, (pose, _, _) in views.items()}
-    source = DescriptorSource.of(cfg)
-    observations = {}
-    for i, (_, ids, pixels) in views.items():
-        observations[i] = observe(scene, cfg, i, ids, pixels)
-        observations[i].descriptor_source = source
+    source = DescriptorSource(cfg.seed, cfg.n_points, cfg.descriptor_noise_sigma)
+    observations = {
+        i: observe(scene, cfg, i, ids, pixels, source) for i, (_, ids, pixels) in views.items()
+    }
     covis = build_covis(observations)
     if cfg.covis_keep_fraction < 1.0:
         covis = sparsify_covis(covis, cfg.covis_keep_fraction, cfg.seed)
@@ -979,7 +958,6 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
         observations=observations,
         poses=poses,
         covis=covis,
-        descriptor_source=source,
         images=images,
         train_ids=train_ids,
         test_ids=test_ids,

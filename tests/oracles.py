@@ -50,6 +50,7 @@ from anglereloc.geometry import (
 from anglereloc.losses import DimensionMismatchError, _ssim_from_moments
 from anglereloc.scenegen import (
     TEXTURE_CELLS_PER_UNIT,
+    DescriptorSource,
     ImageObservations,
     NoGeometryError,
     SyntheticScene,
@@ -215,12 +216,16 @@ def gen_scene(
             hi = np.maximum(hi, corner)
     lo = np.minimum(lo, points.min(axis=0))
     hi = np.maximum(hi, points.max(axis=0))
-    return SyntheticScene(points, planes, lo, hi, float(np.max(hi - lo)))
+    return SyntheticScene(points, planes, float(np.max(hi - lo)))
 
 
-def observe(scene, pose, intr, width, height, pixel_noise_sigma=0.0, rng=None, image_id=0):
+def observe(
+    scene, pose, intr, width, height, pixel_noise_sigma=0.0, rng=None, image_id=0, source=None
+):
     if rng is None:
         rng = np.random.default_rng(0)
+    if source is None:
+        source = DescriptorSource(0, len(scene.points), 0.0)
     cam = pose.world_to_camera(scene.points)
     pix, _ = project_points(intr, cam)
     keep = (
@@ -235,7 +240,9 @@ def observe(scene, pose, intr, width, height, pixel_noise_sigma=0.0, rng=None, i
         pixels = pixels + rng.normal(scale=pixel_noise_sigma, size=pixels.shape)
         pixels[:, 0] = np.clip(pixels[:, 0], 0, width - 1)
         pixels[:, 1] = np.clip(pixels[:, 1], 0, height - 1)
-    return ImageObservations(image_id, np.flatnonzero(keep), pixels, scene.points[keep].copy())
+    return ImageObservations(
+        image_id, np.flatnonzero(keep), pixels, scene.points[keep].copy(), source
+    )
 
 
 def look_pose(position, forward):

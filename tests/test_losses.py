@@ -7,6 +7,7 @@ relative error 1e-4.
 """
 
 import hashlib
+import re
 import warnings
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -23,6 +24,7 @@ from anglereloc.geometry import (
     rotation_about_axis,
 )
 from anglereloc.losses import (
+    ConfigError,
     IndexMismatchError,
     DimensionMismatchError,
     LossConfig,
@@ -352,6 +354,32 @@ class TestImageLoss:
         with pytest.raises(DimensionMismatchError) as err:
             kernel(intr, pose, coords, np.ones(shape))
         assert str(err.value) == f"pixels of shape {shape} are not (N, 2) rows"
+
+    @pytest.mark.parametrize("entry", ["angle_terms", "multiview_image_loss"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            0.0,  # a row at the camera center divided by zero
+            -1.0,  # the guard was off
+            float("nan"),  # every value was NaN
+            float("inf"),  # every value was |ray|, with an all-zero gradient
+            True,
+            "1e-8",
+        ],
+        ids=repr,
+    )
+    def test_eps_norm_that_is_not_finite_and_positive_raises(self, intr, rng, entry, bad):
+        pose = random_pose(rng)
+        obs, coords = make_obs(rng, pose, intr, 4)
+        want = rf"^eps_norm must be finite and > 0, got {re.escape(repr(bad))}$"
+        with pytest.raises(ConfigError, match=want):
+            if entry == "angle_terms":
+                angle_terms(intr, pose, coords, obs.pixels, bad)
+            else:
+                # a LossConfig refuses the value, so a stand-in carries it
+                cfg = SimpleNamespace(epsilon_norm=bad, lambda_multiview=1.0)
+                index = build_multiview_index({0: pose}, {0: obs}, np.arange(4))
+                multiview_image_loss(intr, index, 0, coords, cfg, rng=rng)
 
 
 class TestLossReport:

@@ -173,8 +173,7 @@ class TestGenScene:
     def test_point_count_and_bounds(self):
         scene = gen_scene(scene_cfg(1, 100, half_extent=5.0))
         assert scene.points.shape == (100, 3)
-        assert np.all(scene.points >= scene.bounds_lo - 1e-9)
-        assert np.all(scene.points <= scene.bounds_hi + 1e-9)
+        assert np.abs(scene.points).max() <= 5.0
         assert scene.diameter == 10.0
 
     def test_zero_planes_points_only(self):
@@ -183,6 +182,63 @@ class TestGenScene:
         assert len(scene.points) == 50
         with pytest.raises(NoGeometryError):
             render_image(scene, PoseSE3.identity())
+
+    @pytest.mark.parametrize("half_extent", [1e77, 1e200, 1e308])
+    def test_walls_whose_area_overflows_raise_naming_half_extent(self, half_extent):
+        # the area norm overflowed with a RuntimeWarning, and the surface
+        # draw then raised a bare ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^half_extent .* gives walls whose area"):
+                gen_scene(scene_cfg(0, 20, half_extent=half_extent))
+
+    def test_largest_walls_that_hold_their_area_build(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scene = gen_scene(scene_cfg(0, 20, half_extent=1e76))
+        assert scene.diameter == 2e76
+
+
+class TestTexturedPlane:
+    """A plane is a rectangle with a finite origin and finite edges, or
+    ``TexturedPlane`` refuses it."""
+
+    def test_generated_planes_are_rectangles(self):
+        # the refusal never fires on a room gen_scene builds: the largest
+        # |cos| between a plane's edges is about 3.7e-15
+        worst = 0.0
+        for seed in range(50):
+            for n_planes in range(6, 17):
+                for p in gen_scene(scene_cfg(seed, 1, n_planes)).planes:
+                    eu, ev = p.edge_u, p.edge_v
+                    worst = max(worst, abs(eu @ ev) / np.linalg.norm(eu) / np.linalg.norm(ev))
+        assert worst < 1e-14
+
+    @pytest.mark.parametrize(
+        "origin, edge_u, edge_v, message",
+        [
+            ([5.0, -1.0, -1.0], [0.0, 2.0, 0.0], [0.0, 1e-6, 2.0], "are not perpendicular"),
+            ([5.0, np.nan, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0], "origin must be finite"),
+            ([5.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 2.0], "edge_u must be finite"),
+            ([5.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -np.inf], "edge_v must be finite"),
+            # edges whose norms overflow are judged without overflow
+            ([0.0, 0.0, 0.0], [1e200, 1e200, 0.0], [1e200, 0.0, 0.0], "are not perpendicular"),
+        ],
+        ids=["skewed", "nan-origin", "inf-edge_u", "inf-edge_v", "skewed-overflowing"],
+    )
+    def test_planes_that_are_no_rectangle_raise(self, origin, edge_u, edge_v, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=message):
+                scenegen.TexturedPlane(*(np.array(a) for a in (origin, edge_u, edge_v)), 7)
+
+    def test_perpendicular_edges_whose_norms_overflow_are_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plane = scenegen.TexturedPlane(
+                np.zeros(3), np.array([0.0, 1e200, 0.0]), np.array([0.0, 0.0, 1e200]), 7
+            )
+        assert_same_bits(plane.corners[3], np.array([0.0, 1e200, 1e200]))
 
 
 class TestGenSceneMatchesLoop:
@@ -201,8 +257,6 @@ class TestGenSceneMatchesLoop:
                 )
                 want = oracles.gen_scene(*args)
                 assert_same_bits(got.points, want.points)
-                assert_same_bits(got.bounds_lo, want.bounds_lo)
-                assert_same_bits(got.bounds_hi, want.bounds_hi)
                 assert got.diameter == want.diameter
                 assert len(got.planes) == len(want.planes)
                 for a, b in zip(got.planes, want.planes):
@@ -609,12 +663,22 @@ class TestLookPoseMatchesOracle:
             assert got[0] is np.linalg.LinAlgError
 
 
+def descriptor_source(cfg):
+    """The ``DescriptorSource`` that ``build_dataset`` gives a room of ``cfg``."""
+    return scenegen.DescriptorSource(cfg.seed, cfg.n_points, cfg.descriptor_noise_sigma)
+
+
+def source_of(ds):
+    """The ``DescriptorSource`` of ``ds``, which every observation holds."""
+    return next(iter(ds.observations.values())).descriptor_source
+
+
 class TestObserve:
     def _setup(self, **kw):
         cfg = scene_cfg(9, 300, n_images=3, min_visible=10, **kw)
         scene = gen_scene(cfg)
         pose, ids, pixels = gen_trajectory(scene, cfg)[0]
-        return scene, cfg, pose, observe(scene, cfg, 0, ids, pixels)
+        return scene, cfg, pose, observe(scene, cfg, 0, ids, pixels, descriptor_source(cfg))
 
     def test_noiseless_pixels_are_exact_projections(self):
         scene, cfg, pose, obs = self._setup()
@@ -641,11 +705,11 @@ class TestObserve:
         z = rng.uniform(2, 5, size=10000)
         pts = np.stack([z * rng.uniform(-0.5, 0.5, 10000),
                         z * rng.uniform(-0.35, 0.35, 10000), z], axis=1)
-        scene = SyntheticScene(pts, [], np.full(3, -10.0), np.full(3, 10.0), 20.0)
+        scene = SyntheticScene(pts, [], 20.0)
         cfg = DatasetConfig(seed=1, pixel_noise_sigma=1.0)
         ids, clean = _in_frame(pts)
         assert len(ids) > 9000
-        obs = observe(scene, cfg, 0, ids, clean)
+        obs = observe(scene, cfg, 0, ids, clean, descriptor_source(cfg))
         assert_same_bits(obs.point_ids, ids)
         err = (obs.pixels - clean).ravel()
         assert abs(np.std(err) - 1.0) < 0.05
@@ -659,13 +723,15 @@ class TestObserveMatchesLoop:
             for image_id, (pose, ids, pixels) in gen_trajectory(scene, cfg).items():
                 for sigma in (0.0, 0.7):
                     noisy = scene_cfg(seed, 400, pixel_noise_sigma=sigma)
-                    got = observe(scene, noisy, image_id, ids, pixels)
+                    source = descriptor_source(noisy)
+                    got = observe(scene, noisy, image_id, ids, pixels, source)
                     want = oracles.observe(
                         scene, pose, scenegen.INTRINSICS, 80, 60, sigma,
-                        np.random.default_rng([seed, 2, image_id]), image_id,
+                        np.random.default_rng([seed, 2, image_id]), image_id, source,
                     )
                     for name in ("image_id", "point_ids", "pixels", "gt_coords"):
                         assert_same_bits(getattr(got, name), getattr(want, name))
+                    assert got.descriptor_source is source
 
     @pytest.mark.parametrize(
         "pose, seen",
@@ -921,7 +987,7 @@ class TestRenderCull:
 
     def test_random_poses(self, scene):
         rng = np.random.default_rng(7)
-        reach = np.abs(scene.bounds_lo).max() + 2.0
+        reach = scene.diameter / 2 + 2.0
         kept = 0
         for _ in range(40):
             pose = PoseSE3(random_rotation(rng), rng.uniform(-reach, reach, size=3))
@@ -987,18 +1053,6 @@ class TestRenderCull:
         ds = build_dataset(DatasetConfig())
         kept = [len(scenegen._planes_in_view(ds.scene.planes, p)) for p in ds.poses.values()]
         assert 1 <= min(kept) and max(kept) <= len(ds.scene.planes) // 2
-
-    def test_skewed_or_non_finite_planes_are_kept(self):
-        skewed = scenegen.TexturedPlane(
-            np.array([5.0, -1.0, -1.0]), np.array([0.0, 2.0, 0.0]), np.array([0.0, 1e-6, 2.0]), 7
-        )
-        broken = scenegen.TexturedPlane(
-            np.array([5.0, np.nan, 0.0]), np.array([0.0, 2.0, 0.0]), np.array([0.0, 0.0, 2.0]), 8
-        )
-        assert np.isnan(skewed.corners).all() and np.isnan(broken.corners[:, 1]).all()
-        # both lie behind the camera, where a rectangle would be dropped
-        planes = [skewed, broken]
-        assert scenegen._planes_in_view(planes, LOOKING_ALONG_MINUS_X) == planes
 
     def test_no_planes_raise(self):
         scene = gen_scene(scene_cfg(5, 50, 0))
@@ -1105,6 +1159,12 @@ class TestCoVisibility:
         with pytest.raises(ConfigError, match="^keep_fraction must be in"):
             sparsify_covis(graph, bad, seed=1)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, None, True, "3"])
+    def test_sparsify_refuses_a_bad_seed(self, bad):
+        graph = build_covis(build_dataset(small_cfg()).observations)
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got "):
+            sparsify_covis(graph, 0.5, seed=bad)
+
 
 class TestDatasetBuild:
     def test_split_sizes_default(self):
@@ -1115,7 +1175,9 @@ class TestDatasetBuild:
 
     def test_descriptors_unit_norm_and_shared(self):
         ds = build_dataset(small_cfg(descriptor_noise_sigma=0.0))
-        norms = np.linalg.norm(ds.descriptors, axis=1)
+        source = source_of(ds)
+        assert all(o.descriptor_source is source for o in ds.observations.values())
+        norms = np.linalg.norm(source.base, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         # same point in two images carries the same base descriptor
         k = min(ds.covis.corresponded)
@@ -1168,7 +1230,7 @@ def dataset_sha256(ds):
         h.update(pose.rotation.tobytes() + pose.translation.tobytes())
         if image_id in ds.images:
             h.update(ds.images[image_id].data.tobytes())
-    h.update(ds.descriptors.tobytes())
+    h.update(source_of(ds).base.tobytes())
     h.update(repr((ds.train_ids, ds.test_ids, ds.diameter)).encode())
     # the point -> images map the package once stored, rebuilt from the observations
     h.update(repr(list(oracles.build_covis(ds.observations).point_to_images.items())).encode())
@@ -1224,7 +1286,7 @@ PINNED_DATASETS = pytest.mark.parametrize(
 def drawn(ds):
     """Whether the base, and which views' descriptors, have been drawn."""
     views = [i for i, o in sorted(ds.observations.items()) if "descriptors" in vars(o)]
-    return "base" in vars(ds.descriptor_source), views
+    return "base" in vars(source_of(ds)), views
 
 
 class TestPinnedDatasets:
@@ -1293,7 +1355,7 @@ class TestLazyDescriptors:
         # the loaded room is read the other way round from the built one
         for i in sorted(ds.observations, reverse=True):
             assert_same_bits(ds.observations[i].descriptors, want[i])
-        assert_same_bits(ds.descriptors, built.descriptors)
+        assert_same_bits(source_of(ds).base, source_of(built).base)
 
     def test_replaced_observation_reads_the_same_bytes(self):
         ds = build_dataset(small_cfg())
@@ -1302,14 +1364,8 @@ class TestLazyDescriptors:
         want = obs.descriptors
         after = replace(obs, pixels=obs.pixels + 1.0)
         for moved in (before, after):
-            assert moved.descriptor_source is ds.descriptor_source
+            assert moved.descriptor_source is source_of(ds)
             assert_same_bits(moved.descriptors, want)
-
-    def test_observation_without_a_source_has_none(self):
-        scene = gen_scene(small_cfg())
-        pose = gen_trajectory(scene, small_cfg())[0][0]
-        obs = oracles.observe(scene, pose, scenegen.INTRINSICS, scenegen.WIDTH, scenegen.HEIGHT)
-        assert obs.descriptor_source is None and obs.descriptors is None
 
 
 def replace_view(ds, image_id, **changes):
@@ -1329,7 +1385,7 @@ class TestDatasetIO:
         assert back.diameter == ds.diameter == ds.scene.diameter
         assert back.train_ids == ds.train_ids and back.test_ids == ds.test_ids
         assert_same_bits(back.covis.corresponded, ds.covis.corresponded)
-        assert_same_bits(back.descriptors, ds.descriptors)
+        assert_same_bits(source_of(back).base, source_of(ds).base)
         for i, obs in ds.observations.items():
             b = back.observations[i]
             for name in ("point_ids", "pixels", "gt_coords", "descriptors"):
@@ -1442,6 +1498,11 @@ class TestDatasetIO:
                 dict(half_extent=2.03),
                 "half_extent 2.03 leaves too little free space",
                 id="half_extent-2.03",
+            ),
+            pytest.param(
+                dict(half_extent=1e77),
+                "half_extent 1e\\+77 gives walls whose area overflows a float",
+                id="half_extent-1e77",
             ),
         ],
     )
