@@ -1,9 +1,12 @@
 """Losses over scene-coordinate predictions, with analytic gradients.
 
 Every loss returns one ``LossReport``: per-row values, the gradient of each
-value with respect to its predicted world coordinate, the prediction's depth
-status and ray angle, an optional validity mask, and the diagnostics read
-from them (``total``, ``behind_frac``, ``nonfinite``, ``valid_fraction``).
+value with respect to its predicted world coordinate, the camera-frame
+points and observed rays the loss worked on, an optional validity mask, and
+what is derived from them when read (``statuses``, ``thetas``, ``total``,
+``behind_frac``, ``nonfinite``, ``valid_fraction``). A training step reads
+none of the depth statuses or ray angles, and a record reads the statuses
+once, so no loss computes either.
 A loss takes its predictions as an (N, 3) array whose row r belongs to row r
 of the observations it is given; those rows are the only record of which
 points it covers, and a composite loss refuses any other shape with
@@ -22,8 +25,8 @@ low without changing a bit; their scalars are Python floats (``2.0``, not
 ``2``), which give the same bits without converting an int on every call.
 ``angle_terms`` maps the predictions into the camera frame and the pixels
 to rays, and hands both to ``_angle_kernel``, which works in the camera
-frame alone: values, ``dL/dD``, depth statuses and ray angles, with the
-guard's masked steps run only when some row needs them. ``angle_terms``
+frame alone: values and ``dL/dD``, with the guard's masked steps run only
+when some row needs them. ``angle_terms``
 then rotates ``dL/dD`` to the world frame once; a pose solver can call the
 kernel on its own camera-frame points.
 ``multiview_image_loss`` reads a ``MultiviewIndex`` that
@@ -191,24 +194,39 @@ class LossReport(NamedTuple):
     diagnostics the training loop reads.
 
     Row r of each array belongs to row r of the coordinates the loss was
-    given. ``statuses`` holds each prediction's ``DepthStatus`` in the camera
-    the loss projects into first, and ``thetas`` the angle between the
-    predicted and observed rays (NaN where the loss defines none).
-    ``valid_mask`` marks the rows that count, for a loss that masks some
-    (None: every row counts). ``total`` sums only the finite values;
-    non-finite terms are surfaced through ``nonfinite`` instead of poisoning
-    the sum. The training loop reads ``nonfinite`` every iteration, and
-    ``total`` and ``behind_frac`` at each record, so each counts with
-    ``np.count_nonzero`` and sums the values without a copy when all of them
-    are finite. Each returns a Python float or bool, and a report without
-    rows has ``behind_frac`` 0.0.
+    given. ``cam`` holds the predictions in the frame of the camera the loss
+    projects into first, and ``rays`` the observed rays there (None for a
+    loss that has none, such as the photometric one). ``valid_mask`` marks
+    the rows that count, for a loss that masks some (None: every row
+    counts). The rest is derived on each read, as training reads little of
+    it: ``statuses``, each prediction's ``DepthStatus`` from its depth in
+    ``cam``, and ``thetas``, the angle between the predicted and observed
+    rays (NaN where ``rays`` is None). ``total`` sums only the finite
+    values; non-finite terms are surfaced through ``nonfinite`` instead of
+    poisoning the sum. The training loop reads ``nonfinite`` every
+    iteration, and ``total`` and ``behind_frac`` at each record, so each
+    counts with ``np.count_nonzero`` and sums the values without a copy
+    when all of them are finite. Each returns a Python float or bool, and a
+    report without rows has ``behind_frac`` 0.0.
     """
 
     values: np.ndarray
     grads: np.ndarray
-    statuses: np.ndarray
-    thetas: np.ndarray
+    cam: np.ndarray
+    rays: Optional[np.ndarray] = None
     valid_mask: Optional[np.ndarray] = None
+
+    @property
+    def statuses(self) -> np.ndarray:
+        return depth_statuses(self.cam[:, 2])
+
+    @property
+    def thetas(self) -> np.ndarray:
+        if self.rays is None:
+            return np.full(len(self.values), np.nan)
+        cam, rays = self.cam, self.rays
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return _angles_between(cam, rays, row_norms(cam), row_norms(rays))
 
     @property
     def total(self) -> float:
@@ -219,8 +237,9 @@ class LossReport(NamedTuple):
 
     @property
     def behind_frac(self) -> float:
-        n = len(self.statuses)
-        behind = np.count_nonzero(self.statuses == int(DepthStatus.BEHIND))
+        statuses = self.statuses
+        n = len(statuses)
+        behind = np.count_nonzero(statuses == int(DepthStatus.BEHIND))
         return float(behind / n) if n else 0.0
 
     @property
@@ -325,20 +344,18 @@ def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
     pixels = _pixel_rows(pixels)
     preds = _aligned(preds, len(pixels))
     D = pose.world_to_camera(preds)
-    rays = ray_vectors(intr, pixels)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = _project(intr, D) - pixels
         values = np.linalg.norm(r, axis=1)
         rhat = np.where(values[:, None] > 0, r / values[:, None], 0.0)
-        thetas = _angles_between(D, rays, row_norms(D), row_norms(rays))
     grads = _project_grads(intr, pose.rotation, D, rhat)
-    return LossReport(values, grads, depth_statuses(D[:, 2]), thetas)
+    return LossReport(values, grads, D, ray_vectors(intr, pixels))
 
 
 def _angle_kernel(D, rays, eps_norm):
-    """The angle loss in the camera frame: per-row values, gradients
-    ``dL/dD``, depth statuses and ray angles of (N, 3) camera-frame points
-    ``D`` against their (N, 3) ray vectors.
+    """The angle loss in the camera frame: per-row values and gradients
+    ``dL/dD`` of (N, 3) camera-frame points ``D`` against their (N, 3) ray
+    vectors.
 
     With ``s = |ray| / max(|D|, eps_norm)`` and ``g = s D - ray``, a row's
     value is ``|g|`` and its gradient ``s ghat - |ray| (D . ghat) D / |D|^3``
@@ -358,7 +375,6 @@ def _angle_kernel(D, rays, eps_norm):
     values = row_norms(g)
     with np.errstate(invalid="ignore", divide="ignore"):
         ghat = g / values[:, None]
-        thetas = _angles_between(D, rays, norms_D_raw, norms_d)
     has_dir = values > 0
     free = norms_D_raw > eps_norm
     plain = np.count_nonzero(has_dir & free) == len(values)
@@ -373,7 +389,7 @@ def _angle_kernel(D, rays, eps_norm):
         # the 1/|D| factor is constant below the guard, so its derivative drops
         np.divide(coef, norms_D**3, out=coef, where=free)
         np.subtract(grad_D, coef[:, None] * D, out=grad_D, where=free[:, None])
-    return values, grad_D, depth_statuses(D[:, 2]), thetas
+    return values, grad_D
 
 
 def angle_terms(
@@ -397,8 +413,9 @@ def angle_terms(
     POSITIVE.check("eps_norm", eps_norm)
     pixels = _pixel_rows(pixels)
     D = pose.world_to_camera(_aligned(preds, len(pixels)))
-    values, grad_D, statuses, thetas = _angle_kernel(D, ray_vectors(intr, pixels), eps_norm)
-    return LossReport(values, grad_D @ pose.rotation.T, statuses, thetas)
+    rays = ray_vectors(intr, pixels)
+    values, grad_D = _angle_kernel(D, rays, eps_norm)
+    return LossReport(values, grad_D @ pose.rotation.T, D, rays)
 
 
 class _ImageRows(NamedTuple):
@@ -543,8 +560,9 @@ def multiview_image_loss(
     angle term in this image plus one more in a neighbor image drawn
     uniformly (via ``rng``, a required keyword) from the indexed images that
     also see the point; the same predicted coordinate is reprojected there,
-    so gradients from both views accumulate into it. The report's
-    ``statuses`` and ``thetas`` are those of this image.
+    so gradients from both views accumulate into it. The report's ``cam``
+    and ``rays``, hence its ``statuses`` and ``thetas``, are those of this
+    image.
 
     ``index`` comes from ``build_multiview_index``, built once per training
     run. Neighbors are drawn by ``index.draw``: one ``rng.integers`` call
@@ -729,8 +747,9 @@ def photometric_image_loss(
     the central pixel, SSIM over the window). Points that land behind the
     neighbor camera or whose target or reconstruction window leaves its
     image are masked out of the sum; the report's ``valid_mask`` marks the
-    rows that count, its ``statuses`` are depths in camera ``j`` and its
-    ``thetas`` are NaN. Gradients flow through the projection and the
+    rows that count, its ``cam`` holds the points in camera ``j`` (so its
+    ``statuses`` are depths there) and it has no ``rays`` (so its ``thetas``
+    are NaN). Gradients flow through the projection and the
     bilinear sampler into the predicted coordinates.
 
     Each reconstruction window is tested against ``img_j``'s bounds before
@@ -781,9 +800,7 @@ def photometric_image_loss(
     dl_dq = np.einsum("mk,mkc->mc", dl_da, rec_grads.reshape(-1, 9, 2))
     grads = np.zeros((n, 3))
     grads[ok] = _project_grads(intr, pose_j.rotation, D.take(ok, axis=0), dl_dq)
-    thetas = np.empty(n)
-    thetas.fill(np.nan)
-    return LossReport(values, grads, depth_statuses(z), thetas, valid)
+    return LossReport(values, grads, D, None, valid)
 
 
 def _as_gray(img) -> np.ndarray:

@@ -18,9 +18,11 @@ lr)`` starts their moments at +0.0 and only ``adam_step`` writes them, so,
 given gradual underflow, no moment is ever -0.0. Adam is dense in its
 results: every row's moments decay on every step, including the table rows
 of images not drawn, though not always at that step. A model's gradient
-list may hold ``None`` for an array the drawn image does not touch;
-``adam_step`` reads it as an all +0.0 gradient with the same bits and never
-builds that array. An array whose moments are still +0.0 and whose
+list may hold ``None`` for an array the drawn image does not touch, and a
+``RowGradient`` for one it touches in a few rows (a ``FreeTable`` run);
+``adam_step`` reads the elements neither covers as +0.0 with the same bits,
+never builds those zeros, and adds the gradient's terms to the moments of
+the covered elements alone. An array whose moments are still +0.0 and whose
 gradient is all zero is skipped, since its update is exactly zero at every
 learning rate Adam accepts. ``train`` also tells ``adam_step`` which arrays
 are read before its next step: the next image's run (``param_reads``), or
@@ -46,12 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from anglereloc.geometry import (
-    CameraIntrinsics,
-    PoseSE3,
-    depth_statuses,
-    ray_vectors,
-)
+from anglereloc.geometry import CameraIntrinsics, PoseSE3, ray_vectors
 from anglereloc.losses import (  # ConfigError is re-exported here
     COUNT,
     POSITIVE,
@@ -217,11 +214,12 @@ class FreeTable:
     a single larger image being a run of its own. Each train view keeps its
     ``(rows, run)``: its row slice and the index of the run that holds it,
     ``None`` for a view without observations. That pair is
-    ``predict_image``'s context. ``grads_for_image`` returns a new run-sized
-    gradient for the image's run and ``None`` for every other run, which
-    ``adam_step`` reads as an all +0.0 gradient, so no table-sized gradient
-    is ever built. A run no image has drawn yet keeps zero moments, which
-    ``adam_step`` skips. ``param_reads`` names the image's run, so ``train``
+    ``predict_image``'s context. ``grads_for_image`` returns a
+    ``RowGradient`` for the image's run, the loss's gradient rows at their
+    element offset in the run, and ``None`` for every other run; ``adam_step``
+    reads every other element as +0.0, so no zeros are built for the rest of
+    the run or the table. A run no image has drawn yet keeps zero moments,
+    which ``adam_step`` skips. ``param_reads`` names the image's run, so ``train``
     lets ``adam_step`` defer the sweeps of the other runs until they are
     read or get a gradient.
     """
@@ -298,14 +296,20 @@ class FreeTable:
     def grads_for_image(self, ctx, dl_dy):
         """Table gradient, one entry per ``param_list`` run: ``dl_dy`` at the
         rows of the ``(rows, run)`` that ``predict_image`` returned and +0.0
-        elsewhere. That run gets a new array of its shape; every other run
-        gets ``None``."""
+        elsewhere. That run gets a ``RowGradient``, ``dl_dy`` at the rows'
+        element offset in the run; every other run gets ``None``. A
+        ``dl_dy`` other than one 3-vector per row raises
+        ``DimensionMismatchError``."""
         rows, k = ctx
+        dl_dy = np.asarray(dl_dy, dtype=np.float64)
+        if dl_dy.shape != (rows.stop - rows.start, 3):
+            raise DimensionMismatchError(
+                f"gradient of shape {dl_dy.shape} does not match {rows.stop - rows.start} rows"
+            )
         grads = [None] * len(self._runs)
         if k is not None:
             run = self._runs[k]
-            grads[k] = np.zeros((run.stop - run.start, 3))
-            grads[k][rows.start - run.start : rows.stop - run.start] = dl_dy
+            grads[k] = RowGradient((run.stop - run.start, 3), 3 * (rows.start - run.start), dl_dy)
         return grads
 
 
@@ -329,6 +333,29 @@ ADAM_BLOCK = 16384
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+class RowGradient:
+    """A gradient of ``shape`` that is ``values`` at flat element ``offset``
+    onward and +0.0 elsewhere, without building the zeros: ``adam_step``
+    adds its terms on those elements alone. ``np.asarray`` gives the dense
+    array. ``values`` that do not fit inside ``shape`` from ``offset`` raise
+    ``DimensionMismatchError``."""
+
+    __slots__ = ("shape", "offset", "values")
+
+    def __init__(self, shape, offset, values):
+        self.shape, self.offset, self.values = tuple(shape), offset, values
+        if not 0 <= offset <= math.prod(self.shape) - np.size(values):
+            raise DimensionMismatchError(
+                f"{np.size(values)} gradient values at offset {offset} do not fit shape {shape}"
+            )
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape)
+        flat = dense.reshape(-1)
+        flat[self.offset : self.offset + np.size(self.values)] = np.ravel(self.values)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 class AdamState:
@@ -371,20 +398,23 @@ def _read_set(read, n):
     return set(entries)
 
 
-def _adam_sweep(p, g, m, v, a, lr_t, eps_t):
-    """One Adam step of flat p, m and v in place, with ``a`` as scratch;
-    ``g`` None is an all +0.0 gradient."""
+def _adam_sweep(p, m, v, a, lr_t, eps_t, g=None, lo=0):
+    """One Adam step of flat p, m and v in place, with ``a`` as scratch; the
+    flat gradient ``g`` covers elements ``lo`` onward, and every element it
+    does not cover has gradient +0.0. Those elements' moments become
+    ``b1 m`` and ``b2 v``, as ``x + 0.0`` is ``x`` for every moment (no
+    moment is -0.0, see ``adam_step``)."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     np.multiply(m, b1, out=m)
-    if g is None:  # b1 m + 0.0 is b1 m, as no moment is -0.0 (see adam_step)
-        np.multiply(v, b2, out=v)
-    else:
-        np.multiply(g, 1 - b1, out=a)
-        np.add(m, a, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(g, g, out=a)
-        np.multiply(a, 1 - b2, out=a)
-        np.add(v, a, out=v)
+    np.multiply(v, b2, out=v)
+    if g is not None:
+        hi = lo + g.size
+        ag, mg, vg = a[lo:hi], m[lo:hi], v[lo:hi]
+        np.multiply(g, 1 - b1, out=ag)
+        np.add(mg, ag, out=mg)
+        np.multiply(g, g, out=ag)
+        np.multiply(ag, 1 - b2, out=ag)
+        np.add(vg, ag, out=vg)
     np.sqrt(v, out=a)
     np.add(a, eps_t, out=a)
     np.divide(m, a, out=a)
@@ -405,7 +435,9 @@ def adam_step(state: AdamState, params, grads, read=None):
     ``v = b2 v + (1 - b2) g^2``, ``p = p - (m / (sqrt(v) + eps_t)) lr_t`` in
     that order (``b1``, ``b2``, ``eps``: ``ADAM_BETA1``, ``ADAM_BETA2``,
     ``ADAM_EPS``), the bits of the allocating form. Each array is swept
-    whole through the scratch ``state.work``; a ``FreeTable``'s runs of at
+    whole through the scratch ``state.work``, but a ``RowGradient``'s terms
+    ``(1 - b1) g`` and ``(1 - b2) g^2`` are added on its elements alone;
+    a ``FreeTable``'s runs of at
     most ``ADAM_BLOCK`` elements keep a sweep in cache. ``params`` must be
     the state's arrays, C-contiguous float64: another dtype or layout
     raises ``ValueError``, and a count or shape other than the moments' (or
@@ -413,8 +445,10 @@ def adam_step(state: AdamState, params, grads, read=None):
     Non-finite gradients propagate into the moments and parameters.
 
     A gradient of ``None`` stands for an all +0.0 array of its parameter's
-    shape, and gives the same bits without building it: the moments become
-    ``b1 m`` and ``b2 v``, since the terms ``(1 - b1) g`` and
+    shape, and a ``RowGradient`` for its dense array, the same +0.0 outside
+    its elements; both give the bits of that array without building it:
+    where the gradient is +0.0 the moments become ``b1 m`` and ``b2 v``,
+    since the terms ``(1 - b1) g`` and
     ``(1 - b2) g^2`` are +0.0 and ``x + 0.0`` is ``x`` for every x but -0.0,
     which no moment ever is. Moments start +0.0, a sum is -0.0 only when
     both its terms are, ``g^2`` never is, and, given gradual underflow (0.9
@@ -466,6 +500,11 @@ def adam_step(state: AdamState, params, grads, read=None):
     lr_t = lr * math.sqrt(bc2) / bc1
     eps_t = ADAM_EPS * math.sqrt(bc2)
     for i, (p, g, m, v) in enumerate(zip(flat, grads, state.m, state.v)):
+        lo = 0
+        if isinstance(g, RowGradient):
+            lo, g = g.offset, g.values
+        if g is not None:
+            g = np.ravel(g)
         if state.zero[i]:
             if g is None or not g.any():
                 continue
@@ -474,12 +513,10 @@ def adam_step(state: AdamState, params, grads, read=None):
         if g is None and read is not None and i not in read:
             steps.append((lr_t, eps_t))
             continue
-        if g is not None:
-            g = np.ravel(g)
         m, v, a = m.reshape(-1), v.reshape(-1), state.work[: p.size]
         for lr_d, eps_d in steps:  # the deferred steps, in step order
-            _adam_sweep(p, None, m, v, a, lr_d, eps_d)
-        _adam_sweep(p, g, m, v, a, lr_t, eps_t)
+            _adam_sweep(p, m, v, a, lr_d, eps_d)
+        _adam_sweep(p, m, v, a, lr_t, eps_t, g, lo)
         steps.clear()
 
 
@@ -708,12 +745,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         pose = poses[image_id]
         targets = constant_depth_targets(intr, pose, observations[image_id], cfg.const_depth)
         diff = preds - targets
-        return LossReport(
-            np.sum(diff * diff, axis=1),
-            2.0 * diff,
-            depth_statuses(pose.world_to_camera(preds)[:, 2]),
-            np.full(len(preds), np.nan),
-        )
+        return LossReport(np.sum(diff * diff, axis=1), 2.0 * diff, pose.world_to_camera(preds))
 
     image_losses = {
         "reproj": reproj,

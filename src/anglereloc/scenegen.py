@@ -446,13 +446,23 @@ def gen_scene(cfg: DatasetConfig) -> SyntheticScene:
     interior panels beyond six), with ``cfg.n_points`` points sampled on the
     plane surfaces and, a ``cfg.free_space_fraction`` of them, in free space
     at least ``FREE_SPACE_MIN_RADIUS`` from the origin. A room whose cube
-    leaves almost no such space (see ``_free_space_points``), or whose walls
-    have an area that overflows a float, raises ``ConfigError`` naming
-    ``half_extent``."""
+    leaves almost no such space (see ``_free_space_points``), whose walls
+    have an area that overflows a float or underflows to 0, or whose
+    free-space draw squares coordinates whose sum overflows, raises
+    ``ConfigError`` naming ``half_extent``."""
     seed, half_extent = cfg.seed, cfg.half_extent
     side = 2 * half_extent  # a wall's area is the norm of (side^2, 0, 0), which squares it
-    if cfg.n_planes and not math.isfinite(side * side * (side * side)):
-        raise ConfigError(f"half_extent {half_extent!r} gives walls whose area overflows a float")
+    area = side * side * (side * side)
+    if cfg.n_planes and not (math.isfinite(area) and area > 0.0):
+        raise ConfigError(
+            f"half_extent {half_extent!r} gives walls whose area "
+            f"{'overflows a float' if area else 'underflows to 0'}"
+        )
+    # a free-space candidate's squared norm is at most 3 h^2
+    if cfg.n_free_space and not math.isfinite(3.0 * half_extent * half_extent):
+        raise ConfigError(
+            f"half_extent {half_extent!r} gives free-space points whose squared norm overflows"
+        )
     rng = np.random.default_rng([seed, 1])
     planes = _room_planes(half_extent, seed)[: cfg.n_planes]
     for extra in range(max(cfg.n_planes - 6, 0)):

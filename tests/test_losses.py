@@ -388,12 +388,12 @@ class TestLossReport:
     def report(self, valid_mask=None):
         grads = np.ones((4, 3))
         grads[2, 1] = np.inf
-        statuses = [DepthStatus.IN_FRONT, DepthStatus.BEHIND, DepthStatus.NEAR_PLANE]
+        # in front, behind, on the near plane, behind
+        cam = np.array([[0.1, 0.2, 2.0], [0.0, 0.3, -1.0], [0.5, 0.0, 0.0], [1.0, 1.0, -3.0]])
         return LossReport(
             values=np.array([1.0, np.nan, 2.5, 0.5]),
             grads=grads,
-            statuses=np.array([*statuses, DepthStatus.BEHIND], dtype=int),
-            thetas=np.full(4, np.nan),
+            cam=cam,
             valid_mask=valid_mask,
         )
 
@@ -423,9 +423,30 @@ class TestLossReport:
         assert not rep._replace(values=values, grads=np.zeros((4, 3))).nonfinite
 
     def test_a_report_without_rows(self):
-        empty = LossReport(np.zeros(0), np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0))
+        empty = LossReport(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
         assert empty.behind_frac == 0.0 and type(empty.behind_frac) is float
         assert empty.total == 0.0 and not empty.nonfinite
+        assert empty.statuses.shape == empty.thetas.shape == (0,)
+        assert empty._replace(rays=None).thetas.shape == (0,)
+
+    def test_statuses_and_thetas_are_derived_from_cam_and_rays(self):
+        rep = self.report()
+        assert rep.statuses.tolist() == [
+            DepthStatus.IN_FRONT, DepthStatus.BEHIND, DepthStatus.NEAR_PLANE, DepthStatus.BEHIND
+        ]
+        # no rays: no angle
+        assert rep.thetas.shape == (4,) and np.isnan(rep.thetas).all()
+        # along the ray, opposite it, at right angles, and NaN and infinite rows
+        rays = np.array([[0.2, 0.4, 4.0], [0.0, -0.3, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        cam = rep.cam.copy()
+        cam[3] = (np.nan, 0.0, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the angles silence their own warnings
+            thetas = rep._replace(cam=cam, rays=rays).thetas
+        assert thetas[0] == 0.0 and thetas[1] == np.pi and thetas[2] == np.pi / 2
+        assert np.isnan(thetas[3])
+        # each read is a new array, so a caller may write into it
+        assert rep.statuses is not rep.statuses
 
     def test_finite_values_whose_sum_overflows(self):
         rep = self.report()._replace(values=np.array([1e308, 1e308]), grads=np.ones((2, 3)))
@@ -435,7 +456,7 @@ class TestLossReport:
 
     def test_is_a_tuple_led_by_the_values(self):
         rep = self.report()
-        assert rep._fields == ("values", "grads", "statuses", "thetas", "valid_mask")
+        assert rep._fields == ("values", "grads", "cam", "rays", "valid_mask")
         assert rep[0] is rep.values
 
     def test_reproj_at_zero_depth_reports_nonfinite(self, intr):
@@ -1235,7 +1256,13 @@ def _photometric_per_call_reference(intr, pose_j, preds, observations_i, img_i, 
     grad_D[:, 2] = -gx / z[ok] * (D[ok, 0] * dl_dq[:, 0] + D[ok, 1] * dl_dq[:, 1])
     grads = np.zeros((n, 3))
     grads[ok] = grad_D @ R.T
-    return LossReport(values, grads, depth_statuses(z), np.full(n, np.nan), valid)
+    return LossReport(values, grads, D, None, valid)
+
+
+def _reported(rep):
+    """A report's values, gradients, statuses and ray angles, in the order of
+    the reference kernels' tuples."""
+    return rep.values, rep.grads, rep.statuses, rep.thetas
 
 
 def _close(new, ref, tol=1e-12):
@@ -1268,7 +1295,7 @@ class TestVectorizedEquivalence:
             ref = _angle_terms_reference(
                 room.intrinsics, room.poses[image_id], preds, obs.pixels
             )
-            for a, b in zip(new, ref):
+            for a, b in zip(_reported(new), ref):
                 assert np.array_equal(a, b)
 
     def test_angle_terms_bit_identical_at_the_edges(self, room):
@@ -1314,10 +1341,10 @@ class TestVectorizedEquivalence:
             for preds, pixels, eps in cases:
                 new = angle_terms(intr, pose, preds, pixels, eps)
                 ref = _angle_terms_reference(intr, pose, preds, pixels, eps)
-                for a, b in zip(new, ref):
+                for a, b in zip(_reported(new), ref):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 # reproj_terms reports its thetas through the same helper
-                thetas = reproj_terms(intr, pose, preds, pixels)[3]
+                thetas = reproj_terms(intr, pose, preds, pixels).thetas
                 assert thetas.tobytes() == ref[3].tobytes()
         assert np.sum(np.linalg.norm(pose.world_to_camera(cases[1][0]), axis=1) <= 0.5) > 100
 
@@ -1328,14 +1355,15 @@ class TestVectorizedEquivalence:
         for rows in (slice(0, 0), slice(0, 1), slice(3, 4)):
             new = angle_terms(intr, pose, preds[rows], obs.pixels[rows])
             ref = _angle_terms_reference(intr, pose, preds[rows], obs.pixels[rows])
-            for a, b in zip(new, ref):
+            for a, b in zip(_reported(new), ref):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
     def test_multiview_reports_pinned(self, room):
         """Every train view of ``room`` against the index ``train`` builds,
-        each report's four arrays hashed; recorded on the build whose angle
-        loss was one whole-array pass without a separate camera-frame kernel."""
+        each report's values, gradients, statuses and ray angles hashed;
+        recorded on the build whose angle loss was one whole-array pass
+        without a separate camera-frame kernel."""
         index = build_multiview_index(
             room.poses,
             {i: room.observations[i] for i in room.train_ids},
@@ -1349,7 +1377,7 @@ class TestVectorizedEquivalence:
                 room.intrinsics, index, image_id, preds, LossConfig(), rng=rng
             )
             assert rep.valid_mask is None
-            for a in rep[:4]:
+            for a in _reported(rep):
                 h.update(repr((a.dtype.str, a.shape)).encode() + a.tobytes())
         assert h.hexdigest() == (
             "117c7ec58332cb0804895ef6a9c0ca0ca22e2baeca1e015a65bf296cad22de11"
@@ -1402,8 +1430,13 @@ class TestVectorizedEquivalence:
 
 
 def _assert_reports_bit_equal(new, ref):
-    for field in LossReport._fields:
+    """The same bytes in every field of the two reports and in what is
+    derived from them; a field None in one is None in the other."""
+    for field in (*LossReport._fields, "statuses", "thetas"):
         a, b = getattr(new, field), getattr(ref, field)
+        if a is None or b is None:
+            assert a is b, field
+            continue
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
 

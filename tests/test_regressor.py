@@ -25,6 +25,7 @@ from anglereloc.regressor import (
     GtLookup,
     PatchMLP,
     PhotometricInactiveWarning,
+    RowGradient,
     TrainConfig,
     adam_step,
     constant_depth_targets,
@@ -165,6 +166,32 @@ def test_params_the_state_was_not_built_for_are_refused_before_anything_changes(
     for now, then in zip((params, state.m, state.v), before):
         assert_bit_equal(now, then)
     assert_bit_equal(others, kept)
+
+
+class TestRowGradient:
+    """A ``RowGradient`` stands for the dense array ``np.asarray`` gives."""
+
+    def test_dense_array_holds_the_values_at_the_offset(self):
+        g = RowGradient((4, 3), 3, np.array([[-0.0, 1.0, np.nan], [np.inf, 5e-324, 2.0]]))
+        dense = np.asarray(g)
+        expected = np.zeros((4, 3))
+        expected[1:3] = g.values
+        assert dense.shape == (4, 3) and dense.tobytes() == expected.tobytes()
+        assert np.signbit(dense[1, 0]) and not np.signbit(dense[3]).any()
+        assert np.count_nonzero(g) == 5  # what the benchmark's Adam counter reads
+        assert np.asarray(g, dtype=np.float32).dtype == np.float32
+
+    @pytest.mark.parametrize("offset, n", [(-1, 3), (10, 3), (0, 13), (13, 0)])
+    def test_values_outside_the_shape_are_refused(self, offset, n):
+        with pytest.raises(losses.DimensionMismatchError, match="do not fit shape"):
+            RowGradient((4, 3), offset, np.ones(n))
+
+    def test_adam_step_refuses_a_row_gradient_of_another_shape(self):
+        params = [np.zeros((4, 3))]
+        state = AdamState(params, 1e-4)
+        with pytest.raises(losses.DimensionMismatchError):
+            adam_step(state, params, [RowGradient((5, 3), 0, np.ones(3))])
+        assert state.step == 0
 
 
 class TestAdamStep:
@@ -555,6 +582,20 @@ class TestAdamDeferredSweeps:
     WARM_STEPS = TestAdamNoneGradient.WARM_STEPS
     SHAPES = [(40, 3), (1,), (250,), (33, 3), (5, 3), (70,)]
     STEPS = 40
+    # gradient entries: signed zeros, subnormals, NaN and infinities
+    EDGE = np.array([0.0, -0.0, 5e-324, -5e-324, 5e-323, -5e-323, np.nan, np.inf, -np.inf])
+
+    def row_gradient(self, rng, shape):
+        """A ``RowGradient`` of ``shape`` on no rows, every row, the first
+        row, the last row or a random range (a row of a 1-D array is one
+        entry), whose ordinary values hold some ``EDGE`` entries."""
+        n, width = shape[0], math.prod(shape[1:])
+        ranges = [(0, 0), (n, n), (0, n), (0, 1), (n - 1, n), sorted(rng.integers(0, n + 1, 2))]
+        lo, hi = ranges[rng.integers(len(ranges))]
+        values = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=(hi - lo, width))
+        edge = rng.random(values.shape) < 0.2
+        values[edge] = rng.choice(self.EDGE, size=np.count_nonzero(edge))
+        return RowGradient(shape, lo * width, values)
 
     def start(self, seed):
         """Parameters and a state after ``WARM_STEPS`` eager steps: arrays 0
@@ -577,8 +618,9 @@ class TestAdamDeferredSweeps:
         return params, state
 
     def schedule(self, seed):
-        """Per step: the learning rate, the gradients and the read set, the
-        last one None so every array settles."""
+        """Per step: the learning rate, the gradients (some of them
+        ``RowGradient``) and the read set, the last one None so every array
+        settles."""
         rng = np.random.default_rng([12, seed])
         steps = []
         for t in range(self.STEPS):
@@ -591,6 +633,8 @@ class TestAdamDeferredSweeps:
                         g.flat[rng.integers(g.size)] = rng.choice([np.nan, np.inf, -np.inf])
                 elif kind < 0.35:
                     g = np.full(shape, rng.choice([0.0, -0.0]))
+                elif kind < 0.5:
+                    g = self.row_gradient(rng, shape)
                 else:
                     g = None
                 grads.append(g)
@@ -602,21 +646,25 @@ class TestAdamDeferredSweeps:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_schedules_match_eager_steps(self, seed):
+        """Deferred steps on ``RowGradient`` inputs give the bits of eager
+        steps on the dense arrays they stand for."""
         mine, state = self.start(seed)
         eager, eager_state = self.start(seed)
-        deferred = 0
+        deferred = rows = 0
         with np.errstate(all="ignore"):
             for lr, grads, read in self.schedule(seed):
                 state.lr = eager_state.lr = lr
                 adam_step(state, mine, grads, read)
-                adam_step(eager_state, eager, grads)
+                dense = [np.asarray(g) if isinstance(g, RowGradient) else g for g in grads]
+                adam_step(eager_state, eager, dense)
+                rows += sum(isinstance(g, RowGradient) for g in grads)
                 assert state.zero == eager_state.zero and state.step == eager_state.step
                 # what the caller said it reads is up to date
                 for i in range(len(mine)) if read is None else read:
                     for a, b in ((mine, eager), (state.m, eager_state.m), (state.v, eager_state.v)):
                         assert a[i].tobytes() == b[i].tobytes()
                 deferred = max(deferred, sum(map(len, state.pending)))
-        assert deferred > 5 and not any(state.pending)
+        assert deferred > 5 and rows > 20 and not any(state.pending)
         assert_bit_equal(mine, eager)
         assert_bit_equal(state.m, eager_state.m)
         assert_bit_equal(state.v, eager_state.v)
@@ -624,13 +672,10 @@ class TestAdamDeferredSweeps:
         assert state.zero[2:] == [False] * (len(self.SHAPES) - 2)
         assert np.isnan(state.v[2]).any()
 
-    # gradient entries: signed zeros, subnormals, NaN and infinities
-    EDGE = np.array([0.0, -0.0, 5e-324, -5e-324, 5e-323, -5e-323, np.nan, np.inf, -np.inf])
-
     def edge_schedule(self, seed):
         """Per step: a learning rate, gradients that mix ``EDGE`` entries
-        into ordinary ones, hold only zeros and subnormals, or are None, and
-        a read set, the last one None."""
+        into ordinary ones, hold only zeros and subnormals, are a
+        ``RowGradient`` or are None, and a read set, the last one None."""
         rng = np.random.default_rng([13, seed])
         steps = []
         for _ in range(self.STEPS):
@@ -643,6 +688,8 @@ class TestAdamDeferredSweeps:
                     g[edge] = rng.choice(self.EDGE, size=np.count_nonzero(edge))
                 elif kind < 0.55:
                     g = rng.choice(self.EDGE[:6], size=shape)
+                elif kind < 0.7:
+                    g = self.row_gradient(rng, shape)
                 else:
                     g = None
                 grads.append(g)
@@ -654,8 +701,9 @@ class TestAdamDeferredSweeps:
     @pytest.mark.parametrize("seed", range(4))
     def test_no_moment_is_ever_negative_zero(self, seed):
         """From fresh states, deferred and eager ``adam_step`` and the
-        allocating reference agree bit for bit, and no zero moment of either
-        state ever has its sign bit set."""
+        allocating reference, which reads each ``RowGradient`` as its dense
+        array, agree bit for bit, and no zero moment of either state ever
+        has its sign bit set."""
         start = [np.random.default_rng([14, seed]).normal(size=s) for s in self.SHAPES]
         mine, eager, ref = ([p.copy() for p in start] for _ in range(3))
         state, eager_state, ref_state = (AdamState(ps, 1e-4) for ps in (mine, eager, ref))
@@ -665,7 +713,9 @@ class TestAdamDeferredSweeps:
                 state.lr = eager_state.lr = ref_state.lr = lr
                 adam_step(state, mine, grads, read)
                 adam_step(eager_state, eager, grads)
-                zeros = [np.zeros(p.shape) if g is None else g for p, g in zip(ref, grads)]
+                zeros = [
+                    np.zeros(p.shape) if g is None else np.asarray(g) for p, g in zip(ref, grads)
+                ]
                 ref = reference_adam_step(ref_state, ref, zeros)
                 assert_bit_equal(eager, ref)
                 assert_bit_equal(eager_state.m, ref_state.m)
@@ -880,7 +930,15 @@ class TestFreeTable:
         (g,) = table.grads_for_image(ctx_b, np.full_like(preds_b, 2.0))
         expected = np.zeros_like(table.coords)
         expected[ctx_b[0]] = 2.0
-        assert np.array_equal(g, expected)
+        assert np.asarray(g).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 3), (5, 2), (5,)])
+    def test_gradient_of_other_rows_raises_dimension_mismatch(self, room, shape):
+        table = FreeTable(room)
+        preds, ctx = table.predict_image(room, room.train_ids[0])
+        shape = (len(preds) + 1, 3) if shape == (1, 3) else shape
+        with pytest.raises(losses.DimensionMismatchError, match=f"{len(preds)} rows$"):
+            table.grads_for_image(ctx, np.ones(shape))
 
 
 class TestEvaluateCoords:
@@ -971,14 +1029,17 @@ class TestFreeTableRuns:
         params = table.param_list()
         # one run holds the image; every other run's gradient is None, +0.0
         assert sum(g is not None for g in grads) == 1
-        dense = [np.zeros(p.shape) if g is None else g for g, p in zip(grads, params)]
+        dense = [np.zeros(p.shape) if g is None else np.asarray(g) for g, p in zip(grads, params)]
         assert [g.shape for g in dense] == [p.shape for p in params]
+        assert [g.shape for g in grads if g is not None] == [
+            p.shape for g, p in zip(grads, params) if g is not None
+        ]
         expected = np.zeros_like(table.coords)
         expected[ctx[0]] = 2.0
         assert np.concatenate(dense).tobytes() == expected.tobytes()
         (held,) = [g for g in grads if g is not None]
-        assert held.dtype == np.float64 and held.flags.c_contiguous
-        kept = held.copy()
+        assert np.asarray(held).dtype == np.float64 and np.asarray(held).flags.c_contiguous
+        kept = np.asarray(held).copy()
         # the run Adam must bring up to date before the image is predicted
         assert table.param_reads(image_id) == tuple(
             k for k, g in enumerate(grads) if g is not None
@@ -988,9 +1049,9 @@ class TestFreeTableRuns:
         preds_b, ctx_b = table.predict_image(room, room.train_ids[0])
         again = table.grads_for_image(ctx_b, np.ones_like(preds_b))
         assert sum(g is not None for g in again) == 1
-        dense = [np.zeros(p.shape) if g is None else g for g, p in zip(again, params)]
+        dense = [np.zeros(p.shape) if g is None else np.asarray(g) for g, p in zip(again, params)]
         assert np.count_nonzero(np.concatenate(dense)) == preds_b.size
-        assert held.tobytes() == kept.tobytes()
+        assert np.asarray(held).tobytes() == kept.tobytes()
 
     @pytest.fixture(scope="class")
     def sparse_room(self):
@@ -1042,8 +1103,9 @@ class TestFreeTableRuns:
 
 def _reference_in_place(state, params, grads, read=None):
     """The reference Adam, in place, with each ``None`` gradient turned into
-    +0.0 zeros; eager, so it ignores ``read``."""
-    grads = [np.zeros(p.shape) if g is None else g for p, g in zip(params, grads)]
+    +0.0 zeros and every other one read through ``np.asarray``; eager, so it
+    ignores ``read``."""
+    grads = [np.zeros(p.shape) if g is None else np.asarray(g) for p, g in zip(params, grads)]
     for p, new in zip(params, reference_adam_step(state, params, grads)):
         p[...] = new
 
@@ -1323,6 +1385,34 @@ class TestTracedLookups:
         assert len(outer) == 7 and direct == []
         # one pass in the view itself, one in the neighbors of its corresponded rows
         assert 7 < len(inner) <= 14
+
+
+@pytest.mark.parametrize("kind", ["free_table", "patch_mlp"])
+@pytest.mark.parametrize("mode", list(regressor.MODES))
+def test_a_step_derives_no_ray_angle_and_statuses_only_for_a_record(
+    rendered_room, monkeypatch, kind, mode
+):
+    """Training reads no ray angle and the depth statuses of the last report
+    at each record only, so a loss computes neither: ``_angles_between`` and
+    ``depth_statuses``, spied on where the losses and ``train`` look them
+    up, run at most once per record."""
+    calls = {"_angles_between": 0, "depth_statuses": 0}
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        real = getattr(losses, name)
+        monkeypatch.setattr(losses, name, spy(name, real))
+        monkeypatch.setattr(regressor, name, spy(name, real), raising=False)
+    cfg = TrainConfig(mode=mode, iterations=24, lr=0.05, checkpoint_every=8, seed=1)
+    _, log = train(rendered_room, kind, cfg)
+    assert len(log.records) == 3
+    assert calls["_angles_between"] == 0 and calls["depth_statuses"] <= len(log.records)
 
 
 def training_digest(ds, kind, mode):

@@ -198,6 +198,38 @@ class TestGenScene:
             scene = gen_scene(scene_cfg(0, 20, half_extent=1e76))
         assert scene.diameter == 2e76
 
+    @pytest.mark.parametrize("half_extent", [1e-82, 1e-100, 1e-300])
+    def test_walls_whose_area_underflows_raise_naming_half_extent(self, half_extent):
+        # the areas summed to 0, the draw's probabilities divided 0 by 0 with
+        # a RuntimeWarning, and rng.choice raised a bare ValueError
+        cfg = scene_cfg(0, 20, half_extent=half_extent, free_space_fraction=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^half_extent .* gives walls whose area under"):
+                gen_scene(cfg)
+
+    def test_smallest_walls_that_hold_their_area_build(self):
+        # side 2e-80: side^4 is 1.6e-319, a subnormal area^2 above 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scene = gen_scene(scene_cfg(0, 20, half_extent=1e-80, free_space_fraction=0.0))
+        assert scene.diameter == 2e-80
+
+    @pytest.mark.parametrize("half_extent", [1e155, 1e200, 1e308])
+    def test_free_space_whose_squares_overflow_raises_naming_half_extent(self, half_extent):
+        # the candidates' squares overflowed with a RuntimeWarning, and the
+        # room built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^half_extent .* free-space points whose"):
+                gen_scene(scene_cfg(0, 20, 0, half_extent=half_extent))
+
+    def test_largest_free_space_that_holds_its_squares_builds(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scene = gen_scene(scene_cfg(0, 20, 0, half_extent=1e150))
+        assert scene.diameter == 2e150 and len(scene.points) == 20
+
 
 class TestTexturedPlane:
     """A plane is a rectangle with a finite origin and finite edges, or
@@ -1503,6 +1535,15 @@ class TestDatasetIO:
                 dict(half_extent=1e77),
                 "half_extent 1e\\+77 gives walls whose area overflows a float",
                 id="half_extent-1e77",
+            ),
+            # gen_scene raised a bare ValueError after a RuntimeWarning
+            *(
+                pytest.param(
+                    dict(half_extent=h, free_space_fraction=0.0),
+                    f"half_extent 1e-{e} gives walls whose area underflows to 0",
+                    id=f"half_extent-1e-{e}",
+                )
+                for h, e in ((1e-100, 100), (1e-300, 300))
             ),
         ],
     )
