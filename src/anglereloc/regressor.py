@@ -17,20 +17,14 @@ for ``FreeTable``) that ``adam_step`` updates in place. ``AdamState(params,
 lr)`` starts their moments at +0.0 and only ``adam_step`` writes them, so,
 given gradual underflow, no moment is ever -0.0. Adam is dense in its
 results: every row's moments decay on every step, including the table rows
-of images not drawn, though not always at that step. A model's gradient
-list may hold ``None`` for an array the drawn image does not touch, and a
-``RowGradient`` for one it touches in a few rows (a ``FreeTable`` run);
-``adam_step`` reads the elements neither covers as +0.0 with the same bits,
-never builds those zeros, and adds the gradient's terms to the moments of
-the covered elements alone. An array whose moments are still +0.0 and whose
-gradient is all zero is skipped, since its update is exactly zero at every
-learning rate Adam accepts. ``train`` also tells ``adam_step`` which arrays
-are read before its next step: the next image's run (``param_reads``), or
-every array before a record and at the end. The sweep of an array with a
-``None`` gradient that nobody reads is deferred and replayed, in step order,
-before the array is next swept. Each element's operations and their order
-are those of sweeping it at every step, so the bits are the same; the
-replay runs one array's steps back to back while it is in cache.
+of images not drawn. A model's gradient list may hold ``None`` for an array
+the drawn image does not touch, and a ``RowGradient`` for one it touches in
+a few rows (a ``FreeTable`` run); ``adam_step`` reads the elements neither
+covers as +0.0 with the same bits, never builds those zeros, and adds the
+gradient's terms to the moments of the covered elements alone. An array
+whose moments are still +0.0 and whose gradient is all zero is skipped,
+since its update is exactly zero at every learning rate Adam accepts. Every
+other array is swept at every step.
 
 Non-finite losses or gradients are counted and applied as-is, never
 repaired: under the plain reprojection loss they are part of the behavior
@@ -178,10 +172,6 @@ class PatchMLP:
     def param_list(self):
         return [self.params]
 
-    def param_reads(self, image_id):
-        """Every image reads the whole network: None, all of ``param_list``."""
-        return None
-
     def predict_image(self, dataset, image_id):
         obs = dataset.observations[image_id]
         y, acts = self.forward_cached(obs.descriptors)
@@ -219,9 +209,7 @@ class FreeTable:
     element offset in the run, and ``None`` for every other run; ``adam_step``
     reads every other element as +0.0, so no zeros are built for the rest of
     the run or the table. A run no image has drawn yet keeps zero moments,
-    which ``adam_step`` skips. ``param_reads`` names the image's run, so ``train``
-    lets ``adam_step`` defer the sweeps of the other runs until they are
-    read or get a gradient.
+    which ``adam_step`` skips.
     """
 
     def __init__(self, dataset, seed=0):
@@ -230,9 +218,12 @@ class FreeTable:
         belong to the train views. One draw still covers every view's
         observations in id order and the train views keep their rows of it,
         so a train row's initial value does not depend on the held-out views
-        being left out."""
-        rng = np.random.default_rng(seed)
+        being left out. A room whose train views see no point, so that the
+        table would have no rows, raises ``ConfigError``."""
         observations = dataset.observations
+        if not any(len(observations[i].point_ids) for i in dataset.train_ids):
+            raise ConfigError("FreeTable has no rows: no train view of the room sees a point")
+        rng = np.random.default_rng(seed)
         # the joined rows live only in this call, freed before the table is drawn
         lo, hi = column_bounds(np.concatenate([o.gt_coords for o in observations.values()]))
         center, half = (lo + hi) / 2, (hi - lo) / 2
@@ -273,13 +264,6 @@ class FreeTable:
 
     def param_list(self):
         return [self.coords[run] for run in self._runs]
-
-    def param_reads(self, image_id):
-        """Indices of the ``param_list`` runs that ``predict_image`` reads
-        for the image: the run holding its rows, none when it has no rows.
-        Raises ``IndexMismatchError`` for an image the table lacks."""
-        run = self._image(image_id)[1]
-        return () if run is None else (run,)
 
     def predict_image(self, dataset, image_id):
         """The image's rows, in the dataset's order, and their ``(rows, run)``.
@@ -363,10 +347,8 @@ class AdamState:
     list of parameter arrays. The state owns its moments: they start +0.0,
     as in Kingma & Ba, and only ``adam_step`` writes them, so, given gradual
     underflow, none is ever -0.0 (see ``adam_step``). ``zero[i]`` is true
-    until array i is first swept, its moments +0.0; ``pending[i]`` holds the
-    ``(lr_t, eps_t)`` of each step whose sweep of array i is deferred, in
-    step order, and while it is not empty array i and its moments lag
-    behind ``step``. ``work`` is scratch the size of the largest array."""
+    until array i is first swept, its moments +0.0. ``work`` is scratch the
+    size of the largest array."""
 
     def __init__(self, params, lr):
         self.m = [np.zeros(p.shape) for p in params]
@@ -374,28 +356,7 @@ class AdamState:
         self.step = 0
         self.lr = lr
         self.zero = [True] * len(params)
-        self.pending = [[] for _ in params]
         self.work = np.empty(max((p.size for p in params), default=0))
-
-
-def _read_set(read, n):
-    """``read`` as a set of indices of ``n`` arrays, or None for every
-    array. Raises ``ConfigError`` naming an entry that is a bool, not an
-    integer, or outside ``[0, n)``, or a ``read`` that is not a collection."""
-    if read is None:
-        return None
-    try:
-        entries = list(read)
-    except TypeError:
-        raise ConfigError(
-            f"adam_step needs a collection of array indices to read, got {read!r}"
-        ) from None
-    for k in entries:
-        if not (is_count(k, 0) and k < n):
-            raise ConfigError(
-                f"adam_step read set holds {k!r}, which is not an index of the {n} arrays"
-            )
-    return set(entries)
 
 
 def _adam_sweep(p, m, v, a, lr_t, eps_t, g=None, lo=0):
@@ -422,7 +383,7 @@ def _adam_sweep(p, m, v, a, lr_t, eps_t, g=None, lo=0):
     np.subtract(p, a, out=p)
 
 
-def adam_step(state: AdamState, params, grads, read=None):
+def adam_step(state: AdamState, params, grads):
     """One Adam update of ``params`` and the state's moments, in place.
 
     The update is Kingma & Ba's efficient form of Algorithm 1: both bias
@@ -455,20 +416,6 @@ def adam_step(state: AdamState, params, grads, read=None):
     and 0.999 times the smallest subnormal round back to it), ``b1 m`` or
     ``b2 v`` is -0.0 only when the moment is.
 
-    ``read`` holds the indices of the arrays the caller reads, parameters or
-    moments, before its next call; None, the default, is every array. The
-    sweep of an array outside it whose gradient is ``None`` is deferred:
-    the step's ``lr_t`` and ``eps_t`` go to ``state.pending``, and the
-    array's next sweep, from a gradient or from ``read``, first replays the
-    pending steps in step order. Each element is an independent chain of
-    operations on its own p, m and v, with the step's scalars and gradient
-    as its only other inputs, so running one array's steps back to back
-    gives each element the operations and order of sweeping every array at
-    every step: the same bits, while the array stays in cache across the
-    steps. Every array in ``read`` is up to date when the call returns. An
-    index that is a bool, not an integer, or outside the arrays raises
-    ``ConfigError`` before anything changes.
-
     ``state.lr`` must be finite and > 0, as in ``TrainConfig``; any other
     value raises ``ConfigError`` before anything changes. An array whose
     moments are all +0.0 (``state.zero``) and whose gradient is all zero,
@@ -477,8 +424,8 @@ def adam_step(state: AdamState, params, grads, read=None):
     is finite and >= +0.0 at every such lr. From step 356 on ``bc1`` is
     exactly 1, so ``lr_t <= lr``; before that ``lr_t`` stays finite even at
     the largest finite lr. Its first nonzero gradient (NaN and +-inf
-    included), or any other sweep, clears the flag for good; an array has
-    deferred steps only once its flag is cleared.
+    included), or any other sweep, clears the flag for good. Every array
+    that is not skipped is swept at every step.
     """
     if not len(params) == len(grads) == len(state.m) or any(
         p.shape != m.shape or (g is not None and g.shape != m.shape)
@@ -488,7 +435,6 @@ def adam_step(state: AdamState, params, grads, read=None):
     lr = state.lr
     if not POSITIVE.holds(lr):
         raise ConfigError(f"adam_step needs a learning rate {POSITIVE.text}, got {lr!r}")
-    read = _read_set(read, len(params))
     # flat views, never copies or conversions: the sweeps write through them
     if any(p.dtype != np.float64 or not p.flags.c_contiguous for p in params):
         raise ValueError("adam_step updates in place: arrays must be C-contiguous float64")
@@ -509,15 +455,7 @@ def adam_step(state: AdamState, params, grads, read=None):
             if g is None or not g.any():
                 continue
             state.zero[i] = False
-        steps = state.pending[i]
-        if g is None and read is not None and i not in read:
-            steps.append((lr_t, eps_t))
-            continue
-        m, v, a = m.reshape(-1), v.reshape(-1), state.work[: p.size]
-        for lr_d, eps_d in steps:  # the deferred steps, in step order
-            _adam_sweep(p, m, v, a, lr_d, eps_d)
-        _adam_sweep(p, m, v, a, lr_t, eps_t, g, lo)
-        steps.clear()
+        _adam_sweep(p, m.reshape(-1), v.reshape(-1), state.work[: p.size], lr_t, eps_t, g, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +611,8 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     error over the training views, and wall time.
     ``angle-multi`` and ``angle-photo`` draw their neighbor views from the
     train views only, so no held-out view's pose or pixels enter training.
-    A room without train views raises ``ConfigError``.
+    A room without train views, or whose train views see no point, raises
+    ``ConfigError`` before any model is built.
     A run with an ``angle-photo`` phase samples every train view's
     photometric target once, before the loop, and warns with
     ``PhotometricInactiveWarning`` when no photometric point was valid in
@@ -686,6 +625,8 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
             f"the room has no train views: all {len(dataset.observations)} views "
             "are held out (test_every=1 holds out every view)"
         )
+    if not any(len(dataset.observations[i].point_ids) for i in train_ids):
+        raise ConfigError(f"the room's {len(train_ids)} train views see no point to train on")
     if model_kind == "patch_mlp":
         model = PatchMLP.init(network_sizes(cfg), seed=[cfg.seed, 12])
     elif model_kind == "free_table":
@@ -768,14 +709,9 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         if rep.valid_mask is not None:
             photo_valid += int(np.count_nonzero(rep.valid_mask))
 
-        model_grads = model.grads_for_image(ctx, rep.grads)
-        recording = (t + 1) % every == 0 or t + 1 == cfg.iterations
-        # before the next step only the next image's prediction reads the
-        # parameters; a record and the returned model read every array
-        read = None if recording else model.param_reads(order[t + 1])
-        adam_step(adam, params, model_grads, read)
+        adam_step(adam, params, model.grads_for_image(ctx, rep.grads))
 
-        if recording:
+        if (t + 1) % every == 0 or t + 1 == cfg.iterations:
             med, _ = evaluate_coords(model, dataset, train_ids)
             wall = time.perf_counter() - start
             log.append(TrainRecord(t + 1, rep.total, rep.behind_frac, nonfinite_events, med, wall))
@@ -794,14 +730,17 @@ def evaluate_coords(model, dataset, image_ids=None):
     """(median, mean) 3D error of predictions against ground truth over the
     observations of the given images (all images by default). An empty
     list of ids, an id the dataset lacks (the first one is named, whatever
-    the model) and a model with no prediction for one of them, such as a
-    ``FreeTable`` for a held-out view, raise ``IndexMismatchError``."""
+    the model), ids whose images hold no observation row, and a model with
+    no prediction for one of them, such as a ``FreeTable`` for a held-out
+    view, raise ``IndexMismatchError``."""
     ids = list(image_ids) if image_ids is not None else sorted(dataset.observations)
     if not ids:
         raise IndexMismatchError("evaluate_coords needs at least one image id, got none")
     missing = [i for i in ids if i not in dataset.observations]
     if missing:
         raise IndexMismatchError(f"evaluate_coords: the dataset has no image {missing[0]}")
+    if not any(len(dataset.observations[i].point_ids) for i in ids):
+        raise IndexMismatchError(f"evaluate_coords: the {len(ids)} images hold no observation row")
     errs = []
     for image_id in ids:
         preds, _ = model.predict_image(dataset, image_id)

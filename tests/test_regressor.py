@@ -162,36 +162,10 @@ def test_params_the_state_was_not_built_for_are_refused_before_anything_changes(
     kept = [p.copy() for p in others]
     with pytest.raises(losses.DimensionMismatchError, match="differ in count or shape$"):
         adam_step(state, others, [np.ones(p.shape) for p in others])
-    assert state.step == 1 and state.zero == [False, True] and not any(state.pending)
+    assert state.step == 1 and state.zero == [False, True]
     for now, then in zip((params, state.m, state.v), before):
         assert_bit_equal(now, then)
     assert_bit_equal(others, kept)
-
-
-class TestRowGradient:
-    """A ``RowGradient`` stands for the dense array ``np.asarray`` gives."""
-
-    def test_dense_array_holds_the_values_at_the_offset(self):
-        g = RowGradient((4, 3), 3, np.array([[-0.0, 1.0, np.nan], [np.inf, 5e-324, 2.0]]))
-        dense = np.asarray(g)
-        expected = np.zeros((4, 3))
-        expected[1:3] = g.values
-        assert dense.shape == (4, 3) and dense.tobytes() == expected.tobytes()
-        assert np.signbit(dense[1, 0]) and not np.signbit(dense[3]).any()
-        assert np.count_nonzero(g) == 5  # what the benchmark's Adam counter reads
-        assert np.asarray(g, dtype=np.float32).dtype == np.float32
-
-    @pytest.mark.parametrize("offset, n", [(-1, 3), (10, 3), (0, 13), (13, 0)])
-    def test_values_outside_the_shape_are_refused(self, offset, n):
-        with pytest.raises(losses.DimensionMismatchError, match="do not fit shape"):
-            RowGradient((4, 3), offset, np.ones(n))
-
-    def test_adam_step_refuses_a_row_gradient_of_another_shape(self):
-        params = [np.zeros((4, 3))]
-        state = AdamState(params, 1e-4)
-        with pytest.raises(losses.DimensionMismatchError):
-            adam_step(state, params, [RowGradient((5, 3), 0, np.ones(3))])
-        assert state.step == 0
 
 
 class TestAdamStep:
@@ -487,7 +461,7 @@ class TestAdamNoneGradient:
         return [rng.choice(self.WARM, size=p.shape) for p in params]
 
     def warmed(self, params):
-        """A state whose moments went through ``WARM_STEPS`` eager steps of
+        """A state whose moments went through ``WARM_STEPS`` steps of
         ``WARM`` gradients: ``adam_step`` is the only way to special
         moments."""
         state = AdamState(params, 0.05)
@@ -571,11 +545,34 @@ class TestAdamNoneGradient:
         assert_bit_equal(state.v, v0)
 
 
-class TestAdamDeferredSweeps:
-    """Sweeps deferred by ``read`` give eager ``adam_step``'s bits: random
-    schedules of real, zero and ``None`` gradients, a new learning rate
+class TestRowGradient:
+    """A ``RowGradient`` stands for the dense array ``np.asarray`` gives, and
+    ``adam_step`` on one gives the bits of that array: random schedules of
+    real, zero, ``None`` and ``RowGradient`` gradients, a new learning rate
     every step, arrays of several sizes, and moments that start +0.0, NaN,
     +-inf, subnormal or ordinary."""
+
+    def test_dense_array_holds_the_values_at_the_offset(self):
+        g = RowGradient((4, 3), 3, np.array([[-0.0, 1.0, np.nan], [np.inf, 5e-324, 2.0]]))
+        dense = np.asarray(g)
+        expected = np.zeros((4, 3))
+        expected[1:3] = g.values
+        assert dense.shape == (4, 3) and dense.tobytes() == expected.tobytes()
+        assert np.signbit(dense[1, 0]) and not np.signbit(dense[3]).any()
+        assert np.count_nonzero(g) == 5  # what the benchmark's Adam counter reads
+        assert np.asarray(g, dtype=np.float32).dtype == np.float32
+
+    @pytest.mark.parametrize("offset, n", [(-1, 3), (10, 3), (0, 13), (13, 0)])
+    def test_values_outside_the_shape_are_refused(self, offset, n):
+        with pytest.raises(losses.DimensionMismatchError, match="do not fit shape"):
+            RowGradient((4, 3), offset, np.ones(n))
+
+    def test_adam_step_refuses_a_row_gradient_of_another_shape(self):
+        params = [np.zeros((4, 3))]
+        state = AdamState(params, 1e-4)
+        with pytest.raises(losses.DimensionMismatchError):
+            adam_step(state, params, [RowGradient((5, 3), 0, np.ones(3))])
+        assert state.step == 0
 
     SPECIAL = TestAdamNoneGradient.SPECIAL
     WARM = TestAdamNoneGradient.WARM
@@ -598,7 +595,7 @@ class TestAdamDeferredSweeps:
         return RowGradient(shape, lo * width, values)
 
     def start(self, seed):
-        """Parameters and a state after ``WARM_STEPS`` eager steps: arrays 0
+        """Parameters and a state after ``WARM_STEPS`` steps: arrays 0
         and 1 with +0.0 moments and their flags set, 2 with special moments,
         3 with the +0.0 moments of +-5e-324 gradients and its flag cleared,
         the others ordinary."""
@@ -618,12 +615,11 @@ class TestAdamDeferredSweeps:
         return params, state
 
     def schedule(self, seed):
-        """Per step: the learning rate, the gradients (some of them
-        ``RowGradient``) and the read set, the last one None so every array
-        settles."""
+        """Per step: the learning rate and the gradients, some of them
+        ``RowGradient``."""
         rng = np.random.default_rng([12, seed])
         steps = []
-        for t in range(self.STEPS):
+        for _ in range(self.STEPS):
             grads = []
             for shape in self.SHAPES:
                 kind = rng.random()
@@ -638,36 +634,28 @@ class TestAdamDeferredSweeps:
                 else:
                     g = None
                 grads.append(g)
-            picked = np.flatnonzero(rng.random(len(self.SHAPES)) < 0.3)
-            read = [list(picked), tuple(picked.tolist()), picked, set(picked.tolist())][t % 4]
-            steps.append((10.0 ** rng.uniform(-4, 0), grads, read))
-        steps[-1] = steps[-1][:2] + (None,)
+            steps.append((10.0 ** rng.uniform(-4, 0), grads))
         return steps
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_schedules_match_eager_steps(self, seed):
-        """Deferred steps on ``RowGradient`` inputs give the bits of eager
-        steps on the dense arrays they stand for."""
+    def test_random_schedules_give_the_bits_of_the_dense_arrays(self, seed):
+        """Steps on ``RowGradient`` inputs give the bits of steps on the
+        dense arrays they stand for, at every step."""
         mine, state = self.start(seed)
-        eager, eager_state = self.start(seed)
-        deferred = rows = 0
+        dense, dense_state = self.start(seed)
+        rows = 0
         with np.errstate(all="ignore"):
-            for lr, grads, read in self.schedule(seed):
-                state.lr = eager_state.lr = lr
-                adam_step(state, mine, grads, read)
-                dense = [np.asarray(g) if isinstance(g, RowGradient) else g for g in grads]
-                adam_step(eager_state, eager, dense)
+            for lr, grads in self.schedule(seed):
+                state.lr = dense_state.lr = lr
+                adam_step(state, mine, grads)
+                as_dense = [np.asarray(g) if isinstance(g, RowGradient) else g for g in grads]
+                adam_step(dense_state, dense, as_dense)
                 rows += sum(isinstance(g, RowGradient) for g in grads)
-                assert state.zero == eager_state.zero and state.step == eager_state.step
-                # what the caller said it reads is up to date
-                for i in range(len(mine)) if read is None else read:
-                    for a, b in ((mine, eager), (state.m, eager_state.m), (state.v, eager_state.v)):
-                        assert a[i].tobytes() == b[i].tobytes()
-                deferred = max(deferred, sum(map(len, state.pending)))
-        assert deferred > 5 and rows > 20 and not any(state.pending)
-        assert_bit_equal(mine, eager)
-        assert_bit_equal(state.m, eager_state.m)
-        assert_bit_equal(state.v, eager_state.v)
+                assert state.zero == dense_state.zero and state.step == dense_state.step
+                assert_bit_equal(mine, dense)
+                assert_bit_equal(state.m, dense_state.m)
+                assert_bit_equal(state.v, dense_state.v)
+        assert rows > 20
         # the special and +-5e-324 moments went through real sweeps
         assert state.zero[2:] == [False] * (len(self.SHAPES) - 2)
         assert np.isnan(state.v[2]).any()
@@ -675,7 +663,7 @@ class TestAdamDeferredSweeps:
     def edge_schedule(self, seed):
         """Per step: a learning rate, gradients that mix ``EDGE`` entries
         into ordinary ones, hold only zeros and subnormals, are a
-        ``RowGradient`` or are None, and a read set, the last one None."""
+        ``RowGradient`` or are None."""
         rng = np.random.default_rng([13, seed])
         steps = []
         for _ in range(self.STEPS):
@@ -693,73 +681,115 @@ class TestAdamDeferredSweeps:
                 else:
                     g = None
                 grads.append(g)
-            read = np.flatnonzero(rng.random(len(self.SHAPES)) < 0.3).tolist()
-            steps.append((10.0 ** rng.uniform(-4, 0), grads, read))
-        steps[-1] = steps[-1][:2] + (None,)
+            steps.append((10.0 ** rng.uniform(-4, 0), grads))
         return steps
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_moment_is_ever_negative_zero(self, seed):
-        """From fresh states, deferred and eager ``adam_step`` and the
-        allocating reference, which reads each ``RowGradient`` as its dense
-        array, agree bit for bit, and no zero moment of either state ever
-        has its sign bit set."""
+        """From fresh states, ``adam_step`` and the allocating reference,
+        which reads each ``RowGradient`` as its dense array, agree bit for
+        bit at every step, and no zero moment ever has its sign bit set."""
         start = [np.random.default_rng([14, seed]).normal(size=s) for s in self.SHAPES]
-        mine, eager, ref = ([p.copy() for p in start] for _ in range(3))
-        state, eager_state, ref_state = (AdamState(ps, 1e-4) for ps in (mine, eager, ref))
+        mine, ref = ([p.copy() for p in start] for _ in range(2))
+        state, ref_state = (AdamState(ps, 1e-4) for ps in (mine, ref))
         subnormal = False
         with np.errstate(all="ignore"):
-            for lr, grads, read in self.edge_schedule(seed):
-                state.lr = eager_state.lr = ref_state.lr = lr
-                adam_step(state, mine, grads, read)
-                adam_step(eager_state, eager, grads)
+            for lr, grads in self.edge_schedule(seed):
+                state.lr = ref_state.lr = lr
+                adam_step(state, mine, grads)
                 zeros = [
                     np.zeros(p.shape) if g is None else np.asarray(g) for p, g in zip(ref, grads)
                 ]
                 ref = reference_adam_step(ref_state, ref, zeros)
-                assert_bit_equal(eager, ref)
-                assert_bit_equal(eager_state.m, ref_state.m)
-                assert_bit_equal(eager_state.v, ref_state.v)
-                assert_no_negative_zero(state.m + state.v + eager_state.m + eager_state.v)
-                m = np.abs(np.concatenate([m.ravel() for m in eager_state.m]))
+                assert_bit_equal(mine, ref)
+                assert_bit_equal(state.m, ref_state.m)
+                assert_bit_equal(state.v, ref_state.v)
+                assert_no_negative_zero(state.m + state.v)
+                m = np.abs(np.concatenate([m.ravel() for m in state.m]))
                 subnormal |= bool(((m > 0) & (m < np.finfo(float).smallest_normal)).any())
-        assert subnormal and not any(state.pending)
-        assert_bit_equal(mine, eager)
-        assert_bit_equal(state.m, eager_state.m)
-        assert_bit_equal(state.v, eager_state.v)
+        assert subnormal
+
+    def good_call(self):
+        """Gradients that sweep every array of ``start``: ``RowGradient``s
+        on arrays 0 and 2, ones elsewhere."""
+        grads = [np.ones(s) for s in self.SHAPES]
+        grads[0] = RowGradient(self.SHAPES[0], 3, np.full((2, 3), 0.5))
+        grads[2] = RowGradient(self.SHAPES[2], 10, np.full((5, 1), -2.0))
+        return grads
 
     @pytest.mark.parametrize(
-        "read, bad",
+        "bad, error, message",
         [
-            ([0, 6], "6"),
-            ([-1], "-1"),
-            ([True], "True"),
-            ([np.True_], "np.True_"),
-            ([1.0], "1.0"),
-            ([2, 0.5], "0.5"),
-            (["0"], "'0'"),
-            ([None], "None"),
-            (np.array([0.0]), "np.float64(0.0)"),
-            (3, "3"),
+            # the bad entry sits after arrays that a lazy check would have swept
+            pytest.param(
+                lambda ps, gs: ([*ps[:-1], ps[-1].astype(np.float32)], gs),
+                ValueError, "must be C-contiguous float64$", id="float32-last-param",
+            ),
+            pytest.param(
+                lambda ps, gs: ([*ps[:-1], np.ones((70, 2))[:, 0]], gs),
+                ValueError, "must be C-contiguous float64$", id="strided-last-param",
+            ),
+            pytest.param(
+                lambda ps, gs: (ps[:-1], gs[:-1]),
+                losses.DimensionMismatchError, "differ in count or shape$", id="fewer-arrays",
+            ),
+            pytest.param(
+                lambda ps, gs: ([*ps, np.ones(3)], [*gs, np.ones(3)]),
+                losses.DimensionMismatchError, "differ in count or shape$", id="more-arrays",
+            ),
+            pytest.param(
+                lambda ps, gs: ([*ps[:-1], ps[-1].reshape(7, 10)], gs),
+                losses.DimensionMismatchError, "differ in count or shape$", id="reshaped-last-param",
+            ),
+            pytest.param(
+                lambda ps, gs: (ps, gs[:-1]),
+                losses.DimensionMismatchError, "differ in count or shape$", id="fewer-gradients",
+            ),
+            pytest.param(
+                lambda ps, gs: (ps, [*gs[:-1], np.ones(71)]),
+                losses.DimensionMismatchError, "differ in count or shape$", id="longer-last-gradient",
+            ),
+            pytest.param(
+                lambda ps, gs: (ps, [*gs[:-1], RowGradient((71,), 0, np.ones((3, 1)))]),
+                losses.DimensionMismatchError, "differ in count or shape$",
+                id="row-gradient-of-another-shape-last",
+            ),
+            pytest.param(
+                lambda ps, gs: (ps, [gs[0], RowGradient((2,), 0, np.ones((1, 1))), *gs[2:]]),
+                losses.DimensionMismatchError, "differ in count or shape$",
+                id="row-gradient-of-another-shape-on-a-skipped-array",
+            ),
+            pytest.param(
+                None, ConfigError, "^adam_step needs a learning rate finite", id="lr=nan",
+            ),
         ],
-        ids=lambda x: repr(x) if not isinstance(x, str) else f"names-{x}",
     )
-    def test_bad_read_set_is_refused_before_anything_changes(self, read, bad):
+    def test_bad_call_is_refused_before_anything_changes(self, bad, error, message):
+        """A refused call counts no step and changes no flag, parameter or
+        moment, wherever its bad entry sits, and the next good step gives
+        the bits of a state that never saw it."""
         params, state = self.start(0)
-        grads = [None] * len(params)
-        grads[0] = np.ones(self.SHAPES[0])
-        with np.errstate(all="ignore"):
-            adam_step(state, params, grads, read=[0])  # arrays 2-5 now have a pending step
+        clean, clean_state = self.start(0)
         before = [p.copy() for p in params], [m.copy() for m in state.m], [v.copy() for v in state.v]
-        flags, pending = list(state.zero), [list(q) for q in state.pending]
-        assert sum(map(len, pending)) == 4
-        with pytest.raises(ConfigError, match="^adam_step") as err:
-            adam_step(state, params, grads, read=read)
-        assert bad in str(err.value)
-        assert state.step == self.WARM_STEPS + 1
-        assert state.zero == flags and state.pending == pending
+        flags = list(state.zero)
+        if bad is None:
+            state.lr = math.nan
+            args = params, self.good_call()
+        else:
+            args = bad(params, self.good_call())
+        with pytest.raises(error, match=message):
+            adam_step(state, *args)
+        assert state.step == self.WARM_STEPS and state.zero == flags
         for now, then in zip((params, state.m, state.v), before):
             assert_bit_equal(now, then)
+        state.lr = clean_state.lr
+        with np.errstate(all="ignore"):
+            adam_step(state, params, self.good_call())
+            adam_step(clean_state, clean, self.good_call())
+        assert state.zero == clean_state.zero == [False] * len(self.SHAPES)
+        assert_bit_equal(params, clean)
+        assert_bit_equal(state.m, clean_state.m)
+        assert_bit_equal(state.v, clean_state.v)
 
 
 def test_lr_halves_at_each_boundary():
@@ -912,14 +942,16 @@ class TestFreeTable:
         with pytest.raises(losses.IndexMismatchError, match=f"image {image_id}"):
             table.predict_image(room, image_id)
 
-    def test_param_reads_of_an_image_without_rows_raises_naming_it(self, room):
-        # a bare KeyError, where predict_image named the image
+    def test_held_out_view_raises_naming_it(self, room):
         table = FreeTable(room)
         held_out = room.test_ids[0]
-        for ask in (table.param_reads, lambda i: table.predict_image(room, i)):
-            with pytest.raises(losses.IndexMismatchError) as err:
-                ask(held_out)
-            assert str(err.value) == f"FreeTable has no rows for image {held_out}"
+        with pytest.raises(losses.IndexMismatchError) as err:
+            table.predict_image(room, held_out)
+        assert str(err.value) == f"FreeTable has no rows for image {held_out}"
+
+    def test_room_whose_train_views_see_no_point_raises(self, pointless_room):
+        with pytest.raises(ConfigError, match="^FreeTable has no rows: no train view of the room"):
+            FreeTable(pointless_room)
 
     def test_gradient_buffer_holds_only_the_last_image(self, room):
         table = FreeTable(room)
@@ -965,6 +997,16 @@ class TestEvaluateCoords:
     def test_no_image_ids_raises(self, room):
         with pytest.raises(losses.IndexMismatchError, match="at least one image id"):
             evaluate_coords(GtLookup(), room, [])
+
+    def test_images_without_observation_rows_raise(self):
+        room = build_dataset(DatasetConfig(seed=0, n_points=3, n_images=8, min_visible=0))
+        assert [len(room.observations[i].point_ids) for i in (0, 1, 5)] == [0, 0, 1]
+        with pytest.raises(
+            losses.IndexMismatchError, match="^evaluate_coords: the 2 images hold no observation row$"
+        ):
+            evaluate_coords(GtLookup(), room, [0, 1])
+        # one row among the given images is enough
+        assert evaluate_coords(GtLookup(), room, [0, 1, 5]) == (0.0, 0.0)
 
     def test_median_and_mean_over_the_given_views(self, room):
         table = FreeTable(room, seed=4)
@@ -1040,10 +1082,6 @@ class TestFreeTableRuns:
         (held,) = [g for g in grads if g is not None]
         assert np.asarray(held).dtype == np.float64 and np.asarray(held).flags.c_contiguous
         kept = np.asarray(held).copy()
-        # the run Adam must bring up to date before the image is predicted
-        assert table.param_reads(image_id) == tuple(
-            k for k, g in enumerate(grads) if g is not None
-        )
         # the next image's gradient holds that image only, and leaves the
         # gradient returned before it as it was
         preds_b, ctx_b = table.predict_image(room, room.train_ids[0])
@@ -1068,7 +1106,6 @@ class TestFreeTableRuns:
         monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
         table = FreeTable(sparse_room)
         for image_id in (0, 6, 10):
-            assert table.param_reads(image_id) == ()
             preds, ctx = table.predict_image(sparse_room, image_id)
             assert preds.shape == (0, 3)
             grads = table.grads_for_image(ctx, np.zeros((0, 3)))
@@ -1101,10 +1138,9 @@ class TestFreeTableRuns:
         assert len(self.check_runs(model, sparse_room)) == n_runs
 
 
-def _reference_in_place(state, params, grads, read=None):
+def _reference_in_place(state, params, grads):
     """The reference Adam, in place, with each ``None`` gradient turned into
-    +0.0 zeros and every other one read through ``np.asarray``; eager, so it
-    ignores ``read``."""
+    +0.0 zeros and every other one read through ``np.asarray``."""
     grads = [np.zeros(p.shape) if g is None else np.asarray(g) for p, g in zip(params, grads)]
     for p, new in zip(params, reference_adam_step(state, params, grads)):
         p[...] = new
@@ -1121,12 +1157,21 @@ def test_train_with_skipped_runs_matches_the_reference_adam(request, monkeypatch
         patch.setattr(regressor, "adam_step", _reference_in_place)
         ref_model, ref_log = train(room, "free_table", cfg)
     monkeypatch.setattr(regressor, "ADAM_BLOCK", block)
-    steps, deferred, states = [], [], []
+    steps, states, lockstep = [], [], []
 
-    def spy(state, params, grads, read=None):
-        adam_step(state, params, grads, read)
+    def spy(state, params, grads):
+        if not lockstep:  # the reference Adam, from the same start
+            ref_params = [p.copy() for p in params]
+            lockstep.extend((ref_params, AdamState(ref_params, state.lr)))
+        ref_params, ref_state = lockstep
+        ref_state.lr = state.lr
+        adam_step(state, params, grads)
+        _reference_in_place(ref_state, ref_params, grads)
+        # every run, drawn or not, is current after every step
+        assert_bit_equal(params, ref_params)
+        assert_bit_equal(state.m, ref_state.m)
+        assert_bit_equal(state.v, ref_state.v)
         steps.append(list(state.zero))
-        deferred.append(sum(map(len, state.pending)))
         states.append(state)
 
     monkeypatch.setattr(regressor, "adam_step", spy)
@@ -1140,12 +1185,22 @@ def test_train_with_skipped_runs_matches_the_reference_adam(request, monkeypatch
     n_runs = len(model.param_list())
     assert n_runs > 2 and sum(steps[0]) == n_runs - 1
     assert all(a >= b for before, after in zip(steps, steps[1:]) for a, b in zip(before, after))
-    # sweeps were deferred during the run, and none is pending once it returns
-    assert len({id(s) for s in states}) == 1
-    assert max(deferred) > 0 and not any(states[-1].pending)
-    # a record reads every row, so nothing is pending after its step
-    records = range(cfg.checkpoint_every - 1, cfg.iterations, cfg.checkpoint_every)
-    assert [deferred[t] for t in records] == [0] * len(records)
+    assert len(steps) == cfg.iterations and len({id(s) for s in states}) == 1
+
+
+@pytest.fixture(scope="module")
+def pointless_room():
+    """A room in which no view sees a point."""
+    room = build_dataset(DatasetConfig(seed=0, n_points=1, n_images=8, min_visible=0))
+    assert len(room.train_ids) == 6
+    assert not any(len(obs.point_ids) for obs in room.observations.values())
+    return room
+
+
+@pytest.mark.parametrize("kind", ["free_table", "patch_mlp"])
+def test_room_whose_train_views_see_no_point_raises_config_error(pointless_room, kind):
+    with pytest.raises(ConfigError, match="^the room's 6 train views see no point to train on$"):
+        train(pointless_room, kind, TrainConfig(iterations=5))
 
 
 @pytest.mark.parametrize("kind", ["free_table", "patch_mlp"])
