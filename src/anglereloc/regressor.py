@@ -7,9 +7,13 @@ coordinates through a small tanh network, and ``FreeTable`` gives every
 each loss from any appearance coupling. Training is plain Adam with the
 fixed betas ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` (only the
 learning rate is set, finite and > 0), one image per iteration, fully
-deterministic given the config seed. ``adam_step`` uses Kingma & Ba's
-efficient form: both bias corrections fold into a per-step learning rate
-and epsilon, so each element costs one divide and one sqrt.
+deterministic given the config seed. A run opens three random streams, each
+once: ``[seed, 11]`` draws the image order, ``[seed, 12]`` the model's
+initial values and ``[seed, 13]`` every neighbor view of ``angle-multi`` and
+``angle-photo``. Their tags lie apart from the room's (``scenegen``'s 1-5),
+so a room and a run of equal seeds share no stream. ``adam_step`` uses Kingma
+& Ba's efficient form: both bias corrections fold into a per-step learning
+rate and epsilon, so each element costs one divide and one sqrt.
 
 Each model's parameters are a few contiguous float64 arrays (one flat
 vector for ``PatchMLP``, views of the coordinate table cut between images
@@ -95,16 +99,12 @@ class PatchMLP:
         integers > 0 ending in 3, or for ``params`` that are not the
         ``param_count(layer_sizes)`` values of such a network."""
         sizes = tuple(layer_sizes)
-        if not (len(sizes) > 1 and sizes[-1] == 3 and all(is_count(n, 1) for n in sizes)):
-            raise DimensionMismatchError(
-                f"layer sizes {sizes} are not integers > 0 from an input to 3 outputs"
-            )
+        n = param_count(sizes)
         self.layer_sizes = sizes
         self.params = np.array(params, dtype=np.float64)
-        if self.params.shape != (param_count(sizes),):
+        if self.params.shape != (n,):
             raise DimensionMismatchError(
-                f"params of shape {self.params.shape} are not the "
-                f"{param_count(sizes)} values of layer sizes {sizes}"
+                f"params of shape {self.params.shape} are not the {n} values of layer sizes {sizes}"
             )
         # (start, stop, shape) of W0, b0, W1, b1, ... in the flat vector
         self._layout, stop = [], 0
@@ -173,9 +173,7 @@ class PatchMLP:
         return [self.params]
 
     def predict_image(self, dataset, image_id):
-        obs = dataset.observations[image_id]
-        y, acts = self.forward_cached(obs.descriptors)
-        return y, acts
+        return self.forward_cached(_observations(dataset, image_id).descriptors)
 
     def grads_for_image(self, ctx, dl_dy):
         return self.backward(ctx, dl_dy)
@@ -184,8 +182,14 @@ class PatchMLP:
 def param_count(layer_sizes):
     """The number of values in the ``params`` of a ``PatchMLP`` of
     ``layer_sizes``: a weight per pair of units in consecutive layers and a
-    bias per unit after the input."""
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
+    bias per unit after the input. Sizes that are not integers > 0 from an
+    input to 3 outputs raise ``DimensionMismatchError`` naming them."""
+    sizes = tuple(layer_sizes)
+    if not (len(sizes) > 1 and sizes[-1] == 3 and all(is_count(n, 1) for n in sizes)):
+        raise DimensionMismatchError(
+            f"layer sizes {sizes} are not integers > 0 from an input to 3 outputs"
+        )
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
 
 
 class FreeTable:
@@ -301,7 +305,14 @@ class GtLookup:
     """Oracle pseudo-model: predicts the recorded ground-truth coordinate."""
 
     def predict_image(self, dataset, image_id):
-        return dataset.observations[image_id].gt_coords.copy(), None
+        return _observations(dataset, image_id).gt_coords.copy(), None
+
+
+def _observations(dataset, image_id):
+    """The image's observations; ``IndexMismatchError`` if the dataset lacks it."""
+    if image_id not in dataset.observations:
+        raise IndexMismatchError(f"the dataset has no image {image_id}")
+    return dataset.observations[image_id]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +609,7 @@ def _photo_setup(dataset, train_ids):
 def train(dataset, model_kind: str, cfg: TrainConfig):
     """Optimize a model on the dataset's training views under ``cfg.mode``.
 
-    One training image per iteration (drawn uniformly with the config seed),
+    One training image per iteration (drawn uniformly from the ``[seed, 11]`` stream),
     per-point gradients from the current phase's loss accumulated into the
     model by Adam. ``schedule_at`` gives each iteration's loss, from the
     phases in the mode's row of ``MODES``, and its learning rate. Each loss
@@ -610,7 +621,9 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     iterations with a non-finite loss or gradient, the median 3D coordinate
     error over the training views, and wall time.
     ``angle-multi`` and ``angle-photo`` draw their neighbor views from the
-    train views only, so no held-out view's pose or pixels enter training.
+    train views only, so no held-out view's pose or pixels enter training,
+    and from one ``[seed, 13]`` stream opened before the loop; the model's
+    initial values come from ``[seed, 12]``.
     A room without train views, or whose train views see no point, raises
     ``ConfigError`` before any model is built.
     A run with an ``angle-photo`` phase samples every train view's
@@ -639,6 +652,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     order_rng = np.random.default_rng([cfg.seed, 11])
     drawn = order_rng.integers(0, len(train_ids), size=cfg.iterations)
     order = [train_ids[i] for i in drawn.tolist()]  # each iteration's image id
+    neighbor_rng = np.random.default_rng([cfg.seed, 13])
     multiview = (
         build_multiview_index(
             poses, {i: observations[i] for i in train_ids}, dataset.covis.corresponded
@@ -650,27 +664,25 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         _photo_setup(dataset, train_ids) if "angle-photo" in used else ({}, {})
     )
 
-    # One loss per loss name, each mapping (iteration, image id, predictions) to
-    # the image's LossReport. The kernels are looked up as module globals on
+    # One loss per loss name, each mapping (image id, predictions) to the
+    # image's LossReport. The kernels are looked up as module globals on
     # every call, so wrappers installed on them see every call.
-    def reproj(t, image_id, preds):
+    def reproj(image_id, preds):
         return reproj_terms(intr, poses[image_id], preds, observations[image_id].pixels)
 
-    def angle(t, image_id, preds):
+    def angle(image_id, preds):
         pixels = observations[image_id].pixels
         return angle_terms(intr, poses[image_id], preds, pixels, cfg.loss.epsilon_norm)
 
-    def angle_multi(t, image_id, preds):
-        rng = np.random.default_rng([cfg.seed, t, image_id])
-        return multiview_image_loss(intr, multiview, image_id, preds, cfg.loss, rng=rng)
+    def angle_multi(image_id, preds):
+        return multiview_image_loss(intr, multiview, image_id, preds, cfg.loss, rng=neighbor_rng)
 
-    def angle_photo(t, image_id, preds):
-        rep = angle(t, image_id, preds)
+    def angle_photo(image_id, preds):
+        rep = angle(image_id, preds)
         cands = photo_neighbors[image_id]
         if not cands:
             return rep
-        nb_rng = np.random.default_rng([cfg.seed, t, image_id])
-        j = cands[int(nb_rng.integers(len(cands)))]
+        j = cands[int(neighbor_rng.integers(len(cands)))]
         photo = photometric_image_loss(
             intr, poses[j], preds, photo_targets[image_id], dataset.images[j].data, cfg.loss
         )
@@ -681,7 +693,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
             valid_mask=photo.valid_mask,
         )
 
-    def const_depth(t, image_id, preds):
+    def const_depth(image_id, preds):
         """Regress onto targets at depth ``cfg.const_depth``."""
         pose = poses[image_id]
         targets = constant_depth_targets(intr, pose, observations[image_id], cfg.const_depth)
@@ -704,7 +716,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     for t, image_id in enumerate(order):
         name, adam.lr = schedule_at(cfg, t)
         preds, ctx = model.predict_image(dataset, image_id)
-        rep = image_losses[name](t, image_id, preds)
+        rep = image_losses[name](image_id, preds)
         nonfinite_events += int(rep.nonfinite)
         if rep.valid_mask is not None:
             photo_valid += int(np.count_nonzero(rep.valid_mask))
