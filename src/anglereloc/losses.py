@@ -23,18 +23,21 @@ losses do no per-point Python work either. At ~35 rows a call costs its
 count of numpy calls, not its arithmetic, so the hot paths keep that count
 low without changing a bit; their scalars are Python floats (``2.0``, not
 ``2``), which give the same bits without converting an int on every call.
-``angle_terms`` maps the predictions into the camera frame and the pixels
-to rays, and hands both to ``_angle_kernel``, which works in the camera
-frame alone: values and ``dL/dD``, with the guard's masked steps run only
-when some row needs them. ``angle_terms``
-then rotates ``dL/dD`` to the world frame once; a pose solver can call the
-kernel on its own camera-frame points.
+The observed rays of an image's pixels, and their norms, are fixed for a
+training run: ``observed_rays`` builds them once as ``ObservedRays``, and
+``angle_terms`` takes either those or pixel rows, which it turns into rays
+on each call. It maps the predictions into the camera frame and hands them
+and the rays to ``_angle_kernel``, which works in the camera frame alone:
+values and ``dL/dD``, with the guard's masked steps run only when some row
+needs them. ``angle_terms`` then rotates ``dL/dD`` to the world frame once;
+a pose solver can call the kernel on its own camera-frame points.
 ``multiview_image_loss`` reads a ``MultiviewIndex`` that
 ``build_multiview_index`` makes once per training run from the observations
 alone, in whole-array passes: per observation row, a CSR list (one flat
 entry array plus per-row offsets into it) of the other images' rows that
-observe the same point, with their pixels, and the poses stacked by image;
-per image, the rows that have entries, with their first entry and count.
+observe the same point, with their pixels, rays and ray norms, and the
+poses stacked by image; per image, the rows' own ``ObservedRays`` and the
+rows that have entries, with their first entry and count.
 Each call draws every corresponded row's neighbor with one ``rng.integers``
 call in row order and evaluates the drawn pairs in one ``angle_terms``
 pass, after the image's own rows in another. ``photometric_image_loss``
@@ -48,6 +51,8 @@ two extreme offsets, and samples that image in one
 is all inside the image, so the sampler takes its path without clamps or
 masks. ``reproj_terms`` and ``photometric_image_loss`` share one
 projection and one chain rule through it (``_project``, ``_project_grads``).
+``_project`` silences its own warnings and each loss silences the chain
+rule's, ``reproj_terms`` in one ``np.errstate`` around all its arithmetic.
 """
 
 from __future__ import annotations
@@ -289,7 +294,8 @@ def _angles_between(D, rays, norms_D, norms_d):
 
 def _project(intr: CameraIntrinsics, D):
     """Pixels ``f * (Dx, Dy) / Dz + (cx, cy)`` of (N, 3) camera-frame points;
-    non-finite where ``Dz`` is 0 or the quotient overflows, never clamped."""
+    non-finite where ``Dz`` is 0 or the quotient overflows, never clamped,
+    and without a warning."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return intr.f * D[:, :2] / D[:, 2:] + np.array([intr.cx, intr.cy])
 
@@ -300,15 +306,15 @@ def _project_grads(intr: CameraIntrinsics, R, D, dl_dq):
     pixels: the columns of the 2x3 Jacobian dq/dD are (gx, 0), (0, gx) and
     -(gx / Dz) (Dx, Dy), with gx = f / Dz. That overflows to inf for a
     subnormal ``Dz`` whose projection is finite, and the rotation then
-    multiplies inf by 0: both give non-finite gradients, not warnings."""
+    multiplies inf by 0: both give non-finite gradients, and the caller
+    silences the warnings (``divide``, ``invalid``, ``over``) around it."""
     z = D[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gx = intr.f / z
-        grad_D = np.empty_like(D)
-        grad_D[:, 0] = gx * dl_dq[:, 0]
-        grad_D[:, 1] = gx * dl_dq[:, 1]
-        grad_D[:, 2] = -gx / z * (D[:, 0] * dl_dq[:, 0] + D[:, 1] * dl_dq[:, 1])
-        return grad_D @ R.T
+    gx = intr.f / z
+    grad_D = np.empty_like(D)
+    grad_D[:, 0] = gx * dl_dq[:, 0]
+    grad_D[:, 1] = gx * dl_dq[:, 1]
+    grad_D[:, 2] = -gx / z * (D[:, 0] * dl_dq[:, 0] + D[:, 1] * dl_dq[:, 1])
+    return grad_D @ R.T
 
 
 def _aligned(coords, n_rows):
@@ -344,18 +350,18 @@ def reproj_terms(intr: CameraIntrinsics, pose: PoseSE3, preds, pixels):
     pixels = _pixel_rows(pixels)
     preds = _aligned(preds, len(pixels))
     D = pose.world_to_camera(preds)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = _project(intr, D) - pixels
         values = np.linalg.norm(r, axis=1)
         rhat = np.where(values[:, None] > 0, r / values[:, None], 0.0)
-    grads = _project_grads(intr, pose.rotation, D, rhat)
+        grads = _project_grads(intr, pose.rotation, D, rhat)
     return LossReport(values, grads, D, ray_vectors(intr, pixels))
 
 
-def _angle_kernel(D, rays, eps_norm):
+def _angle_kernel(D, rays, norms_d, eps_norm):
     """The angle loss in the camera frame: per-row values and gradients
     ``dL/dD`` of (N, 3) camera-frame points ``D`` against their (N, 3) ray
-    vectors.
+    vectors, whose norms ``norms_d`` the caller holds.
 
     With ``s = |ray| / max(|D|, eps_norm)`` and ``g = s D - ray``, a row's
     value is ``|g|`` and its gradient ``s ghat - |ray| (D . ghat) D / |D|^3``
@@ -364,21 +370,25 @@ def _angle_kernel(D, rays, eps_norm):
     center, where ``1/|D|`` is held constant, drops the second term. The
     masked steps that handle them cost several times the plain ones on ~35
     rows, so they run only when some row needs them; either way every other
-    row gets the same bits.
+    row gets the same bits. A batch of plain rows with finite ``|g|``
+    divides without warnings, so only a batch with some other row enters
+    ``np.errstate`` for ``g / |g|``.
     """
     norms_D_raw = row_norms(D)
-    norms_d = row_norms(rays)
     norms_D = np.maximum(norms_D_raw, eps_norm)
     scale = (norms_d / norms_D)[:, None]
     g = scale * D
     g -= rays
     values = row_norms(g)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ghat = g / values[:, None]
-    has_dir = values > 0
+    has_dir = values > 0.0
     free = norms_D_raw > eps_norm
-    plain = np.count_nonzero(has_dir & free) == len(values)
-    if not plain:
+    # an infinite |g| (from an infinite or huge ray) would divide inf by inf
+    plain = np.count_nonzero(has_dir & free & np.isfinite(values)) == len(values)
+    if plain:
+        ghat = g / values[:, None]
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ghat = g / values[:, None]
         ghat[~has_dir] = 0.0
     grad_D = scale * ghat
     coef = norms_d * _row_dots(D, ghat)
@@ -392,8 +402,37 @@ def _angle_kernel(D, rays, eps_norm):
     return values, grad_D
 
 
+class ObservedRays:
+    """The observed rays of N pixel rows and their norms: what the angle
+    loss compares predictions with. Both are fixed for a training run, so
+    ``observed_rays`` builds them once per view and every loss call reads
+    them. ``vectors`` is (N, 3), ``norms`` (N,), and both are made read-only
+    here; ``len()`` is N."""
+
+    __slots__ = ("vectors", "norms")
+
+    def __init__(self, vectors, norms):
+        vectors.setflags(write=False)
+        norms.setflags(write=False)
+        self.vectors, self.norms = vectors, norms
+
+    def __len__(self):
+        return len(self.norms)
+
+
+def observed_rays(intr: CameraIntrinsics, pixels) -> ObservedRays:
+    """The rays through (N, 2) pixel rows (``ray_vectors``) and their norms;
+    pixels that are not (N, 2) rows raise ``DimensionMismatchError``."""
+    rays = ray_vectors(intr, _pixel_rows(pixels))
+    return ObservedRays(rays, row_norms(rays))
+
+
 def angle_terms(
-    intr: CameraIntrinsics, pose: PoseSE3, preds, pixels, eps_norm: float = LossConfig.epsilon_norm
+    intr: CameraIntrinsics,
+    pose: PoseSE3,
+    preds,
+    observed,
+    eps_norm: float = LossConfig.epsilon_norm,
 ):
     """Angle-based reprojection loss per point.
 
@@ -401,27 +440,30 @@ def angle_terms(
     the camera center and compared to the observed ray vector, so the value
     equals the chord ``2 |ray| sin(theta / 2)``. Bounded by ``2 |ray|``, and
     with the ``eps_norm`` guard its gradient stays finite all the way to the
-    camera center. Returns a ``LossReport`` over the batch. An ``eps_norm``
-    that is not finite and > 0 raises ``ConfigError``, pixels that are not
-    (N, 2) rows ``DimensionMismatchError``, and ``preds`` other than one
-    (N, 3) row per pixel row ``IndexMismatchError``.
+    camera center. Returns a ``LossReport`` over the batch, whose ``rays``
+    are the read-only observed rays. ``observed`` is either (N, 2) pixel
+    rows or their ``ObservedRays``; pixel rows go through ``observed_rays``
+    first, so both give the same bits. An ``eps_norm`` that is not finite
+    and > 0 raises ``ConfigError``, pixels that are not (N, 2) rows
+    ``DimensionMismatchError``, and ``preds`` other than one (N, 3) row per
+    observed row ``IndexMismatchError``.
 
-    The predictions go into the camera frame and the pixels become rays;
-    ``_angle_kernel`` does the rest there, and its ``dL/dD`` is rotated back
-    to the world frame once.
+    The predictions go into the camera frame; ``_angle_kernel`` does the
+    rest there, and its ``dL/dD`` is rotated back to the world frame once.
     """
     POSITIVE.check("eps_norm", eps_norm)
-    pixels = _pixel_rows(pixels)
-    D = pose.world_to_camera(_aligned(preds, len(pixels)))
-    rays = ray_vectors(intr, pixels)
-    values, grad_D = _angle_kernel(D, rays, eps_norm)
-    return LossReport(values, grad_D @ pose.rotation.T, D, rays)
+    if not isinstance(observed, ObservedRays):
+        observed = observed_rays(intr, observed)
+    D = pose.world_to_camera(_aligned(preds, len(observed)))
+    values, grad_D = _angle_kernel(D, observed.vectors, observed.norms, eps_norm)
+    return LossReport(values, grad_D @ pose.rotation.T, D, observed.vectors)
 
 
 class _ImageRows(NamedTuple):
     """One image's observation rows in a ``MultiviewIndex``."""
 
     pixels: np.ndarray
+    rays: ObservedRays  # the rows' observed rays in the image's own camera
     # (N + 1,) offsets into the index's flat entry arrays: the other rows
     # observing row r's point are entries offsets[r] .. offsets[r + 1] - 1
     offsets: np.ndarray
@@ -432,11 +474,11 @@ class _ImageRows(NamedTuple):
     drawn_counts: np.ndarray
 
     @classmethod
-    def of(cls, pixels, offsets):
+    def of(cls, pixels, rays, offsets):
         counts = np.diff(offsets)
         rows = np.flatnonzero(counts)
         rows.setflags(write=False)  # draw hands it out as is
-        return cls(pixels, offsets, rows, offsets[rows], counts[rows])
+        return cls(pixels, rays, offsets, rows, offsets[rows], counts[rows])
 
 
 @dataclass(frozen=True)
@@ -447,8 +489,10 @@ class MultiviewIndex:
     rows of the other images that observe the same point, when that point is
     corresponded, in ascending image order and then row order. An image
     that observes the point twice has two entries. Each entry of the flat
-    arrays holds the other image's position in ``image_ids`` and the pixel
-    of that row; poses are stacked by that position. Built once by
+    arrays holds the other image's position in ``image_ids``, the pixel of
+    that row and its observed ray and ray norm in that image's camera; poses
+    are stacked by that position. Each image's rows also hold their own
+    ``ObservedRays``, so a training run builds every ray once. Built once by
     ``build_multiview_index`` and read-only after.
     """
 
@@ -459,6 +503,8 @@ class MultiviewIndex:
     images: dict  # image id -> _ImageRows
     other_pos: np.ndarray  # (E,) position of each entry's other image
     other_pixels: np.ndarray  # (E, 2) the point's pixel in that image
+    other_rays: np.ndarray  # (E, 3) the ray through that pixel
+    other_norms: np.ndarray  # (E,) its norm
 
     def rows_of(self, image_id) -> _ImageRows:
         """``image_id``'s rows; ``IndexMismatchError`` if the index lacks it."""
@@ -476,9 +522,12 @@ class MultiviewIndex:
         return own.drawn_rows, own.drawn_first + rng.integers(own.drawn_counts)
 
 
-def build_multiview_index(poses, observations_by_image, corresponded) -> MultiviewIndex:
+def build_multiview_index(
+    intr: CameraIntrinsics, poses, observations_by_image, corresponded
+) -> MultiviewIndex:
     """Index the co-visibility of every observation row for the multi-view
-    loss, read from the observations themselves.
+    loss, read from the observations themselves, with every row's observed
+    ray under ``intr``, built in one pass.
 
     ``poses`` and ``observations_by_image`` are mappings keyed by image id;
     only the given images are indexed, so a row's entries never point at an
@@ -503,7 +552,7 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
     poses = {i: poses[i] for i in image_ids.tolist()}
     obs = [observations_by_image[i] for i in image_ids.tolist()]
     point_ids = [np.asarray(o.point_ids, dtype=np.int64) for o in obs]
-    pixels = [np.asarray(o.pixels, dtype=np.float64) for o in obs]
+    pixels = [_pixel_rows(o.pixels) for o in obs]
     sizes = [len(ids) for ids in point_ids]
     rows = np.concatenate([np.empty(0, np.int64), *point_ids])
     image_of_row = np.repeat(np.arange(len(obs)), sizes)
@@ -521,6 +570,8 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
     source = source[other]
     offsets = np.concatenate([[0], np.cumsum(np.bincount(owner[other], minlength=len(rows)))])
     bounds = np.cumsum([0, *sizes]).tolist()
+    all_pixels = np.concatenate([np.empty((0, 2)), *pixels])
+    rays = observed_rays(intr, all_pixels)
 
     return MultiviewIndex(
         image_ids=image_ids,
@@ -528,11 +579,15 @@ def build_multiview_index(poses, observations_by_image, corresponded) -> Multivi
         translations=np.array([p.translation for p in poses.values()]).reshape(-1, 3),
         poses=poses,
         images={
-            i: _ImageRows.of(pix, offsets[b : e + 1])
+            i: _ImageRows.of(
+                pix, ObservedRays(rays.vectors[b:e], rays.norms[b:e]), offsets[b : e + 1]
+            )
             for i, pix, b, e in zip(image_ids.tolist(), pixels, bounds, bounds[1:])
         },
         other_pos=image_of_row[source],
-        other_pixels=np.concatenate([np.empty((0, 2)), *pixels])[source],
+        other_pixels=all_pixels[source],
+        other_rays=rays.vectors[source],
+        other_norms=rays.norms[source],
     )
 
 
@@ -567,22 +622,23 @@ def multiview_image_loss(
     ``index`` comes from ``build_multiview_index``, built once per training
     run. Neighbors are drawn by ``index.draw``: one ``rng.integers`` call
     over the corresponded rows in observation order. The loss is two
-    ``angle_terms`` passes: the image's own rows under its pose, and every
-    drawn (row, neighbor) pair at once in the neighbors' camera frames, with
-    the per-row poses gathered from the index. With no correspondences this
-    reduces exactly to ``angle_terms`` under the image's pose.
+    ``angle_terms`` passes: the image's own rows under its pose, against
+    their ``ObservedRays`` in the index, and every drawn (row, neighbor)
+    pair at once in the neighbors' camera frames, with the per-row poses,
+    rays and ray norms gathered from the index; no call builds a ray. With
+    no correspondences this reduces exactly to ``angle_terms`` under the
+    image's pose.
     """
     own = index.rows_of(image_id)
-    coords = _aligned(coords, len(own.pixels))
-    rep = angle_terms(intr, index.poses[image_id], coords, own.pixels, cfg.epsilon_norm)
+    coords = _aligned(coords, len(own.rays))
+    rep = angle_terms(intr, index.poses[image_id], coords, own.rays, cfg.epsilon_norm)
     rows, entries = index.draw(image_id, rng)
     if len(rows):
         pos = index.other_pos[entries]
         R = index.rotations[pos]
         D = np.einsum("ni,nij->nj", coords[rows] - index.translations[pos], R)
-        other = angle_terms(
-            intr, _CAMERA_FRAME, D, index.other_pixels[entries], cfg.epsilon_norm
-        )
+        rays = ObservedRays(index.other_rays[entries], index.other_norms[entries])
+        other = angle_terms(intr, _CAMERA_FRAME, D, rays, cfg.epsilon_norm)
         lam = cfg.lambda_multiview
         rep.values[rows] = rep.values[rows] * lam + lam * other.values
         rep.grads[rows] = rep.grads[rows] * lam + lam * np.einsum("nj,nij->ni", other.grads, R)
@@ -710,9 +766,10 @@ class PhotoTarget:
 
 def photo_target(observations_i, img_i) -> PhotoTarget:
     """Sample ``img_i``'s 3x3 windows around every observed pixel, in one
-    ``bilinear_values_and_grads`` call, and their SSIM statistics."""
+    ``bilinear_values_and_grads`` call, and their SSIM statistics. Pixels
+    that are not (N, 2) rows raise ``DimensionMismatchError``."""
     img_i = _as_gray(img_i)
-    pixels = np.asarray(observations_i.pixels, dtype=np.float64)
+    pixels = _pixel_rows(observations_i.pixels)
     windows, _, ok = bilinear_values_and_grads(img_i, _window_samples(pixels))
     windows = windows.reshape(-1, 9)
     mean = _window_means(windows)
@@ -799,7 +856,8 @@ def photometric_image_loss(
     dl_da[:, _PATCH_CENTER] += (1.0 - alpha) * np.sign(diff)
     dl_dq = np.einsum("mk,mkc->mc", dl_da, rec_grads.reshape(-1, 9, 2))
     grads = np.zeros((n, 3))
-    grads[ok] = _project_grads(intr, pose_j.rotation, D.take(ok, axis=0), dl_dq)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grads[ok] = _project_grads(intr, pose_j.rotation, D.take(ok, axis=0), dl_dq)
     return LossReport(values, grads, D, None, valid)
 
 

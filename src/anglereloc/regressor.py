@@ -63,6 +63,7 @@ from anglereloc.losses import (  # ConfigError is re-exported here
     config_from_json,
     is_count,
     multiview_image_loss,
+    observed_rays,
     photo_target,
     photometric_image_loss,
     reproj_terms,
@@ -626,6 +627,10 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     initial values come from ``[seed, 12]``.
     A room without train views, or whose train views see no point, raises
     ``ConfigError`` before any model is built.
+    The observed rays of every train view are built once, before the loop:
+    as ``ObservedRays`` per view for an ``angle`` or ``angle-photo`` phase,
+    and inside the multi-view index for ``angle-multi``, so no step builds
+    a ray of the angle loss.
     A run with an ``angle-photo`` phase samples every train view's
     photometric target once, before the loop, and warns with
     ``PhotometricInactiveWarning`` when no photometric point was valid in
@@ -655,10 +660,15 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
     neighbor_rng = np.random.default_rng([cfg.seed, 13])
     multiview = (
         build_multiview_index(
-            poses, {i: observations[i] for i in train_ids}, dataset.covis.corresponded
+            intr, poses, {i: observations[i] for i in train_ids}, dataset.covis.corresponded
         )
         if "angle-multi" in used
         else None
+    )
+    rays = (
+        {i: observed_rays(intr, observations[i].pixels) for i in train_ids}
+        if used & {"angle", "angle-photo"}
+        else {}
     )
     photo_targets, photo_neighbors = (
         _photo_setup(dataset, train_ids) if "angle-photo" in used else ({}, {})
@@ -671,8 +681,7 @@ def train(dataset, model_kind: str, cfg: TrainConfig):
         return reproj_terms(intr, poses[image_id], preds, observations[image_id].pixels)
 
     def angle(image_id, preds):
-        pixels = observations[image_id].pixels
-        return angle_terms(intr, poses[image_id], preds, pixels, cfg.loss.epsilon_norm)
+        return angle_terms(intr, poses[image_id], preds, rays[image_id], cfg.loss.epsilon_norm)
 
     def angle_multi(image_id, preds):
         return multiview_image_loss(intr, multiview, image_id, preds, cfg.loss, rng=neighbor_rng)

@@ -29,13 +29,16 @@ from anglereloc.losses import (
     DimensionMismatchError,
     LossConfig,
     LossReport,
+    ObservedRays,
     angle_terms,
     bilinear_values_and_grads,
     build_multiview_index,
     multiview_image_loss,
+    observed_rays,
     photo_target,
     photometric_image_loss,
     reproj_terms,
+    row_norms,
 )
 from anglereloc import losses
 from anglereloc.scenegen import DatasetConfig, build_covis, build_dataset
@@ -378,7 +381,7 @@ class TestImageLoss:
             else:
                 # a LossConfig refuses the value, so a stand-in carries it
                 cfg = SimpleNamespace(epsilon_norm=bad, lambda_multiview=1.0)
-                index = build_multiview_index({0: pose}, {0: obs}, np.arange(4))
+                index = build_multiview_index(intr, {0: pose}, {0: obs}, np.arange(4))
                 multiview_image_loss(intr, index, 0, coords, cfg, rng=rng)
 
 
@@ -511,7 +514,7 @@ class TestMultiviewLoss:
         preds = rng.uniform(-5, 5, size=(8, 3))
         multi = multiview_image_loss(
             intr,
-            build_multiview_index(poses, obs_by_img, corresponded),
+            build_multiview_index(intr, poses, obs_by_img, corresponded),
             0,
             preds,
             rng=np.random.default_rng(3),
@@ -526,7 +529,7 @@ class TestMultiviewLoss:
         )
         rep = multiview_image_loss(
             intr,
-            build_multiview_index(poses, obs_by_img, corresponded),
+            build_multiview_index(intr, poses, obs_by_img, corresponded),
             0,
             coords,
             rng=np.random.default_rng(3),
@@ -541,7 +544,7 @@ class TestMultiviewLoss:
         preds_arr = rng.uniform(-5, 5, size=(8, 3))
         rep = multiview_image_loss(
             intr,
-            build_multiview_index(poses, obs_by_img, corresponded),
+            build_multiview_index(intr, poses, obs_by_img, corresponded),
             0,
             preds_arr,
             cfg,
@@ -564,7 +567,7 @@ class TestMultiviewLoss:
         )
         del poses[1]
         with pytest.raises(IndexMismatchError, match="no pose for indexed image 1"):
-            build_multiview_index(poses, obs_by_img, corresponded)
+            build_multiview_index(intr, poses, obs_by_img, corresponded)
 
     def test_missing_pose_of_undrawn_image_raises_unless_left_out(self, intr, rng):
         # image 1 lacks a pose and no point of image 0 can draw it: the index
@@ -572,8 +575,8 @@ class TestMultiviewLoss:
         poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
         del poses[1]
         with pytest.raises(IndexMismatchError, match="no pose for indexed image 1"):
-            build_multiview_index(poses, obs_by_img, corresponded)
-        index = build_multiview_index(poses, {0: obs_by_img[0]}, corresponded)
+            build_multiview_index(intr, poses, obs_by_img, corresponded)
+        index = build_multiview_index(intr, poses, {0: obs_by_img[0]}, corresponded)
         assert list(index.poses) == [0]
         rep = multiview_image_loss(intr, index, 0, coords, rng=np.random.default_rng(0))
         assert rep.total < 1e-6
@@ -581,14 +584,14 @@ class TestMultiviewLoss:
     def test_image_outside_the_index_raises_naming_it(self, intr, rng):
         # a bare KeyError: 1 for a view left out of the index, as a held-out one is
         poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
-        index = build_multiview_index(poses, {0: obs_by_img[0]}, corresponded)
+        index = build_multiview_index(intr, poses, {0: obs_by_img[0]}, corresponded)
         with pytest.raises(IndexMismatchError) as err:
             multiview_image_loss(intr, index, 1, coords, rng=np.random.default_rng(0))
         assert str(err.value) == "the multi-view index has no rows for image 1"
 
     def test_index_mismatch_raises(self, intr, rng):
         poses, obs_by_img, corresponded, coords = self._two_view_setup(rng, intr)
-        index = build_multiview_index(poses, obs_by_img, corresponded)
+        index = build_multiview_index(intr, poses, obs_by_img, corresponded)
         # one row short, one row long, and rows that are not 3-vectors
         for bad in (coords[:-1], np.vstack([coords, coords[:1]]), coords[:, :2]):
             with pytest.raises(IndexMismatchError, match="do not match 8 observation rows"):
@@ -604,7 +607,7 @@ class TestMultiviewLoss:
         def total_for(arr):
             return multiview_image_loss(
                 intr,
-                build_multiview_index(poses, obs_by_img, corresponded),
+                build_multiview_index(intr, poses, obs_by_img, corresponded),
                 0,
                 arr,
                 cfg,
@@ -693,7 +696,9 @@ class TestMultiviewIndex:
     )
     def test_all_observations_pinned(self, kw, digest):
         ds = build_dataset(DatasetConfig(**kw))
-        index = build_multiview_index(ds.poses, ds.observations, ds.covis.corresponded)
+        index = build_multiview_index(
+            ds.intrinsics, ds.poses, ds.observations, ds.covis.corresponded
+        )
         assert index_sha256(index) == digest
 
     def test_matches_oracle_over_20_seeds(self):
@@ -708,12 +713,12 @@ class TestMultiviewIndex:
             )
             ds = build_dataset(cfg)
             corresponded = ds.covis.corresponded
-            index = build_multiview_index(ds.poses, ds.observations, corresponded)
+            index = build_multiview_index(ds.intrinsics, ds.poses, ds.observations, corresponded)
             assert_index_matches_oracle(index, ds.observations, corresponded)
             assert len(index.other_pos) > 0
             # the train views alone, as train() builds it
             train = {i: ds.observations[i] for i in ds.train_ids}
-            index = build_multiview_index(ds.poses, train, corresponded)
+            index = build_multiview_index(ds.intrinsics, ds.poses, train, corresponded)
             assert_index_matches_oracle(index, train, corresponded)
             assert set(index.image_ids[index.other_pos].tolist()) <= set(ds.train_ids)
 
@@ -721,7 +726,7 @@ class TestMultiviewIndex:
         # a bare KeyError: 3 for the first held-out view of a 12-view room
         ds = build_dataset(DatasetConfig(seed=0, n_points=300, n_images=12, min_visible=10))
         train = {i: ds.observations[i] for i in ds.train_ids}
-        index = build_multiview_index(ds.poses, train, ds.covis.corresponded)
+        index = build_multiview_index(ds.intrinsics, ds.poses, train, ds.covis.corresponded)
         assert ds.test_ids[0] == 3
         with pytest.raises(IndexMismatchError) as err:
             index.draw(3, np.random.default_rng(0))
@@ -729,24 +734,24 @@ class TestMultiviewIndex:
         rows, entries = index.draw(ds.train_ids[0], np.random.default_rng(0))
         assert len(rows) == len(entries) > 0
 
-    def test_image_without_observations(self):
+    def test_image_without_observations(self, intr):
         obs = {0: _obs([1, 2, 3]), 1: _obs([]), 2: _obs([3, 2])}
         corresponded = build_covis(obs).corresponded
         assert corresponded.dtype == np.int64 and corresponded.tolist() == [2, 3]
-        index = build_multiview_index(identity_poses(obs), obs, corresponded)
+        index = build_multiview_index(intr, identity_poses(obs), obs, corresponded)
         assert_index_matches_oracle(index, obs, corresponded)
         assert index.images[1].offsets.tolist() == [2]
         assert 1 not in index.image_ids[index.other_pos]
 
-    def test_missing_pose(self, rng):
+    def test_missing_pose(self, intr, rng):
         pose = random_pose(rng)
         obs = {0: _obs([1, 2]), 4: _obs([2, 1])}
         with pytest.raises(IndexMismatchError, match="no pose for indexed image 4"):
-            build_multiview_index({0: pose}, obs, np.array([1, 2]))
+            build_multiview_index(intr, {0: pose}, obs, np.array([1, 2]))
         # poses of images that are not indexed are neither needed nor kept
         other = random_pose(rng)
         ids = np.array([1, 2])
-        index = build_multiview_index({0: pose, 4: other, 7: random_pose(rng)}, obs, ids)
+        index = build_multiview_index(intr, {0: pose, 4: other, 7: random_pose(rng)}, obs, ids)
         assert_index_matches_oracle(index, obs, ids)
         assert list(index.poses) == [0, 4]
         assert index.rotations.tobytes() == pose.rotation.tobytes() + other.rotation.tobytes()
@@ -755,11 +760,11 @@ class TestMultiviewIndex:
         )
         assert index.image_ids[index.other_pos].tolist() == [4, 4, 0, 0]
 
-    def test_duplicate_point_ids_within_one_image(self):
+    def test_duplicate_point_ids_within_one_image(self, intr):
         obs = {5: _obs([3, 9, 1]), 2: _obs([]), 0: _obs([9, 8, 3, 3])}
         corresponded = build_covis(obs).corresponded
         assert corresponded.dtype == np.int64 and corresponded.tolist() == [3, 9]
-        index = build_multiview_index(identity_poses(obs), obs, corresponded)
+        index = build_multiview_index(intr, identity_poses(obs), obs, corresponded)
         assert_index_matches_oracle(index, obs, corresponded)
         # image 5's row of point 3 has one entry per row of image 0 that sees it
         first, last = index.images[5].offsets[:2]
@@ -767,15 +772,15 @@ class TestMultiviewIndex:
         # image 0's own second row of point 3 is not its neighbor
         assert np.diff(index.images[0].offsets).tolist() == [1, 0, 1, 1]
 
-    def test_corresponded_point_seen_once_gets_no_entries(self):
+    def test_corresponded_point_seen_once_gets_no_entries(self, intr):
         obs = {0: _obs([1, 4]), 1: _obs([1])}
         ids = np.array([1, 4, 99])
-        index = build_multiview_index(identity_poses(obs), obs, ids)
+        index = build_multiview_index(intr, identity_poses(obs), obs, ids)
         assert_index_matches_oracle(index, obs, ids)
         assert np.diff(index.images[0].offsets).tolist() == [1, 0]
 
-    def test_no_images(self):
-        index = build_multiview_index({}, {}, np.array([], dtype=np.int64))
+    def test_no_images(self, intr):
+        index = build_multiview_index(intr, {}, {}, np.array([], dtype=np.int64))
         assert index.image_ids.shape == (0,) and index.images == {}
         assert index.other_pos.shape == (0,) and index.other_pixels.shape == (0, 2)
 
@@ -788,17 +793,17 @@ class TestMultiviewIndex:
         ],
         ids=["set", "float", "2-d"],
     )
-    def test_corresponded_that_is_not_integer_ids_raises_naming_it(self, given, named):
+    def test_corresponded_that_is_not_integer_ids_raises_naming_it(self, intr, given, named):
         obs = {0: _obs([1, 2]), 1: _obs([2, 1])}
         with pytest.raises(DimensionMismatchError) as err:
-            build_multiview_index(identity_poses(obs), obs, given)
+            build_multiview_index(intr, identity_poses(obs), obs, given)
         assert str(err.value) == f"corresponded ({named}) is not 1-D integer point ids"
 
     @pytest.mark.parametrize("given", [[1, 2], range(1, 3)], ids=["list", "range"])
-    def test_corresponded_list_of_ints_builds_the_array_index(self, given):
+    def test_corresponded_list_of_ints_builds_the_array_index(self, intr, given):
         obs = {0: _obs([1, 2]), 1: _obs([2, 1])}
-        got = build_multiview_index(identity_poses(obs), obs, given)
-        want = build_multiview_index(identity_poses(obs), obs, np.array([1, 2]))
+        got = build_multiview_index(intr, identity_poses(obs), obs, given)
+        want = build_multiview_index(intr, identity_poses(obs), obs, np.array([1, 2]))
         assert len(want.other_pos) == 4
         assert got.other_pos.tobytes() == want.other_pos.tobytes()
         assert got.other_pixels.tobytes() == want.other_pixels.tobytes()
@@ -1365,6 +1370,7 @@ class TestVectorizedEquivalence:
         recorded on the build whose angle loss was one whole-array pass
         without a separate camera-frame kernel."""
         index = build_multiview_index(
+            room.intrinsics,
             room.poses,
             {i: room.observations[i] for i in room.train_ids},
             room.covis.corresponded,
@@ -1385,7 +1391,9 @@ class TestVectorizedEquivalence:
 
     def test_multiview_matches_per_point_loop(self, room):
         cfg = LossConfig()
-        index = build_multiview_index(room.poses, room.observations, room.covis.corresponded)
+        index = build_multiview_index(
+            room.intrinsics, room.poses, room.observations, room.covis.corresponded
+        )
         covis = oracles.build_covis(room.observations)
         assert room.covis.corresponded.tolist() == sorted(covis.corresponded)
         corresponded = 0
@@ -1439,6 +1447,121 @@ def _assert_reports_bit_equal(new, ref):
             continue
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
+
+
+class TestObservedRays:
+    """``angle_terms`` on the ``ObservedRays`` that ``observed_rays`` builds
+    once gives the bits of the call on the pixels, and the multi-view index
+    holds the rays of its own pixels."""
+
+    @staticmethod
+    def assert_same_report(new, ref):
+        for a, b in zip((new.values, new.grads, new.cam, new.rays), ref[:4]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_bits_of_the_pixel_call_on_the_room(self, room):
+        intr = room.intrinsics
+        for t, image_id in enumerate(room.train_ids):
+            obs = room.observations[image_id]
+            preds = _noisy_predictions(room, image_id, 3.0, t)
+            observed = observed_rays(intr, obs.pixels)
+            assert len(observed) == len(obs.pixels)
+            pose = room.poses[image_id]
+            self.assert_same_report(
+                angle_terms(intr, pose, preds, observed),
+                angle_terms(intr, pose, preds, obs.pixels),
+            )
+
+    def test_bits_of_the_pixel_call_on_special_rows(self, room):
+        """Camera-frame rows (identity pose) at the camera center, inside
+        the eps_norm guard, exactly on their rays (|g| = 0), NaN, and
+        against NaN and +-inf pixels, the latter placed so that |g| is
+        infinite without an inf - inf: no warning either way."""
+        intr = room.intrinsics
+        obs = room.observations[room.train_ids[0]]
+        rays = ray_vectors(intr, obs.pixels[:2])
+        special = np.array(
+            [
+                [0.0, 0.0, 0.0],
+                [1e-9, -2e-9, 3e-9],
+                rays[0],
+                2.0 * rays[1],
+                [np.nan, 0.0, 1.0],
+                [np.nan] * 3,
+                [0.0, 0.0, 2.0],
+                [-1.0, 1.0, 2.0],
+                [1.0, 1.0, 2.0],
+                [1.0, -1.0, 2.0],
+            ]
+        )
+        special_pixels = np.array(
+            [
+                [intr.cx + 3.0, intr.cy - 2.0],
+                [intr.cx - 5.0, intr.cy + 1.0],
+                obs.pixels[0],
+                obs.pixels[1],
+                [intr.cx, intr.cy],
+                [intr.cx, intr.cy],
+                [np.nan, 3.0],
+                [np.inf, 3.0],
+                [3.0, -np.inf],
+                [-np.inf, np.inf],
+            ]
+        )
+        n = len(obs.pixels)
+        # camera-frame points in front of the camera for the image's own rows
+        front = np.random.default_rng(5).uniform([-2.0, -2.0, 1.0], [2.0, 2.0, 6.0], size=(n, 3))
+        preds = np.concatenate([front, special])
+        pixels = np.concatenate([obs.pixels, special_pixels])
+        pose = PoseSE3.identity()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = angle_terms(intr, pose, preds, pixels)
+            new = angle_terms(intr, pose, preds, observed_rays(intr, pixels))
+            # the guard and |g| = 0; NaN rows; infinite |g| alone
+            for rows in (slice(n, n + 4), slice(n + 4, n + 7), slice(n + 7, None)):
+                self.assert_same_report(
+                    angle_terms(intr, pose, preds[rows], observed_rays(intr, pixels[rows])),
+                    angle_terms(intr, pose, preds[rows], pixels[rows]),
+                )
+        self.assert_same_report(new, ref)
+        assert new.values[n + 2] == new.values[n + 3] == 0.0
+        assert np.isfinite(new.grads[n : n + 4]).all()
+        assert np.isnan(new.values[n + 4 : n + 7]).all() and np.isfinite(new.values[:n]).all()
+        assert (new.values[n + 7 :] == np.inf).all()
+
+    def test_rays_are_read_only(self, intr):
+        observed = observed_rays(intr, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert isinstance(observed, ObservedRays) and len(observed) == 2
+        rep = angle_terms(intr, PoseSE3.identity(), np.ones((2, 3)), observed)
+        for a in (observed.vectors, observed.norms, rep.rays):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_rays_of_another_row_count_raise(self, intr):
+        observed = observed_rays(intr, np.zeros((5, 2)))
+        for preds in (np.ones((4, 3)), np.ones((6, 3))):
+            with pytest.raises(IndexMismatchError, match="do not match 5 observation rows"):
+                angle_terms(intr, PoseSE3.identity(), preds, observed)
+        with pytest.raises(DimensionMismatchError):
+            observed_rays(intr, np.zeros((5, 3)))
+
+    def test_index_rays_are_those_of_its_pixels(self, room):
+        intr = room.intrinsics
+        index = build_multiview_index(intr, room.poses, room.observations, room.covis.corresponded)
+
+        def check(vectors, norms, pixels):
+            rays = ray_vectors(intr, pixels)
+            assert vectors.dtype == norms.dtype == np.float64
+            assert vectors.shape == rays.shape and vectors.tobytes() == rays.tobytes()
+            assert norms.shape == (len(pixels),)
+            assert norms.tobytes() == row_norms(rays).tobytes()
+
+        for rows in index.images.values():
+            check(rows.rays.vectors, rows.rays.norms, rows.pixels)
+        check(index.other_rays, index.other_norms, index.other_pixels)
+        assert len(index.other_pos) > 0
 
 
 class TestPhotoTarget:
@@ -1532,6 +1655,13 @@ class TestPhotoTarget:
         preds = pose_j.camera_to_world(D)
         rep = self.check(intr, pose_j, preds, obs, img_i, img_j)
         assert 100 < rep.valid_mask.sum() < n - 100
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (4, 1)], ids=["3-col", "1-d", "1-col"])
+    def test_pixels_that_are_not_rows_of_two_raise(self, shape):
+        obs = SimpleNamespace(point_ids=np.arange(4), pixels=np.full(shape, 5.0))
+        img = np.random.default_rng(0).uniform(size=(20, 30))
+        with pytest.raises(DimensionMismatchError, match=r"are not \(N, 2\) rows"):
+            photo_target(obs, img)
 
     def test_bit_identical_with_no_valid_row(self):
         intr, D, obs, img_i, img_j = self._border_case()

@@ -1462,6 +1462,7 @@ class TestTracedLookups:
     def test_multiview_loss_makes_two_calls(self, room, monkeypatch):
         train_ids = room.train_ids
         index = losses.build_multiview_index(
+            room.intrinsics,
             room.poses, {i: room.observations[i] for i in train_ids}, room.covis.corresponded
         )
         image_id = train_ids[0]
@@ -1520,6 +1521,50 @@ def test_a_step_derives_no_ray_angle_and_statuses_only_for_a_record(
     _, log = train(rendered_room, kind, cfg)
     assert len(log.records) == 3
     assert calls["_angles_between"] == 0 and calls["depth_statuses"] <= len(log.records)
+
+
+@pytest.mark.parametrize("mode", ["angle", "angle-multi", "angle-photo"])
+def test_rays_are_built_once_per_run(rendered_room, monkeypatch, mode):
+    """The angle loss's observed rays are fixed for a run, so ``train``
+    builds them before its loop: ``ray_vectors``, spied on where the losses
+    and ``train`` look it up, runs as often in 24 steps as in 8 (once per
+    train view, or once for the multi-view index)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = losses.ray_vectors
+    monkeypatch.setattr(losses, "ray_vectors", counted)
+    monkeypatch.setattr(regressor, "ray_vectors", counted)
+    counts = []
+    for iterations in (8, 24):
+        calls.clear()
+        train(rendered_room, "free_table", TrainConfig(mode=mode, iterations=iterations, lr=0.05))
+        counts.append(len(calls))
+    want = 1 if mode == "angle-multi" else len(rendered_room.train_ids)
+    assert counts == [want, want]
+
+
+@pytest.mark.parametrize("mode", ["angle", "angle-multi", "angle-photo"])
+def test_a_training_reports_rays_are_read_only(rendered_room, monkeypatch, mode):
+    """Every report a training step gets from ``angle_terms`` holds the
+    run's observed rays, which no caller may write into."""
+    reports = []
+
+    def kept(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    real = losses.angle_terms
+    monkeypatch.setattr(losses, "angle_terms", kept)
+    monkeypatch.setattr(regressor, "angle_terms", kept)
+    train(rendered_room, "free_table", TrainConfig(mode=mode, iterations=6, lr=0.05))
+    assert len(reports) >= 6
+    for rep in reports:
+        with pytest.raises(ValueError, match="read-only"):
+            rep.rays[:] = 0.0
 
 
 def training_digest(ds, kind, mode):

@@ -1098,10 +1098,10 @@ class TestCoVisibility:
         first = {0: ds.observations[0]}
         graph = build_covis(first)
         assert graph.corresponded.dtype == np.int64 and graph.corresponded.tolist() == []
-        index = build_multiview_index(ds.poses, first, graph.corresponded)
+        index = build_multiview_index(ds.intrinsics, ds.poses, first, graph.corresponded)
         assert len(index.other_pos) == 0
 
-    def test_example_three_images(self):
+    def test_example_three_images(self, intr):
         o = {
             i: SimpleNamespace(point_ids=np.array([7]), pixels=np.array([[i, 0.0]]))
             for i in (1, 2, 3)
@@ -1109,7 +1109,7 @@ class TestCoVisibility:
         graph = build_covis(o)
         assert graph.corresponded.dtype == np.int64 and graph.corresponded.tolist() == [7]
         poses = {i: PoseSE3.identity() for i in o}
-        index = build_multiview_index(poses, o, graph.corresponded)
+        index = build_multiview_index(intr, poses, o, graph.corresponded)
         for i, others in ((1, [2, 3]), (2, [1, 3]), (3, [1, 2])):
             first, last = index.images[i].offsets
             assert index.image_ids[index.other_pos[first:last]].tolist() == others
@@ -1117,7 +1117,9 @@ class TestCoVisibility:
 
     def test_symmetry_exhaustive(self):
         ds = build_dataset(small_cfg())
-        index = build_multiview_index(ds.poses, ds.observations, ds.covis.corresponded)
+        index = build_multiview_index(
+            ds.intrinsics, ds.poses, ds.observations, ds.covis.corresponded
+        )
         pairs = set()
         for i, rows in index.images.items():
             for r, k in enumerate(ds.observations[i].point_ids.tolist()):
@@ -1133,7 +1135,9 @@ class TestCoVisibility:
 
     def test_partition_into_single_and_multi(self):
         ds = build_dataset(small_cfg())
-        index = build_multiview_index(ds.poses, ds.observations, ds.covis.corresponded)
+        index = build_multiview_index(
+            ds.intrinsics, ds.poses, ds.observations, ds.covis.corresponded
+        )
         for i, obs in ds.observations.items():
             mask = np.isin(obs.point_ids, ds.covis.corresponded)
             others = np.diff(index.images[i].offsets) > 0
@@ -1171,7 +1175,7 @@ class TestCoVisibility:
         )
         graph = build_covis(obs)
         assert_same_covis(graph, oracles.build_covis(obs))
-        index = build_multiview_index(ds.poses, obs, graph.corresponded)
+        index = build_multiview_index(ds.intrinsics, ds.poses, obs, graph.corresponded)
         assert len(index.images[2].offsets) == 1
         assert 2 not in index.image_ids[index.other_pos]
 
